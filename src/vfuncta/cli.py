@@ -10,7 +10,6 @@ hash-for-hash.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -20,8 +19,8 @@ import numpy as np
 
 from . import codec, data, heads, metrics
 from .config import (
-    SEED_ENV_VAR,
     TRAIN_SCHEMA,
+    env_seed,
     load_corpus_options,
     load_head_options,
     load_train_config,
@@ -141,13 +140,20 @@ def _encode_config(model, args) -> TrainConfig:
                        omega0=model.omega0, iterations=0)
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw is not None else None
+def _output_paths(inputs: list[Path], out: Path, suffix: str) -> dict[Path, Path]:
+    """Map each input to `out/<stem><suffix>`, refusing two inputs that
+    would write the same file."""
+    writers: dict[Path, Path] = {}
+    for path in inputs:
+        dest = out / (path.stem + suffix)
+        if dest in writers:
+            raise VfunctaError(f"{writers[dest]} and {path} would both write {dest}")
+        writers[dest] = path
+    return {path: dest for dest, path in writers.items()}
 
 
 def cmd_gen_corpus(args, argv) -> int:
-    seed = _env_seed() if _env_seed() is not None else args.seed
+    seed = env_seed(args.seed)
     options = load_corpus_options(args.spec)
     manifest = RunManifest("gen-corpus", argv,
                            config={**{k: str(v) for k, v in options.items()},
@@ -170,12 +176,14 @@ def cmd_train(args, argv) -> int:
     overrides = {}
     for pair in args.set:
         if "=" not in pair:
-            print(f"error: --set expects KEY=VALUE, got {pair!r}", file=sys.stderr)
-            return 1
+            raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
         key, value = pair.split("=", 1)
         if key not in TRAIN_SCHEMA:
             raise ConfigError(f"unknown override key {key!r}")
-        overrides[key] = TRAIN_SCHEMA[key](value)
+        try:
+            overrides[key] = TRAIN_SCHEMA[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"--set {key}: bad value {value!r}: {exc}") from exc
     cfg = load_train_config(args.config, overrides=overrides)
 
     items = data.read_corpus_manifest(args.corpus)
@@ -232,6 +240,7 @@ def _run_items(items, worker, jobs: int, keep_going: bool):
 
 
 def cmd_encode(args, argv) -> int:
+    outputs = _output_paths(args.videos, args.out, ".venc")
     model = codec.load_model(args.model)
     cfg = _encode_config(model, args)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -245,8 +254,7 @@ def cmd_encode(args, argv) -> int:
     def worker(video_path: Path):
         video = data.load_video(video_path)
         enc = codec.encode_video(model, video, cfg)
-        out_path = args.out / (video_path.stem + ".venc")
-        codec.save_encoding(out_path, enc)
+        codec.save_encoding(outputs[video_path], enc)
         line = (f"{video_path.name}\tframes={enc.frames}\t"
                 f"rate={codec.compression_rate(video.dims, enc.video_dim, enc.frame_dim):.2f}")
         if args.report:
@@ -257,7 +265,7 @@ def cmd_encode(args, argv) -> int:
     failures = _run_items(args.videos, worker, args.jobs, args.keep_going)
     for video_path in args.videos:
         manifest.add_input(video_path)
-        produced = args.out / (video_path.stem + ".venc")
+        produced = outputs[video_path]
         if produced.exists():
             manifest.add_artifact(produced, base=args.out)
     manifest.write(args.out / "run_manifest.json")
@@ -267,6 +275,7 @@ def cmd_encode(args, argv) -> int:
 
 
 def cmd_decode(args, argv) -> int:
+    outputs = _output_paths(args.encodings, args.out, ".rawvid")
     model = codec.load_model(args.model)
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("decode", argv, config={}, seed=None)
@@ -275,8 +284,7 @@ def cmd_decode(args, argv) -> int:
     def worker(enc_path: Path):
         enc = codec.load_encoding(enc_path)
         video = codec.decode_video(model, enc)
-        out_path = args.out / (enc_path.stem + ".rawvid")
-        data.save_video(out_path, video)
+        data.save_video(outputs[enc_path], video)
         line = f"{enc_path.name}\tdims={video.dims}"
         if args.report:
             if args.originals is None:
@@ -289,7 +297,7 @@ def cmd_decode(args, argv) -> int:
     failures = _run_items(args.encodings, worker, args.jobs, args.keep_going)
     for enc_path in args.encodings:
         manifest.add_input(enc_path)
-        produced = args.out / (enc_path.stem + ".rawvid")
+        produced = outputs[enc_path]
         if produced.exists():
             manifest.add_artifact(produced, base=args.out)
     manifest.write(args.out / "run_manifest.json")
@@ -299,6 +307,7 @@ def cmd_decode(args, argv) -> int:
 
 
 def cmd_summary(args, argv) -> int:
+    outputs = _output_paths(args.encodings, args.out, ".pgm")
     model = codec.load_model(args.model)
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("summary", argv, config={}, seed=None)
@@ -307,13 +316,13 @@ def cmd_summary(args, argv) -> int:
     def worker(enc_path: Path):
         enc = codec.load_encoding(enc_path)
         frame = codec.decode_static_summary(model, enc)
-        data.write_pgm(args.out / (enc_path.stem + ".pgm"), frame)
+        data.write_pgm(outputs[enc_path], frame)
         print(f"{enc_path.name}\tsummary {frame.shape[0]}x{frame.shape[1]}")
 
     failures = _run_items(args.encodings, worker, 1, args.keep_going)
     for enc_path in args.encodings:
         manifest.add_input(enc_path)
-        produced = args.out / (enc_path.stem + ".pgm")
+        produced = outputs[enc_path]
         if produced.exists():
             manifest.add_artifact(produced, base=args.out)
     manifest.write(args.out / "run_manifest.json")
@@ -323,15 +332,19 @@ def cmd_summary(args, argv) -> int:
 
 
 def cmd_eval(args, argv) -> int:
+    if args.seeds < 1:
+        raise VfunctaError(f"--seeds must be at least 1, got {args.seeds}")
+    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise VfunctaError(f"--modes {args.modes!r} names no feature mode")
     model = codec.load_model(args.model)
     cfg = _encode_config(model, args)
     items = data.read_corpus_manifest(args.corpus)
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     head_options = load_head_options(args.head_config)
     hidden = (head_options.pop("hidden1", 256), head_options.pop("hidden2", 64))
     head_options.pop("mode", None)
     config_seed = head_options.pop("seed", 0)
-    base_seed = _env_seed() if _env_seed() is not None else config_seed
+    base_seed = env_seed(config_seed)
     config_task = head_options.pop("task", None)
     if config_task is not None and config_task != args.task:
         raise VfunctaError(f"--task {args.task} conflicts with head config task "

@@ -18,6 +18,8 @@ import numpy as np
 
 from .container import (
     ENCODING_MAGIC,
+    SUPPORTED_VERSIONS,
+    VERSION,
     atomic_write_bytes,
     decode_dtype,
     dtype_code,
@@ -48,19 +50,26 @@ __all__ = [
 
 
 class VideoEncoding:
-    """Compressed form of one video: (v, per-frame phis) plus provenance."""
+    """Compressed form of one video: (v, per-frame phis) plus provenance.
+
+    `fingerprint_version` is the container version whose hash made
+    `fingerprint`: an encoding loaded from a version 1 file names its
+    model by the version 1 fingerprint.
+    """
 
     __slots__ = ("video_mod", "frame_mods", "frames", "height", "width",
-                 "fingerprint", "inner_steps", "inner_lr")
+                 "fingerprint", "inner_steps", "inner_lr", "fingerprint_version")
 
     def __init__(self, video_mod: VideoModulation, frame_mods: FrameModulationSeq,
                  frames: int, height: int, width: int, fingerprint: int,
-                 inner_steps: int, inner_lr: float):
+                 inner_steps: int, inner_lr: float, fingerprint_version: int = VERSION):
         if len(frame_mods) != frames:
             raise ContractError(
                 f"encoding holds {len(frame_mods)} frame vectors for {frames} frames")
         if min(frames, height, width) < 1:
             raise ContractError("encoded dims must be positive")
+        if fingerprint_version not in SUPPORTED_VERSIONS:
+            raise ContractError(f"unknown fingerprint version {fingerprint_version}")
         self.video_mod = video_mod
         self.frame_mods = frame_mods
         self.frames = frames
@@ -69,6 +78,7 @@ class VideoEncoding:
         self.fingerprint = int(fingerprint)
         self.inner_steps = int(inner_steps)
         self.inner_lr = float(inner_lr)
+        self.fingerprint_version = int(fingerprint_version)
 
     @property
     def video_dim(self) -> int:
@@ -80,7 +90,8 @@ class VideoEncoding:
 
     def __eq__(self, other):
         return (isinstance(other, VideoEncoding)
-                and self.fingerprint == other.fingerprint
+                and (self.fingerprint, self.fingerprint_version)
+                == (other.fingerprint, other.fingerprint_version)
                 and (self.frames, self.height, self.width) == (other.frames, other.height, other.width)
                 and (self.inner_steps, self.inner_lr) == (other.inner_steps, other.inner_lr)
                 and np.array_equal(self.video_mod.values, other.video_mod.values)
@@ -127,7 +138,7 @@ def encode_video(model: MetaModel, video: VideoTensor, cfg: TrainConfig, *,
 
 
 def _require_same_model(model: MetaModel, enc: VideoEncoding) -> None:
-    actual = model_fingerprint(model)
+    actual = model_fingerprint(model, enc.fingerprint_version)
     if actual != enc.fingerprint:
         raise FingerprintMismatchError(enc.fingerprint, actual)
 
@@ -169,6 +180,10 @@ def compression_rate(dims: tuple[int, int, int], video_dim: int, frame_dim: int)
 
 
 def save_encoding(path, enc: VideoEncoding) -> None:
+    if enc.fingerprint_version != VERSION:
+        raise ContractError(
+            f"encoding names its model by a version {enc.fingerprint_version} fingerprint, "
+            f"which a version {VERSION} file cannot hold; encode the video again")
     dt = np.dtype(enc.video_mod.values.dtype).newbyteorder("<")
     payload = (np.ascontiguousarray(enc.video_mod.values).astype(dt, copy=False).tobytes()
                + np.ascontiguousarray(enc.frame_mods.values).astype(dt, copy=False).tobytes())
@@ -186,7 +201,7 @@ def load_encoding(path) -> VideoEncoding:
         blob = path.read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    body = unpack_container(blob, ENCODING_MAGIC, source=str(path))
+    version, body = unpack_container(blob, ENCODING_MAGIC, source=str(path))
     reader = _BodyReader(body, str(path))
     code, frames, height, width, video_dim, frame_dim = reader.unpack("<BIIIII")
     inner_steps, inner_lr, fingerprint, payload_len = reader.unpack("<IdQQ")
@@ -204,4 +219,5 @@ def load_encoding(path) -> VideoEncoding:
         VideoModulation(v.astype(native, copy=True)),
         FrameModulationSeq(phis.astype(native, copy=True)),
         frames=frames, height=height, width=width,
-        fingerprint=fingerprint, inner_steps=inner_steps, inner_lr=inner_lr)
+        fingerprint=fingerprint, inner_steps=inner_steps, inner_lr=inner_lr,
+        fingerprint_version=version)

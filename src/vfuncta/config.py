@@ -18,6 +18,17 @@ from .training import TrainConfig
 SEED_ENV_VAR = "VFUNCTA_SEED"
 
 
+def env_seed(default: int | None = None) -> int | None:
+    """The seed set by the VFUNCTA_SEED environment variable, else `default`."""
+    raw = os.environ.get(SEED_ENV_VAR)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+
+
 def parse_kv_file(path) -> dict[str, tuple[int, str]]:
     """Read key=value lines; returns {key: (line_number, raw_value)}."""
     path = Path(path)
@@ -96,12 +107,9 @@ def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
     for key in TRAIN_REQUIRED:
         if key not in values:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            values["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
+    seed = env_seed()
+    if seed is not None:
+        values["seed"] = seed
     try:
         return TrainConfig(**values)
     except Exception as exc:

@@ -6,10 +6,15 @@ magic and are told apart by a kind tag at the start of the body;
 encodings use "VENC". Numeric payloads are raw IEEE-754 little-endian in
 the dtype the header declares, so save, load, save reproduces files
 byte-for-byte.
+
+The version names the hash behind the checksum and the model
+fingerprint: version 2, which is written, uses 64-bit BLAKE2b; version 1
+used 64-bit FNV-1a and is still read and verified.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import tempfile
@@ -29,7 +34,8 @@ from .tensor import Tensor
 
 MODEL_MAGIC = b"VFNC"
 ENCODING_MAGIC = b"VENC"
-VERSION = 1
+VERSION = 2
+SUPPORTED_VERSIONS = (1, 2)
 
 KIND_MODEL = 1
 KIND_HEAD = 2
@@ -38,11 +44,28 @@ _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def fnv1a64(data) -> int:
-    """64-bit FNV-1a over a byte string."""
+    """64-bit FNV-1a over a byte string: the version 1 hash."""
     h = 0xCBF29CE484222325
     for byte in bytes(data):
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def blake2b64(*chunks) -> int:
+    """64-bit BLAKE2b over the concatenation of byte-like chunks: the
+    version 2 hash, fed chunk by chunk so nothing is joined first."""
+    h = hashlib.blake2b(digest_size=8)
+    for chunk in chunks:
+        h.update(chunk)
+    return int.from_bytes(h.digest(), "little")
+
+
+def _content_hash(version: int, *chunks) -> int:
+    """The hash a file of the given container version uses for its
+    checksum and for model fingerprints."""
+    if version == 1:
+        return fnv1a64(b"".join(chunks))
+    return blake2b64(*chunks)
 
 
 def dtype_code(dtype) -> int:
@@ -73,24 +96,28 @@ def atomic_write_bytes(path, blob: bytes) -> None:
 
 
 def pack_container(magic: bytes, body: bytes) -> bytes:
-    return magic + struct.pack("<I", VERSION) + body + struct.pack("<Q", fnv1a64(body))
+    return (magic + struct.pack("<I", VERSION) + body
+            + struct.pack("<Q", _content_hash(VERSION, body)))
 
 
-def unpack_container(blob: bytes, magic: bytes, source: str = "file") -> bytes:
-    """Validate framing and return the body."""
+def unpack_container(blob: bytes, magic: bytes,
+                     source: str = "file") -> tuple[int, memoryview]:
+    """Validate framing against the hash of the file's version; return
+    the version and the body."""
     if len(blob) < 4 or blob[:4] != magic:
         raise BadMagicError(f"{source}: bad magic {blob[:4]!r}, expected {magic!r}")
     if len(blob) < 16:
         raise TruncatedFileError(f"{source}: {len(blob)} bytes is too short")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise UnsupportedVersionError(f"{source}: version {version}, supported {VERSION}")
-    body = blob[8:-8]
+    if version not in SUPPORTED_VERSIONS:
+        raise UnsupportedVersionError(
+            f"{source}: version {version}, supported {SUPPORTED_VERSIONS}")
+    body = memoryview(blob)[8:-8]
     (stored,) = struct.unpack_from("<Q", blob, len(blob) - 8)
-    actual = fnv1a64(body)
+    actual = _content_hash(version, body)
     if stored != actual:
         raise ChecksumError(f"{source}: checksum {actual:016x} != stored {stored:016x}")
-    return body
+    return version, body
 
 
 class _BodyReader:
@@ -121,10 +148,11 @@ class _BodyReader:
             raise FormatError(f"{self.source}: {len(self.body) - self.pos} trailing bytes")
 
 
-def _param_payload(model: MetaModel) -> bytes:
+def _param_arrays(model: MetaModel) -> list[np.ndarray]:
+    """Every parameter as a contiguous little-endian array, in file order."""
     dt = np.dtype(model.dtype).newbyteorder("<")
-    return b"".join(np.ascontiguousarray(p.data).astype(dt, copy=False).tobytes()
-                    for _, p in model.parameters())
+    return [np.ascontiguousarray(p.data).astype(dt, copy=False)
+            for _, p in model.parameters()]
 
 
 def _model_dims_blob(model: MetaModel) -> bytes:
@@ -132,18 +160,15 @@ def _model_dims_blob(model: MetaModel) -> bytes:
                        model.video_dim, model.frame_dim, model.omega0)
 
 
-def model_fingerprint(model: MetaModel) -> int:
+def model_fingerprint(model: MetaModel, version: int = VERSION) -> int:
     """Content hash over architecture and parameters (not the iteration
-    counter), matching what a saved model file would hold."""
-    cached = getattr(model, "_fingerprint", None)
-    if cached is None:
-        cached = fnv1a64(_model_dims_blob(model) + _param_payload(model))
-        model._fingerprint = cached
-    return cached
+    counter), matching what a saved model file would hold, with the hash
+    of the given container version."""
+    return _content_hash(version, _model_dims_blob(model), *_param_arrays(model))
 
 
 def save_model(path, model: MetaModel) -> None:
-    payload = _param_payload(model)
+    payload = b"".join(a.tobytes() for a in _param_arrays(model))
     body = (struct.pack("<I", KIND_MODEL) + _model_dims_blob(model)
             + struct.pack("<QQ", model.iteration, len(payload)) + payload)
     atomic_write_bytes(path, pack_container(MODEL_MAGIC, body))
@@ -155,7 +180,7 @@ def load_model(path) -> MetaModel:
         blob = path.read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    body = unpack_container(blob, MODEL_MAGIC, source=str(path))
+    _, body = unpack_container(blob, MODEL_MAGIC, source=str(path))
     reader = _BodyReader(body, str(path))
     (kind,) = reader.unpack("<I")
     if kind != KIND_MODEL:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tg
+from .errors import ContractError
 from .model import MetaModel, forward_batch, loss_mse_frame
 from .tensor import Tensor, backward
 
@@ -60,6 +61,8 @@ def run_gradcheck(trials: int = 100, step: float = 1e-4, tolerance: float = 1e-4
                   layers: int = 2, hidden: int = 8, video_dim: int = 8,
                   frame_dim: int = 4, batch: int = 2, coords_per_frame: int = 6,
                   on_trial=None) -> GradCheckResult:
+    if trials < 1:
+        raise ContractError(f"gradcheck needs at least one trial, got {trials}")
     worst, worst_param, worst_trial = 0.0, "", -1
 
     def note(err: float, param: str, trial: int):

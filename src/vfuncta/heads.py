@@ -272,7 +272,7 @@ def load_head(path) -> MlpHead:
         blob = path.read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    body = unpack_container(blob, MODEL_MAGIC, source=str(path))
+    _, body = unpack_container(blob, MODEL_MAGIC, source=str(path))
     reader = _BodyReader(body, str(path))
     (kind,) = reader.unpack("<I")
     if kind != KIND_HEAD:

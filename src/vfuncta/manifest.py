@@ -2,7 +2,8 @@
 
 Every command writes one JSON manifest holding the resolved
 configuration, seeds, input and output paths, and a content hash per
-artifact. Hashes of training logs are computed over their deterministic
+artifact: 64-bit BLAKE2b as 16 hex digits, named by the manifest's
+`hash` key. Hashes of training logs are computed over their deterministic
 columns only (timestamps and wall-clock timings are stripped), so two
 runs with the same seed produce identical artifact hash maps.
 """
@@ -14,15 +15,17 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .container import fnv1a64
+from .container import blake2b64
+
+HASH_NAME = "blake2b-64"
 
 
 def hash_file(path) -> str:
     """Content hash as 16 hex digits; log files are canonicalized first."""
     path = Path(path)
     if path.suffix == ".log":
-        return f"{fnv1a64(_canonical_log_bytes(path)):016x}"
-    return f"{fnv1a64(path.read_bytes()):016x}"
+        return f"{blake2b64(_canonical_log_bytes(path)):016x}"
+    return f"{blake2b64(path.read_bytes()):016x}"
 
 
 def _canonical_log_bytes(path: Path) -> bytes:
@@ -75,6 +78,7 @@ class RunManifest:
             "artifacts": dict(sorted(self.artifacts.items())),
             "started": self.started,
             "finished": self.finished,
+            "hash": HASH_NAME,
         }
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows at toy scale."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +247,107 @@ def test_same_seed_runs_have_identical_artifact_hashes(tmp_path):
         hashes.append(read_manifest(tmp_path / name / "model.manifest.json")["artifacts"])
     assert hashes[0] == hashes[1]
     assert set(hashes[0]) == {"model.vfnc", "model.log"}
+
+# --- user errors end in one error line --------------------------------------------
+
+def assert_one_error_line(err, *needles):
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for needle in needles:
+        assert needle in lines[0]
+
+
+def test_train_bad_override_value_is_one_error_line(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path)
+    cfg = write_config(tmp_path / "run.cfg", iterations=1)
+    capsys.readouterr()
+    rc = main(["train", "--corpus", str(corpus), "--config", str(cfg),
+               "--out", str(tmp_path / "m.vfnc"), "--set", "layers=abc"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "layers", "abc")
+    assert not (tmp_path / "m.vfnc").exists()
+
+
+def test_non_integer_env_seed_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VFUNCTA_SEED", "seven")
+    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--count", "1"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "VFUNCTA_SEED", "seven")
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gradcheck_without_trials_is_an_error(capsys, trials):
+    rc = main(["gradcheck", "--trials", trials])
+    captured = capsys.readouterr()
+    assert rc == 1 and "PASS" not in captured.out
+    assert_one_error_line(captured.err, "trial", trials)
+
+
+def test_eval_without_seeds_is_an_error(tmp_path, capsys):
+    corpus, model_path = trained_model(tmp_path)
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus),
+               "--task", "regression", "--seeds", "0", "--batch-frames", "4",
+               "--inner-steps", "3", "--out", str(tmp_path / "eval")])
+    captured = capsys.readouterr()
+    assert rc == 1 and "nan" not in captured.out
+    assert_one_error_line(captured.err, "--seeds")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_without_modes_is_an_error(tmp_path, capsys):
+    rc = main(["eval", "--model", str(tmp_path / "m.vfnc"), "--corpus", str(tmp_path),
+               "--task", "binary", "--modes", " , "])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "--modes")
+
+
+def _same_stem_copies(tmp_path, src, suffix):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        dest = tmp_path / sub / f"clip{suffix}"
+        dest.write_bytes(src.read_bytes())
+        paths.append(str(dest))
+    return paths
+
+
+def test_encode_rejects_inputs_with_the_same_output_name(tmp_path, capsys):
+    corpus, model_path = trained_model(tmp_path)
+    item = read_corpus_manifest(corpus)[0]
+    videos = _same_stem_copies(tmp_path, Path(item.path), ".rawvid")
+    capsys.readouterr()
+    rc = main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
+               "--batch-frames", "4", "--inner-steps", "3", "--jobs", "2", *videos])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, videos[0], videos[1], "clip.venc")
+    assert not (tmp_path / "enc").exists()
+
+
+def test_decode_rejects_inputs_with_the_same_output_name(tmp_path, capsys):
+    corpus, model_path = trained_model(tmp_path)
+    item = read_corpus_manifest(corpus)[0]
+    enc_dir = tmp_path / "enc"
+    assert main(["encode", "--model", str(model_path), "--out", str(enc_dir),
+                 "--batch-frames", "4", "--inner-steps", "3", item.path]) == 0
+    encodings = _same_stem_copies(tmp_path, next(enc_dir.glob("*.venc")), ".venc")
+    capsys.readouterr()
+    rc = main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
+               *encodings])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, encodings[0], encodings[1], "clip.rawvid")
+    assert not (tmp_path / "dec").exists()
+
+    rc = main(["summary", "--model", str(model_path), "--out", str(tmp_path / "sum"),
+               *encodings])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, encodings[0], encodings[1], "clip.pgm")
+
+
+def test_manifest_names_its_hash(tmp_path):
+    out = gen_corpus(tmp_path, count=1)
+    manifest = read_manifest(out / "run_manifest.json")
+    assert manifest["hash"] == "blake2b-64"
+    assert all(len(h) == 16 for h in manifest["artifacts"].values())
