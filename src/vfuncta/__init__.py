@@ -34,7 +34,6 @@ from .data import (
 from .errors import VfunctaError
 from .gradcheck import run_gradcheck
 from .heads import (
-    FeatureRecord,
     HeadConfig,
     MlpHead,
     evaluate_head,
@@ -60,26 +59,24 @@ from .model import (
     MetaModel,
     VideoModulation,
     forward_frame,
-    loss_mse_frame,
     sample_coords,
 )
-from .tensor import GradTape, Tensor, backward
+from .tensor import Tensor
 from .training import Batch, TrainConfig, TrainLog, inner_adapt, meta_step, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Batch", "ClassificationReport", "CoordinateGrid", "CorpusItem",
-    "FeatureRecord", "FrameModulationSeq", "GradTape", "HeadConfig", "Labels",
-    "MetaModel", "MlpHead", "QualityReport", "RegressionReport", "SynthSpec",
-    "Tensor", "TrainConfig", "TrainLog", "VideoEncoding", "VideoModulation",
-    "VideoTensor", "VfunctaError", "auroc", "backward", "build_corpus",
-    "classification_metrics", "compression_rate", "decode_static_summary",
-    "decode_video", "encode_video", "evaluate_head", "extract_features",
-    "forward_frame", "gen_synthetic", "inner_adapt", "load_encoding",
-    "load_head", "load_model", "load_video", "loss_mse_frame", "meta_step",
-    "model_fingerprint", "psnr", "quality_report", "read_corpus_manifest",
-    "regression_metrics", "resize_video", "run_gradcheck", "sample_coords",
-    "save_encoding", "save_head", "save_model", "save_video", "ssim3d",
-    "train", "train_head",
+    "FrameModulationSeq", "HeadConfig", "Labels", "MetaModel", "MlpHead",
+    "QualityReport", "RegressionReport", "SynthSpec", "Tensor", "TrainConfig",
+    "TrainLog", "VideoEncoding", "VideoModulation", "VideoTensor",
+    "VfunctaError", "auroc", "build_corpus", "classification_metrics",
+    "compression_rate", "decode_static_summary", "decode_video",
+    "encode_video", "evaluate_head", "extract_features", "forward_frame",
+    "gen_synthetic", "inner_adapt", "load_encoding", "load_head",
+    "load_model", "load_video", "meta_step", "model_fingerprint", "psnr",
+    "quality_report", "read_corpus_manifest", "regression_metrics",
+    "resize_video", "run_gradcheck", "sample_coords", "save_encoding",
+    "save_head", "save_model", "save_video", "ssim3d", "train", "train_head",
 ]

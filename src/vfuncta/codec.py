@@ -39,7 +39,6 @@ from .model import (
     VideoModulation,
     forward_batch,
 )
-from .tensor import Tensor
 from .training import TrainConfig, _adapt
 
 __all__ = [
@@ -148,12 +147,11 @@ def decode_video(model: MetaModel, enc: VideoEncoding) -> VideoTensor:
     _require_same_model(model, enc)
     grid = CoordinateGrid(enc.height, enc.width)
     coords = grid.coords.astype(model.dtype)
-    v_t = Tensor(np.asarray(enc.video_mod.values, dtype=model.dtype))
     out = np.empty((enc.frames, enc.height, enc.width), dtype=np.float32)
     for t in range(enc.frames):
-        phi_t = Tensor(enc.frame_mods.values[t : t + 1].astype(model.dtype))
-        pred = forward_batch(model, v_t, phi_t, coords, coords.shape[0])
-        out[t] = pred.data.reshape(enc.height, enc.width)
+        pred = forward_batch(model, enc.video_mod.values, enc.frame_mods.values[t : t + 1],
+                             coords, coords.shape[0])
+        out[t] = pred.reshape(enc.height, enc.width)
     return VideoTensor(np.clip(out, 0.0, 1.0))
 
 
@@ -162,10 +160,9 @@ def decode_static_summary(model: MetaModel, enc: VideoEncoding) -> np.ndarray:
     _require_same_model(model, enc)
     grid = CoordinateGrid(enc.height, enc.width)
     coords = grid.coords.astype(model.dtype)
-    v_t = Tensor(np.asarray(enc.video_mod.values, dtype=model.dtype))
-    phi_t = Tensor(np.zeros((1, model.frame_dim), dtype=model.dtype))
-    pred = forward_batch(model, v_t, phi_t, coords, coords.shape[0])
-    return np.clip(pred.data.reshape(enc.height, enc.width), 0.0, 1.0).astype(np.float32)
+    phi = np.zeros((1, model.frame_dim), dtype=model.dtype)
+    pred = forward_batch(model, enc.video_mod.values, phi, coords, coords.shape[0])
+    return np.clip(pred.reshape(enc.height, enc.width), 0.0, 1.0).astype(np.float32)
 
 
 def compression_rate(dims: tuple[int, int, int], video_dim: int, frame_dim: int) -> float:

@@ -66,15 +66,6 @@ def _apply_schema(entries, schema, path) -> dict:
     return out
 
 
-def _as_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 TRAIN_SCHEMA = {
     "batch_frames": int,
     "coords_per_frame": int,

@@ -1,10 +1,10 @@
-"""Finite-difference verification of the reverse-mode gradients.
+"""Finite-difference verification of the closed-form gradients.
 
 Builds small 64-bit models and compares every gradient the optimization
 uses (shared weights, video vector, each frame vector) against central
-finite differences of the batch loss. The two routes share no code: one
-replays the recorded graph, the other re-evaluates the loss at nudged
-inputs.
+finite differences of the batch loss. The two routes share only the
+forward pass: one runs the hand-written backward of
+`model.loss_and_grads`, the other re-evaluates the loss at nudged inputs.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tg
 from .errors import ContractError
-from .model import MetaModel, forward_batch, loss_mse_frame
-from .tensor import Tensor, backward
+from .model import MetaModel, forward_batch, frame_mse, loss_and_grads
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,9 @@ class GradCheckResult:
 
 
 def _loss_value(model, v_arr, phi_arr, coords, targets) -> float:
-    pred = forward_batch(model, Tensor(v_arr), Tensor(phi_arr), coords,
-                         coords.shape[0] // phi_arr.shape[0])
-    return loss_mse_frame(tg.reshape(pred, (pred.shape[0],)), Tensor(targets)).item()
+    b = phi_arr.shape[0]
+    pred = forward_batch(model, v_arr, phi_arr, coords, coords.shape[0] // b)
+    return float(np.mean(frame_mse(pred, targets, b)))
 
 
 def _central_diff(f, base: np.ndarray, step: float) -> np.ndarray:
@@ -80,27 +79,24 @@ def run_gradcheck(trials: int = 100, step: float = 1e-4, tolerance: float = 1e-4
         v = rng.normal(scale=0.05, size=video_dim)
         phis = rng.normal(scale=0.05, size=(batch, frame_dim))
 
-        v_t, phi_t = Tensor(v), Tensor(phis)
-        pred = forward_batch(model, v_t, phi_t, coords, coords_per_frame)
-        loss = loss_mse_frame(tg.reshape(pred, (pred.shape[0],)), Tensor(targets))
-        named = model.parameters()
-        grads = backward(loss, [v_t, phi_t] + [p for _, p in named])
+        grads = loss_and_grads(model, v, phis, coords, coords_per_frame, targets,
+                               weights=True)
 
         numeric_v = _central_diff(
             lambda arr: _loss_value(model, arr, phis, coords, targets), v, step)
-        note(_rel_err(grads[v_t].data, numeric_v), "video_mod", trial)
+        note(_rel_err(grads.v, numeric_v), "video_mod", trial)
 
         numeric_phi = _central_diff(
             lambda arr: _loss_value(model, v, arr, coords, targets), phis, step)
         for t in range(batch):
-            note(_rel_err(grads[phi_t].data[t], numeric_phi[t]), f"frame_mod[{t}]", trial)
+            note(_rel_err(grads.phis[t], numeric_phi[t]), f"frame_mod[{t}]", trial)
 
-        for name, p in named:
+        for name, p in model.parameters():
             numeric = _central_diff(
                 lambda arr: _loss_value(model.replace_params({name: Tensor(arr)}),
                                         v, phis, coords, targets),
                 p.data, step)
-            note(_rel_err(grads[p].data, numeric), name, trial)
+            note(_rel_err(grads.weights[name], numeric), name, trial)
         if on_trial is not None:
             on_trial(trial, worst)
     return GradCheckResult(trials=trials, tolerance=tolerance, max_rel_err=worst,

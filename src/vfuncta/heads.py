@@ -57,15 +57,6 @@ class HeadConfig:
             raise ContractError("epochs >= 0, batch_size >= 1, learning_rate > 0 required")
 
 
-@dataclass(frozen=True)
-class FeatureRecord:
-    """One extracted feature vector with its label and provenance."""
-
-    source: str
-    features: np.ndarray
-    label: float
-
-
 def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:
     """Feature vector for one encoding under the given input mode."""
     if mode == "v":
@@ -76,10 +67,6 @@ def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:
         pooled = enc.frame_mods.values.astype(np.float64).mean(axis=0)
         return np.concatenate([enc.video_mod.values.astype(np.float64), pooled])
     raise ContractError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def feature_dim(mode: str, video_dim: int, frame_dim: int) -> int:
-    return {"v": video_dim, "phi": frame_dim, "combined": video_dim + frame_dim}[mode]
 
 
 class MlpHead:

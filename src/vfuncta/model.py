@@ -6,6 +6,9 @@ vector projected into one shift per layer, and a per-frame vector
 projected into one shift per layer per frame. Both shifts are added to
 the pre-activation before the sine, so zero latents reproduce the bare
 network exactly (the projections carry no bias).
+
+The network is fixed, so its backward pass is written out once in closed
+form (`loss_and_grads`) next to the plain forward (`forward_batch`).
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as tg
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NonFiniteError, ShapeError
 from .tensor import Tensor
 
 
@@ -56,14 +58,6 @@ class FrameModulationSeq:
 
     def frame(self, t: int) -> np.ndarray:
         return self.values[t]
-
-
-@dataclass(frozen=True)
-class LayerShifts:
-    """Recomputed per-layer shifts; diagnostic view, never persisted."""
-
-    video_shifts: list  # K arrays of shape (hidden,)
-    frame_shifts: list  # K arrays of shape (T, hidden)
 
 
 @dataclass(frozen=True)
@@ -243,89 +237,174 @@ class MetaModel:
         )
 
 
-def forward_batch(model: MetaModel, v: Tensor, phis: Tensor,
-                  coords: np.ndarray, rows_per_frame: int) -> Tensor:
-    """Differentiable forward pass over stacked frames.
+@dataclass(frozen=True)
+class BatchGrads:
+    """Loss of one stacked batch and its gradients, from `loss_and_grads`."""
 
-    `coords` holds rows_per_frame coordinate rows for each of the b frames,
-    concatenated in frame order (b * rows_per_frame, 2); `phis` is (b, r).
-    Returns predicted values of shape (b * rows_per_frame, 1), unclamped.
-    """
-    if v.data.ndim != 1 or v.shape[0] != model.video_dim:
+    loss: float              # mean over frames of the per-frame losses
+    per_frame: np.ndarray    # (b,) mean squared error of each frame
+    v: np.ndarray            # (s,) d loss / d v
+    phis: np.ndarray         # (b, r) d loss / d phis
+    weights: dict | None     # d loss / d parameter by name, when asked for
+
+
+def _batch_arrays(model: MetaModel, v, phis, coords, rows_per_frame: int):
+    """Check one stacked batch and cast it to the model's dtype."""
+    dtype = model.dtype
+    v = np.asarray(v, dtype=dtype)
+    phis = np.asarray(phis, dtype=dtype)
+    coords = np.ascontiguousarray(coords, dtype=dtype)
+    if v.shape != (model.video_dim,):
         raise ShapeError(f"video modulation length {v.shape} != ({model.video_dim},)")
-    if phis.data.ndim != 2 or phis.shape[1] != model.frame_dim:
+    if phis.ndim != 2 or phis.shape[0] < 1 or phis.shape[1] != model.frame_dim:
         raise ShapeError(f"frame modulation shape {phis.shape} incompatible with r={model.frame_dim}")
     b = phis.shape[0]
-    if coords.shape != (b * rows_per_frame, 2):
+    if rows_per_frame < 1 or coords.shape != (b * rows_per_frame, 2):
         raise ShapeError(
             f"coords shape {coords.shape} != ({b * rows_per_frame}, 2) for {b} frames"
         )
-    v_row = tg.reshape(v, (1, model.video_dim))
-    h = Tensor(np.ascontiguousarray(coords, dtype=model.dtype))
+    return v, phis, coords
+
+
+def _sine_layers(model: MetaModel, v, phis, coords, rows_per_frame: int,
+                 slopes: list | None = None, inputs: list | None = None) -> np.ndarray:
+    """Run the sine layers over stacked frames; returns the last activations.
+
+    Layer k computes, in this float order, a = h W_k, a += b_k,
+    a += v P_k, a += phi_t Q_k over the rows of frame t, then
+    h = sin(omega0 a). `slopes` collects omega0 cos(omega0 a) and
+    `inputs` each layer's input h, as the backward pass needs them.
+    """
+    b = phis.shape[0]
+    v_row = v.reshape(1, -1)
+    h = coords
     for k in range(model.layers):
-        a = tg.matmul(h, model.layer_weights[k])
-        a = tg.add_row(a, model.layer_biases[k])
-        video_shift = tg.reshape(tg.matmul(v_row, model.video_projs[k]), (model.hidden,))
-        a = tg.add_row(a, video_shift)
-        frame_shift = tg.matmul(phis, model.frame_projs[k])
-        a = tg.add_blocks(a, frame_shift, rows_per_frame)
-        h = tg.sine_act(a, model.omega0)
-    out = tg.matmul(h, model.out_weight)
-    return tg.add_row(out, model.out_bias)
+        if inputs is not None:
+            inputs.append(h)
+        a = h @ model.layer_weights[k].data
+        a += model.layer_biases[k].data
+        a += v_row @ model.video_projs[k].data
+        frames = a.reshape(b, rows_per_frame, -1)
+        frames += (phis @ model.frame_projs[k].data)[:, None, :]
+        a *= model.omega0
+        if slopes is not None:
+            slope = np.cos(a)
+            slope *= model.omega0
+            slopes.append(slope)
+        h = np.sin(a, out=a)
+    return h
 
 
-def forward_frame(model: MetaModel, v, phi, coords) -> Tensor:
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(what)
+
+
+def forward_batch(model: MetaModel, v, phis, coords: np.ndarray,
+                  rows_per_frame: int) -> np.ndarray:
+    """Forward pass over stacked frames, keeping no activations.
+
+    `coords` holds rows_per_frame coordinate rows for each of the b frames,
+    concatenated in frame order (b * rows_per_frame, 2); `v` is (s,) and
+    `phis` is (b, r). Returns the (b * rows_per_frame,) raw (unclamped)
+    predictions; a non-finite prediction raises NonFiniteError.
+    """
+    v, phis, coords = _batch_arrays(model, v, phis, coords, rows_per_frame)
+    # overflow surfaces as NonFiniteError below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _sine_layers(model, v, phis, coords, rows_per_frame) @ model.out_weight.data
+        out += model.out_bias.data
+    _require_finite(out, "forward")
+    return out.reshape(-1)
+
+
+def frame_mse(pred: np.ndarray, targets: np.ndarray, frames: int) -> np.ndarray:
+    """Mean squared error of each of `frames` equal row blocks, (frames,).
+
+    Accumulates in 64-bit and returns the predictions' dtype; a
+    non-finite loss raises NonFiniteError.
+    """
+    if pred.shape != targets.shape or pred.ndim != 1:
+        raise ShapeError(f"frame_mse: shape mismatch {pred.shape} vs {targets.shape}")
+    if frames < 1 or pred.size % frames:
+        raise ShapeError(f"frame_mse: {pred.size} rows do not split into {frames} frames")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pred - targets
+        per_frame = np.mean((diff * diff).reshape(frames, -1), axis=1,
+                            dtype=np.float64).astype(pred.dtype)
+    _require_finite(per_frame, "loss")
+    return per_frame
+
+
+def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, rows_per_frame: int,
+                   targets: np.ndarray, *, weights: bool = False) -> BatchGrads:
+    """Batch loss and its gradients in closed form.
+
+    The loss is the mean over the b frames of each frame's mean squared
+    error against `targets` ((b * rows_per_frame,) values, stacked like
+    `coords`). Gradients of v and phis are always returned; with
+    `weights` the gradient of every named parameter is too. A non-finite
+    loss or gradient raises NonFiniteError.
+    """
+    v, phis, coords = _batch_arrays(model, v, phis, coords, rows_per_frame)
+    targets = np.asarray(targets, dtype=model.dtype)
+    b = phis.shape[0]
+    slopes: list = []
+    inputs: list | None = [] if weights else None
+    grads: dict = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _sine_layers(model, v, phis, coords, rows_per_frame, slopes, inputs)
+        pred = h @ model.out_weight.data
+        pred += model.out_bias.data
+        pred = pred.reshape(-1)
+        per_frame = frame_mse(pred, targets, b)
+        loss = float(np.mean(per_frame, dtype=np.float64).astype(model.dtype))
+
+        # every row carries weight 1/(b n) in the loss
+        d_pred = (pred - targets) * (2.0 / pred.size)
+        if weights:
+            grads["out.weight"] = h.T @ d_pred[:, None]
+            grads["out.bias"] = np.sum(d_pred, keepdims=True)
+        d_h = d_pred[:, None] * model.out_weight.data[:, 0]
+        g_v = np.zeros_like(v)
+        g_phis = np.zeros_like(phis)
+        for k in reversed(range(model.layers)):
+            d_a = d_h
+            d_a *= slopes.pop()
+            frame_sums = d_a.reshape(b, rows_per_frame, -1).sum(axis=1)
+            col = frame_sums.sum(axis=0)
+            g_v += model.video_projs[k].data @ col
+            g_phis += frame_sums @ model.frame_projs[k].data.T
+            if weights:
+                grads[f"layer{k}.weight"] = inputs.pop().T @ d_a
+                grads[f"layer{k}.bias"] = col
+                grads[f"video_proj{k}"] = np.outer(v, col)
+                grads[f"frame_proj{k}"] = phis.T @ frame_sums
+            if k:
+                d_h = d_a @ model.layer_weights[k].data.T
+    _require_finite(g_v, "video gradient")
+    _require_finite(g_phis, "frame gradient")
+    for name, g in grads.items():
+        _require_finite(g, f"{name} gradient")
+    return BatchGrads(loss=loss, per_frame=per_frame, v=g_v, phis=g_phis,
+                      weights=grads if weights else None)
+
+
+def forward_frame(model: MetaModel, v, phi, coords) -> np.ndarray:
     """Predict values for one frame at the given coordinates.
 
-    `v` may be a VideoModulation, array, or Tensor; `phi` likewise (length
-    r); `coords` is an (N, 2) array, a CoordinateGrid, or a CoordSample.
-    Returns a length-N tensor of raw (unclamped) predictions.
+    `v` may be a VideoModulation or an array, `phi` an array of length r;
+    `coords` is an (N, 2) array, a CoordinateGrid, or a CoordSample.
+    Returns the length-N raw (unclamped) predictions.
     """
-    if isinstance(coords, CoordinateGrid):
+    if isinstance(coords, (CoordinateGrid, CoordSample)):
         coords = coords.coords
-    elif isinstance(coords, CoordSample):
-        coords = coords.coords
-    coords = np.asarray(coords, dtype=np.float64 if model.dtype == np.float64 else np.float32)
+    coords = np.asarray(coords, dtype=model.dtype)
     if coords.ndim != 2 or coords.shape[1] != 2 or coords.shape[0] < 1:
         raise ShapeError(f"coords must be (N, 2) with N >= 1, got {coords.shape}")
-    v_t = _modulation_tensor(v, model.video_dim, model.dtype, "video")
-    phi_t = _modulation_tensor(phi, model.frame_dim, model.dtype, "frame")
-    out = forward_batch(model, v_t, tg.reshape(phi_t, (1, model.frame_dim)),
-                        coords, coords.shape[0])
-    return tg.reshape(out, (coords.shape[0],))
-
-
-def _modulation_tensor(m, expected: int, dtype, kind: str) -> Tensor:
-    if isinstance(m, VideoModulation):
-        m = m.values
-    if isinstance(m, Tensor):
-        arr = m.data
-    else:
-        arr = np.asarray(m)
-    if arr.shape != (expected,):
-        raise ShapeError(f"{kind} modulation shape {arr.shape} != ({expected},)")
-    if isinstance(m, Tensor):
-        return m
-    return Tensor(arr.astype(dtype, copy=False))
-
-
-def loss_mse_frame(pred, target) -> Tensor:
-    """Mean squared error between predictions and true values."""
-    pred = pred if isinstance(pred, Tensor) else Tensor(pred)
-    target = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=pred.dtype))
-    if pred.shape != target.shape:
-        raise ShapeError(f"loss_mse_frame: shape mismatch {pred.shape} vs {target.shape}")
-    if pred.data.size < 1:
-        raise ContractError("loss_mse_frame: empty inputs")
-    return tg.mean(tg.squared_error(pred, target))
-
-
-def compute_shifts(model: MetaModel, v: VideoModulation, phis: FrameModulationSeq) -> LayerShifts:
-    """Materialize the per-layer shifts for inspection."""
-    if len(v) != model.video_dim:
-        raise ShapeError(f"video modulation length {len(v)} != {model.video_dim}")
-    if phis.values.shape[1] != model.frame_dim:
-        raise ShapeError(f"frame modulation width {phis.values.shape[1]} != {model.frame_dim}")
-    video_shifts = [v.values @ p.data for p in model.video_projs]
-    frame_shifts = [phis.values @ p.data for p in model.frame_projs]
-    return LayerShifts(video_shifts=video_shifts, frame_shifts=frame_shifts)
+    if isinstance(v, VideoModulation):
+        v = v.values
+    phi = np.asarray(phi)
+    if phi.shape != (model.frame_dim,):
+        raise ShapeError(f"frame modulation shape {phi.shape} != ({model.frame_dim},)")
+    return forward_batch(model, v, phi.reshape(1, -1), coords, coords.shape[0])

@@ -1,71 +1,32 @@
-"""Dense array arithmetic with reverse-mode differentiation.
+"""Read-only parameter arrays.
 
-Only the fixed set of primitives the modulated sine network needs is
-differentiable: matrix multiply, add, broadcast-add (row and block),
-sine activation, scalar scale, means, sum, squared error, reshape.
-Everything is backed by numpy; single-threaded evaluation is the
-determinism reference.
+The network's weights, the arrays read back from containers and the
+parameters of an outer update are all `Tensor` leaves: a float32 or
+float64 numpy array, checked finite and marked read-only once. The
+forward and backward passes of the network live in `model.py` and work
+on the plain arrays under `.data`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
-from .errors import ContractError, NonFiniteError, ShapeError
-
-Vjp = Callable[[np.ndarray], np.ndarray]
-
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle per-operation finiteness validation. Returns the old value."""
-    global _FINITE_CHECKS
-    old = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return old
-
-
-def _check_finite(data: np.ndarray, op: str) -> None:
-    if _FINITE_CHECKS and not np.isfinite(data).all():
-        raise NonFiniteError(op)
+from .errors import NonFiniteError
 
 
 class Tensor:
-    """Immutable dense array, optionally a node in a differentiation graph.
+    """Immutable dense array of parameters; non-finite input is rejected."""
 
-    Leaf tensors are built from user data; every primitive returns a new
-    tensor holding parent references and one vector-Jacobian product per
-    parent. The backing array is marked read-only at construction.
-    """
-
-    __slots__ = ("data", "_parents", "_vjps", "_op")
+    __slots__ = ("data",)
 
     def __init__(self, data, dtype=None):
         arr = np.array(data, dtype=dtype, copy=True)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("tensor")
         arr.setflags(write=False)
-        _check_finite(arr, "tensor")
         self.data = arr
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjps: tuple[Vjp | None, ...] = ()
-        self._op = "leaf"
-
-    @classmethod
-    def _result(cls, data: np.ndarray, op: str,
-                parents: tuple["Tensor", ...],
-                vjps: tuple[Vjp | None, ...]) -> "Tensor":
-        out = cls.__new__(cls)
-        data.setflags(write=False)
-        _check_finite(data, op)
-        out.data = data
-        out._parents = parents
-        out._vjps = vjps
-        out._op = op
-        return out
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -75,238 +36,5 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() on tensor of shape {self.shape}")
-        return self.data.item()
-
     def __repr__(self) -> str:
-        return f"Tensor(op={self._op!r}, shape={self.shape}, dtype={self.data.dtype})"
-
-
-def zeros(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = a.data @ b.data
-    return Tensor._result(
-        out, "matmul", (a, b),
-        (lambda g: g @ b.data.T, lambda g: a.data.T @ g),
-    )
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return Tensor._result(
-        a.data + b.data, "add", (a, b),
-        (lambda g: g, lambda g: g),
-    )
-
-
-def add_row(x: Tensor, row: Tensor) -> Tensor:
-    """Broadcast-add a length-C vector to every row of an R-by-C tensor."""
-    x, row = _as_tensor(x), _as_tensor(row)
-    if x.data.ndim != 2 or row.data.ndim != 1 or x.shape[1] != row.shape[0]:
-        raise ShapeError(f"add_row: shape mismatch {x.shape} vs {row.shape}")
-    return Tensor._result(
-        x.data + row.data, "add_row", (x, row),
-        (lambda g: g, lambda g: g.sum(axis=0)),
-    )
-
-
-def add_blocks(x: Tensor, rows: Tensor, block: int) -> Tensor:
-    """Broadcast-add row g of `rows` to the g-th block of `block` rows of x.
-
-    x has shape (G*block, C) and rows has shape (G, C); block g covers x rows
-    [g*block, (g+1)*block). Realizes per-frame shifts over stacked
-    per-coordinate rows.
-    """
-    x, rows = _as_tensor(x), _as_tensor(rows)
-    if x.data.ndim != 2 or rows.data.ndim != 2:
-        raise ShapeError(f"add_blocks: need 2-D operands, got {x.shape} and {rows.shape}")
-    groups, c = rows.shape
-    if block < 1 or x.shape != (groups * block, c):
-        raise ShapeError(
-            f"add_blocks: x {x.shape} does not tile rows {rows.shape} with block {block}"
-        )
-    out = (x.data.reshape(groups, block, c) + rows.data[:, None, :]).reshape(groups * block, c)
-    return Tensor._result(
-        out, "add_blocks", (x, rows),
-        (lambda g: g, lambda g: g.reshape(groups, block, c).sum(axis=1)),
-    )
-
-
-def sine_act(x: Tensor, omega0: float) -> Tensor:
-    """Elementwise sin(omega0 * x)."""
-    if not omega0 > 0:
-        raise ContractError(f"sine_act: omega0 must be positive, got {omega0}")
-    x = _as_tensor(x)
-    w0 = float(omega0)
-    return Tensor._result(
-        np.sin(w0 * x.data), "sine_act", (x,),
-        (lambda g: g * (w0 * np.cos(w0 * x.data)),),
-    )
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a scalar constant."""
-    x = _as_tensor(x)
-    c = float(c)
-    return Tensor._result(c * x.data, "scale", (x,), (lambda g: c * g,))
-
-
-def mean(x: Tensor) -> Tensor:
-    """Mean over all elements, as a 0-d tensor. Accumulates in 64-bit."""
-    x = _as_tensor(x)
-    if x.data.size == 0:
-        raise ContractError("mean: empty tensor")
-    out = np.asarray(np.mean(x.data, dtype=np.float64)).astype(x.data.dtype)
-    inv = 1.0 / x.data.size
-    return Tensor._result(
-        out, "mean", (x,),
-        (lambda g: np.full(x.shape, float(g) * inv, dtype=x.data.dtype),),
-    )
-
-
-def total_sum(x: Tensor) -> Tensor:
-    """Sum over all elements, as a 0-d tensor."""
-    x = _as_tensor(x)
-    out = np.asarray(np.sum(x.data, dtype=np.float64)).astype(x.data.dtype)
-    return Tensor._result(
-        out, "total_sum", (x,),
-        (lambda g: np.full(x.shape, float(g), dtype=x.data.dtype),),
-    )
-
-
-def group_mean(x: Tensor, group_size: int) -> Tensor:
-    """Per-group mean over contiguous blocks of `group_size` leading rows.
-
-    x has shape (G*group_size, ...); the result has shape (G,), each entry
-    averaging over group_size rows times any trailing dimensions.
-    """
-    x = _as_tensor(x)
-    if group_size < 1 or x.shape[0] % group_size != 0:
-        raise ShapeError(
-            f"group_mean: leading extent {x.shape[0]} not divisible by {group_size}"
-        )
-    groups = x.shape[0] // group_size
-    per_group = x.data.size // groups
-    folded = x.data.reshape(groups, -1)
-    out = np.mean(folded, axis=1, dtype=np.float64).astype(x.data.dtype)
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        spread = np.repeat(g / per_group, per_group)
-        return spread.reshape(x.shape).astype(x.data.dtype, copy=False)
-
-    return Tensor._result(out, "group_mean", (x,), (vjp,))
-
-
-def squared_error(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (a - b)^2."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"squared_error: shape mismatch {a.shape} vs {b.shape}")
-    diff = a.data - b.data
-    return Tensor._result(
-        diff * diff, "squared_error", (a, b),
-        (lambda g: 2.0 * diff * g, lambda g: -2.0 * diff * g),
-    )
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    """View the same elements under a different shape."""
-    x = _as_tensor(x)
-    target = tuple(shape)
-    out = x.data.reshape(target)
-    return Tensor._result(out.copy(), "reshape", (x,), (lambda g: g.reshape(x.shape),))
-
-
-class GradTape:
-    """Recorded computation reachable from one scalar root.
-
-    Construction walks the graph once and fixes a topological order; the
-    backward replay visits each node exactly once. Confine a tape to a
-    single thread.
-    """
-
-    def __init__(self, root: Tensor):
-        if root.data.ndim != 0:
-            raise ContractError(f"backward root must be scalar, got shape {root.shape}")
-        self.root = root
-        self._order = self._toposort(root)
-
-    @staticmethod
-    def _toposort(root: Tensor) -> list[Tensor]:
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        return order
-
-    def gradients(self, params: Sequence[Tensor]) -> dict[Tensor, Tensor]:
-        """Reverse-mode gradients of the root with respect to `params`.
-
-        Parameters not reachable from the root get exactly zero gradients.
-        Branches that cannot lead to any requested parameter are skipped.
-        """
-        param_ids = {id(p) for p in params}
-        needed: dict[int, bool] = {}
-        for node in self._order:  # ascending topological order
-            needed[id(node)] = id(node) in param_ids or any(
-                needed.get(id(p), False) for p in node._parents
-            )
-
-        # Stored arrays are never mutated; accumulation allocates. Identity
-        # vjps may alias their input, which is safe under that rule.
-        grads: dict[int, np.ndarray] = {}
-        final: dict[int, np.ndarray] = {}
-        if needed.get(id(self.root), False):
-            grads[id(self.root)] = np.ones((), dtype=self.root.data.dtype)
-        for node in reversed(self._order):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if id(node) in param_ids:
-                final[id(node)] = g
-            for parent, vjp in zip(node._parents, node._vjps):
-                if vjp is None or not needed.get(id(parent), False):
-                    continue
-                contrib = vjp(g)
-                acc = grads.get(id(parent))
-                grads[id(parent)] = contrib if acc is None else acc + contrib
-
-        result: dict[Tensor, Tensor] = {}
-        for p in params:
-            arr = final.get(id(p))
-            if arr is None:
-                arr = np.zeros(p.shape, dtype=p.data.dtype)
-            result[p] = Tensor._result(np.array(arr, copy=True), "grad", (), ())
-        return result
-
-
-def backward(loss: Tensor, params: Sequence[Tensor]) -> dict[Tensor, Tensor]:
-    """Gradient of a scalar loss with respect to each requested tensor."""
-    return GradTape(loss).gradients(params)
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"

@@ -3,10 +3,11 @@ shared weights, and an inner loop adapting the modulation vectors of one
 sampled batch of frames from zero.
 
 Every inner step takes the frame updates and the video-vector update from
-a single forward/backward evaluation; the outer step applies a
-first-order gradient at the adapted modulations, treating them as
-constants. Plain gradient descent everywhere, no optimizer state, so a
-checkpoint plus the seed fully determines the rest of a run.
+one closed-form forward/backward evaluation (`model.loss_and_grads`);
+the outer step applies a first-order gradient at the adapted
+modulations, treating them as constants. Plain gradient descent
+everywhere, no optimizer state, so a checkpoint plus the seed fully
+determines the rest of a run.
 """
 
 from __future__ import annotations
@@ -19,16 +20,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import tensor as tg
 from .errors import ContractError, DataError, DivergenceError, NonFiniteError
 from .model import (
     FrameModulationSeq,
     MetaModel,
     VideoModulation,
     forward_batch,
+    frame_mse,
+    loss_and_grads,
     sample_coords,
 )
-from .tensor import Tensor, backward
+from .tensor import Tensor
 
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
@@ -134,45 +136,35 @@ class TrainLog:
                          f"{e.seconds:.3f}\t{val}\n")
 
 
+def _stacked(model: MetaModel, targets: np.ndarray, coords: np.ndarray):
+    """Coordinates tiled once per frame and the targets flattened to match."""
+    dtype = model.dtype
+    tiled = np.ascontiguousarray(np.tile(coords, (targets.shape[0], 1)), dtype=dtype)
+    return tiled, np.ascontiguousarray(targets.reshape(-1), dtype=dtype)
+
+
 def _adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
            steps: int, inner_lr: float, v_init: np.ndarray | None = None,
            freeze_v: bool = False) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Run the inner loop and return (v, phis, per-step mean losses)."""
     b, n = targets.shape
     dtype = model.dtype
-    tiled = np.ascontiguousarray(np.tile(coords, (b, 1)), dtype=dtype)
-    target_t = Tensor(np.ascontiguousarray(targets.reshape(-1), dtype=dtype))
+    tiled, flat = _stacked(model, targets, coords)
     v = (np.zeros(model.video_dim, dtype=dtype) if v_init is None
          else np.asarray(v_init, dtype=dtype).copy())
     phis = np.zeros((b, model.frame_dim), dtype=dtype)
     history: list[float] = []
     for g in range(steps):
-        v_t, phi_t = Tensor(v), Tensor(phis)
         try:
-            # overflow shows up as a structured divergence error, not a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                total, _ = _loss_graph(model, v_t, phi_t, tiled, target_t, n)
-                loss = total.item()
-                if not np.isfinite(loss):
-                    raise NonFiniteError("loss")
-                wanted = [phi_t] if freeze_v else [v_t, phi_t]
-                grads = backward(total, wanted)
+            step = loss_and_grads(model, v, phis, tiled, n, flat)
         except NonFiniteError as exc:
             raise DivergenceError(g, history) from exc
-        history.append(loss)
+        history.append(step.loss)
         # per-frame loss gradient = b times the gradient of the batch mean
-        phis = phis - (inner_lr * b) * grads[phi_t].data
+        phis = phis - (inner_lr * b) * step.phis
         if not freeze_v:
-            v = v - inner_lr * grads[v_t].data
+            v = v - inner_lr * step.v
     return v, phis, history
-
-
-def _loss_graph(model: MetaModel, v_t: Tensor, phi_t: Tensor, tiled_coords,
-                target_t: Tensor, rows_per_frame: int):
-    pred = forward_batch(model, v_t, phi_t, tiled_coords, rows_per_frame)
-    se = tg.squared_error(tg.reshape(pred, (pred.shape[0],)), target_t)
-    per_frame = tg.group_mean(se, rows_per_frame)
-    return tg.mean(per_frame), per_frame
 
 
 def inner_adapt(model: MetaModel, batch: Batch, cfg: TrainConfig, *,
@@ -189,12 +181,10 @@ def inner_adapt(model: MetaModel, batch: Batch, cfg: TrainConfig, *,
     v, phis, _ = _adapt(model, batch.targets, batch.coords,
                         steps=steps, inner_lr=cfg.inner_lr,
                         v_init=v_init, freeze_v=freeze_v)
-    n = batch.targets.shape[1]
-    tiled = np.ascontiguousarray(np.tile(batch.coords, (batch.targets.shape[0], 1)),
-                                 dtype=model.dtype)
-    target_t = Tensor(np.ascontiguousarray(batch.targets.reshape(-1), dtype=model.dtype))
-    _, per_frame = _loss_graph(model, Tensor(v), Tensor(phis), tiled, target_t, n)
-    return VideoModulation(v), FrameModulationSeq(phis), per_frame.data.copy()
+    b, n = batch.targets.shape
+    tiled, flat = _stacked(model, batch.targets, batch.coords)
+    per_frame = frame_mse(forward_batch(model, v, phis, tiled, n), flat, b)
+    return VideoModulation(v), FrameModulationSeq(phis), per_frame
 
 
 def sample_batch(video, cfg: TrainConfig, rng: np.random.Generator) -> Batch:
@@ -217,24 +207,17 @@ def meta_step(model: MetaModel, video, cfg: TrainConfig,
         raise ContractError("video must contain at least one frame")
     _require_dims(model, cfg)
     batch = sample_batch(video, cfg, rng)
-    v, phis, _ = _adapt(model, batch.targets, batch.coords,
-                        steps=cfg.inner_steps, inner_lr=cfg.inner_lr)
-
-    b, n = batch.targets.shape
-    tiled = np.ascontiguousarray(np.tile(batch.coords, (b, 1)), dtype=model.dtype)
-    target_t = Tensor(np.ascontiguousarray(batch.targets.reshape(-1), dtype=model.dtype))
+    v, phis, history = _adapt(model, batch.targets, batch.coords,
+                              steps=cfg.inner_steps, inner_lr=cfg.inner_lr)
+    tiled, flat = _stacked(model, batch.targets, batch.coords)
     try:
-        total, _ = _loss_graph(model, Tensor(v), Tensor(phis), tiled, target_t, n)
-        loss = total.item()
-        if not np.isfinite(loss):
-            raise NonFiniteError("loss")
-        named = model.parameters()
-        grads = backward(total, [p for _, p in named])
+        outer = loss_and_grads(model, v, phis, tiled, batch.targets.shape[1], flat,
+                               weights=True)
     except NonFiniteError as exc:
-        raise DivergenceError(cfg.inner_steps, []) from exc
-    updated = {name: Tensor(p.data - cfg.meta_lr * grads[p].data)
-               for name, p in named}
-    return model.replace_params(updated, iteration=model.iteration + 1), loss
+        raise DivergenceError(cfg.inner_steps, history) from exc
+    updated = {name: Tensor(p.data - cfg.meta_lr * outer.weights[name])
+               for name, p in model.parameters()}
+    return model.replace_params(updated, iteration=model.iteration + 1), outer.loss
 
 
 def train(dataset: Sequence, cfg: TrainConfig, *,

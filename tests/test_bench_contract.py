@@ -1,0 +1,47 @@
+"""The benchmark's tracer still fits the program.
+
+Traced benchmark runs wrap the public functions of `vfuncta.tensor`,
+`vfuncta.model` and the other layer modules, patch
+`MetaModel.replace_params`, and count the rows that reach
+`model.forward_batch` through its `coords` argument. This runs a tiny
+`vfuncta encode --report` and `vfuncta decode` under that tracer, so a
+change that breaks it fails here rather than in a benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from tracer import Tracer  # noqa: E402
+
+from vfuncta.cli import main  # noqa: E402
+from vfuncta.codec import save_model  # noqa: E402
+from vfuncta.data import VideoTensor, save_video  # noqa: E402
+from vfuncta.model import MetaModel  # noqa: E402
+
+
+def test_traced_encode_and_decode_count_forward_rows(tmp_path, capsys):
+    model = MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4, seed=1)
+    save_model(tmp_path / "m.vfnc", model)
+    frames = np.linspace(0.2, 0.8, 3 * 5 * 6, dtype=np.float32).reshape(3, 5, 6)
+    save_video(tmp_path / "clip.rawvid", VideoTensor(frames))
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        encode_rc = main(["encode", "--model", str(tmp_path / "m.vfnc"),
+                          "--out", str(tmp_path / "enc"), "--batch-frames", "2",
+                          "--inner-steps", "2", "--report", str(tmp_path / "clip.rawvid")])
+        decode_rc = main(["decode", "--model", str(tmp_path / "m.vfnc"),
+                          "--out", str(tmp_path / "dec"), str(tmp_path / "enc" / "clip.venc")])
+    finally:
+        tracer.uninstall()
+
+    assert (encode_rc, decode_rc) == (0, 0), capsys.readouterr().err
+    rows = tracer.summary()["model.forward_batch"]
+    # encode --report decodes 3 frames of 30 pixels, then decode does it again
+    assert rows["calls"] == 6 and rows["count"] == 2 * 3 * 30

@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 from vfuncta.cli import main
-from vfuncta.codec import load_model
+from vfuncta.codec import (
+    VideoEncoding,
+    load_model,
+    model_fingerprint,
+    save_encoding,
+    save_model,
+)
 from vfuncta.data import load_video, read_corpus_manifest
 from vfuncta.manifest import read_manifest
+from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
+from vfuncta.tensor import Tensor
 
 
 TINY_CONFIG = """
@@ -283,6 +291,23 @@ def test_gradcheck_without_trials_is_an_error(capsys, trials):
     captured = capsys.readouterr()
     assert rc == 1 and "PASS" not in captured.out
     assert_one_error_line(captured.err, "trial", trials)
+
+
+def test_decode_of_overflowing_model_is_one_error_line(tmp_path, capsys):
+    model = MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4, seed=2)
+    broken = model.replace_params(
+        {"layer0.bias": Tensor(np.full(8, 3e38, dtype=np.float32))})
+    save_model(tmp_path / "broken.vfnc", broken)
+    enc = VideoEncoding(VideoModulation(np.zeros(8, dtype=np.float32)),
+                        FrameModulationSeq(np.zeros((2, 4), dtype=np.float32)),
+                        frames=2, height=3, width=3,
+                        fingerprint=model_fingerprint(broken), inner_steps=0, inner_lr=0.1)
+    save_encoding(tmp_path / "clip.venc", enc)
+    rc = main(["decode", "--model", str(tmp_path / "broken.vfnc"),
+               "--out", str(tmp_path / "dec"), str(tmp_path / "clip.venc")])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "non-finite")
+    assert not (tmp_path / "dec" / "clip.rawvid").exists()
 
 
 def test_eval_without_seeds_is_an_error(tmp_path, capsys):

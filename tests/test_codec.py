@@ -2,6 +2,7 @@
 compression arithmetic, and checksummed container round trips."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -25,10 +26,12 @@ from vfuncta.errors import (
     ContractError,
     FingerprintMismatchError,
     FormatError,
+    NonFiniteError,
     TruncatedFileError,
     UnsupportedVersionError,
 )
 from vfuncta.model import CoordinateGrid, FrameModulationSeq, VideoModulation
+from vfuncta.tensor import Tensor
 from vfuncta.training import Batch, TrainConfig, inner_adapt
 
 
@@ -165,6 +168,20 @@ def test_static_summary_ignores_frame_count_and_matches_zero_phi_frame():
     assert np.array_equal(summary, decoded.values[0])
 
 
+def test_overflowing_model_fails_decode_and_summary():
+    # 30 * 3e38 overflows float32: the sine of inf is nan in every pixel
+    model = small_cfg().new_model()
+    broken = model.replace_params(
+        {"layer0.bias": Tensor(np.full(model.hidden, 3e38, dtype=np.float32))})
+    enc = zero_encoding(broken)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            decode_video(broken, enc)
+        with pytest.raises(NonFiniteError):
+            decode_static_summary(broken, enc)
+
+
 # --- compression rate ----------------------------------------------------------
 
 def test_compression_rate_reference_configuration():
@@ -286,8 +303,6 @@ def test_fingerprint_ignores_iteration_but_not_weights(tmp_path):
     model = cfg.new_model()
     bumped = model.replace_params({}, iteration=7)
     assert model_fingerprint(bumped) == model_fingerprint(model)
-
-    from vfuncta.tensor import Tensor
     tweaked = model.replace_params(
         {"out.bias": Tensor(model.out_bias.data + np.float32(0.5))})
     assert model_fingerprint(tweaked) != model_fingerprint(model)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import rel_err
 
 from vfuncta.codec import VideoEncoding
 from vfuncta.errors import ContractError
@@ -156,8 +157,6 @@ def test_shuffled_labels_stay_near_chance():
 
 
 def test_head_gradients_match_finite_differences():
-    from test_tensor import rel_err
-
     rng = np.random.default_rng(21)
     x = rng.normal(size=(8, 3))
     y = rng.normal(size=8)

@@ -1,25 +1,24 @@
 """Network-level checks: forward semantics against a loop-based oracle,
-modulation neutrality and locality, coordinate handling, loss values."""
+modulation neutrality and locality, coordinate handling, loss values and
+gradients."""
 
 import math
 
 import numpy as np
 import pytest
 
-from vfuncta import tensor as tg
+from helpers import finite_diff, rel_err
+
 from vfuncta.errors import ContractError, ShapeError
 from vfuncta.model import (
     CoordinateGrid,
-    FrameModulationSeq,
     MetaModel,
-    VideoModulation,
-    compute_shifts,
     forward_batch,
     forward_frame,
-    loss_mse_frame,
+    loss_and_grads,
     sample_coords,
 )
-from vfuncta.tensor import Tensor, backward
+from vfuncta.tensor import Tensor
 
 
 def tiny_model(seed=0, dtype=np.float64, layers=2, hidden=8, video_dim=8, frame_dim=4):
@@ -56,11 +55,11 @@ def pure_python_forward(model, v, phi, xy):
 
 def test_all_zero_model_outputs_zero():
     m = tiny_model()
-    zeroed = m.replace_params({name: tg.zeros(p.shape, dtype=np.float64)
+    zeroed = m.replace_params({name: Tensor(np.zeros(p.shape))
                                for name, p in m.parameters()})
     grid = CoordinateGrid(4, 4)
     out = forward_frame(zeroed, np.zeros(8), np.zeros(4), grid)
-    assert np.array_equal(out.data, np.zeros(16))
+    assert np.array_equal(out, np.zeros(16))
 
 
 def test_forward_matches_pure_python_oracle():
@@ -92,13 +91,13 @@ def test_equal_frame_modulations_give_identical_outputs():
     grid = CoordinateGrid(6, 5)
     out1 = forward_frame(m, v, phi, grid)
     out2 = forward_frame(m, v, phi.copy(), grid)
-    assert np.array_equal(out1.data, out2.data)
+    assert np.array_equal(out1, out2)
 
 
 def test_zero_modulation_equals_unmodulated_network():
     m = tiny_model(seed=9)
     grid = CoordinateGrid(3, 3)
-    modulated = forward_frame(m, np.zeros(8), np.zeros(4), grid).data
+    modulated = forward_frame(m, np.zeros(8), np.zeros(4), grid)
 
     h = grid.coords.astype(np.float64)
     for k in range(m.layers):
@@ -113,13 +112,13 @@ def test_changing_one_frame_modulation_only_touches_that_frame():
     coords = CoordinateGrid(4, 4).coords
     b, n = 3, coords.shape[0]
     tiled = np.tile(coords, (b, 1))
-    v = Tensor(rng.normal(scale=0.1, size=8))
+    v = rng.normal(scale=0.1, size=8)
     phis = rng.normal(scale=0.1, size=(b, 4))
-    base = forward_batch(m, v, Tensor(phis), tiled, n).data.reshape(b, n)
+    base = forward_batch(m, v, phis, tiled, n).reshape(b, n)
 
     bumped = phis.copy()
     bumped[1] += 0.05
-    out = forward_batch(m, v, Tensor(bumped), tiled, n).data.reshape(b, n)
+    out = forward_batch(m, v, bumped, tiled, n).reshape(b, n)
     assert np.array_equal(base[0], out[0])
     assert np.array_equal(base[2], out[2])
     assert not np.array_equal(base[1], out[1])
@@ -133,33 +132,38 @@ def test_modulation_length_mismatch_raises():
         forward_frame(m, np.zeros(8), np.zeros(5), CoordinateGrid(2, 2))
 
 
-def test_compute_shifts_matches_projection_products():
-    m = tiny_model(seed=1)
-    rng = np.random.default_rng(8)
-    v = VideoModulation(rng.normal(size=8))
-    phis = FrameModulationSeq(rng.normal(size=(5, 4)))
-    shifts = compute_shifts(m, v, phis)
-    for k in range(m.layers):
-        assert np.allclose(shifts.video_shifts[k], v.values @ m.video_projs[k].data)
-        assert np.allclose(shifts.frame_shifts[k], phis.values @ m.frame_projs[k].data)
-        assert shifts.frame_shifts[k].shape == (5, m.hidden)
-
-
 # --- loss ---------------------------------------------------------------------
 
+def loss_case(b=1, n=3):
+    m = tiny_model(seed=13)
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(-1, 1, size=(b * n, 2))
+    v = rng.normal(scale=0.1, size=8)
+    phis = rng.normal(scale=0.1, size=(b, 4))
+    return m, v, phis, coords, n, forward_batch(m, v, phis, coords, n)
+
+
 def test_loss_zero_when_equal():
-    pred = Tensor(np.array([0.1, 0.9, 0.4]))
-    assert loss_mse_frame(pred, np.array([0.1, 0.9, 0.4])).item() == 0.0
+    m, v, phis, coords, n, pred = loss_case()
+    g = loss_and_grads(m, v, phis, coords, n, pred, weights=True)
+    assert g.loss == 0.0
+    assert not g.v.any() and not g.phis.any()
+    assert not any(w.any() for w in g.weights.values())
 
 
 def test_loss_hand_cases():
-    assert loss_mse_frame(Tensor(np.array([1.0, 1.0])), np.zeros(2)).item() == pytest.approx(1.0)
-    assert loss_mse_frame(Tensor(np.array([0.5])), np.zeros(1)).item() == pytest.approx(0.25)
+    m, v, phis, coords, n, pred = loss_case(b=2, n=2)
+    g = loss_and_grads(m, v, phis, coords, n, pred - np.array([1.0, 1.0, 0.5, 0.5]))
+    assert g.per_frame == pytest.approx([1.0, 0.25])
+    assert g.loss == pytest.approx(0.625)
+    m, v, phis, coords, n, pred = loss_case(n=1)
+    assert loss_and_grads(m, v, phis, coords, n, pred - 0.5).loss == pytest.approx(0.25)
 
 
 def test_loss_length_mismatch():
+    m, v, phis, coords, n, _ = loss_case()
     with pytest.raises(ShapeError):
-        loss_mse_frame(Tensor(np.zeros(3)), np.zeros(4))
+        loss_and_grads(m, v, phis, coords, n, np.zeros(4))
 
 
 # --- coordinates --------------------------------------------------------------
@@ -213,17 +217,7 @@ def test_sample_inclusion_frequency_is_uniform():
 
 # --- gradients through the full network ---------------------------------------
 
-def model_loss(m, v_arr, phi_arr, coords, targets):
-    v = Tensor(v_arr)
-    phis = Tensor(phi_arr)
-    pred = forward_batch(m, v, phis, coords, coords.shape[0] // phi_arr.shape[0])
-    loss = loss_mse_frame(tg.reshape(pred, (pred.shape[0],)), targets)
-    return loss, v, phis
-
-
 def test_model_gradients_match_finite_differences():
-    from test_tensor import finite_diff, rel_err
-
     m = tiny_model(seed=21, dtype=np.float64)
     rng = np.random.default_rng(77)
     b, n = 2, 6
@@ -232,22 +226,19 @@ def test_model_gradients_match_finite_differences():
     v0 = rng.normal(scale=0.05, size=8)
     phi0 = rng.normal(scale=0.05, size=(b, 4))
 
-    loss, v, phis = model_loss(m, v0, phi0, coords, targets)
-    named = m.parameters()
-    leaves = [v, phis] + [p for _, p in named]
-    grads = backward(loss, leaves)
+    grads = loss_and_grads(m, v0, phi0, coords, n, targets, weights=True)
 
     def f_mod(arrays):
-        return model_loss(m, arrays[0], arrays[1], coords, targets)[0].item()
+        return loss_and_grads(m, arrays[0], arrays[1], coords, n, targets).loss
 
     numeric_mod = finite_diff(f_mod, [v0, phi0.copy()])
-    assert rel_err(grads[v].data, numeric_mod[0]) < 1e-4
-    assert rel_err(grads[phis].data, numeric_mod[1]) < 1e-4
+    assert rel_err(grads.v, numeric_mod[0]) < 1e-4
+    assert rel_err(grads.phis, numeric_mod[1]) < 1e-4
 
-    for name, p in named:
+    for name, p in m.parameters():
         def f_theta(arrays, name=name):
             m2 = m.replace_params({name: Tensor(arrays[0])})
-            return model_loss(m2, v0, phi0, coords, targets)[0].item()
+            return loss_and_grads(m2, v0, phi0, coords, n, targets).loss
 
         numeric = finite_diff(f_theta, [p.data.copy()])[0]
-        assert rel_err(grads[p].data, numeric) < 1e-4, name
+        assert rel_err(grads.weights[name], numeric) < 1e-4, name

@@ -1,185 +1,192 @@
-"""Primitive-level checks for the reverse-mode engine, including the
-central finite-difference oracle every differentiable op must match."""
+"""The leaf `Tensor`, and the element rules of the sine stack's closed form.
+
+Each layer multiplies, adds its bias and both shifts, and takes the sine;
+the loss averages squared errors per frame. These checks pin each rule
+on hand-sized cases through `forward_batch`, `frame_mse` and
+`loss_and_grads`, plus their gradients against finite differences.
+"""
+
+import math
 
 import numpy as np
 import pytest
+from helpers import finite_diff, rel_err
 
-from vfuncta import tensor as tg
-from vfuncta.errors import ContractError, NonFiniteError, ShapeError
-from vfuncta.tensor import Tensor, backward
-
-
-def finite_diff(f, arrays, step=1e-4):
-    """Central finite differences of a scalar function of float64 arrays."""
-    grads = []
-    for i, base in enumerate(arrays):
-        g = np.zeros_like(base)
-        flat = g.reshape(-1)
-        for j in range(base.size):
-            bumped = [a.copy() for a in arrays]
-            bumped[i].reshape(-1)[j] += step
-            hi = f(bumped)
-            bumped[i].reshape(-1)[j] -= 2 * step
-            lo = f(bumped)
-            flat[j] = (hi - lo) / (2 * step)
-        grads.append(g)
-    return grads
+from vfuncta.errors import NonFiniteError, ShapeError
+from vfuncta.model import MetaModel, forward_batch, frame_mse, loss_and_grads
+from vfuncta.tensor import Tensor
 
 
-def rel_err(a, b):
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-    return np.max(np.abs(a - b) / denom)
+def one_layer(weight, bias, out_weight, out_bias=(0.0,), frame_proj=None, omega0=1.0):
+    """One sine layer with one-wide latents; the video projection is zero."""
+    weight = np.asarray(weight, dtype=np.float64)
+    hidden = weight.shape[1]
+    if frame_proj is None:
+        frame_proj = np.zeros((1, hidden))
+    return MetaModel([Tensor(weight)], [Tensor(bias)],
+                     Tensor(np.asarray(out_weight, dtype=np.float64).reshape(hidden, 1)),
+                     Tensor(out_bias), [Tensor(np.zeros((1, hidden)))],
+                     [Tensor(frame_proj)], omega0=omega0)
+
+
+def predict(model, coords, phis=None):
+    coords = np.asarray(coords, dtype=np.float64)
+    phis = np.zeros((1, model.frame_dim)) if phis is None else np.asarray(phis, dtype=np.float64)
+    return forward_batch(model, np.zeros(model.video_dim), phis, coords,
+                         coords.shape[0] // phis.shape[0])
+
+
+def random_case(seed, layers=2, dtype=np.float64, b=2, n=3):
+    rng = np.random.default_rng(seed)
+    model = MetaModel.initialize(layers=layers, hidden=5, video_dim=3, frame_dim=2,
+                                 omega0=30.0, dtype=dtype, rng=rng)
+    coords = rng.uniform(-1, 1, size=(b * n, 2)).astype(dtype)
+    targets = rng.uniform(0, 1, size=b * n).astype(dtype)
+    v = rng.normal(scale=0.05, size=3).astype(dtype)
+    phis = rng.normal(scale=0.05, size=(b, 2)).astype(dtype)
+    return model, v, phis, coords, n, targets
 
 
 # --- hand-checked forward values ---------------------------------------------
 
 def test_matmul_identity():
-    eye = Tensor(np.eye(2))
-    col = Tensor([[3.0], [4.0]])
-    out = tg.matmul(eye, col)
-    assert np.array_equal(out.data, [[3.0], [4.0]])
+    # identity weights pass the coordinate through: pred = sin(x)
+    model = one_layer(np.eye(2), np.zeros(2), [1.0, 0.0])
+    xs = np.array([[0.3, -0.9], [-0.5, 0.1]])
+    assert np.array_equal(predict(model, xs), np.sin(xs[:, 0]))
 
 
 def test_matmul_hand_case():
-    out = tg.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]))
-    assert np.array_equal(out.data, [[17.0], [39.0]])
+    # unit coordinates pick rows of W: (1, 0) -> [1, 2], (0, 1) -> [3, 4]
+    model = one_layer([[1.0, 2.0], [3.0, 4.0]], np.zeros(2), [1.0, 10.0])
+    out = predict(model, [[1.0, 0.0], [0.0, 1.0]])
+    assert out == pytest.approx([math.sin(1) + 10 * math.sin(2),
+                                 math.sin(3) + 10 * math.sin(4)], abs=1e-12)
 
 
 def test_matmul_zero_annihilates():
-    out = tg.matmul(tg.zeros((2, 3)), Tensor(np.random.default_rng(0).normal(size=(3, 1))))
-    assert np.array_equal(out.data, np.zeros((2, 1)))
+    # zero latents add exact zeros, whatever the projections hold
+    model, _, _, coords, n, _ = random_case(4)
+    zero_v, zero_phis = np.zeros(3), np.zeros((2, 2))
+    bare = model.replace_params({name: Tensor(np.zeros(p.shape))
+                                 for name, p in model.parameters() if "proj" in name})
+    assert np.array_equal(forward_batch(model, zero_v, zero_phis, coords, n),
+                          forward_batch(bare, zero_v, zero_phis, coords, n))
 
 
 def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 1\)"):
-        tg.matmul(tg.zeros((2, 3)), tg.zeros((2, 1)))
+    model, v, phis, coords, _, _ = random_case(0)
+    with pytest.raises(ShapeError, match=r"\(6, 2\).*\(4, 2\)"):
+        forward_batch(model, v, phis, coords, 2)
 
 
 def test_sine_act_zero():
-    out = tg.sine_act(tg.zeros((4,)), 30.0)
-    assert np.array_equal(out.data, np.zeros(4))
+    model = one_layer(np.zeros((2, 3)), np.zeros(3), [1.0, -2.0, 3.0], out_bias=[0.25])
+    out = predict(model, [[0.5, -0.5], [1.0, 1.0]])
+    assert np.array_equal(out, [0.25, 0.25])
 
 
 def test_sine_act_reaches_one():
     omega0 = 30.0
-    x = Tensor(np.array([np.pi / 2 / omega0]))
-    assert tg.sine_act(x, omega0).item() == pytest.approx(1.0, abs=1e-6)
-
-
-def test_sine_act_gradient_at_zero_is_omega0():
-    omega0 = 17.5
-    x = Tensor(np.zeros(3, dtype=np.float64))
-    loss = tg.total_sum(tg.sine_act(x, omega0))
-    g = backward(loss, [x])[x]
-    assert np.allclose(g.data, omega0, atol=1e-6)
-
-
-def test_sum_gradient_is_ones():
-    w = Tensor(np.array([1.0, -2.0, 3.5]))
-    g = backward(tg.total_sum(w), [w])[w]
-    assert np.array_equal(g.data, np.ones(3))
-
-
-def test_mean_squared_error_gradient_hand_case():
-    # loss = mean((w - t)^2), w = [1, 2], t = [0, 0]: grad = 2(w - t)/N = [1, 2]
-    w = Tensor(np.array([1.0, 2.0]))
-    t = Tensor(np.zeros(2))
-    loss = tg.mean(tg.squared_error(w, t))
-    g = backward(loss, [w])[w]
-    assert np.allclose(g.data, [1.0, 2.0], atol=1e-12)
-
-
-def test_group_mean_values():
-    x = Tensor(np.array([1.0, 3.0, 5.0, 7.0]))
-    out = tg.group_mean(x, 2)
-    assert np.array_equal(out.data, [2.0, 6.0])
+    model = one_layer(np.zeros((2, 1)), [np.pi / 2 / omega0], [1.0], omega0=omega0)
+    assert predict(model, [[0.2, 0.7]])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_add_blocks_values():
-    x = Tensor(np.zeros((4, 2)))
-    rows = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = tg.add_blocks(x, rows, 2)
-    assert np.array_equal(out.data, [[1, 2], [1, 2], [3, 4], [3, 4]])
+    # the frame vector of frame t shifts exactly the rows of frame t
+    model = one_layer(np.zeros((2, 1)), [0.0], [1.0], frame_proj=[[1.0]])
+    out = predict(model, np.zeros((4, 2)), phis=[[1.0], [3.0]])
+    assert np.array_equal(out, np.sin([1.0, 1.0, 3.0, 3.0]))
 
 
-# --- finite-difference oracle over every primitive ----------------------------
+def test_group_mean_values():
+    per_frame = frame_mse(np.array([1.0, 3.0, 5.0, 7.0]), np.zeros(4), 2)
+    assert np.array_equal(per_frame, [5.0, 37.0])
 
-def _primitive_cases(rng):
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(4, 2))
-    c = rng.normal(size=(3, 4))
-    row = rng.normal(size=(4,))
-    blocks = rng.normal(size=(3, 4))  # block size 2 against x of 6 rows
-    x6 = rng.normal(size=(6, 4))
-    v12 = rng.normal(size=(12,))
-    zeros12 = Tensor(np.zeros(12))
-    return [
-        ("matmul", [a, b], lambda ts: tg.mean(tg.matmul(ts[0], ts[1]))),
-        ("add", [a, c], lambda ts: tg.mean(tg.sine_act(tg.add(ts[0], ts[1]), 1.3))),
-        ("add_row", [a, row], lambda ts: tg.mean(tg.sine_act(tg.add_row(ts[0], ts[1]), 1.3))),
-        ("add_blocks", [x6, blocks],
-         lambda ts: tg.mean(tg.sine_act(tg.add_blocks(ts[0], ts[1], 2), 1.7))),
-        ("sine_act", [a], lambda ts: tg.mean(tg.sine_act(ts[0], 3.0))),
-        ("scale", [a], lambda ts: tg.mean(tg.sine_act(tg.scale(ts[0], -2.5), 0.7))),
-        ("mean", [v12], lambda ts: tg.mean(tg.squared_error(ts[0], zeros12))),
-        ("total_sum", [a], lambda ts: tg.total_sum(tg.sine_act(ts[0], 0.9))),
-        ("group_mean", [v12], lambda ts: tg.mean(tg.sine_act(tg.group_mean(ts[0], 3), 2.0))),
-        ("squared_error", [a, c], lambda ts: tg.mean(tg.squared_error(ts[0], ts[1]))),
-        ("reshape", [a], lambda ts: tg.mean(tg.sine_act(tg.reshape(ts[0], (12,)), 1.1))),
-    ]
 
+# --- hand-checked gradients ---------------------------------------------------
+
+def test_sine_act_gradient_at_zero_is_omega0():
+    # at a zero pre-activation, d sin(w0 a) / da = w0
+    omega0 = 17.5
+    model = one_layer(np.zeros((2, 1)), [0.0], [1.0], omega0=omega0)
+    g = loss_and_grads(model, np.zeros(1), np.zeros((1, 1)), np.zeros((3, 2)), 3,
+                       np.array([0.2, 0.4, 0.9]), weights=True)
+    assert g.weights["layer0.bias"] == pytest.approx(omega0 * g.weights["out.bias"], rel=1e-12)
+
+
+def test_sum_gradient_is_ones():
+    # the output bias gradient sums the rows' gradients: N rows of 1/N each
+    model, v, phis, coords, n, _ = random_case(2)
+    pred = forward_batch(model, v, phis, coords, n)
+    g = loss_and_grads(model, v, phis, coords, n, pred - 0.5, weights=True)
+    assert g.weights["out.bias"] == pytest.approx([1.0], rel=1e-12)
+
+
+def test_mean_squared_error_gradient_hand_case():
+    # one frame, errors [1, 2]: loss = (1 + 4) / 2, d loss / d out.bias = 2 (1 + 2) / 2
+    model, v, _, coords, _, _ = random_case(3, b=1, n=2)
+    phis = np.zeros((1, 2))
+    pred = forward_batch(model, v, phis, coords, 2)
+    g = loss_and_grads(model, v, phis, coords, 2, pred - np.array([1.0, 2.0]), weights=True)
+    assert g.loss == pytest.approx(2.5, rel=1e-12)
+    assert g.weights["out.bias"] == pytest.approx([3.0], rel=1e-12)
+
+
+# --- the closed form against finite differences --------------------------------
 
 def test_every_primitive_matches_finite_differences():
     worst = 0.0
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        for name, arrays, build in _primitive_cases(rng):
-            leaves = [Tensor(x) for x in arrays]
-            grads = backward(build(leaves), leaves)
-            numeric = finite_diff(lambda p: build([Tensor(q) for q in p]).item(), arrays)
-            for leaf, gn in zip(leaves, numeric):
-                err = rel_err(grads[leaf].data, gn)
-                worst = max(worst, err)
-                assert err < 1e-4, f"{name} seed {seed}: rel err {err}"
+    for seed in range(12):
+        model, v, phis, coords, n, targets = random_case(seed, layers=1 + seed % 3)
+        g = loss_and_grads(model, v, phis, coords, n, targets, weights=True)
+
+        def loss(arrays, name=None):
+            m = model if name is None else model.replace_params({name: Tensor(arrays[-1])})
+            return loss_and_grads(m, arrays[0], arrays[1], coords, n, targets).loss
+
+        numeric = finite_diff(loss, [v, phis])
+        checks = [("v", g.v, numeric[0]), ("phis", g.phis, numeric[1])]
+        for name, p in model.parameters():
+            num = finite_diff(lambda a, name=name: loss([v, phis, a[0]], name), [p.data.copy()])
+            checks.append((name, g.weights[name], num[0]))
+        for name, analytic, num in checks:
+            err = rel_err(analytic, num)
+            worst = max(worst, err)
+            assert err < 1e-4, f"{name} seed {seed}: rel err {err}"
     assert worst < 1e-4
 
 
 def test_gradients_are_deterministic():
-    rng = np.random.default_rng(42)
-    a = Tensor(rng.normal(size=(5, 5)))
-    b = Tensor(rng.normal(size=(5, 5)))
-
-    def run():
-        loss = tg.mean(tg.squared_error(tg.sine_act(tg.matmul(a, b), 2.0), tg.zeros((5, 5), dtype=np.float64)))
-        g = backward(loss, [a, b])
-        return g[a].data.copy(), g[b].data.copy()
-
-    ga1, gb1 = run()
-    ga2, gb2 = run()
-    assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
+    model, v, phis, coords, n, targets = random_case(42, dtype=np.float32)
+    g1 = loss_and_grads(model, v, phis, coords, n, targets, weights=True)
+    g2 = loss_and_grads(model, v, phis, coords, n, targets, weights=True)
+    assert g1.loss == g2.loss
+    assert np.array_equal(g1.v, g2.v) and np.array_equal(g1.phis, g2.phis)
+    for name in g1.weights:
+        assert np.array_equal(g1.weights[name], g2.weights[name]), name
 
 
 def test_unused_parameter_gets_exact_zeros():
-    a = Tensor(np.ones((2, 2)))
-    unused = Tensor(np.ones((3,)))
-    loss = tg.mean(a)
-    g = backward(loss, [a, unused])
-    assert np.array_equal(g[unused].data, np.zeros(3))
-    assert g[unused].data.dtype == unused.data.dtype
+    # at zero latents the projections do not reach the loss
+    model, _, _, coords, n, targets = random_case(5, dtype=np.float32)
+    g = loss_and_grads(model, np.zeros(3), np.zeros((2, 2)), coords, n, targets, weights=True)
+    for k in range(model.layers):
+        for name in (f"video_proj{k}", f"frame_proj{k}"):
+            assert np.array_equal(g.weights[name], np.zeros(g.weights[name].shape)), name
+            assert g.weights[name].dtype == np.float32
 
 
 def test_shared_subexpression_accumulates():
-    # y = mean(x + x): dy/dx = 2/size
-    x = Tensor(np.ones(4))
-    loss = tg.mean(tg.add(x, x))
-    g = backward(loss, [x])[x]
-    assert np.allclose(g.data, 0.5)
+    # v shifts every layer, so its gradient sums one term per layer
+    model, v, phis, coords, n, targets = random_case(6, layers=3)
+    g = loss_and_grads(model, v, phis, coords, n, targets, weights=True)
+    per_layer = sum(model.video_projs[k].data @ g.weights[f"layer{k}.bias"]
+                    for k in range(model.layers))
+    assert np.allclose(g.v, per_layer, rtol=1e-12, atol=1e-15)
 
 
-def test_non_scalar_loss_rejected():
-    with pytest.raises(ContractError):
-        backward(Tensor(np.ones(2)), [Tensor(np.ones(2))])
-
+# --- finiteness -------------------------------------------------------------------
 
 def test_non_finite_input_rejected():
     with pytest.raises(NonFiniteError):
@@ -187,13 +194,19 @@ def test_non_finite_input_rejected():
 
 
 def test_overflow_is_reported_with_op_name():
-    big = Tensor(np.full((2, 2), 1e300))
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as exc:
-        tg.matmul(big, big)
-    assert exc.value.op == "matmul"
+    model, v, phis, coords, n, targets = random_case(7)
+    big = model.replace_params({"layer0.bias": Tensor(np.full(5, 1e308))})
+    with pytest.raises(NonFiniteError) as exc:
+        forward_batch(big, v, phis, coords, n)
+    assert exc.value.op == "forward"
+    with pytest.raises(NonFiniteError) as exc:
+        loss_and_grads(big, v, phis, coords, n, targets)
+    assert exc.value.op == "loss"
 
 
 def test_gradient_dtype_follows_input_dtype():
-    x32 = Tensor(np.ones(3, dtype=np.float32))
-    g = backward(tg.mean(tg.squared_error(x32, tg.zeros(3))), [x32])[x32]
-    assert g.data.dtype == np.float32
+    for dtype in (np.float32, np.float64):
+        model, v, phis, coords, n, targets = random_case(8, dtype=dtype)
+        g = loss_and_grads(model, v, phis, coords, n, targets, weights=True)
+        assert g.v.dtype == dtype and g.phis.dtype == dtype and g.per_frame.dtype == dtype
+        assert all(a.dtype == dtype for a in g.weights.values())

@@ -53,7 +53,7 @@ def test_modulations_stay_zero_at_optimum():
     cfg = tiny_cfg()
     model = cfg.new_model()
     grid = CoordinateGrid(5, 5)
-    base = forward_frame(model, np.zeros(8), np.zeros(4), grid).data
+    base = forward_frame(model, np.zeros(8), np.zeros(4), grid)
     batch = Batch(targets=np.tile(base, (cfg.batch_frames, 1)), coords=grid.coords)
     v, phis, losses = inner_adapt(model, batch, cfg)
     assert np.linalg.norm(v.values) < 1e-6
@@ -128,6 +128,33 @@ def test_divergence_error_carries_context():
     with pytest.raises(DivergenceError) as exc:
         inner_adapt(broken, full_grid_batch(constant_video(), cfg), cfg)
     assert exc.value.step == 0
+
+
+def test_non_finite_gradient_in_inner_loop_names_the_step():
+    # a zero last layer keeps every prediction at the output bias, so the
+    # loss stays finite while the huge output weight overflows the gradients
+    cfg = tiny_cfg()
+    model = cfg.new_model()
+    zero = {name: Tensor(np.zeros(p.shape)) for name, p in model.parameters()
+            if name.endswith("1.weight") or name.endswith("1.bias")
+            or name in ("video_proj1", "frame_proj1")}
+    broken = model.replace_params({**zero, "out.weight": Tensor(np.full((8, 1), 1e308))})
+    with pytest.raises(DivergenceError) as exc:
+        inner_adapt(broken, full_grid_batch(constant_video(), cfg), cfg)
+    assert exc.value.step == 0
+    assert exc.value.loss_history == []
+    assert exc.value.__cause__.op.endswith("gradient")
+
+
+def test_outer_divergence_keeps_the_inner_history():
+    # inner_lr * b overflows to inf, so the one inner step succeeds and the
+    # outer loss at the adapted modulations is not finite
+    cfg = tiny_cfg(inner_steps=1, inner_lr=1e308)
+    with pytest.raises(DivergenceError) as exc:
+        meta_step(cfg.new_model(), constant_video(), cfg, np.random.default_rng(0))
+    assert exc.value.step == cfg.inner_steps
+    assert len(exc.value.loss_history) == 1
+    assert np.isfinite(exc.value.loss_history[0])
 
 
 def test_train_zero_iterations_returns_fresh_model():
