@@ -8,6 +8,7 @@ weights.
 """
 
 from .codec import (
+    EncodeSettings,
     VideoEncoding,
     compression_rate,
     decode_static_summary,
@@ -62,21 +63,22 @@ from .model import (
     sample_coords,
 )
 from .tensor import Tensor
-from .training import Batch, TrainConfig, TrainLog, inner_adapt, meta_step, train
+from .training import Batch, TrainConfig, TrainLog, meta_step, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Batch", "ClassificationReport", "CoordinateGrid", "CorpusItem",
-    "FrameModulationSeq", "HeadConfig", "Labels", "MetaModel", "MlpHead",
-    "QualityReport", "RegressionReport", "SynthSpec", "Tensor", "TrainConfig",
-    "TrainLog", "VideoEncoding", "VideoModulation", "VideoTensor",
-    "VfunctaError", "auroc", "build_corpus", "classification_metrics",
-    "compression_rate", "decode_static_summary", "decode_video",
-    "encode_video", "evaluate_head", "extract_features", "forward_frame",
-    "gen_synthetic", "inner_adapt", "load_encoding", "load_head",
-    "load_model", "load_video", "meta_step", "model_fingerprint", "psnr",
-    "quality_report", "read_corpus_manifest", "regression_metrics",
-    "resize_video", "run_gradcheck", "sample_coords", "save_encoding",
-    "save_head", "save_model", "save_video", "ssim3d", "train", "train_head",
+    "EncodeSettings", "FrameModulationSeq", "HeadConfig", "Labels",
+    "MetaModel", "MlpHead", "QualityReport", "RegressionReport",
+    "SynthSpec", "Tensor", "TrainConfig", "TrainLog", "VideoEncoding",
+    "VideoModulation", "VideoTensor", "VfunctaError", "auroc",
+    "build_corpus", "classification_metrics", "compression_rate",
+    "decode_static_summary", "decode_video", "encode_video",
+    "evaluate_head", "extract_features", "forward_frame", "gen_synthetic",
+    "load_encoding", "load_head", "load_model", "load_video", "meta_step",
+    "model_fingerprint", "psnr", "quality_report", "read_corpus_manifest",
+    "regression_metrics", "resize_video", "run_gradcheck", "sample_coords",
+    "save_encoding", "save_head", "save_model", "save_video", "ssim3d",
+    "train", "train_head",
 ]

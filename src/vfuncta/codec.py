@@ -4,14 +4,17 @@ vectors, decode them back to pixels, and persist both.
 Encoding is autoregressive over windows of `batch_frames` consecutive
 frames: the video vector is optimized jointly with the first window's
 frame vectors, then frozen; every later window optimizes fresh
-zero-initialized frame vectors only. Decoding evaluates the network on
-the full pixel grid per frame and clamps to [0, 1]; clamping never
-happens on the encode side.
+zero-initialized frame vectors only. `EncodeSettings` holds the three
+values this procedure takes: the window length, the inner steps and the
+inner learning rate. Decoding evaluates the network on the full pixel
+grid per frame and clamps to [0, 1]; clamping never happens on the
+encode side.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +42,11 @@ from .model import (
     VideoModulation,
     forward_batch,
 )
-from .training import TrainConfig, _adapt
+from .training import _adapt, _require_rate
 
 __all__ = [
-    "VideoEncoding", "encode_video", "decode_video", "decode_static_summary",
-    "compression_rate", "save_encoding", "load_encoding",
+    "EncodeSettings", "VideoEncoding", "encode_video", "decode_video",
+    "decode_static_summary", "compression_rate", "save_encoding", "load_encoding",
     "save_model", "load_model", "model_fingerprint",
 ]
 
@@ -97,8 +100,24 @@ class VideoEncoding:
                 and np.array_equal(self.frame_mods.values, other.frame_mods.values))
 
 
-def encode_video(model: MetaModel, video: VideoTensor, cfg: TrainConfig, *,
-                 inner_steps: int | None = None) -> VideoEncoding:
+@dataclass(frozen=True)
+class EncodeSettings:
+    """Window length, inner steps and inner learning rate of an encode."""
+
+    batch_frames: int
+    inner_steps: int
+    inner_lr: float
+
+    def __post_init__(self):
+        if self.batch_frames < 1:
+            raise ContractError(f"batch_frames must be >= 1, got {self.batch_frames}")
+        if self.inner_steps < 0:
+            raise ContractError(f"inner_steps must be >= 0, got {self.inner_steps}")
+        _require_rate("inner_lr", self.inner_lr)
+
+
+def encode_video(model: MetaModel, video: VideoTensor,
+                 settings: EncodeSettings) -> VideoEncoding:
     """Fit modulations to a video with the model frozen.
 
     Window 1 covers the first min(batch_frames, T) frames and optimizes
@@ -106,34 +125,26 @@ def encode_video(model: MetaModel, video: VideoTensor, cfg: TrainConfig, *,
     grid; later windows keep the video vector frozen. A short final
     window is optimized as-is.
     """
-    if (model.video_dim, model.frame_dim) != (cfg.video_dim, cfg.frame_dim):
-        raise ContractError(
-            f"model modulation dims {(model.video_dim, model.frame_dim)} do not match "
-            f"config {(cfg.video_dim, cfg.frame_dim)}")
-    steps = cfg.inner_steps if inner_steps is None else inner_steps
+    steps, lr, b = settings.inner_steps, settings.inner_lr, settings.batch_frames
     t_total = video.frames
-    b = cfg.batch_frames
     grid = CoordinateGrid(video.height, video.width)
     flat = video.values.reshape(t_total, -1)
 
     phis_out = np.zeros((t_total, model.frame_dim), dtype=model.dtype)
     first = min(b, t_total)
-    v, phis, _ = _adapt(model, flat[:first], grid.coords,
-                        steps=steps, inner_lr=cfg.inner_lr)
+    v, phis, _ = _adapt(model, flat[:first], grid.coords, steps=steps, inner_lr=lr)
     phis_out[:first] = phis
     start = first
     while start < t_total:
         stop = min(start + b, t_total)
         _, phis, _ = _adapt(model, flat[start:stop], grid.coords,
-                            steps=steps, inner_lr=cfg.inner_lr,
-                            v_init=v, freeze_v=True)
+                            steps=steps, inner_lr=lr, v_init=v, freeze_v=True)
         phis_out[start:stop] = phis
         start = stop
     return VideoEncoding(
         VideoModulation(v), FrameModulationSeq(phis_out),
         frames=t_total, height=video.height, width=video.width,
-        fingerprint=model_fingerprint(model),
-        inner_steps=steps, inner_lr=cfg.inner_lr)
+        fingerprint=model_fingerprint(model), inner_steps=steps, inner_lr=lr)
 
 
 def _require_same_model(model: MetaModel, enc: VideoEncoding) -> None:

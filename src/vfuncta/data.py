@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import atomic_write_bytes
 from .errors import ContractError, DataError
 
 RAWVID_MAGIC = b"VRAW"
@@ -66,12 +67,8 @@ class VideoTensor:
 
 def save_video(path, video: VideoTensor) -> None:
     """Write the raw container; the round trip through load_video is bit-exact."""
-    path = Path(path)
     payload = video.values.astype("<f4").tobytes()
-    header = RAWVID_MAGIC + struct.pack("<III", *video.dims)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(header + payload)
-    tmp.replace(path)
+    atomic_write_bytes(path, RAWVID_MAGIC + struct.pack("<III", *video.dims) + payload)
 
 
 def load_video(path) -> VideoTensor:

@@ -58,8 +58,8 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 def run_gradcheck(trials: int = 100, step: float = 1e-4, tolerance: float = 1e-4,
                   layers: int = 2, hidden: int = 8, video_dim: int = 8,
-                  frame_dim: int = 4, batch: int = 2, coords_per_frame: int = 6,
-                  on_trial=None) -> GradCheckResult:
+                  frame_dim: int = 4, batch: int = 2,
+                  coords_per_frame: int = 6) -> GradCheckResult:
     if trials < 1:
         raise ContractError(f"gradcheck needs at least one trial, got {trials}")
     worst, worst_param, worst_trial = 0.0, "", -1
@@ -97,7 +97,5 @@ def run_gradcheck(trials: int = 100, step: float = 1e-4, tolerance: float = 1e-4
                                         v, phis, coords, targets),
                 p.data, step)
             note(_rel_err(grads.weights[name], numeric), name, trial)
-        if on_trial is not None:
-            on_trial(trial, worst)
     return GradCheckResult(trials=trials, tolerance=tolerance, max_rel_err=worst,
                            worst_param=worst_param, worst_trial=worst_trial)

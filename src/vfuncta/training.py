@@ -4,7 +4,8 @@ sampled batch of frames from zero.
 
 Every inner step takes the frame updates and the video-vector update from
 one closed-form forward/backward evaluation (`model.loss_and_grads`);
-the outer step applies a first-order gradient at the adapted
+`_adapt` runs that loop for training and for `codec.encode_video` alike.
+The outer step applies a first-order gradient at the adapted
 modulations, treating them as constants. Plain gradient descent
 everywhere, no optimizer state, so a checkpoint plus the seed fully
 determines the rest of a run.
@@ -12,6 +13,7 @@ determines the rest of a run.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -21,15 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractError, DataError, DivergenceError, NonFiniteError
-from .model import (
-    FrameModulationSeq,
-    MetaModel,
-    VideoModulation,
-    forward_batch,
-    frame_mse,
-    loss_and_grads,
-    sample_coords,
-)
+from .model import MetaModel, loss_and_grads, sample_coords
 from .tensor import Tensor
 
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
@@ -71,10 +65,9 @@ class TrainConfig:
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("inner_lr", "meta_lr"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.omega0 <= 0:
-            raise ContractError(f"omega0 must be positive, got {self.omega0}")
+            _require_rate(name, getattr(self, name))
+        if not (math.isfinite(self.omega0) and self.omega0 > 0):
+            raise ContractError(f"omega0 must be finite and positive, got {self.omega0}")
         if self.precision not in _PRECISIONS:
             raise ContractError(f"precision must be one of {sorted(_PRECISIONS)}")
 
@@ -167,26 +160,6 @@ def _adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
     return v, phis, history
 
 
-def inner_adapt(model: MetaModel, batch: Batch, cfg: TrainConfig, *,
-                steps: int | None = None, v_init: np.ndarray | None = None,
-                freeze_v: bool = False):
-    """Adapt modulations to one batch with the shared weights frozen.
-
-    Returns (VideoModulation, FrameModulationSeq, final per-frame losses).
-    """
-    if batch.targets.shape[0] < 1:
-        raise ContractError("batch must contain at least one frame")
-    _require_dims(model, cfg)
-    steps = cfg.inner_steps if steps is None else steps
-    v, phis, _ = _adapt(model, batch.targets, batch.coords,
-                        steps=steps, inner_lr=cfg.inner_lr,
-                        v_init=v_init, freeze_v=freeze_v)
-    b, n = batch.targets.shape
-    tiled, flat = _stacked(model, batch.targets, batch.coords)
-    per_frame = frame_mse(forward_batch(model, v, phis, tiled, n), flat, b)
-    return VideoModulation(v), FrameModulationSeq(phis), per_frame
-
-
 def sample_batch(video, cfg: TrainConfig, rng: np.random.Generator) -> Batch:
     """Pick b frames (with replacement only for short videos) and one
     coordinate subset shared by all of them."""
@@ -224,9 +197,7 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
           checkpoint_dir=None, checkpoint_every: int = 0,
           resume: MetaModel | None = None,
           validate: Callable[[MetaModel], float] | None = None,
-          val_every: int = 0,
-          on_iteration: Callable[[LogEntry], None] | None = None
-          ) -> tuple[MetaModel, TrainLog]:
+          val_every: int = 0) -> tuple[MetaModel, TrainLog]:
     """Outer loop over the dataset in seeded shuffled order.
 
     Dataset items are VideoTensor objects or paths; unreadable paths are
@@ -270,8 +241,6 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
         if validate is not None and val_every > 0 and model.iteration % val_every == 0:
             entry.val_psnr = float(validate(model))
         log.append(entry)
-        if on_iteration is not None:
-            on_iteration(entry)
         if (checkpoint_dir is not None and checkpoint_every > 0
                 and model.iteration % checkpoint_every == 0):
             from .container import save_model
@@ -284,6 +253,11 @@ def _materialize(item):
     if isinstance(item, VideoTensor):
         return item
     return load_video(item)
+
+
+def _require_rate(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ContractError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _require_dims(model: MetaModel, cfg: TrainConfig) -> None:

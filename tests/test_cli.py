@@ -1,11 +1,13 @@
 """End-to-end command-line workflows at toy scale."""
 
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vfuncta import data
 from vfuncta.cli import main
 from vfuncta.codec import (
     VideoEncoding,
@@ -14,7 +16,7 @@ from vfuncta.codec import (
     save_encoding,
     save_model,
 )
-from vfuncta.data import load_video, read_corpus_manifest
+from vfuncta.data import VideoTensor, load_video, read_corpus_manifest, save_video
 from vfuncta.manifest import read_manifest
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
 from vfuncta.tensor import Tensor
@@ -376,3 +378,87 @@ def test_manifest_names_its_hash(tmp_path):
     manifest = read_manifest(out / "run_manifest.json")
     assert manifest["hash"] == "blake2b-64"
     assert all(len(h) == 16 for h in manifest["artifacts"].values())
+
+
+def tiny_files(tmp_path):
+    """An untrained model, a 2x3x3 video and a zero encoding for that model."""
+    model = MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4, seed=2)
+    save_model(tmp_path / "m.vfnc", model)
+    save_video(tmp_path / "clip.rawvid",
+               VideoTensor(np.linspace(0, 1, 18, dtype=np.float32).reshape(2, 3, 3)))
+    enc = VideoEncoding(VideoModulation(np.zeros(8, dtype=np.float32)),
+                        FrameModulationSeq(np.zeros((2, 4), dtype=np.float32)),
+                        frames=2, height=3, width=3,
+                        fingerprint=model_fingerprint(model), inner_steps=0, inner_lr=0.1)
+    save_encoding(tmp_path / "clip.venc", enc)
+    return tmp_path / "m.vfnc", tmp_path / "clip.rawvid", tmp_path / "clip.venc"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_an_error(tmp_path, capsys, jobs):
+    model_path, video, venc = tiny_files(tmp_path)
+    for command, item in (("encode", video), ("decode", venc)):
+        rc = main([command, "--model", str(model_path), "--out", str(tmp_path / command),
+                   "--jobs", jobs, str(item)])
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, "--jobs", jobs)
+        assert not (tmp_path / command).exists()
+
+
+def test_decode_report_without_originals_writes_nothing(tmp_path, capsys):
+    model_path, _, venc = tiny_files(tmp_path)
+    rc = main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
+               "--report", "--keep-going", str(venc)])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "--report", "--originals")
+    assert not (tmp_path / "dec").exists()
+
+
+def test_first_failure_with_jobs_starts_no_further_item(tmp_path, monkeypatch, capsys):
+    model_path, video, _ = tiny_files(tmp_path)
+    missing = tmp_path / "missing.rawvid"
+    clips = []
+    for name in ("c1", "c2", "c3"):
+        clips.append(tmp_path / f"{name}.rawvid")
+        clips[-1].write_bytes(video.read_bytes())
+    failed = threading.Event()
+    real_load = data.load_video
+
+    def gated_load(path):
+        if path == missing:
+            failed.set()
+        else:
+            # c1 is still running when missing.rawvid fails
+            assert failed.wait(timeout=60)
+        return real_load(path)
+
+    monkeypatch.setattr(data, "load_video", gated_load)
+    out = tmp_path / "enc"
+    rc = main(["encode", "--model", str(model_path), "--out", str(out), "--jobs", "2",
+               "--batch-frames", "2", "--inner-steps", "1", str(missing),
+               *(str(c) for c in clips)])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "cannot read", "missing.rawvid")
+    assert sorted(p.name for p in out.iterdir()) == ["c1.venc"]
+
+
+@pytest.mark.parametrize("command, flags, key", [
+    ("train", ["--set", "omega0=nan"], "omega0"),
+    ("train", ["--set", "meta_lr=nan"], "meta_lr"),
+    ("train", ["--set", "inner_lr=inf"], "inner_lr"),
+    ("encode", ["--inner-lr", "nan"], "inner_lr"),
+])
+def test_non_finite_rate_is_one_error_line(tmp_path, capsys, command, flags, key):
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--corpus", str(gen_corpus(tmp_path, count=1)),
+                "--config", str(write_config(tmp_path / "run.cfg", iterations=1)),
+                "--out", str(out / "m.vfnc")]
+    else:
+        model_path, video, _ = tiny_files(tmp_path)
+        argv = ["encode", "--model", str(model_path), "--out", str(out), str(video)]
+    capsys.readouterr()
+    rc = main(argv + flags)
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, key)
+    assert not out.exists()

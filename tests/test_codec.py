@@ -1,6 +1,7 @@
 """Codec contracts: the freeze-then-adapt protocol, decode semantics,
 compression arithmetic, and checksummed container round trips."""
 
+import math
 import struct
 import warnings
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from vfuncta.codec import (
+    EncodeSettings,
     VideoEncoding,
     compression_rate,
     decode_static_summary,
@@ -32,7 +34,7 @@ from vfuncta.errors import (
 )
 from vfuncta.model import CoordinateGrid, FrameModulationSeq, VideoModulation
 from vfuncta.tensor import Tensor
-from vfuncta.training import Batch, TrainConfig, inner_adapt
+from vfuncta.training import TrainConfig, _adapt
 
 
 def small_cfg(**overrides):
@@ -42,6 +44,10 @@ def small_cfg(**overrides):
                 precision="float32")
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def settings_of(cfg):
+    return EncodeSettings(cfg.batch_frames, cfg.inner_steps, cfg.inner_lr)
 
 
 def ramp_video(frames=6, height=4, width=5):
@@ -60,32 +66,35 @@ def zero_encoding(model, frames=3, height=4, width=5):
 
 # --- encoding protocol --------------------------------------------------------
 
-def test_single_window_encode_matches_inner_adapt():
+def test_single_window_encode_matches_adapt():
     cfg = small_cfg()
     model = cfg.new_model()
     video = ramp_video(frames=2)
-    enc = encode_video(model, video, cfg)
+    enc = encode_video(model, video, settings_of(cfg))
 
     grid = CoordinateGrid(video.height, video.width)
-    batch = Batch(targets=video.values.reshape(2, -1), coords=grid.coords)
-    v, phis, _ = inner_adapt(model, batch, cfg)
-    assert np.array_equal(enc.video_mod.values, v.values)
-    assert np.array_equal(enc.frame_mods.values, phis.values)
+    v, phis, _ = _adapt(model, video.values.reshape(2, -1), grid.coords,
+                        steps=cfg.inner_steps, inner_lr=cfg.inner_lr)
+    assert np.array_equal(enc.video_mod.values, v)
+    assert np.array_equal(enc.frame_mods.values, phis)
+    assert (enc.inner_steps, enc.inner_lr) == (cfg.inner_steps, cfg.inner_lr)
 
 
 def test_encode_is_deterministic():
     cfg = small_cfg()
     model = cfg.new_model()
     video = ramp_video()
-    assert encode_video(model, video, cfg) == encode_video(model, video, cfg)
+    settings = settings_of(cfg)
+    assert encode_video(model, video, settings) == encode_video(model, video, settings)
 
 
 def test_video_vector_frozen_after_first_window():
     cfg = small_cfg()
     model = cfg.new_model()
     video = ramp_video(frames=3 * cfg.batch_frames)
-    enc_full = encode_video(model, video, cfg)
-    enc_first = encode_video(model, VideoTensor(video.values[: cfg.batch_frames]), cfg)
+    enc_full = encode_video(model, video, settings_of(cfg))
+    enc_first = encode_video(model, VideoTensor(video.values[: cfg.batch_frames]),
+                             settings_of(cfg))
     assert np.array_equal(enc_full.video_mod.values, enc_first.video_mod.values)
     assert np.array_equal(enc_full.frame_mods.values[: cfg.batch_frames],
                           enc_first.frame_mods.values)
@@ -95,17 +104,17 @@ def test_ragged_final_window_encodes_all_frames():
     cfg = small_cfg()
     model = cfg.new_model()
     video = ramp_video(frames=5)  # windows of 2, 2, 1
-    enc = encode_video(model, video, cfg)
+    enc = encode_video(model, video, settings_of(cfg))
     assert enc.frames == 5
     assert len(enc.frame_mods) == 5
     assert not np.allclose(enc.frame_mods.values[4], 0.0)
 
 
-def test_encode_rejects_mismatched_config():
-    cfg = small_cfg()
-    model = cfg.new_model()
+@pytest.mark.parametrize("batch_frames, inner_steps, inner_lr", [
+    (0, 4, 0.05), (2, -1, 0.05), (2, 4, -0.05), (2, 4, math.nan), (2, 4, math.inf)])
+def test_encode_settings_reject_bad_values(batch_frames, inner_steps, inner_lr):
     with pytest.raises(ContractError):
-        encode_video(model, ramp_video(), small_cfg(video_dim=16))
+        EncodeSettings(batch_frames, inner_steps, inner_lr)
 
 
 # --- decoding ------------------------------------------------------------------
@@ -114,7 +123,7 @@ def test_decode_restores_dims_and_range():
     cfg = small_cfg()
     model = cfg.new_model()
     video = ramp_video()
-    out = decode_video(model, encode_video(model, video, cfg))
+    out = decode_video(model, encode_video(model, video, settings_of(cfg)))
     assert out.dims == video.dims
     assert out.values.min() >= 0.0 and out.values.max() <= 1.0
 
@@ -130,7 +139,7 @@ def test_zero_modulations_decode_to_constant_video():
 def test_decode_equals_frame_by_frame_concatenation():
     cfg = small_cfg()
     model = cfg.new_model()
-    enc = encode_video(model, ramp_video(), cfg)
+    enc = encode_video(model, ramp_video(), settings_of(cfg))
     whole = decode_video(model, enc)
     for t in range(enc.frames):
         sub = VideoEncoding(enc.video_mod,
@@ -145,7 +154,7 @@ def test_decode_refuses_wrong_model():
     cfg = small_cfg()
     model = cfg.new_model()
     other = small_cfg(seed=99).new_model()
-    enc = encode_video(model, ramp_video(), cfg)
+    enc = encode_video(model, ramp_video(), settings_of(cfg))
     with pytest.raises(FingerprintMismatchError) as exc:
         decode_video(other, enc)
     message = str(exc.value)
@@ -157,8 +166,9 @@ def test_static_summary_ignores_frame_count_and_matches_zero_phi_frame():
     cfg = small_cfg()
     model = cfg.new_model()
     video = ramp_video(frames=3 * cfg.batch_frames)
-    enc_full = encode_video(model, video, cfg)
-    enc_first = encode_video(model, VideoTensor(video.values[: cfg.batch_frames]), cfg)
+    enc_full = encode_video(model, video, settings_of(cfg))
+    enc_first = encode_video(model, VideoTensor(video.values[: cfg.batch_frames]),
+                             settings_of(cfg))
     assert np.array_equal(decode_static_summary(model, enc_full),
                           decode_static_summary(model, enc_first))
 
@@ -210,7 +220,7 @@ def test_model_save_load_save_byte_identical(tmp_path):
 def test_encoding_save_load_save_byte_identical(tmp_path):
     cfg = small_cfg()
     model = cfg.new_model()
-    enc = encode_video(model, ramp_video(), cfg)
+    enc = encode_video(model, ramp_video(), settings_of(cfg))
     p1, p2 = tmp_path / "a.venc", tmp_path / "b.venc"
     save_encoding(p1, enc)
     loaded = load_encoding(p1)
@@ -222,7 +232,7 @@ def test_encoding_save_load_save_byte_identical(tmp_path):
 def test_loaded_encoding_decodes_with_original_model(tmp_path):
     cfg = small_cfg()
     model = cfg.new_model()
-    enc = encode_video(model, ramp_video(), cfg)
+    enc = encode_video(model, ramp_video(), settings_of(cfg))
     save_encoding(tmp_path / "e.venc", enc)
     out = decode_video(model, load_encoding(tmp_path / "e.venc"))
     assert out.dims == ramp_video().dims
@@ -271,7 +281,7 @@ def test_encoding_header_overhead_below_one_kib(tmp_path):
     cfg = small_cfg()
     model = cfg.new_model()
     video = ramp_video(frames=16)
-    enc = encode_video(model, video, cfg)
+    enc = encode_video(model, video, settings_of(cfg))
     path = tmp_path / "e.venc"
     save_encoding(path, enc)
     payload = 4 * (cfg.video_dim + 16 * cfg.frame_dim)
@@ -282,7 +292,7 @@ def test_encoding_header_overhead_below_one_kib(tmp_path):
 def test_encoding_file_corruption_detected(tmp_path):
     cfg = small_cfg()
     model = cfg.new_model()
-    enc = encode_video(model, ramp_video(), cfg)
+    enc = encode_video(model, ramp_video(), settings_of(cfg))
     path = tmp_path / "e.venc"
     save_encoding(path, enc)
     blob = bytearray(path.read_bytes())

@@ -14,6 +14,7 @@ import pytest
 
 from vfuncta import container, manifest
 from vfuncta.codec import (
+    EncodeSettings,
     VideoEncoding,
     decode_static_summary,
     decode_video,
@@ -28,7 +29,6 @@ from vfuncta.data import VideoTensor, load_video
 from vfuncta.errors import ChecksumError, ContractError, FingerprintMismatchError
 from vfuncta.heads import HeadConfig, load_head, save_head, train_head
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
-from vfuncta.training import TrainConfig
 
 V1 = Path(__file__).parent / "fixtures" / "v1"
 V1_FINGERPRINT = 0xFFC54EB32B8262D9
@@ -58,12 +58,6 @@ def tiny_video() -> VideoTensor:
     t = np.linspace(0.2, 0.8, 3, dtype=np.float32)[:, None, None]
     base = np.linspace(0, 1, 20, dtype=np.float32).reshape(4, 5)
     return VideoTensor(np.clip(0.5 * base[None] + 0.5 * t, 0, 1))
-
-
-def tiny_cfg() -> TrainConfig:
-    return TrainConfig(batch_frames=2, coords_per_frame=1, layers=3, hidden=16,
-                       video_dim=8, frame_dim=4, inner_steps=2, inner_lr=0.05,
-                       iterations=0)
 
 
 def tiny_head():
@@ -167,7 +161,7 @@ def test_v2_round_trips_without_fnv(tmp_path, no_fnv):
     loaded = load_model(tmp_path / "m.vfnc")
     assert model_fingerprint(loaded) == model_fingerprint(model)
 
-    enc = encode_video(loaded, tiny_video(), tiny_cfg())
+    enc = encode_video(loaded, tiny_video(), EncodeSettings(2, 2, 0.05))
     save_encoding(tmp_path / "e.venc", enc)
     again = load_encoding(tmp_path / "e.venc")
     assert again == enc

@@ -1,5 +1,7 @@
 """Loader round trips, resize semantics, and synthetic-corpus properties."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,16 @@ def test_video_tensor_rejects_out_of_range():
 def test_rawvid_single_voxel(tmp_path):
     path = tmp_path / "one.rawvid"
     save_video(path, VideoTensor(np.full((1, 1, 1), 0.5)))
+    assert path.read_bytes() == b"VRAW" + struct.pack("<IIIf", 1, 1, 1, 0.5)
     assert np.array_equal(load_video(path).values, [[[0.5]]])
+
+
+def test_failed_rawvid_write_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "clip.rawvid"
+    path.mkdir()  # the final rename onto a directory fails
+    with pytest.raises(OSError):
+        save_video(path, VideoTensor(np.full((1, 1, 1), 0.5)))
+    assert [p.name for p in tmp_path.iterdir()] == ["clip.rawvid"]
 
 
 def test_rawvid_round_trip_bit_exact(tmp_path):

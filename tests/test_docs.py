@@ -1,9 +1,13 @@
-"""The README's references hold: the files it names exist and the
-configuration it trains with loads."""
+"""The README's references hold: the files it names exist, the
+configuration it trains with loads, and its pipeline commands parse."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from vfuncta.cli import _build_parser
 from vfuncta.config import load_train_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,3 +26,19 @@ def test_desk_config_loads(monkeypatch):
     cfg = load_train_config(ROOT / "docs" / "desk.cfg")
     assert (cfg.layers, cfg.hidden, cfg.video_dim, cfg.frame_dim) == (4, 64, 64, 16)
     assert (cfg.batch_frames, cfg.coords_per_frame, cfg.seed) == (4, 256, 0)
+
+
+def test_readme_pipeline_commands_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command-line pipeline", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("vfuncta ")]
+    assert [argv[1] for argv in commands] == [
+        "gen-corpus", "train", "encode", "decode", "summary", "eval", "gradcheck"]
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
