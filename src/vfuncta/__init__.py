@@ -29,7 +29,6 @@ from .data import (
     gen_synthetic,
     load_video,
     read_corpus_manifest,
-    resize_video,
     save_video,
 )
 from .errors import VfunctaError
@@ -78,7 +77,7 @@ __all__ = [
     "evaluate_head", "extract_features", "forward_frame", "gen_synthetic",
     "load_encoding", "load_head", "load_model", "load_video", "meta_step",
     "model_fingerprint", "psnr", "quality_report", "read_corpus_manifest",
-    "regression_metrics", "resize_video", "run_gradcheck", "sample_coords",
+    "regression_metrics", "run_gradcheck", "sample_coords",
     "save_encoding", "save_head", "save_model", "save_video", "ssim3d",
     "train", "train_head",
 ]

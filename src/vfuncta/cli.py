@@ -27,6 +27,7 @@ from .config import (
     load_head_options,
     load_train_config,
 )
+from .container import atomic_write_bytes
 from .errors import ConfigError, VfunctaError
 from .gradcheck import run_gradcheck
 from .manifest import RunManifest
@@ -250,7 +251,8 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict,
     Maps each input to `args.out/<stem><suffix>`, loads the model, runs
     `worker(model, input, output)` per input, then writes a run manifest
     hashing the inputs and every output that exists, and reports each
-    failure on stderr.
+    failure on stderr. The manifest is written also when a failure stops
+    the run, so the outputs finished before it are recorded.
     """
     if jobs < 1:
         raise VfunctaError(f"--jobs must be at least 1, got {jobs}")
@@ -259,13 +261,15 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict,
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(args.command, argv, config=config, seed=None)
     manifest.add_input(args.model)
-    failures = _run_items(inputs, lambda path: worker(model, path, outputs[path]),
-                          jobs, args.keep_going)
-    for path in inputs:
-        manifest.add_input(path)
-        if outputs[path].exists():
-            manifest.add_artifact(outputs[path], base=args.out)
-    manifest.write(args.out / "run_manifest.json")
+    try:
+        failures = _run_items(inputs, lambda path: worker(model, path, outputs[path]),
+                              jobs, args.keep_going)
+    finally:
+        for path in inputs:
+            manifest.add_input(path)
+            if outputs[path].exists():
+                manifest.add_artifact(outputs[path], base=args.out)
+        manifest.write(args.out / "run_manifest.json")
     for item, exc in failures:
         print(f"{args.command} failed for {item}: {exc}", file=sys.stderr)
     return 1 if failures else 0
@@ -294,11 +298,13 @@ def cmd_decode(args, argv) -> int:
         raise VfunctaError("--report needs --originals DIR")
 
     def worker(model, enc_path: Path, dest: Path):
+        # a missing original fails the item before its output is written
+        original = (data.load_video(args.originals / (enc_path.stem + ".rawvid"))
+                    if args.report else None)
         video = codec.decode_video(model, codec.load_encoding(enc_path))
         data.save_video(dest, video)
         line = f"{enc_path.name}\tdims={video.dims}"
-        if args.report:
-            original = data.load_video(args.originals / (enc_path.stem + ".rawvid"))
+        if original is not None:
             line += f"\t{metrics.quality_report(original, video).line()}"
         print(line)
 
@@ -376,7 +382,7 @@ def cmd_eval(args, argv) -> int:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         report_path = args.out / "eval_report.tsv"
-        report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        atomic_write_bytes(report_path, ("\n".join(lines) + "\n").encode("utf-8"))
         manifest.add_artifact(report_path, base=args.out)
         manifest.write(args.out / "run_manifest.json")
     return 0

@@ -136,19 +136,7 @@ def write_pgm(path, frame: np.ndarray) -> None:
     arr = np.clip(np.asarray(frame, dtype=np.float64), 0.0, 1.0)
     pixels = np.round(arr * 255.0).astype(np.uint8)
     h, w = pixels.shape
-    Path(path).write_bytes(b"P5\n%d %d\n255\n" % (w, h) + pixels.tobytes())
-
-
-def resize_video(video: VideoTensor, height: int, width: int) -> VideoTensor:
-    """Per-frame bilinear resampling under the half-pixel convention."""
-    if height < 1 or width < 1:
-        raise ContractError(f"target extents must be positive, got {height}x{width}")
-    if (height, width) == (video.height, video.width):
-        return video
-    out = np.empty((video.frames, height, width), dtype=np.float32)
-    for t in range(video.frames):
-        out[t] = _resize_frame(video.values[t], height, width)
-    return VideoTensor(np.clip(out, 0.0, 1.0))
+    atomic_write_bytes(path, b"P5\n%d %d\n255\n" % (w, h) + pixels.tobytes())
 
 
 def _resize_frame(frame: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -311,7 +299,7 @@ class CorpusItem:
 def write_corpus_manifest(path, items) -> None:
     lines = ["# path\tspeed\ttrajectory_class\tsplit"]
     lines += [f"{i.path}\t{i.speed!r}\t{i.trajectory_class}\t{i.split}" for i in items]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_corpus_manifest(path) -> list[CorpusItem]:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .container import blake2b64
+from .container import atomic_write_bytes, blake2b64
 
 HASH_NAME = "blake2b-64"
 
@@ -80,8 +80,8 @@ class RunManifest:
             "finished": self.finished,
             "hash": HASH_NAME,
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def read_manifest(path) -> dict:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .errors import ContractError, NonFiniteError, ShapeError
 from .tensor import Tensor
 
@@ -266,26 +267,36 @@ def _batch_arrays(model: MetaModel, v, phis, coords, rows_per_frame: int):
     return v, phis, coords
 
 
-def _sine_layers(model: MetaModel, v, phis, coords, rows_per_frame: int,
-                 slopes: list | None = None, inputs: list | None = None) -> np.ndarray:
-    """Run the sine layers over stacked frames; returns the last activations.
+def _shifts(model: MetaModel, v, phis) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's video shift v P_k, (1, l), and frame shifts phis Q_k, (b, l)."""
+    v_row = v.reshape(1, -1)
+    return [(v_row @ model.video_projs[k].data, phis @ model.frame_projs[k].data)
+            for k in range(model.layers)]
 
-    Layer k computes, in this float order, a = h W_k, a += b_k,
-    a += v P_k, a += phi_t Q_k over the rows of frame t, then
-    h = sin(omega0 a). `slopes` collects omega0 cos(omega0 a) and
+
+def _sine_layers(model: MetaModel, shifts, coords, start: int, rows_per_frame: int,
+                 slopes: list | None = None, inputs: list | None = None) -> np.ndarray:
+    """Run the sine layers over some rows of stacked frames; returns the
+    last activations.
+
+    `coords` holds rows start, start + 1, ... of the stack, where frame t
+    owns rows t * rows_per_frame onwards. Layer k computes, in this float
+    order, a = h W_k, a += b_k, a += v P_k, a += phi_t Q_k over the rows
+    of frame t, then h = sin(omega0 a); each row's value is independent
+    of the other rows. `slopes` collects omega0 cos(omega0 a) and
     `inputs` each layer's input h, as the backward pass needs them.
     """
-    b = phis.shape[0]
-    v_row = v.reshape(1, -1)
+    n = rows_per_frame
+    stop = start + coords.shape[0]
     h = coords
-    for k in range(model.layers):
+    for k, (v_shift, frame_shifts) in enumerate(shifts):
         if inputs is not None:
             inputs.append(h)
         a = h @ model.layer_weights[k].data
         a += model.layer_biases[k].data
-        a += v_row @ model.video_projs[k].data
-        frames = a.reshape(b, rows_per_frame, -1)
-        frames += (phis @ model.frame_projs[k].data)[:, None, :]
+        a += v_shift
+        for t in range(start // n, -(-stop // n)):
+            a[max(t * n, start) - start : min((t + 1) * n, stop) - start] += frame_shifts[t]
         a *= model.omega0
         if slopes is not None:
             slope = np.cos(a)
@@ -300,6 +311,12 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteError(what)
 
 
+# OpenBLAS computes the one-column output product in row groups, and a
+# row's rounding depends on its offset within the block; offsets that are
+# multiples of 64 rows round every row as an unsplit pass does.
+_ROW_QUANTUM = 64
+
+
 def forward_batch(model: MetaModel, v, phis, coords: np.ndarray,
                   rows_per_frame: int) -> np.ndarray:
     """Forward pass over stacked frames, keeping no activations.
@@ -308,12 +325,26 @@ def forward_batch(model: MetaModel, v, phis, coords: np.ndarray,
     concatenated in frame order (b * rows_per_frame, 2); `v` is (s,) and
     `phis` is (b, r). Returns the (b * rows_per_frame,) raw (unclamped)
     predictions; a non-finite prediction raises NonFiniteError.
+
+    Row blocks may split a frame. They start at multiples of _ROW_QUANTUM
+    rows, where every row comes out bit-identical to an unsplit pass.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords, rows_per_frame)
-    # overflow surfaces as NonFiniteError below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _sine_layers(model, v, phis, coords, rows_per_frame) @ model.out_weight.data
-        out += model.out_bias.data
+    rows = coords.shape[0]
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        lo, hi = lo * _ROW_QUANTUM, min(hi * _ROW_QUANTUM, rows)
+        # overflow surfaces as NonFiniteError below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _sine_layers(model, shifts, coords[lo:hi], lo, rows_per_frame)
+            out = out @ model.out_weight.data
+            out += model.out_bias.data
+        return out
+
+    with parallel.RUNNER.blocks(-(-rows // _ROW_QUANTUM), _ROW_QUANTUM) as map_blocks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifts = _shifts(model, v, phis)
+        out = np.concatenate(map_blocks(block))
     _require_finite(out, "forward")
     return out.reshape(-1)
 
@@ -336,6 +367,41 @@ def frame_mse(pred: np.ndarray, targets: np.ndarray, frames: int) -> np.ndarray:
     return per_frame
 
 
+def _backward_rows(model: MetaModel, shifts, coords, targets, start: int,
+                   rows_per_frame: int, scale: float, weights: bool):
+    """Forward and backward through whole frames of a stack.
+
+    `coords` and `targets` cover frames start // rows_per_frame onwards;
+    each row's loss gradient is scale * (pred - target). Returns the
+    predictions, each layer's (frames, l) sums of its pre-activation
+    gradient, and with `weights` the pieces of the layer and output
+    weight gradients that these rows contribute.
+    """
+    slopes: list = []
+    inputs: list | None = [] if weights else None
+    sums: list = [None] * model.layers
+    pieces: dict = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _sine_layers(model, shifts, coords, start, rows_per_frame, slopes, inputs)
+        pred = h @ model.out_weight.data
+        pred += model.out_bias.data
+        pred = pred.reshape(-1)
+        d_pred = (pred - targets) * scale
+        if weights:
+            pieces["out.weight"] = h.T @ d_pred[:, None]
+            pieces["out.bias"] = np.sum(d_pred, keepdims=True)
+        d_h = d_pred[:, None] * model.out_weight.data[:, 0]
+        for k in reversed(range(model.layers)):
+            d_a = d_h
+            d_a *= slopes.pop()
+            sums[k] = d_a.reshape(-1, rows_per_frame, d_a.shape[1]).sum(axis=1)
+            if weights:
+                pieces[f"layer{k}.weight"] = inputs.pop().T @ d_a
+            if k:
+                d_h = d_a @ model.layer_weights[k].data.T
+    return pred, sums, pieces
+
+
 def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, rows_per_frame: int,
                    targets: np.ndarray, *, weights: bool = False) -> BatchGrads:
     """Batch loss and its gradients in closed form.
@@ -345,43 +411,51 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, rows_per_frame
     `coords`). Gradients of v and phis are always returned; with
     `weights` the gradient of every named parameter is too. A non-finite
     loss or gradient raises NonFiniteError.
+
+    Row blocks of whole frames run the forward and backward passes; the
+    gradients are then formed once from the joined frame sums, and the
+    layer and output weight gradients add the blocks' pieces in order.
+    The loss and the latent gradients equal an unsplit pass's bit for bit
+    when every block starts at a multiple of _ROW_QUANTUM rows.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords, rows_per_frame)
     targets = np.asarray(targets, dtype=model.dtype)
     b = phis.shape[0]
-    slopes: list = []
-    inputs: list | None = [] if weights else None
+    n = rows_per_frame
+    # every row carries weight 1/(b n) in the loss
+    scale = 2.0 / coords.shape[0]
+
+    def block(lo: int, hi: int):
+        return _backward_rows(model, shifts, coords[lo * n : hi * n], targets[lo * n : hi * n],
+                              lo * n, n, scale, weights)
+
     grads: dict = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = _sine_layers(model, v, phis, coords, rows_per_frame, slopes, inputs)
-        pred = h @ model.out_weight.data
-        pred += model.out_bias.data
-        pred = pred.reshape(-1)
-        per_frame = frame_mse(pred, targets, b)
+    with parallel.RUNNER.blocks(b, n) as map_blocks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifts = _shifts(model, v, phis)
+        preds, sums, pieces = zip(*map_blocks(block))
+        per_frame = frame_mse(np.concatenate(preds), targets, b)
         loss = float(np.mean(per_frame, dtype=np.float64).astype(model.dtype))
 
-        # every row carries weight 1/(b n) in the loss
-        d_pred = (pred - targets) * (2.0 / pred.size)
-        if weights:
-            grads["out.weight"] = h.T @ d_pred[:, None]
-            grads["out.bias"] = np.sum(d_pred, keepdims=True)
-        d_h = d_pred[:, None] * model.out_weight.data[:, 0]
-        g_v = np.zeros_like(v)
-        g_phis = np.zeros_like(phis)
-        for k in reversed(range(model.layers)):
-            d_a = d_h
-            d_a *= slopes.pop()
-            frame_sums = d_a.reshape(b, rows_per_frame, -1).sum(axis=1)
-            col = frame_sums.sum(axis=0)
-            g_v += model.video_projs[k].data @ col
-            g_phis += frame_sums @ model.frame_projs[k].data.T
+        def joined(name: str) -> np.ndarray:
+            return sum((piece[name] for piece in pieces[1:]), pieces[0][name])
+
+        with np.errstate(over="ignore", invalid="ignore"):
             if weights:
-                grads[f"layer{k}.weight"] = inputs.pop().T @ d_a
-                grads[f"layer{k}.bias"] = col
-                grads[f"video_proj{k}"] = np.outer(v, col)
-                grads[f"frame_proj{k}"] = phis.T @ frame_sums
-            if k:
-                d_h = d_a @ model.layer_weights[k].data.T
+                grads["out.weight"] = joined("out.weight")
+                grads["out.bias"] = joined("out.bias")
+            g_v = np.zeros_like(v)
+            g_phis = np.zeros_like(phis)
+            for k in reversed(range(model.layers)):
+                frame_sums = np.concatenate([block_sums[k] for block_sums in sums])
+                col = frame_sums.sum(axis=0)
+                g_v += model.video_projs[k].data @ col
+                g_phis += frame_sums @ model.frame_projs[k].data.T
+                if weights:
+                    grads[f"layer{k}.weight"] = joined(f"layer{k}.weight")
+                    grads[f"layer{k}.bias"] = col
+                    grads[f"video_proj{k}"] = np.outer(v, col)
+                    grads[f"frame_proj{k}"] = phis.T @ frame_sums
     _require_finite(g_v, "video gradient")
     _require_finite(g_phis, "frame gradient")
     for name, g in grads.items():

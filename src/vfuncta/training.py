@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .container import atomic_write_bytes
 from .errors import ContractError, DataError, DivergenceError, NonFiniteError
 from .model import MetaModel, loss_and_grads, sample_coords
 from .tensor import Tensor
@@ -121,12 +122,12 @@ class TrainLog:
         return np.array([e.loss for e in self.entries])
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# iteration\tloss\ttimestamp\tseconds\tval_psnr\n")
-            for e in self.entries:
-                val = "-" if e.val_psnr is None else repr(e.val_psnr)
-                fh.write(f"{e.iteration}\t{e.loss!r}\t{e.timestamp:.3f}\t"
+        lines = ["# iteration\tloss\ttimestamp\tseconds\tval_psnr\n"]
+        for e in self.entries:
+            val = "-" if e.val_psnr is None else repr(e.val_psnr)
+            lines.append(f"{e.iteration}\t{e.loss!r}\t{e.timestamp:.3f}\t"
                          f"{e.seconds:.3f}\t{val}\n")
+        atomic_write_bytes(path, "".join(lines).encode("utf-8"))
 
 
 def _stacked(model: MetaModel, targets: np.ndarray, coords: np.ndarray):

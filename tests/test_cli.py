@@ -1,7 +1,9 @@
 """End-to-end command-line workflows at toy scale."""
 
 import json
+import os
 import threading
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -439,7 +441,66 @@ def test_first_failure_with_jobs_starts_no_further_item(tmp_path, monkeypatch, c
                *(str(c) for c in clips)])
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "cannot read", "missing.rawvid")
-    assert sorted(p.name for p in out.iterdir()) == ["c1.venc"]
+    assert sorted(p.name for p in out.iterdir()) == ["c1.venc", "run_manifest.json"]
+    assert list(read_manifest(out / "run_manifest.json")["artifacts"]) == ["c1.venc"]
+
+
+def test_decode_report_with_missing_original_writes_no_output(tmp_path, capsys):
+    model_path, _, venc = tiny_files(tmp_path)
+    originals = tmp_path / "originals"
+    originals.mkdir()
+    out = tmp_path / "dec"
+    rc = main(["decode", "--model", str(model_path), "--out", str(out),
+               "--report", "--originals", str(originals), "--keep-going", str(venc)])
+    assert rc == 1
+    assert "decode failed for" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+    assert read_manifest(out / "run_manifest.json")["artifacts"] == {}
+
+
+def _failing_fdopen(real_fdopen):
+    """os.fdopen whose files write half their bytes, then fail as a full disk."""
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, blob):
+            self.fh.write(blob[: len(blob) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    return lambda fd, mode: HalfWrite(real_fdopen(fd, mode))
+
+
+@pytest.mark.parametrize("writer", ["manifest", "train log", "pgm", "corpus manifest"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer):
+    from vfuncta.manifest import RunManifest
+    from vfuncta.training import LogEntry, TrainLog
+
+    target = tmp_path / "out"
+    target.write_bytes(b"previous contents")
+    if writer == "manifest":
+        write = partial(RunManifest("gen-corpus", [], config={}).write, target)
+    elif writer == "train log":
+        log = TrainLog()
+        log.entries.append(LogEntry(iteration=1, loss=0.5, timestamp=0.0, seconds=0.1))
+        write = partial(log.write, target)
+    elif writer == "pgm":
+        write = partial(data.write_pgm, target, np.full((4, 4), 0.5))
+    else:
+        write = partial(data.write_corpus_manifest, target, [])
+    monkeypatch.setattr("vfuncta.container.os.fdopen", _failing_fdopen(os.fdopen))
+    with pytest.raises(OSError, match="No space"):
+        write()
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert target.read_bytes() == b"previous contents"
 
 
 @pytest.mark.parametrize("command, flags, key", [

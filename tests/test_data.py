@@ -1,4 +1,4 @@
-"""Loader round trips, resize semantics, and synthetic-corpus properties."""
+"""Loader round trips and synthetic-corpus properties."""
 
 import struct
 
@@ -11,7 +11,6 @@ from vfuncta.data import (
     _trajectory_points,
     gen_synthetic,
     load_video,
-    resize_video,
     save_video,
     write_pgm,
 )
@@ -98,32 +97,6 @@ def test_empty_directory(tmp_path):
     d.mkdir()
     with pytest.raises(DataError, match="no .pgm"):
         load_video(d)
-
-
-def test_resize_identity_is_bit_equal():
-    rng = np.random.default_rng(0)
-    video = VideoTensor(rng.random((2, 5, 7), dtype=np.float32))
-    assert np.array_equal(resize_video(video, 5, 7).values, video.values)
-
-
-def test_resize_constant_stays_constant():
-    video = VideoTensor(np.full((2, 4, 4), 0.3, dtype=np.float32))
-    out = resize_video(video, 9, 3)
-    assert out.dims == (2, 9, 3)
-    assert np.allclose(out.values, 0.3, atol=1e-7)
-
-
-def test_resize_checkerboard_average():
-    video = VideoTensor(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
-    out = resize_video(video, 1, 1)
-    assert out.values.reshape(()) == pytest.approx(0.5, abs=1e-7)
-
-
-def test_resize_stays_in_range():
-    rng = np.random.default_rng(12)
-    video = VideoTensor(rng.random((3, 8, 8), dtype=np.float32))
-    out = resize_video(video, 21, 5)
-    assert out.values.min() >= 0.0 and out.values.max() <= 1.0
 
 
 def test_synthetic_deterministic():

@@ -1,0 +1,206 @@
+"""Row blocks of one evaluation: the split, its results against one block,
+errors raised from later blocks, and the BLAS thread count around them.
+
+The tests shrink the row floor and give the runner a stand-in for
+OpenBLAS's thread setter, so small batches split into several blocks on
+any machine.
+"""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from vfuncta import parallel
+from vfuncta.errors import NonFiniteError
+from vfuncta.model import MetaModel, forward_batch, loss_and_grads
+
+
+class FakeBlas:
+    """A process-wide BLAS thread count, set the way OpenBLAS sets it."""
+
+    def __init__(self, threads):
+        self.count = threads
+
+    def __call__(self, n):
+        prev, self.count = self.count, n
+        return prev
+
+
+@pytest.fixture
+def use_runner(monkeypatch):
+    """Install a runner for `model` with the given setter and a one-row floor."""
+    runners = []
+
+    def install(set_threads):
+        runner = parallel.RowRunner(set_threads)
+        runners.append(runner)
+        monkeypatch.setattr(parallel, "ROW_FLOOR", 1)
+        monkeypatch.setattr(parallel, "RUNNER", runner)
+        return runner
+
+    yield install
+    for runner in runners:
+        runner.close()
+
+
+def case(b, n, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    model = MetaModel.initialize(layers=3, hidden=6, video_dim=5, frame_dim=4,
+                                 omega0=30.0, dtype=dtype, rng=rng)
+    coords = rng.uniform(-1, 1, size=(b * n, 2)).astype(dtype)
+    targets = rng.uniform(0, 1, size=b * n).astype(dtype)
+    v = rng.normal(scale=0.05, size=5).astype(dtype)
+    phis = rng.normal(scale=0.05, size=(b, 4)).astype(dtype)
+    return model, v, phis, coords, n, targets
+
+
+def blas_count(set_threads):
+    prev = set_threads(1)
+    set_threads(prev)
+    return prev
+
+
+def test_cuts_follow_frames_and_the_floor():
+    runner = parallel.RowRunner(FakeBlas(2))
+    assert runner.threads == 2
+    assert runner.cuts(8, 1936) == [0, 4, 8]       # encode window: 2 x 7744 rows
+    assert runner.cuts(12544, 1) == [0, 6272, 12544]  # one decoded frame, split
+    assert runner.cuts(8, 256) == [0, 8]           # a training batch stays whole
+    assert runner.cuts(3, 3000) == [0, 3]          # a block of one frame is too small
+    assert runner.cuts(1, 15488) == [0, 1]         # one frame cannot split
+    assert parallel.RowRunner(FakeBlas(3)).cuts(7, 4096) == [0, 2, 4, 7]
+
+
+@pytest.mark.parametrize("b, n", [(1, 200), (4, 50)])
+def test_forward_rows_are_bit_identical_to_one_block(use_runner, b, n):
+    model, v, phis, coords, n, _ = case(b, n, np.float32)
+    use_runner(None)
+    whole = forward_batch(model, v, phis, coords, n)
+    use_runner(FakeBlas(3))
+    assert any(cut % n for cut in parallel.RUNNER.cuts(b * n, 1)[1:-1])  # a frame is split
+    assert np.array_equal(forward_batch(model, v, phis, coords, n), whole)
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+@pytest.mark.parametrize("weights", [False, True])
+def test_loss_and_grads_match_one_block(use_runner, b, weights):
+    model, v, phis, coords, n, targets = case(b, 4, np.float64, seed=b)
+    use_runner(None)
+    whole = loss_and_grads(model, v, phis, coords, n, targets, weights=weights)
+    use_runner(FakeBlas(3))
+    split = loss_and_grads(model, v, phis, coords, n, targets, weights=weights)
+
+    def close(a, b):
+        return np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)) <= 1e-12
+
+    assert split.loss == pytest.approx(whole.loss, rel=1e-12)
+    assert close(split.per_frame, whole.per_frame)
+    assert close(split.v, whole.v) and close(split.phis, whole.phis)
+    if weights:
+        assert list(split.weights) == list(whole.weights)
+        for name, g in whole.weights.items():
+            assert close(split.weights[name], g), name
+    else:
+        assert split.weights is None
+
+
+@pytest.mark.parametrize("call", ["forward", "loss"])
+def test_non_finite_in_a_later_block_raises_in_the_caller(use_runner, call):
+    model, v, phis, coords, n, targets = case(4, 5, np.float32)
+    coords[-1] = 1e38  # overflows in the last block only
+    fake = FakeBlas(3)
+    use_runner(fake)
+    with pytest.raises(NonFiniteError) as exc:
+        if call == "forward":
+            forward_batch(model, v, phis, coords, n)
+        else:
+            loss_and_grads(model, v, phis, coords, n, targets)
+    assert str(exc.value) == str(NonFiniteError("forward" if call == "forward" else "loss"))
+    assert fake.count == 3
+
+
+def test_error_in_a_pool_block_reaches_the_caller(use_runner):
+    fake = FakeBlas(3)
+    runner = use_runner(fake)
+
+    def fn(lo, hi):
+        if lo:
+            raise NonFiniteError("later block")
+        return lo
+
+    with pytest.raises(NonFiniteError, match="later block"):
+        with runner.blocks(30, 1) as map_blocks:
+            assert fake.count == 1
+            map_blocks(fn)
+    assert fake.count == 3
+
+
+def test_real_blas_thread_count_is_restored(use_runner):
+    set_threads = parallel._openblas_set_threads()
+    if set_threads is None:
+        pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local")
+    before = blas_count(set_threads)
+    runner = use_runner(set_threads)
+    runner.threads = 2  # split even where BLAS runs one thread
+    model, v, phis, coords, n, targets = case(4, 5, np.float32)
+    loss_and_grads(model, v, phis, coords, n, targets)
+    assert blas_count(set_threads) == before
+    coords[-1] = 1e38
+    with pytest.raises(NonFiniteError):
+        loss_and_grads(model, v, phis, coords, n, targets)
+    assert blas_count(set_threads) == before
+
+
+def test_openblas_num_threads_one_gives_one_block():
+    if parallel._openblas_set_threads() is None:
+        pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(parallel.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c",
+                          "from vfuncta import parallel; print(parallel.RUNNER.threads)"],
+                         env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "1"
+
+
+def test_without_the_symbol_one_block_runs_in_the_caller(use_runner):
+    runner = use_runner(None)
+    assert runner.threads == 1
+    with runner.blocks(8, 10**6) as map_blocks:
+        assert map_blocks(lambda lo, hi: (lo, hi, threading.current_thread())) == [
+            (0, 8, threading.current_thread())]
+
+
+def test_concurrent_callers_share_the_pin_and_pool(use_runner):
+    model, v, phis, coords, n, targets = case(4, 5, np.float32)
+    fake = FakeBlas(3)
+    use_runner(fake)
+    expected = loss_and_grads(model, v, phis, coords, n, targets)
+    results, errors = [], []
+
+    def caller():
+        try:
+            for _ in range(20):
+                results.append(loss_and_grads(model, v, phis, coords, n, targets))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(results) == 80
+    assert all(np.array_equal(r.phis, expected.phis) for r in results)
+    assert fake.count == 3
