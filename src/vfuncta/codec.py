@@ -200,7 +200,7 @@ def save_encoding(path, enc: VideoEncoding) -> None:
             + struct.pack("<IdQQ", enc.inner_steps, enc.inner_lr, enc.fingerprint,
                           len(payload))
             + payload)
-    atomic_write_bytes(path, pack_container(ENCODING_MAGIC, body))
+    atomic_write_bytes(path, *pack_container(ENCODING_MAGIC, body))
 
 
 def load_encoding(path) -> VideoEncoding:

@@ -82,12 +82,14 @@ def decode_dtype(code: int) -> np.dtype:
     return _DTYPE_CODES[code]
 
 
-def atomic_write_bytes(path, blob: bytes) -> None:
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the byte-like chunks in order to `path` via a temporary file."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -95,9 +97,11 @@ def atomic_write_bytes(path, blob: bytes) -> None:
         raise
 
 
-def pack_container(magic: bytes, body: bytes) -> bytes:
-    return (magic + struct.pack("<I", VERSION) + body
-            + struct.pack("<Q", _content_hash(VERSION, body)))
+def pack_container(magic: bytes, *body) -> list:
+    """A container file as chunks: magic, version, the byte-like body
+    chunks, and the checksum of the body, so no chunk is copied."""
+    return [magic, struct.pack("<I", VERSION), *body,
+            struct.pack("<Q", _content_hash(VERSION, *body))]
 
 
 def unpack_container(blob: bytes, magic: bytes,
@@ -168,10 +172,10 @@ def model_fingerprint(model: MetaModel, version: int = VERSION) -> int:
 
 
 def save_model(path, model: MetaModel) -> None:
-    payload = b"".join(a.tobytes() for a in _param_arrays(model))
-    body = (struct.pack("<I", KIND_MODEL) + _model_dims_blob(model)
-            + struct.pack("<QQ", model.iteration, len(payload)) + payload)
-    atomic_write_bytes(path, pack_container(MODEL_MAGIC, body))
+    arrays = _param_arrays(model)
+    head = (struct.pack("<I", KIND_MODEL) + _model_dims_blob(model)
+            + struct.pack("<QQ", model.iteration, sum(a.nbytes for a in arrays)))
+    atomic_write_bytes(path, *pack_container(MODEL_MAGIC, head, *arrays))
 
 
 def load_model(path) -> MetaModel:

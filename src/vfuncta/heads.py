@@ -27,7 +27,7 @@ from .container import (
     unpack_container,
 )
 from .errors import ContractError, DivergenceError, FormatError
-from .metrics import ClassificationReport, RegressionReport, classification_metrics, regression_metrics
+from .metrics import classification_metrics, regression_metrics
 
 _MODES = ("v", "phi", "combined")
 _TASKS = ("regression", "binary")
@@ -250,7 +250,7 @@ def save_head(path, head: MlpHead) -> None:
                           cfg.learning_rate, cfg.seed)
             + struct.pack("<Q", len(payload))
             + payload)
-    atomic_write_bytes(path, pack_container(MODEL_MAGIC, body))
+    atomic_write_bytes(path, *pack_container(MODEL_MAGIC, body))
 
 
 def load_head(path) -> MlpHead:

@@ -311,12 +311,6 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteError(what)
 
 
-# OpenBLAS computes the one-column output product in row groups, and a
-# row's rounding depends on its offset within the block; offsets that are
-# multiples of 64 rows round every row as an unsplit pass does.
-_ROW_QUANTUM = 64
-
-
 def forward_batch(model: MetaModel, v, phis, coords: np.ndarray,
                   rows_per_frame: int) -> np.ndarray:
     """Forward pass over stacked frames, keeping no activations.
@@ -324,29 +318,26 @@ def forward_batch(model: MetaModel, v, phis, coords: np.ndarray,
     `coords` holds rows_per_frame coordinate rows for each of the b frames,
     concatenated in frame order (b * rows_per_frame, 2); `v` is (s,) and
     `phis` is (b, r). Returns the (b * rows_per_frame,) raw (unclamped)
-    predictions; a non-finite prediction raises NonFiniteError.
-
-    Row blocks may split a frame. They start at multiples of _ROW_QUANTUM
-    rows, where every row comes out bit-identical to an unsplit pass.
+    predictions; a non-finite prediction raises NonFiniteError. Row
+    blocks may split a frame: the output layer is a row-wise reduction,
+    not a BLAS product, so no row's value depends on the split.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords, rows_per_frame)
-    rows = coords.shape[0]
 
     def block(lo: int, hi: int) -> np.ndarray:
-        lo, hi = lo * _ROW_QUANTUM, min(hi * _ROW_QUANTUM, rows)
         # overflow surfaces as NonFiniteError below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _sine_layers(model, shifts, coords[lo:hi], lo, rows_per_frame)
-            out = out @ model.out_weight.data
+            h = _sine_layers(model, shifts, coords[lo:hi], lo, rows_per_frame)
+            out = np.einsum("ij,j->i", h, model.out_weight.data[:, 0])
             out += model.out_bias.data
         return out
 
-    with parallel.RUNNER.blocks(-(-rows // _ROW_QUANTUM), _ROW_QUANTUM) as map_blocks:
+    with parallel.RUNNER.blocks(coords.shape[0], 1) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             shifts = _shifts(model, v, phis)
         out = np.concatenate(map_blocks(block))
     _require_finite(out, "forward")
-    return out.reshape(-1)
+    return out
 
 
 def frame_mse(pred: np.ndarray, targets: np.ndarray, frames: int) -> np.ndarray:
@@ -383,9 +374,8 @@ def _backward_rows(model: MetaModel, shifts, coords, targets, start: int,
     pieces: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
         h = _sine_layers(model, shifts, coords, start, rows_per_frame, slopes, inputs)
-        pred = h @ model.out_weight.data
+        pred = np.einsum("ij,j->i", h, model.out_weight.data[:, 0])
         pred += model.out_bias.data
-        pred = pred.reshape(-1)
         d_pred = (pred - targets) * scale
         if weights:
             pieces["out.weight"] = h.T @ d_pred[:, None]
@@ -415,8 +405,6 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, rows_per_frame
     Row blocks of whole frames run the forward and backward passes; the
     gradients are then formed once from the joined frame sums, and the
     layer and output weight gradients add the blocks' pieces in order.
-    The loss and the latent gradients equal an unsplit pass's bit for bit
-    when every block starts at a multiple of _ROW_QUANTUM rows.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords, rows_per_frame)
     targets = np.asarray(targets, dtype=model.dtype)

@@ -8,6 +8,11 @@ splits the rows into one block per BLAS thread and runs each block's
 whole layer loop in its own thread while BLAS is pinned to one thread,
 so every core runs both kinds of work.
 
+No row's value depends on its block: the layer products round alike at
+any row offset and thread count, and the one-column output layer is a
+row-wise reduction, not a BLAS product that rounds by row offset. Only
+weight gradients, summed over blocks, round differently with the split.
+
 The pin goes through `openblas_set_num_threads_local` of the OpenBLAS
 numpy loaded. In the scipy-openblas builds numpy ships, that call sets
 the process-wide thread count (and returns the previous one), so the pin

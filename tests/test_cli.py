@@ -1,6 +1,5 @@
 """End-to-end command-line workflows at toy scale."""
 
-import json
 import os
 import threading
 from functools import partial

@@ -1,8 +1,8 @@
 """Container versions: v2 files are framed and fingerprinted with
 blake2b-64, and v1 files (FNV-1a) are still read and verified.
 
-The files under fixtures/v1 were written by the last release that wrote
-container version 1; see fixtures/v1/README.md.
+The container files under fixtures/v1 were written by the last release
+that wrote container version 1; see fixtures/v1/README.md.
 """
 
 import hashlib
@@ -28,7 +28,7 @@ from vfuncta.codec import (
 from vfuncta.data import VideoTensor, load_video
 from vfuncta.errors import ChecksumError, ContractError, FingerprintMismatchError
 from vfuncta.heads import HeadConfig, load_head, save_head, train_head
-from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
+from vfuncta.model import MetaModel
 
 V1 = Path(__file__).parent / "fixtures" / "v1"
 V1_FINGERPRINT = 0xFFC54EB32B8262D9

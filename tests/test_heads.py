@@ -8,7 +8,6 @@ from vfuncta.codec import VideoEncoding
 from vfuncta.errors import ContractError
 from vfuncta.heads import (
     HeadConfig,
-    MlpHead,
     evaluate_head,
     extract_features,
     load_head,

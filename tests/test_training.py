@@ -7,7 +7,7 @@ import pytest
 from vfuncta.container import load_model, save_model
 from vfuncta.data import SynthSpec, VideoTensor, gen_synthetic
 from vfuncta.errors import ContractError, DivergenceError
-from vfuncta.model import CoordinateGrid, MetaModel, forward_frame
+from vfuncta.model import CoordinateGrid, forward_frame
 from vfuncta.tensor import Tensor
 from vfuncta.training import Batch, TrainConfig, _adapt, meta_step, train
 
