@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,9 +28,8 @@ from .container import (
     load_model,
     model_fingerprint,
     pack_container,
+    read_container,
     save_model,
-    unpack_container,
-    _BodyReader,
 )
 from .data import VideoTensor
 from .errors import ContractError, FingerprintMismatchError, FormatError
@@ -204,19 +202,13 @@ def save_encoding(path, enc: VideoEncoding) -> None:
 
 
 def load_encoding(path) -> VideoEncoding:
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    version, body = unpack_container(blob, ENCODING_MAGIC, source=str(path))
-    reader = _BodyReader(body, str(path))
+    version, reader = read_container(path, ENCODING_MAGIC)
     code, frames, height, width, video_dim, frame_dim = reader.unpack("<BIIIII")
     inner_steps, inner_lr, fingerprint, payload_len = reader.unpack("<IdQQ")
     dt = decode_dtype(code)
     expected = (video_dim + frames * frame_dim) * dt.itemsize
     if payload_len != expected:
-        raise FormatError(f"{path}: payload {payload_len} bytes, expected {expected}")
+        raise FormatError(f"{reader.source}: payload {payload_len} bytes, expected {expected}")
     payload = reader.raw(payload_len)
     reader.expect_end()
     v = np.frombuffer(payload, dtype=dt, count=video_dim)

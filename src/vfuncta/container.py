@@ -29,7 +29,7 @@ from .errors import (
     TruncatedFileError,
     UnsupportedVersionError,
 )
-from .model import MetaModel
+from .model import MetaModel, param_shapes
 from .tensor import Tensor
 
 MODEL_MAGIC = b"VFNC"
@@ -152,6 +152,18 @@ class _BodyReader:
             raise FormatError(f"{self.source}: {len(self.body) - self.pos} trailing bytes")
 
 
+def read_container(path, magic: bytes) -> tuple[int, _BodyReader]:
+    """Read and validate the container at `path`; return its version and
+    a reader over its body. An unreadable file is a FormatError."""
+    path = Path(path)
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    version, body = unpack_container(blob, magic, source=str(path))
+    return version, _BodyReader(body, str(path))
+
+
 def _param_arrays(model: MetaModel) -> list[np.ndarray]:
     """Every parameter as a contiguous little-endian array, in file order."""
     dt = np.dtype(model.dtype).newbyteorder("<")
@@ -179,44 +191,25 @@ def save_model(path, model: MetaModel) -> None:
 
 
 def load_model(path) -> MetaModel:
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    _, body = unpack_container(blob, MODEL_MAGIC, source=str(path))
-    reader = _BodyReader(body, str(path))
+    _, reader = read_container(path, MODEL_MAGIC)
     (kind,) = reader.unpack("<I")
     if kind != KIND_MODEL:
-        raise FormatError(f"{path}: kind {kind} is not a model checkpoint")
+        raise FormatError(f"{reader.source}: kind {kind} is not a model checkpoint")
     code, layers, hidden, video_dim, frame_dim, omega0 = reader.unpack("<BIIIId")
     iteration, payload_len = reader.unpack("<QQ")
     dt = decode_dtype(code)
     payload = reader.raw(payload_len)
     reader.expect_end()
 
-    shapes = []
-    for k in range(layers):
-        shapes.append((2 if k == 0 else hidden, hidden))
-        shapes.append((hidden,))
-    shapes.append((hidden, 1))
-    shapes.append((1,))
-    shapes.extend([(video_dim, hidden)] * layers)
-    shapes.extend([(frame_dim, hidden)] * layers)
-    expected = sum(int(np.prod(s)) for s in shapes) * dt.itemsize
+    shapes = param_shapes(layers, hidden, video_dim, frame_dim)
+    expected = sum(int(np.prod(s)) for s in shapes.values()) * dt.itemsize
     if payload_len != expected:
-        raise FormatError(f"{path}: payload {payload_len} bytes, expected {expected}")
+        raise FormatError(f"{reader.source}: payload {payload_len} bytes, expected {expected}")
 
-    arrays, offset = [], 0
-    for shape in shapes:
+    params, offset = {}, 0
+    for name, shape in shapes.items():
         count = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape)
-        arrays.append(Tensor(arr.astype(dt.newbyteorder("="), copy=True)))
+        view = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape)
+        params[name] = Tensor(view, dtype=dt.newbyteorder("="))
         offset += count * dt.itemsize
-
-    lw = [arrays[2 * k] for k in range(layers)]
-    lb = [arrays[2 * k + 1] for k in range(layers)]
-    out_w, out_b = arrays[2 * layers], arrays[2 * layers + 1]
-    vp = arrays[2 * layers + 2 : 2 * layers + 2 + layers]
-    fp = arrays[2 * layers + 2 + layers :]
-    return MetaModel(lw, lb, out_w, out_b, vp, fp, omega0=omega0, iteration=iteration)
+    return MetaModel(params, omega0=omega0, iteration=iteration)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,10 +20,9 @@ from .codec import VideoEncoding
 from .container import (
     KIND_HEAD,
     MODEL_MAGIC,
-    _BodyReader,
     atomic_write_bytes,
     pack_container,
-    unpack_container,
+    read_container,
 )
 from .errors import ContractError, DivergenceError, FormatError
 from .metrics import classification_metrics, regression_metrics
@@ -254,16 +252,10 @@ def save_head(path, head: MlpHead) -> None:
 
 
 def load_head(path) -> MlpHead:
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    _, body = unpack_container(blob, MODEL_MAGIC, source=str(path))
-    reader = _BodyReader(body, str(path))
+    _, reader = read_container(path, MODEL_MAGIC)
     (kind,) = reader.unpack("<I")
     if kind != KIND_HEAD:
-        raise FormatError(f"{path}: kind {kind} is not a head")
+        raise FormatError(f"{reader.source}: kind {kind} is not a head")
     mode_code, task_code = reader.unpack("<BB")
     sizes = list(reader.unpack("<IIII"))
     dropout, epochs, batch_size, lr, seed = reader.unpack("<dIId q")
@@ -274,7 +266,7 @@ def load_head(path) -> MlpHead:
     modes = {v: k for k, v in _MODE_CODES.items()}
     tasks = {v: k for k, v in _TASK_CODES.items()}
     if mode_code not in modes or task_code not in tasks:
-        raise FormatError(f"{path}: unknown mode/task codes {(mode_code, task_code)}")
+        raise FormatError(f"{reader.source}: unknown mode/task codes {(mode_code, task_code)}")
     cfg = HeadConfig(mode=modes[mode_code], task=tasks[task_code],
                      hidden=(sizes[1], sizes[2]), dropout=dropout, epochs=epochs,
                      batch_size=batch_size, learning_rate=lr, seed=seed)
@@ -286,7 +278,7 @@ def load_head(path) -> MlpHead:
     counts.extend([sizes[0], sizes[0]])
     expected = (sum(counts) + 2) * 8
     if payload_len != expected:
-        raise FormatError(f"{path}: payload {payload_len} bytes, expected {expected}")
+        raise FormatError(f"{reader.source}: payload {payload_len} bytes, expected {expected}")
 
     arrays, offset = [], 0
     for count in counts:

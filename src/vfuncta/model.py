@@ -113,74 +113,68 @@ def sample_coords(height: int, width: int, count: int, rng: np.random.Generator)
     return CoordSample(indices=indices, coords=grid.coords[indices])
 
 
+def param_shapes(layers: int, hidden: int, video_dim: int,
+                 frame_dim: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in file (`.vfnc` payload) order:
+    each sine layer's weight and bias, the output layer, then the K video
+    projections and the K frame projections."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for k in range(layers):
+        shapes[f"layer{k}.weight"] = (2 if k == 0 else hidden, hidden)
+        shapes[f"layer{k}.bias"] = (hidden,)
+    shapes["out.weight"] = (hidden, 1)
+    shapes["out.bias"] = (1,)
+    shapes.update({f"video_proj{k}": (video_dim, hidden) for k in range(layers)})
+    shapes.update({f"frame_proj{k}": (frame_dim, hidden) for k in range(layers)})
+    return shapes
+
+
 class MetaModel:
     """Shared network weights plus the modulation projections.
 
-    Weight matrices are stored input-major, so a batch of rows X maps
-    through a layer as X @ W + b. Immutable during evaluation; training
-    swaps in fresh tensors via `replace_params`.
+    `params` maps every name of `param_shapes` to its tensor; the four
+    dimensions follow from the name count (4K + 2) and the shapes of
+    `layer0.weight`, `video_proj0` and `frame_proj0`. Weight matrices
+    are stored input-major, so a batch of rows X maps through a layer as
+    X @ W + b. Immutable during evaluation; training swaps in fresh
+    tensors via `replace_params`.
     """
 
-    def __init__(self, layer_weights, layer_biases, out_weight, out_bias,
-                 video_projs, frame_projs, omega0: float, iteration: int = 0):
-        self.layer_weights = list(layer_weights)   # [ (2,l), (l,l) x (K-1) ]
-        self.layer_biases = list(layer_biases)     # K of (l,)
-        self.out_weight = out_weight               # (l, 1)
-        self.out_bias = out_bias                   # (1,)
-        self.video_projs = list(video_projs)       # K of (s, l)
-        self.frame_projs = list(frame_projs)       # K of (r, l)
+    def __init__(self, params: dict[str, Tensor], omega0: float, iteration: int = 0):
         self.omega0 = float(omega0)
         self.iteration = int(iteration)
-        self._validate()
-
-    def _validate(self):
         if self.omega0 <= 0:
             raise ContractError(f"omega0 must be positive, got {self.omega0}")
-        k = len(self.layer_weights)
-        if k < 1:
+        # 4K + 2 names: the nearest K, so that one missing or unknown
+        # name is reported as such
+        self.layers = len(params) // 4
+        if self.layers < 1:
             raise ContractError("need at least one sine layer")
-        if not (len(self.layer_biases) == len(self.video_projs) == len(self.frame_projs) == k):
-            raise ShapeError("per-layer parameter lists disagree in length")
-        l = self.layer_weights[0].shape[1]
-        if self.layer_weights[0].shape[0] != 2:
-            raise ShapeError(f"first layer must take 2 inputs, got {self.layer_weights[0].shape}")
-        for w in self.layer_weights[1:]:
-            if w.shape != (l, l):
-                raise ShapeError(f"hidden layer shape {w.shape}, expected {(l, l)}")
-        for b in self.layer_biases:
-            if b.shape != (l,):
-                raise ShapeError(f"bias shape {b.shape}, expected {(l,)}")
-        if self.out_weight.shape != (l, 1) or self.out_bias.shape != (1,):
-            raise ShapeError("output layer shape inconsistent with hidden width")
-        s = self.video_projs[0].shape[0]
-        r = self.frame_projs[0].shape[0]
-        for p in self.video_projs:
-            if p.shape != (s, l):
-                raise ShapeError(f"video projection shape {p.shape}, expected {(s, l)}")
-        for p in self.frame_projs:
-            if p.shape != (r, l):
-                raise ShapeError(f"frame projection shape {p.shape}, expected {(r, l)}")
 
-    # architecture dimensions
-    @property
-    def layers(self) -> int:
-        return len(self.layer_weights)
+        def dim(name: str, axis: int) -> int:
+            return params[name].shape[axis] if name in params else 0
 
-    @property
-    def hidden(self) -> int:
-        return self.layer_weights[0].shape[1]
-
-    @property
-    def video_dim(self) -> int:
-        return self.video_projs[0].shape[0]
-
-    @property
-    def frame_dim(self) -> int:
-        return self.frame_projs[0].shape[0]
-
-    @property
-    def dtype(self):
-        return self.layer_weights[0].dtype
+        self.hidden = dim("layer0.weight", -1)
+        self.video_dim = dim("video_proj0", 0)
+        self.frame_dim = dim("frame_proj0", 0)
+        shapes = param_shapes(self.layers, self.hidden, self.video_dim, self.frame_dim)
+        missing = sorted(shapes.keys() - params.keys())
+        unknown = sorted(params.keys() - shapes.keys())
+        if missing or unknown:
+            raise ShapeError(f"a {self.layers}-layer model: missing parameters {missing}, "
+                             f"unknown parameters {unknown}")
+        for name, shape in shapes.items():
+            if params[name].shape != shape:
+                raise ShapeError(f"{name} shape {params[name].shape}, expected {shape}")
+        self._params = {name: params[name] for name in shapes}
+        k = range(self.layers)
+        self.layer_weights = [self._params[f"layer{i}.weight"] for i in k]
+        self.layer_biases = [self._params[f"layer{i}.bias"] for i in k]
+        self.out_weight = self._params["out.weight"]
+        self.out_bias = self._params["out.bias"]
+        self.video_projs = [self._params[f"video_proj{i}"] for i in k]
+        self.frame_projs = [self._params[f"frame_proj{i}"] for i in k]
+        self.dtype = self.layer_weights[0].dtype
 
     @classmethod
     def initialize(cls, layers: int, hidden: int, video_dim: int, frame_dim: int,
@@ -188,54 +182,38 @@ class MetaModel:
                    rng: np.random.Generator | None = None) -> "MetaModel":
         """Fresh weights under the standard sine-network scheme: first layer
         uniform in +-1/fan_in, later layers and projections uniform in
-        +-sqrt(6/fan_in)/omega0, output layer uniform in +-sqrt(6/fan_in)."""
+        +-sqrt(6/fan_in)/omega0, output layer uniform in +-sqrt(6/fan_in).
+        Draws go layer by layer (weight, bias, video and frame
+        projection), then the output layer."""
         if layers < 1 or hidden < 1 or video_dim < 1 or frame_dim < 1:
             raise ContractError("all architecture dimensions must be >= 1")
         if rng is None:
             rng = np.random.default_rng([seed, 0])
+        shapes = param_shapes(layers, hidden, video_dim, frame_dim)
+        params: dict[str, Tensor] = {}
 
-        def uniform(shape, bound):
-            return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype))
+        def draw(name, bound):
+            params[name] = Tensor(rng.uniform(-bound, bound, size=shapes[name]).astype(dtype))
 
-        lw, lb, vp, fp = [], [], [], []
         for k in range(layers):
-            fan_in = 2 if k == 0 else hidden
+            fan_in = shapes[f"layer{k}.weight"][0]
             bound = (1.0 / fan_in) if k == 0 else (np.sqrt(6.0 / fan_in) / omega0)
-            lw.append(uniform((fan_in, hidden), bound))
-            lb.append(uniform((hidden,), bound))
-            vp.append(uniform((video_dim, hidden), np.sqrt(6.0 / video_dim) / omega0))
-            fp.append(uniform((frame_dim, hidden), np.sqrt(6.0 / frame_dim) / omega0))
+            draw(f"layer{k}.weight", bound)
+            draw(f"layer{k}.bias", bound)
+            draw(f"video_proj{k}", np.sqrt(6.0 / video_dim) / omega0)
+            draw(f"frame_proj{k}", np.sqrt(6.0 / frame_dim) / omega0)
         out_bound = np.sqrt(6.0 / hidden)
-        return cls(lw, lb, uniform((hidden, 1), out_bound), uniform((1,), out_bound),
-                   vp, fp, omega0=omega0, iteration=0)
+        draw("out.weight", out_bound)
+        draw("out.bias", out_bound)
+        return cls(params, omega0=omega0)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """All trainable tensors in their declared (serialization) order."""
-        named: list[tuple[str, Tensor]] = []
-        for k in range(self.layers):
-            named.append((f"layer{k}.weight", self.layer_weights[k]))
-            named.append((f"layer{k}.bias", self.layer_biases[k]))
-        named.append(("out.weight", self.out_weight))
-        named.append(("out.bias", self.out_bias))
-        for k in range(self.layers):
-            named.append((f"video_proj{k}", self.video_projs[k]))
-        for k in range(self.layers):
-            named.append((f"frame_proj{k}", self.frame_projs[k]))
-        return named
+        return list(self._params.items())
 
     def replace_params(self, new_params: dict[str, Tensor], iteration: int | None = None) -> "MetaModel":
-        current = dict(self.parameters())
-        current.update(new_params)
-        k = self.layers
-        return MetaModel(
-            [current[f"layer{i}.weight"] for i in range(k)],
-            [current[f"layer{i}.bias"] for i in range(k)],
-            current["out.weight"], current["out.bias"],
-            [current[f"video_proj{i}"] for i in range(k)],
-            [current[f"frame_proj{i}"] for i in range(k)],
-            omega0=self.omega0,
-            iteration=self.iteration if iteration is None else iteration,
-        )
+        return MetaModel({**self._params, **new_params}, self.omega0,
+                         self.iteration if iteration is None else iteration)
 
 
 @dataclass(frozen=True)
@@ -365,31 +343,31 @@ def _backward_rows(model: MetaModel, shifts, coords, targets, start: int,
     `coords` and `targets` cover frames start // rows_per_frame onwards;
     each row's loss gradient is scale * (pred - target). Returns the
     predictions, each layer's (frames, l) sums of its pre-activation
-    gradient, and with `weights` the pieces of the layer and output
-    weight gradients that these rows contribute.
+    gradient, and with `weights` these rows' layer and output weight
+    gradients.
     """
     slopes: list = []
     inputs: list | None = [] if weights else None
     sums: list = [None] * model.layers
-    pieces: dict = {}
+    weight_grads: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
         h = _sine_layers(model, shifts, coords, start, rows_per_frame, slopes, inputs)
         pred = np.einsum("ij,j->i", h, model.out_weight.data[:, 0])
         pred += model.out_bias.data
         d_pred = (pred - targets) * scale
         if weights:
-            pieces["out.weight"] = h.T @ d_pred[:, None]
-            pieces["out.bias"] = np.sum(d_pred, keepdims=True)
+            weight_grads["out.weight"] = h.T @ d_pred[:, None]
+            weight_grads["out.bias"] = np.sum(d_pred, keepdims=True)
         d_h = d_pred[:, None] * model.out_weight.data[:, 0]
         for k in reversed(range(model.layers)):
             d_a = d_h
             d_a *= slopes.pop()
             sums[k] = d_a.reshape(-1, rows_per_frame, d_a.shape[1]).sum(axis=1)
             if weights:
-                pieces[f"layer{k}.weight"] = inputs.pop().T @ d_a
+                weight_grads[f"layer{k}.weight"] = inputs.pop().T @ d_a
             if k:
                 d_h = d_a @ model.layer_weights[k].data.T
-    return pred, sums, pieces
+    return pred, sums, weight_grads
 
 
 def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, rows_per_frame: int,
@@ -402,9 +380,11 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, rows_per_frame
     `weights` the gradient of every named parameter is too. A non-finite
     loss or gradient raises NonFiniteError.
 
-    Row blocks of whole frames run the forward and backward passes; the
-    gradients are then formed once from the joined frame sums, and the
-    layer and output weight gradients add the blocks' pieces in order.
+    Row blocks of whole frames run the forward and backward passes, and
+    the gradients are then formed once from the joined frame sums. With
+    `weights` the whole batch is one block: its layer and output weight
+    gradients are products over every row, which a sum of per-block
+    pieces would round differently with the block count.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords, rows_per_frame)
     targets = np.asarray(targets, dtype=model.dtype)
@@ -412,26 +392,20 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, rows_per_frame
     n = rows_per_frame
     # every row carries weight 1/(b n) in the loss
     scale = 2.0 / coords.shape[0]
+    unit = b * n if weights else n
 
     def block(lo: int, hi: int):
-        return _backward_rows(model, shifts, coords[lo * n : hi * n], targets[lo * n : hi * n],
-                              lo * n, n, scale, weights)
+        return _backward_rows(model, shifts, coords[lo * unit : hi * unit],
+                              targets[lo * unit : hi * unit], lo * unit, n, scale, weights)
 
-    grads: dict = {}
-    with parallel.RUNNER.blocks(b, n) as map_blocks:
+    with parallel.RUNNER.blocks(coords.shape[0] // unit, unit) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             shifts = _shifts(model, v, phis)
-        preds, sums, pieces = zip(*map_blocks(block))
+        preds, sums, weight_grads = zip(*map_blocks(block))
         per_frame = frame_mse(np.concatenate(preds), targets, b)
         loss = float(np.mean(per_frame, dtype=np.float64).astype(model.dtype))
-
-        def joined(name: str) -> np.ndarray:
-            return sum((piece[name] for piece in pieces[1:]), pieces[0][name])
-
+        grads = weight_grads[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            if weights:
-                grads["out.weight"] = joined("out.weight")
-                grads["out.bias"] = joined("out.bias")
             g_v = np.zeros_like(v)
             g_phis = np.zeros_like(phis)
             for k in reversed(range(model.layers)):
@@ -440,7 +414,6 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, rows_per_frame
                 g_v += model.video_projs[k].data @ col
                 g_phis += frame_sums @ model.frame_projs[k].data.T
                 if weights:
-                    grads[f"layer{k}.weight"] = joined(f"layer{k}.weight")
                     grads[f"layer{k}.bias"] = col
                     grads[f"video_proj{k}"] = np.outer(v, col)
                     grads[f"frame_proj{k}"] = phis.T @ frame_sums

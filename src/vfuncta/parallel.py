@@ -10,8 +10,10 @@ so every core runs both kinds of work.
 
 No row's value depends on its block: the layer products round alike at
 any row offset and thread count, and the one-column output layer is a
-row-wise reduction, not a BLAS product that rounds by row offset. Only
-weight gradients, summed over blocks, round differently with the split.
+row-wise reduction, not a BLAS product that rounds by row offset. A
+call for weight gradients runs as one block, since they are products
+over every row. So `train`, `encode` and `decode` write the same bytes
+for any thread count.
 
 The pin goes through `openblas_set_num_threads_local` of the OpenBLAS
 numpy loaded. In the scipy-openblas builds numpy ships, that call sets

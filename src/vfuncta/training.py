@@ -189,7 +189,9 @@ def meta_step(model: MetaModel, video, cfg: TrainConfig,
                                weights=True)
     except NonFiniteError as exc:
         raise DivergenceError(cfg.inner_steps, history) from exc
-    updated = {name: Tensor(p.data - cfg.meta_lr * outer.weights[name])
+    # each gradient is dropped once applied, so the old weights, the new
+    # weights and the gradients are never all held in full at once
+    updated = {name: Tensor(p.data - cfg.meta_lr * outer.weights.pop(name))
                for name, p in model.parameters()}
     return model.replace_params(updated, iteration=model.iteration + 1), outer.loss
 

@@ -21,6 +21,15 @@ def test_readme_names_files_that_exist():
     assert not missing
 
 
+def test_readme_layout_has_one_row_per_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `vfuncta\.(\w+)` \|", table, flags=re.MULTILINE)
+    modules = [path.stem for path in (ROOT / "src" / "vfuncta").glob("*.py")
+               if path.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)
+
+
 def test_desk_config_loads(monkeypatch):
     monkeypatch.delenv("VFUNCTA_SEED", raising=False)
     cfg = load_train_config(ROOT / "docs" / "desk.cfg")

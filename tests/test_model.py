@@ -16,6 +16,7 @@ from vfuncta.model import (
     forward_batch,
     forward_frame,
     loss_and_grads,
+    param_shapes,
     sample_coords,
 )
 from vfuncta.tensor import Tensor
@@ -49,6 +50,34 @@ def pure_python_forward(model, v, phi, xy):
     for j in range(model.hidden):
         out += h[j] * float(model.out_weight.data[j, 0])
     return out
+
+
+# --- the parameter table -------------------------------------------------------
+
+def test_parameters_follow_the_table():
+    m = tiny_model(layers=3, hidden=5, video_dim=6, frame_dim=4)
+    table = param_shapes(layers=3, hidden=5, video_dim=6, frame_dim=4)
+    assert [name for name, _ in m.parameters()] == list(table)
+    assert [p.shape for _, p in m.parameters()] == list(table.values())
+
+
+def test_replace_params_names_a_wrong_shape():
+    m = tiny_model()
+    with pytest.raises(ShapeError, match="layer1.weight"):
+        m.replace_params({"layer1.weight": Tensor(np.zeros((8, 7)))})
+
+
+def test_replace_params_rejects_an_unknown_name():
+    m = tiny_model()
+    with pytest.raises(ShapeError, match="layer9.weight"):
+        m.replace_params({"layer9.weight": Tensor(np.zeros((8, 8)))})
+
+
+def test_a_missing_parameter_is_named():
+    params = dict(tiny_model().parameters())
+    del params["frame_proj1"]
+    with pytest.raises(ShapeError, match="frame_proj1"):
+        MetaModel(params, omega0=30.0)
 
 
 # --- forward semantics --------------------------------------------------------

@@ -1,6 +1,6 @@
 """Row blocks of one evaluation: the split, its results against one block,
 errors raised from later blocks, the BLAS thread count around them, and
-encodings that are the same bytes whatever that count.
+encodings and trained models that are the same bytes whatever that count.
 
 The tests shrink the row floor and give the runner a stand-in for
 OpenBLAS's thread setter, so small batches split into several blocks on
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vfuncta import parallel
+from vfuncta import cli, parallel
 from vfuncta.codec import EncodeSettings, encode_video, save_encoding, save_model
 from vfuncta.data import VideoTensor, save_video
 from vfuncta.errors import NonFiniteError
@@ -107,26 +107,22 @@ def test_loss_and_grads_match_one_block(use_runner, b, n, dtype, weights):
     whole = loss_and_grads(model, v, phis, coords, n, targets, weights=weights)
     use_runner(FakeBlas(3))
     split = loss_and_grads(model, v, phis, coords, n, targets, weights=weights)
-    tol = 1e-12 if dtype == np.float64 else 1e-6
 
     def close(a, b):
-        # float32 weight pieces add in block order: compare at the array's scale
-        scale = np.abs(b) if dtype == np.float64 else np.abs(b).max()
-        return np.max(np.abs(a - b) / np.maximum(scale, 1e-300)) <= tol
+        return np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)) <= 1e-12
 
+    same = np.array_equal if dtype == np.float32 else close
     if dtype == np.float32:
         assert len(parallel.RUNNER.cuts(b, n)) > 2
         assert split.loss == whole.loss
-        assert np.array_equal(split.per_frame, whole.per_frame)
-        assert np.array_equal(split.v, whole.v) and np.array_equal(split.phis, whole.phis)
     else:
-        assert split.loss == pytest.approx(whole.loss, rel=tol)
-        assert close(split.per_frame, whole.per_frame)
-        assert close(split.v, whole.v) and close(split.phis, whole.phis)
+        assert split.loss == pytest.approx(whole.loss, rel=1e-12)
+    assert same(split.per_frame, whole.per_frame)
+    assert same(split.v, whole.v) and same(split.phis, whole.phis)
     if weights:
         assert list(split.weights) == list(whole.weights)
         for name, g in whole.weights.items():
-            assert close(split.weights[name], g), name
+            assert same(split.weights[name], g), name
     else:
         assert split.weights is None
 
@@ -242,6 +238,19 @@ def test_encoding_is_the_same_bytes_with_one_block_and_two(use_runner, tmp_path)
     assert written[0] == written[1]
 
 
+def cli_with_blas_threads(threads: str, *argv: str) -> None:
+    """Run `vfuncta argv` in a subprocess under OPENBLAS_NUM_THREADS=threads;
+    skip the test where the row runner gets fewer threads than that."""
+    script = ("import sys; from vfuncta import cli, parallel; "
+              "print(parallel.RUNNER.threads); sys.exit(cli.main(sys.argv[1:]))")
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=120, check=True)
+    if int(run.stdout.split()[0]) != int(threads):
+        pytest.skip("numpy's BLAS cannot run the loop in two row blocks here")
+
+
 def test_encode_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     rng = np.random.default_rng(7)
     model_path, video_path = tmp_path / "model.vfnc", tmp_path / "clip.rawvid"
@@ -250,18 +259,41 @@ def test_encode_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     # 6 frames cut at row 6075. An even cut, such as 8 frames' row 8100, can
     # round a one-column BLAS product as one block does and hide the fault.
     save_video(video_path, VideoTensor(rng.uniform(0, 1, size=(6, 45, 45)).astype(np.float32)))
-    script = ("import sys; from vfuncta import cli, parallel; "
-              "print(parallel.RUNNER.threads); sys.exit(cli.main(sys.argv[1:]))")
     outputs = {}
     for threads in ("2", "1"):
         out = tmp_path / f"threads{threads}"
-        run = subprocess.run(
-            [sys.executable, "-c", script, "encode", "--model", str(model_path),
-             "--out", str(out), "--batch-frames", "6", str(video_path)],
-            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC},
-            capture_output=True, text=True, timeout=120, check=True)
-        if int(run.stdout.split()[0]) != int(threads):
-            pytest.skip("numpy's BLAS cannot run the loop in two row blocks here")
+        cli_with_blas_threads(threads, "encode", "--model", str(model_path), "--out", str(out),
+                              "--batch-frames", "6", str(video_path))
         manifest = json.loads((out / "run_manifest.json").read_text())
         outputs[threads] = ((out / "clip.venc").read_bytes(), manifest["artifacts"])
+    assert outputs["1"] == outputs["2"]
+
+
+TRAIN_CONFIG = """
+batch_frames = 8
+coords_per_frame = 1024
+layers = 2
+hidden = 32
+video_dim = 8
+frame_dim = 4
+inner_steps = 2
+meta_lr = 1e-4
+iterations = 2
+"""
+
+
+def test_train_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 8 frames of 1024 sampled pixels make 8192 rows, two blocks of ROW_FLOOR
+    spec, cfg, corpus = tmp_path / "spec.cfg", tmp_path / "run.cfg", tmp_path / "corpus"
+    spec.write_text("frames = 8\nheight = 32\nwidth = 32\n")
+    cfg.write_text(TRAIN_CONFIG)
+    assert cli.main(["gen-corpus", "--out", str(corpus), "--count", "2", "--seed", "3",
+                     "--spec", str(spec)]) == 0
+    outputs = {}
+    for threads in ("2", "1"):
+        out = tmp_path / f"threads{threads}"
+        cli_with_blas_threads(threads, "train", "--corpus", str(corpus), "--config", str(cfg),
+                              "--out", str(out / "model.vfnc"), "--all-splits")
+        manifest = json.loads((out / "model.manifest.json").read_text())
+        outputs[threads] = ((out / "model.vfnc").read_bytes(), manifest["artifacts"])
     assert outputs["1"] == outputs["2"]

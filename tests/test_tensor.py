@@ -23,10 +23,14 @@ def one_layer(weight, bias, out_weight, out_bias=(0.0,), frame_proj=None, omega0
     hidden = weight.shape[1]
     if frame_proj is None:
         frame_proj = np.zeros((1, hidden))
-    return MetaModel([Tensor(weight)], [Tensor(bias)],
-                     Tensor(np.asarray(out_weight, dtype=np.float64).reshape(hidden, 1)),
-                     Tensor(out_bias), [Tensor(np.zeros((1, hidden)))],
-                     [Tensor(frame_proj)], omega0=omega0)
+    return MetaModel({
+        "layer0.weight": Tensor(weight),
+        "layer0.bias": Tensor(bias),
+        "out.weight": Tensor(np.asarray(out_weight, dtype=np.float64).reshape(hidden, 1)),
+        "out.bias": Tensor(out_bias),
+        "video_proj0": Tensor(np.zeros((1, hidden))),
+        "frame_proj0": Tensor(frame_proj),
+    }, omega0=omega0)
 
 
 def predict(model, coords, phis=None):
