@@ -58,7 +58,6 @@ from .model import (
     FrameModulationSeq,
     MetaModel,
     VideoModulation,
-    forward_frame,
     sample_coords,
 )
 from .tensor import Tensor
@@ -74,7 +73,7 @@ __all__ = [
     "VideoModulation", "VideoTensor", "VfunctaError", "auroc",
     "build_corpus", "classification_metrics", "compression_rate",
     "decode_static_summary", "decode_video", "encode_video",
-    "evaluate_head", "extract_features", "forward_frame", "gen_synthetic",
+    "evaluate_head", "extract_features", "gen_synthetic",
     "load_encoding", "load_head", "load_model", "load_video", "meta_step",
     "model_fingerprint", "psnr", "quality_report", "read_corpus_manifest",
     "regression_metrics", "run_gradcheck", "sample_coords",

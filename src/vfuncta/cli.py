@@ -21,14 +21,13 @@ import numpy as np
 
 from . import codec, data, heads, metrics
 from .config import (
-    TRAIN_SCHEMA,
     env_seed,
     load_corpus_options,
     load_head_options,
     load_train_config,
 )
 from .container import atomic_write_bytes
-from .errors import ConfigError, VfunctaError
+from .errors import VfunctaError
 from .gradcheck import run_gradcheck
 from .manifest import RunManifest
 from .training import train
@@ -167,18 +166,7 @@ def cmd_gen_corpus(args, argv) -> int:
 
 
 def cmd_train(args, argv) -> int:
-    overrides = {}
-    for pair in args.set:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
-        key, value = pair.split("=", 1)
-        if key not in TRAIN_SCHEMA:
-            raise ConfigError(f"unknown override key {key!r}")
-        try:
-            overrides[key] = TRAIN_SCHEMA[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"--set {key}: bad value {value!r}: {exc}") from exc
-    cfg = load_train_config(args.config, overrides=overrides)
+    cfg = load_train_config(args.config, overrides=args.set)
 
     items = data.read_corpus_manifest(args.corpus)
     if not args.all_splits:
@@ -329,9 +317,12 @@ def cmd_eval(args, argv) -> int:
     settings = codec.EncodeSettings(args.batch_frames, args.inner_steps, args.inner_lr)
     model = codec.load_model(args.model)
     items = data.read_corpus_manifest(args.corpus)
+    train_items = [i for i in items if i.split == "train"]
+    test_items = [i for i in items if i.split == "test"]
+    if not train_items or not test_items:
+        raise VfunctaError("eval needs both train and test splits in the corpus")
     head_options = load_head_options(args.head_config)
     hidden = (head_options.pop("hidden1", 256), head_options.pop("hidden2", 64))
-    head_options.pop("mode", None)
     config_seed = head_options.pop("seed", 0)
     base_seed = env_seed(config_seed)
     config_task = head_options.pop("task", None)
@@ -351,11 +342,6 @@ def cmd_eval(args, argv) -> int:
     for item in items:
         video = data.load_video(item.path)
         encodings[item.path] = codec.encode_video(model, video, settings)
-
-    train_items = [i for i in items if i.split == "train"]
-    test_items = [i for i in items if i.split == "test"]
-    if not train_items or not test_items:
-        raise VfunctaError("eval needs both train and test splits in the corpus")
 
     def label_of(item):
         return item.speed if args.task == "regression" else float(item.trajectory_class)

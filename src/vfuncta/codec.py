@@ -154,12 +154,11 @@ def _require_same_model(model: MetaModel, enc: VideoEncoding) -> None:
 def decode_video(model: MetaModel, enc: VideoEncoding) -> VideoTensor:
     """Evaluate every frame on the full grid and clamp to [0, 1]."""
     _require_same_model(model, enc)
-    grid = CoordinateGrid(enc.height, enc.width)
-    coords = grid.coords.astype(model.dtype)
+    coords = CoordinateGrid(enc.height, enc.width).coords
     out = np.empty((enc.frames, enc.height, enc.width), dtype=np.float32)
     for t in range(enc.frames):
         pred = forward_batch(model, enc.video_mod.values, enc.frame_mods.values[t : t + 1],
-                             coords, coords.shape[0])
+                             coords)
         out[t] = pred.reshape(enc.height, enc.width)
     return VideoTensor(np.clip(out, 0.0, 1.0))
 
@@ -167,10 +166,9 @@ def decode_video(model: MetaModel, enc: VideoEncoding) -> VideoTensor:
 def decode_static_summary(model: MetaModel, enc: VideoEncoding) -> np.ndarray:
     """One frame decoded from the video vector alone (frame vector zero)."""
     _require_same_model(model, enc)
-    grid = CoordinateGrid(enc.height, enc.width)
-    coords = grid.coords.astype(model.dtype)
+    coords = CoordinateGrid(enc.height, enc.width).coords
     phi = np.zeros((1, model.frame_dim), dtype=model.dtype)
-    pred = forward_batch(model, enc.video_mod.values, phi, coords, coords.shape[0])
+    pred = forward_batch(model, enc.video_mod.values, phi, coords)
     return np.clip(pred.reshape(enc.height, enc.width), 0.0, 1.0).astype(np.float32)
 
 

@@ -2,14 +2,17 @@
 
 One `key = value` pair per line; blank lines and `#` comments are
 ignored. Unknown keys and unparsable values are reported with their line
-number. The training schema requires `batch_frames` and
-`coords_per_frame` explicitly since no sensible defaults exist for them;
-everything else falls back to the reference defaults.
+number. The training schema is `TrainConfig`'s fields: `batch_frames`
+and `coords_per_frame` have no default and must be set, everything else
+falls back to the reference defaults. `--set KEY=VALUE` overrides take
+the same path, numbered in command-line order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import typing
 from pathlib import Path
 
 from .errors import ConfigError
@@ -36,65 +39,56 @@ def parse_kv_file(path) -> dict[str, tuple[int, str]]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return _parse_kv_lines(text.splitlines(), path)
+
+
+def _parse_kv_lines(lines, source) -> dict[str, tuple[int, str]]:
+    """Parse key=value lines from `source`, a file or the command line;
+    returns {key: (line_number, raw_value)}."""
     entries: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
-            raise ConfigError(f"{path}:{lineno}: empty key or value")
+            raise ConfigError(f"{source}:{lineno}: empty key or value")
         if key in entries:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} "
                               f"(first set on line {entries[key][0]})")
         entries[key] = (lineno, value)
     return entries
 
 
-def _apply_schema(entries, schema, path) -> dict:
+def _apply_schema(entries, schema, source) -> dict:
     out = {}
     for key, (lineno, value) in entries.items():
         if key not in schema:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         caster = schema[key]
         try:
             out[key] = caster(value)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
     return out
 
 
-TRAIN_SCHEMA = {
-    "batch_frames": int,
-    "coords_per_frame": int,
-    "layers": int,
-    "hidden": int,
-    "video_dim": int,
-    "frame_dim": int,
-    "inner_steps": int,
-    "inner_lr": float,
-    "meta_lr": float,
-    "iterations": int,
-    "omega0": float,
-    "seed": int,
-    "precision": str,
-}
-
-TRAIN_REQUIRED = ("batch_frames", "coords_per_frame")
+# every TrainConfig field is a key, cast by its annotated type; the fields
+# without a default are the required keys
+_TRAIN_TYPES = typing.get_type_hints(TrainConfig)
+TRAIN_SCHEMA = {f.name: _TRAIN_TYPES[f.name] for f in dataclasses.fields(TrainConfig)}
+TRAIN_REQUIRED = tuple(f.name for f in dataclasses.fields(TrainConfig)
+                       if f.default is dataclasses.MISSING)
 
 
-def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
-    """Build a TrainConfig from a file plus optional programmatic overrides;
-    the VFUNCTA_SEED environment variable wins over both."""
-    entries = parse_kv_file(path)
-    values = _apply_schema(entries, TRAIN_SCHEMA, path)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in TRAIN_SCHEMA:
-                raise ConfigError(f"unknown override key {key!r}")
-            values[key] = value
+def load_train_config(path, overrides=()) -> TrainConfig:
+    """Build a TrainConfig from a file plus `KEY=VALUE` override strings,
+    which win over the file; the VFUNCTA_SEED environment variable wins
+    over both."""
+    values = _apply_schema(parse_kv_file(path), TRAIN_SCHEMA, path)
+    values.update(_apply_schema(_parse_kv_lines(overrides, "--set"), TRAIN_SCHEMA, "--set"))
     for key in TRAIN_REQUIRED:
         if key not in values:
             raise ConfigError(f"{path}: missing required key {key!r}")
@@ -148,7 +142,6 @@ def load_corpus_options(path=None) -> dict:
 
 
 HEAD_SCHEMA = {
-    "mode": str,
     "task": str,
     "hidden1": int,
     "hidden2": int,
@@ -161,7 +154,8 @@ HEAD_SCHEMA = {
 
 
 def load_head_options(path=None) -> dict:
-    """Raw head options; mode/task/seed are typically set per run."""
+    """Raw head options. Feature modes are not among them: they come from
+    the command line alone."""
     if path is None:
         return {}
     entries = parse_kv_file(path)

@@ -32,9 +32,7 @@ class GradCheckResult:
 
 
 def _loss_value(model, v_arr, phi_arr, coords, targets) -> float:
-    b = phi_arr.shape[0]
-    pred = forward_batch(model, v_arr, phi_arr, coords, coords.shape[0] // b)
-    return float(np.mean(frame_mse(pred, targets, b)))
+    return float(np.mean(frame_mse(forward_batch(model, v_arr, phi_arr, coords), targets)))
 
 
 def _central_diff(f, base: np.ndarray, step: float) -> np.ndarray:
@@ -74,13 +72,12 @@ def run_gradcheck(trials: int = 100, step: float = 1e-4, tolerance: float = 1e-4
         model = MetaModel.initialize(layers=layers, hidden=hidden,
                                      video_dim=video_dim, frame_dim=frame_dim,
                                      omega0=30.0, dtype=np.float64, rng=rng)
-        coords = rng.uniform(-1.0, 1.0, size=(batch * coords_per_frame, 2))
-        targets = rng.uniform(0.0, 1.0, size=batch * coords_per_frame)
+        coords = rng.uniform(-1.0, 1.0, size=(coords_per_frame, 2))
+        targets = rng.uniform(0.0, 1.0, size=(batch, coords_per_frame))
         v = rng.normal(scale=0.05, size=video_dim)
         phis = rng.normal(scale=0.05, size=(batch, frame_dim))
 
-        grads = loss_and_grads(model, v, phis, coords, coords_per_frame, targets,
-                               weights=True)
+        grads = loss_and_grads(model, v, phis, coords, targets, weights=True)
 
         numeric_v = _central_diff(
             lambda arr: _loss_value(model, arr, phis, coords, targets), v, step)

@@ -233,14 +233,28 @@ _MODE_CODES = {"v": 0, "phi": 1, "combined": 2}
 _TASK_CODES = {"regression": 0, "binary": 1}
 
 
+def _payload_shapes(sizes) -> dict[str, tuple[int, ...]]:
+    """Every float64 array of a head file's payload and its shape, in file
+    order: each layer's weight and bias, the feature mean and scale, then
+    the target mean and scale as one pair. `sizes` are the layer widths,
+    input first."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i in range(3):
+        shapes[f"layer{i}.weight"] = (sizes[i], sizes[i + 1])
+        shapes[f"layer{i}.bias"] = (sizes[i + 1],)
+    shapes.update(feature_mean=(sizes[0],), feature_scale=(sizes[0],), target=(2,))
+    return shapes
+
+
 def save_head(path, head: MlpHead) -> None:
     cfg = head.config
     sizes = [head.weights[0].shape[0], cfg.hidden[0], cfg.hidden[1], 1]
-    payload = b"".join(a.astype("<f8").tobytes()
-                       for pair in zip(head.weights, head.biases) for a in pair)
-    payload += head.feature_mean.astype("<f8").tobytes()
-    payload += head.feature_scale.astype("<f8").tobytes()
-    payload += struct.pack("<dd", head.target_mean, head.target_scale)
+    arrays = {"feature_mean": head.feature_mean, "feature_scale": head.feature_scale,
+              "target": [head.target_mean, head.target_scale]}
+    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
+        arrays[f"layer{i}.weight"], arrays[f"layer{i}.bias"] = w, b
+    payload = b"".join(np.asarray(arrays[name], dtype="<f8").reshape(shape).tobytes()
+                       for name, shape in _payload_shapes(sizes).items())
     body = (struct.pack("<I", KIND_HEAD)
             + struct.pack("<BB", _MODE_CODES[cfg.mode], _TASK_CODES[cfg.task])
             + struct.pack("<IIII", *sizes)
@@ -271,24 +285,17 @@ def load_head(path) -> MlpHead:
                      hidden=(sizes[1], sizes[2]), dropout=dropout, epochs=epochs,
                      batch_size=batch_size, learning_rate=lr, seed=seed)
 
-    counts = []
-    for i in range(3):
-        counts.append(sizes[i] * sizes[i + 1])
-        counts.append(sizes[i + 1])
-    counts.extend([sizes[0], sizes[0]])
-    expected = (sum(counts) + 2) * 8
+    shapes = _payload_shapes(sizes)
+    expected = sum(int(np.prod(s)) for s in shapes.values()) * 8
     if payload_len != expected:
         raise FormatError(f"{reader.source}: payload {payload_len} bytes, expected {expected}")
 
-    arrays, offset = [], 0
-    for count in counts:
-        arrays.append(np.frombuffer(payload, dtype="<f8", count=count,
-                                    offset=offset).astype(np.float64))
+    arrays, offset = {}, 0
+    for name, shape in shapes.items():
+        count = int(np.prod(shape))
+        arrays[name] = np.frombuffer(payload, dtype="<f8", count=count,
+                                     offset=offset).astype(np.float64).reshape(shape)
         offset += count * 8
-    target_mean, target_scale = struct.unpack_from("<dd", payload, offset)
-    weights = [arrays[0].reshape(sizes[0], sizes[1]),
-               arrays[2].reshape(sizes[1], sizes[2]),
-               arrays[4].reshape(sizes[2], sizes[3])]
-    biases = [arrays[1], arrays[3], arrays[5]]
-    return MlpHead(weights, biases, arrays[6], arrays[7],
-                   target_mean, target_scale, cfg)
+    return MlpHead([arrays[f"layer{i}.weight"] for i in range(3)],
+                   [arrays[f"layer{i}.bias"] for i in range(3)],
+                   arrays["feature_mean"], arrays["feature_scale"], *arrays["target"], cfg)

@@ -8,7 +8,9 @@ the pre-activation before the sine, so zero latents reproduce the bare
 network exactly (the projections carry no bias).
 
 The network is fixed, so its backward pass is written out once in closed
-form (`loss_and_grads`) next to the plain forward (`forward_batch`).
+form (`loss_and_grads`) next to the plain forward (`forward_batch`). Both
+take a batch of b frames evaluated at one shared set of N pixels:
+coordinates are (N, 2), and targets and predictions are (b, N).
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ class MetaModel:
 
 @dataclass(frozen=True)
 class BatchGrads:
-    """Loss of one stacked batch and its gradients, from `loss_and_grads`."""
+    """Loss of one batch and its gradients, from `loss_and_grads`."""
 
     loss: float              # mean over frames of the per-frame losses
     per_frame: np.ndarray    # (b,) mean squared error of each frame
@@ -227,8 +229,8 @@ class BatchGrads:
     weights: dict | None     # d loss / d parameter by name, when asked for
 
 
-def _batch_arrays(model: MetaModel, v, phis, coords, rows_per_frame: int):
-    """Check one stacked batch and cast it to the model's dtype."""
+def _batch_arrays(model: MetaModel, v, phis, coords):
+    """Check one batch and cast it to the model's dtype."""
     dtype = model.dtype
     v = np.asarray(v, dtype=dtype)
     phis = np.asarray(phis, dtype=dtype)
@@ -237,11 +239,8 @@ def _batch_arrays(model: MetaModel, v, phis, coords, rows_per_frame: int):
         raise ShapeError(f"video modulation length {v.shape} != ({model.video_dim},)")
     if phis.ndim != 2 or phis.shape[0] < 1 or phis.shape[1] != model.frame_dim:
         raise ShapeError(f"frame modulation shape {phis.shape} incompatible with r={model.frame_dim}")
-    b = phis.shape[0]
-    if rows_per_frame < 1 or coords.shape != (b * rows_per_frame, 2):
-        raise ShapeError(
-            f"coords shape {coords.shape} != ({b * rows_per_frame}, 2) for {b} frames"
-        )
+    if coords.ndim != 2 or coords.shape[0] < 1 or coords.shape[1] != 2:
+        raise ShapeError(f"coords shape {coords.shape} is not (N, 2) with N >= 1")
     return v, phis, coords
 
 
@@ -252,29 +251,33 @@ def _shifts(model: MetaModel, v, phis) -> list[tuple[np.ndarray, np.ndarray]]:
             for k in range(model.layers)]
 
 
-def _sine_layers(model: MetaModel, shifts, coords, start: int, rows_per_frame: int,
+def _sine_layers(model: MetaModel, shifts, coords, frames: slice,
                  slopes: list | None = None, inputs: list | None = None) -> np.ndarray:
-    """Run the sine layers over some rows of stacked frames; returns the
-    last activations.
+    """Run the sine layers for some frames of a batch at their shared
+    pixels; returns the last activations, (frames, pixels, l).
 
-    `coords` holds rows start, start + 1, ... of the stack, where frame t
-    owns rows t * rows_per_frame onwards. Layer k computes, in this float
-    order, a = h W_k, a += b_k, a += v P_k, a += phi_t Q_k over the rows
-    of frame t, then h = sin(omega0 a); each row's value is independent
-    of the other rows. `slopes` collects omega0 cos(omega0 a) and
-    `inputs` each layer's input h, as the backward pass needs them.
+    `coords` holds the pixels, (pixels, 2), and `frames` picks the frames
+    from each layer's frame shifts. Layer k computes, in this float
+    order, a = h W_k, a += b_k, a += v P_k, a += phi_t Q_k for frame t,
+    then h = sin(omega0 a); each pixel's value is independent of the
+    other pixels. Layer 0's input is the same for every frame, so its
+    first three terms are computed once and the frame shifts broadcast
+    them out. `slopes` collects omega0 cos(omega0 a) and `inputs` the
+    input h of every layer after the first, as the backward pass needs
+    them.
     """
-    n = rows_per_frame
-    stop = start + coords.shape[0]
     h = coords
     for k, (v_shift, frame_shifts) in enumerate(shifts):
-        if inputs is not None:
+        if k and inputs is not None:
             inputs.append(h)
-        a = h @ model.layer_weights[k].data
+        a = h.reshape(-1, h.shape[-1]) @ model.layer_weights[k].data
         a += model.layer_biases[k].data
         a += v_shift
-        for t in range(start // n, -(-stop // n)):
-            a[max(t * n, start) - start : min((t + 1) * n, stop) - start] += frame_shifts[t]
+        a = a.reshape(-1, coords.shape[0], a.shape[1])
+        if k:
+            a += frame_shifts[frames, None]
+        else:
+            a = a + frame_shifts[frames, None]
         a *= model.omega0
         if slopes is not None:
             slope = np.cos(a)
@@ -284,101 +287,104 @@ def _sine_layers(model: MetaModel, shifts, coords, start: int, rows_per_frame: i
     return h
 
 
+def _output(model: MetaModel, h: np.ndarray) -> np.ndarray:
+    """The output layer over (frames, pixels, l) activations, as a
+    row-wise reduction rather than a one-column BLAS product, which
+    rounds by row offset; returns (frames, pixels)."""
+    out = np.einsum("ij,j->i", h.reshape(-1, h.shape[2]), model.out_weight.data[:, 0])
+    out += model.out_bias.data
+    return out.reshape(h.shape[:2])
+
+
 def _require_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise NonFiniteError(what)
 
 
-def forward_batch(model: MetaModel, v, phis, coords: np.ndarray,
-                  rows_per_frame: int) -> np.ndarray:
-    """Forward pass over stacked frames, keeping no activations.
+def forward_batch(model: MetaModel, v, phis, coords: np.ndarray) -> np.ndarray:
+    """Forward pass of b frames at one shared set of pixels, keeping no
+    activations.
 
-    `coords` holds rows_per_frame coordinate rows for each of the b frames,
-    concatenated in frame order (b * rows_per_frame, 2); `v` is (s,) and
-    `phis` is (b, r). Returns the (b * rows_per_frame,) raw (unclamped)
+    `v` is (s,), `phis` is (b, r) and `coords` is (N, 2), the pixels
+    every frame is evaluated at. Returns the (b, N) raw (unclamped)
     predictions; a non-finite prediction raises NonFiniteError. Row
-    blocks may split a frame: the output layer is a row-wise reduction,
-    not a BLAS product, so no row's value depends on the split.
+    blocks split the pixels, and no value depends on the split.
     """
-    v, phis, coords = _batch_arrays(model, v, phis, coords, rows_per_frame)
+    v, phis, coords = _batch_arrays(model, v, phis, coords)
 
     def block(lo: int, hi: int) -> np.ndarray:
         # overflow surfaces as NonFiniteError below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            h = _sine_layers(model, shifts, coords[lo:hi], lo, rows_per_frame)
-            out = np.einsum("ij,j->i", h, model.out_weight.data[:, 0])
-            out += model.out_bias.data
-        return out
+            return _output(model, _sine_layers(model, shifts, coords[lo:hi], slice(None)))
 
-    with parallel.RUNNER.blocks(coords.shape[0], 1) as map_blocks:
+    with parallel.RUNNER.blocks(coords.shape[0], phis.shape[0]) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             shifts = _shifts(model, v, phis)
-        out = np.concatenate(map_blocks(block))
+        out = np.concatenate(map_blocks(block), axis=1)
     _require_finite(out, "forward")
     return out
 
 
-def frame_mse(pred: np.ndarray, targets: np.ndarray, frames: int) -> np.ndarray:
-    """Mean squared error of each of `frames` equal row blocks, (frames,).
+def frame_mse(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Mean squared error of each frame of (b, N) predictions, (b,).
 
     Accumulates in 64-bit and returns the predictions' dtype; a
     non-finite loss raises NonFiniteError.
     """
-    if pred.shape != targets.shape or pred.ndim != 1:
+    if pred.shape != targets.shape or pred.ndim != 2:
         raise ShapeError(f"frame_mse: shape mismatch {pred.shape} vs {targets.shape}")
-    if frames < 1 or pred.size % frames:
-        raise ShapeError(f"frame_mse: {pred.size} rows do not split into {frames} frames")
     with np.errstate(over="ignore", invalid="ignore"):
         diff = pred - targets
-        per_frame = np.mean((diff * diff).reshape(frames, -1), axis=1,
-                            dtype=np.float64).astype(pred.dtype)
+        per_frame = np.mean(diff * diff, axis=1, dtype=np.float64).astype(pred.dtype)
     _require_finite(per_frame, "loss")
     return per_frame
 
 
-def _backward_rows(model: MetaModel, shifts, coords, targets, start: int,
-                   rows_per_frame: int, scale: float, weights: bool):
-    """Forward and backward through whole frames of a stack.
+def _backward_frames(model: MetaModel, shifts, coords, targets, frames: slice,
+                     scale: float, weights: bool):
+    """Forward and backward through some whole frames of a batch.
 
-    `coords` and `targets` cover frames start // rows_per_frame onwards;
-    each row's loss gradient is scale * (pred - target). Returns the
-    predictions, each layer's (frames, l) sums of its pre-activation
-    gradient, and with `weights` these rows' layer and output weight
-    gradients.
+    `targets` holds those frames' values, (frames, N); each value's loss
+    gradient is scale * (pred - target). Returns the predictions, each
+    layer's (frames, l) sums of its pre-activation gradient, and with
+    `weights` these frames' layer and output weight gradients.
     """
     slopes: list = []
     inputs: list | None = [] if weights else None
     sums: list = [None] * model.layers
     weight_grads: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _sine_layers(model, shifts, coords, start, rows_per_frame, slopes, inputs)
-        pred = np.einsum("ij,j->i", h, model.out_weight.data[:, 0])
-        pred += model.out_bias.data
-        d_pred = (pred - targets) * scale
+        h = _sine_layers(model, shifts, coords, frames, slopes, inputs)
+        count, pixels, width = h.shape
+        pred = _output(model, h)
+        d_pred = ((pred - targets) * scale).reshape(-1)
         if weights:
-            weight_grads["out.weight"] = h.T @ d_pred[:, None]
+            weight_grads["out.weight"] = h.reshape(-1, width).T @ d_pred[:, None]
             weight_grads["out.bias"] = np.sum(d_pred, keepdims=True)
         d_h = d_pred[:, None] * model.out_weight.data[:, 0]
         for k in reversed(range(model.layers)):
             d_a = d_h
-            d_a *= slopes.pop()
-            sums[k] = d_a.reshape(-1, rows_per_frame, d_a.shape[1]).sum(axis=1)
+            d_a *= slopes.pop().reshape(d_a.shape)
+            sums[k] = d_a.reshape(count, pixels, -1).sum(axis=1)
             if weights:
-                weight_grads[f"layer{k}.weight"] = inputs.pop().T @ d_a
+                # layer 0's input is the shared pixels, once per frame, so
+                # that its product runs over every row like the others
+                x = inputs.pop().reshape(-1, width) if k else np.tile(coords, (count, 1))
+                weight_grads[f"layer{k}.weight"] = x.T @ d_a
             if k:
                 d_h = d_a @ model.layer_weights[k].data.T
     return pred, sums, weight_grads
 
 
-def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, rows_per_frame: int,
-                   targets: np.ndarray, *, weights: bool = False) -> BatchGrads:
+def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.ndarray,
+                   *, weights: bool = False) -> BatchGrads:
     """Batch loss and its gradients in closed form.
 
     The loss is the mean over the b frames of each frame's mean squared
-    error against `targets` ((b * rows_per_frame,) values, stacked like
-    `coords`). Gradients of v and phis are always returned; with
-    `weights` the gradient of every named parameter is too. A non-finite
-    loss or gradient raises NonFiniteError.
+    error against `targets`, (b, N) values at the N shared pixels of
+    `coords`. Gradients of v and phis are always returned; with `weights`
+    the gradient of every named parameter is too. A wrong `targets` shape
+    raises ShapeError, a non-finite loss or gradient NonFiniteError.
 
     Row blocks of whole frames run the forward and backward passes, and
     the gradients are then formed once from the joined frame sums. With
@@ -386,23 +392,25 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, rows_per_frame
     gradients are products over every row, which a sum of per-block
     pieces would round differently with the block count.
     """
-    v, phis, coords = _batch_arrays(model, v, phis, coords, rows_per_frame)
+    v, phis, coords = _batch_arrays(model, v, phis, coords)
     targets = np.asarray(targets, dtype=model.dtype)
-    b = phis.shape[0]
-    n = rows_per_frame
-    # every row carries weight 1/(b n) in the loss
-    scale = 2.0 / coords.shape[0]
-    unit = b * n if weights else n
+    b, n = phis.shape[0], coords.shape[0]
+    if targets.shape != (b, n):
+        raise ShapeError(f"targets shape {targets.shape} != ({b}, {n}) "
+                         f"for {b} frames of {n} pixels")
+    # every value carries weight 1/(b n) in the loss
+    scale = 2.0 / (b * n)
+    unit = b if weights else 1
 
     def block(lo: int, hi: int):
-        return _backward_rows(model, shifts, coords[lo * unit : hi * unit],
-                              targets[lo * unit : hi * unit], lo * unit, n, scale, weights)
+        frames = slice(lo * unit, hi * unit)
+        return _backward_frames(model, shifts, coords, targets[frames], frames, scale, weights)
 
-    with parallel.RUNNER.blocks(coords.shape[0] // unit, unit) as map_blocks:
+    with parallel.RUNNER.blocks(b // unit, unit * n) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             shifts = _shifts(model, v, phis)
         preds, sums, weight_grads = zip(*map_blocks(block))
-        per_frame = frame_mse(np.concatenate(preds), targets, b)
+        per_frame = frame_mse(np.concatenate(preds), targets)
         loss = float(np.mean(per_frame, dtype=np.float64).astype(model.dtype))
         grads = weight_grads[0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -423,23 +431,3 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, rows_per_frame
         _require_finite(g, f"{name} gradient")
     return BatchGrads(loss=loss, per_frame=per_frame, v=g_v, phis=g_phis,
                       weights=grads if weights else None)
-
-
-def forward_frame(model: MetaModel, v, phi, coords) -> np.ndarray:
-    """Predict values for one frame at the given coordinates.
-
-    `v` may be a VideoModulation or an array, `phi` an array of length r;
-    `coords` is an (N, 2) array, a CoordinateGrid, or a CoordSample.
-    Returns the length-N raw (unclamped) predictions.
-    """
-    if isinstance(coords, (CoordinateGrid, CoordSample)):
-        coords = coords.coords
-    coords = np.asarray(coords, dtype=model.dtype)
-    if coords.ndim != 2 or coords.shape[1] != 2 or coords.shape[0] < 1:
-        raise ShapeError(f"coords must be (N, 2) with N >= 1, got {coords.shape}")
-    if isinstance(v, VideoModulation):
-        v = v.values
-    phi = np.asarray(phi)
-    if phi.shape != (model.frame_dim,):
-        raise ShapeError(f"frame modulation shape {phi.shape} != ({model.frame_dim},)")
-    return forward_batch(model, v, phi.reshape(1, -1), coords, coords.shape[0])

@@ -130,27 +130,19 @@ class TrainLog:
         atomic_write_bytes(path, "".join(lines).encode("utf-8"))
 
 
-def _stacked(model: MetaModel, targets: np.ndarray, coords: np.ndarray):
-    """Coordinates tiled once per frame and the targets flattened to match."""
-    dtype = model.dtype
-    tiled = np.ascontiguousarray(np.tile(coords, (targets.shape[0], 1)), dtype=dtype)
-    return tiled, np.ascontiguousarray(targets.reshape(-1), dtype=dtype)
-
-
 def _adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
            steps: int, inner_lr: float, v_init: np.ndarray | None = None,
            freeze_v: bool = False) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Run the inner loop and return (v, phis, per-step mean losses)."""
-    b, n = targets.shape
+    b = targets.shape[0]
     dtype = model.dtype
-    tiled, flat = _stacked(model, targets, coords)
     v = (np.zeros(model.video_dim, dtype=dtype) if v_init is None
          else np.asarray(v_init, dtype=dtype).copy())
     phis = np.zeros((b, model.frame_dim), dtype=dtype)
     history: list[float] = []
     for g in range(steps):
         try:
-            step = loss_and_grads(model, v, phis, tiled, n, flat)
+            step = loss_and_grads(model, v, phis, coords, targets)
         except NonFiniteError as exc:
             raise DivergenceError(g, history) from exc
         history.append(step.loss)
@@ -183,10 +175,8 @@ def meta_step(model: MetaModel, video, cfg: TrainConfig,
     batch = sample_batch(video, cfg, rng)
     v, phis, history = _adapt(model, batch.targets, batch.coords,
                               steps=cfg.inner_steps, inner_lr=cfg.inner_lr)
-    tiled, flat = _stacked(model, batch.targets, batch.coords)
     try:
-        outer = loss_and_grads(model, v, phis, tiled, batch.targets.shape[1], flat,
-                               weights=True)
+        outer = loss_and_grads(model, v, phis, batch.coords, batch.targets, weights=True)
     except NonFiniteError as exc:
         raise DivergenceError(cfg.inner_steps, history) from exc
     # each gradient is dropped once applied, so the old weights, the new

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vfuncta import data
+from vfuncta import codec, data
 from vfuncta.cli import main
 from vfuncta.codec import (
     VideoEncoding,
@@ -330,6 +330,32 @@ def test_eval_without_modes_is_an_error(tmp_path, capsys):
                "--task", "binary", "--modes", " , "])
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "--modes")
+
+
+def test_eval_without_a_test_split_fails_before_encoding(tmp_path, capsys, monkeypatch):
+    corpus = gen_corpus(tmp_path, count=3, extra=["--split", "1.0"])
+    model_path, _, _ = tiny_files(tmp_path)
+    encoded = []
+    monkeypatch.setattr(codec, "encode_video", lambda *args: encoded.append(args))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus),
+               "--task", "regression"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "train and test")
+    assert encoded == []
+
+
+def test_eval_head_config_rejects_a_mode(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path)
+    model_path, _, _ = tiny_files(tmp_path)
+    head_config = tmp_path / "head.cfg"
+    head_config.write_text("epochs = 2\nmode = v\n")
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus),
+               "--task", "regression", "--modes", "phi", "--inner-steps", "1",
+               "--head-config", str(head_config)])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "'mode'", ":2:")
 
 
 def _same_stem_copies(tmp_path, src, suffix):

@@ -1,6 +1,8 @@
 """The README's references hold: the files it names exist, the
-configuration it trains with loads, and its pipeline commands parse."""
+configuration it trains with loads, its configuration table matches
+`TrainConfig`, and its pipeline commands parse."""
 
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 from vfuncta.cli import _build_parser
 from vfuncta.config import load_train_config
+from vfuncta.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +38,19 @@ def test_desk_config_loads(monkeypatch):
     cfg = load_train_config(ROOT / "docs" / "desk.cfg")
     assert (cfg.layers, cfg.hidden, cfg.video_dim, cfg.frame_dim) == (4, 64, 64, 16)
     assert (cfg.batch_frames, cfg.coords_per_frame, cfg.seed) == (4, 256, 0)
+
+
+def test_readme_config_table_matches_train_config():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]+?) \|$", table, flags=re.MULTILINE)
+    fields = dataclasses.fields(TrainConfig)
+    assert [key for key, _ in rows] == [f.name for f in fields]
+    for (key, default), field in zip(rows, fields):
+        if field.default is dataclasses.MISSING:
+            assert default == "required", key
+        else:
+            assert type(field.default)(default) == field.default, key
 
 
 def test_readme_pipeline_commands_parse():

@@ -3,6 +3,7 @@ modulation neutrality and locality, coordinate handling, loss values and
 gradients."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from vfuncta.model import (
     CoordinateGrid,
     MetaModel,
     forward_batch,
-    forward_frame,
     loss_and_grads,
     param_shapes,
     sample_coords,
@@ -87,7 +87,7 @@ def test_all_zero_model_outputs_zero():
     zeroed = m.replace_params({name: Tensor(np.zeros(p.shape))
                                for name, p in m.parameters()})
     grid = CoordinateGrid(4, 4)
-    out = forward_frame(zeroed, np.zeros(8), np.zeros(4), grid)
+    out = forward_batch(zeroed, np.zeros(8), np.zeros((1, 4)), grid.coords)[0]
     assert np.array_equal(out, np.zeros(16))
 
 
@@ -96,7 +96,7 @@ def test_forward_matches_pure_python_oracle():
     v = np.zeros(8)
     phi = np.zeros(4)
     xy = np.array([[0.3, -0.7]])
-    got = forward_frame(m, v, phi, xy).item()
+    got = forward_batch(m, v, phi[None], xy).item()
     want = pure_python_forward(m, v, phi, xy[0])
     assert got == pytest.approx(want, abs=1e-6)
 
@@ -107,7 +107,7 @@ def test_forward_matches_oracle_with_modulations():
     v = rng.normal(scale=0.1, size=8)
     phi = rng.normal(scale=0.1, size=4)
     for xy in ([-1.0, -1.0], [0.0, 0.25], [1.0, 1.0]):
-        got = forward_frame(m, v, phi, np.array([xy])).item()
+        got = forward_batch(m, v, phi[None], np.array([xy])).item()
         want = pure_python_forward(m, v, phi, xy)
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -118,15 +118,15 @@ def test_equal_frame_modulations_give_identical_outputs():
     v = rng.normal(scale=0.1, size=8)
     phi = rng.normal(scale=0.1, size=4)
     grid = CoordinateGrid(6, 5)
-    out1 = forward_frame(m, v, phi, grid)
-    out2 = forward_frame(m, v, phi.copy(), grid)
+    out1 = forward_batch(m, v, phi[None], grid.coords)[0]
+    out2 = forward_batch(m, v, phi.copy()[None], grid.coords)[0]
     assert np.array_equal(out1, out2)
 
 
 def test_zero_modulation_equals_unmodulated_network():
     m = tiny_model(seed=9)
     grid = CoordinateGrid(3, 3)
-    modulated = forward_frame(m, np.zeros(8), np.zeros(4), grid)
+    modulated = forward_batch(m, np.zeros(8), np.zeros((1, 4)), grid.coords)[0]
 
     h = grid.coords.astype(np.float64)
     for k in range(m.layers):
@@ -139,15 +139,14 @@ def test_changing_one_frame_modulation_only_touches_that_frame():
     m = tiny_model(seed=2)
     rng = np.random.default_rng(4)
     coords = CoordinateGrid(4, 4).coords
-    b, n = 3, coords.shape[0]
-    tiled = np.tile(coords, (b, 1))
+    b = 3
     v = rng.normal(scale=0.1, size=8)
     phis = rng.normal(scale=0.1, size=(b, 4))
-    base = forward_batch(m, v, phis, tiled, n).reshape(b, n)
+    base = forward_batch(m, v, phis, coords)
 
     bumped = phis.copy()
     bumped[1] += 0.05
-    out = forward_batch(m, v, bumped, tiled, n).reshape(b, n)
+    out = forward_batch(m, v, bumped, coords)
     assert np.array_equal(base[0], out[0])
     assert np.array_equal(base[2], out[2])
     assert not np.array_equal(base[1], out[1])
@@ -156,9 +155,9 @@ def test_changing_one_frame_modulation_only_touches_that_frame():
 def test_modulation_length_mismatch_raises():
     m = tiny_model()
     with pytest.raises(ShapeError):
-        forward_frame(m, np.zeros(7), np.zeros(4), CoordinateGrid(2, 2))
+        forward_batch(m, np.zeros(7), np.zeros((1, 4)), CoordinateGrid(2, 2).coords)
     with pytest.raises(ShapeError):
-        forward_frame(m, np.zeros(8), np.zeros(5), CoordinateGrid(2, 2))
+        forward_batch(m, np.zeros(8), np.zeros((1, 5)), CoordinateGrid(2, 2).coords)
 
 
 # --- loss ---------------------------------------------------------------------
@@ -166,33 +165,35 @@ def test_modulation_length_mismatch_raises():
 def loss_case(b=1, n=3):
     m = tiny_model(seed=13)
     rng = np.random.default_rng(5)
-    coords = rng.uniform(-1, 1, size=(b * n, 2))
+    coords = rng.uniform(-1, 1, size=(n, 2))
     v = rng.normal(scale=0.1, size=8)
     phis = rng.normal(scale=0.1, size=(b, 4))
-    return m, v, phis, coords, n, forward_batch(m, v, phis, coords, n)
+    return m, v, phis, coords, forward_batch(m, v, phis, coords)
 
 
 def test_loss_zero_when_equal():
-    m, v, phis, coords, n, pred = loss_case()
-    g = loss_and_grads(m, v, phis, coords, n, pred, weights=True)
+    m, v, phis, coords, pred = loss_case()
+    g = loss_and_grads(m, v, phis, coords, pred, weights=True)
     assert g.loss == 0.0
     assert not g.v.any() and not g.phis.any()
     assert not any(w.any() for w in g.weights.values())
 
 
 def test_loss_hand_cases():
-    m, v, phis, coords, n, pred = loss_case(b=2, n=2)
-    g = loss_and_grads(m, v, phis, coords, n, pred - np.array([1.0, 1.0, 0.5, 0.5]))
+    m, v, phis, coords, pred = loss_case(b=2, n=2)
+    g = loss_and_grads(m, v, phis, coords, pred - np.array([[1.0, 1.0], [0.5, 0.5]]))
     assert g.per_frame == pytest.approx([1.0, 0.25])
     assert g.loss == pytest.approx(0.625)
-    m, v, phis, coords, n, pred = loss_case(n=1)
-    assert loss_and_grads(m, v, phis, coords, n, pred - 0.5).loss == pytest.approx(0.25)
+    m, v, phis, coords, pred = loss_case(n=1)
+    assert loss_and_grads(m, v, phis, coords, pred - 0.5).loss == pytest.approx(0.25)
 
 
 def test_loss_length_mismatch():
-    m, v, phis, coords, n, _ = loss_case()
-    with pytest.raises(ShapeError):
-        loss_and_grads(m, v, phis, coords, n, np.zeros(4))
+    m, v, phis, coords, _ = loss_case()
+    # flat targets, one pixel too many, one frame too many
+    for shape in [(4,), (1, 4), (2, 3)]:
+        with pytest.raises(ShapeError, match=rf"{re.escape(str(shape))}.*\(1, 3\)"):
+            loss_and_grads(m, v, phis, coords, np.zeros(shape))
 
 
 # --- coordinates --------------------------------------------------------------
@@ -250,15 +251,15 @@ def test_model_gradients_match_finite_differences():
     m = tiny_model(seed=21, dtype=np.float64)
     rng = np.random.default_rng(77)
     b, n = 2, 6
-    coords = rng.uniform(-1, 1, size=(b * n, 2))
-    targets = rng.uniform(0, 1, size=b * n)
+    coords = rng.uniform(-1, 1, size=(n, 2))
+    targets = rng.uniform(0, 1, size=(b, n))
     v0 = rng.normal(scale=0.05, size=8)
     phi0 = rng.normal(scale=0.05, size=(b, 4))
 
-    grads = loss_and_grads(m, v0, phi0, coords, n, targets, weights=True)
+    grads = loss_and_grads(m, v0, phi0, coords, targets, weights=True)
 
     def f_mod(arrays):
-        return loss_and_grads(m, arrays[0], arrays[1], coords, n, targets).loss
+        return loss_and_grads(m, arrays[0], arrays[1], coords, targets).loss
 
     numeric_mod = finite_diff(f_mod, [v0, phi0.copy()])
     assert rel_err(grads.v, numeric_mod[0]) < 1e-4
@@ -267,7 +268,7 @@ def test_model_gradients_match_finite_differences():
     for name, p in m.parameters():
         def f_theta(arrays, name=name):
             m2 = m.replace_params({name: Tensor(arrays[0])})
-            return loss_and_grads(m2, v0, phi0, coords, n, targets).loss
+            return loss_and_grads(m2, v0, phi0, coords, targets).loss
 
         numeric = finite_diff(f_theta, [p.data.copy()])[0]
         assert rel_err(grads.weights[name], numeric) < 1e-4, name

@@ -58,11 +58,11 @@ def case(b, n, dtype, seed=0):
     rng = np.random.default_rng(seed)
     model = MetaModel.initialize(layers=3, hidden=6, video_dim=5, frame_dim=4,
                                  omega0=30.0, dtype=dtype, rng=rng)
-    coords = rng.uniform(-1, 1, size=(b * n, 2)).astype(dtype)
-    targets = rng.uniform(0, 1, size=b * n).astype(dtype)
+    coords = rng.uniform(-1, 1, size=(n, 2)).astype(dtype)
+    targets = rng.uniform(0, 1, size=(b, n)).astype(dtype)
     v = rng.normal(scale=0.05, size=5).astype(dtype)
     phis = rng.normal(scale=0.05, size=(b, 4)).astype(dtype)
-    return model, v, phis, coords, n, targets
+    return model, v, phis, coords, targets
 
 
 def blas_count(set_threads):
@@ -84,12 +84,18 @@ def test_cuts_follow_frames_and_the_floor():
 
 @pytest.mark.parametrize("b, n", [(1, 200), (4, 50)])
 def test_forward_rows_are_bit_identical_to_one_block(use_runner, b, n):
-    model, v, phis, coords, n, _ = case(b, n, np.float32)
+    model, v, phis, coords, _ = case(b, n, np.float32)
     use_runner(None)
-    whole = forward_batch(model, v, phis, coords, n)
+    whole = forward_batch(model, v, phis, coords)
     use_runner(FakeBlas(3))
-    assert any(cut % n for cut in parallel.RUNNER.cuts(b * n, 1)[1:-1])  # a frame is split
-    assert np.array_equal(forward_batch(model, v, phis, coords, n), whole)
+    assert len(parallel.RUNNER.cuts(n, b)) == 4  # the pixels are split
+    assert np.array_equal(forward_batch(model, v, phis, coords), whole)
+    # a frame's values do not depend on its place in the batch; a batch of
+    # one would not show this bit for bit, since numpy takes a one-row
+    # shift product phi Q_k to a matrix-vector kernel that rounds apart
+    for t in range(b):
+        first = forward_batch(model, v, np.roll(phis, -t, axis=0), coords)[0]
+        assert np.array_equal(first, whole[t])
 
 
 @pytest.mark.parametrize("b, n, dtype", [
@@ -102,11 +108,11 @@ def test_forward_rows_are_bit_identical_to_one_block(use_runner, b, n):
 ])
 @pytest.mark.parametrize("weights", [False, True])
 def test_loss_and_grads_match_one_block(use_runner, b, n, dtype, weights):
-    model, v, phis, coords, n, targets = case(b, n, dtype, seed=b)
+    model, v, phis, coords, targets = case(b, n, dtype, seed=b)
     use_runner(None)
-    whole = loss_and_grads(model, v, phis, coords, n, targets, weights=weights)
+    whole = loss_and_grads(model, v, phis, coords, targets, weights=weights)
     use_runner(FakeBlas(3))
-    split = loss_and_grads(model, v, phis, coords, n, targets, weights=weights)
+    split = loss_and_grads(model, v, phis, coords, targets, weights=weights)
 
     def close(a, b):
         return np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)) <= 1e-12
@@ -129,15 +135,20 @@ def test_loss_and_grads_match_one_block(use_runner, b, n, dtype, weights):
 
 @pytest.mark.parametrize("call", ["forward", "loss"])
 def test_non_finite_in_a_later_block_raises_in_the_caller(use_runner, call):
-    model, v, phis, coords, n, targets = case(4, 5, np.float32)
-    coords[-1] = 1e38  # overflows in the last block only
+    model, v, phis, coords, targets = case(4, 5, np.float32)
+    # overflows in the last block only: forward blocks split the pixels,
+    # loss blocks the frames
+    if call == "forward":
+        coords[-1] = 1e38
+    else:
+        phis[-1] = 1e38
     fake = FakeBlas(3)
     use_runner(fake)
     with pytest.raises(NonFiniteError) as exc:
         if call == "forward":
-            forward_batch(model, v, phis, coords, n)
+            forward_batch(model, v, phis, coords)
         else:
-            loss_and_grads(model, v, phis, coords, n, targets)
+            loss_and_grads(model, v, phis, coords, targets)
     assert str(exc.value) == str(NonFiniteError("forward" if call == "forward" else "loss"))
     assert fake.count == 3
 
@@ -165,12 +176,12 @@ def test_real_blas_thread_count_is_restored(use_runner):
     before = blas_count(set_threads)
     runner = use_runner(set_threads)
     runner.threads = 2  # split even where BLAS runs one thread
-    model, v, phis, coords, n, targets = case(4, 5, np.float32)
-    loss_and_grads(model, v, phis, coords, n, targets)
+    model, v, phis, coords, targets = case(4, 5, np.float32)
+    loss_and_grads(model, v, phis, coords, targets)
     assert blas_count(set_threads) == before
     coords[-1] = 1e38
     with pytest.raises(NonFiniteError):
-        loss_and_grads(model, v, phis, coords, n, targets)
+        loss_and_grads(model, v, phis, coords, targets)
     assert blas_count(set_threads) == before
 
 
@@ -193,16 +204,16 @@ def test_without_the_symbol_one_block_runs_in_the_caller(use_runner):
 
 
 def test_concurrent_callers_share_the_pin_and_pool(use_runner):
-    model, v, phis, coords, n, targets = case(4, 5, np.float32)
+    model, v, phis, coords, targets = case(4, 5, np.float32)
     fake = FakeBlas(3)
     use_runner(fake)
-    expected = loss_and_grads(model, v, phis, coords, n, targets)
+    expected = loss_and_grads(model, v, phis, coords, targets)
     results, errors = [], []
 
     def caller():
         try:
             for _ in range(20):
-                results.append(loss_and_grads(model, v, phis, coords, n, targets))
+                results.append(loss_and_grads(model, v, phis, coords, targets))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 

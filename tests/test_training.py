@@ -7,7 +7,7 @@ import pytest
 from vfuncta.container import load_model, save_model
 from vfuncta.data import SynthSpec, VideoTensor, gen_synthetic
 from vfuncta.errors import ContractError, DivergenceError
-from vfuncta.model import CoordinateGrid, forward_frame
+from vfuncta.model import CoordinateGrid, forward_batch
 from vfuncta.tensor import Tensor
 from vfuncta.training import Batch, TrainConfig, _adapt, meta_step, train
 
@@ -60,7 +60,7 @@ def test_modulations_stay_zero_at_optimum():
     cfg = tiny_cfg()
     model = cfg.new_model()
     grid = CoordinateGrid(5, 5)
-    base = forward_frame(model, np.zeros(8), np.zeros(4), grid)
+    base = forward_batch(model, np.zeros(8), np.zeros((1, 4)), grid.coords)[0]
     batch = Batch(targets=np.tile(base, (cfg.batch_frames, 1)), coords=grid.coords)
     v, phis, losses = adapt(model, batch, cfg)
     assert np.linalg.norm(v) < 1e-6
