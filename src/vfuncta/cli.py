@@ -120,8 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--step", type=float, default=1e-4)
-    p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(handler=cmd_gradcheck)
     return parser
 
@@ -170,7 +168,10 @@ def cmd_train(args, argv) -> int:
 
     items = data.read_corpus_manifest(args.corpus)
     if not args.all_splits:
-        items = [i for i in items if i.split == "train"] or items
+        items = [i for i in items if i.split == "train"]
+        if not items:
+            raise VfunctaError(f"corpus {args.corpus} has no train items; "
+                               "pass --all-splits to train on its test items")
     paths = [i.path for i in items]
 
     manifest = RunManifest("train", argv, config=asdict(cfg), seed=cfg.seed)
@@ -322,9 +323,10 @@ def cmd_eval(args, argv) -> int:
     if not train_items or not test_items:
         raise VfunctaError("eval needs both train and test splits in the corpus")
     head_options = load_head_options(args.head_config)
-    hidden = (head_options.pop("hidden1", 256), head_options.pop("hidden2", 64))
-    config_seed = head_options.pop("seed", 0)
-    base_seed = env_seed(config_seed)
+    defaults = heads.HeadConfig()
+    hidden = (head_options.pop("hidden1", defaults.hidden[0]),
+              head_options.pop("hidden2", defaults.hidden[1]))
+    base_seed = env_seed(head_options.pop("seed", defaults.seed))
     config_task = head_options.pop("task", None)
     if config_task is not None and config_task != args.task:
         raise VfunctaError(f"--task {args.task} conflicts with head config task "
@@ -343,21 +345,21 @@ def cmd_eval(args, argv) -> int:
         video = data.load_video(item.path)
         encodings[item.path] = codec.encode_video(model, video, settings)
 
-    def label_of(item):
-        return item.speed if args.task == "regression" else float(item.trajectory_class)
+    def labels(split):
+        return np.array([i.speed if args.task == "regression" else float(i.trajectory_class)
+                         for i in split])
 
+    def features(split, mode):
+        return np.stack([heads.extract_features(encodings[i.path], mode) for i in split])
+
+    y_train, y_test = labels(train_items), labels(test_items)
     lines = []
     for mode in modes:
+        x_train, x_test = features(train_items, mode), features(test_items, mode)
         per_seed = []
         for s in range(args.seeds):
             head_cfg = heads.HeadConfig(mode=mode, task=args.task, hidden=hidden,
                                         seed=base_seed + s, **head_options)
-            x_train = np.stack([heads.extract_features(encodings[i.path], mode)
-                                for i in train_items])
-            y_train = np.array([label_of(i) for i in train_items])
-            x_test = np.stack([heads.extract_features(encodings[i.path], mode)
-                               for i in test_items])
-            y_test = np.array([label_of(i) for i in test_items])
             head, _ = heads.train_head(x_train, y_train, head_cfg)
             report = heads.evaluate_head(head, x_test, y_test)
             per_seed.append(report)
@@ -393,8 +395,7 @@ def _format_eval_line(mode: str, task: str, reports) -> str:
 
 
 def cmd_gradcheck(args, argv) -> int:
-    result = run_gradcheck(trials=args.trials, step=args.step,
-                           tolerance=args.tolerance)
+    result = run_gradcheck(args.trials)
     status = "PASS" if result.passed else "FAIL"
     print(f"gradcheck: {status} max_rel_err={result.max_rel_err:.3e} "
           f"(tolerance {result.tolerance:.0e}, {result.trials} trials, "

@@ -129,16 +129,10 @@ def encode_video(model: MetaModel, video: VideoTensor,
     flat = video.values.reshape(t_total, -1)
 
     phis_out = np.zeros((t_total, model.frame_dim), dtype=model.dtype)
-    first = min(b, t_total)
-    v, phis, _ = _adapt(model, flat[:first], grid.coords, steps=steps, inner_lr=lr)
-    phis_out[:first] = phis
-    start = first
-    while start < t_total:
-        stop = min(start + b, t_total)
-        _, phis, _ = _adapt(model, flat[start:stop], grid.coords,
-                            steps=steps, inner_lr=lr, v_init=v, freeze_v=True)
-        phis_out[start:stop] = phis
-        start = stop
+    v = None  # adapted by the first window, held fixed by the rest
+    for start in range(0, t_total, b):
+        v, phis_out[start : start + b], _ = _adapt(
+            model, flat[start : start + b], grid.coords, steps=steps, inner_lr=lr, v=v)
     return VideoEncoding(
         VideoModulation(v), FrameModulationSeq(phis_out),
         frames=t_total, height=video.height, width=video.width,

@@ -55,9 +55,6 @@ class VideoTensor:
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape
 
-    def frame(self, t: int) -> np.ndarray:
-        return self.values[t]
-
     def __eq__(self, other):
         return isinstance(other, VideoTensor) and np.array_equal(self.values, other.values)
 
@@ -211,7 +208,8 @@ def gen_synthetic(spec: SynthSpec, rng: np.random.Generator) -> tuple[VideoTenso
     """Static smooth background plus a moving bright feature.
 
     Families: `blob` is a Gaussian spot following the trajectory, `sweep`
-    is a band crossing the frame, `speckle` is the blob under a
+    is a vertical band whose x follows it (straight across for `line`,
+    the circle path's x for `circle`), `speckle` is the blob under a
     multiplicative speckle texture. Amplitude 0 gives a time-constant
     video in every family.
     """
@@ -250,8 +248,9 @@ def _smooth_field(height, width, rng, *, grid, lo, hi) -> np.ndarray:
 def _trajectory_points(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     """Per-frame feature centers (x, y), kept inside the frame."""
     t = np.arange(spec.frames, dtype=np.float64)
-    if spec.family == "sweep":
-        # band crosses horizontally for 'line', vertically mapped onto x for 'circle'
+    if spec.family == "sweep" and spec.trajectory == "line":
+        # the band crosses horizontally; a 'circle' band follows the x of
+        # the circle path below
         start = rng.uniform(0.15, 0.35) * spec.width
         xs = start + spec.speed * t
         xs = _reflect(xs, 0.0, spec.width - 1.0)

@@ -17,6 +17,13 @@ from .errors import ContractError
 from .model import MetaModel, forward_batch, frame_mse, loss_and_grads
 from .tensor import Tensor
 
+# central-difference step and the largest relative error that passes
+STEP = 1e-4
+TOLERANCE = 1e-4
+# the checked network and batch: small enough to difference every weight
+LAYERS, HIDDEN, VIDEO_DIM, FRAME_DIM = 2, 8, 8, 4
+BATCH, COORDS_PER_FRAME = 2, 6
+
 
 @dataclass(frozen=True)
 class GradCheckResult:
@@ -35,17 +42,17 @@ def _loss_value(model, v_arr, phi_arr, coords, targets) -> float:
     return float(np.mean(frame_mse(forward_batch(model, v_arr, phi_arr, coords), targets)))
 
 
-def _central_diff(f, base: np.ndarray, step: float) -> np.ndarray:
+def _central_diff(f, base: np.ndarray) -> np.ndarray:
     """Central differences of f around base; f gets a fresh nudged copy."""
     grad = np.zeros_like(base)
     flat = grad.reshape(-1)
     for i in range(base.size):
         bump = base.copy()
-        bump.reshape(-1)[i] += step
+        bump.reshape(-1)[i] += STEP
         hi = f(bump)
-        bump.reshape(-1)[i] -= 2.0 * step
+        bump.reshape(-1)[i] -= 2.0 * STEP
         lo = f(bump)
-        flat[i] = (hi - lo) / (2.0 * step)
+        flat[i] = (hi - lo) / (2.0 * STEP)
     return grad
 
 
@@ -54,10 +61,7 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def run_gradcheck(trials: int = 100, step: float = 1e-4, tolerance: float = 1e-4,
-                  layers: int = 2, hidden: int = 8, video_dim: int = 8,
-                  frame_dim: int = 4, batch: int = 2,
-                  coords_per_frame: int = 6) -> GradCheckResult:
+def run_gradcheck(trials: int) -> GradCheckResult:
     if trials < 1:
         raise ContractError(f"gradcheck needs at least one trial, got {trials}")
     worst, worst_param, worst_trial = 0.0, "", -1
@@ -69,30 +73,30 @@ def run_gradcheck(trials: int = 100, step: float = 1e-4, tolerance: float = 1e-4
 
     for trial in range(trials):
         rng = np.random.default_rng([trial, 5])
-        model = MetaModel.initialize(layers=layers, hidden=hidden,
-                                     video_dim=video_dim, frame_dim=frame_dim,
+        model = MetaModel.initialize(layers=LAYERS, hidden=HIDDEN,
+                                     video_dim=VIDEO_DIM, frame_dim=FRAME_DIM,
                                      omega0=30.0, dtype=np.float64, rng=rng)
-        coords = rng.uniform(-1.0, 1.0, size=(coords_per_frame, 2))
-        targets = rng.uniform(0.0, 1.0, size=(batch, coords_per_frame))
-        v = rng.normal(scale=0.05, size=video_dim)
-        phis = rng.normal(scale=0.05, size=(batch, frame_dim))
+        coords = rng.uniform(-1.0, 1.0, size=(COORDS_PER_FRAME, 2))
+        targets = rng.uniform(0.0, 1.0, size=(BATCH, COORDS_PER_FRAME))
+        v = rng.normal(scale=0.05, size=VIDEO_DIM)
+        phis = rng.normal(scale=0.05, size=(BATCH, FRAME_DIM))
 
         grads = loss_and_grads(model, v, phis, coords, targets, weights=True)
 
         numeric_v = _central_diff(
-            lambda arr: _loss_value(model, arr, phis, coords, targets), v, step)
+            lambda arr: _loss_value(model, arr, phis, coords, targets), v)
         note(_rel_err(grads.v, numeric_v), "video_mod", trial)
 
         numeric_phi = _central_diff(
-            lambda arr: _loss_value(model, v, arr, coords, targets), phis, step)
-        for t in range(batch):
+            lambda arr: _loss_value(model, v, arr, coords, targets), phis)
+        for t in range(BATCH):
             note(_rel_err(grads.phis[t], numeric_phi[t]), f"frame_mod[{t}]", trial)
 
         for name, p in model.parameters():
             numeric = _central_diff(
                 lambda arr: _loss_value(model.replace_params({name: Tensor(arr)}),
                                         v, phis, coords, targets),
-                p.data, step)
+                p.data)
             note(_rel_err(grads.weights[name], numeric), name, trial)
-    return GradCheckResult(trials=trials, tolerance=tolerance, max_rel_err=worst,
+    return GradCheckResult(trials=trials, tolerance=TOLERANCE, max_rel_err=worst,
                            worst_param=worst_param, worst_trial=worst_trial)

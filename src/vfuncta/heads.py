@@ -80,24 +80,37 @@ class MlpHead:
         self.target_scale = float(target_scale)
         self.config = config
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    def _logits(self, features: np.ndarray) -> np.ndarray:
-        x = (np.asarray(features, dtype=np.float64) - self.feature_mean) / self.feature_scale
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            x = np.maximum(x @ w + b, 0.0)
-        return x @ self.weights[-1] + self.biases[-1]
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Scores per row: sigmoid probabilities for binary, plain values
         (de-standardized) for regression. Deterministic, dropout off."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        z = self._logits(features).reshape(-1)
+        x = (features - self.feature_mean) / self.feature_scale
+        z = _forward(self.weights, self.biases, x)[0]
         if self.config.task == "binary":
             return _sigmoid(z)
         return z * self.target_scale + self.target_mean
+
+
+def _forward(weights, biases, x, dropout: float = 0.0, rng=None):
+    """Run the three layers on standardized (m, d) inputs.
+
+    Returns the (m,) outputs and, for the backward pass, each layer's
+    input, each hidden layer's pre-activation and its dropout mask (None
+    without dropout). Dropout applies only when `rng` is given.
+    """
+    acts, pre, masks = [x], [], []
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = x @ w + b
+        x = np.maximum(z, 0.0)
+        mask = None
+        if rng is not None and dropout > 0.0:
+            keep = 1.0 - dropout
+            mask = (rng.random(x.shape) < keep) / keep
+            x = x * mask
+        pre.append(z)
+        masks.append(mask)
+        acts.append(x)
+    return (x @ weights[-1] + biases[-1]).reshape(-1), acts, pre, masks
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -148,69 +161,47 @@ def train_head(features, labels, cfg: HeadConfig):
 
     rng = np.random.default_rng([cfg.seed, 31])
     weights, biases = _init_head(x.shape[1], cfg, rng)
-    keep = 1.0 - cfg.dropout
     losses: list[float] = []
     # overflow surfaces as a structured divergence error below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _fit(xs, ys, weights, biases, cfg, rng, keep, losses,
-                    feature_mean, feature_scale, target_mean, target_scale)
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                xb, yb = xs[idx], ys[idx]
+                m = xb.shape[0]
+                out, acts, pre, masks = _forward(weights, biases, xb, cfg.dropout, rng)
 
-
-def _fit(xs, ys, weights, biases, cfg, rng, keep, losses,
-         feature_mean, feature_scale, target_mean, target_scale):
-    n = xs.shape[0]
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb, yb = xs[idx], ys[idx]
-            m = xb.shape[0]
-
-            acts, pre, masks = [xb], [], []
-            h = xb
-            for layer in range(2):
-                z = h @ weights[layer] + biases[layer]
-                a = np.maximum(z, 0.0)
-                if cfg.dropout > 0.0:
-                    mask = (rng.random(a.shape) < keep) / keep
-                    a = a * mask
+                if cfg.task == "regression":
+                    diff = out - yb
+                    loss = float(np.mean(diff**2))
+                    dz = (2.0 * diff / m).reshape(-1, 1)
                 else:
-                    mask = None
-                pre.append(z)
-                masks.append(mask)
-                acts.append(a)
-                h = a
-            out = (h @ weights[2] + biases[2]).reshape(-1)
+                    p = _sigmoid(out)
+                    eps = 1e-12
+                    loss = float(-np.mean(yb * np.log(p + eps)
+                                          + (1 - yb) * np.log(1 - p + eps)))
+                    dz = ((p - yb) / m).reshape(-1, 1)
+                if not np.isfinite(loss):
+                    raise DivergenceError(epoch, losses)
+                epoch_loss += loss * m
 
-            if cfg.task == "regression":
-                diff = out - yb
-                loss = float(np.mean(diff**2))
-                dz = (2.0 * diff / m).reshape(-1, 1)
-            else:
-                p = _sigmoid(out)
-                eps = 1e-12
-                loss = float(-np.mean(yb * np.log(p + eps) + (1 - yb) * np.log(1 - p + eps)))
-                dz = ((p - yb) / m).reshape(-1, 1)
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch, losses)
-            epoch_loss += loss * m
-
-            grads_w = [None, None, acts[2].T @ dz]
-            grads_b = [None, None, dz.sum(axis=0)]
-            dh = dz @ weights[2].T
-            for layer in (1, 0):
-                if masks[layer] is not None:
-                    dh = dh * masks[layer]
-                dzl = dh * (pre[layer] > 0.0)
-                grads_w[layer] = acts[layer].T @ dzl
-                grads_b[layer] = dzl.sum(axis=0)
-                if layer > 0:
-                    dh = dzl @ weights[layer].T
-            for layer in range(3):
-                weights[layer] -= cfg.learning_rate * grads_w[layer]
-                biases[layer] -= cfg.learning_rate * grads_b[layer]
-        losses.append(epoch_loss / n)
+                grads_w = [None, None, acts[2].T @ dz]
+                grads_b = [None, None, dz.sum(axis=0)]
+                dh = dz @ weights[2].T
+                for layer in (1, 0):
+                    if masks[layer] is not None:
+                        dh = dh * masks[layer]
+                    dzl = dh * (pre[layer] > 0.0)
+                    grads_w[layer] = acts[layer].T @ dzl
+                    grads_b[layer] = dzl.sum(axis=0)
+                    if layer > 0:
+                        dh = dzl @ weights[layer].T
+                for layer in range(3):
+                    weights[layer] -= cfg.learning_rate * grads_w[layer]
+                    biases[layer] -= cfg.learning_rate * grads_b[layer]
+            losses.append(epoch_loss / n)
 
     head = MlpHead(weights, biases, feature_mean, feature_scale,
                    target_mean, target_scale, cfg)

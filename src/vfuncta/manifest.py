@@ -34,7 +34,8 @@ def _canonical_log_bytes(path: Path) -> bytes:
         if line.startswith("#") or not line.strip():
             continue
         cols = line.split("\t")
-        # columns: iteration, loss, timestamp, seconds, val_psnr
+        # columns: iteration, loss, timestamp, seconds, plus val_psnr in logs
+        # of earlier releases; the two timing columns vary per run
         deterministic = [cols[0], cols[1]] + cols[4:]
         kept.append("\t".join(deterministic))
     return "\n".join(kept).encode("utf-8")

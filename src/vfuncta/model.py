@@ -59,9 +59,6 @@ class FrameModulationSeq:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def frame(self, t: int) -> np.ndarray:
-        return self.values[t]
-
 
 @dataclass(frozen=True)
 class CoordinateGrid:

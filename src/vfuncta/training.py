@@ -18,7 +18,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,28 +84,11 @@ class TrainConfig:
             frame_dim=self.frame_dim, omega0=self.omega0, dtype=self.dtype, rng=rng)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Sampled frames plus the coordinate subset shared by all of them."""
-
-    targets: np.ndarray  # (b, N) true values at the sampled pixels
-    coords: np.ndarray   # (N, 2) normalized coordinates
-
-    def __post_init__(self):
-        if self.targets.ndim != 2 or self.coords.ndim != 2 or self.coords.shape[1] != 2:
-            raise ContractError("batch needs (b, N) targets and (N, 2) coords")
-        if self.targets.shape[1] != self.coords.shape[0]:
-            raise ContractError(
-                f"targets cover {self.targets.shape[1]} pixels but "
-                f"{self.coords.shape[0]} coordinates were given")
-
-
 @dataclass
 class LogEntry:
     iteration: int
     loss: float
     seconds: float
-    val_psnr: float | None = None
     timestamp: float = field(default_factory=time.time)
 
 
@@ -115,30 +98,26 @@ class TrainLog:
 
     entries: list[LogEntry] = field(default_factory=list)
 
-    def append(self, entry: LogEntry) -> None:
-        self.entries.append(entry)
-
-    def losses(self) -> np.ndarray:
-        return np.array([e.loss for e in self.entries])
-
     def write(self, path) -> None:
-        lines = ["# iteration\tloss\ttimestamp\tseconds\tval_psnr\n"]
+        lines = ["# iteration\tloss\ttimestamp\tseconds\n"]
         for e in self.entries:
-            val = "-" if e.val_psnr is None else repr(e.val_psnr)
-            lines.append(f"{e.iteration}\t{e.loss!r}\t{e.timestamp:.3f}\t"
-                         f"{e.seconds:.3f}\t{val}\n")
+            lines.append(f"{e.iteration}\t{e.loss!r}\t{e.timestamp:.3f}\t{e.seconds:.3f}\n")
         atomic_write_bytes(path, "".join(lines).encode("utf-8"))
 
 
 def _adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
-           steps: int, inner_lr: float, v_init: np.ndarray | None = None,
-           freeze_v: bool = False) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Run the inner loop and return (v, phis, per-step mean losses)."""
+           steps: int, inner_lr: float,
+           v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Run the inner loop and return (v, phis, per-step mean losses).
+
+    Without `v` the video vector is adapted from zero alongside the frame
+    vectors; a given `v` is held fixed and returned as it came.
+    """
     b = targets.shape[0]
-    dtype = model.dtype
-    v = (np.zeros(model.video_dim, dtype=dtype) if v_init is None
-         else np.asarray(v_init, dtype=dtype).copy())
-    phis = np.zeros((b, model.frame_dim), dtype=dtype)
+    adapt_v = v is None
+    if adapt_v:
+        v = np.zeros(model.video_dim, dtype=model.dtype)
+    phis = np.zeros((b, model.frame_dim), dtype=model.dtype)
     history: list[float] = []
     for g in range(steps):
         try:
@@ -148,21 +127,23 @@ def _adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
         history.append(step.loss)
         # per-frame loss gradient = b times the gradient of the batch mean
         phis = phis - (inner_lr * b) * step.phis
-        if not freeze_v:
+        if adapt_v:
             v = v - inner_lr * step.v
     return v, phis, history
 
 
-def sample_batch(video, cfg: TrainConfig, rng: np.random.Generator) -> Batch:
+def sample_batch(video, cfg: TrainConfig,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Pick b frames (with replacement only for short videos) and one
-    coordinate subset shared by all of them."""
+    coordinate subset shared by all of them; returns the (b, N) targets
+    and the (N, 2) coordinates."""
     t_total = video.frames
     replace = t_total < cfg.batch_frames
     frame_idx = np.sort(rng.choice(t_total, size=cfg.batch_frames, replace=replace))
     coord = sample_coords(video.height, video.width, cfg.coords_per_frame, rng)
     flat = video.values.reshape(t_total, -1)
     targets = flat[frame_idx][:, coord.indices]
-    return Batch(targets=targets, coords=coord.coords)
+    return targets, coord.coords
 
 
 def meta_step(model: MetaModel, video, cfg: TrainConfig,
@@ -172,11 +153,11 @@ def meta_step(model: MetaModel, video, cfg: TrainConfig,
     if video.frames < 1:
         raise ContractError("video must contain at least one frame")
     _require_dims(model, cfg)
-    batch = sample_batch(video, cfg, rng)
-    v, phis, history = _adapt(model, batch.targets, batch.coords,
+    targets, coords = sample_batch(video, cfg, rng)
+    v, phis, history = _adapt(model, targets, coords,
                               steps=cfg.inner_steps, inner_lr=cfg.inner_lr)
     try:
-        outer = loss_and_grads(model, v, phis, batch.coords, batch.targets, weights=True)
+        outer = loss_and_grads(model, v, phis, coords, targets, weights=True)
     except NonFiniteError as exc:
         raise DivergenceError(cfg.inner_steps, history) from exc
     # each gradient is dropped once applied, so the old weights, the new
@@ -188,9 +169,7 @@ def meta_step(model: MetaModel, video, cfg: TrainConfig,
 
 def train(dataset: Sequence, cfg: TrainConfig, *,
           checkpoint_dir=None, checkpoint_every: int = 0,
-          resume: MetaModel | None = None,
-          validate: Callable[[MetaModel], float] | None = None,
-          val_every: int = 0) -> tuple[MetaModel, TrainLog]:
+          resume: MetaModel | None = None) -> tuple[MetaModel, TrainLog]:
     """Outer loop over the dataset in seeded shuffled order.
 
     Dataset items are VideoTensor objects or paths; unreadable paths are
@@ -229,11 +208,8 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
         t0 = time.perf_counter()
         rng = np.random.default_rng([cfg.seed, _STREAM_STEP, it])
         model, loss = meta_step(model, video, cfg, rng)
-        entry = LogEntry(iteration=model.iteration, loss=loss,
-                         seconds=time.perf_counter() - t0)
-        if validate is not None and val_every > 0 and model.iteration % val_every == 0:
-            entry.val_psnr = float(validate(model))
-        log.append(entry)
+        log.entries.append(LogEntry(iteration=model.iteration, loss=loss,
+                                    seconds=time.perf_counter() - t0))
         if (checkpoint_dir is not None and checkpoint_every > 0
                 and model.iteration % checkpoint_every == 0):
             from .container import save_model

@@ -288,6 +288,18 @@ def test_non_integer_env_seed_is_one_error_line(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "c").exists()
 
 
+def test_train_without_a_train_split_is_one_error_line(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, count=3, extra=["--split", "0.0"])
+    cfg = write_config(tmp_path / "run.cfg", iterations=1)
+    argv = ["train", "--corpus", str(corpus), "--config", str(cfg),
+            "--out", str(tmp_path / "m.vfnc")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert_one_error_line(capsys.readouterr().err, "train items", "--all-splits")
+    assert not (tmp_path / "m.vfnc").exists()
+    assert main([*argv, "--all-splits"]) == 0
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_gradcheck_without_trials_is_an_error(capsys, trials):
     rc = main(["gradcheck", "--trials", trials])

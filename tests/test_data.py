@@ -121,6 +121,24 @@ def test_labels_follow_spec():
     assert labels.trajectory_class == 1
 
 
+def test_sweep_band_follows_the_trajectory():
+    videos, centers = {}, {}
+    for trajectory in ("line", "circle"):
+        spec = SynthSpec(family="sweep", frames=6, background_seed=3, speed=2.0,
+                         trajectory=trajectory)
+        videos[trajectory], _ = gen_synthetic(spec, np.random.default_rng(8))
+        centers[trajectory] = _trajectory_points(spec, np.random.default_rng(8))
+    assert not np.array_equal(videos["line"].values, videos["circle"].values)
+    background, _ = gen_synthetic(SynthSpec(family="sweep", frames=6, background_seed=3,
+                                            amplitude=0.0), np.random.default_rng(8))
+    for trajectory, video in videos.items():
+        band = (video.values - background.values).astype(np.float64)
+        # a vertical band: every row of a frame is the same, peaking at the path's x
+        assert np.allclose(band, band[:, :1, :], atol=1e-6)
+        peaks = band[:, 0, :].argmax(axis=1)
+        assert np.all(np.abs(peaks - centers[trajectory][:, 0]) <= 0.5), trajectory
+
+
 def test_temporal_variance_concentrates_on_trajectory():
     spec = SynthSpec(frames=10, height=32, width=32, background_seed=7,
                      speed=2.0, amplitude=0.4, trajectory="line")

@@ -66,7 +66,7 @@ def test_zero_epochs_returns_initialized_head_and_empty_log():
     cfg = HeadConfig(task="regression", epochs=0, hidden=(8, 4))
     head, losses = train_head(rng.normal(size=(10, 3)), rng.normal(size=10), cfg)
     assert losses == []
-    assert head.input_dim == 3
+    assert head.weights[0].shape[0] == 3
 
 
 def test_linearly_separable_reaches_perfect_accuracy():

@@ -9,7 +9,7 @@ from vfuncta.data import SynthSpec, VideoTensor, gen_synthetic
 from vfuncta.errors import ContractError, DivergenceError
 from vfuncta.model import CoordinateGrid, forward_batch
 from vfuncta.tensor import Tensor
-from vfuncta.training import Batch, TrainConfig, _adapt, meta_step, train
+from vfuncta.training import TrainConfig, _adapt, meta_step, train
 
 
 def tiny_cfg(**overrides):
@@ -26,14 +26,17 @@ def constant_video(value=0.4, dims=(4, 6, 6)):
 
 
 def full_grid_batch(video, cfg):
+    """(targets, coords) of the first batch_frames frames on the full grid."""
     grid = CoordinateGrid(video.height, video.width)
     flat = video.values.reshape(video.frames, -1)
-    return Batch(targets=flat[: cfg.batch_frames].astype(np.float64), coords=grid.coords)
+    return flat[: cfg.batch_frames].astype(np.float64), grid.coords
 
 
 def adapt(model, batch, cfg, steps=None):
-    """The inner loop on one batch; returns (v, phis, per-step losses)."""
-    return _adapt(model, batch.targets, batch.coords,
+    """The inner loop on one (targets, coords) batch; returns (v, phis,
+    per-step losses)."""
+    targets, coords = batch
+    return _adapt(model, targets, coords,
                   steps=cfg.inner_steps if steps is None else steps,
                   inner_lr=cfg.inner_lr)
 
@@ -61,7 +64,7 @@ def test_modulations_stay_zero_at_optimum():
     model = cfg.new_model()
     grid = CoordinateGrid(5, 5)
     base = forward_batch(model, np.zeros(8), np.zeros((1, 4)), grid.coords)[0]
-    batch = Batch(targets=np.tile(base, (cfg.batch_frames, 1)), coords=grid.coords)
+    batch = np.tile(base, (cfg.batch_frames, 1)), grid.coords
     v, phis, losses = adapt(model, batch, cfg)
     assert np.linalg.norm(v) < 1e-6
     assert np.linalg.norm(phis) < 1e-6
@@ -199,7 +202,7 @@ def test_training_loss_decreases_on_synthetic_corpus():
                             np.random.default_rng(i))[0]
               for i in range(4)]
     _, log = train(videos, cfg)
-    losses = log.losses()
+    losses = np.array([e.loss for e in log.entries])
     head = np.median(losses[: max(1, len(losses) // 10)])
     tail = np.median(losses[-max(1, len(losses) // 10):])
     assert tail < head
@@ -230,16 +233,3 @@ def test_checkpoint_round_trip_preserves_model(tmp_path):
     assert loaded.iteration == 3
     for (_, p), (_, q) in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(p.data, q.data)
-
-
-def test_validation_hook_recorded():
-    cfg = tiny_cfg(iterations=4, precision="float32")
-    calls = []
-
-    def fake_validate(model):
-        calls.append(model.iteration)
-        return 33.0
-
-    _, log = train([constant_video()], cfg, validate=fake_validate, val_every=2)
-    assert calls == [2, 4]
-    assert [e.val_psnr for e in log.entries] == [None, 33.0, None, 33.0]
