@@ -179,8 +179,12 @@ def _model_dims_blob(model: MetaModel) -> bytes:
 def model_fingerprint(model: MetaModel, version: int = VERSION) -> int:
     """Content hash over architecture and parameters (not the iteration
     counter), matching what a saved model file would hold, with the hash
-    of the given container version."""
-    return _content_hash(version, _model_dims_blob(model), *_param_arrays(model))
+    of the given container version. The parameters are hashed once per
+    model object and version."""
+    if version not in model.fingerprints:
+        model.fingerprints[version] = _content_hash(version, _model_dims_blob(model),
+                                                    *_param_arrays(model))
+    return model.fingerprints[version]
 
 
 def save_model(path, model: MetaModel) -> None:

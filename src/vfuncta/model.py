@@ -23,6 +23,11 @@ from . import parallel
 from .errors import ContractError, NonFiniteError, ShapeError
 from .tensor import Tensor
 
+# Rows of one latent-only tile: a tile holds as many whole frames as fit,
+# and at least one. 2048 rows hold one 44x44 frame, or the whole 8 x 256
+# training batch.
+TILE_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class VideoModulation:
@@ -136,7 +141,9 @@ class MetaModel:
     `layer0.weight`, `video_proj0` and `frame_proj0`. Weight matrices
     are stored input-major, so a batch of rows X maps through a layer as
     X @ W + b. Immutable during evaluation; training swaps in fresh
-    tensors via `replace_params`.
+    tensors via `replace_params`. So `fingerprints`, the memo of
+    `container.model_fingerprint` by container version, stays valid for
+    the object's life.
     """
 
     def __init__(self, params: dict[str, Tensor], omega0: float, iteration: int = 0):
@@ -174,6 +181,7 @@ class MetaModel:
         self.video_projs = [self._params[f"video_proj{i}"] for i in k]
         self.frame_projs = [self._params[f"frame_proj{i}"] for i in k]
         self.dtype = self.layer_weights[0].dtype
+        self.fingerprints: dict[int, int] = {}
 
     @classmethod
     def initialize(cls, layers: int, hidden: int, video_dim: int, frame_dim: int,
@@ -248,10 +256,11 @@ def _shifts(model: MetaModel, v, phis) -> list[tuple[np.ndarray, np.ndarray]]:
             for k in range(model.layers)]
 
 
-def _sine_layers(model: MetaModel, shifts, coords, frames: slice,
-                 slopes: list | None = None, inputs: list | None = None) -> np.ndarray:
+def _sine_layers(model: MetaModel, shifts, coords, frames: slice, acts,
+                 slopes=None) -> np.ndarray:
     """Run the sine layers for some frames of a batch at their shared
-    pixels; returns the last activations, (frames, pixels, l).
+    pixels; returns the last activations, (frames, pixels, l), a view
+    into `acts`.
 
     `coords` holds the pixels, (pixels, 2), and `frames` picks the frames
     from each layer's frame shifts. Layer k computes, in this float
@@ -259,27 +268,30 @@ def _sine_layers(model: MetaModel, shifts, coords, frames: slice,
     then h = sin(omega0 a); each pixel's value is independent of the
     other pixels. Layer 0's input is the same for every frame, so its
     first three terms are computed once and the frame shifts broadcast
-    them out. `slopes` collects omega0 cos(omega0 a) and `inputs` the
-    input h of every layer after the first, as the backward pass needs
-    them.
+    them out.
+
+    Every array is written in place: layer k's activations go to the
+    first frames * pixels rows of `acts[k % n]`, for n of at least 2
+    buffers, and layer 0's frame-independent part to `acts[1]`. `slopes`,
+    when given, receives omega0 cos(omega0 a) of layer k in `slopes[k]`,
+    as the backward pass needs it.
     """
+    n = len(acts)
+    pixels, width = coords.shape[0], model.hidden
     h = coords
     for k, (v_shift, frame_shifts) in enumerate(shifts):
-        if k and inputs is not None:
-            inputs.append(h)
-        a = h.reshape(-1, h.shape[-1]) @ model.layer_weights[k].data
-        a += model.layer_biases[k].data
-        a += v_shift
-        a = a.reshape(-1, coords.shape[0], a.shape[1])
-        if k:
-            a += frame_shifts[frames, None]
-        else:
-            a = a + frame_shifts[frames, None]
+        shift = frame_shifts[frames, None]
+        rows = shift.shape[0] * pixels
+        a = acts[k % n][:rows]
+        base = acts[1][:pixels] if k == 0 else a
+        np.matmul(h.reshape(-1, h.shape[-1]), model.layer_weights[k].data, out=base)
+        base += model.layer_biases[k].data
+        base += v_shift
+        a = np.add(base.reshape(-1, pixels, width), shift, out=a.reshape(-1, pixels, width))
         a *= model.omega0
         if slopes is not None:
-            slope = np.cos(a)
+            slope = np.cos(a, out=slopes[k][:rows].reshape(a.shape))
             slope *= model.omega0
-            slopes.append(slope)
         h = np.sin(a, out=a)
     return h
 
@@ -310,9 +322,13 @@ def forward_batch(model: MetaModel, v, phis, coords: np.ndarray) -> np.ndarray:
     v, phis, coords = _batch_arrays(model, v, phis, coords)
 
     def block(lo: int, hi: int) -> np.ndarray:
+        # both buffers in one allocation: as two arrays, the heap placed them
+        # so that a decode's peak RSS rose by one buffer in about half of
+        # the runs (6.4 MB at 112x112)
+        acts = np.empty((2, phis.shape[0] * (hi - lo), model.hidden), dtype=model.dtype)
         # overflow surfaces as NonFiniteError below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            return _output(model, _sine_layers(model, shifts, coords[lo:hi], slice(None)))
+            return _output(model, _sine_layers(model, shifts, coords[lo:hi], slice(None), acts))
 
     with parallel.RUNNER.blocks(coords.shape[0], phis.shape[0]) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -338,43 +354,84 @@ def frame_mse(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _backward_frames(model: MetaModel, shifts, coords, targets, frames: slice,
-                     scale: float, weights: bool):
+                     scale: float, weights: bool, acts: list, slopes: list):
     """Forward and backward through some whole frames of a batch.
 
     `targets` holds those frames' values, (frames, N); each value's loss
     gradient is scale * (pred - target). Returns the predictions, each
     layer's (frames, l) sums of its pre-activation gradient, and with
-    `weights` these frames' layer and output weight gradients.
+    `weights` these frames' layer and output weight gradients; all are
+    fresh arrays. The passes run in `acts` and `slopes` as
+    `_sine_layers` lays them out, and each layer's activation gradient
+    overwrites that layer's activations once they are spent. So with
+    `weights` there must be a buffer per layer, as every layer's input
+    is kept for its weight gradient.
     """
-    slopes: list = []
-    inputs: list | None = [] if weights else None
+    n = len(acts)
     sums: list = [None] * model.layers
     weight_grads: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _sine_layers(model, shifts, coords, frames, slopes, inputs)
+        h = _sine_layers(model, shifts, coords, frames, acts, slopes)
         count, pixels, width = h.shape
+        rows = count * pixels
         pred = _output(model, h)
         d_pred = ((pred - targets) * scale).reshape(-1)
         if weights:
             weight_grads["out.weight"] = h.reshape(-1, width).T @ d_pred[:, None]
             weight_grads["out.bias"] = np.sum(d_pred, keepdims=True)
-        d_h = d_pred[:, None] * model.out_weight.data[:, 0]
+        d_h = np.multiply(d_pred[:, None], model.out_weight.data[:, 0],
+                          out=h.reshape(rows, width))
         for k in reversed(range(model.layers)):
             d_a = d_h
-            d_a *= slopes.pop().reshape(d_a.shape)
+            d_a *= slopes[k][:rows]
             sums[k] = d_a.reshape(count, pixels, -1).sum(axis=1)
             if weights:
                 # layer 0's input is the shared pixels, once per frame, so
                 # that its product runs over every row like the others
-                x = inputs.pop().reshape(-1, width) if k else np.tile(coords, (count, 1))
+                x = acts[k - 1][:rows] if k else np.tile(coords, (count, 1))
                 weight_grads[f"layer{k}.weight"] = x.T @ d_a
             if k:
-                d_h = d_a @ model.layer_weights[k].data.T
+                d_h = np.matmul(d_a, model.layer_weights[k].data.T,
+                                out=acts[(k - 1) % n][:rows])
     return pred, sums, weight_grads
 
 
+class Workspace:
+    """The large arrays of `loss_and_grads`, kept for the next call.
+
+    One set per row block: the K slopes and the activations that
+    `_backward_frames` runs in, sized for the block's largest tile. A
+    call takes the set of each of its blocks and makes a new one only
+    where the held set does not fit, so the steps of one inner loop,
+    which share their frames and pixels, all run in the arrays of the
+    first step. No result of a call points into them. A workspace serves
+    one caller at a time.
+    """
+
+    def __init__(self):
+        self._sets: dict[int, tuple[tuple, list, list]] = {}
+
+    def _block(self, model: MetaModel, first: int, rows: int, weights: bool) -> tuple[list, list]:
+        """(acts, slopes) of the block whose first frame is `first`, for
+        tiles of up to `rows` rows: lists of (rows, l) arrays.
+
+        Each buffer is its own array, not a slice of one stack, so every
+        allocation is one layer's rows like the other arrays of a step;
+        K-layer stacks left the heap about 20 MB larger through training.
+        """
+        n = max(2, model.layers) if weights else 2
+        spec = (n, model.layers, rows, model.hidden, np.dtype(model.dtype))
+        held = self._sets.get(first)
+        if held is None or held[0] != spec:
+            def arrays(count: int) -> list:
+                return [np.empty((rows, model.hidden), dtype=model.dtype) for _ in range(count)]
+
+            held = self._sets[first] = (spec, arrays(n), arrays(model.layers))
+        return held[1], held[2]
+
+
 def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.ndarray,
-                   *, weights: bool = False) -> BatchGrads:
+                   *, weights: bool = False, workspace: Workspace | None = None) -> BatchGrads:
     """Batch loss and its gradients in closed form.
 
     The loss is the mean over the b frames of each frame's mean squared
@@ -387,7 +444,12 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     the gradients are then formed once from the joined frame sums. With
     `weights` the whole batch is one block: its layer and output weight
     gradients are products over every row, which a sum of per-block
-    pieces would round differently with the block count.
+    pieces would round differently with the block count. Without
+    `weights` a block runs its frames in tiles of as many whole frames
+    as fit in TILE_ROWS rows, and at least one, so its arrays stay that
+    size whatever the batch; no value depends on the tiling. The arrays
+    come from `workspace`, which a caller evaluating the same batch
+    shape again passes to every call, or else are made for the call.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords)
     targets = np.asarray(targets, dtype=model.dtype)
@@ -398,15 +460,22 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     # every value carries weight 1/(b n) in the loss
     scale = 2.0 / (b * n)
     unit = b if weights else 1
+    tile = b if weights else max(1, TILE_ROWS // n)
 
-    def block(lo: int, hi: int):
-        frames = slice(lo * unit, hi * unit)
-        return _backward_frames(model, shifts, coords, targets[frames], frames, scale, weights)
+    def block(lo: int, hi: int) -> list:
+        lo, hi = lo * unit, hi * unit
+        step = min(tile, hi - lo)
+        # without the caller's workspace the arrays are the block's own, and
+        # gone before the gradients are formed
+        acts, slopes = (workspace or Workspace())._block(model, lo, step * n, weights)
+        tiles = [slice(t, min(t + step, hi)) for t in range(lo, hi, step)]
+        return [_backward_frames(model, shifts, coords, targets[frames], frames, scale,
+                                 weights, acts, slopes) for frames in tiles]
 
     with parallel.RUNNER.blocks(b // unit, unit * n) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             shifts = _shifts(model, v, phis)
-        preds, sums, weight_grads = zip(*map_blocks(block))
+        preds, sums, weight_grads = zip(*(part for parts in map_blocks(block) for part in parts))
         per_frame = frame_mse(np.concatenate(preds), targets)
         loss = float(np.mean(per_frame, dtype=np.float64).astype(model.dtype))
         grads = weight_grads[0]
@@ -414,7 +483,7 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
             g_v = np.zeros_like(v)
             g_phis = np.zeros_like(phis)
             for k in reversed(range(model.layers)):
-                frame_sums = np.concatenate([block_sums[k] for block_sums in sums])
+                frame_sums = np.concatenate([part_sums[k] for part_sums in sums])
                 col = frame_sums.sum(axis=0)
                 g_v += model.video_projs[k].data @ col
                 g_phis += frame_sums @ model.frame_projs[k].data.T

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vfuncta import codec, data
+from vfuncta import codec, container, data
 from vfuncta.cli import main
 from vfuncta.codec import (
     VideoEncoding,
@@ -151,6 +151,25 @@ def test_encode_report_prints_quality(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "psnr_db=" in out and "ssim3d=" in out
+
+
+def test_a_command_hashes_its_model_once(tmp_path, monkeypatch):
+    corpus, model_path = trained_model(tmp_path)
+    videos = [i.path for i in read_corpus_manifest(corpus)[:3]]
+    hashed = []
+    param_arrays = container._param_arrays
+    monkeypatch.setattr(container, "_param_arrays",
+                        lambda model: hashed.append(model) or param_arrays(model))
+    # encode names the model in each encoding, and --report checks it again
+    assert main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
+                 "--batch-frames", "4", "--inner-steps", "1", "--report", *videos]) == 0
+    assert len(hashed) == 1
+    hashed.clear()
+    encodings = sorted(str(p) for p in (tmp_path / "enc").glob("*.venc"))
+    assert len(encodings) == 3
+    assert main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
+                 *encodings]) == 0
+    assert len(hashed) == 1
 
 
 def test_decode_report_against_originals(tmp_path, capsys):

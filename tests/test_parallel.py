@@ -1,10 +1,12 @@
 """Row blocks of one evaluation: the split, its results against one block,
 errors raised from later blocks, the BLAS thread count around them, and
 encodings and trained models that are the same bytes whatever that count.
+Within a block, the frame tiles of latent-only calls: their results
+against one tile, their size bound, and the workspace they reuse.
 
 The tests shrink the row floor and give the runner a stand-in for
 OpenBLAS's thread setter, so small batches split into several blocks on
-any machine.
+any machine; they shrink the tile rows so that blocks split into tiles.
 """
 
 import json
@@ -17,11 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vfuncta import cli, parallel
+from helpers import finite_diff, rel_err
+
+from vfuncta import cli, model, parallel, training
 from vfuncta.codec import EncodeSettings, encode_video, save_encoding, save_model
 from vfuncta.data import VideoTensor, save_video
 from vfuncta.errors import NonFiniteError
-from vfuncta.model import MetaModel, forward_batch, loss_and_grads
+from vfuncta.model import MetaModel, forward_batch, frame_mse, loss_and_grads
 
 SRC = str(Path(parallel.__file__).parents[1])
 
@@ -308,3 +312,131 @@ def test_train_output_does_not_depend_on_the_blas_thread_count(tmp_path):
         manifest = json.loads((out / "model.manifest.json").read_text())
         outputs[threads] = ((out / "model.vfnc").read_bytes(), manifest["artifacts"])
     assert outputs["1"] == outputs["2"]
+
+
+# --- frame tiles within a block ------------------------------------------------
+
+@pytest.fixture
+def tile_rows(monkeypatch):
+    """Set the tile cap; returns the (rows, weights) of every
+    `_backward_frames` call made after it."""
+    calls = []
+    inner = model._backward_frames
+
+    def spy(model_, shifts, coords, targets, frames, scale, weights, *buffers):
+        calls.append((targets.shape[0] * coords.shape[0], weights))
+        return inner(model_, shifts, coords, targets, frames, scale, weights, *buffers)
+
+    monkeypatch.setattr(model, "_backward_frames", spy)
+
+    def set_cap(rows):
+        monkeypatch.setattr(model, "TILE_ROWS", rows)
+        calls.clear()
+        return calls
+
+    return set_cap
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_latent_tiles_match_one_tile(use_runner, tile_rows, b, blocks, dtype):
+    n = 5
+    model_, v, phis, coords, targets = case(b, n, dtype, seed=b)
+    use_runner(None)
+    tile_rows(10**9)
+    whole = loss_and_grads(model_, v, phis, coords, targets)
+    use_runner(FakeBlas(blocks))
+    # two frames a tile: 3 blocks of 8 frames hold 2, 3 and 3 frames, so
+    # two blocks end in a one-frame tile
+    calls = tile_rows(2 * n)
+    tiled = loss_and_grads(model_, v, phis, coords, targets)
+    cuts = parallel.RUNNER.cuts(b, n)
+    assert len(calls) == sum((hi - lo + 1) // 2 for lo, hi in zip(cuts, cuts[1:]))
+    if dtype == np.float32:
+        assert tiled.loss == whole.loss
+        for name in ("per_frame", "v", "phis"):
+            assert np.array_equal(getattr(tiled, name), getattr(whole, name)), name
+    else:
+        assert tiled.loss == pytest.approx(whole.loss, rel=1e-12)
+        for name in ("per_frame", "v", "phis"):
+            a, ref = getattr(tiled, name), getattr(whole, name)
+            assert np.max(np.abs(a - ref) / np.maximum(np.abs(ref), 1e-300)) <= 1e-12, name
+
+
+def test_encoding_is_the_same_bytes_with_one_frame_tiles_and_one_tile(tile_rows, tmp_path):
+    rng = np.random.default_rng(8)
+    model_ = MetaModel.initialize(layers=3, hidden=32, video_dim=8, frame_dim=4, rng=rng)
+    video = VideoTensor(rng.uniform(0, 1, size=(5, 9, 9)).astype(np.float32))
+    settings = EncodeSettings(batch_frames=3, inner_steps=3, inner_lr=0.1)
+    written = []
+    for cap in (1, 10**9):
+        calls = tile_rows(cap)
+        path = tmp_path / f"{cap}.venc"
+        save_encoding(path, encode_video(model_, video, settings))
+        written.append(path.read_bytes())
+        # windows of 3 and 2 frames, 3 steps each
+        assert len(calls) == (15 if cap == 1 else 6)
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("cap", [3, 12, 10**9])
+def test_latent_calls_see_at_most_one_tile_of_rows(use_runner, tile_rows, cap):
+    n = 5
+    model_, v, phis, coords, targets = case(8, n, np.float32)
+    use_runner(FakeBlas(2))
+    calls = tile_rows(cap)
+    loss_and_grads(model_, v, phis, coords, targets)
+    training._adapt(model_, targets, coords, steps=2, inner_lr=0.1)
+    assert calls and all(not weights for _, weights in calls)
+    assert all(rows <= max(cap, n) for rows, _ in calls)
+    # the tiles are as large as the cap allows, up to the block's 4 frames
+    assert max(rows for rows, _ in calls) == min(4 * n, max(cap // n, 1) * n)
+    calls.clear()
+    loss_and_grads(model_, v, phis, coords, targets, weights=True)
+    assert calls == [(8 * n, True)]
+
+
+def test_inner_loop_reuses_one_workspace(use_runner, tile_rows, monkeypatch):
+    model_, v, phis, coords, targets = case(8, 5, np.float32)
+    use_runner(FakeBlas(2))
+    tile_rows(10)
+    inner = training.loss_and_grads
+    seen = []
+
+    def spy(*args, workspace, **kwargs):
+        result = inner(*args, workspace=workspace, **kwargs)
+        kept = (result.loss, result.per_frame.copy(), result.v.copy(), result.phis.copy())
+        arrays = [a for _, acts, slopes in workspace._sets.values() for a in acts + slopes]
+        assert not any(np.shares_memory(r, a) for a in arrays
+                       for r in (result.per_frame, result.v, result.phis))
+        seen.append((workspace, [id(a) for a in arrays], result, kept))
+        return result
+
+    monkeypatch.setattr(training, "loss_and_grads", spy)
+    training._adapt(model_, targets, coords, steps=10, inner_lr=0.1)
+    assert len(seen) == 10
+    assert all(ws is seen[0][0] for ws, *_ in seen)
+    # two blocks, each with two activation buffers and a slope per layer
+    assert len(seen[0][1]) == 2 * (2 + 3) and seen[-1][1] == seen[0][1]
+    for _, _, result, (loss, per_frame, v_grad, phis_grad) in seen:
+        assert result.loss == loss
+        assert np.array_equal(result.per_frame, per_frame)
+        assert np.array_equal(result.v, v_grad) and np.array_equal(result.phis, phis_grad)
+
+
+def test_tiled_latent_gradients_match_finite_differences(use_runner, tile_rows):
+    n = 6
+    model_, v, phis, coords, targets = case(5, n, np.float64, seed=12)
+    use_runner(FakeBlas(2))
+    calls = tile_rows(n)  # one frame a tile, in blocks of 2 and 3 frames
+    grads = loss_and_grads(model_, v, phis, coords, targets)
+    assert len(calls) == 5
+
+    def loss(arrays):
+        return float(np.mean(frame_mse(forward_batch(model_, arrays[0], arrays[1], coords),
+                                       targets)))
+
+    numeric_v, numeric_phis = finite_diff(loss, [v, phis])
+    assert rel_err(grads.v, numeric_v) < 1e-4
+    assert rel_err(grads.phis, numeric_phis) < 1e-4
