@@ -203,7 +203,7 @@ def _run_items(items, worker, jobs: int, keep_going: bool):
 
     With one job the items run in the calling thread: a pool thread would
     take its large arrays from a separate malloc arena, which raises peak
-    memory (by 23 MB, or 20%, for one 16-frame 44x44 encode with the
+    memory (by 25 MB, or 21%, for one 16-frame 44x44 encode with the
     paper's network). With more jobs an item starts
     only once the oldest running one has settled, so without keep_going
     the first failure is raised before any later item starts; items

@@ -24,8 +24,9 @@ from .errors import ContractError, NonFiniteError, ShapeError
 from .tensor import Tensor
 
 # Rows of one latent-only tile: a tile holds as many whole frames as fit,
-# and at least one. 2048 rows hold one 44x44 frame, or the whole 8 x 256
-# training batch.
+# and at least one. The value is the training batch, 8 x 256 rows, so that
+# an inner step of training stays one tile; it also holds one 44x44 frame.
+# It is derived from that batch, not tuned.
 TILE_ROWS = 2048
 
 
@@ -396,42 +397,8 @@ def _backward_frames(model: MetaModel, shifts, coords, targets, frames: slice,
     return pred, sums, weight_grads
 
 
-class Workspace:
-    """The large arrays of `loss_and_grads`, kept for the next call.
-
-    One set per row block: the K slopes and the activations that
-    `_backward_frames` runs in, sized for the block's largest tile. A
-    call takes the set of each of its blocks and makes a new one only
-    where the held set does not fit, so the steps of one inner loop,
-    which share their frames and pixels, all run in the arrays of the
-    first step. No result of a call points into them. A workspace serves
-    one caller at a time.
-    """
-
-    def __init__(self):
-        self._sets: dict[int, tuple[tuple, list, list]] = {}
-
-    def _block(self, model: MetaModel, first: int, rows: int, weights: bool) -> tuple[list, list]:
-        """(acts, slopes) of the block whose first frame is `first`, for
-        tiles of up to `rows` rows: lists of (rows, l) arrays.
-
-        Each buffer is its own array, not a slice of one stack, so every
-        allocation is one layer's rows like the other arrays of a step;
-        K-layer stacks left the heap about 20 MB larger through training.
-        """
-        n = max(2, model.layers) if weights else 2
-        spec = (n, model.layers, rows, model.hidden, np.dtype(model.dtype))
-        held = self._sets.get(first)
-        if held is None or held[0] != spec:
-            def arrays(count: int) -> list:
-                return [np.empty((rows, model.hidden), dtype=model.dtype) for _ in range(count)]
-
-            held = self._sets[first] = (spec, arrays(n), arrays(model.layers))
-        return held[1], held[2]
-
-
 def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.ndarray,
-                   *, weights: bool = False, workspace: Workspace | None = None) -> BatchGrads:
+                   *, weights: bool = False) -> BatchGrads:
     """Batch loss and its gradients in closed form.
 
     The loss is the mean over the b frames of each frame's mean squared
@@ -447,9 +414,7 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     pieces would round differently with the block count. Without
     `weights` a block runs its frames in tiles of as many whole frames
     as fit in TILE_ROWS rows, and at least one, so its arrays stay that
-    size whatever the batch; no value depends on the tiling. The arrays
-    come from `workspace`, which a caller evaluating the same batch
-    shape again passes to every call, or else are made for the call.
+    size whatever the batch; no value depends on the tiling.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords)
     targets = np.asarray(targets, dtype=model.dtype)
@@ -465,9 +430,15 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     def block(lo: int, hi: int) -> list:
         lo, hi = lo * unit, hi * unit
         step = min(tile, hi - lo)
-        # without the caller's workspace the arrays are the block's own, and
-        # gone before the gradients are formed
-        acts, slopes = (workspace or Workspace())._block(model, lo, step * n, weights)
+
+        # every tile of the block runs in these arrays, which are gone before
+        # the gradients are formed. Each is one layer's rows, like the other
+        # arrays of a step: as K-layer stacks they left the heap about 20 MB
+        # larger through training.
+        def arrays(count: int) -> list:
+            return [np.empty((step * n, model.hidden), dtype=model.dtype) for _ in range(count)]
+
+        acts, slopes = arrays(max(2, model.layers) if weights else 2), arrays(model.layers)
         tiles = [slice(t, min(t + step, hi)) for t in range(lo, hi, step)]
         return [_backward_frames(model, shifts, coords, targets[frames], frames, scale,
                                  weights, acts, slopes) for frames in tiles]

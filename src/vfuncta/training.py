@@ -24,7 +24,7 @@ import numpy as np
 
 from .container import atomic_write_bytes
 from .errors import ContractError, DataError, DivergenceError, NonFiniteError
-from .model import MetaModel, Workspace, loss_and_grads, sample_coords
+from .model import MetaModel, loss_and_grads, sample_coords
 from .tensor import Tensor
 
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
@@ -111,9 +111,7 @@ def _adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
     """Run the inner loop and return (v, phis, per-step mean losses).
 
     Without `v` the video vector is adapted from zero alongside the frame
-    vectors; a given `v` is held fixed and returned as it came. Every
-    step runs in one workspace, made here so that it is gone before the
-    outer step.
+    vectors; a given `v` is held fixed and returned as it came.
     """
     b = targets.shape[0]
     adapt_v = v is None
@@ -121,10 +119,9 @@ def _adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
         v = np.zeros(model.video_dim, dtype=model.dtype)
     phis = np.zeros((b, model.frame_dim), dtype=model.dtype)
     history: list[float] = []
-    workspace = Workspace()
     for g in range(steps):
         try:
-            step = loss_and_grads(model, v, phis, coords, targets, workspace=workspace)
+            step = loss_and_grads(model, v, phis, coords, targets)
         except NonFiniteError as exc:
             raise DivergenceError(g, history) from exc
         history.append(step.loss)

@@ -2,7 +2,7 @@
 errors raised from later blocks, the BLAS thread count around them, and
 encodings and trained models that are the same bytes whatever that count.
 Within a block, the frame tiles of latent-only calls: their results
-against one tile, their size bound, and the workspace they reuse.
+against one tile and their size bound.
 
 The tests shrink the row floor and give the runner a stand-in for
 OpenBLAS's thread setter, so small batches split into several blocks on
@@ -395,34 +395,6 @@ def test_latent_calls_see_at_most_one_tile_of_rows(use_runner, tile_rows, cap):
     calls.clear()
     loss_and_grads(model_, v, phis, coords, targets, weights=True)
     assert calls == [(8 * n, True)]
-
-
-def test_inner_loop_reuses_one_workspace(use_runner, tile_rows, monkeypatch):
-    model_, v, phis, coords, targets = case(8, 5, np.float32)
-    use_runner(FakeBlas(2))
-    tile_rows(10)
-    inner = training.loss_and_grads
-    seen = []
-
-    def spy(*args, workspace, **kwargs):
-        result = inner(*args, workspace=workspace, **kwargs)
-        kept = (result.loss, result.per_frame.copy(), result.v.copy(), result.phis.copy())
-        arrays = [a for _, acts, slopes in workspace._sets.values() for a in acts + slopes]
-        assert not any(np.shares_memory(r, a) for a in arrays
-                       for r in (result.per_frame, result.v, result.phis))
-        seen.append((workspace, [id(a) for a in arrays], result, kept))
-        return result
-
-    monkeypatch.setattr(training, "loss_and_grads", spy)
-    training._adapt(model_, targets, coords, steps=10, inner_lr=0.1)
-    assert len(seen) == 10
-    assert all(ws is seen[0][0] for ws, *_ in seen)
-    # two blocks, each with two activation buffers and a slope per layer
-    assert len(seen[0][1]) == 2 * (2 + 3) and seen[-1][1] == seen[0][1]
-    for _, _, result, (loss, per_frame, v_grad, phis_grad) in seen:
-        assert result.loss == loss
-        assert np.array_equal(result.per_frame, per_frame)
-        assert np.array_equal(result.v, v_grad) and np.array_equal(result.phis, phis_grad)
 
 
 def test_tiled_latent_gradients_match_finite_differences(use_runner, tile_rows):
