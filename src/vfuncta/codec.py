@@ -28,11 +28,12 @@ from .container import (
     load_model,
     model_fingerprint,
     pack_container,
+    pack_payload,
     read_container,
     save_model,
 )
 from .data import VideoTensor
-from .errors import ContractError, FingerprintMismatchError, FormatError
+from .errors import ContractError, FingerprintMismatchError
 from .model import (
     CoordinateGrid,
     FrameModulationSeq,
@@ -182,34 +183,21 @@ def save_encoding(path, enc: VideoEncoding) -> None:
         raise ContractError(
             f"encoding names its model by a version {enc.fingerprint_version} fingerprint, "
             f"which a version {VERSION} file cannot hold; encode the video again")
-    dt = np.dtype(enc.video_mod.values.dtype).newbyteorder("<")
-    payload = (np.ascontiguousarray(enc.video_mod.values).astype(dt, copy=False).tobytes()
-               + np.ascontiguousarray(enc.frame_mods.values).astype(dt, copy=False).tobytes())
-    body = (struct.pack("<BIIIII", dtype_code(dt), enc.frames, enc.height, enc.width,
+    dt = enc.video_mod.values.dtype
+    head = (struct.pack("<BIIIII", dtype_code(dt), enc.frames, enc.height, enc.width,
                         enc.video_dim, enc.frame_dim)
-            + struct.pack("<IdQQ", enc.inner_steps, enc.inner_lr, enc.fingerprint,
-                          len(payload))
-            + payload)
-    atomic_write_bytes(path, *pack_container(ENCODING_MAGIC, body))
+            + struct.pack("<IdQ", enc.inner_steps, enc.inner_lr, enc.fingerprint))
+    atomic_write_bytes(path, *pack_container(
+        ENCODING_MAGIC, head, *pack_payload([enc.video_mod.values, enc.frame_mods.values], dt)))
 
 
 def load_encoding(path) -> VideoEncoding:
     version, reader = read_container(path, ENCODING_MAGIC)
     code, frames, height, width, video_dim, frame_dim = reader.unpack("<BIIIII")
-    inner_steps, inner_lr, fingerprint, payload_len = reader.unpack("<IdQQ")
-    dt = decode_dtype(code)
-    expected = (video_dim + frames * frame_dim) * dt.itemsize
-    if payload_len != expected:
-        raise FormatError(f"{reader.source}: payload {payload_len} bytes, expected {expected}")
-    payload = reader.raw(payload_len)
-    reader.expect_end()
-    v = np.frombuffer(payload, dtype=dt, count=video_dim)
-    phis = np.frombuffer(payload, dtype=dt, count=frames * frame_dim,
-                         offset=video_dim * dt.itemsize).reshape(frames, frame_dim)
-    native = dt.newbyteorder("=")
+    inner_steps, inner_lr, fingerprint = reader.unpack("<IdQ")
+    arrays = reader.payload(decode_dtype(code), {"v": (video_dim,), "phis": (frames, frame_dim)})
     return VideoEncoding(
-        VideoModulation(v.astype(native, copy=True)),
-        FrameModulationSeq(phis.astype(native, copy=True)),
+        VideoModulation(arrays["v"]), FrameModulationSeq(arrays["phis"]),
         frames=frames, height=height, width=width,
         fingerprint=fingerprint, inner_steps=inner_steps, inner_lr=inner_lr,
         fingerprint_version=version)

@@ -101,18 +101,6 @@ def load_train_config(path, overrides=()) -> TrainConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-CORPUS_SCHEMA = {
-    "family": str,
-    "frames": int,
-    "height": int,
-    "width": int,
-    "amplitude": float,
-    "blob_sigma": float,
-    "speed_min": float,
-    "speed_max": float,
-    "trajectories": str,  # comma-separated subset of line,circle
-}
-
 CORPUS_DEFAULTS = {
     "family": "blob",
     "frames": 8,
@@ -122,8 +110,10 @@ CORPUS_DEFAULTS = {
     "blob_sigma": 3.0,
     "speed_min": 0.5,
     "speed_max": 3.0,
-    "trajectories": "line,circle",
+    "trajectories": "line,circle",  # comma-separated subset of line,circle
 }
+# every corpus key is cast by the type of its default
+CORPUS_SCHEMA = {key: type(value) for key, value in CORPUS_DEFAULTS.items()}
 
 
 def load_corpus_options(path=None) -> dict:

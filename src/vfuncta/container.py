@@ -3,8 +3,11 @@
 Every file is `magic + u32 version + body + u64 checksum(body)`, all
 little-endian, written atomically. Model and head files share the "VFNC"
 magic and are told apart by a kind tag at the start of the body;
-encodings use "VENC". Numeric payloads are raw IEEE-754 little-endian in
-the dtype the header declares, so save, load, save reproduces files
+encodings use "VENC". Every body is its kind's header fields, then the
+payload: a u64 byte length and the arrays of the kind's shape table in
+table order, raw IEEE-754 little-endian in the dtype the header declares,
+with nothing after them. `pack_payload` writes it and
+`_BodyReader.payload` reads it, so save, load, save reproduces files
 byte-for-byte.
 
 The version names the hash behind the checksum and the model
@@ -15,6 +18,7 @@ used 64-bit FNV-1a and is still read and verified.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -104,30 +108,19 @@ def pack_container(magic: bytes, *body) -> list:
             struct.pack("<Q", _content_hash(VERSION, *body))]
 
 
-def unpack_container(blob: bytes, magic: bytes,
-                     source: str = "file") -> tuple[int, memoryview]:
-    """Validate framing against the hash of the file's version; return
-    the version and the body."""
-    if len(blob) < 4 or blob[:4] != magic:
-        raise BadMagicError(f"{source}: bad magic {blob[:4]!r}, expected {magic!r}")
-    if len(blob) < 16:
-        raise TruncatedFileError(f"{source}: {len(blob)} bytes is too short")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version not in SUPPORTED_VERSIONS:
-        raise UnsupportedVersionError(
-            f"{source}: version {version}, supported {SUPPORTED_VERSIONS}")
-    body = memoryview(blob)[8:-8]
-    (stored,) = struct.unpack_from("<Q", blob, len(blob) - 8)
-    actual = _content_hash(version, body)
-    if stored != actual:
-        raise ChecksumError(f"{source}: checksum {actual:016x} != stored {stored:016x}")
-    return version, body
+def pack_payload(arrays, dtype) -> list:
+    """A payload as chunks: its u64 byte length, then each array as
+    contiguous little-endian `dtype`, in order. An array already in that
+    form is not copied."""
+    dt = np.dtype(dtype).newbyteorder("<")
+    arrays = [np.ascontiguousarray(a).astype(dt, copy=False) for a in arrays]
+    return [struct.pack("<Q", sum(a.nbytes for a in arrays)), *arrays]
 
 
 class _BodyReader:
-    """Sequential struct reads with truncation errors instead of crashes."""
+    """Sequential reads with truncation errors instead of crashes."""
 
-    def __init__(self, body: bytes, source: str):
+    def __init__(self, body: memoryview, source: str):
         self.body = body
         self.source = source
         self.pos = 0
@@ -140,27 +133,51 @@ class _BodyReader:
         self.pos += size
         return out
 
-    def raw(self, size: int) -> bytes:
-        if self.pos + size > len(self.body):
+    def payload(self, dtype, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+        """Read the payload that ends the body: its u64 byte length, then
+        one `dtype` array per entry of the `{name: shape}` table, in table
+        order. Returns the arrays by name as read-only views into the body."""
+        dt = np.dtype(dtype)
+        (length,) = self.unpack("<Q")
+        expected = sum(math.prod(shape) for shape in shapes.values()) * dt.itemsize
+        if length != expected:
+            raise FormatError(f"{self.source}: payload {length} bytes, expected {expected}")
+        rest = len(self.body) - self.pos
+        if length > rest:
             raise TruncatedFileError(f"{self.source}: body ends inside the payload")
-        out = self.body[self.pos : self.pos + size]
-        self.pos += size
-        return out
-
-    def expect_end(self) -> None:
-        if self.pos != len(self.body):
-            raise FormatError(f"{self.source}: {len(self.body) - self.pos} trailing bytes")
+        if length < rest:
+            raise FormatError(f"{self.source}: {rest - length} trailing bytes")
+        arrays = {}
+        for name, shape in shapes.items():
+            count = math.prod(shape)
+            arrays[name] = np.frombuffer(self.body, dtype=dt, count=count,
+                                         offset=self.pos).reshape(shape)
+            self.pos += count * dt.itemsize
+        return arrays
 
 
 def read_container(path, magic: bytes) -> tuple[int, _BodyReader]:
-    """Read and validate the container at `path`; return its version and
-    a reader over its body. An unreadable file is a FormatError."""
+    """Read and validate the container at `path` against the hash of its
+    version; return the version and a reader over its body. An unreadable
+    file is a FormatError."""
     path = Path(path)
     try:
         blob = path.read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    version, body = unpack_container(blob, magic, source=str(path))
+    if len(blob) < 4 or blob[:4] != magic:
+        raise BadMagicError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}")
+    if len(blob) < 16:
+        raise TruncatedFileError(f"{path}: {len(blob)} bytes is too short")
+    (version,) = struct.unpack_from("<I", blob, 4)
+    if version not in SUPPORTED_VERSIONS:
+        raise UnsupportedVersionError(
+            f"{path}: version {version}, supported {SUPPORTED_VERSIONS}")
+    body = memoryview(blob)[8:-8]
+    (stored,) = struct.unpack_from("<Q", blob, len(blob) - 8)
+    actual = _content_hash(version, body)
+    if stored != actual:
+        raise ChecksumError(f"{path}: checksum {actual:016x} != stored {stored:016x}")
     return version, _BodyReader(body, str(path))
 
 
@@ -188,10 +205,10 @@ def model_fingerprint(model: MetaModel, version: int = VERSION) -> int:
 
 
 def save_model(path, model: MetaModel) -> None:
-    arrays = _param_arrays(model)
     head = (struct.pack("<I", KIND_MODEL) + _model_dims_blob(model)
-            + struct.pack("<QQ", model.iteration, sum(a.nbytes for a in arrays)))
-    atomic_write_bytes(path, *pack_container(MODEL_MAGIC, head, *arrays))
+            + struct.pack("<Q", model.iteration))
+    atomic_write_bytes(path, *pack_container(
+        MODEL_MAGIC, head, *pack_payload(_param_arrays(model), model.dtype)))
 
 
 def load_model(path) -> MetaModel:
@@ -200,20 +217,17 @@ def load_model(path) -> MetaModel:
     if kind != KIND_MODEL:
         raise FormatError(f"{reader.source}: kind {kind} is not a model checkpoint")
     code, layers, hidden, video_dim, frame_dim, omega0 = reader.unpack("<BIIIId")
-    iteration, payload_len = reader.unpack("<QQ")
+    (iteration,) = reader.unpack("<Q")
     dt = decode_dtype(code)
-    payload = reader.raw(payload_len)
-    reader.expect_end()
-
-    shapes = param_shapes(layers, hidden, video_dim, frame_dim)
-    expected = sum(int(np.prod(s)) for s in shapes.values()) * dt.itemsize
-    if payload_len != expected:
-        raise FormatError(f"{reader.source}: payload {payload_len} bytes, expected {expected}")
-
-    params, offset = {}, 0
-    for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        view = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape)
-        params[name] = Tensor(view, dtype=dt.newbyteorder("="))
-        offset += count * dt.itemsize
-    return MetaModel(params, omega0=omega0, iteration=iteration)
+    if min(layers, hidden, video_dim, frame_dim) < 1:
+        raise FormatError(f"{reader.source}: a zero dimension among layers {layers}, "
+                          f"hidden {hidden}, video_dim {video_dim}, frame_dim {frame_dim}")
+    # the biases alone hold layers * hidden values: a layer count the body
+    # cannot hold fails here, before its parameter table is built
+    if layers * hidden * dt.itemsize > len(reader.body) - reader.pos:
+        raise FormatError(f"{reader.source}: {layers} layers of width {hidden} "
+                          f"do not fit in the body")
+    params = reader.payload(dt, param_shapes(layers, hidden, video_dim, frame_dim))
+    native = dt.newbyteorder("=")
+    return MetaModel({name: Tensor(view, dtype=native) for name, view in params.items()},
+                     omega0=omega0, iteration=iteration)

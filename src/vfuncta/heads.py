@@ -22,6 +22,7 @@ from .container import (
     MODEL_MAGIC,
     atomic_write_bytes,
     pack_container,
+    pack_payload,
     read_container,
 )
 from .errors import ContractError, DivergenceError, FormatError
@@ -244,16 +245,13 @@ def save_head(path, head: MlpHead) -> None:
               "target": [head.target_mean, head.target_scale]}
     for i, (w, b) in enumerate(zip(head.weights, head.biases)):
         arrays[f"layer{i}.weight"], arrays[f"layer{i}.bias"] = w, b
-    payload = b"".join(np.asarray(arrays[name], dtype="<f8").reshape(shape).tobytes()
-                       for name, shape in _payload_shapes(sizes).items())
     body = (struct.pack("<I", KIND_HEAD)
             + struct.pack("<BB", _MODE_CODES[cfg.mode], _TASK_CODES[cfg.task])
             + struct.pack("<IIII", *sizes)
             + struct.pack("<dIId q", cfg.dropout, cfg.epochs, cfg.batch_size,
-                          cfg.learning_rate, cfg.seed)
-            + struct.pack("<Q", len(payload))
-            + payload)
-    atomic_write_bytes(path, *pack_container(MODEL_MAGIC, body))
+                          cfg.learning_rate, cfg.seed))
+    payload = pack_payload([arrays[name] for name in _payload_shapes(sizes)], "<f8")
+    atomic_write_bytes(path, *pack_container(MODEL_MAGIC, body, *payload))
 
 
 def load_head(path) -> MlpHead:
@@ -262,31 +260,19 @@ def load_head(path) -> MlpHead:
     if kind != KIND_HEAD:
         raise FormatError(f"{reader.source}: kind {kind} is not a head")
     mode_code, task_code = reader.unpack("<BB")
-    sizes = list(reader.unpack("<IIII"))
+    sizes = reader.unpack("<IIII")
     dropout, epochs, batch_size, lr, seed = reader.unpack("<dIId q")
-    (payload_len,) = reader.unpack("<Q")
-    payload = reader.raw(payload_len)
-    reader.expect_end()
 
     modes = {v: k for k, v in _MODE_CODES.items()}
     tasks = {v: k for k, v in _TASK_CODES.items()}
     if mode_code not in modes or task_code not in tasks:
         raise FormatError(f"{reader.source}: unknown mode/task codes {(mode_code, task_code)}")
+    if sizes[3] != 1:
+        raise FormatError(f"{reader.source}: output width {sizes[3]}, expected 1")
     cfg = HeadConfig(mode=modes[mode_code], task=tasks[task_code],
                      hidden=(sizes[1], sizes[2]), dropout=dropout, epochs=epochs,
                      batch_size=batch_size, learning_rate=lr, seed=seed)
-
-    shapes = _payload_shapes(sizes)
-    expected = sum(int(np.prod(s)) for s in shapes.values()) * 8
-    if payload_len != expected:
-        raise FormatError(f"{reader.source}: payload {payload_len} bytes, expected {expected}")
-
-    arrays, offset = {}, 0
-    for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        arrays[name] = np.frombuffer(payload, dtype="<f8", count=count,
-                                     offset=offset).astype(np.float64).reshape(shape)
-        offset += count * 8
+    arrays = reader.payload("<f8", _payload_shapes(sizes))
     return MlpHead([arrays[f"layer{i}.weight"] for i in range(3)],
                    [arrays[f"layer{i}.bias"] for i in range(3)],
                    arrays["feature_mean"], arrays["feature_scale"], *arrays["target"], cfg)

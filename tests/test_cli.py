@@ -1,6 +1,7 @@
 """End-to-end command-line workflows at toy scale."""
 
 import os
+import struct
 import threading
 from functools import partial
 from pathlib import Path
@@ -342,6 +343,38 @@ def test_decode_of_overflowing_model_is_one_error_line(tmp_path, capsys):
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "non-finite")
     assert not (tmp_path / "dec" / "clip.rawvid").exists()
+
+
+def test_decode_of_a_model_with_an_impossible_layer_count_is_one_error_line(
+        tmp_path, capsys, monkeypatch):
+    _, _, venc = tiny_files(tmp_path)
+    body = struct.pack("<IBIIIIdQQ", container.KIND_MODEL, 0, 2**32 - 1, 1, 1, 1, 30.0, 0, 16)
+    container.atomic_write_bytes(tmp_path / "huge.vfnc", *container.pack_container(
+        container.MODEL_MAGIC, body, bytes(16)))
+
+    def refuse(*args):
+        raise AssertionError(f"param_shapes{args} was called")
+
+    monkeypatch.setattr(container, "param_shapes", refuse)
+    capsys.readouterr()
+    rc = main(["decode", "--model", str(tmp_path / "huge.vfnc"),
+               "--out", str(tmp_path / "dec"), str(venc)])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "4294967295 layers")
+    assert not (tmp_path / "dec").exists()
+
+
+@pytest.mark.parametrize("line, needle", [("colour = red", "colour"),
+                                          ("frames = 4.5", "4.5"),
+                                          ("trajectories = line,spiral", "spiral")])
+def test_bad_corpus_spec_is_one_error_line(tmp_path, capsys, line, needle):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(line + "\n")
+    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--count", "1",
+               "--spec", str(spec)])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, needle)
+    assert not (tmp_path / "c").exists()
 
 
 def test_eval_without_seeds_is_an_error(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Container versions: v2 files are framed and fingerprinted with
-blake2b-64, and v1 files (FNV-1a) are still read and verified.
+blake2b-64, and v1 files (FNV-1a) are still read and verified. The v2
+body of each kind is pinned byte for byte, and crafted bodies whose
+header the payload cannot match are refused.
 
 The container files under fixtures/v1 were written by the last release
 that wrote container version 1; see fixtures/v1/README.md.
 """
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -26,9 +29,14 @@ from vfuncta.codec import (
     save_model,
 )
 from vfuncta.data import VideoTensor, load_video
-from vfuncta.errors import ChecksumError, ContractError, FingerprintMismatchError
+from vfuncta.errors import (
+    ChecksumError,
+    ContractError,
+    FingerprintMismatchError,
+    FormatError,
+)
 from vfuncta.heads import HeadConfig, load_head, save_head, train_head
-from vfuncta.model import MetaModel
+from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation, param_shapes
 
 V1 = Path(__file__).parent / "fixtures" / "v1"
 V1_FINGERPRINT = 0xFFC54EB32B8262D9
@@ -66,6 +74,18 @@ def tiny_head():
     head, _ = train_head(x, x.sum(axis=1), HeadConfig(hidden=(5, 3), epochs=3,
                                                       batch_size=4))
     return head
+
+
+def tiny_encoding() -> VideoEncoding:
+    return VideoEncoding(VideoModulation(np.linspace(-1, 1, 8, dtype=np.float32)),
+                         FrameModulationSeq(np.arange(12, dtype=np.float32).reshape(3, 4) / 7),
+                         frames=3, height=4, width=5, fingerprint=0x0123456789ABCDEF,
+                         inner_steps=2, inner_lr=0.05)
+
+
+def v2_file(path: Path, magic: bytes, body: bytes) -> Path:
+    path.write_bytes(magic + struct.pack("<I", 2) + body + struct.pack("<Q", blake2b64(body)))
+    return path
 
 
 # --- v1 files ---------------------------------------------------------------------
@@ -180,15 +200,55 @@ def test_v1_read_does_reach_fnv(no_fnv):
         load_model(V1 / "model.vfnc")
 
 
+def model_body(model: MetaModel) -> bytes:
+    params = dict(model.parameters())
+    k = range(model.layers)
+    names = ([f"layer{i}.{part}" for i in k for part in ("weight", "bias")]
+             + ["out.weight", "out.bias"]
+             + [f"video_proj{i}" for i in k] + [f"frame_proj{i}" for i in k])
+    payload = b"".join(params[name].data.astype("<f4").tobytes() for name in names)
+    return (struct.pack("<IBIIIIdQQ", 1, 0, model.layers, model.hidden, model.video_dim,
+                        model.frame_dim, model.omega0, model.iteration, len(payload))
+            + payload)
+
+
+def head_body(head) -> bytes:
+    cfg = head.config
+    assert (cfg.mode, cfg.task) == ("phi", "regression")
+    arrays = [head.weights[0], head.biases[0], head.weights[1], head.biases[1],
+              head.weights[2], head.biases[2], head.feature_mean, head.feature_scale,
+              np.array([head.target_mean, head.target_scale])]
+    payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
+    return (struct.pack("<IBBIIIIdIIdqQ", 2, 1, 0, head.weights[0].shape[0], *cfg.hidden, 1,
+                        cfg.dropout, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.seed,
+                        len(payload))
+            + payload)
+
+
+def encoding_body(enc: VideoEncoding) -> bytes:
+    payload = (enc.video_mod.values.astype("<f4").tobytes()
+               + enc.frame_mods.values.astype("<f4").tobytes())
+    return (struct.pack("<BIIIIIIdQQ", 0, enc.frames, enc.height, enc.width, enc.video_dim,
+                        enc.frame_dim, enc.inner_steps, enc.inner_lr, enc.fingerprint,
+                        len(payload))
+            + payload)
+
+
+PINNED = {save_model: (b"VFNC", model_body), save_head: (b"VFNC", head_body),
+          save_encoding: (b"VENC", encoding_body)}
+
+
 @pytest.mark.parametrize("save, make", [(save_model, tiny_model),
-                                        (save_head, tiny_head)])
+                                        (save_head, tiny_head),
+                                        (save_encoding, tiny_encoding)])
 def test_v2_framing_is_pinned(tmp_path, save, make):
-    path = tmp_path / "f.vfnc"
-    save(path, make())
-    blob = path.read_bytes()
-    assert blob[:4] == b"VFNC" and file_version(path) == 2
-    (stored,) = struct.unpack_from("<Q", blob, len(blob) - 8)
-    assert stored == blake2b64(blob[8:-8])
+    """The whole file: magic, version 2, the kind's header fields, the u64
+    payload length, the arrays in table order, then the body's checksum."""
+    obj = make()
+    save(tmp_path / "f", obj)
+    magic, body_of = PINNED[save]
+    assert v2_file(tmp_path / "expected", magic, body_of(obj)).read_bytes() == (
+        (tmp_path / "f").read_bytes())
 
 
 def test_v2_fingerprint_is_pinned():
@@ -198,3 +258,43 @@ def test_v2_fingerprint_is_pinned():
     payload = b"".join(p.data.astype("<f4").tobytes() for _, p in model.parameters())
     assert model_fingerprint(model) == blake2b64(header + payload)
     assert model_fingerprint(model, version=1) == container.fnv1a64(header + payload)
+
+
+# --- crafted bodies are refused -------------------------------------------------------
+
+def crafted_model(path: Path, layers: int, hidden: int, video_dim: int, frame_dim: int,
+                  values: int) -> Path:
+    """A float32 model file with a valid checksum and `values` ones as payload."""
+    payload = np.ones(values, dtype="<f4").tobytes()
+    return v2_file(path, b"VFNC", struct.pack("<IBIIIIdQQ", 1, 0, layers, hidden, video_dim,
+                                              frame_dim, 30.0, 0, len(payload)) + payload)
+
+
+def test_a_layer_count_the_body_cannot_hold_fails_before_its_table(tmp_path, monkeypatch):
+    path = crafted_model(tmp_path / "m.vfnc", 2**32 - 1, 1, 1, 1, values=4)
+
+    def refuse(*args):
+        raise AssertionError(f"param_shapes{args} was called")
+
+    monkeypatch.setattr(container, "param_shapes", refuse)
+    with pytest.raises(FormatError, match="do not fit"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("zero", ["layers", "hidden", "video_dim", "frame_dim"])
+def test_a_zero_model_dimension_is_refused(tmp_path, zero):
+    dims = dict(layers=1, hidden=2, video_dim=3, frame_dim=3)
+    dims[zero] = 0
+    values = sum(math.prod(shape) for shape in param_shapes(**dims).values())
+    with pytest.raises(FormatError, match="zero dimension"):
+        load_model(crafted_model(tmp_path / "m.vfnc", **dims, values=values))
+
+
+def test_a_head_whose_output_width_is_not_one_is_refused(tmp_path):
+    sizes = (3, 4, 2, 2)
+    values = sum(a * b + b for a, b in zip(sizes, sizes[1:])) + 2 * sizes[0] + 2
+    payload = np.ones(values, dtype="<f8").tobytes()
+    body = struct.pack("<IBBIIIIdIIdqQ", 2, 1, 0, *sizes, 0.2, 1, 4, 0.01, 0,
+                       len(payload)) + payload
+    with pytest.raises(FormatError, match="output width 2"):
+        load_head(v2_file(tmp_path / "h.vfnc", b"VFNC", body))
