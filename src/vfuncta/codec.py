@@ -192,12 +192,13 @@ def save_encoding(path, enc: VideoEncoding) -> None:
 
 
 def load_encoding(path) -> VideoEncoding:
-    version, reader = read_container(path, ENCODING_MAGIC)
-    code, frames, height, width, video_dim, frame_dim = reader.unpack("<BIIIII")
-    inner_steps, inner_lr, fingerprint = reader.unpack("<IdQ")
-    arrays = reader.payload(decode_dtype(code), {"v": (video_dim,), "phis": (frames, frame_dim)})
+    with read_container(path, ENCODING_MAGIC) as reader:
+        code, frames, height, width, video_dim, frame_dim = reader.unpack("<BIIIII")
+        inner_steps, inner_lr, fingerprint = reader.unpack("<IdQ")
+        arrays = reader.payload(decode_dtype(code),
+                                {"v": (video_dim,), "phis": (frames, frame_dim)})
     return VideoEncoding(
         VideoModulation(arrays["v"]), FrameModulationSeq(arrays["phis"]),
         frames=frames, height=height, width=width,
         fingerprint=fingerprint, inner_steps=inner_steps, inner_lr=inner_lr,
-        fingerprint_version=version)
+        fingerprint_version=reader.version)

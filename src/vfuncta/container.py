@@ -10,6 +10,12 @@ with nothing after them. `pack_payload` writes it and
 `_BodyReader.payload` reads it, so save, load, save reproduces files
 byte-for-byte.
 
+A file is read in one pass and never held whole: the header fields by
+small reads, then the payload straight into one array of its dtype, and
+then the checksum. Every size a header declares is checked against the
+file's size before anything that size is allocated, and the checksum is
+checked before any array is handed out.
+
 The version names the hash behind the checksum and the model
 fingerprint: version 2, which is written, uses 64-bit BLAKE2b; version 1
 used 64-bit FNV-1a and is still read and verified.
@@ -22,6 +28,7 @@ import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -55,21 +62,22 @@ def fnv1a64(data) -> int:
     return h
 
 
-def blake2b64(*chunks) -> int:
-    """64-bit BLAKE2b over the concatenation of byte-like chunks: the
-    version 2 hash, fed chunk by chunk so nothing is joined first."""
+def blake2b64(chunks) -> int:
+    """64-bit BLAKE2b over the concatenation of an iterable of byte-like
+    chunks: the version 2 hash, fed chunk by chunk so nothing is joined
+    first."""
     h = hashlib.blake2b(digest_size=8)
     for chunk in chunks:
         h.update(chunk)
     return int.from_bytes(h.digest(), "little")
 
 
-def _content_hash(version: int, *chunks) -> int:
+def _content_hash(version: int, chunks) -> int:
     """The hash a file of the given container version uses for its
-    checksum and for model fingerprints."""
+    checksum and for model fingerprints, over a list of byte-like chunks."""
     if version == 1:
         return fnv1a64(b"".join(chunks))
-    return blake2b64(*chunks)
+    return blake2b64(chunks)
 
 
 def dtype_code(dtype) -> int:
@@ -105,7 +113,7 @@ def pack_container(magic: bytes, *body) -> list:
     """A container file as chunks: magic, version, the byte-like body
     chunks, and the checksum of the body, so no chunk is copied."""
     return [magic, struct.pack("<I", VERSION), *body,
-            struct.pack("<Q", _content_hash(VERSION, *body))]
+            struct.pack("<Q", _content_hash(VERSION, body))]
 
 
 def pack_payload(arrays, dtype) -> list:
@@ -118,67 +126,96 @@ def pack_payload(arrays, dtype) -> list:
 
 
 class _BodyReader:
-    """Sequential reads with truncation errors instead of crashes."""
+    """Sequential reads of one container body from its open file, with
+    truncation errors instead of crashes.
 
-    def __init__(self, body: memoryview, source: str):
-        self.body = body
+    The header fields are read by `unpack` and kept for the checksum;
+    `payload` reads the rest of the body and the checksum and checks it.
+    `remaining` is the body's bytes not yet read, from the file's size.
+    """
+
+    def __init__(self, fh, source: str, magic: bytes):
+        self.fh = fh
         self.source = source
-        self.pos = 0
+        size = os.fstat(fh.fileno()).st_size
+        head = self._read(min(size, 8))
+        if head[:4] != magic:
+            raise BadMagicError(f"{source}: bad magic {bytes(head[:4])!r}, expected {magic!r}")
+        if size < 16:
+            raise TruncatedFileError(f"{source}: {size} bytes is too short")
+        (self.version,) = struct.unpack_from("<I", head, 4)
+        if self.version not in SUPPORTED_VERSIONS:
+            raise UnsupportedVersionError(
+                f"{source}: version {self.version}, supported {SUPPORTED_VERSIONS}")
+        self.remaining = size - 16
+        self._fields: list = []
+
+    def _read(self, size: int, into=None):
+        """The next `size` bytes of the file, read into `into` when given;
+        a file that ends sooner is truncated."""
+        buf = bytearray(size) if into is None else into
+        try:
+            got = self.fh.readinto(buf)
+        except OSError as exc:
+            raise FormatError(f"cannot read {self.source}: {exc}") from exc
+        if got != size:
+            raise TruncatedFileError(f"{self.source}: file ended while being read")
+        return buf
 
     def unpack(self, fmt: str):
         size = struct.calcsize(fmt)
-        if self.pos + size > len(self.body):
+        if size > self.remaining:
             raise TruncatedFileError(f"{self.source}: body ends inside a header field")
-        out = struct.unpack_from(fmt, self.body, self.pos)
-        self.pos += size
-        return out
+        field = self._read(size)
+        self.remaining -= size
+        self._fields.append(field)
+        return struct.unpack(fmt, field)
 
     def payload(self, dtype, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
         """Read the payload that ends the body: its u64 byte length, then
         one `dtype` array per entry of the `{name: shape}` table, in table
-        order. Returns the arrays by name as read-only views into the body."""
+        order. The length is checked against the table and the file's
+        size before the payload is read into one array of `dtype`; once
+        the checksum over the whole body holds, returns the arrays by name
+        as read-only views into it."""
         dt = np.dtype(dtype)
         (length,) = self.unpack("<Q")
         expected = sum(math.prod(shape) for shape in shapes.values()) * dt.itemsize
         if length != expected:
             raise FormatError(f"{self.source}: payload {length} bytes, expected {expected}")
-        rest = len(self.body) - self.pos
-        if length > rest:
+        if length > self.remaining:
             raise TruncatedFileError(f"{self.source}: body ends inside the payload")
-        if length < rest:
-            raise FormatError(f"{self.source}: {rest - length} trailing bytes")
-        arrays = {}
+        if length < self.remaining:
+            raise FormatError(f"{self.source}: {self.remaining - length} trailing bytes")
+        flat = np.empty(length // dt.itemsize, dtype=dt)
+        self._read(length, into=memoryview(flat).cast("B"))
+        self.remaining = 0
+        (stored,) = struct.unpack("<Q", self._read(8))
+        actual = _content_hash(self.version, [*self._fields, flat])
+        if stored != actual:
+            raise ChecksumError(f"{self.source}: checksum {actual:016x} != stored {stored:016x}")
+        flat.setflags(write=False)
+        arrays, pos = {}, 0
         for name, shape in shapes.items():
             count = math.prod(shape)
-            arrays[name] = np.frombuffer(self.body, dtype=dt, count=count,
-                                         offset=self.pos).reshape(shape)
-            self.pos += count * dt.itemsize
+            arrays[name] = flat[pos:pos + count].reshape(shape)
+            pos += count
         return arrays
 
 
-def read_container(path, magic: bytes) -> tuple[int, _BodyReader]:
-    """Read and validate the container at `path` against the hash of its
-    version; return the version and a reader over its body. An unreadable
-    file is a FormatError."""
+@contextmanager
+def read_container(path, magic: bytes):
+    """Open the container at `path`, check its magic, version and size,
+    and yield a reader over its body, whose `version` names the hash
+    behind the checksum; the file is closed on leaving the block. An
+    unreadable file is a FormatError."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        fh = open(path, "rb")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    if len(blob) < 4 or blob[:4] != magic:
-        raise BadMagicError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}")
-    if len(blob) < 16:
-        raise TruncatedFileError(f"{path}: {len(blob)} bytes is too short")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version not in SUPPORTED_VERSIONS:
-        raise UnsupportedVersionError(
-            f"{path}: version {version}, supported {SUPPORTED_VERSIONS}")
-    body = memoryview(blob)[8:-8]
-    (stored,) = struct.unpack_from("<Q", blob, len(blob) - 8)
-    actual = _content_hash(version, body)
-    if stored != actual:
-        raise ChecksumError(f"{path}: checksum {actual:016x} != stored {stored:016x}")
-    return version, _BodyReader(body, str(path))
+    with fh:
+        yield _BodyReader(fh, str(path), magic)
 
 
 def _param_arrays(model: MetaModel) -> list[np.ndarray]:
@@ -199,8 +236,8 @@ def model_fingerprint(model: MetaModel, version: int = VERSION) -> int:
     of the given container version. The parameters are hashed once per
     model object and version."""
     if version not in model.fingerprints:
-        model.fingerprints[version] = _content_hash(version, _model_dims_blob(model),
-                                                    *_param_arrays(model))
+        model.fingerprints[version] = _content_hash(
+            version, [_model_dims_blob(model), *_param_arrays(model)])
     return model.fingerprints[version]
 
 
@@ -212,22 +249,24 @@ def save_model(path, model: MetaModel) -> None:
 
 
 def load_model(path) -> MetaModel:
-    _, reader = read_container(path, MODEL_MAGIC)
-    (kind,) = reader.unpack("<I")
-    if kind != KIND_MODEL:
-        raise FormatError(f"{reader.source}: kind {kind} is not a model checkpoint")
-    code, layers, hidden, video_dim, frame_dim, omega0 = reader.unpack("<BIIIId")
-    (iteration,) = reader.unpack("<Q")
-    dt = decode_dtype(code)
-    if min(layers, hidden, video_dim, frame_dim) < 1:
-        raise FormatError(f"{reader.source}: a zero dimension among layers {layers}, "
-                          f"hidden {hidden}, video_dim {video_dim}, frame_dim {frame_dim}")
-    # the biases alone hold layers * hidden values: a layer count the body
-    # cannot hold fails here, before its parameter table is built
-    if layers * hidden * dt.itemsize > len(reader.body) - reader.pos:
-        raise FormatError(f"{reader.source}: {layers} layers of width {hidden} "
-                          f"do not fit in the body")
-    params = reader.payload(dt, param_shapes(layers, hidden, video_dim, frame_dim))
+    with read_container(path, MODEL_MAGIC) as reader:
+        (kind,) = reader.unpack("<I")
+        if kind != KIND_MODEL:
+            raise FormatError(f"{reader.source}: kind {kind} is not a model checkpoint")
+        code, layers, hidden, video_dim, frame_dim, omega0 = reader.unpack("<BIIIId")
+        (iteration,) = reader.unpack("<Q")
+        dt = decode_dtype(code)
+        if min(layers, hidden, video_dim, frame_dim) < 1:
+            raise FormatError(f"{reader.source}: a zero dimension among layers {layers}, "
+                              f"hidden {hidden}, video_dim {video_dim}, frame_dim {frame_dim}")
+        if not (math.isfinite(omega0) and omega0 > 0):
+            raise FormatError(f"{reader.source}: omega0 {omega0} is not finite and positive")
+        # the biases alone hold layers * hidden values: a layer count the body
+        # cannot hold fails here, before its parameter table is built
+        if layers * hidden * dt.itemsize > reader.remaining:
+            raise FormatError(f"{reader.source}: {layers} layers of width {hidden} "
+                              f"do not fit in the body")
+        params = reader.payload(dt, param_shapes(layers, hidden, video_dim, frame_dim))
     native = dt.newbyteorder("=")
     return MetaModel({name: Tensor(view, dtype=native) for name, view in params.items()},
                      omega0=omega0, iteration=iteration)

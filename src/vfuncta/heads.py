@@ -255,24 +255,24 @@ def save_head(path, head: MlpHead) -> None:
 
 
 def load_head(path) -> MlpHead:
-    _, reader = read_container(path, MODEL_MAGIC)
-    (kind,) = reader.unpack("<I")
-    if kind != KIND_HEAD:
-        raise FormatError(f"{reader.source}: kind {kind} is not a head")
-    mode_code, task_code = reader.unpack("<BB")
-    sizes = reader.unpack("<IIII")
-    dropout, epochs, batch_size, lr, seed = reader.unpack("<dIId q")
+    with read_container(path, MODEL_MAGIC) as reader:
+        (kind,) = reader.unpack("<I")
+        if kind != KIND_HEAD:
+            raise FormatError(f"{reader.source}: kind {kind} is not a head")
+        mode_code, task_code = reader.unpack("<BB")
+        sizes = reader.unpack("<IIII")
+        dropout, epochs, batch_size, lr, seed = reader.unpack("<dIId q")
 
-    modes = {v: k for k, v in _MODE_CODES.items()}
-    tasks = {v: k for k, v in _TASK_CODES.items()}
-    if mode_code not in modes or task_code not in tasks:
-        raise FormatError(f"{reader.source}: unknown mode/task codes {(mode_code, task_code)}")
-    if sizes[3] != 1:
-        raise FormatError(f"{reader.source}: output width {sizes[3]}, expected 1")
-    cfg = HeadConfig(mode=modes[mode_code], task=tasks[task_code],
-                     hidden=(sizes[1], sizes[2]), dropout=dropout, epochs=epochs,
-                     batch_size=batch_size, learning_rate=lr, seed=seed)
-    arrays = reader.payload("<f8", _payload_shapes(sizes))
+        modes = {v: k for k, v in _MODE_CODES.items()}
+        tasks = {v: k for k, v in _TASK_CODES.items()}
+        if mode_code not in modes or task_code not in tasks:
+            raise FormatError(f"{reader.source}: unknown mode/task codes {(mode_code, task_code)}")
+        if sizes[3] != 1:
+            raise FormatError(f"{reader.source}: output width {sizes[3]}, expected 1")
+        cfg = HeadConfig(mode=modes[mode_code], task=tasks[task_code],
+                         hidden=(sizes[1], sizes[2]), dropout=dropout, epochs=epochs,
+                         batch_size=batch_size, learning_rate=lr, seed=seed)
+        arrays = reader.payload("<f8", _payload_shapes(sizes))
     return MlpHead([arrays[f"layer{i}.weight"] for i in range(3)],
                    [arrays[f"layer{i}.bias"] for i in range(3)],
                    arrays["feature_mean"], arrays["feature_scale"], *arrays["target"], cfg)

@@ -13,19 +13,24 @@ from __future__ import annotations
 import datetime as _dt
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .container import atomic_write_bytes, blake2b64
 
 HASH_NAME = "blake2b-64"
 
+# bytes per read when a file is hashed, so that no file is held whole
+HASH_CHUNK = 1 << 18
+
 
 def hash_file(path) -> str:
     """Content hash as 16 hex digits; log files are canonicalized first."""
     path = Path(path)
     if path.suffix == ".log":
-        return f"{blake2b64(_canonical_log_bytes(path)):016x}"
-    return f"{blake2b64(path.read_bytes()):016x}"
+        return f"{blake2b64([_canonical_log_bytes(path)]):016x}"
+    with path.open("rb") as fh:
+        return f"{blake2b64(iter(partial(fh.read, HASH_CHUNK), b'')):016x}"
 
 
 def _canonical_log_bytes(path: Path) -> bytes:

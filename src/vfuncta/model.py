@@ -23,10 +23,11 @@ from . import parallel
 from .errors import ContractError, NonFiniteError, ShapeError
 from .tensor import Tensor
 
-# Rows of one latent-only tile: a tile holds as many whole frames as fit,
-# and at least one. The value is the training batch, 8 x 256 rows, so that
-# an inner step of training stays one tile; it also holds one 44x44 frame.
-# It is derived from that batch, not tuned.
+# Rows of one tile. A latent-only tile holds as many whole frames as fit,
+# and at least one; a forward tile holds as many pixels of every frame as
+# fit, and at least one. The value is the training batch, 8 x 256 rows, so
+# that an inner step of training stays one tile; it also holds one 44x44
+# frame. It is derived from that batch, not tuned.
 TILE_ROWS = 2048
 
 
@@ -150,8 +151,8 @@ class MetaModel:
     def __init__(self, params: dict[str, Tensor], omega0: float, iteration: int = 0):
         self.omega0 = float(omega0)
         self.iteration = int(iteration)
-        if self.omega0 <= 0:
-            raise ContractError(f"omega0 must be positive, got {self.omega0}")
+        if not (np.isfinite(self.omega0) and self.omega0 > 0):
+            raise ContractError(f"omega0 must be finite and positive, got {self.omega0}")
         # 4K + 2 names: the nearest K, so that one missing or unknown
         # name is reported as such
         self.layers = len(params) // 4
@@ -318,23 +319,32 @@ def forward_batch(model: MetaModel, v, phis, coords: np.ndarray) -> np.ndarray:
     `v` is (s,), `phis` is (b, r) and `coords` is (N, 2), the pixels
     every frame is evaluated at. Returns the (b, N) raw (unclamped)
     predictions; a non-finite prediction raises NonFiniteError. Row
-    blocks split the pixels, and no value depends on the split.
+    blocks split the pixels, and a block runs its pixels in tiles of as
+    many as fit in TILE_ROWS rows for all b frames, and at least one, so
+    its arrays stay that size whatever the frame; no value depends on the
+    split.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords)
+    b = phis.shape[0]
+    out = np.empty((b, coords.shape[0]), dtype=model.dtype)
 
-    def block(lo: int, hi: int) -> np.ndarray:
+    def block(lo: int, hi: int) -> None:
+        step = min(max(1, TILE_ROWS // b), hi - lo)
         # both buffers in one allocation: as two arrays, the heap placed them
         # so that a decode's peak RSS rose by one buffer in about half of
-        # the runs (6.4 MB at 112x112)
-        acts = np.empty((2, phis.shape[0] * (hi - lo), model.hidden), dtype=model.dtype)
+        # the runs
+        acts = np.empty((2, b * step, model.hidden), dtype=model.dtype)
         # overflow surfaces as NonFiniteError below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            return _output(model, _sine_layers(model, shifts, coords[lo:hi], slice(None), acts))
+            for t in range(lo, hi, step):
+                pixels = slice(t, min(t + step, hi))
+                out[:, pixels] = _output(
+                    model, _sine_layers(model, shifts, coords[pixels], slice(None), acts))
 
-    with parallel.RUNNER.blocks(coords.shape[0], phis.shape[0]) as map_blocks:
+    with parallel.RUNNER.blocks(coords.shape[0], b) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             shifts = _shifts(model, v, phis)
-        out = np.concatenate(map_blocks(block), axis=1)
+        map_blocks(block)
     _require_finite(out, "forward")
     return out
 

@@ -160,10 +160,15 @@ def meta_step(model: MetaModel, video, cfg: TrainConfig,
         outer = loss_and_grads(model, v, phis, coords, targets, weights=True)
     except NonFiniteError as exc:
         raise DivergenceError(cfg.inner_steps, history) from exc
-    # each gradient is dropped once applied, so the old weights, the new
-    # weights and the gradients are never all held in full at once
-    updated = {name: Tensor(p.data - cfg.meta_lr * outer.weights.pop(name))
-               for name, p in model.parameters()}
+    # each gradient becomes its new weights in place and is then held
+    # read-only as they are, so no update allocates a parameter-sized array
+    updated = {}
+    for name, p in model.parameters():
+        g = outer.weights.pop(name)
+        g *= cfg.meta_lr
+        np.subtract(p.data, g, out=g)
+        g.setflags(write=False)
+        updated[name] = Tensor(g)
     return model.replace_params(updated, iteration=model.iteration + 1), outer.loss
 
 

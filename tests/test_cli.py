@@ -1,5 +1,6 @@
 """End-to-end command-line workflows at toy scale."""
 
+import math
 import os
 import struct
 import threading
@@ -361,6 +362,21 @@ def test_decode_of_a_model_with_an_impossible_layer_count_is_one_error_line(
                "--out", str(tmp_path / "dec"), str(venc)])
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "4294967295 layers")
+    assert not (tmp_path / "dec").exists()
+
+
+def test_decode_of_a_model_whose_omega0_is_nan_is_one_error_line(tmp_path, capsys):
+    model_path, _, venc = tiny_files(tmp_path)
+    blob = model_path.read_bytes()
+    # omega0 follows the magic, version, kind tag, dtype code and four dimensions
+    body = bytearray(blob[8:-8])
+    struct.pack_into("<d", body, 4 + 1 + 16, math.nan)
+    container.atomic_write_bytes(model_path, *container.pack_container(
+        container.MODEL_MAGIC, bytes(body)))
+    capsys.readouterr()
+    rc = main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"), str(venc)])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "omega0 nan")
     assert not (tmp_path / "dec").exists()
 
 

@@ -1,0 +1,74 @@
+"""What reading a container and hashing a file allocate, by tracemalloc.
+
+A model load holds its payload once: the file is read straight into one
+array, whose read-only views become the parameters. A truncated file is
+refused before that array exists, and a file hash reads in chunks.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from vfuncta import manifest
+from vfuncta.codec import load_model, save_model
+from vfuncta.errors import TruncatedFileError
+from vfuncta.model import MetaModel
+
+
+def traced_peak(fn, *args):
+    """The peak of traced memory while `fn(*args)` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def model_file(tmp_path):
+    """A 2.5 MB float32 model file and its payload size in bytes."""
+    model = MetaModel.initialize(layers=3, hidden=256, video_dim=512, frame_dim=128,
+                                 rng=np.random.default_rng(6))
+    save_model(tmp_path / "m.vfnc", model)
+    return tmp_path / "m.vfnc", sum(p.data.nbytes for _, p in model.parameters())
+
+
+def test_a_model_load_holds_its_payload_once(model_file):
+    path, payload = model_file
+    load_model(path)  # imports and first-call caches out of the way
+    peak, _ = traced_peak(load_model, path)
+    assert peak <= 1.1 * payload
+
+
+def test_a_loaded_models_parameters_share_one_read_only_array(model_file):
+    path, payload = model_file
+    arrays = [p.data for _, p in load_model(path).parameters()]
+    owners = {id(arr.base) for arr in arrays}
+    assert len(owners) == 1
+    owner = arrays[0].base
+    assert owner.base is None and owner.nbytes == payload
+    assert not owner.flags.writeable and not any(arr.flags.writeable for arr in arrays)
+
+
+def test_a_payload_past_the_end_of_the_file_fails_before_it_is_allocated(model_file):
+    path, payload = model_file
+    path.write_bytes(path.read_bytes()[:-1000])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFileError, match="inside the payload"):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < payload / 4
+
+
+def test_a_file_hash_reads_in_chunks(tmp_path):
+    path = tmp_path / "big.bin"
+    data = np.random.default_rng(1).bytes(16 * manifest.HASH_CHUNK + 123)
+    path.write_bytes(data)
+    peak, digest = traced_peak(manifest.hash_file, path)
+    assert peak < len(data) / 4
+    assert digest == f"{manifest.blake2b64([data]):016x}"

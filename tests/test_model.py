@@ -82,6 +82,13 @@ def test_a_missing_parameter_is_named():
 
 # --- forward semantics --------------------------------------------------------
 
+@pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf])
+def test_omega0_must_be_finite_and_positive(omega0):
+    params = dict(tiny_model().parameters())
+    with pytest.raises(ContractError, match="omega0"):
+        MetaModel(params, omega0=omega0)
+
+
 def test_all_zero_model_outputs_zero():
     m = tiny_model()
     zeroed = m.replace_params({name: Tensor(np.zeros(p.shape))

@@ -12,8 +12,10 @@ any machine; they shrink the tile rows so that blocks split into tiles.
 import json
 import os
 import subprocess
+import itertools
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -87,19 +89,52 @@ def test_cuts_follow_frames_and_the_floor():
 
 
 @pytest.mark.parametrize("b, n", [(1, 200), (4, 50)])
-def test_forward_rows_are_bit_identical_to_one_block(use_runner, b, n):
-    model, v, phis, coords, _ = case(b, n, np.float32)
+def test_forward_rows_are_bit_identical_to_one_block(use_runner, tile_rows, monkeypatch, b, n):
+    model_, v, phis, coords, _ = case(b, n, np.float32)
     use_runner(None)
-    whole = forward_batch(model, v, phis, coords)
-    use_runner(FakeBlas(3))
-    assert len(parallel.RUNNER.cuts(n, b)) == 4  # the pixels are split
-    assert np.array_equal(forward_batch(model, v, phis, coords), whole)
+    tile_rows(10**9)
+    whole = forward_batch(model_, v, phis, coords)
+    tiles = []
+    inner = model._sine_layers
+    monkeypatch.setattr(model, "_sine_layers",
+                        lambda *args: tiles.append(args[2].shape[0]) or inner(*args))
+    # 48-row tiles end every block in a partial tile; 1-row tiles hold one pixel
+    for blocks, cap in itertools.product((1, 3), (10**9, 48, 1)):
+        use_runner(FakeBlas(blocks))
+        tile_rows(cap)
+        tiles.clear()
+        assert len(parallel.RUNNER.cuts(n, b)) == blocks + 1  # the pixels are split
+        assert np.array_equal(forward_batch(model_, v, phis, coords), whole), (blocks, cap)
+        assert sum(tiles) == n and max(tiles) == min(max(cap // b, 1), -(-n // blocks))
     # a frame's values do not depend on its place in the batch; a batch of
     # one would not show this bit for bit, since numpy takes a one-row
     # shift product phi Q_k to a matrix-vector kernel that rounds apart
     for t in range(b):
-        first = forward_batch(model, v, np.roll(phis, -t, axis=0), coords)[0]
+        first = forward_batch(model_, v, np.roll(phis, -t, axis=0), coords)[0]
         assert np.array_equal(first, whole[t])
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_forward_allocates_one_tile_per_block(use_runner, tile_rows, blocks):
+    b, n, hidden = 2, 4096, 128
+    rng = np.random.default_rng(3)
+    model_ = MetaModel.initialize(layers=3, hidden=hidden, video_dim=5, frame_dim=4, rng=rng)
+    v, phis = rng.normal(size=5), rng.normal(size=(b, 4))
+    coords = rng.uniform(-1, 1, size=(n, 2)).astype(np.float32)
+    use_runner(FakeBlas(blocks))
+    tile_rows(256)
+    forward_batch(model_, v, phis, coords)  # starts the pool's threads
+    tracemalloc.start()
+    try:
+        out = forward_batch(model_, v, phis, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile = 2 * 256 * hidden * 4  # one (2, rows, l) float32 buffer
+    # besides, numpy's iterator buffers for the broadcast shift add: 64 KB
+    assert peak <= blocks * (tile + 128 * 1024) + out.nbytes
+    # where one buffer for all of a block's rows would take
+    assert 2 * b * n * hidden * 4 > 8 * peak
 
 
 @pytest.mark.parametrize("b, n, dtype", [

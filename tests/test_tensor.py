@@ -199,6 +199,50 @@ def test_shared_subexpression_accumulates():
 def test_non_finite_input_rejected():
     with pytest.raises(NonFiniteError):
         Tensor(np.array([1.0, np.inf]))
+    frozen = np.array([1.0, np.nan])
+    frozen.setflags(write=False)
+    with pytest.raises(NonFiniteError):
+        Tensor(frozen)
+
+
+# --- copies -----------------------------------------------------------------------
+
+def frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def test_an_array_no_one_can_write_is_held_as_it_is():
+    owner = frozen(np.arange(12, dtype=np.float32))
+    view = owner[4:].reshape(2, 4)
+    for arr in (owner, view):
+        assert Tensor(arr).data is arr
+        assert Tensor(arr, dtype=np.float32).data is arr
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(lambda: np.ones(6), id="writable"),
+    pytest.param(lambda: frozen(np.ones(6).view()), id="read-only-view-of-a-writable-owner"),
+    pytest.param(lambda: frozen(np.frombuffer(bytearray(48))), id="read-only-view-of-a-bytearray"),
+    pytest.param(lambda: frozen(np.ones((3, 2))).T, id="not-c-contiguous"),
+    pytest.param(lambda: frozen(np.ones(6, dtype=">f8")), id="byte-swapped"),
+    pytest.param(lambda: frozen(np.ones(6, dtype=np.float32)), id="other-dtype-asked"),
+])
+def test_any_other_array_is_copied(source):
+    arr = source()
+    dtype = np.float64 if arr.dtype == np.float32 else None
+    tensor = Tensor(arr, dtype=dtype)
+    assert not np.shares_memory(tensor.data, arr)
+    assert not tensor.data.flags.writeable
+    assert tensor.data.dtype.isnative
+    assert np.array_equal(tensor.data, arr)
+
+
+def test_mutating_a_writable_source_changes_nothing():
+    src = np.ones(4, dtype=np.float32)
+    tensor = Tensor(src)
+    src[0] = 5.0
+    assert tensor.data[0] == 1.0
 
 
 def test_overflow_is_reported_with_op_name():
