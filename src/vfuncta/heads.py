@@ -28,7 +28,7 @@ from .container import (
 from .errors import ContractError, DivergenceError, FormatError
 from .metrics import classification_metrics, regression_metrics
 
-_MODES = ("v", "phi", "combined")
+MODES = ("v", "phi", "combined")
 _TASKS = ("regression", "binary")
 
 
@@ -44,8 +44,8 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ContractError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ContractError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.task not in _TASKS:
             raise ContractError(f"task must be one of {_TASKS}, got {self.task!r}")
         if len(self.hidden) != 2 or min(self.hidden) < 1:
@@ -65,7 +65,7 @@ def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:
     if mode == "combined":
         pooled = enc.frame_mods.values.astype(np.float64).mean(axis=0)
         return np.concatenate([enc.video_mod.values.astype(np.float64), pooled])
-    raise ContractError(f"mode must be one of {_MODES}, got {mode!r}")
+    raise ContractError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 class MlpHead:

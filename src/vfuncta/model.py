@@ -23,12 +23,13 @@ from . import parallel
 from .errors import ContractError, NonFiniteError, ShapeError
 from .tensor import Tensor
 
-# Rows of one tile. A latent-only tile holds as many whole frames as fit,
-# and at least one; a forward tile holds as many pixels of every frame as
-# fit, and at least one. The value is the training batch, 8 x 256 rows, so
-# that an inner step of training stays one tile; it also holds one 44x44
-# frame. It is derived from that batch, not tuned.
-TILE_ROWS = 2048
+# Rows of one tile: a block's frames at a run of as many pixels as fit,
+# and at least one (`_pixel_runs`). One layer's three live arrays of a
+# tile (activations, cosine slope, gradient) then fit a core's 2 MB L2 at
+# the paper's 256 units, 3 x 512 x 256 x 4 B = 1.5 MB. On a 2-core Xeon
+# an inner step ran at the same speed with 512 to 2048 rows a tile, and a
+# forward pass 3% slower at 512 than at 2048.
+TILE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -312,6 +313,19 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteError(what)
 
 
+def _pixel_runs(frames: int, lo: int, hi: int) -> list[slice]:
+    """Pixels lo..hi in the fewest runs that hold at most TILE_ROWS rows
+    for `frames` frames, or one pixel, as even as possible.
+
+    Even runs keep every tile of a split near the cap. A short last run
+    could send a layer's product to BLAS's matrix-vector or small-matrix
+    kernel, which rounds apart from the one a long run takes.
+    """
+    count = -(-(hi - lo) // max(1, TILE_ROWS // frames))
+    cuts = [lo + (hi - lo) * i // count for i in range(count + 1)]
+    return [slice(a, z) for a, z in zip(cuts, cuts[1:])]
+
+
 def forward_batch(model: MetaModel, v, phis, coords: np.ndarray) -> np.ndarray:
     """Forward pass of b frames at one shared set of pixels, keeping no
     activations.
@@ -319,25 +333,24 @@ def forward_batch(model: MetaModel, v, phis, coords: np.ndarray) -> np.ndarray:
     `v` is (s,), `phis` is (b, r) and `coords` is (N, 2), the pixels
     every frame is evaluated at. Returns the (b, N) raw (unclamped)
     predictions; a non-finite prediction raises NonFiniteError. Row
-    blocks split the pixels, and a block runs its pixels in tiles of as
-    many as fit in TILE_ROWS rows for all b frames, and at least one, so
-    its arrays stay that size whatever the frame; no value depends on the
-    split.
+    blocks split the pixels, and a block runs its pixels in runs of
+    `_pixel_runs` for all b frames, so its arrays stay one tile whatever
+    the frame; no value depends on the split.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords)
     b = phis.shape[0]
     out = np.empty((b, coords.shape[0]), dtype=model.dtype)
 
     def block(lo: int, hi: int) -> None:
-        step = min(max(1, TILE_ROWS // b), hi - lo)
+        runs = _pixel_runs(b, lo, hi)
         # both buffers in one allocation: as two arrays, the heap placed them
         # so that a decode's peak RSS rose by one buffer in about half of
         # the runs
-        acts = np.empty((2, b * step, model.hidden), dtype=model.dtype)
+        acts = np.empty((2, b * max(r.stop - r.start for r in runs), model.hidden),
+                        dtype=model.dtype)
         # overflow surfaces as NonFiniteError below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(lo, hi, step):
-                pixels = slice(t, min(t + step, hi))
+            for pixels in runs:
                 out[:, pixels] = _output(
                     model, _sine_layers(model, shifts, coords[pixels], slice(None), acts))
 
@@ -365,21 +378,24 @@ def frame_mse(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _backward_frames(model: MetaModel, shifts, coords, targets, frames: slice,
-                     scale: float, weights: bool, acts: list, slopes: list):
-    """Forward and backward through some whole frames of a batch.
+                     scale: float, weights: bool, acts: list, slopes: list, sums: list):
+    """Forward and backward through some frames of a batch at a run of
+    their pixels.
 
-    `targets` holds those frames' values, (frames, N); each value's loss
-    gradient is scale * (pred - target). Returns the predictions, each
-    layer's (frames, l) sums of its pre-activation gradient, and with
-    `weights` these frames' layer and output weight gradients; all are
-    fresh arrays. The passes run in `acts` and `slopes` as
-    `_sine_layers` lays them out, and each layer's activation gradient
-    overwrites that layer's activations once they are spent. So with
-    `weights` there must be a buffer per layer, as every layer's input
-    is kept for its weight gradient.
+    `coords` holds the run's pixels, (pixels, 2), and `targets` those
+    frames' values there, (frames, pixels); each value's loss gradient
+    is scale * (pred - target). `sums` holds each layer's (frames, l)
+    sums of its pre-activation gradient over the frames' earlier runs,
+    or None before the first run. Returns the run's predictions, those
+    sums carried on through this run, and with `weights` these rows'
+    layer and output weight gradients; all are fresh arrays. The passes
+    run in `acts` and `slopes` as `_sine_layers` lays them out, and each
+    layer's activation gradient overwrites that layer's activations once
+    they are spent. So with `weights` there must be a buffer per layer,
+    as every layer's input is kept for its weight gradient.
     """
     n = len(acts)
-    sums: list = [None] * model.layers
+    sums = list(sums)
     weight_grads: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
         h = _sine_layers(model, shifts, coords, frames, acts, slopes)
@@ -395,7 +411,6 @@ def _backward_frames(model: MetaModel, shifts, coords, targets, frames: slice,
         for k in reversed(range(model.layers)):
             d_a = d_h
             d_a *= slopes[k][:rows]
-            sums[k] = d_a.reshape(count, pixels, -1).sum(axis=1)
             if weights:
                 # layer 0's input is the shared pixels, once per frame, so
                 # that its product runs over every row like the others
@@ -404,6 +419,13 @@ def _backward_frames(model: MetaModel, shifts, coords, targets, frames: slice,
             if k:
                 d_h = np.matmul(d_a, model.layer_weights[k].data.T,
                                 out=acts[(k - 1) % n][:rows])
+            # d_a is spent. numpy sums a middle axis pixel row by pixel row,
+            # so a frame's sum that starts from the carried one in its first
+            # row is the sum over all its pixels in one run.
+            d_a = d_a.reshape(count, pixels, width)
+            if sums[k] is not None:
+                d_a[:, 0] += sums[k]
+            sums[k] = d_a.sum(axis=1)
     return pred, sums, weight_grads
 
 
@@ -419,12 +441,13 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
 
     Row blocks of whole frames run the forward and backward passes, and
     the gradients are then formed once from the joined frame sums. With
-    `weights` the whole batch is one block: its layer and output weight
-    gradients are products over every row, which a sum of per-block
-    pieces would round differently with the block count. Without
-    `weights` a block runs its frames in tiles of as many whole frames
-    as fit in TILE_ROWS rows, and at least one, so its arrays stay that
-    size whatever the batch; no value depends on the tiling.
+    `weights` the whole batch is one block and one tile: its layer and
+    output weight gradients are products over every row, which a sum of
+    per-block or per-tile pieces would round differently. Without
+    `weights` a block runs its frames at runs of `_pixel_runs` of the
+    pixels, so its arrays stay one tile whatever the frame or the batch,
+    and each frame's pixel sums carry from one run into the next; no
+    value depends on the blocks or the runs.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords)
     targets = np.asarray(targets, dtype=model.dtype)
@@ -435,29 +458,34 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     # every value carries weight 1/(b n) in the loss
     scale = 2.0 / (b * n)
     unit = b if weights else 1
-    tile = b if weights else max(1, TILE_ROWS // n)
+    pred = np.empty((b, n), dtype=model.dtype)
 
-    def block(lo: int, hi: int) -> list:
-        lo, hi = lo * unit, hi * unit
-        step = min(tile, hi - lo)
+    def block(lo: int, hi: int) -> tuple:
+        frames = slice(lo * unit, hi * unit)
+        count = frames.stop - frames.start
+        runs = [slice(0, n)] if weights else _pixel_runs(count, 0, n)
+        rows = count * max(r.stop - r.start for r in runs)
 
-        # every tile of the block runs in these arrays, which are gone before
-        # the gradients are formed. Each is one layer's rows, like the other
-        # arrays of a step: as K-layer stacks they left the heap about 20 MB
-        # larger through training.
-        def arrays(count: int) -> list:
-            return [np.empty((step * n, model.hidden), dtype=model.dtype) for _ in range(count)]
+        # every run of the block goes through these arrays, which are gone
+        # before the gradients are formed. Each is one layer's rows, like the
+        # other arrays of a step: as K-layer stacks they left the heap about
+        # 20 MB larger through training.
+        def arrays(k: int) -> list:
+            return [np.empty((rows, model.hidden), dtype=model.dtype) for _ in range(k)]
 
         acts, slopes = arrays(max(2, model.layers) if weights else 2), arrays(model.layers)
-        tiles = [slice(t, min(t + step, hi)) for t in range(lo, hi, step)]
-        return [_backward_frames(model, shifts, coords, targets[frames], frames, scale,
-                                 weights, acts, slopes) for frames in tiles]
+        sums, grads = [None] * model.layers, {}
+        for pixels in runs:
+            pred[frames, pixels], sums, grads = _backward_frames(
+                model, shifts, coords[pixels], targets[frames, pixels], frames, scale,
+                weights, acts, slopes, sums)
+        return sums, grads
 
     with parallel.RUNNER.blocks(b // unit, unit * n) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             shifts = _shifts(model, v, phis)
-        preds, sums, weight_grads = zip(*(part for parts in map_blocks(block) for part in parts))
-        per_frame = frame_mse(np.concatenate(preds), targets)
+        sums, weight_grads = zip(*map_blocks(block))
+        per_frame = frame_mse(pred, targets)
         loss = float(np.mean(per_frame, dtype=np.float64).astype(model.dtype))
         grads = weight_grads[0]
         with np.errstate(over="ignore", invalid="ignore"):

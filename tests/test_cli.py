@@ -20,7 +20,7 @@ from vfuncta.codec import (
     save_model,
 )
 from vfuncta.data import VideoTensor, load_video, read_corpus_manifest, save_video
-from vfuncta.manifest import read_manifest
+from vfuncta.manifest import hash_file, read_manifest
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
 from vfuncta.tensor import Tensor
 
@@ -628,3 +628,50 @@ def test_non_finite_rate_is_one_error_line(tmp_path, capsys, command, flags, key
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, key)
     assert not out.exists()
+
+
+def test_train_resume_records_the_checkpoint_in_the_manifest(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path)
+    cfg = write_config(tmp_path / "run.cfg", iterations=4)
+    ckpt_dir = tmp_path / "ck"
+    assert main(["train", "--corpus", str(corpus), "--config", str(cfg),
+                 "--out", str(tmp_path / "first.vfnc"), "--checkpoint-dir", str(ckpt_dir),
+                 "--checkpoint-every", "2"]) == 0
+    ckpt = ckpt_dir / "checkpoint_00000002.vfnc"
+    out = tmp_path / "resumed.vfnc"
+    assert main(["train", "--corpus", str(corpus), "--config", str(cfg),
+                 "--out", str(out), "--resume", str(ckpt)]) == 0
+    inputs = read_manifest(tmp_path / "resumed.manifest.json")["inputs"]
+    assert inputs[str(ckpt)] == hash_file(ckpt)
+    assert out.read_bytes() == (tmp_path / "first.vfnc").read_bytes()
+
+
+@pytest.mark.parametrize("flags, needle", [
+    (["--checkpoint-dir", "ck", "--checkpoint-every", "-3"], "--checkpoint-every"),
+    (["--checkpoint-every", "2"], "--checkpoint-dir"),
+    (["--checkpoint-dir", "ck"], "--checkpoint-every"),
+])
+def test_vacuous_checkpoint_flags_are_one_error_line(tmp_path, capsys, monkeypatch, flags,
+                                                     needle):
+    monkeypatch.chdir(tmp_path)
+    read = []
+    monkeypatch.setattr(data, "read_corpus_manifest", lambda *args: read.append(args))
+    rc = main(["train", "--corpus", "corpus", "--config", "missing.cfg", "--out", "m.vfnc",
+               *flags])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, needle)
+    assert read == [] and list(tmp_path.iterdir()) == []
+
+
+def test_eval_rejects_an_unknown_mode_before_encoding(tmp_path, capsys, monkeypatch):
+    corpus = gen_corpus(tmp_path)
+    model_path, _, _ = tiny_files(tmp_path)
+    encoded, loaded = [], []
+    monkeypatch.setattr(codec, "encode_video", lambda *args: encoded.append(args))
+    monkeypatch.setattr(codec, "load_model", lambda *args: loaded.append(args))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus),
+               "--task", "regression", "--modes", "v,bogus"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "'bogus'")
+    assert encoded == [] and loaded == []

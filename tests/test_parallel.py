@@ -98,14 +98,19 @@ def test_forward_rows_are_bit_identical_to_one_block(use_runner, tile_rows, monk
     inner = model._sine_layers
     monkeypatch.setattr(model, "_sine_layers",
                         lambda *args: tiles.append(args[2].shape[0]) or inner(*args))
-    # 48-row tiles end every block in a partial tile; 1-row tiles hold one pixel
+    # 48-row tiles split every block into two runs or more; 1-row tiles hold one pixel
     for blocks, cap in itertools.product((1, 3), (10**9, 48, 1)):
         use_runner(FakeBlas(blocks))
         tile_rows(cap)
         tiles.clear()
         assert len(parallel.RUNNER.cuts(n, b)) == blocks + 1  # the pixels are split
         assert np.array_equal(forward_batch(model_, v, phis, coords), whole), (blocks, cap)
-        assert sum(tiles) == n and max(tiles) == min(max(cap // b, 1), -(-n // blocks))
+        # each block in the fewest runs of at most the cap, as even as can be
+        step = max(cap // b, 1)
+        cuts = parallel.RUNNER.cuts(n, b)
+        assert sum(tiles) == n and max(tiles) <= step
+        assert len(tiles) == sum(-(-(hi - lo) // step) for lo, hi in zip(cuts, cuts[1:]))
+        assert max(tiles) - min(tiles) <= 1 or blocks > 1
     # a frame's values do not depend on its place in the batch; a batch of
     # one would not show this bit for bit, since numpy takes a one-row
     # shift product phi Q_k to a matrix-vector kernel that rounds apart
@@ -376,42 +381,47 @@ def tile_rows(monkeypatch):
 @pytest.mark.parametrize("blocks", [1, 3])
 @pytest.mark.parametrize("b", [1, 3, 8])
 def test_latent_tiles_match_one_tile(use_runner, tile_rows, b, blocks, dtype):
-    n = 5
+    n = 41
     model_, v, phis, coords, targets = case(b, n, dtype, seed=b)
     use_runner(None)
     tile_rows(10**9)
     whole = loss_and_grads(model_, v, phis, coords, targets)
     use_runner(FakeBlas(blocks))
-    # two frames a tile: 3 blocks of 8 frames hold 2, 3 and 3 frames, so
-    # two blocks end in a one-frame tile
-    calls = tile_rows(2 * n)
-    tiled = loss_and_grads(model_, v, phis, coords, targets)
     cuts = parallel.RUNNER.cuts(b, n)
-    assert len(calls) == sum((hi - lo + 1) // 2 for lo, hi in zip(cuts, cuts[1:]))
-    if dtype == np.float32:
+    # 3 blocks of 8 frames hold 2, 3 and 3. A cap of 36 rows runs 1, 2, 3
+    # and 8 frames at 20-21, 13-14, 10-11 and 3-4 pixels; a cap of 100 runs
+    # 3 and 8 frames at 20-21 and 10-11. Runs stay at two pixels or more, as
+    # they do at TILE_ROWS up to 128 frames a block: layer 0's product has a
+    # row per pixel, and numpy takes a one-row product to a matrix-vector
+    # kernel that rounds apart.
+    for cap in (36, 100):
+        calls = tile_rows(cap)
+        tiled = loss_and_grads(model_, v, phis, coords, targets)
+        assert len(calls) == sum(-(-n // max(1, cap // (hi - lo)))
+                                 for lo, hi in zip(cuts, cuts[1:])), cap
         assert tiled.loss == whole.loss
         for name in ("per_frame", "v", "phis"):
-            assert np.array_equal(getattr(tiled, name), getattr(whole, name)), name
-    else:
-        assert tiled.loss == pytest.approx(whole.loss, rel=1e-12)
-        for name in ("per_frame", "v", "phis"):
-            a, ref = getattr(tiled, name), getattr(whole, name)
-            assert np.max(np.abs(a - ref) / np.maximum(np.abs(ref), 1e-300)) <= 1e-12, name
+            assert np.array_equal(getattr(tiled, name), getattr(whole, name)), (name, cap)
 
 
-def test_encoding_is_the_same_bytes_with_one_frame_tiles_and_one_tile(tile_rows, tmp_path):
+def test_encoding_is_the_same_bytes_with_pixel_run_tiles_and_one_tile(tile_rows, tmp_path):
     rng = np.random.default_rng(8)
     model_ = MetaModel.initialize(layers=3, hidden=32, video_dim=8, frame_dim=4, rng=rng)
     video = VideoTensor(rng.uniform(0, 1, size=(5, 9, 9)).astype(np.float32))
     settings = EncodeSettings(batch_frames=3, inner_steps=3, inner_lr=0.1)
     written = []
-    for cap in (1, 10**9):
+    # 81 rows a tile: windows of 3 and 2 frames run at thirds of a frame.
+    # Tiles of fewer than 38 rows would take this network's backward product
+    # to OpenBLAS's small-matrix kernel, which rounds apart; at TILE_ROWS a
+    # split tile holds at least about half the cap.
+    for cap in (81, 10**9):
         calls = tile_rows(cap)
         path = tmp_path / f"{cap}.venc"
         save_encoding(path, encode_video(model_, video, settings))
         written.append(path.read_bytes())
         # windows of 3 and 2 frames, 3 steps each
-        assert len(calls) == (15 if cap == 1 else 6)
+        assert len(calls) == (2 * 3 * 3 if cap == 81 else 6)
+        assert max(rows for rows, _ in calls) == (81 if cap == 81 else 3 * 81)
     assert written[0] == written[1]
 
 
@@ -424,9 +434,10 @@ def test_latent_calls_see_at_most_one_tile_of_rows(use_runner, tile_rows, cap):
     loss_and_grads(model_, v, phis, coords, targets)
     training._adapt(model_, targets, coords, steps=2, inner_lr=0.1)
     assert calls and all(not weights for _, weights in calls)
-    assert all(rows <= max(cap, n) for rows, _ in calls)
-    # the tiles are as large as the cap allows, up to the block's 4 frames
-    assert max(rows for rows, _ in calls) == min(4 * n, max(cap // n, 1) * n)
+    # a tile is the block's 4 frames at a run of at least one pixel, and the
+    # runs are as long as the cap allows, up to the whole frame
+    assert all(rows <= max(cap, 4) for rows, _ in calls)
+    assert max(rows for rows, _ in calls) == {3: 4, 12: 12, 10**9: 4 * n}[cap]
     calls.clear()
     loss_and_grads(model_, v, phis, coords, targets, weights=True)
     assert calls == [(8 * n, True)]
@@ -436,9 +447,9 @@ def test_tiled_latent_gradients_match_finite_differences(use_runner, tile_rows):
     n = 6
     model_, v, phis, coords, targets = case(5, n, np.float64, seed=12)
     use_runner(FakeBlas(2))
-    calls = tile_rows(n)  # one frame a tile, in blocks of 2 and 3 frames
+    calls = tile_rows(4)  # blocks of 2 and 3 frames, in runs of 2 and 1 pixels
     grads = loss_and_grads(model_, v, phis, coords, targets)
-    assert len(calls) == 5
+    assert len(calls) == 3 + 6
 
     def loss(arrays):
         return float(np.mean(frame_mse(forward_batch(model_, arrays[0], arrays[1], coords),
@@ -447,3 +458,70 @@ def test_tiled_latent_gradients_match_finite_differences(use_runner, tile_rows):
     numeric_v, numeric_phis = finite_diff(loss, [v, phis])
     assert rel_err(grads.v, numeric_v) < 1e-4
     assert rel_err(grads.phis, numeric_phis) < 1e-4
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_latent_step_allocates_one_tile_per_block(use_runner, tile_rows, blocks):
+    b, n, hidden, layers = 2, 4096, 128, 3
+    rng = np.random.default_rng(4)
+    model_ = MetaModel.initialize(layers=layers, hidden=hidden, video_dim=5, frame_dim=4,
+                                  rng=rng)
+    v, phis = rng.normal(size=5), rng.normal(size=(b, 4))
+    coords = rng.uniform(-1, 1, size=(n, 2)).astype(np.float32)
+    targets = rng.uniform(0, 1, size=(b, n)).astype(np.float32)
+    use_runner(FakeBlas(blocks))
+    calls = tile_rows(256)
+    loss_and_grads(model_, v, phis, coords, targets)  # starts the pool's threads
+    assert max(rows for rows, _ in calls) == 256  # every frame splits into runs
+    tracemalloc.start()
+    try:
+        loss_and_grads(model_, v, phis, coords, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile = (2 + layers) * 256 * hidden * 4  # two activation buffers, a slope per layer
+    # besides, the predictions and frame_mse's two temporaries of them
+    assert peak <= blocks * (tile + 128 * 1024) + 3 * targets.nbytes
+    # where the arrays of one whole frame a block would take
+    assert blocks * (2 + layers) * n * hidden * 4 > 8 * peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_numpy_sums_a_middle_axis_pixel_row_by_pixel_row(dtype):
+    # the frame sums of pixel runs rest on this: a frame's sum added into the
+    # first pixel row of its next run sums on as one run would
+    rng = np.random.default_rng(9)
+    for (count, pixels, width), runs in [((1, 5, 2), (1, 2, 3)), ((3, 200, 6), (1, 7, 64)),
+                                         ((8, 1936, 256), (121, 484)),
+                                         ((1, 12544, 256), (512, 4096))]:
+        d = rng.normal(size=(count, pixels, width)).astype(dtype)
+        whole = d.sum(axis=1)
+        for run in runs:
+            carried = None
+            for t in range(0, pixels, run):
+                part = d[:, t:t + run].copy()
+                if carried is not None:
+                    part[:, 0] += carried
+                carried = part.sum(axis=1)
+            assert np.array_equal(carried, whole), (count, pixels, width, run)
+
+
+def test_no_tile_is_a_one_pixel_tail(use_runner, tile_rows):
+    # 97 pixels at a 48-row cap run as 32, 32 and 33, not 48, 48 and 1: a
+    # one-row tile would take the layer products of this one-frame batch to
+    # numpy's matrix-vector kernel, and a few-row one the backward product to
+    # OpenBLAS's small-matrix kernel, which round apart from the others
+    rng = np.random.default_rng(10)
+    model_ = MetaModel.initialize(layers=3, hidden=64, video_dim=5, frame_dim=4, rng=rng)
+    coords = rng.uniform(-1, 1, size=(97, 2)).astype(np.float32)
+    targets = rng.uniform(0, 1, size=(1, 97)).astype(np.float32)
+    v, phis = rng.normal(size=5), rng.normal(size=(1, 4))
+    use_runner(None)
+    tile_rows(10**9)
+    whole = forward_batch(model_, v, phis, coords), loss_and_grads(model_, v, phis, coords, targets)
+    calls = tile_rows(48)
+    tiled = forward_batch(model_, v, phis, coords), loss_and_grads(model_, v, phis, coords, targets)
+    assert sorted(rows for rows, _ in calls) == [32, 32, 33]
+    assert np.array_equal(tiled[0], whole[0])
+    for name in ("per_frame", "v", "phis"):
+        assert np.array_equal(getattr(tiled[1], name), getattr(whole[1], name)), name
