@@ -16,6 +16,7 @@ coordinates are (N, 2), and targets and predictions are (b, N).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -175,6 +176,12 @@ class MetaModel:
         for name, shape in shapes.items():
             if params[name].shape != shape:
                 raise ShapeError(f"{name} shape {params[name].shape}, expected {shape}")
+        # numpy takes a one-unit layer's product to its matrix-vector kernel,
+        # which rounds by row offset, and sums a one-wide pixel axis pairwise
+        # rather than row by row: such a network's values would depend on
+        # the tiles and row blocks, and so on the BLAS thread count
+        if self.hidden < 2:
+            raise ContractError(f"hidden must be >= 2, got {self.hidden}")
         self._params = {name: params[name] for name in shapes}
         k = range(self.layers)
         self.layer_weights = [self._params[f"layer{i}.weight"] for i in k]
@@ -354,7 +361,7 @@ def forward_batch(model: MetaModel, v, phis, coords: np.ndarray) -> np.ndarray:
                 out[:, pixels] = _output(
                     model, _sine_layers(model, shifts, coords[pixels], slice(None), acts))
 
-    with parallel.RUNNER.blocks(coords.shape[0], b) as map_blocks:
+    with parallel.RUNNER.blocks(coords.shape[0], b * model.hidden) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             shifts = _shifts(model, v, phis)
         map_blocks(block)
@@ -386,47 +393,41 @@ def _backward_frames(model: MetaModel, shifts, coords, targets, frames: slice,
     frames' values there, (frames, pixels); each value's loss gradient
     is scale * (pred - target). `sums` holds each layer's (frames, l)
     sums of its pre-activation gradient over the frames' earlier runs,
-    or None before the first run. Returns the run's predictions, those
-    sums carried on through this run, and with `weights` these rows'
-    layer and output weight gradients; all are fresh arrays. The passes
-    run in `acts` and `slopes` as `_sine_layers` lays them out, and each
-    layer's activation gradient overwrites that layer's activations once
-    they are spent. So with `weights` there must be a buffer per layer,
-    as every layer's input is kept for its weight gradient.
+    or None before the first run. Returns the run's predictions and
+    those sums carried on through this run, as fresh arrays.
+
+    The passes run in `acts` and `slopes` as `_sine_layers` lays them
+    out. Without `weights` each layer's activation gradient overwrites
+    that layer's activations once they are spent. With `weights` the
+    run's rows are kept for the weight gradients: `acts` holds a buffer
+    per layer and one more, which takes the activation gradients, and
+    each layer's pre-activation gradient is left in `slopes[k]`; such a
+    call runs the frames' whole pixels, one run.
     """
     n = len(acts)
     sums = list(sums)
-    weight_grads: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
         h = _sine_layers(model, shifts, coords, frames, acts, slopes)
         count, pixels, width = h.shape
         rows = count * pixels
         pred = _output(model, h)
         d_pred = ((pred - targets) * scale).reshape(-1)
-        if weights:
-            weight_grads["out.weight"] = h.reshape(-1, width).T @ d_pred[:, None]
-            weight_grads["out.bias"] = np.sum(d_pred, keepdims=True)
         d_h = np.multiply(d_pred[:, None], model.out_weight.data[:, 0],
-                          out=h.reshape(rows, width))
+                          out=(acts[-1][:rows] if weights else h.reshape(rows, width)))
         for k in reversed(range(model.layers)):
-            d_a = d_h
-            d_a *= slopes[k][:rows]
-            if weights:
-                # layer 0's input is the shared pixels, once per frame, so
-                # that its product runs over every row like the others
-                x = acts[k - 1][:rows] if k else np.tile(coords, (count, 1))
-                weight_grads[f"layer{k}.weight"] = x.T @ d_a
+            d_a = np.multiply(d_h, slopes[k][:rows], out=slopes[k][:rows] if weights else d_h)
             if k:
                 d_h = np.matmul(d_a, model.layer_weights[k].data.T,
-                                out=acts[(k - 1) % n][:rows])
-            # d_a is spent. numpy sums a middle axis pixel row by pixel row,
-            # so a frame's sum that starts from the carried one in its first
-            # row is the sum over all its pixels in one run.
+                                out=acts[-1 if weights else (k - 1) % n][:rows])
+            # numpy sums a middle axis pixel row by pixel row, so a frame's
+            # sum that starts from the carried one in its first row is the
+            # sum over all its pixels in one run. A `weights` call is one
+            # run, so the d_a it keeps takes no carried sums.
             d_a = d_a.reshape(count, pixels, width)
             if sums[k] is not None:
                 d_a[:, 0] += sums[k]
             sums[k] = d_a.sum(axis=1)
-    return pred, sums, weight_grads
+    return pred, sums
 
 
 def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.ndarray,
@@ -440,14 +441,17 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     raises ShapeError, a non-finite loss or gradient NonFiniteError.
 
     Row blocks of whole frames run the forward and backward passes, and
-    the gradients are then formed once from the joined frame sums. With
-    `weights` the whole batch is one block and one tile: its layer and
-    output weight gradients are products over every row, which a sum of
-    per-block or per-tile pieces would round differently. Without
-    `weights` a block runs its frames at runs of `_pixel_runs` of the
-    pixels, so its arrays stay one tile whatever the frame or the batch,
-    and each frame's pixel sums carry from one run into the next; no
-    value depends on the blocks or the runs.
+    the gradients are then formed once from the joined frame sums.
+    Without `weights` a block runs its frames at runs of `_pixel_runs`
+    of the pixels, so its arrays stay one tile whatever the frame or the
+    batch, and each frame's pixel sums carry from one run into the next.
+    With `weights` each block runs its frames whole, into its rows of one
+    activation array and one slope array per layer over every row. Once
+    the blocks have joined, each layer's and the output layer's weight
+    gradient is one product over every row, since a sum of per-block
+    pieces would round differently; the products are dealt out to the
+    blocks' threads, and the arrays are gone before the projection
+    gradients are formed. No value depends on the blocks or the runs.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords)
     targets = np.asarray(targets, dtype=model.dtype)
@@ -457,38 +461,48 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
                          f"for {b} frames of {n} pixels")
     # every value carries weight 1/(b n) in the loss
     scale = 2.0 / (b * n)
-    unit = b if weights else 1
     pred = np.empty((b, n), dtype=model.dtype)
 
-    def block(lo: int, hi: int) -> tuple:
-        frames = slice(lo * unit, hi * unit)
-        count = frames.stop - frames.start
-        runs = [slice(0, n)] if weights else _pixel_runs(count, 0, n)
-        rows = count * max(r.stop - r.start for r in runs)
+    # Each array is one layer's rows, like the other arrays of a step: as
+    # K-layer stacks they left the heap about 20 MB larger through training.
+    def arrays(k: int, rows: int) -> list:
+        return [np.empty((rows, model.hidden), dtype=model.dtype) for _ in range(k)]
 
-        # every run of the block goes through these arrays, which are gone
-        # before the gradients are formed. Each is one layer's rows, like the
-        # other arrays of a step: as K-layer stacks they left the heap about
-        # 20 MB larger through training.
-        def arrays(k: int) -> list:
-            return [np.empty((rows, model.hidden), dtype=model.dtype) for _ in range(k)]
+    # the weight gradients' inputs: each layer's activations and slopes
+    # over every row, the slopes overwritten by the pre-activation gradients
+    kept = (arrays(model.layers, b * n), arrays(model.layers, b * n)) if weights else None
 
-        acts, slopes = arrays(max(2, model.layers) if weights else 2), arrays(model.layers)
-        sums, grads = [None] * model.layers, {}
+    def block(lo: int, hi: int) -> list:
+        frames = slice(lo, hi)
+        if weights:
+            runs, span = [slice(0, n)], slice(lo * n, hi * n)
+            acts = [a[span] for a in kept[0]] + arrays(1, (hi - lo) * n)
+            slopes = [a[span] for a in kept[1]]
+        else:
+            # every run of the block goes through these arrays, which are
+            # gone before the gradients are formed
+            runs = _pixel_runs(hi - lo, 0, n)
+            rows = (hi - lo) * max(r.stop - r.start for r in runs)
+            acts, slopes = arrays(2, rows), arrays(model.layers, rows)
+        sums = [None] * model.layers
         for pixels in runs:
-            pred[frames, pixels], sums, grads = _backward_frames(
+            pred[frames, pixels], sums = _backward_frames(
                 model, shifts, coords[pixels], targets[frames, pixels], frames, scale,
                 weights, acts, slopes, sums)
-        return sums, grads
+        return sums
 
-    with parallel.RUNNER.blocks(b // unit, unit * n) as map_blocks:
+    grads = {}
+    with parallel.RUNNER.blocks(b, n * model.hidden) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             shifts = _shifts(model, v, phis)
-        sums, weight_grads = zip(*map_blocks(block))
+        sums = map_blocks(block)
         per_frame = frame_mse(pred, targets)
         loss = float(np.mean(per_frame, dtype=np.float64).astype(model.dtype))
-        grads = weight_grads[0]
         with np.errstate(over="ignore", invalid="ignore"):
+            if weights:
+                grads = _weight_products(model, map_blocks, *kept, coords,
+                                         ((pred - targets) * scale).reshape(-1))
+                kept = None  # freed before the projection gradients exist
             g_v = np.zeros_like(v)
             g_phis = np.zeros_like(phis)
             for k in reversed(range(model.layers)):
@@ -506,3 +520,25 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
         _require_finite(g, f"{name} gradient")
     return BatchGrads(loss=loss, per_frame=per_frame, v=g_v, phis=g_phis,
                       weights=grads if weights else None)
+
+
+def _weight_products(model: MetaModel, map_blocks, acts: list, d_as: list, coords,
+                     d_pred: np.ndarray) -> dict:
+    """The output layer's and each sine layer's weight gradient, each one
+    product over every row of a batch, dealt out to the threads of
+    `map_blocks`; `acts` and `d_as` hold each layer's activations and
+    pre-activation gradients, and `d_pred` each row's loss gradient."""
+    def product(x, d):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x.T @ d
+
+    # layer 0's input is the shared pixels, once per frame, so that its
+    # product runs over every row like the others
+    inputs = [np.tile(coords, (acts[0].shape[0] // coords.shape[0], 1))] + acts[:-1]
+    pairs = [(acts[-1], d_pred[:, None])] + [(inputs[k], d_as[k])
+                                             for k in reversed(range(model.layers))]
+    products = map_blocks.deal([partial(product, x, d) for x, d in pairs])
+    grads = {"out.weight": products[0], "out.bias": np.sum(d_pred, keepdims=True)}
+    for k, g in zip(reversed(range(model.layers)), products[1:]):
+        grads[f"layer{k}.weight"] = g
+    return grads

@@ -58,13 +58,12 @@ class TrainConfig:
     precision: str = "float32"
 
     def __post_init__(self):
-        for name in ("batch_frames", "coords_per_frame", "layers", "hidden",
-                     "video_dim", "frame_dim"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("inner_steps", "iterations"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # a one-unit network is refused as `MetaModel` refuses it
+        for name, least in (("batch_frames", 1), ("coords_per_frame", 1), ("layers", 1),
+                            ("hidden", 2), ("video_dim", 1), ("frame_dim", 1),
+                            ("inner_steps", 0), ("iterations", 0)):
+            if getattr(self, name) < least:
+                raise ContractError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("inner_lr", "meta_lr"):
             _require_rate(name, getattr(self, name))
         if not (math.isfinite(self.omega0) and self.omega0 > 0):

@@ -301,6 +301,17 @@ def test_train_bad_override_value_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "m.vfnc").exists()
 
 
+def test_train_of_a_one_unit_network_is_one_error_line(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path)
+    cfg = write_config(tmp_path / "run.cfg", iterations=1)
+    capsys.readouterr()
+    rc = main(["train", "--corpus", str(corpus), "--config", str(cfg),
+               "--out", str(tmp_path / "m.vfnc"), "--set", "hidden=1"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "hidden must be >= 2, got 1")
+    assert not (tmp_path / "m.vfnc").exists()
+
+
 def test_non_integer_env_seed_is_one_error_line(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VFUNCTA_SEED", "seven")
     rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--count", "1"])

@@ -290,6 +290,14 @@ def test_a_zero_model_dimension_is_refused(tmp_path, zero):
         load_model(crafted_model(tmp_path / "m.vfnc", **dims, values=values))
 
 
+def test_a_one_unit_model_is_refused(tmp_path):
+    # its values would depend on the tiles and row blocks of an evaluation
+    dims = dict(layers=2, hidden=1, video_dim=3, frame_dim=3)
+    values = sum(math.prod(shape) for shape in param_shapes(**dims).values())
+    with pytest.raises(ContractError, match="hidden must be >= 2, got 1"):
+        load_model(crafted_model(tmp_path / "m.vfnc", **dims, values=values))
+
+
 def test_a_head_whose_output_width_is_not_one_is_refused(tmp_path):
     sizes = (3, 4, 2, 2)
     values = sum(a * b + b for a, b in zip(sizes, sizes[1:])) + 2 * sizes[0] + 2

@@ -2,7 +2,8 @@
 
 A model load holds its payload once: the file is read straight into one
 array, whose read-only views become the parameters. A truncated file is
-refused before that array exists, and a file hash reads in chunks.
+refused before that array exists, and a file hash reads in chunks. An
+outer step's row arrays are gone before its projection gradients exist.
 """
 
 import tracemalloc
@@ -10,10 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vfuncta import manifest
+from vfuncta import manifest, parallel
 from vfuncta.codec import load_model, save_model
 from vfuncta.errors import TruncatedFileError
-from vfuncta.model import MetaModel
+from vfuncta.model import MetaModel, loss_and_grads
 
 
 def traced_peak(fn, *args):
@@ -72,3 +73,27 @@ def test_a_file_hash_reads_in_chunks(tmp_path):
     peak, digest = traced_peak(manifest.hash_file, path)
     assert peak < len(data) / 4
     assert digest == f"{manifest.blake2b64([data]):016x}"
+
+
+def test_an_outer_step_drops_its_row_arrays_before_the_projection_gradients(monkeypatch):
+    b, n, layers, hidden, video_dim = 4, 512, 3, 64, 2048
+    rng = np.random.default_rng(7)
+    model = MetaModel.initialize(layers=layers, hidden=hidden, video_dim=video_dim,
+                                 frame_dim=128, rng=rng)
+    v = rng.normal(scale=0.01, size=video_dim).astype(np.float32)
+    phis = rng.normal(scale=0.01, size=(b, 128)).astype(np.float32)
+    coords = rng.uniform(-1, 1, size=(n, 2)).astype(np.float32)
+    targets = rng.uniform(0, 1, size=(b, n)).astype(np.float32)
+    # a BLAS that reports two threads: the batch runs as two blocks
+    runner = parallel.RowRunner(lambda threads: 2)
+    monkeypatch.setattr(parallel, "RUNNER", runner)
+    try:
+        assert len(runner.cuts(b, n * hidden)) == 3
+        loss_and_grads(model, v, phis, coords, targets, weights=True)  # starts the pool
+        peak, grads = traced_peak(
+            lambda: loss_and_grads(model, v, phis, coords, targets, weights=True).weights)
+    finally:
+        runner.close()
+    # an activation array and a slope array per layer, over every row
+    arrays = 2 * layers * b * n * hidden * 4
+    assert arrays <= peak < arrays + sum(g.nbytes for g in grads.values())

@@ -45,13 +45,13 @@ class FakeBlas:
 
 @pytest.fixture
 def use_runner(monkeypatch):
-    """Install a runner for `model` with the given setter and a one-row floor."""
+    """Install a runner for `model` with the given setter and a one-element floor."""
     runners = []
 
     def install(set_threads):
         runner = parallel.RowRunner(set_threads)
         runners.append(runner)
-        monkeypatch.setattr(parallel, "ROW_FLOOR", 1)
+        monkeypatch.setattr(parallel, "BLOCK_FLOOR", 1)
         monkeypatch.setattr(parallel, "RUNNER", runner)
         return runner
 
@@ -80,12 +80,16 @@ def blas_count(set_threads):
 def test_cuts_follow_frames_and_the_floor():
     runner = parallel.RowRunner(FakeBlas(2))
     assert runner.threads == 2
-    assert runner.cuts(8, 1936) == [0, 4, 8]       # encode window: 2 x 7744 rows
-    assert runner.cuts(12544, 1) == [0, 6272, 12544]  # one decoded frame, split
-    assert runner.cuts(8, 256) == [0, 8]           # a training batch stays whole
-    assert runner.cuts(3, 3000) == [0, 3]          # a block of one frame is too small
-    assert runner.cuts(1, 15488) == [0, 1]         # one frame cannot split
-    assert parallel.RowRunner(FakeBlas(3)).cuts(7, 4096) == [0, 2, 4, 7]
+    # units of one frame's pixels times the paper's 256 units, or one pixel
+    # of all frames; a block needs 2^16 activation elements
+    assert runner.cuts(8, 1936 * 256) == [0, 4, 8]       # encode window: 2 x 7744 rows
+    assert runner.cuts(12544, 256) == [0, 6272, 12544]   # one decoded frame, split
+    assert runner.cuts(8, 256 * 256) == [0, 4, 8]        # the paper's training batch splits
+    assert runner.cuts(2, 64 * 256) == [0, 2]            # 64 rows a block are too few
+    assert runner.cuts(4, 256 * 64) == [0, 4]            # docs/desk.cfg's batch stays whole
+    assert runner.cuts(4, 512 * 64) == [0, 2, 4]         # at 1024 rows a block it splits
+    assert runner.cuts(1, 15488 * 256) == [0, 1]         # one frame cannot split
+    assert parallel.RowRunner(FakeBlas(3)).cuts(7, 2**15) == [0, 2, 4, 7]
 
 
 @pytest.mark.parametrize("b, n", [(1, 200), (4, 50)])
@@ -151,26 +155,32 @@ def test_forward_allocates_one_tile_per_block(use_runner, tile_rows, blocks):
     pytest.param(8, 5, np.float32, id="8-float32"),
 ])
 @pytest.mark.parametrize("weights", [False, True])
-def test_loss_and_grads_match_one_block(use_runner, b, n, dtype, weights):
+def test_loss_and_grads_match_one_block(use_runner, tile_rows, b, n, dtype, weights):
     model, v, phis, coords, targets = case(b, n, dtype, seed=b)
     use_runner(None)
     whole = loss_and_grads(model, v, phis, coords, targets, weights=weights)
     use_runner(FakeBlas(3))
+    calls = tile_rows(10**9)
     split = loss_and_grads(model, v, phis, coords, targets, weights=weights)
+    # the call runs in blocks, each block's frames as one tile
+    assert len(calls) == len(parallel.RUNNER.cuts(b, n)) - 1 == min(b, 3)
 
     def close(a, b):
         return np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)) <= 1e-12
 
     same = np.array_equal if dtype == np.float32 else close
     if dtype == np.float32:
-        assert len(parallel.RUNNER.cuts(b, n)) > 2
         assert split.loss == whole.loss
     else:
         assert split.loss == pytest.approx(whole.loss, rel=1e-12)
     assert same(split.per_frame, whole.per_frame)
     assert same(split.v, whole.v) and same(split.phis, whole.phis)
     if weights:
-        assert list(split.weights) == list(whole.weights)
+        # the order the gradients came in when the outer step ran as one block
+        order = ["out.weight", "out.bias", "layer2.weight", "layer1.weight", "layer0.weight"]
+        for k in (2, 1, 0):
+            order += [f"layer{k}.bias", f"video_proj{k}", f"frame_proj{k}"]
+        assert list(split.weights) == list(whole.weights) == order
         for name, g in whole.weights.items():
             assert same(split.weights[name], g), name
     else:
@@ -326,9 +336,9 @@ def test_encode_output_does_not_depend_on_the_blas_thread_count(tmp_path):
 
 TRAIN_CONFIG = """
 batch_frames = 8
-coords_per_frame = 1024
+coords_per_frame = {coords}
 layers = 2
-hidden = 32
+hidden = {hidden}
 video_dim = 8
 frame_dim = 4
 inner_steps = 2
@@ -338,20 +348,60 @@ iterations = 2
 
 
 def test_train_output_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # 8 frames of 1024 sampled pixels make 8192 rows, two blocks of ROW_FLOOR
-    spec, cfg, corpus = tmp_path / "spec.cfg", tmp_path / "run.cfg", tmp_path / "corpus"
+    spec, corpus = tmp_path / "spec.cfg", tmp_path / "corpus"
     spec.write_text("frames = 8\nheight = 32\nwidth = 32\n")
-    cfg.write_text(TRAIN_CONFIG)
     assert cli.main(["gen-corpus", "--out", str(corpus), "--count", "2", "--seed", "3",
                      "--spec", str(spec)]) == 0
-    outputs = {}
-    for threads in ("2", "1"):
-        out = tmp_path / f"threads{threads}"
-        cli_with_blas_threads(threads, "train", "--corpus", str(corpus), "--config", str(cfg),
-                              "--out", str(out / "model.vfnc"), "--all-splits")
-        manifest = json.loads((out / "model.manifest.json").read_text())
-        outputs[threads] = ((out / "model.vfnc").read_bytes(), manifest["artifacts"])
-    assert outputs["1"] == outputs["2"]
+    # 8 frames of 1024 sampled pixels, and the benchmark's 8 frames of 256
+    # at its width: both split into two blocks of 4 frames
+    for coords, hidden in ((1024, 32), (256, 256)):
+        assert parallel.RowRunner(FakeBlas(2)).cuts(8, coords * hidden) == [0, 4, 8]
+        cfg = tmp_path / f"run{coords}.cfg"
+        cfg.write_text(TRAIN_CONFIG.format(coords=coords, hidden=hidden))
+        outputs = {}
+        for threads in ("2", "1"):
+            out = tmp_path / f"{coords}-threads{threads}"
+            cli_with_blas_threads(threads, "train", "--corpus", str(corpus), "--config",
+                                  str(cfg), "--out", str(out / "model.vfnc"), "--all-splits")
+            manifest = json.loads((out / "model.manifest.json").read_text())
+            outputs[threads] = ((out / "model.vfnc").read_bytes(), manifest["artifacts"])
+        assert outputs["1"] == outputs["2"], coords
+
+
+def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monkeypatch):
+    fake = FakeBlas(2)
+    runner = parallel.RowRunner(fake)
+    monkeypatch.setattr(parallel, "RUNNER", runner)
+    phases, counts = [], []
+    blocks, deal, backward = runner.blocks, parallel.Blocks.deal, model._backward_frames
+
+    def spy_blocks(units, unit_size):
+        phases.append(len(runner.cuts(units, unit_size)) - 1)
+        return blocks(units, unit_size)
+
+    def spy(fn):
+        def call(*args):
+            counts.append(fake.count)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(runner, "blocks", spy_blocks)
+    monkeypatch.setattr(parallel.Blocks, "deal", spy(deal))
+    monkeypatch.setattr(model, "_backward_frames", spy(backward))
+    # the paper's batch of 8 frames at 256 sampled pixels and its width
+    cfg = training.TrainConfig(batch_frames=8, coords_per_frame=256, layers=2, hidden=256,
+                               video_dim=8, frame_dim=4, inner_steps=3)
+    video = VideoTensor(np.random.default_rng(11).uniform(0, 1, size=(8, 32, 32)))
+    try:
+        training.meta_step(cfg.new_model(), video, cfg, np.random.default_rng(0))
+    finally:
+        runner.close()
+    # K inner steps and the outer step, each in two blocks of 4 frames; the
+    # inner ones in two tiles a block, and the outer step's weight products
+    assert phases == [2] * (cfg.inner_steps + 1)
+    assert len(counts) == 2 * 2 * cfg.inner_steps + 2 + 1
+    # BLAS runs one thread whenever a block or a weight product runs
+    assert set(counts) == {1} and fake.count == 2
 
 
 # --- frame tiles within a block ------------------------------------------------
@@ -439,8 +489,9 @@ def test_latent_calls_see_at_most_one_tile_of_rows(use_runner, tile_rows, cap):
     assert all(rows <= max(cap, 4) for rows, _ in calls)
     assert max(rows for rows, _ in calls) == {3: 4, 12: 12, 10**9: 4 * n}[cap]
     calls.clear()
+    # the outer step runs each block's 4 frames at every pixel, one tile
     loss_and_grads(model_, v, phis, coords, targets, weights=True)
-    assert calls == [(8 * n, True)]
+    assert calls == [(4 * n, True), (4 * n, True)]
 
 
 def test_tiled_latent_gradients_match_finite_differences(use_runner, tile_rows):

@@ -92,13 +92,14 @@ def test_sine_act_zero():
 
 def test_sine_act_reaches_one():
     omega0 = 30.0
-    model = one_layer(np.zeros((2, 1)), [np.pi / 2 / omega0], [1.0], omega0=omega0)
+    # the second unit, of zero output weight, only makes the network two wide
+    model = one_layer(np.zeros((2, 2)), [np.pi / 2 / omega0, 0.0], [1.0, 0.0], omega0=omega0)
     assert predict(model, [[0.2, 0.7]])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_add_blocks_values():
     # the frame vector of frame t shifts exactly the pixels of frame t
-    model = one_layer(np.zeros((2, 1)), [0.0], [1.0], frame_proj=[[1.0]])
+    model = one_layer(np.zeros((2, 2)), [0.0, 0.0], [1.0, 0.0], frame_proj=[[1.0, 0.0]])
     out = predict(model, np.zeros((2, 2)), phis=[[1.0], [3.0]])
     assert np.array_equal(out, np.sin([[1.0, 1.0], [3.0, 3.0]]))
 
@@ -113,10 +114,11 @@ def test_group_mean_values():
 def test_sine_act_gradient_at_zero_is_omega0():
     # at a zero pre-activation, d sin(w0 a) / da = w0
     omega0 = 17.5
-    model = one_layer(np.zeros((2, 1)), [0.0], [1.0], omega0=omega0)
+    model = one_layer(np.zeros((2, 2)), [0.0, 0.0], [1.0, 0.0], omega0=omega0)
     g = loss_and_grads(model, np.zeros(1), np.zeros((1, 1)), np.zeros((3, 2)),
                        np.array([[0.2, 0.4, 0.9]]), weights=True)
-    assert g.weights["layer0.bias"] == pytest.approx(omega0 * g.weights["out.bias"], rel=1e-12)
+    assert g.weights["layer0.bias"] == pytest.approx([omega0 * g.weights["out.bias"][0], 0.0],
+                                                     rel=1e-12)
 
 
 def test_sum_gradient_is_ones():
