@@ -188,18 +188,18 @@ def cmd_train(args, argv) -> int:
     resume = None
     if args.resume is not None:
         resume = codec.load_model(args.resume)
-        manifest.add_input(args.resume)
+        manifest.add_input(args.resume, resume.file_hash)
     model, log = train(paths, cfg,
                        checkpoint_dir=args.checkpoint_dir,
                        checkpoint_every=args.checkpoint_every,
                        resume=resume)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    codec.save_model(args.out, model)
+    model_hash = codec.save_model(args.out, model, file_hash=True)
     log_path = args.log if args.log is not None else args.out.with_suffix(".log")
     log.write(log_path)
 
-    manifest.add_artifact(args.out)
-    manifest.add_artifact(log_path)
+    manifest.add_artifact(args.out, digest=model_hash)
+    manifest.add_artifact(log_path, training_log=True)
     manifest.write(args.out.with_suffix(".manifest.json"))
     last = log.entries[-1].loss if log.entries else float("nan")
     print(f"train: {model.iteration} iterations, final loss {last:.6g}, "
@@ -251,7 +251,10 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict,
     `worker(model, input, output)` per input, then writes a run manifest
     hashing the inputs and every output that exists, and reports each
     failure on stderr. The manifest is written also when a failure stops
-    the run, so the outputs finished before it are recorded.
+    the run, so the outputs finished before it are recorded. A worker
+    returns the `{path: hash}` of the container files it read or wrote;
+    the manifest enters those, and the model, by the hashes their reads
+    and writes took.
     """
     if jobs < 1:
         raise VfunctaError(f"--jobs must be at least 1, got {jobs}")
@@ -259,15 +262,18 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict,
     model = codec.load_model(args.model)
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(args.command, argv, config=config, seed=None)
-    manifest.add_input(args.model)
+    manifest.add_input(args.model, model.file_hash)
+    held: dict[Path, int] = {}
     try:
-        failures = _run_items(inputs, lambda path: worker(model, path, outputs[path]),
-                              jobs, args.keep_going)
+        failures = _run_items(
+            inputs, lambda path: held.update(worker(model, path, outputs[path])),
+            jobs, args.keep_going)
     finally:
         for path in inputs:
-            manifest.add_input(path)
+            manifest.add_input(path, held.get(path))
             if outputs[path].exists():
-                manifest.add_artifact(outputs[path], base=args.out)
+                manifest.add_artifact(outputs[path], base=args.out,
+                                      digest=held.get(outputs[path]))
         manifest.write(args.out / "run_manifest.json")
     for item, exc in failures:
         print(f"{args.command} failed for {item}: {exc}", file=sys.stderr)
@@ -280,13 +286,14 @@ def cmd_encode(args, argv) -> int:
     def worker(model, video_path: Path, dest: Path):
         video = data.load_video(video_path)
         enc = codec.encode_video(model, video, settings)
-        codec.save_encoding(dest, enc)
+        written = codec.save_encoding(dest, enc, file_hash=True)
         line = (f"{video_path.name}\tframes={enc.frames}\t"
                 f"rate={codec.compression_rate(video.dims, enc.video_dim, enc.frame_dim):.2f}")
         if args.report:
             rep = metrics.quality_report(video, codec.decode_video(model, enc))
             line += f"\t{rep.line()}"
         print(line)
+        return {dest: written}
 
     return _run_per_item(args, argv, args.videos, ".venc", asdict(settings), worker,
                          args.jobs)
@@ -300,21 +307,25 @@ def cmd_decode(args, argv) -> int:
         # a missing original fails the item before its output is written
         original = (data.load_video(args.originals / (enc_path.stem + ".rawvid"))
                     if args.report else None)
-        video = codec.decode_video(model, codec.load_encoding(enc_path))
+        enc = codec.load_encoding(enc_path)
+        video = codec.decode_video(model, enc)
         data.save_video(dest, video)
         line = f"{enc_path.name}\tdims={video.dims}"
         if original is not None:
             line += f"\t{metrics.quality_report(original, video).line()}"
         print(line)
+        return {enc_path: enc.file_hash}
 
     return _run_per_item(args, argv, args.encodings, ".rawvid", {}, worker, args.jobs)
 
 
 def cmd_summary(args, argv) -> int:
     def worker(model, enc_path: Path, dest: Path):
-        frame = codec.decode_static_summary(model, codec.load_encoding(enc_path))
+        enc = codec.load_encoding(enc_path)
+        frame = codec.decode_static_summary(model, enc)
         data.write_pgm(dest, frame)
         print(f"{enc_path.name}\tsummary {frame.shape[0]}x{frame.shape[1]}")
+        return {enc_path: enc.file_hash}
 
     return _run_per_item(args, argv, args.encodings, ".pgm", {}, worker, 1)
 
@@ -350,7 +361,7 @@ def cmd_eval(args, argv) -> int:
                            config={"task": args.task, "modes": ",".join(modes),
                                    "seeds": args.seeds, **{k: str(v) for k, v in head_options.items()}},
                            seed=base_seed)
-    manifest.add_input(args.model)
+    manifest.add_input(args.model, model.file_hash)
     manifest.add_input(args.corpus)
 
     print(f"eval: encoding {len(items)} videos")

@@ -22,15 +22,14 @@ from .container import (
     ENCODING_MAGIC,
     SUPPORTED_VERSIONS,
     VERSION,
-    atomic_write_bytes,
     decode_dtype,
     dtype_code,
     load_model,
     model_fingerprint,
-    pack_container,
     pack_payload,
     read_container,
     save_model,
+    write_container,
 )
 from .data import VideoTensor
 from .errors import ContractError, FingerprintMismatchError
@@ -55,11 +54,13 @@ class VideoEncoding:
 
     `fingerprint_version` is the container version whose hash made
     `fingerprint`: an encoding loaded from a version 1 file names its
-    model by the version 1 fingerprint.
+    model by the version 1 fingerprint. `file_hash` is the hash of the
+    container file a version 2 encoding was read from (`load_encoding`),
+    else None; it is not part of equality.
     """
 
     __slots__ = ("video_mod", "frame_mods", "frames", "height", "width",
-                 "fingerprint", "inner_steps", "inner_lr", "fingerprint_version")
+                 "fingerprint", "inner_steps", "inner_lr", "fingerprint_version", "file_hash")
 
     def __init__(self, video_mod: VideoModulation, frame_mods: FrameModulationSeq,
                  frames: int, height: int, width: int, fingerprint: int,
@@ -80,6 +81,7 @@ class VideoEncoding:
         self.inner_steps = int(inner_steps)
         self.inner_lr = float(inner_lr)
         self.fingerprint_version = int(fingerprint_version)
+        self.file_hash: int | None = None
 
     @property
     def video_dim(self) -> int:
@@ -178,7 +180,9 @@ def compression_rate(dims: tuple[int, int, int], video_dim: int, frame_dim: int)
     return (t * h * w) / denom
 
 
-def save_encoding(path, enc: VideoEncoding) -> None:
+def save_encoding(path, enc: VideoEncoding, file_hash: bool = False) -> int | None:
+    """Write `enc` to `path`; with `file_hash`, returns the file's hash
+    (see `container.write_container`)."""
     if enc.fingerprint_version != VERSION:
         raise ContractError(
             f"encoding names its model by a version {enc.fingerprint_version} fingerprint, "
@@ -187,8 +191,9 @@ def save_encoding(path, enc: VideoEncoding) -> None:
     head = (struct.pack("<BIIIII", dtype_code(dt), enc.frames, enc.height, enc.width,
                         enc.video_dim, enc.frame_dim)
             + struct.pack("<IdQ", enc.inner_steps, enc.inner_lr, enc.fingerprint))
-    atomic_write_bytes(path, *pack_container(
-        ENCODING_MAGIC, head, *pack_payload([enc.video_mod.values, enc.frame_mods.values], dt)))
+    return write_container(path, ENCODING_MAGIC, head,
+                           *pack_payload([enc.video_mod.values, enc.frame_mods.values], dt),
+                           file_hash=file_hash)
 
 
 def load_encoding(path) -> VideoEncoding:
@@ -197,8 +202,10 @@ def load_encoding(path) -> VideoEncoding:
         inner_steps, inner_lr, fingerprint = reader.unpack("<IdQ")
         arrays = reader.payload(decode_dtype(code),
                                 {"v": (video_dim,), "phis": (frames, frame_dim)})
-    return VideoEncoding(
+    enc = VideoEncoding(
         VideoModulation(arrays["v"]), FrameModulationSeq(arrays["phis"]),
         frames=frames, height=height, width=width,
         fingerprint=fingerprint, inner_steps=inner_steps, inner_lr=inner_lr,
         fingerprint_version=reader.version)
+    enc.file_hash = reader.file_hash
+    return enc

@@ -19,6 +19,16 @@ checked before any array is handed out.
 The version names the hash behind the checksum and the model
 fingerprint: version 2, which is written, uses 64-bit BLAKE2b; version 1
 used 64-bit FNV-1a and is still read and verified.
+
+A run manifest names a container input or artifact by the 64-bit BLAKE2b
+of the whole file, and that hash is taken from the bytes the command read
+or wrote, in the same pass as the checksum: `write_container` returns it
+when asked, and a version 2 read keeps it (and, for a model, the
+fingerprint, which covers the same payload) once the checksum holds.
+The passes over one payload run at once on the BLAS threads' cores
+(`parallel.RUNNER`), since hashlib releases the GIL while it hashes a
+large buffer; each hash takes its chunks in file order whatever the
+thread count, so no value depends on it.
 """
 
 from __future__ import annotations
@@ -28,11 +38,13 @@ import math
 import os
 import struct
 import tempfile
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     BadMagicError,
     ChecksumError,
@@ -62,14 +74,65 @@ def fnv1a64(data) -> int:
     return h
 
 
+def _blake2b():
+    return hashlib.blake2b(digest_size=8)
+
+
+def _value(hasher) -> int:
+    return int.from_bytes(hasher.digest(), "little")
+
+
 def blake2b64(chunks) -> int:
     """64-bit BLAKE2b over the concatenation of an iterable of byte-like
     chunks: the version 2 hash, fed chunk by chunk so nothing is joined
     first."""
-    h = hashlib.blake2b(digest_size=8)
+    h = _blake2b()
     for chunk in chunks:
         h.update(chunk)
-    return int.from_bytes(h.digest(), "little")
+    return _value(h)
+
+
+class _Step:
+    """A zero-argument task that first waits for the steps `after` to
+    finish, and keeps an exception from its function in `error`."""
+
+    def __init__(self, fn, after=()):
+        self.fn = fn
+        self.after = after
+        self.done = threading.Event()
+        self.error: BaseException | None = None
+
+    def __call__(self) -> None:
+        for step in self.after:
+            step.done.wait()
+        try:
+            self.fn()
+        except BaseException as exc:
+            self.error = exc
+        finally:
+            self.done.set()
+
+
+def _feed(hasher, chunks, after=()) -> _Step:
+    """A step that updates `hasher` with the byte-like chunks in order."""
+    def run():
+        for chunk in chunks:
+            hasher.update(chunk)
+    return _Step(run, after)
+
+
+def _run_steps(steps: list) -> None:
+    """Run the steps at once, dealt in turn to the runner's threads (with
+    two, the even steps run in the calling thread and the odd ones in the
+    pool). A step waits only for steps listed before it, and every step
+    runs even when another fails, so every thread can always go on, and
+    one hasher fed by several steps takes their chunks in step order on
+    any thread count. The first step's exception, in step order, is
+    raised here once every step has finished."""
+    parallel.RUNNER.deal(steps)
+    for step in steps:
+        if step.error is not None:
+            raise step.error
 
 
 def _content_hash(version: int, chunks) -> int:
@@ -109,11 +172,24 @@ def atomic_write_bytes(path, *chunks) -> None:
         raise
 
 
-def pack_container(magic: bytes, *body) -> list:
-    """A container file as chunks: magic, version, the byte-like body
-    chunks, and the checksum of the body, so no chunk is copied."""
-    return [magic, struct.pack("<I", VERSION), *body,
-            struct.pack("<Q", _content_hash(VERSION, body))]
+def write_container(path, magic: bytes, *body, file_hash: bool = False) -> int | None:
+    """Write a container file atomically: magic, version, the byte-like
+    body chunks, and the checksum of the body, with no chunk copied.
+
+    With `file_hash`, returns the hash of the whole file, hashed over
+    magic, version and body while the checksum is, then over the checksum
+    (the digest's bytes are the stored u64); else None. A save whose file
+    no manifest records, such as a training checkpoint, so pays for one
+    pass over the payload, not two."""
+    head = magic + struct.pack("<I", VERSION)
+    checksum, whole = _blake2b(), _blake2b()
+    steps = [_feed(checksum, body)]
+    if file_hash:
+        steps.append(_feed(whole, [head, *body]))
+        steps.append(_Step(lambda: whole.update(checksum.digest()), after=tuple(steps)))
+    _run_steps(steps)
+    atomic_write_bytes(path, head, *body, checksum.digest())
+    return _value(whole) if file_hash else None
 
 
 def pack_payload(arrays, dtype) -> list:
@@ -132,13 +208,16 @@ class _BodyReader:
     The header fields are read by `unpack` and kept for the checksum;
     `payload` reads the rest of the body and the checksum and checks it.
     `remaining` is the body's bytes not yet read, from the file's size.
+    Once the checksum of a version 2 file holds, `file_hash` is the hash
+    of the whole file and `fingerprint` the one `payload` was asked for;
+    until then, and for version 1, both are None.
     """
 
     def __init__(self, fh, source: str, magic: bytes):
         self.fh = fh
         self.source = source
         size = os.fstat(fh.fileno()).st_size
-        head = self._read(min(size, 8))
+        head = self._head = self._read(min(size, 8))
         if head[:4] != magic:
             raise BadMagicError(f"{source}: bad magic {bytes(head[:4])!r}, expected {magic!r}")
         if size < 16:
@@ -149,6 +228,8 @@ class _BodyReader:
                 f"{source}: version {self.version}, supported {SUPPORTED_VERSIONS}")
         self.remaining = size - 16
         self._fields: list = []
+        self.file_hash: int | None = None
+        self.fingerprint: int | None = None
 
     def _read(self, size: int, into=None):
         """The next `size` bytes of the file, read into `into` when given;
@@ -171,13 +252,16 @@ class _BodyReader:
         self._fields.append(field)
         return struct.unpack(fmt, field)
 
-    def payload(self, dtype, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    def payload(self, dtype, shapes: dict[str, tuple[int, ...]],
+                fingerprint_head: bytes | None = None) -> dict[str, np.ndarray]:
         """Read the payload that ends the body: its u64 byte length, then
         one `dtype` array per entry of the `{name: shape}` table, in table
         order. The length is checked against the table and the file's
         size before the payload is read into one array of `dtype`; once
         the checksum over the whole body holds, returns the arrays by name
-        as read-only views into it."""
+        as read-only views into it. With `fingerprint_head`, a version 2
+        read also hashes that header followed by the payload, into
+        `fingerprint`."""
         dt = np.dtype(dtype)
         (length,) = self.unpack("<Q")
         expected = sum(math.prod(shape) for shape in shapes.values()) * dt.itemsize
@@ -190,10 +274,16 @@ class _BodyReader:
         flat = np.empty(length // dt.itemsize, dtype=dt)
         self._read(length, into=memoryview(flat).cast("B"))
         self.remaining = 0
-        (stored,) = struct.unpack("<Q", self._read(8))
-        actual = _content_hash(self.version, [*self._fields, flat])
+        stored_bytes = self._read(8)
+        if self.version == 1:
+            actual = fnv1a64(b"".join([*self._fields, flat]))
+            file_hash = fingerprint = None
+        else:
+            actual, file_hash, fingerprint = self._hashes(flat, stored_bytes, fingerprint_head)
+        (stored,) = struct.unpack("<Q", stored_bytes)
         if stored != actual:
             raise ChecksumError(f"{self.source}: checksum {actual:016x} != stored {stored:016x}")
+        self.file_hash, self.fingerprint = file_hash, fingerprint
         flat.setflags(write=False)
         arrays, pos = {}, 0
         for name, shape in shapes.items():
@@ -201,6 +291,27 @@ class _BodyReader:
             arrays[name] = flat[pos:pos + count].reshape(shape)
             pos += count
         return arrays
+
+    def _hashes(self, flat: np.ndarray, stored: bytes, fingerprint_head: bytes | None):
+        """The version 2 checksum over the header fields and `flat`, the
+        hash of the whole file, and the fingerprint over `fingerprint_head`
+        and `flat` (None without a head), in one concurrent pass over
+        `flat`. The file hash is split at the middle of the payload, so
+        that on two threads one hashes its first half and then the
+        checksum, and the other the fingerprint and then its second half."""
+        checksum, whole = _blake2b(), _blake2b()
+        raw = memoryview(flat).cast("B")
+        half = len(raw) // 2
+        first = _feed(whole, [self._head, *self._fields, raw[:half]])
+        steps = [first, _feed(checksum, [*self._fields, flat]),
+                 _feed(whole, [raw[half:], stored], after=(first,))]
+        fingerprint = None
+        if fingerprint_head is not None:
+            fingerprint = _blake2b()
+            steps.insert(1, _feed(fingerprint, [fingerprint_head, flat]))
+        _run_steps(steps)
+        return (_value(checksum), _value(whole),
+                None if fingerprint is None else _value(fingerprint))
 
 
 @contextmanager
@@ -225,8 +336,13 @@ def _param_arrays(model: MetaModel) -> list[np.ndarray]:
             for _, p in model.parameters()]
 
 
+# the architecture header: dtype code, layers, hidden, video_dim,
+# frame_dim, omega0
+_DIMS = "<BIIIId"
+
+
 def _model_dims_blob(model: MetaModel) -> bytes:
-    return struct.pack("<BIIIId", dtype_code(model.dtype), model.layers, model.hidden,
+    return struct.pack(_DIMS, dtype_code(model.dtype), model.layers, model.hidden,
                        model.video_dim, model.frame_dim, model.omega0)
 
 
@@ -241,19 +357,26 @@ def model_fingerprint(model: MetaModel, version: int = VERSION) -> int:
     return model.fingerprints[version]
 
 
-def save_model(path, model: MetaModel) -> None:
+def save_model(path, model: MetaModel, file_hash: bool = False) -> int | None:
+    """Write `model` to `path`; with `file_hash`, returns the file's hash
+    (see `write_container`)."""
     head = (struct.pack("<I", KIND_MODEL) + _model_dims_blob(model)
             + struct.pack("<Q", model.iteration))
-    atomic_write_bytes(path, *pack_container(
-        MODEL_MAGIC, head, *pack_payload(_param_arrays(model), model.dtype)))
+    return write_container(path, MODEL_MAGIC, head,
+                           *pack_payload(_param_arrays(model), model.dtype),
+                           file_hash=file_hash)
 
 
 def load_model(path) -> MetaModel:
+    """The model in the file at `path`. A version 2 read also hashes the
+    payload into the model's version 2 fingerprint and into its
+    `file_hash`, the hash of the whole file, in the checksum's pass."""
     with read_container(path, MODEL_MAGIC) as reader:
         (kind,) = reader.unpack("<I")
         if kind != KIND_MODEL:
             raise FormatError(f"{reader.source}: kind {kind} is not a model checkpoint")
-        code, layers, hidden, video_dim, frame_dim, omega0 = reader.unpack("<BIIIId")
+        dims = reader.unpack(_DIMS)
+        code, layers, hidden, video_dim, frame_dim, omega0 = dims
         (iteration,) = reader.unpack("<Q")
         dt = decode_dtype(code)
         if min(layers, hidden, video_dim, frame_dim) < 1:
@@ -266,7 +389,12 @@ def load_model(path) -> MetaModel:
         if layers * hidden * dt.itemsize > reader.remaining:
             raise FormatError(f"{reader.source}: {layers} layers of width {hidden} "
                               f"do not fit in the body")
-        params = reader.payload(dt, param_shapes(layers, hidden, video_dim, frame_dim))
+        params = reader.payload(dt, param_shapes(layers, hidden, video_dim, frame_dim),
+                                fingerprint_head=struct.pack(_DIMS, *dims))
     native = dt.newbyteorder("=")
-    return MetaModel({name: Tensor(view, dtype=native) for name, view in params.items()},
-                     omega0=omega0, iteration=iteration)
+    model = MetaModel({name: Tensor(view, dtype=native) for name, view in params.items()},
+                      omega0=omega0, iteration=iteration)
+    if reader.fingerprint is not None:
+        model.fingerprints[reader.version] = reader.fingerprint
+    model.file_hash = reader.file_hash
+    return model

@@ -20,10 +20,9 @@ from .codec import VideoEncoding
 from .container import (
     KIND_HEAD,
     MODEL_MAGIC,
-    atomic_write_bytes,
-    pack_container,
     pack_payload,
     read_container,
+    write_container,
 )
 from .errors import ContractError, DivergenceError, FormatError
 from .metrics import classification_metrics, regression_metrics
@@ -251,7 +250,7 @@ def save_head(path, head: MlpHead) -> None:
             + struct.pack("<dIId q", cfg.dropout, cfg.epochs, cfg.batch_size,
                           cfg.learning_rate, cfg.seed))
     payload = pack_payload([arrays[name] for name in _payload_shapes(sizes)], "<f8")
-    atomic_write_bytes(path, *pack_container(MODEL_MAGIC, body, *payload))
+    write_container(path, MODEL_MAGIC, body, *payload)
 
 
 def load_head(path) -> MlpHead:

@@ -2,10 +2,14 @@
 
 Every command writes one JSON manifest holding the resolved
 configuration, seeds, input and output paths, and a content hash per
-artifact: 64-bit BLAKE2b as 16 hex digits, named by the manifest's
-`hash` key. Hashes of training logs are computed over their deterministic
-columns only (timestamps and wall-clock timings are stripped), so two
-runs with the same seed produce identical artifact hash maps.
+input and artifact: 64-bit BLAKE2b of the file as 16 hex digits, named
+by the manifest's `hash` key. A container file the command read or wrote
+is entered with the hash its reader or writer took from those bytes, in
+the checksum's pass (see `container`), so it is not read again. The
+training log `train` writes is hashed over its deterministic columns only
+(timestamps and wall-clock timings are stripped), so two runs with the
+same seed produce identical artifact hash maps; every other file is
+hashed as it is, whatever its name.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ HASH_NAME = "blake2b-64"
 HASH_CHUNK = 1 << 18
 
 
-def hash_file(path) -> str:
-    """Content hash as 16 hex digits; log files are canonicalized first."""
+def hash_file(path, training_log: bool = False) -> str:
+    """Content hash as 16 hex digits; a training log is canonicalized
+    first."""
     path = Path(path)
-    if path.suffix == ".log":
+    if training_log:
         return f"{blake2b64([_canonical_log_bytes(path)]):016x}"
     with path.open("rb") as fh:
         return f"{blake2b64(iter(partial(fh.read, HASH_CHUNK), b'')):016x}"
@@ -61,17 +66,27 @@ class RunManifest:
     started: str = field(default_factory=_now)
     finished: str = ""
 
-    def add_input(self, path) -> None:
+    def add_input(self, path, digest: int | None = None) -> None:
+        """Enter an input by its hash: `digest` when the caller holds the
+        hash of the bytes it read, else the file's, or "-" for a path that
+        is not a file."""
         path = Path(path)
-        if path.is_file():
+        if digest is not None:
+            self.inputs[str(path)] = f"{digest:016x}"
+        elif path.is_file():
             self.inputs[str(path)] = hash_file(path)
         else:
             self.inputs[str(path)] = "-"
 
-    def add_artifact(self, path, base: Path | None = None) -> None:
+    def add_artifact(self, path, base: Path | None = None, digest: int | None = None,
+                     training_log: bool = False) -> None:
+        """Enter an artifact by its hash: `digest` when the caller holds
+        the hash of the bytes it wrote, else the file's (canonicalized for
+        a `training_log`)."""
         path = Path(path)
         key = str(path.relative_to(base)) if base is not None else path.name
-        self.artifacts[key] = hash_file(path)
+        self.artifacts[key] = (f"{digest:016x}" if digest is not None
+                               else hash_file(path, training_log))
 
     def write(self, path) -> None:
         self.finished = _now()

@@ -147,7 +147,8 @@ class MetaModel:
     X @ W + b. Immutable during evaluation; training swaps in fresh
     tensors via `replace_params`. So `fingerprints`, the memo of
     `container.model_fingerprint` by container version, stays valid for
-    the object's life.
+    the object's life, and so does `file_hash`, the hash of the container
+    file the object was read from (None when it was not read from one).
     """
 
     def __init__(self, params: dict[str, Tensor], omega0: float, iteration: int = 0):
@@ -192,6 +193,7 @@ class MetaModel:
         self.frame_projs = [self._params[f"frame_proj{i}"] for i in k]
         self.dtype = self.layer_weights[0].dtype
         self.fingerprints: dict[int, int] = {}
+        self.file_hash: int | None = None
 
     @classmethod
     def initialize(cls, layers: int, hidden: int, video_dim: int, frame_dim: int,

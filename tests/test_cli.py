@@ -1,5 +1,8 @@
 """End-to-end command-line workflows at toy scale."""
 
+import builtins
+import hashlib
+import io
 import math
 import os
 import struct
@@ -155,23 +158,98 @@ def test_encode_report_prints_quality(tmp_path, capsys):
     assert "psnr_db=" in out and "ssim3d=" in out
 
 
-def test_a_command_hashes_its_model_once(tmp_path, monkeypatch):
+class RecordingHashes:
+    """`hashlib.blake2b` and `open` wrapped: every byte each hasher is fed,
+    and every open of the file at `path`."""
+
+    def __init__(self, monkeypatch, path: Path):
+        self.fed: list[list[bytes]] = []
+        self.opens = 0
+        real_blake2b, real_open = hashlib.blake2b, io.open
+        recording = self
+
+        class Hasher:
+            def __init__(self, data=b"", **kwargs):
+                self._hasher = real_blake2b(**kwargs)
+                self.fed = []
+                recording.fed.append(self.fed)
+                self.update(data)
+
+            def update(self, data):
+                self.fed.append(bytes(memoryview(data).cast("B")))
+                self._hasher.update(data)
+
+            def digest(self):
+                return self._hasher.digest()
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+                self.opens += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "blake2b", Hasher)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+
+    def passes_over(self, payload: bytes) -> int:
+        """How many times the hashers were fed `payload` whole, in order."""
+        return sum(b"".join(fed).count(payload) for fed in self.fed)
+
+
+def model_payload(path: Path) -> bytes:
+    """The parameter payload of a model file: the bytes before its checksum."""
+    size = sum(p.data.nbytes for _, p in load_model(path).parameters())
+    return path.read_bytes()[-8 - size:-8]
+
+
+def test_a_command_reads_its_model_once_and_hashes_its_payload_three_times(
+        tmp_path, monkeypatch):
+    """The load's one pass gives the checksum, the fingerprint (which encode
+    names in each encoding and --report checks again) and the manifest's
+    hash of the model file; saving a model hashes it twice."""
     corpus, model_path = trained_model(tmp_path)
     videos = [i.path for i in read_corpus_manifest(corpus)[:3]]
-    hashed = []
-    param_arrays = container._param_arrays
-    monkeypatch.setattr(container, "_param_arrays",
-                        lambda model: hashed.append(model) or param_arrays(model))
-    # encode names the model in each encoding, and --report checks it again
-    assert main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
-                 "--batch-frames", "4", "--inner-steps", "1", "--report", *videos]) == 0
-    assert len(hashed) == 1
-    hashed.clear()
+    payload = model_payload(model_path)
+    with monkeypatch.context() as patch:
+        recording = RecordingHashes(patch, model_path)
+        assert main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
+                     "--batch-frames", "4", "--inner-steps", "1", "--report", *videos]) == 0
+    assert (recording.opens, recording.passes_over(payload)) == (1, 3)
+
     encodings = sorted(str(p) for p in (tmp_path / "enc").glob("*.venc"))
     assert len(encodings) == 3
-    assert main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
-                 *encodings]) == 0
-    assert len(hashed) == 1
+    with monkeypatch.context() as patch:
+        recording = RecordingHashes(patch, model_path)
+        assert main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
+                     *encodings]) == 0
+    assert (recording.opens, recording.passes_over(payload)) == (1, 3)
+
+    again = tmp_path / "again.vfnc"
+    with monkeypatch.context() as patch:
+        recording = RecordingHashes(patch, again)
+        assert main(["train", "--corpus", str(corpus), "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(again)]) == 0
+    assert (recording.opens, recording.passes_over(model_payload(again))) == (0, 2)
+
+
+def test_container_entries_are_the_hashes_of_the_files(tmp_path, capsys):
+    """The hashes the loads and saves took are the manifest's file hashes."""
+    corpus, model_path = trained_model(tmp_path)
+    video = read_corpus_manifest(corpus)[0].path
+    assert main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
+                 "--batch-frames", "4", "--inner-steps", "1", video]) == 0
+    venc = next((tmp_path / "enc").glob("*.venc"))
+    encoded = read_manifest(tmp_path / "enc" / "run_manifest.json")
+    assert encoded["inputs"][str(model_path)] == hash_file(model_path)
+    assert encoded["artifacts"] == {venc.name: hash_file(venc)}
+    for command, suffix in [("decode", ".rawvid"), ("summary", ".pgm")]:
+        out = tmp_path / command
+        assert main([command, "--model", str(model_path), "--out", str(out), str(venc)]) == 0
+        doc = read_manifest(out / "run_manifest.json")
+        assert doc["inputs"] == {str(model_path): hash_file(model_path),
+                                 str(venc): hash_file(venc)}
+        written = out / (venc.stem + suffix)
+        assert doc["artifacts"] == {written.name: hash_file(written)}
 
 
 def test_decode_report_against_originals(tmp_path, capsys):
@@ -280,6 +358,43 @@ def test_same_seed_runs_have_identical_artifact_hashes(tmp_path):
     assert hashes[0] == hashes[1]
     assert set(hashes[0]) == {"model.vfnc", "model.log"}
 
+def raw_hash(path: Path) -> str:
+    """The manifest's hash of a file's bytes as they are."""
+    digest = hashlib.blake2b(path.read_bytes(), digest_size=8).digest()
+    return f"{int.from_bytes(digest, 'little'):016x}"
+
+
+def test_a_config_named_like_a_log_is_hashed_as_it_is(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path)
+    cfg = write_config(tmp_path / "desk.log", iterations=1)
+    out = tmp_path / "model.vfnc"
+    assert main(["train", "--corpus", str(corpus), "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert read_manifest(out.with_suffix(".manifest.json"))["inputs"][str(cfg)] == raw_hash(cfg)
+
+
+def test_a_model_named_like_a_log_is_hashed_as_it_is(tmp_path, capsys):
+    model_path, _, venc = tiny_files(tmp_path)
+    renamed = model_path.rename(tmp_path / "m.log")
+    out = tmp_path / "dec"
+    assert main(["decode", "--model", str(renamed), "--out", str(out), str(venc)]) == 0
+    assert read_manifest(out / "run_manifest.json")["inputs"][str(renamed)] == raw_hash(renamed)
+
+
+def test_a_training_log_of_any_name_skips_its_timestamps(tmp_path):
+    corpus = gen_corpus(tmp_path)
+    cfg = write_config(tmp_path / "run.cfg", iterations=3)
+    hashes, logs = [], []
+    for name in ("r1", "r2"):
+        out, log = tmp_path / name / "model.vfnc", tmp_path / name / "run.txt"
+        assert main(["train", "--corpus", str(corpus), "--config", str(cfg),
+                     "--out", str(out), "--log", str(log)]) == 0
+        hashes.append(read_manifest(out.with_suffix(".manifest.json"))["artifacts"])
+        logs.append(log.read_bytes())
+    assert logs[0] != logs[1]
+    assert hashes[0] == hashes[1]
+    assert set(hashes[0]) == {"model.vfnc", "run.txt"}
+
 # --- user errors end in one error line --------------------------------------------
 
 def assert_one_error_line(err, *needles):
@@ -361,8 +476,7 @@ def test_decode_of_a_model_with_an_impossible_layer_count_is_one_error_line(
         tmp_path, capsys, monkeypatch):
     _, _, venc = tiny_files(tmp_path)
     body = struct.pack("<IBIIIIdQQ", container.KIND_MODEL, 0, 2**32 - 1, 1, 1, 1, 30.0, 0, 16)
-    container.atomic_write_bytes(tmp_path / "huge.vfnc", *container.pack_container(
-        container.MODEL_MAGIC, body, bytes(16)))
+    container.write_container(tmp_path / "huge.vfnc", container.MODEL_MAGIC, body, bytes(16))
 
     def refuse(*args):
         raise AssertionError(f"param_shapes{args} was called")
@@ -382,8 +496,7 @@ def test_decode_of_a_model_whose_omega0_is_nan_is_one_error_line(tmp_path, capsy
     # omega0 follows the magic, version, kind tag, dtype code and four dimensions
     body = bytearray(blob[8:-8])
     struct.pack_into("<d", body, 4 + 1 + 16, math.nan)
-    container.atomic_write_bytes(model_path, *container.pack_container(
-        container.MODEL_MAGIC, bytes(body)))
+    container.write_container(model_path, container.MODEL_MAGIC, bytes(body))
     capsys.readouterr()
     rc = main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"), str(venc)])
     assert rc == 1

@@ -1,7 +1,8 @@
 """What reading a container and hashing a file allocate, by tracemalloc.
 
 A model load holds its payload once: the file is read straight into one
-array, whose read-only views become the parameters. A truncated file is
+array, whose read-only views become the parameters, and whose digests
+are hashed from it in place. A truncated file is
 refused before that array exists, and a file hash reads in chunks. An
 outer step's row arrays are gone before its projection gradients exist.
 """
@@ -41,6 +42,20 @@ def test_a_model_load_holds_its_payload_once(model_file):
     load_model(path)  # imports and first-call caches out of the way
     peak, _ = traced_peak(load_model, path)
     assert peak <= 1.1 * payload
+
+
+def test_a_model_load_hashing_on_two_threads_holds_its_payload_once(model_file, monkeypatch):
+    """The checksum, fingerprint and file hash passes share the one array."""
+    path, payload = model_file
+    runner = parallel.RowRunner(lambda threads: 2)
+    monkeypatch.setattr(parallel, "RUNNER", runner)
+    try:
+        load_model(path)  # starts the pool
+        peak, model = traced_peak(load_model, path)
+    finally:
+        runner.close()
+    assert peak <= 1.1 * payload
+    assert model.fingerprints and model.file_hash is not None
 
 
 def test_a_loaded_models_parameters_share_one_read_only_array(model_file):
