@@ -286,7 +286,7 @@ def cmd_encode(args, argv) -> int:
     def worker(model, video_path: Path, dest: Path):
         video = data.load_video(video_path)
         enc = codec.encode_video(model, video, settings)
-        written = codec.save_encoding(dest, enc, file_hash=True)
+        written = codec.save_encoding(dest, enc)
         line = (f"{video_path.name}\tframes={enc.frames}\t"
                 f"rate={codec.compression_rate(video.dims, enc.video_dim, enc.frame_dim):.2f}")
         if args.report:

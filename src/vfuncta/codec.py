@@ -180,9 +180,9 @@ def compression_rate(dims: tuple[int, int, int], video_dim: int, frame_dim: int)
     return (t * h * w) / denom
 
 
-def save_encoding(path, enc: VideoEncoding, file_hash: bool = False) -> int | None:
-    """Write `enc` to `path`; with `file_hash`, returns the file's hash
-    (see `container.write_container`)."""
+def save_encoding(path, enc: VideoEncoding) -> int:
+    """Write `enc` to `path` and return the file's hash (see
+    `container.write_container`)."""
     if enc.fingerprint_version != VERSION:
         raise ContractError(
             f"encoding names its model by a version {enc.fingerprint_version} fingerprint, "
@@ -193,7 +193,7 @@ def save_encoding(path, enc: VideoEncoding, file_hash: bool = False) -> int | No
             + struct.pack("<IdQ", enc.inner_steps, enc.inner_lr, enc.fingerprint))
     return write_container(path, ENCODING_MAGIC, head,
                            *pack_payload([enc.video_mod.values, enc.frame_mods.values], dt),
-                           file_hash=file_hash)
+                           file_hash=True)
 
 
 def load_encoding(path) -> VideoEncoding:

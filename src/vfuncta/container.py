@@ -186,10 +186,12 @@ def write_container(path, magic: bytes, *body, file_hash: bool = False) -> int |
     steps = [_feed(checksum, body)]
     if file_hash:
         steps.append(_feed(whole, [head, *body]))
-        steps.append(_Step(lambda: whole.update(checksum.digest()), after=tuple(steps)))
     _run_steps(steps)
     atomic_write_bytes(path, head, *body, checksum.digest())
-    return _value(whole) if file_hash else None
+    if not file_hash:
+        return None
+    whole.update(checksum.digest())
+    return _value(whole)
 
 
 def pack_payload(arrays, dtype) -> list:

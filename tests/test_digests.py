@@ -72,7 +72,7 @@ def test_an_encoding_save_and_load_give_the_manifest_hash(tmp_path, runner):
                         frames=3, height=4, width=5, fingerprint=7, inner_steps=2,
                         inner_lr=0.05)
     path = tmp_path / "e.venc"
-    assert f"{save_encoding(path, enc, file_hash=True):016x}" == hash_file(path)
+    assert f"{save_encoding(path, enc):016x}" == hash_file(path)
     assert f"{load_encoding(path).file_hash:016x}" == hash_file(path)
 
 
