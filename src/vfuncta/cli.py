@@ -13,7 +13,7 @@ import argparse
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, argv)
-    except VfunctaError as exc:
+    except (VfunctaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -189,13 +189,14 @@ def cmd_train(args, argv) -> int:
     if args.resume is not None:
         resume = codec.load_model(args.resume)
         manifest.add_input(args.resume, resume.file_hash)
+    log_path = args.log if args.log is not None else args.out.with_suffix(".log")
+    for directory in (args.out.parent, log_path.parent):
+        directory.mkdir(parents=True, exist_ok=True)
     model, log = train(paths, cfg,
                        checkpoint_dir=args.checkpoint_dir,
                        checkpoint_every=args.checkpoint_every,
                        resume=resume)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     model_hash = codec.save_model(args.out, model, file_hash=True)
-    log_path = args.log if args.log is not None else args.out.with_suffix(".log")
     log.write(log_path)
 
     manifest.add_artifact(args.out, digest=model_hash)
@@ -356,6 +357,11 @@ def cmd_eval(args, argv) -> int:
     if config_task is not None and config_task != args.task:
         raise VfunctaError(f"--task {args.task} conflicts with head config task "
                            f"{config_task!r}")
+    # every head option is checked here, before any video is encoded
+    head_cfg = heads.HeadConfig(mode=modes[0], task=args.task, hidden=hidden,
+                                seed=base_seed, **head_options)
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
 
     manifest = RunManifest("eval", argv,
                            config={"task": args.task, "modes": ",".join(modes),
@@ -383,9 +389,8 @@ def cmd_eval(args, argv) -> int:
         x_train, x_test = features(train_items, mode), features(test_items, mode)
         per_seed = []
         for s in range(args.seeds):
-            head_cfg = heads.HeadConfig(mode=mode, task=args.task, hidden=hidden,
-                                        seed=base_seed + s, **head_options)
-            head, _ = heads.train_head(x_train, y_train, head_cfg)
+            head, _ = heads.train_head(x_train, y_train,
+                                       replace(head_cfg, mode=mode, seed=base_seed + s))
             report = heads.evaluate_head(head, x_test, y_test)
             per_seed.append(report)
         lines.append(_format_eval_line(mode, args.task, per_seed))
@@ -393,7 +398,6 @@ def cmd_eval(args, argv) -> int:
         print(line)
 
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         report_path = args.out / "eval_report.tsv"
         atomic_write_bytes(report_path, ("\n".join(lines) + "\n").encode("utf-8"))
         manifest.add_artifact(report_path, base=args.out)

@@ -11,6 +11,7 @@ the same path, numbered in command-line order.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import typing
 from pathlib import Path
@@ -126,6 +127,9 @@ def load_corpus_options(path=None) -> dict:
         raise ConfigError(f"trajectories must be a subset of line,circle, got "
                           f"{values['trajectories']!r}")
     values["trajectories"] = trajectories
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if values["speed_min"] > values["speed_max"]:
         raise ConfigError("speed_min must not exceed speed_max")
     return values

@@ -20,12 +20,13 @@ The version names the hash behind the checksum and the model
 fingerprint: version 2, which is written, uses 64-bit BLAKE2b; version 1
 used 64-bit FNV-1a and is still read and verified.
 
-A run manifest names a container input or artifact by the 64-bit BLAKE2b
-of the whole file, and that hash is taken from the bytes the command read
-or wrote, in the same pass as the checksum: `write_container` returns it
-when asked, and a version 2 read keeps it (and, for a model, the
-fingerprint, which covers the same payload) once the checksum holds.
-The passes over one payload run at once on the BLAS threads' cores
+One digest rule holds for every file: every version 2 read keeps its
+file hash, the 64-bit BLAKE2b of the whole file, and, for a model, its
+fingerprint, once the checksum holds; every write whose file a run
+manifest records (`train`'s model, every `.venc`) returns its file hash.
+Each is taken from the bytes read or written, in the checksum's pass,
+and the manifest names a container input or artifact by that file hash.
+A pass is two fixed tasks dealt to the BLAS threads' cores
 (`parallel.RUNNER`), since hashlib releases the GIL while it hashes a
 large buffer; each hash takes its chunks in file order whatever the
 thread count, so no value depends on it.
@@ -40,6 +41,7 @@ import struct
 import tempfile
 import threading
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -82,65 +84,19 @@ def _value(hasher) -> int:
     return int.from_bytes(hasher.digest(), "little")
 
 
+def _update(hasher, chunks) -> None:
+    """Feed the byte-like chunks to `hasher` in order, none of them copied."""
+    for chunk in chunks:
+        hasher.update(chunk)
+
+
 def blake2b64(chunks) -> int:
     """64-bit BLAKE2b over the concatenation of an iterable of byte-like
     chunks: the version 2 hash, fed chunk by chunk so nothing is joined
     first."""
     h = _blake2b()
-    for chunk in chunks:
-        h.update(chunk)
+    _update(h, chunks)
     return _value(h)
-
-
-class _Step:
-    """A zero-argument task that first waits for the steps `after` to
-    finish, and keeps an exception from its function in `error`."""
-
-    def __init__(self, fn, after=()):
-        self.fn = fn
-        self.after = after
-        self.done = threading.Event()
-        self.error: BaseException | None = None
-
-    def __call__(self) -> None:
-        for step in self.after:
-            step.done.wait()
-        try:
-            self.fn()
-        except BaseException as exc:
-            self.error = exc
-        finally:
-            self.done.set()
-
-
-def _feed(hasher, chunks, after=()) -> _Step:
-    """A step that updates `hasher` with the byte-like chunks in order."""
-    def run():
-        for chunk in chunks:
-            hasher.update(chunk)
-    return _Step(run, after)
-
-
-def _run_steps(steps: list) -> None:
-    """Run the steps at once, dealt in turn to the runner's threads (with
-    two, the even steps run in the calling thread and the odd ones in the
-    pool). A step waits only for steps listed before it, and every step
-    runs even when another fails, so every thread can always go on, and
-    one hasher fed by several steps takes their chunks in step order on
-    any thread count. The first step's exception, in step order, is
-    raised here once every step has finished."""
-    parallel.RUNNER.deal(steps)
-    for step in steps:
-        if step.error is not None:
-            raise step.error
-
-
-def _content_hash(version: int, chunks) -> int:
-    """The hash a file of the given container version uses for its
-    checksum and for model fingerprints, over a list of byte-like chunks."""
-    if version == 1:
-        return fnv1a64(b"".join(chunks))
-    return blake2b64(chunks)
 
 
 def dtype_code(dtype) -> int:
@@ -176,22 +132,19 @@ def write_container(path, magic: bytes, *body, file_hash: bool = False) -> int |
     """Write a container file atomically: magic, version, the byte-like
     body chunks, and the checksum of the body, with no chunk copied.
 
-    With `file_hash`, returns the hash of the whole file, hashed over
-    magic, version and body while the checksum is, then over the checksum
-    (the digest's bytes are the stored u64); else None. A save whose file
-    no manifest records, such as a training checkpoint, so pays for one
-    pass over the payload, not two."""
+    With `file_hash`, returns the hash of the whole file: magic, version
+    and body are hashed as a second task on `parallel.RUNNER` while the
+    checksum is, then the checksum's bytes (the stored u64); else None. A
+    save whose file no manifest records, such as a training checkpoint or
+    a benchmark's input, so pays for one pass over the payload, not two:
+    when the second core is busy, the second pass costs its full time."""
     head = magic + struct.pack("<I", VERSION)
     checksum, whole = _blake2b(), _blake2b()
-    steps = [_feed(checksum, body)]
-    if file_hash:
-        steps.append(_feed(whole, [head, *body]))
-    _run_steps(steps)
+    tasks = [partial(_update, checksum, body), partial(_update, whole, [head, *body])]
+    parallel.RUNNER.deal(tasks if file_hash else tasks[:1])
     atomic_write_bytes(path, head, *body, checksum.digest())
-    if not file_hash:
-        return None
     whole.update(checksum.digest())
-    return _value(whole)
+    return _value(whole) if file_hash else None
 
 
 def pack_payload(arrays, dtype) -> list:
@@ -297,21 +250,31 @@ class _BodyReader:
     def _hashes(self, flat: np.ndarray, stored: bytes, fingerprint_head: bytes | None):
         """The version 2 checksum over the header fields and `flat`, the
         hash of the whole file, and the fingerprint over `fingerprint_head`
-        and `flat` (None without a head), in one concurrent pass over
-        `flat`. The file hash is split at the middle of the payload, so
-        that on two threads one hashes its first half and then the
-        checksum, and the other the fingerprint and then its second half."""
+        and `flat` (None without a head), as two tasks on the runner: the
+        first hashes the file hash up to the middle of the payload and then
+        the checksum, the second the fingerprint and then, once the first
+        half is in, the rest. The first task runs in the calling thread and
+        sets the event even when it fails, so the second's wait ends."""
         checksum, whole = _blake2b(), _blake2b()
+        fingerprint = None if fingerprint_head is None else _blake2b()
         raw = memoryview(flat).cast("B")
         half = len(raw) // 2
-        first = _feed(whole, [self._head, *self._fields, raw[:half]])
-        steps = [first, _feed(checksum, [*self._fields, flat]),
-                 _feed(whole, [raw[half:], stored], after=(first,))]
-        fingerprint = None
-        if fingerprint_head is not None:
-            fingerprint = _blake2b()
-            steps.insert(1, _feed(fingerprint, [fingerprint_head, flat]))
-        _run_steps(steps)
+        first_half_in = threading.Event()
+
+        def file_start_then_checksum():
+            try:
+                _update(whole, [self._head, *self._fields, raw[:half]])
+            finally:
+                first_half_in.set()
+            _update(checksum, [*self._fields, flat])
+
+        def fingerprint_then_file_end():
+            if fingerprint is not None:
+                _update(fingerprint, [fingerprint_head, flat])
+            first_half_in.wait()
+            _update(whole, [raw[half:], stored])
+
+        parallel.RUNNER.deal([file_start_then_checksum, fingerprint_then_file_end])
         return (_value(checksum), _value(whole),
                 None if fingerprint is None else _value(fingerprint))
 
@@ -354,8 +317,9 @@ def model_fingerprint(model: MetaModel, version: int = VERSION) -> int:
     of the given container version. The parameters are hashed once per
     model object and version."""
     if version not in model.fingerprints:
-        model.fingerprints[version] = _content_hash(
-            version, [_model_dims_blob(model), *_param_arrays(model)])
+        chunks = [_model_dims_blob(model), *_param_arrays(model)]
+        model.fingerprints[version] = (fnv1a64(b"".join(chunks)) if version == 1
+                                       else blake2b64(chunks))
     return model.fingerprints[version]
 
 

@@ -8,6 +8,7 @@ lexicographic order. Values are always normalized to [0, 1].
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -195,6 +196,9 @@ class SynthSpec:
             raise ContractError(f"unknown trajectory {self.trajectory!r}")
         if min(self.frames, self.height, self.width) < 1:
             raise ContractError("video dims must be positive")
+        for name in ("speed", "amplitude", "blob_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.speed < 0 or self.amplitude < 0 or self.blob_sigma <= 0:
             raise ContractError("speed and amplitude must be >= 0, blob_sigma > 0")
 

@@ -11,6 +11,7 @@ is a pure function of the weights.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -51,8 +52,10 @@ class HeadConfig:
             raise ContractError("hidden widths must be two positive integers")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ContractError("epochs >= 0, batch_size >= 1, learning_rate > 0 required")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ContractError("epochs >= 0 and batch_size >= 1 required")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:

@@ -3,9 +3,11 @@
 Every command writes one JSON manifest holding the resolved
 configuration, seeds, input and output paths, and a content hash per
 input and artifact: 64-bit BLAKE2b of the file as 16 hex digits, named
-by the manifest's `hash` key. A container file the command read or wrote
-is entered with the hash its reader or writer took from those bytes, in
-the checksum's pass (see `container`), so it is not read again. The
+by the manifest's `hash` key. Every version 2 container read keeps its
+file hash, and every write whose file a manifest records returns it,
+taken from those bytes in the checksum's pass (see `container`), so a
+container file the command read or wrote is entered with that hash and
+not read again. The
 training log `train` writes is hashed over its deterministic columns only
 (timestamps and wall-clock timings are stripped), so two runs with the
 same seed produce identical artifact hash maps; every other file is

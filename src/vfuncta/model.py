@@ -99,17 +99,11 @@ def _axis_coords(extent: int) -> np.ndarray:
     return (2.0 * np.arange(extent, dtype=np.float32) / (extent - 1) - 1.0).astype(np.float32)
 
 
-@dataclass(frozen=True)
-class CoordSample:
-    """Subset of pixel positions with their normalized coordinates."""
-
-    indices: np.ndarray  # (N,) row-major pixel indices
-    coords: np.ndarray   # (N, 2) normalized (x, y)
-
-
-def sample_coords(height: int, width: int, count: int, rng: np.random.Generator) -> CoordSample:
-    """Sample `count` distinct pixels uniformly; the full count gives the
-    whole grid in row-major order."""
+def sample_coords(height: int, width: int, count: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sample `count` distinct pixels uniformly; returns their (N,)
+    row-major indices and (N, 2) normalized coordinates. The full count
+    gives the whole grid in row-major order."""
     total = height * width
     if not 1 <= count <= total:
         raise ContractError(f"coordinate count {count} outside [1, {total}]")
@@ -118,7 +112,7 @@ def sample_coords(height: int, width: int, count: int, rng: np.random.Generator)
         indices = np.arange(total, dtype=np.int64)
     else:
         indices = np.sort(rng.choice(total, size=count, replace=False)).astype(np.int64)
-    return CoordSample(indices=indices, coords=grid.coords[indices])
+    return indices, grid.coords[indices]
 
 
 def param_shapes(layers: int, hidden: int, video_dim: int,

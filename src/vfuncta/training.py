@@ -139,10 +139,9 @@ def sample_batch(video, cfg: TrainConfig,
     t_total = video.frames
     replace = t_total < cfg.batch_frames
     frame_idx = np.sort(rng.choice(t_total, size=cfg.batch_frames, replace=replace))
-    coord = sample_coords(video.height, video.width, cfg.coords_per_frame, rng)
+    indices, coords = sample_coords(video.height, video.width, cfg.coords_per_frame, rng)
     flat = video.values.reshape(t_total, -1)
-    targets = flat[frame_idx][:, coord.indices]
-    return targets, coord.coords
+    return flat[frame_idx][:, indices], coords
 
 
 def meta_step(model: MetaModel, video, cfg: TrainConfig,

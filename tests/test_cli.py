@@ -506,7 +506,11 @@ def test_decode_of_a_model_whose_omega0_is_nan_is_one_error_line(tmp_path, capsy
 
 @pytest.mark.parametrize("line, needle", [("colour = red", "colour"),
                                           ("frames = 4.5", "4.5"),
-                                          ("trajectories = line,spiral", "spiral")])
+                                          ("trajectories = line,spiral", "spiral"),
+                                          ("speed_min = nan", "speed_min"),
+                                          ("speed_max = nan", "speed_max"),
+                                          ("amplitude = inf", "amplitude"),
+                                          ("blob_sigma = nan", "blob_sigma")])
 def test_bad_corpus_spec_is_one_error_line(tmp_path, capsys, line, needle):
     spec = tmp_path / "spec.cfg"
     spec.write_text(line + "\n")
@@ -737,16 +741,24 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer):
     ("train", ["--set", "meta_lr=nan"], "meta_lr"),
     ("train", ["--set", "inner_lr=inf"], "inner_lr"),
     ("encode", ["--inner-lr", "nan"], "inner_lr"),
+    ("eval", ["--head-config", "head.cfg"], "learning_rate"),
 ])
-def test_non_finite_rate_is_one_error_line(tmp_path, capsys, command, flags, key):
+def test_non_finite_rate_is_one_error_line(tmp_path, capsys, monkeypatch, command, flags,
+                                           key):
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     if command == "train":
         argv = ["train", "--corpus", str(gen_corpus(tmp_path, count=1)),
                 "--config", str(write_config(tmp_path / "run.cfg", iterations=1)),
                 "--out", str(out / "m.vfnc")]
-    else:
+    elif command == "encode":
         model_path, video, _ = tiny_files(tmp_path)
         argv = ["encode", "--model", str(model_path), "--out", str(out), str(video)]
+    else:
+        model_path, _, _ = tiny_files(tmp_path)
+        (tmp_path / "head.cfg").write_text("epochs = 2\nlearning_rate = nan\n")
+        argv = ["eval", "--model", str(model_path), "--corpus", str(gen_corpus(tmp_path)),
+                "--task", "regression", "--inner-steps", "1", "--out", str(out)]
     capsys.readouterr()
     rc = main(argv + flags)
     assert rc == 1
@@ -799,3 +811,34 @@ def test_eval_rejects_an_unknown_mode_before_encoding(tmp_path, capsys, monkeypa
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "'bogus'")
     assert encoded == [] and loaded == []
+
+
+@pytest.mark.parametrize("case", ["gen-corpus --out", "encode --out", "eval --out",
+                                  "train --out", "train --log"])
+def test_an_output_path_the_os_refuses_is_one_error_line(tmp_path, capsys, case):
+    """An output at or under an existing regular file ends in one error
+    line; a training log in a missing directory gets that directory."""
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    corpus = gen_corpus(tmp_path)
+    model_path, video, _ = tiny_files(tmp_path)
+    train = ["train", "--corpus", str(corpus),
+             "--config", str(write_config(tmp_path / "run.cfg", iterations=1))]
+    argv = {
+        "gen-corpus --out": ["gen-corpus", "--out", str(taken), "--count", "1"],
+        "encode --out": ["encode", "--model", str(model_path), "--out", str(taken), str(video)],
+        "eval --out": ["eval", "--model", str(model_path), "--corpus", str(corpus),
+                       "--task", "regression", "--inner-steps", "1", "--out", str(taken)],
+        "train --out": [*train, "--out", str(taken / "m.vfnc")],
+        "train --log": [*train, "--out", str(tmp_path / "m.vfnc"),
+                        "--log", str(tmp_path / "missing" / "x.log")],
+    }[case]
+    capsys.readouterr()
+    rc = main(argv)
+    if case == "train --log":
+        assert rc == 0
+        assert (tmp_path / "missing" / "x.log").is_file()
+        assert "x.log" in read_manifest(tmp_path / "m.manifest.json")["artifacts"]
+    else:
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, str(taken))

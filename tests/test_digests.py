@@ -4,8 +4,9 @@ takes.
 
 A version 2 model load yields the checksum, the fingerprint and the
 whole-file hash a run manifest records; a save asked for its file hash
-yields the checksum and that hash. The passes are dealt to `parallel.RUNNER`'s threads, so
-every case runs under a one-thread and a two-thread runner.
+yields the checksum and that hash. Each pass is two fixed tasks dealt to
+`parallel.RUNNER`'s threads, so every case runs under a one-thread and a
+two-thread runner.
 """
 
 import hashlib
@@ -121,11 +122,14 @@ def test_a_flipped_payload_byte_fails_and_leaves_no_digest(tmp_path, runner):
     assert readers[1].file_hash is None and readers[1].fingerprint is None
 
 
-class PoolSideFailure(Exception):
+class HashFailure(Exception):
     pass
 
 
-def test_a_hash_that_fails_in_the_pool_reaches_the_caller(tmp_path, monkeypatch):
+def check_a_failing_hash_reaches_the_caller(tmp_path, monkeypatch, in_pool: bool) -> None:
+    """A load and a save on a two-thread runner whose hashers fail in the
+    pool's threads (`in_pool`) or in the calling one: each must end, and
+    raise that failure in its caller."""
     path = tmp_path / "m.vfnc"
     save_model(path, small_model(np.float32))
     runner = parallel.RowRunner(lambda threads: 2)
@@ -133,14 +137,14 @@ def test_a_hash_that_fails_in_the_pool_reaches_the_caller(tmp_path, monkeypatch)
     real = hashlib.blake2b
     failed = []
 
-    class FailsInThePool:
+    class FailsOnOneSide:
         def __init__(self, *args, **kwargs):
             self._hasher = real(*args, **kwargs)
 
         def update(self, data):
-            if threading.current_thread().name.startswith("vfuncta-rows"):
+            if threading.current_thread().name.startswith("vfuncta-rows") == in_pool:
                 failed.append(len(data))
-                raise PoolSideFailure("hashed in the pool")
+                raise HashFailure("hashed in the pool" if in_pool else "hashed in the caller")
             self._hasher.update(data)
 
         def digest(self):
@@ -162,17 +166,27 @@ def test_a_hash_that_fails_in_the_pool_reaches_the_caller(tmp_path, monkeypatch)
         assert not thread.is_alive()
         return raised[0] if raised else None
 
-    monkeypatch.setattr(hashlib, "blake2b", FailsInThePool)
+    monkeypatch.setattr(hashlib, "blake2b", FailsOnOneSide)
     try:
-        assert isinstance(outcome(lambda: load_model(path)), PoolSideFailure)
+        assert isinstance(outcome(lambda: load_model(path)), HashFailure)
         assert failed
         failed.clear()
         again = tmp_path / "again.vfnc"
         assert isinstance(outcome(lambda: save_model(again, small_model(np.float32),
-                                                     file_hash=True)), PoolSideFailure)
+                                                     file_hash=True)), HashFailure)
         assert failed and not again.exists()
     finally:
         runner.close()
+
+
+def test_a_hash_that_fails_in_the_pool_reaches_the_caller(tmp_path, monkeypatch):
+    check_a_failing_hash_reaches_the_caller(tmp_path, monkeypatch, in_pool=True)
+
+
+def test_a_hash_that_fails_in_the_calling_thread_reaches_the_caller(tmp_path, monkeypatch):
+    """The first half of a read's file hash fails before the second half
+    may start: the task waiting for it must still run to its end."""
+    check_a_failing_hash_reaches_the_caller(tmp_path, monkeypatch, in_pool=False)
 
 
 def test_concurrent_loads_and_saves_share_the_pool_and_agree(tmp_path, monkeypatch):
