@@ -188,7 +188,7 @@ def cmd_train(args, argv) -> int:
     resume = None
     if args.resume is not None:
         resume = codec.load_model(args.resume)
-        manifest.add_input(args.resume, resume.file_hash)
+        manifest.add_input(args.resume, resume.checksum)
     log_path = args.log if args.log is not None else args.out.with_suffix(".log")
     for directory in (args.out.parent, log_path.parent):
         directory.mkdir(parents=True, exist_ok=True)
@@ -196,10 +196,10 @@ def cmd_train(args, argv) -> int:
                        checkpoint_dir=args.checkpoint_dir,
                        checkpoint_every=args.checkpoint_every,
                        resume=resume)
-    model_hash = codec.save_model(args.out, model, file_hash=True)
+    checksum = codec.save_model(args.out, model)
     log.write(log_path)
 
-    manifest.add_artifact(args.out, digest=model_hash)
+    manifest.add_artifact(args.out, digest=checksum)
     manifest.add_artifact(log_path, training_log=True)
     manifest.write(args.out.with_suffix(".manifest.json"))
     last = log.entries[-1].loss if log.entries else float("nan")
@@ -253,9 +253,9 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict,
     hashing the inputs and every output that exists, and reports each
     failure on stderr. The manifest is written also when a failure stops
     the run, so the outputs finished before it are recorded. A worker
-    returns the `{path: hash}` of the container files it read or wrote;
-    the manifest enters those, and the model, by the hashes their reads
-    and writes took.
+    returns the `{path: checksum}` of the container files it read or
+    wrote; the manifest enters those, and the model, by their checksums
+    (a version 1 file, whose checksum is None, is hashed whole).
     """
     if jobs < 1:
         raise VfunctaError(f"--jobs must be at least 1, got {jobs}")
@@ -263,7 +263,7 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict,
     model = codec.load_model(args.model)
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(args.command, argv, config=config, seed=None)
-    manifest.add_input(args.model, model.file_hash)
+    manifest.add_input(args.model, model.checksum)
     held: dict[Path, int] = {}
     try:
         failures = _run_items(
@@ -301,8 +301,9 @@ def cmd_encode(args, argv) -> int:
 
 
 def cmd_decode(args, argv) -> int:
-    if args.report and args.originals is None:
-        raise VfunctaError("--report needs --originals DIR")
+    # either flag alone would compare nothing
+    if args.report != (args.originals is not None):
+        raise VfunctaError("--report and --originals DIR go together")
 
     def worker(model, enc_path: Path, dest: Path):
         # a missing original fails the item before its output is written
@@ -315,7 +316,7 @@ def cmd_decode(args, argv) -> int:
         if original is not None:
             line += f"\t{metrics.quality_report(original, video).line()}"
         print(line)
-        return {enc_path: enc.file_hash}
+        return {enc_path: enc.checksum}
 
     return _run_per_item(args, argv, args.encodings, ".rawvid", {}, worker, args.jobs)
 
@@ -326,7 +327,7 @@ def cmd_summary(args, argv) -> int:
         frame = codec.decode_static_summary(model, enc)
         data.write_pgm(dest, frame)
         print(f"{enc_path.name}\tsummary {frame.shape[0]}x{frame.shape[1]}")
-        return {enc_path: enc.file_hash}
+        return {enc_path: enc.checksum}
 
     return _run_per_item(args, argv, args.encodings, ".pgm", {}, worker, 1)
 
@@ -367,7 +368,7 @@ def cmd_eval(args, argv) -> int:
                            config={"task": args.task, "modes": ",".join(modes),
                                    "seeds": args.seeds, **{k: str(v) for k, v in head_options.items()}},
                            seed=base_seed)
-    manifest.add_input(args.model, model.file_hash)
+    manifest.add_input(args.model, model.checksum)
     manifest.add_input(args.corpus)
 
     print(f"eval: encoding {len(items)} videos")

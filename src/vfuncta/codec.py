@@ -54,13 +54,14 @@ class VideoEncoding:
 
     `fingerprint_version` is the container version whose hash made
     `fingerprint`: an encoding loaded from a version 1 file names its
-    model by the version 1 fingerprint. `file_hash` is the hash of the
-    container file a version 2 encoding was read from (`load_encoding`),
-    else None; it is not part of equality.
+    model by the version 1 fingerprint. `checksum` is the verified
+    checksum of the version 2 file the encoding was read from
+    (`load_encoding`), which names that file in a run manifest, else None;
+    it is not part of equality.
     """
 
     __slots__ = ("video_mod", "frame_mods", "frames", "height", "width",
-                 "fingerprint", "inner_steps", "inner_lr", "fingerprint_version", "file_hash")
+                 "fingerprint", "inner_steps", "inner_lr", "fingerprint_version", "checksum")
 
     def __init__(self, video_mod: VideoModulation, frame_mods: FrameModulationSeq,
                  frames: int, height: int, width: int, fingerprint: int,
@@ -81,7 +82,7 @@ class VideoEncoding:
         self.inner_steps = int(inner_steps)
         self.inner_lr = float(inner_lr)
         self.fingerprint_version = int(fingerprint_version)
-        self.file_hash: int | None = None
+        self.checksum: int | None = None
 
     @property
     def video_dim(self) -> int:
@@ -181,8 +182,7 @@ def compression_rate(dims: tuple[int, int, int], video_dim: int, frame_dim: int)
 
 
 def save_encoding(path, enc: VideoEncoding) -> int:
-    """Write `enc` to `path` and return the file's hash (see
-    `container.write_container`)."""
+    """Write `enc` to `path` and return the file's checksum."""
     if enc.fingerprint_version != VERSION:
         raise ContractError(
             f"encoding names its model by a version {enc.fingerprint_version} fingerprint, "
@@ -192,8 +192,7 @@ def save_encoding(path, enc: VideoEncoding) -> int:
                         enc.video_dim, enc.frame_dim)
             + struct.pack("<IdQ", enc.inner_steps, enc.inner_lr, enc.fingerprint))
     return write_container(path, ENCODING_MAGIC, head,
-                           *pack_payload([enc.video_mod.values, enc.frame_mods.values], dt),
-                           file_hash=True)
+                           *pack_payload([enc.video_mod.values, enc.frame_mods.values], dt))
 
 
 def load_encoding(path) -> VideoEncoding:
@@ -207,5 +206,5 @@ def load_encoding(path) -> VideoEncoding:
         frames=frames, height=height, width=width,
         fingerprint=fingerprint, inner_steps=inner_steps, inner_lr=inner_lr,
         fingerprint_version=reader.version)
-    enc.file_hash = reader.file_hash
+    enc.checksum = reader.checksum
     return enc

@@ -20,16 +20,15 @@ The version names the hash behind the checksum and the model
 fingerprint: version 2, which is written, uses 64-bit BLAKE2b; version 1
 used 64-bit FNV-1a and is still read and verified.
 
-One digest rule holds for every file: every version 2 read keeps its
-file hash, the 64-bit BLAKE2b of the whole file, and, for a model, its
-fingerprint, once the checksum holds; every write whose file a run
-manifest records (`train`'s model, every `.venc`) returns its file hash.
-Each is taken from the bytes read or written, in the checksum's pass,
-and the manifest names a container input or artifact by that file hash.
-A pass is two fixed tasks dealt to the BLAS threads' cores
-(`parallel.RUNNER`), since hashlib releases the GIL while it hashes a
-large buffer; each hash takes its chunks in file order whatever the
-thread count, so no value depends on it.
+One digest rule holds for every file: a version 2 file is named by its
+checksum, the stored u64 that every read verifies and every write
+computes, and a run manifest enters a container input or artifact by
+it. A version 2 read keeps the checksum and, for a model, its
+fingerprint, once the checksum holds; every write returns the checksum.
+A model read hashes its payload twice, as two independent tasks dealt
+to the BLAS threads' cores (`parallel.RUNNER`), since hashlib releases
+the GIL while it hashes a large buffer; each hash takes its chunks in
+file order whatever the thread count, so no value depends on it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import math
 import os
 import struct
 import tempfile
-import threading
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -76,27 +74,14 @@ def fnv1a64(data) -> int:
     return h
 
 
-def _blake2b():
-    return hashlib.blake2b(digest_size=8)
-
-
-def _value(hasher) -> int:
-    return int.from_bytes(hasher.digest(), "little")
-
-
-def _update(hasher, chunks) -> None:
-    """Feed the byte-like chunks to `hasher` in order, none of them copied."""
-    for chunk in chunks:
-        hasher.update(chunk)
-
-
 def blake2b64(chunks) -> int:
     """64-bit BLAKE2b over the concatenation of an iterable of byte-like
     chunks: the version 2 hash, fed chunk by chunk so nothing is joined
     first."""
-    h = _blake2b()
-    _update(h, chunks)
-    return _value(h)
+    h = hashlib.blake2b(digest_size=8)
+    for chunk in chunks:
+        h.update(chunk)
+    return int.from_bytes(h.digest(), "little")
 
 
 def dtype_code(dtype) -> int:
@@ -128,23 +113,14 @@ def atomic_write_bytes(path, *chunks) -> None:
         raise
 
 
-def write_container(path, magic: bytes, *body, file_hash: bool = False) -> int | None:
+def write_container(path, magic: bytes, *body) -> int:
     """Write a container file atomically: magic, version, the byte-like
     body chunks, and the checksum of the body, with no chunk copied.
-
-    With `file_hash`, returns the hash of the whole file: magic, version
-    and body are hashed as a second task on `parallel.RUNNER` while the
-    checksum is, then the checksum's bytes (the stored u64); else None. A
-    save whose file no manifest records, such as a training checkpoint or
-    a benchmark's input, so pays for one pass over the payload, not two:
-    when the second core is busy, the second pass costs its full time."""
-    head = magic + struct.pack("<I", VERSION)
-    checksum, whole = _blake2b(), _blake2b()
-    tasks = [partial(_update, checksum, body), partial(_update, whole, [head, *body])]
-    parallel.RUNNER.deal(tasks if file_hash else tasks[:1])
-    atomic_write_bytes(path, head, *body, checksum.digest())
-    whole.update(checksum.digest())
-    return _value(whole) if file_hash else None
+    Returns the checksum, which names the file in a run manifest."""
+    checksum = blake2b64(body)
+    atomic_write_bytes(path, magic + struct.pack("<I", VERSION), *body,
+                       struct.pack("<Q", checksum))
+    return checksum
 
 
 def pack_payload(arrays, dtype) -> list:
@@ -163,16 +139,16 @@ class _BodyReader:
     The header fields are read by `unpack` and kept for the checksum;
     `payload` reads the rest of the body and the checksum and checks it.
     `remaining` is the body's bytes not yet read, from the file's size.
-    Once the checksum of a version 2 file holds, `file_hash` is the hash
-    of the whole file and `fingerprint` the one `payload` was asked for;
-    until then, and for version 1, both are None.
+    Once the checksum of a version 2 file holds, `checksum` is its value
+    and `fingerprint` the one `payload` was asked for; until then, and for
+    version 1, both are None.
     """
 
     def __init__(self, fh, source: str, magic: bytes):
         self.fh = fh
         self.source = source
         size = os.fstat(fh.fileno()).st_size
-        head = self._head = self._read(min(size, 8))
+        head = self._read(min(size, 8))
         if head[:4] != magic:
             raise BadMagicError(f"{source}: bad magic {bytes(head[:4])!r}, expected {magic!r}")
         if size < 16:
@@ -183,7 +159,7 @@ class _BodyReader:
                 f"{source}: version {self.version}, supported {SUPPORTED_VERSIONS}")
         self.remaining = size - 16
         self._fields: list = []
-        self.file_hash: int | None = None
+        self.checksum: int | None = None
         self.fingerprint: int | None = None
 
     def _read(self, size: int, into=None):
@@ -229,16 +205,19 @@ class _BodyReader:
         flat = np.empty(length // dt.itemsize, dtype=dt)
         self._read(length, into=memoryview(flat).cast("B"))
         self.remaining = 0
-        stored_bytes = self._read(8)
+        (stored,) = struct.unpack("<Q", self._read(8))
         if self.version == 1:
-            actual = fnv1a64(b"".join([*self._fields, flat]))
-            file_hash = fingerprint = None
+            actual, fingerprint = fnv1a64(b"".join([*self._fields, flat])), None
         else:
-            actual, file_hash, fingerprint = self._hashes(flat, stored_bytes, fingerprint_head)
-        (stored,) = struct.unpack("<Q", stored_bytes)
+            # the checksum and the fingerprint, as independent tasks
+            tasks = [partial(blake2b64, [*self._fields, flat])]
+            if fingerprint_head is not None:
+                tasks.append(partial(blake2b64, [fingerprint_head, flat]))
+            actual, fingerprint = [*parallel.RUNNER.deal(tasks), None][:2]
         if stored != actual:
             raise ChecksumError(f"{self.source}: checksum {actual:016x} != stored {stored:016x}")
-        self.file_hash, self.fingerprint = file_hash, fingerprint
+        if self.version == 2:
+            self.checksum, self.fingerprint = stored, fingerprint
         flat.setflags(write=False)
         arrays, pos = {}, 0
         for name, shape in shapes.items():
@@ -246,37 +225,6 @@ class _BodyReader:
             arrays[name] = flat[pos:pos + count].reshape(shape)
             pos += count
         return arrays
-
-    def _hashes(self, flat: np.ndarray, stored: bytes, fingerprint_head: bytes | None):
-        """The version 2 checksum over the header fields and `flat`, the
-        hash of the whole file, and the fingerprint over `fingerprint_head`
-        and `flat` (None without a head), as two tasks on the runner: the
-        first hashes the file hash up to the middle of the payload and then
-        the checksum, the second the fingerprint and then, once the first
-        half is in, the rest. The first task runs in the calling thread and
-        sets the event even when it fails, so the second's wait ends."""
-        checksum, whole = _blake2b(), _blake2b()
-        fingerprint = None if fingerprint_head is None else _blake2b()
-        raw = memoryview(flat).cast("B")
-        half = len(raw) // 2
-        first_half_in = threading.Event()
-
-        def file_start_then_checksum():
-            try:
-                _update(whole, [self._head, *self._fields, raw[:half]])
-            finally:
-                first_half_in.set()
-            _update(checksum, [*self._fields, flat])
-
-        def fingerprint_then_file_end():
-            if fingerprint is not None:
-                _update(fingerprint, [fingerprint_head, flat])
-            first_half_in.wait()
-            _update(whole, [raw[half:], stored])
-
-        parallel.RUNNER.deal([file_start_then_checksum, fingerprint_then_file_end])
-        return (_value(checksum), _value(whole),
-                None if fingerprint is None else _value(fingerprint))
 
 
 @contextmanager
@@ -323,20 +271,18 @@ def model_fingerprint(model: MetaModel, version: int = VERSION) -> int:
     return model.fingerprints[version]
 
 
-def save_model(path, model: MetaModel, file_hash: bool = False) -> int | None:
-    """Write `model` to `path`; with `file_hash`, returns the file's hash
-    (see `write_container`)."""
+def save_model(path, model: MetaModel) -> int:
+    """Write `model` to `path` and return the file's checksum."""
     head = (struct.pack("<I", KIND_MODEL) + _model_dims_blob(model)
             + struct.pack("<Q", model.iteration))
     return write_container(path, MODEL_MAGIC, head,
-                           *pack_payload(_param_arrays(model), model.dtype),
-                           file_hash=file_hash)
+                           *pack_payload(_param_arrays(model), model.dtype))
 
 
 def load_model(path) -> MetaModel:
     """The model in the file at `path`. A version 2 read also hashes the
-    payload into the model's version 2 fingerprint and into its
-    `file_hash`, the hash of the whole file, in the checksum's pass."""
+    payload into the model's version 2 fingerprint, beside the checksum,
+    which it keeps as the model's `checksum`."""
     with read_container(path, MODEL_MAGIC) as reader:
         (kind,) = reader.unpack("<I")
         if kind != KIND_MODEL:
@@ -362,5 +308,5 @@ def load_model(path) -> MetaModel:
                       omega0=omega0, iteration=iteration)
     if reader.fingerprint is not None:
         model.fingerprints[reader.version] = reader.fingerprint
-    model.file_hash = reader.file_hash
+    model.checksum = reader.checksum
     return model

@@ -1,17 +1,17 @@
 """Run manifests: enough recorded state to reproduce any command.
 
 Every command writes one JSON manifest holding the resolved
-configuration, seeds, input and output paths, and a content hash per
-input and artifact: 64-bit BLAKE2b of the file as 16 hex digits, named
-by the manifest's `hash` key. Every version 2 container read keeps its
-file hash, and every write whose file a manifest records returns it,
-taken from those bytes in the checksum's pass (see `container`), so a
-container file the command read or wrote is entered with that hash and
-not read again. The
-training log `train` writes is hashed over its deterministic columns only
+configuration, seeds, input and output paths, and a 64-bit BLAKE2b
+content hash per input and artifact as 16 hex digits, named by the
+manifest's `hash` key. A version 2 container file the command read or
+wrote is entered by its checksum, the BLAKE2b of everything in the file
+but its magic, version and the checksum itself, which the read verified
+or the write computed (see `container`), so it is not read again. Every
+other file, a version 1 container among them, is hashed whole: the
+training log `train` writes over its deterministic columns only
 (timestamps and wall-clock timings are stripped), so two runs with the
-same seed produce identical artifact hash maps; every other file is
-hashed as it is, whatever its name.
+same seed produce identical artifact hash maps, and every other file as
+it is, whatever its name.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class RunManifest:
 
     def add_input(self, path, digest: int | None = None) -> None:
         """Enter an input by its hash: `digest` when the caller holds the
-        hash of the bytes it read, else the file's, or "-" for a path that
-        is not a file."""
+        verified checksum of the container it read, else the file's, or
+        "-" for a path that is not a file."""
         path = Path(path)
         if digest is not None:
             self.inputs[str(path)] = f"{digest:016x}"
@@ -83,8 +83,8 @@ class RunManifest:
     def add_artifact(self, path, base: Path | None = None, digest: int | None = None,
                      training_log: bool = False) -> None:
         """Enter an artifact by its hash: `digest` when the caller holds
-        the hash of the bytes it wrote, else the file's (canonicalized for
-        a `training_log`)."""
+        the checksum of the container it wrote, else the file's
+        (canonicalized for a `training_log`)."""
         path = Path(path)
         key = str(path.relative_to(base)) if base is not None else path.name
         self.artifacts[key] = (f"{digest:016x}" if digest is not None

@@ -141,8 +141,9 @@ class MetaModel:
     X @ W + b. Immutable during evaluation; training swaps in fresh
     tensors via `replace_params`. So `fingerprints`, the memo of
     `container.model_fingerprint` by container version, stays valid for
-    the object's life, and so does `file_hash`, the hash of the container
-    file the object was read from (None when it was not read from one).
+    the object's life, and so does `checksum`, the verified checksum of
+    the version 2 file the object was read from (None otherwise), which
+    names that file in a run manifest.
     """
 
     def __init__(self, params: dict[str, Tensor], omega0: float, iteration: int = 0):
@@ -187,7 +188,7 @@ class MetaModel:
         self.frame_projs = [self._params[f"frame_proj{i}"] for i in k]
         self.dtype = self.layer_weights[0].dtype
         self.fingerprints: dict[int, int] = {}
-        self.file_hash: int | None = None
+        self.checksum: int | None = None
 
     @classmethod
     def initialize(cls, layers: int, hidden: int, video_dim: int, frame_dim: int,
@@ -206,7 +207,13 @@ class MetaModel:
         params: dict[str, Tensor] = {}
 
         def draw(name, bound):
-            params[name] = Tensor(rng.uniform(-bound, bound, size=shapes[name]).astype(dtype))
+            # read-only, so that `Tensor` holds it without a copy; made before
+            # the float64 draw, which is then freed at the heap's top rather
+            # than left as a hole below it
+            values = np.empty(shapes[name], dtype)
+            values[...] = rng.uniform(-bound, bound, size=shapes[name])
+            values.setflags(write=False)
+            params[name] = Tensor(values)
 
         for k in range(layers):
             fan_in = shapes[f"layer{k}.weight"][0]

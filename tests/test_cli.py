@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vfuncta import codec, container, data
+from vfuncta import codec, container, data, parallel
 from vfuncta.cli import main
 from vfuncta.codec import (
     VideoEncoding,
@@ -202,54 +202,100 @@ def model_payload(path: Path) -> bytes:
     return path.read_bytes()[-8 - size:-8]
 
 
-def test_a_command_reads_its_model_once_and_hashes_its_payload_three_times(
-        tmp_path, monkeypatch):
-    """The load's one pass gives the checksum, the fingerprint (which encode
-    names in each encoding and --report checks again) and the manifest's
-    hash of the model file; saving a model hashes it twice."""
+def stored_checksum(path: Path) -> str:
+    """The checksum a container file stores, its last 8 bytes, as a
+    manifest enters it."""
+    return f"{int.from_bytes(path.read_bytes()[-8:], 'little'):016x}"
+
+
+def on_each_runner(monkeypatch, check) -> None:
+    """`check(threads)` with `parallel.RUNNER` replaced by a runner over a
+    BLAS that reports one thread, then two."""
+    for threads in (1, 2):
+        runner = parallel.RowRunner(lambda _, threads=threads: threads)
+        with monkeypatch.context() as patch:
+            patch.setattr(parallel, "RUNNER", runner)
+            try:
+                check(threads)
+            finally:
+                runner.close()
+
+
+def test_a_command_reads_its_model_once_and_hashes_its_payload_twice(tmp_path, monkeypatch):
+    """The load's one read gives the checksum, which names the model in
+    the manifest, and the fingerprint, which encode names in each encoding
+    and --report checks again; saving a model hashes it once."""
     corpus, model_path = trained_model(tmp_path)
     videos = [i.path for i in read_corpus_manifest(corpus)[:3]]
     payload = model_payload(model_path)
-    with monkeypatch.context() as patch:
-        recording = RecordingHashes(patch, model_path)
-        assert main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
-                     "--batch-frames", "4", "--inner-steps", "1", "--report", *videos]) == 0
-    assert (recording.opens, recording.passes_over(payload)) == (1, 3)
 
-    encodings = sorted(str(p) for p in (tmp_path / "enc").glob("*.venc"))
-    assert len(encodings) == 3
-    with monkeypatch.context() as patch:
-        recording = RecordingHashes(patch, model_path)
-        assert main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
-                     *encodings]) == 0
-    assert (recording.opens, recording.passes_over(payload)) == (1, 3)
+    def check(threads):
+        enc, dec, again = (tmp_path / f"{name}{threads}" for name in ("enc", "dec", "again"))
+        with monkeypatch.context() as patch:
+            recording = RecordingHashes(patch, model_path)
+            assert main(["encode", "--model", str(model_path), "--out", str(enc),
+                         "--batch-frames", "4", "--inner-steps", "1", "--report",
+                         *videos]) == 0
+        assert (recording.opens, recording.passes_over(payload)) == (1, 2)
 
-    again = tmp_path / "again.vfnc"
-    with monkeypatch.context() as patch:
-        recording = RecordingHashes(patch, again)
-        assert main(["train", "--corpus", str(corpus), "--config", str(tmp_path / "run.cfg"),
-                     "--out", str(again)]) == 0
-    assert (recording.opens, recording.passes_over(model_payload(again))) == (0, 2)
+        encodings = sorted(str(p) for p in enc.glob("*.venc"))
+        assert len(encodings) == 3
+        with monkeypatch.context() as patch:
+            recording = RecordingHashes(patch, model_path)
+            assert main(["decode", "--model", str(model_path), "--out", str(dec),
+                         *encodings]) == 0
+        assert (recording.opens, recording.passes_over(payload)) == (1, 2)
+
+        with monkeypatch.context() as patch:
+            recording = RecordingHashes(patch, again)
+            assert main(["train", "--corpus", str(corpus),
+                         "--config", str(tmp_path / "run.cfg"), "--out", str(again)]) == 0
+        assert (recording.opens, recording.passes_over(model_payload(again))) == (0, 1)
+
+    on_each_runner(monkeypatch, check)
 
 
-def test_container_entries_are_the_hashes_of_the_files(tmp_path, capsys):
-    """The hashes the loads and saves took are the manifest's file hashes."""
+def test_container_entries_are_the_hashes_of_the_files(tmp_path, monkeypatch, capsys):
+    """A version 2 container input or artifact is entered by the checksum
+    it stores, which its read verified or its write computed; every other
+    file by the hash of its bytes."""
     corpus, model_path = trained_model(tmp_path)
     video = read_corpus_manifest(corpus)[0].path
-    assert main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
-                 "--batch-frames", "4", "--inner-steps", "1", video]) == 0
-    venc = next((tmp_path / "enc").glob("*.venc"))
-    encoded = read_manifest(tmp_path / "enc" / "run_manifest.json")
-    assert encoded["inputs"][str(model_path)] == hash_file(model_path)
-    assert encoded["artifacts"] == {venc.name: hash_file(venc)}
-    for command, suffix in [("decode", ".rawvid"), ("summary", ".pgm")]:
-        out = tmp_path / command
-        assert main([command, "--model", str(model_path), "--out", str(out), str(venc)]) == 0
-        doc = read_manifest(out / "run_manifest.json")
-        assert doc["inputs"] == {str(model_path): hash_file(model_path),
-                                 str(venc): hash_file(venc)}
-        written = out / (venc.stem + suffix)
-        assert doc["artifacts"] == {written.name: hash_file(written)}
+
+    def check(threads):
+        enc = tmp_path / f"enc{threads}"
+        assert main(["encode", "--model", str(model_path), "--out", str(enc),
+                     "--batch-frames", "4", "--inner-steps", "1", video]) == 0
+        venc = next(enc.glob("*.venc"))
+        encoded = read_manifest(enc / "run_manifest.json")
+        assert encoded["inputs"] == {str(model_path): stored_checksum(model_path),
+                                     video: hash_file(video)}
+        assert encoded["artifacts"] == {venc.name: stored_checksum(venc)}
+        for command, suffix in [("decode", ".rawvid"), ("summary", ".pgm")]:
+            out = tmp_path / f"{command}{threads}"
+            assert main([command, "--model", str(model_path), "--out", str(out),
+                         str(venc)]) == 0
+            doc = read_manifest(out / "run_manifest.json")
+            assert doc["inputs"] == {str(model_path): stored_checksum(model_path),
+                                     str(venc): stored_checksum(venc)}
+            written = out / (venc.stem + suffix)
+            assert doc["artifacts"] == {written.name: hash_file(written)}
+
+    on_each_runner(monkeypatch, check)
+    trained = read_manifest(model_path.with_suffix(".manifest.json"))
+    assert trained["artifacts"]["model.vfnc"] == stored_checksum(model_path)
+
+
+def test_version_1_containers_are_hashed_whole(tmp_path, capsys):
+    """A version 1 read verifies an FNV-1a checksum, not the BLAKE2b the
+    manifest's `hash` key names, so the manifest hashes those files."""
+    v1 = Path(__file__).parent / "fixtures" / "v1"
+    model_path, venc, out = v1 / "model.vfnc", v1 / "clip.venc", tmp_path / "dec"
+    assert main(["decode", "--model", str(model_path), "--out", str(out), str(venc)]) == 0
+    doc = read_manifest(out / "run_manifest.json")
+    assert doc["inputs"] == {str(model_path): hash_file(model_path),
+                             str(venc): hash_file(venc)}
+    assert doc["artifacts"] == {"clip.rawvid": hash_file(out / "clip.rawvid")}
 
 
 def test_decode_report_against_originals(tmp_path, capsys):
@@ -378,7 +424,8 @@ def test_a_model_named_like_a_log_is_hashed_as_it_is(tmp_path, capsys):
     renamed = model_path.rename(tmp_path / "m.log")
     out = tmp_path / "dec"
     assert main(["decode", "--model", str(renamed), "--out", str(out), str(venc)]) == 0
-    assert read_manifest(out / "run_manifest.json")["inputs"][str(renamed)] == raw_hash(renamed)
+    assert (read_manifest(out / "run_manifest.json")["inputs"][str(renamed)]
+            == stored_checksum(renamed))
 
 
 def test_a_training_log_of_any_name_skips_its_timestamps(tmp_path):
@@ -649,6 +696,15 @@ def test_decode_report_without_originals_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "dec").exists()
 
 
+def test_decode_originals_without_report_writes_nothing(tmp_path, capsys):
+    model_path, _, venc = tiny_files(tmp_path)
+    rc = main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
+               "--originals", str(tmp_path / "missing"), str(venc)])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "--report", "--originals")
+    assert not (tmp_path / "dec").exists()
+
+
 def test_first_failure_with_jobs_starts_no_further_item(tmp_path, monkeypatch, capsys):
     model_path, video, _ = tiny_files(tmp_path)
     missing = tmp_path / "missing.rawvid"
@@ -778,7 +834,7 @@ def test_train_resume_records_the_checkpoint_in_the_manifest(tmp_path, capsys):
     assert main(["train", "--corpus", str(corpus), "--config", str(cfg),
                  "--out", str(out), "--resume", str(ckpt)]) == 0
     inputs = read_manifest(tmp_path / "resumed.manifest.json")["inputs"]
-    assert inputs[str(ckpt)] == hash_file(ckpt)
+    assert inputs[str(ckpt)] == stored_checksum(ckpt)
     assert out.read_bytes() == (tmp_path / "first.vfnc").read_bytes()
 
 

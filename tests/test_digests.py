@@ -1,12 +1,11 @@
-"""One read, every digest: a container load or save hashes its payload in
-one concurrent pass, and each digest equals the one its own function
-takes.
+"""One read, every digest: a version 2 file is named by its checksum,
+and a model load takes its fingerprint beside it.
 
-A version 2 model load yields the checksum, the fingerprint and the
-whole-file hash a run manifest records; a save asked for its file hash
-yields the checksum and that hash. Each pass is two fixed tasks dealt to
-`parallel.RUNNER`'s threads, so every case runs under a one-thread and a
-two-thread runner.
+A version 2 load keeps the checksum it verified, and a save returns the
+checksum it wrote, so a run manifest enters a container file by the u64
+stored in its last 8 bytes. A model load deals the checksum and the
+fingerprint to `parallel.RUNNER`'s threads as two tasks, so every case
+runs under a one-thread and a two-thread runner.
 """
 
 import hashlib
@@ -27,7 +26,7 @@ from vfuncta.codec import (
     save_model,
 )
 from vfuncta.errors import ChecksumError
-from vfuncta.manifest import RunManifest, hash_file
+from vfuncta.manifest import RunManifest
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation, param_shapes
 
 
@@ -46,6 +45,11 @@ def small_model(dtype, seed=0) -> MetaModel:
                                 dtype=dtype, rng=np.random.default_rng(seed))
 
 
+def stored_checksum(path) -> int:
+    """The checksum a container file stores: its last 8 bytes, little-endian."""
+    return int.from_bytes(path.read_bytes()[-8:], "little")
+
+
 def fresh_copy(model: MetaModel) -> MetaModel:
     """The same parameters in a new object, whose fingerprint memo is empty."""
     return MetaModel(dict(model.parameters()), model.omega0, model.iteration)
@@ -53,17 +57,18 @@ def fresh_copy(model: MetaModel) -> MetaModel:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_a_load_gives_the_fingerprint_and_the_manifest_hash(tmp_path, runner, dtype):
+    """The checksum covers the file but its magic, version and itself."""
     path = tmp_path / "m.vfnc"
-    assert save_model(path, small_model(dtype)) is None
-    saved = save_model(path, small_model(dtype), file_hash=True)
-    assert f"{saved:016x}" == hash_file(path)
+    saved = save_model(path, small_model(dtype))
+    body = path.read_bytes()[8:-8]
+    assert saved == stored_checksum(path) == container.blake2b64([body])
 
     loaded = load_model(path)
     assert loaded.fingerprints == {2: model_fingerprint(fresh_copy(loaded))}
-    assert f"{loaded.file_hash:016x}" == hash_file(path)
+    assert loaded.checksum == saved
     manifest = RunManifest("decode", [], {})
-    manifest.add_input(path, loaded.file_hash)
-    assert manifest.inputs == {str(path): hash_file(path)}
+    manifest.add_input(path, loaded.checksum)
+    assert manifest.inputs == {str(path): f"{saved:016x}"}
 
 
 def test_an_encoding_save_and_load_give_the_manifest_hash(tmp_path, runner):
@@ -73,8 +78,8 @@ def test_an_encoding_save_and_load_give_the_manifest_hash(tmp_path, runner):
                         frames=3, height=4, width=5, fingerprint=7, inner_steps=2,
                         inner_lr=0.05)
     path = tmp_path / "e.venc"
-    assert f"{save_encoding(path, enc):016x}" == hash_file(path)
-    assert f"{load_encoding(path).file_hash:016x}" == hash_file(path)
+    assert save_encoding(path, enc) == stored_checksum(path)
+    assert load_encoding(path).checksum == stored_checksum(path)
 
 
 def test_the_digests_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
@@ -85,11 +90,11 @@ def test_the_digests_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
         monkeypatch.setattr(parallel, "RUNNER", runner)
         try:
             path = tmp_path / f"m{threads}.vfnc"
-            saved = save_model(path, model, file_hash=True)
+            saved = save_model(path, model)
             loaded = load_model(path)
         finally:
             runner.close()
-        seen.append((path.read_bytes(), saved, loaded.file_hash, loaded.fingerprints[2]))
+        seen.append((path.read_bytes(), saved, loaded.checksum, loaded.fingerprints[2]))
     assert seen[0] == seen[1] == seen[2]
 
 
@@ -110,7 +115,7 @@ def test_a_flipped_payload_byte_fails_and_leaves_no_digest(tmp_path, runner):
     save_model(path, small_model(np.float32))
     readers = []
     read_model_payload(path, readers)
-    assert readers[0].file_hash == int(hash_file(path), 16)
+    assert readers[0].checksum == stored_checksum(path)
     assert readers[0].fingerprint == model_fingerprint(small_model(np.float32))
     blob = bytearray(path.read_bytes())
     blob[-12] ^= 0x01
@@ -119,7 +124,7 @@ def test_a_flipped_payload_byte_fails_and_leaves_no_digest(tmp_path, runner):
         load_model(path)
     with pytest.raises(ChecksumError):
         read_model_payload(path, readers)
-    assert readers[1].file_hash is None and readers[1].fingerprint is None
+    assert readers[1].checksum is None and readers[1].fingerprint is None
 
 
 class HashFailure(Exception):
@@ -129,7 +134,8 @@ class HashFailure(Exception):
 def check_a_failing_hash_reaches_the_caller(tmp_path, monkeypatch, in_pool: bool) -> None:
     """A load and a save on a two-thread runner whose hashers fail in the
     pool's threads (`in_pool`) or in the calling one: each must end, and
-    raise that failure in its caller."""
+    a load raise that failure in its caller. A save hashes its checksum
+    in the calling thread alone."""
     path = tmp_path / "m.vfnc"
     save_model(path, small_model(np.float32))
     runner = parallel.RowRunner(lambda threads: 2)
@@ -172,9 +178,11 @@ def check_a_failing_hash_reaches_the_caller(tmp_path, monkeypatch, in_pool: bool
         assert failed
         failed.clear()
         again = tmp_path / "again.vfnc"
-        assert isinstance(outcome(lambda: save_model(again, small_model(np.float32),
-                                                     file_hash=True)), HashFailure)
-        assert failed and not again.exists()
+        raised = outcome(lambda: save_model(again, small_model(np.float32)))
+        if in_pool:
+            assert raised is None and not failed and again.exists()
+        else:
+            assert isinstance(raised, HashFailure) and failed and not again.exists()
     finally:
         runner.close()
 
@@ -184,8 +192,8 @@ def test_a_hash_that_fails_in_the_pool_reaches_the_caller(tmp_path, monkeypatch)
 
 
 def test_a_hash_that_fails_in_the_calling_thread_reaches_the_caller(tmp_path, monkeypatch):
-    """The first half of a read's file hash fails before the second half
-    may start: the task waiting for it must still run to its end."""
+    """The checksum fails while the fingerprint runs in the pool: the
+    load must wait for the pool's task to end, then raise."""
     check_a_failing_hash_reaches_the_caller(tmp_path, monkeypatch, in_pool=False)
 
 
@@ -195,7 +203,7 @@ def test_concurrent_loads_and_saves_share_the_pool_and_agree(tmp_path, monkeypat
     runner's, and every caller finishes."""
     model = small_model(np.float32, seed=3)
     path = tmp_path / "m.vfnc"
-    expected_file = save_model(path, model, file_hash=True)
+    expected_file = save_model(path, model)
     expected_fingerprint = model_fingerprint(fresh_copy(model))
     runner = parallel.RowRunner(lambda threads: 2)
     monkeypatch.setattr(parallel, "RUNNER", runner)
@@ -205,8 +213,8 @@ def test_concurrent_loads_and_saves_share_the_pool_and_agree(tmp_path, monkeypat
         try:
             for _ in range(10):
                 loaded = load_model(path)
-                saved = save_model(tmp_path / f"s{i}.vfnc", loaded, file_hash=True)
-                seen.append((loaded.file_hash, loaded.fingerprints[2], saved))
+                saved = save_model(tmp_path / f"s{i}.vfnc", loaded)
+                seen.append((loaded.checksum, loaded.fingerprints[2], saved))
         except BaseException as exc:
             errors.append(exc)
 

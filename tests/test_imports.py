@@ -1,15 +1,19 @@
-"""Every imported name is used: a scan of the package and test sources.
+"""Every imported name and every private module-level name is used: scans
+of the package and test sources.
 
 An import is used when its name is loaded somewhere in the module. Names
 listed in the module's `__all__` (re-exports) and imports on a line
-marked `# noqa` are exempt.
+marked `# noqa` are exempt. A private name (`_name`, not `__name__`)
+that a package module defines at its top level is used when some package
+module loads it or reads it as an attribute.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "vfuncta").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "vfuncta").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -41,3 +45,41 @@ def test_no_unused_imports():
     assert {"model.py", "test_imports.py"} <= {path.name for path in SOURCES}
     unused = [entry for path in SOURCES for entry in unused_imports(path)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The private names a module binds at its top level: functions,
+    classes and assigned constants, by line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def dead_private_names(paths: list[Path]) -> list[str]:
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    used: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path, tree in trees.items()
+            for name, line in private_definitions(tree).items() if name not in used]
+
+
+def test_no_dead_private_names():
+    assert {"container.py", "model.py"} <= {path.name for path in PACKAGE}
+    dead = dead_private_names(PACKAGE)
+    assert not dead, "private names never used in the package:\n" + "\n".join(dead)

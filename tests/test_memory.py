@@ -45,7 +45,7 @@ def test_a_model_load_holds_its_payload_once(model_file):
 
 
 def test_a_model_load_hashing_on_two_threads_holds_its_payload_once(model_file, monkeypatch):
-    """The checksum, fingerprint and file hash passes share the one array."""
+    """The checksum and fingerprint passes share the one array."""
     path, payload = model_file
     runner = parallel.RowRunner(lambda threads: 2)
     monkeypatch.setattr(parallel, "RUNNER", runner)
@@ -55,7 +55,7 @@ def test_a_model_load_hashing_on_two_threads_holds_its_payload_once(model_file, 
     finally:
         runner.close()
     assert peak <= 1.1 * payload
-    assert model.fingerprints and model.file_hash is not None
+    assert model.fingerprints and model.checksum is not None
 
 
 def test_a_loaded_models_parameters_share_one_read_only_array(model_file):

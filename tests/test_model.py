@@ -10,6 +10,7 @@ import pytest
 
 from helpers import finite_diff, rel_err
 
+from vfuncta import tensor
 from vfuncta.errors import ContractError, ShapeError
 from vfuncta.model import (
     CoordinateGrid,
@@ -59,6 +60,20 @@ def test_parameters_follow_the_table():
     table = param_shapes(layers=3, hidden=5, video_dim=6, frame_dim=4)
     assert [name for name, _ in m.parameters()] == list(table)
     assert [p.shape for _, p in m.parameters()] == list(table.values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_initialize_hands_every_parameter_over_without_a_copy(monkeypatch, dtype):
+    frozen = []
+
+    def recording_tensor(data, dtype=None):
+        frozen.append(tensor._frozen(data, dtype))
+        return Tensor(data, dtype)
+
+    monkeypatch.setattr("vfuncta.model.Tensor", recording_tensor)
+    initialized = tiny_model(dtype=dtype)
+    assert frozen == [True] * len(initialized.parameters())
+    assert initialized.dtype == dtype
 
 
 def test_replace_params_names_a_wrong_shape():
