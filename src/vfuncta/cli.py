@@ -255,7 +255,7 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict,
     the run, so the outputs finished before it are recorded. A worker
     returns the `{path: checksum}` of the container files it read or
     wrote; the manifest enters those, and the model, by their checksums
-    (a version 1 file, whose checksum is None, is hashed whole).
+    (a version 1 or 2 file, whose checksum is None, is hashed whole).
     """
     if jobs < 1:
         raise VfunctaError(f"--jobs must be at least 1, got {jobs}")

@@ -26,7 +26,6 @@ from .container import (
     dtype_code,
     load_model,
     model_fingerprint,
-    pack_payload,
     read_container,
     save_model,
     write_container,
@@ -53,11 +52,11 @@ class VideoEncoding:
     """Compressed form of one video: (v, per-frame phis) plus provenance.
 
     `fingerprint_version` is the container version whose hash made
-    `fingerprint`: an encoding loaded from a version 1 file names its
-    model by the version 1 fingerprint. `checksum` is the verified
-    checksum of the version 2 file the encoding was read from
-    (`load_encoding`), which names that file in a run manifest, else None;
-    it is not part of equality.
+    `fingerprint`: an encoding loaded from a version 1 or 2 file names its
+    model by that version's fingerprint, which decoding computes from the
+    model on demand. `checksum` is the verified checksum of the version 3
+    file the encoding was read from (`load_encoding`), which names that
+    file in a run manifest, else None; it is not part of equality.
     """
 
     __slots__ = ("video_mod", "frame_mods", "frames", "height", "width",
@@ -191,8 +190,9 @@ def save_encoding(path, enc: VideoEncoding) -> int:
     head = (struct.pack("<BIIIII", dtype_code(dt), enc.frames, enc.height, enc.width,
                         enc.video_dim, enc.frame_dim)
             + struct.pack("<IdQ", enc.inner_steps, enc.inner_lr, enc.fingerprint))
-    return write_container(path, ENCODING_MAGIC, head,
-                           *pack_payload([enc.video_mod.values, enc.frame_mods.values], dt))
+    checksum, _ = write_container(path, ENCODING_MAGIC, head,
+                                  [enc.video_mod.values, enc.frame_mods.values], dt)
+    return checksum
 
 
 def load_encoding(path) -> VideoEncoding:

@@ -23,14 +23,18 @@ SEED_ENV_VAR = "VFUNCTA_SEED"
 
 
 def env_seed(default: int | None = None) -> int | None:
-    """The seed set by the VFUNCTA_SEED environment variable, else `default`."""
+    """The seed set by the VFUNCTA_SEED environment variable, else `default`.
+    Seeds are non-negative, as numpy's generators take them."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return default
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"{SEED_ENV_VAR} must be >= 0, got {raw!r}")
+    return seed
 
 
 def parse_kv_file(path) -> dict[str, tuple[int, str]]:

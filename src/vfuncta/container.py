@@ -1,12 +1,12 @@
 """Self-describing binary containers with checksummed round trips.
 
-Every file is `magic + u32 version + body + u64 checksum(body)`, all
+Every file is `magic + u32 version + body + u64 checksum`, all
 little-endian, written atomically. Model and head files share the "VFNC"
 magic and are told apart by a kind tag at the start of the body;
 encodings use "VENC". Every body is its kind's header fields, then the
 payload: a u64 byte length and the arrays of the kind's shape table in
 table order, raw IEEE-754 little-endian in the dtype the header declares,
-with nothing after them. `pack_payload` writes it and
+with nothing after them. `write_container` writes it and
 `_BodyReader.payload` reads it, so save, load, save reproduces files
 byte-for-byte.
 
@@ -16,19 +16,23 @@ then the checksum. Every size a header declares is checked against the
 file's size before anything that size is allocated, and the checksum is
 checked before any array is handed out.
 
-The version names the hash behind the checksum and the model
-fingerprint: version 2, which is written, uses 64-bit BLAKE2b; version 1
-used 64-bit FNV-1a and is still read and verified.
+The version names the hashes behind the checksum and the model
+fingerprint. Version 3, which is written, hashes each payload once:
+its digest D is the SHA-256 of the payload arrays, the checksum is
+SHA-256(header fields, payload length included, || D) and a model's
+fingerprint is SHA-256(`_DIMS` header || D), each cut to its first 8
+bytes read as a little-endian u64 (`sha256_64`). So a read, a write and
+a fingerprint each take one pass over the payload, in the calling
+thread. Version 2 (64-bit BLAKE2b over the body, and over the header
+and the payload for the fingerprint) and version 1 (64-bit FNV-1a) are
+read and verified; their fingerprints are computed when an encoding
+that names its model by one is decoded.
 
-One digest rule holds for every file: a version 2 file is named by its
+One digest rule holds for every file: a version 3 file is named by its
 checksum, the stored u64 that every read verifies and every write
 computes, and a run manifest enters a container input or artifact by
-it. A version 2 read keeps the checksum and, for a model, its
-fingerprint, once the checksum holds; every write returns the checksum.
-A model read hashes its payload twice, as two independent tasks dealt
-to the BLAS threads' cores (`parallel.RUNNER`), since hashlib releases
-the GIL while it hashes a large buffer; each hash takes its chunks in
-file order whatever the thread count, so no value depends on it.
+it. A version 3 model read also keeps the model's fingerprint, from the
+same D.
 """
 
 from __future__ import annotations
@@ -39,12 +43,10 @@ import os
 import struct
 import tempfile
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import parallel
 from .errors import (
     BadMagicError,
     ChecksumError,
@@ -57,8 +59,8 @@ from .tensor import Tensor
 
 MODEL_MAGIC = b"VFNC"
 ENCODING_MAGIC = b"VENC"
-VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
+VERSION = 3
+SUPPORTED_VERSIONS = (1, 2, 3)
 
 KIND_MODEL = 1
 KIND_HEAD = 2
@@ -74,14 +76,30 @@ def fnv1a64(data) -> int:
     return h
 
 
-def blake2b64(chunks) -> int:
-    """64-bit BLAKE2b over the concatenation of an iterable of byte-like
-    chunks: the version 2 hash, fed chunk by chunk so nothing is joined
+def _fed(hasher, chunks):
+    """`hasher` fed each byte-like chunk in turn, so nothing is joined
     first."""
-    h = hashlib.blake2b(digest_size=8)
     for chunk in chunks:
-        h.update(chunk)
-    return int.from_bytes(h.digest(), "little")
+        hasher.update(chunk)
+    return hasher
+
+
+def blake2b64(chunks) -> int:
+    """64-bit BLAKE2b over the concatenation of byte-like chunks: the
+    version 2 hash."""
+    return int.from_bytes(_fed(hashlib.blake2b(digest_size=8), chunks).digest(), "little")
+
+
+def sha256_64(chunks) -> int:
+    """The first 8 bytes of SHA-256 over the concatenation of byte-like
+    chunks, read as a little-endian u64: the version 3 hash."""
+    return int.from_bytes(_fed(hashlib.sha256(), chunks).digest()[:8], "little")
+
+
+def payload_digest(arrays) -> bytes:
+    """D, the 32-byte SHA-256 over a payload's arrays in order: the one
+    pass a version 3 read, write or fingerprint takes over them."""
+    return _fed(hashlib.sha256(), arrays).digest()
 
 
 def dtype_code(dtype) -> int:
@@ -113,23 +131,20 @@ def atomic_write_bytes(path, *chunks) -> None:
         raise
 
 
-def write_container(path, magic: bytes, *body) -> int:
-    """Write a container file atomically: magic, version, the byte-like
-    body chunks, and the checksum of the body, with no chunk copied.
-    Returns the checksum, which names the file in a run manifest."""
-    checksum = blake2b64(body)
-    atomic_write_bytes(path, magic + struct.pack("<I", VERSION), *body,
-                       struct.pack("<Q", checksum))
-    return checksum
-
-
-def pack_payload(arrays, dtype) -> list:
-    """A payload as chunks: its u64 byte length, then each array as
-    contiguous little-endian `dtype`, in order. An array already in that
-    form is not copied."""
+def write_container(path, magic: bytes, fields: bytes, arrays, dtype) -> tuple[int, bytes]:
+    """Write a version 3 container file atomically: magic, version, the
+    header `fields`, the payload (its u64 byte length, then each array as
+    contiguous little-endian `dtype`, in order, none copied that already
+    is) and the checksum. Returns the checksum, which names the file in a
+    run manifest, and the payload digest D it was derived from."""
     dt = np.dtype(dtype).newbyteorder("<")
     arrays = [np.ascontiguousarray(a).astype(dt, copy=False) for a in arrays]
-    return [struct.pack("<Q", sum(a.nbytes for a in arrays)), *arrays]
+    length = struct.pack("<Q", sum(a.nbytes for a in arrays))
+    digest = payload_digest(arrays)
+    checksum = sha256_64([fields, length, digest])
+    atomic_write_bytes(path, magic + struct.pack("<I", VERSION), fields, length, *arrays,
+                       struct.pack("<Q", checksum))
+    return checksum, digest
 
 
 class _BodyReader:
@@ -139,9 +154,9 @@ class _BodyReader:
     The header fields are read by `unpack` and kept for the checksum;
     `payload` reads the rest of the body and the checksum and checks it.
     `remaining` is the body's bytes not yet read, from the file's size.
-    Once the checksum of a version 2 file holds, `checksum` is its value
-    and `fingerprint` the one `payload` was asked for; until then, and for
-    version 1, both are None.
+    Once the checksum of a version 3 file holds, `checksum` is its value
+    and `digest` the payload digest D; until then, and for older
+    versions, both are None.
     """
 
     def __init__(self, fh, source: str, magic: bytes):
@@ -160,7 +175,7 @@ class _BodyReader:
         self.remaining = size - 16
         self._fields: list = []
         self.checksum: int | None = None
-        self.fingerprint: int | None = None
+        self.digest: bytes | None = None
 
     def _read(self, size: int, into=None):
         """The next `size` bytes of the file, read into `into` when given;
@@ -183,16 +198,13 @@ class _BodyReader:
         self._fields.append(field)
         return struct.unpack(fmt, field)
 
-    def payload(self, dtype, shapes: dict[str, tuple[int, ...]],
-                fingerprint_head: bytes | None = None) -> dict[str, np.ndarray]:
+    def payload(self, dtype, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
         """Read the payload that ends the body: its u64 byte length, then
         one `dtype` array per entry of the `{name: shape}` table, in table
         order. The length is checked against the table and the file's
         size before the payload is read into one array of `dtype`; once
-        the checksum over the whole body holds, returns the arrays by name
-        as read-only views into it. With `fingerprint_head`, a version 2
-        read also hashes that header followed by the payload, into
-        `fingerprint`."""
+        the checksum holds, returns the arrays by name as read-only views
+        into it."""
         dt = np.dtype(dtype)
         (length,) = self.unpack("<Q")
         expected = sum(math.prod(shape) for shape in shapes.values()) * dt.itemsize
@@ -206,18 +218,18 @@ class _BodyReader:
         self._read(length, into=memoryview(flat).cast("B"))
         self.remaining = 0
         (stored,) = struct.unpack("<Q", self._read(8))
+        digest = None
         if self.version == 1:
-            actual, fingerprint = fnv1a64(b"".join([*self._fields, flat])), None
+            actual = fnv1a64(b"".join([*self._fields, flat]))
+        elif self.version == 2:
+            actual = blake2b64([*self._fields, flat])
         else:
-            # the checksum and the fingerprint, as independent tasks
-            tasks = [partial(blake2b64, [*self._fields, flat])]
-            if fingerprint_head is not None:
-                tasks.append(partial(blake2b64, [fingerprint_head, flat]))
-            actual, fingerprint = [*parallel.RUNNER.deal(tasks), None][:2]
+            digest = payload_digest([flat])
+            actual = sha256_64([*self._fields, digest])
         if stored != actual:
             raise ChecksumError(f"{self.source}: checksum {actual:016x} != stored {stored:016x}")
-        if self.version == 2:
-            self.checksum, self.fingerprint = stored, fingerprint
+        if digest is not None:
+            self.checksum, self.digest = stored, digest
         flat.setflags(write=False)
         arrays, pos = {}, 0
         for name, shape in shapes.items():
@@ -230,7 +242,7 @@ class _BodyReader:
 @contextmanager
 def read_container(path, magic: bytes):
     """Open the container at `path`, check its magic, version and size,
-    and yield a reader over its body, whose `version` names the hash
+    and yield a reader over its body, whose `version` names the hashes
     behind the checksum; the file is closed on leaving the block. An
     unreadable file is a FormatError."""
     path = Path(path)
@@ -259,30 +271,44 @@ def _model_dims_blob(model: MetaModel) -> bytes:
                        model.video_dim, model.frame_dim, model.omega0)
 
 
+def _fingerprint(dims_blob: bytes, digest: bytes) -> int:
+    """The version 3 fingerprint of a model's architecture header and
+    payload digest D."""
+    return sha256_64([dims_blob, digest])
+
+
 def model_fingerprint(model: MetaModel, version: int = VERSION) -> int:
     """Content hash over architecture and parameters (not the iteration
     counter), matching what a saved model file would hold, with the hash
     of the given container version. The parameters are hashed once per
-    model object and version."""
+    model object and version, in one pass."""
     if version not in model.fingerprints:
-        chunks = [_model_dims_blob(model), *_param_arrays(model)]
-        model.fingerprints[version] = (fnv1a64(b"".join(chunks)) if version == 1
-                                       else blake2b64(chunks))
+        dims, params = _model_dims_blob(model), _param_arrays(model)
+        if version == 1:
+            fingerprint = fnv1a64(b"".join([dims, *params]))
+        elif version == 2:
+            fingerprint = blake2b64([dims, *params])
+        else:
+            fingerprint = _fingerprint(dims, payload_digest(params))
+        model.fingerprints[version] = fingerprint
     return model.fingerprints[version]
 
 
 def save_model(path, model: MetaModel) -> int:
-    """Write `model` to `path` and return the file's checksum."""
-    head = (struct.pack("<I", KIND_MODEL) + _model_dims_blob(model)
-            + struct.pack("<Q", model.iteration))
-    return write_container(path, MODEL_MAGIC, head,
-                           *pack_payload(_param_arrays(model), model.dtype))
+    """Write `model` to `path` and return the file's checksum. The
+    payload digest also gives the model's version 3 fingerprint."""
+    dims = _model_dims_blob(model)
+    head = struct.pack("<I", KIND_MODEL) + dims + struct.pack("<Q", model.iteration)
+    checksum, digest = write_container(path, MODEL_MAGIC, head, _param_arrays(model),
+                                       model.dtype)
+    model.fingerprints[VERSION] = _fingerprint(dims, digest)
+    return checksum
 
 
 def load_model(path) -> MetaModel:
-    """The model in the file at `path`. A version 2 read also hashes the
-    payload into the model's version 2 fingerprint, beside the checksum,
-    which it keeps as the model's `checksum`."""
+    """The model in the file at `path`. A version 3 read keeps the
+    checksum it verified as the model's `checksum`, and derives the
+    model's version 3 fingerprint from the same payload digest."""
     with read_container(path, MODEL_MAGIC) as reader:
         (kind,) = reader.unpack("<I")
         if kind != KIND_MODEL:
@@ -301,12 +327,11 @@ def load_model(path) -> MetaModel:
         if layers * hidden * dt.itemsize > reader.remaining:
             raise FormatError(f"{reader.source}: {layers} layers of width {hidden} "
                               f"do not fit in the body")
-        params = reader.payload(dt, param_shapes(layers, hidden, video_dim, frame_dim),
-                                fingerprint_head=struct.pack(_DIMS, *dims))
+        params = reader.payload(dt, param_shapes(layers, hidden, video_dim, frame_dim))
     native = dt.newbyteorder("=")
     model = MetaModel({name: Tensor(view, dtype=native) for name, view in params.items()},
                       omega0=omega0, iteration=iteration)
-    if reader.fingerprint is not None:
-        model.fingerprints[reader.version] = reader.fingerprint
+    if reader.digest is not None:
+        model.fingerprints[VERSION] = _fingerprint(struct.pack(_DIMS, *dims), reader.digest)
     model.checksum = reader.checksum
     return model

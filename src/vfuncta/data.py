@@ -341,6 +341,8 @@ def build_corpus(out_dir, count: int, seed: int, options: dict,
     training split (by seeded shuffle)."""
     if count < 1:
         raise ContractError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     if not 0.0 <= split <= 1.0:
         raise ContractError(f"split must lie in [0, 1], got {split}")
     out_dir = Path(out_dir)

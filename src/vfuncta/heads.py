@@ -21,7 +21,6 @@ from .codec import VideoEncoding
 from .container import (
     KIND_HEAD,
     MODEL_MAGIC,
-    pack_payload,
     read_container,
     write_container,
 )
@@ -56,6 +55,8 @@ class HeadConfig:
             raise ContractError("epochs >= 0 and batch_size >= 1 required")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ContractError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:
@@ -252,8 +253,8 @@ def save_head(path, head: MlpHead) -> None:
             + struct.pack("<IIII", *sizes)
             + struct.pack("<dIId q", cfg.dropout, cfg.epochs, cfg.batch_size,
                           cfg.learning_rate, cfg.seed))
-    payload = pack_payload([arrays[name] for name in _payload_shapes(sizes)], "<f8")
-    write_container(path, MODEL_MAGIC, body, *payload)
+    write_container(path, MODEL_MAGIC, body,
+                    [arrays[name] for name in _payload_shapes(sizes)], "<f8")
 
 
 def load_head(path) -> MlpHead:

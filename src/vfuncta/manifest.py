@@ -1,13 +1,15 @@
 """Run manifests: enough recorded state to reproduce any command.
 
 Every command writes one JSON manifest holding the resolved
-configuration, seeds, input and output paths, and a 64-bit BLAKE2b
-content hash per input and artifact as 16 hex digits, named by the
-manifest's `hash` key. A version 2 container file the command read or
-wrote is entered by its checksum, the BLAKE2b of everything in the file
-but its magic, version and the checksum itself, which the read verified
-or the write computed (see `container`), so it is not read again. Every
-other file, a version 1 container among them, is hashed whole: the
+configuration, seeds, input and output paths, and one content hash per
+input and artifact as 16 hex digits: SHA-256 cut to 64 bits
+(`container.sha256_64`), which the manifest's `hash` key names. One
+hash holds throughout. A version 3 container file the command read or
+wrote is entered by its checksum, which covers everything in the file
+but its magic, version and the checksum itself, and which the read
+verified or the write computed (see `container`), so the file is not
+read again. Every other file is hashed whole, version 1 and 2
+containers among them, since their checksums are another hash: the
 training log `train` writes over its deterministic columns only
 (timestamps and wall-clock timings are stripped), so two runs with the
 same seed produce identical artifact hash maps, and every other file as
@@ -22,9 +24,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .container import atomic_write_bytes, blake2b64
+from .container import atomic_write_bytes, sha256_64
 
-HASH_NAME = "blake2b-64"
+HASH_NAME = "sha256-64"
 
 # bytes per read when a file is hashed, so that no file is held whole
 HASH_CHUNK = 1 << 18
@@ -35,9 +37,9 @@ def hash_file(path, training_log: bool = False) -> str:
     first."""
     path = Path(path)
     if training_log:
-        return f"{blake2b64([_canonical_log_bytes(path)]):016x}"
+        return f"{sha256_64([_canonical_log_bytes(path)]):016x}"
     with path.open("rb") as fh:
-        return f"{blake2b64(iter(partial(fh.read, HASH_CHUNK), b'')):016x}"
+        return f"{sha256_64(iter(partial(fh.read, HASH_CHUNK), b'')):016x}"
 
 
 def _canonical_log_bytes(path: Path) -> bytes:

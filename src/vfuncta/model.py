@@ -141,9 +141,10 @@ class MetaModel:
     X @ W + b. Immutable during evaluation; training swaps in fresh
     tensors via `replace_params`. So `fingerprints`, the memo of
     `container.model_fingerprint` by container version, stays valid for
-    the object's life, and so does `checksum`, the verified checksum of
-    the version 2 file the object was read from (None otherwise), which
-    names that file in a run manifest.
+    the object's life; a version 3 load or save fills its version 3
+    entry from the payload digest it already took. So does `checksum`,
+    the verified checksum of the version 3 file the object was read from
+    (None otherwise), which names that file in a run manifest.
     """
 
     def __init__(self, params: dict[str, Tensor], omega0: float, iteration: int = 0):

@@ -125,16 +125,6 @@ class RowRunner:
             wait(futures)
         return [first] + [f.result() for f in futures]
 
-    def deal(self, tasks: list, n: int | None = None) -> list:
-        """Run each zero-argument task, dealt in turn to `n` threads (by
-        default one per BLAS thread), the first of them the calling one:
-        thread i runs tasks i, i + n, ... in that order. Returns the
-        results in task order; an exception from any task is raised once
-        every thread has finished."""
-        n = max(1, min(self.threads if n is None else n, len(tasks)))
-        shares = self._map(range(n + 1), lambda i, _: [task() for task in tasks[i::n]])
-        return [shares[j % n][j // n] for j in range(len(tasks))]
-
     @contextmanager
     def _pinned(self):
         with self._lock:
@@ -177,9 +167,15 @@ class Blocks:
         return self._runner._map(self._cuts, fn)
 
     def deal(self, tasks: list) -> list:
-        """Run each zero-argument task, dealt in turn to the blocks'
-        threads; returns the results in task order."""
-        return self._runner.deal(tasks, len(self._cuts) - 1)
+        """Run each zero-argument task, dealt in turn to the blocks' n
+        threads, the first of them the calling one: thread i runs tasks
+        i, i + n, ... in that order. Returns the results in task order;
+        an exception from any task is raised once every thread has
+        finished."""
+        n = max(1, min(len(self._cuts) - 1, len(tasks)))
+        shares = self._runner._map(range(n + 1),
+                                   lambda i, _: [task() for task in tasks[i::n]])
+        return [shares[j % n][j // n] for j in range(len(tasks))]
 
 
 RUNNER = RowRunner(_openblas_set_threads())

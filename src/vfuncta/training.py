@@ -61,7 +61,7 @@ class TrainConfig:
         # a one-unit network is refused as `MetaModel` refuses it
         for name, least in (("batch_frames", 1), ("coords_per_frame", 1), ("layers", 1),
                             ("hidden", 2), ("video_dim", 1), ("frame_dim", 1),
-                            ("inner_steps", 0), ("iterations", 0)):
+                            ("inner_steps", 0), ("iterations", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ContractError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("inner_lr", "meta_lr"):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import Hashers
 
 from vfuncta import codec, container, data, parallel
 from vfuncta.cli import main
@@ -158,42 +159,22 @@ def test_encode_report_prints_quality(tmp_path, capsys):
     assert "psnr_db=" in out and "ssim3d=" in out
 
 
-class RecordingHashes:
-    """`hashlib.blake2b` and `open` wrapped: every byte each hasher is fed,
-    and every open of the file at `path`."""
+class RecordingHashes(Hashers):
+    """The container's hashers wrapped, and every open of the file at
+    `path` counted."""
 
     def __init__(self, monkeypatch, path: Path):
-        self.fed: list[list[bytes]] = []
+        super().__init__(monkeypatch)
         self.opens = 0
-        real_blake2b, real_open = hashlib.blake2b, io.open
-        recording = self
-
-        class Hasher:
-            def __init__(self, data=b"", **kwargs):
-                self._hasher = real_blake2b(**kwargs)
-                self.fed = []
-                recording.fed.append(self.fed)
-                self.update(data)
-
-            def update(self, data):
-                self.fed.append(bytes(memoryview(data).cast("B")))
-                self._hasher.update(data)
-
-            def digest(self):
-                return self._hasher.digest()
+        real_open = io.open
 
         def counting_open(file, *args, **kwargs):
             if isinstance(file, (str, os.PathLike)) and Path(file) == path:
                 self.opens += 1
             return real_open(file, *args, **kwargs)
 
-        monkeypatch.setattr(hashlib, "blake2b", Hasher)
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(io, "open", counting_open)
-
-    def passes_over(self, payload: bytes) -> int:
-        """How many times the hashers were fed `payload` whole, in order."""
-        return sum(b"".join(fed).count(payload) for fed in self.fed)
 
 
 def model_payload(path: Path) -> bytes:
@@ -221,10 +202,11 @@ def on_each_runner(monkeypatch, check) -> None:
                 runner.close()
 
 
-def test_a_command_reads_its_model_once_and_hashes_its_payload_twice(tmp_path, monkeypatch):
-    """The load's one read gives the checksum, which names the model in
-    the manifest, and the fingerprint, which encode names in each encoding
-    and --report checks again; saving a model hashes it once."""
+def test_a_command_reads_its_model_once_and_hashes_its_payload_once(tmp_path, monkeypatch):
+    """The load's one SHA-256 pass over the payload gives the checksum,
+    which names the model in the manifest, and the fingerprint, which
+    encode names in each encoding and --report checks again; saving a
+    model hashes it once too."""
     corpus, model_path = trained_model(tmp_path)
     videos = [i.path for i in read_corpus_manifest(corpus)[:3]]
     payload = model_payload(model_path)
@@ -236,7 +218,7 @@ def test_a_command_reads_its_model_once_and_hashes_its_payload_twice(tmp_path, m
             assert main(["encode", "--model", str(model_path), "--out", str(enc),
                          "--batch-frames", "4", "--inner-steps", "1", "--report",
                          *videos]) == 0
-        assert (recording.opens, recording.passes_over(payload)) == (1, 2)
+        assert (recording.opens, recording.passes_over(payload)) == (1, ["sha256"])
 
         encodings = sorted(str(p) for p in enc.glob("*.venc"))
         assert len(encodings) == 3
@@ -244,19 +226,19 @@ def test_a_command_reads_its_model_once_and_hashes_its_payload_twice(tmp_path, m
             recording = RecordingHashes(patch, model_path)
             assert main(["decode", "--model", str(model_path), "--out", str(dec),
                          *encodings]) == 0
-        assert (recording.opens, recording.passes_over(payload)) == (1, 2)
+        assert (recording.opens, recording.passes_over(payload)) == (1, ["sha256"])
 
         with monkeypatch.context() as patch:
             recording = RecordingHashes(patch, again)
             assert main(["train", "--corpus", str(corpus),
                          "--config", str(tmp_path / "run.cfg"), "--out", str(again)]) == 0
-        assert (recording.opens, recording.passes_over(model_payload(again))) == (0, 1)
+        assert (recording.opens, recording.passes_over(model_payload(again))) == (0, ["sha256"])
 
     on_each_runner(monkeypatch, check)
 
 
 def test_container_entries_are_the_hashes_of_the_files(tmp_path, monkeypatch, capsys):
-    """A version 2 container input or artifact is entered by the checksum
+    """A version 3 container input or artifact is entered by the checksum
     it stores, which its read verified or its write computed; every other
     file by the hash of its bytes."""
     corpus, model_path = trained_model(tmp_path)
@@ -286,16 +268,26 @@ def test_container_entries_are_the_hashes_of_the_files(tmp_path, monkeypatch, ca
     assert trained["artifacts"]["model.vfnc"] == stored_checksum(model_path)
 
 
-def test_version_1_containers_are_hashed_whole(tmp_path, capsys):
-    """A version 1 read verifies an FNV-1a checksum, not the BLAKE2b the
-    manifest's `hash` key names, so the manifest hashes those files."""
-    v1 = Path(__file__).parent / "fixtures" / "v1"
-    model_path, venc, out = v1 / "model.vfnc", v1 / "clip.venc", tmp_path / "dec"
+def check_containers_are_hashed_whole(version: int, tmp_path) -> None:
+    fixtures = Path(__file__).parent / "fixtures" / f"v{version}"
+    model_path, venc, out = fixtures / "model.vfnc", fixtures / "clip.venc", tmp_path / "dec"
     assert main(["decode", "--model", str(model_path), "--out", str(out), str(venc)]) == 0
     doc = read_manifest(out / "run_manifest.json")
     assert doc["inputs"] == {str(model_path): hash_file(model_path),
                              str(venc): hash_file(venc)}
     assert doc["artifacts"] == {"clip.rawvid": hash_file(out / "clip.rawvid")}
+
+
+def test_version_1_containers_are_hashed_whole(tmp_path, capsys):
+    """A version 1 read verifies an FNV-1a checksum, not the SHA-256 the
+    manifest's `hash` key names, so the manifest hashes those files."""
+    check_containers_are_hashed_whole(1, tmp_path)
+
+
+def test_version_2_containers_are_hashed_whole(tmp_path, capsys):
+    """A version 2 read verifies a BLAKE2b checksum, not the manifest's
+    hash, so the manifest hashes those files too."""
+    check_containers_are_hashed_whole(2, tmp_path)
 
 
 def test_decode_report_against_originals(tmp_path, capsys):
@@ -404,9 +396,37 @@ def test_same_seed_runs_have_identical_artifact_hashes(tmp_path):
     assert hashes[0] == hashes[1]
     assert set(hashes[0]) == {"model.vfnc", "model.log"}
 
+def test_same_seed_runs_have_identical_manifest_maps(tmp_path, capsys):
+    """Two same-seed train runs, each followed by an encode and a decode:
+    every input and artifact of the three manifests hashes alike."""
+    corpus = gen_corpus(tmp_path)
+    cfg = write_config(tmp_path / "run.cfg", iterations=2)
+    video = read_corpus_manifest(corpus)[0].path
+    maps = []
+    for name in ("r1", "r2"):
+        run = tmp_path / name
+        model_path = run / "model.vfnc"
+        assert main(["train", "--corpus", str(corpus), "--config", str(cfg),
+                     "--out", str(model_path)]) == 0
+        assert main(["encode", "--model", str(model_path), "--out", str(run / "enc"),
+                     "--batch-frames", "4", "--inner-steps", "2", video]) == 0
+        venc = run / "enc" / (Path(video).stem + ".venc")
+        assert main(["decode", "--model", str(model_path), "--out", str(run / "dec"),
+                     str(venc)]) == 0
+        docs = [read_manifest(path) for path in (run / "model.manifest.json",
+                                                 run / "enc" / "run_manifest.json",
+                                                 run / "dec" / "run_manifest.json")]
+        maps.append([{Path(key).name: value for key, value in doc[part].items()}
+                     for doc in docs for part in ("inputs", "artifacts")])
+    assert maps[0] == maps[1]
+    decoded_inputs, decoded_artifacts = maps[0][4:]
+    assert set(decoded_inputs) == {"model.vfnc", venc.name}
+    assert set(decoded_artifacts) == {Path(video).stem + ".rawvid"}
+
+
 def raw_hash(path: Path) -> str:
     """The manifest's hash of a file's bytes as they are."""
-    digest = hashlib.blake2b(path.read_bytes(), digest_size=8).digest()
+    digest = hashlib.sha256(path.read_bytes()).digest()[:8]
     return f"{int.from_bytes(digest, 'little'):016x}"
 
 
@@ -482,6 +502,55 @@ def test_non_integer_env_seed_is_one_error_line(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "c").exists()
 
 
+def test_a_negative_seed_flag_is_one_error_line(tmp_path, capsys):
+    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--count", "1", "--seed", "-5"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "seed must be >= 0, got -5")
+    assert not (tmp_path / "c").exists()
+
+
+def seeded_commands(tmp_path) -> dict[str, list[str]]:
+    """A gen-corpus, a train and an eval command line, by name."""
+    corpus = gen_corpus(tmp_path)
+    model_path, _, _ = tiny_files(tmp_path)
+    return {
+        "gen-corpus": ["gen-corpus", "--out", str(tmp_path / "c"), "--count", "1"],
+        "train": ["train", "--corpus", str(corpus),
+                  "--config", str(write_config(tmp_path / "run.cfg", iterations=1)),
+                  "--out", str(tmp_path / "m.out.vfnc")],
+        "eval": ["eval", "--model", str(model_path), "--corpus", str(corpus),
+                 "--task", "regression", "--modes", "phi", "--inner-steps", "1"],
+    }
+
+
+@pytest.mark.parametrize("command", ["gen-corpus", "train", "eval"])
+def test_a_negative_env_seed_is_one_error_line(tmp_path, monkeypatch, capsys, command):
+    argv = seeded_commands(tmp_path)[command]
+    monkeypatch.setenv("VFUNCTA_SEED", "-3")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert_one_error_line(capsys.readouterr().err, "VFUNCTA_SEED", "-3")
+    assert not (tmp_path / "c").exists() and not (tmp_path / "m.out.vfnc").exists()
+
+
+def test_a_negative_seed_in_a_train_config_is_one_error_line(tmp_path, capsys):
+    argv = seeded_commands(tmp_path)["train"]
+    write_config(tmp_path / "run.cfg", iterations=1, seed=-1)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert_one_error_line(capsys.readouterr().err, "run.cfg", "seed must be >= 0, got -1")
+    assert not (tmp_path / "m.out.vfnc").exists()
+
+
+def test_a_negative_seed_in_a_head_config_is_one_error_line(tmp_path, capsys):
+    argv = seeded_commands(tmp_path)["eval"]
+    head_config = tmp_path / "head.cfg"
+    head_config.write_text("seed = -1\n")
+    capsys.readouterr()
+    assert main([*argv, "--head-config", str(head_config)]) == 1
+    assert_one_error_line(capsys.readouterr().err, "seed must be >= 0, got -1")
+
+
 def test_train_without_a_train_split_is_one_error_line(tmp_path, capsys):
     corpus = gen_corpus(tmp_path, count=3, extra=["--split", "0.0"])
     cfg = write_config(tmp_path / "run.cfg", iterations=1)
@@ -522,8 +591,9 @@ def test_decode_of_overflowing_model_is_one_error_line(tmp_path, capsys):
 def test_decode_of_a_model_with_an_impossible_layer_count_is_one_error_line(
         tmp_path, capsys, monkeypatch):
     _, _, venc = tiny_files(tmp_path)
-    body = struct.pack("<IBIIIIdQQ", container.KIND_MODEL, 0, 2**32 - 1, 1, 1, 1, 30.0, 0, 16)
-    container.write_container(tmp_path / "huge.vfnc", container.MODEL_MAGIC, body, bytes(16))
+    fields = struct.pack("<IBIIIIdQ", container.KIND_MODEL, 0, 2**32 - 1, 1, 1, 1, 30.0, 0)
+    container.write_container(tmp_path / "huge.vfnc", container.MODEL_MAGIC, fields,
+                              [np.zeros(4)], "<f4")
 
     def refuse(*args):
         raise AssertionError(f"param_shapes{args} was called")
@@ -539,11 +609,12 @@ def test_decode_of_a_model_with_an_impossible_layer_count_is_one_error_line(
 
 def test_decode_of_a_model_whose_omega0_is_nan_is_one_error_line(tmp_path, capsys):
     model_path, _, venc = tiny_files(tmp_path)
-    blob = model_path.read_bytes()
-    # omega0 follows the magic, version, kind tag, dtype code and four dimensions
-    body = bytearray(blob[8:-8])
-    struct.pack_into("<d", body, 4 + 1 + 16, math.nan)
-    container.write_container(model_path, container.MODEL_MAGIC, bytes(body))
+    model = load_model(model_path)
+    # omega0 follows the kind tag, dtype code and four dimensions
+    fields = bytearray(model_path.read_bytes()[8:8 + 4 + 1 + 16 + 8 + 8])
+    struct.pack_into("<d", fields, 4 + 1 + 16, math.nan)
+    container.write_container(model_path, container.MODEL_MAGIC, bytes(fields),
+                              [p.data for _, p in model.parameters()], "<f4")
     capsys.readouterr()
     rc = main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"), str(venc)])
     assert rc == 1
@@ -658,7 +729,7 @@ def test_decode_rejects_inputs_with_the_same_output_name(tmp_path, capsys):
 def test_manifest_names_its_hash(tmp_path):
     out = gen_corpus(tmp_path, count=1)
     manifest = read_manifest(out / "run_manifest.json")
-    assert manifest["hash"] == "blake2b-64"
+    assert manifest["hash"] == "sha256-64"
     assert all(len(h) == 16 for h in manifest["artifacts"].values())
 
 

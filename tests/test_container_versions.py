@@ -1,10 +1,12 @@
-"""Container versions: v2 files are framed and fingerprinted with
-blake2b-64, and v1 files (FNV-1a) are still read and verified. The v2
-body of each kind is pinned byte for byte, and crafted bodies whose
+"""Container versions: v3 files are framed and fingerprinted from one
+SHA-256 digest of the payload, and v1 files (FNV-1a) and v2 files
+(BLAKE2b-64) are still read and verified. The body of each kind is
+pinned byte for byte, the same in v2 and v3, and crafted bodies whose
 header the payload cannot match are refused.
 
-The container files under fixtures/v1 were written by the last release
-that wrote container version 1; see fixtures/v1/README.md.
+The container files under fixtures/v1 and fixtures/v2 were written by
+the last releases that wrote container versions 1 and 2; see the README
+in each.
 """
 
 import hashlib
@@ -38,12 +40,19 @@ from vfuncta.errors import (
 from vfuncta.heads import HeadConfig, load_head, save_head, train_head
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation, param_shapes
 
-V1 = Path(__file__).parent / "fixtures" / "v1"
+FIXTURES = Path(__file__).parent / "fixtures"
+V1, V2 = FIXTURES / "v1", FIXTURES / "v2"
 V1_FINGERPRINT = 0xFFC54EB32B8262D9
+V2_FINGERPRINT = 0x5127592D2643E1D3
+FILES = [("model.vfnc", load_model), ("clip.venc", load_encoding), ("head.vfnc", load_head)]
 
 
 def blake2b64(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+def sha256_64(data: bytes) -> int:
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
 def file_version(path) -> int:
@@ -83,16 +92,26 @@ def tiny_encoding() -> VideoEncoding:
                          inner_steps=2, inner_lr=0.05)
 
 
-def v2_file(path: Path, magic: bytes, body: bytes) -> Path:
+def v2_file(path: Path, magic: bytes, fields: bytes, payload: bytes) -> Path:
+    """A version 2 file: the checksum is BLAKE2b-64 over the whole body."""
+    body = fields + struct.pack("<Q", len(payload)) + payload
     path.write_bytes(magic + struct.pack("<I", 2) + body + struct.pack("<Q", blake2b64(body)))
+    return path
+
+
+def v3_file(path: Path, magic: bytes, fields: bytes, payload: bytes) -> Path:
+    """A version 3 file: the checksum is SHA-256-64 over the header fields,
+    the payload length and the payload's SHA-256 digest."""
+    fields += struct.pack("<Q", len(payload))
+    checksum = sha256_64(fields + hashlib.sha256(payload).digest())
+    path.write_bytes(magic + struct.pack("<I", 3) + fields + payload
+                     + struct.pack("<Q", checksum))
     return path
 
 
 # --- v1 files ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("name, loader", [("model.vfnc", load_model),
-                                          ("clip.venc", load_encoding),
-                                          ("head.vfnc", load_head)])
+@pytest.mark.parametrize("name, loader", FILES)
 def test_v1_file_loads(name, loader):
     assert file_version(V1 / name) == 1
     loader(V1 / name)
@@ -117,9 +136,7 @@ def test_v1_head_keeps_its_settings():
     assert [w.shape for w in head.weights] == [(4, 6), (6, 3), (3, 1)]
 
 
-@pytest.mark.parametrize("name, loader", [("model.vfnc", load_model),
-                                          ("clip.venc", load_encoding),
-                                          ("head.vfnc", load_head)])
+@pytest.mark.parametrize("name, loader", FILES)
 def test_v1_flipped_payload_byte_fails_the_checksum(tmp_path, name, loader):
     with pytest.raises(ChecksumError):
         loader(flip_payload_byte(V1 / name, tmp_path / name))
@@ -129,23 +146,6 @@ def test_v1_encoding_against_another_model_is_refused():
     enc = load_encoding(V1 / "clip.venc")
     with pytest.raises(FingerprintMismatchError):
         decode_video(tiny_model(seed=1), enc)
-
-
-def test_v1_model_resaves_as_v2_with_the_same_weights(tmp_path):
-    old = load_model(V1 / "model.vfnc")
-    save_model(tmp_path / "m.vfnc", old)
-    assert file_version(tmp_path / "m.vfnc") == 2
-    new = load_model(tmp_path / "m.vfnc")
-    assert all(np.array_equal(p.data, q.data)
-               for (_, p), (_, q) in zip(old.parameters(), new.parameters()))
-    # the fingerprint names the content, not the file it came from
-    decode_video(new, load_encoding(V1 / "clip.venc"))
-
-
-def test_v1_head_resaves_as_v2(tmp_path):
-    save_head(tmp_path / "h.vfnc", load_head(V1 / "head.vfnc"))
-    assert file_version(tmp_path / "h.vfnc") == 2
-    load_head(tmp_path / "h.vfnc")
 
 
 def test_saving_a_v1_encoding_is_refused(tmp_path):
@@ -161,21 +161,86 @@ def test_encoding_equality_includes_the_fingerprint_version():
                                 height=enc.height, width=enc.width,
                                 fingerprint=enc.fingerprint,
                                 inner_steps=enc.inner_steps, inner_lr=enc.inner_lr)
-    assert same_number.fingerprint_version == 2
+    assert same_number.fingerprint_version == container.VERSION
     assert same_number != enc
 
 
-# --- v2 files never reach FNV-1a ----------------------------------------------------
+# --- v2 files ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, loader", FILES)
+def test_v2_file_loads(name, loader):
+    assert file_version(V2 / name) == 2
+    loader(V2 / name)
+
+
+def test_v2_encoding_decodes_against_v2_model_as_it_did():
+    model = load_model(V2 / "model.vfnc")
+    enc = load_encoding(V2 / "clip.venc")
+    assert (enc.fingerprint, enc.fingerprint_version) == (V2_FINGERPRINT, 2)
+    assert model_fingerprint(model, version=2) == V2_FINGERPRINT
+    decoded = decode_video(model, enc)
+    assert np.array_equal(decoded.values, load_video(V2 / "clip_decoded.rawvid").values)
+    decode_static_summary(model, enc)
+
+
+@pytest.mark.parametrize("name, loader", FILES)
+def test_v2_flipped_payload_byte_fails_the_checksum(tmp_path, name, loader):
+    with pytest.raises(ChecksumError):
+        loader(flip_payload_byte(V2 / name, tmp_path / name))
+
+
+def test_saving_a_v2_encoding_is_refused(tmp_path):
+    with pytest.raises(ContractError, match="version 2"):
+        save_encoding(tmp_path / "e.venc", load_encoding(V2 / "clip.venc"))
+    assert not (tmp_path / "e.venc").exists()
+
+
+# --- old files resave as v3 -------------------------------------------------------
+
+@pytest.mark.parametrize("old", [V1, V2], ids=["v1", "v2"])
+def test_an_old_model_resaves_as_v3_with_the_same_weights(tmp_path, old):
+    """The fingerprint names the content, not the file it came from: the
+    old encoding still decodes, bit for bit, against the re-saved model."""
+    model = load_model(old / "model.vfnc")
+    save_model(tmp_path / "m.vfnc", model)
+    assert file_version(tmp_path / "m.vfnc") == 3
+    new = load_model(tmp_path / "m.vfnc")
+    assert all(np.array_equal(p.data, q.data)
+               for (_, p), (_, q) in zip(model.parameters(), new.parameters()))
+    decoded = decode_video(new, load_encoding(old / "clip.venc"))
+    assert np.array_equal(decoded.values, load_video(old / "clip_decoded.rawvid").values)
+
+
+@pytest.mark.parametrize("old", [V1, V2], ids=["v1", "v2"])
+def test_an_old_head_resaves_as_v3(tmp_path, old):
+    head = load_head(old / "head.vfnc")
+    save_head(tmp_path / "h.vfnc", head)
+    assert file_version(tmp_path / "h.vfnc") == 3
+    again = load_head(tmp_path / "h.vfnc")
+    assert again.config == head.config
+    assert all(np.array_equal(a, b) for a, b in zip(again.weights, head.weights))
+
+
+# --- v3 files never reach FNV-1a or BLAKE2b ------------------------------------------
+
+def refuse(monkeypatch, name: str) -> None:
+    def refused(data):
+        raise AssertionError(f"container.{name} was reached")
+
+    monkeypatch.setattr(container, name, refused)
+
 
 @pytest.fixture
 def no_fnv(monkeypatch):
-    def refuse(data):
-        raise AssertionError("the FNV-1a path was reached")
-
-    monkeypatch.setattr(container, "fnv1a64", refuse)
+    refuse(monkeypatch, "fnv1a64")
 
 
-def test_v2_round_trips_without_fnv(tmp_path, no_fnv):
+@pytest.fixture
+def no_blake2b(monkeypatch):
+    refuse(monkeypatch, "blake2b64")
+
+
+def test_v3_round_trips_without_an_old_hash(tmp_path, no_fnv, no_blake2b):
     model = tiny_model()
     save_model(tmp_path / "m.vfnc", model)
     loaded = load_model(tmp_path / "m.vfnc")
@@ -192,71 +257,122 @@ def test_v2_round_trips_without_fnv(tmp_path, no_fnv):
 
     for name in ("m.vfnc", "e.venc", "h.vfnc"):
         assert manifest.hash_file(tmp_path / name) == (
-            f"{blake2b64((tmp_path / name).read_bytes()):016x}")
+            f"{sha256_64((tmp_path / name).read_bytes()):016x}")
+
+
+def test_v2_round_trips_without_fnv(tmp_path, no_fnv):
+    """A v2 model, encoding and head load, decode and re-save as v3
+    without reaching FNV-1a."""
+    model = load_model(V2 / "model.vfnc")
+    decode_video(model, load_encoding(V2 / "clip.venc"))
+    save_model(tmp_path / "m.vfnc", model)
+    save_head(tmp_path / "h.vfnc", load_head(V2 / "head.vfnc"))
+    load_model(tmp_path / "m.vfnc")
+    load_head(tmp_path / "h.vfnc")
 
 
 def test_v1_read_does_reach_fnv(no_fnv):
-    with pytest.raises(AssertionError, match="FNV-1a"):
+    with pytest.raises(AssertionError, match="fnv1a64"):
         load_model(V1 / "model.vfnc")
 
 
-def model_body(model: MetaModel) -> bytes:
+@pytest.mark.parametrize("name, loader", FILES)
+def test_v2_read_does_reach_blake2b(no_blake2b, name, loader):
+    with pytest.raises(AssertionError, match="blake2b64"):
+        loader(V2 / name)
+
+
+# --- the body of each kind, pinned ---------------------------------------------------
+
+def model_body(model: MetaModel) -> tuple[bytes, bytes]:
+    """A model file's header fields, up to the payload length, and payload."""
     params = dict(model.parameters())
     k = range(model.layers)
     names = ([f"layer{i}.{part}" for i in k for part in ("weight", "bias")]
              + ["out.weight", "out.bias"]
              + [f"video_proj{i}" for i in k] + [f"frame_proj{i}" for i in k])
     payload = b"".join(params[name].data.astype("<f4").tobytes() for name in names)
-    return (struct.pack("<IBIIIIdQQ", 1, 0, model.layers, model.hidden, model.video_dim,
-                        model.frame_dim, model.omega0, model.iteration, len(payload))
-            + payload)
+    return (struct.pack("<IBIIIIdQ", 1, 0, model.layers, model.hidden, model.video_dim,
+                        model.frame_dim, model.omega0, model.iteration), payload)
 
 
-def head_body(head) -> bytes:
+def head_body(head) -> tuple[bytes, bytes]:
     cfg = head.config
     assert (cfg.mode, cfg.task) == ("phi", "regression")
     arrays = [head.weights[0], head.biases[0], head.weights[1], head.biases[1],
               head.weights[2], head.biases[2], head.feature_mean, head.feature_scale,
               np.array([head.target_mean, head.target_scale])]
     payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
-    return (struct.pack("<IBBIIIIdIIdqQ", 2, 1, 0, head.weights[0].shape[0], *cfg.hidden, 1,
-                        cfg.dropout, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.seed,
-                        len(payload))
-            + payload)
+    return (struct.pack("<IBBIIIIdIIdq", 2, 1, 0, head.weights[0].shape[0], *cfg.hidden, 1,
+                        cfg.dropout, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.seed),
+            payload)
 
 
-def encoding_body(enc: VideoEncoding) -> bytes:
+def encoding_body(enc: VideoEncoding) -> tuple[bytes, bytes]:
     payload = (enc.video_mod.values.astype("<f4").tobytes()
                + enc.frame_mods.values.astype("<f4").tobytes())
-    return (struct.pack("<BIIIIIIdQQ", 0, enc.frames, enc.height, enc.width, enc.video_dim,
-                        enc.frame_dim, enc.inner_steps, enc.inner_lr, enc.fingerprint,
-                        len(payload))
-            + payload)
+    return (struct.pack("<BIIIIIIdQ", 0, enc.frames, enc.height, enc.width, enc.video_dim,
+                        enc.frame_dim, enc.inner_steps, enc.inner_lr, enc.fingerprint),
+            payload)
 
 
 PINNED = {save_model: (b"VFNC", model_body), save_head: (b"VFNC", head_body),
           save_encoding: (b"VENC", encoding_body)}
+KINDS = [(save_model, tiny_model), (save_head, tiny_head), (save_encoding, tiny_encoding)]
 
 
-@pytest.mark.parametrize("save, make", [(save_model, tiny_model),
-                                        (save_head, tiny_head),
-                                        (save_encoding, tiny_encoding)])
-def test_v2_framing_is_pinned(tmp_path, save, make):
-    """The whole file: magic, version 2, the kind's header fields, the u64
-    payload length, the arrays in table order, then the body's checksum."""
+@pytest.mark.parametrize("save, make", KINDS)
+def test_v3_framing_is_pinned(tmp_path, save, make):
+    """The whole file: magic, version 3, the kind's header fields, the u64
+    payload length, the arrays in table order, then the checksum."""
     obj = make()
     save(tmp_path / "f", obj)
     magic, body_of = PINNED[save]
-    assert v2_file(tmp_path / "expected", magic, body_of(obj)).read_bytes() == (
+    assert v3_file(tmp_path / "expected", magic, *body_of(obj)).read_bytes() == (
         (tmp_path / "f").read_bytes())
+
+
+@pytest.mark.parametrize("save, make", KINDS)
+def test_v2_framing_is_pinned(tmp_path, save, make):
+    """A v2 file framed by hand loads; the v3 file written for the same
+    object differs from it in the version u32 and the last 8 bytes alone."""
+    obj = make()
+    magic, body_of = PINNED[save]
+    old = v2_file(tmp_path / "old", magic, *body_of(obj)).read_bytes()
+    save(tmp_path / "new", obj)
+    new = (tmp_path / "new").read_bytes()
+    assert (len(new), new[:4], new[8:-8]) == (len(old), old[:4], old[8:-8])
+    assert (file_version(tmp_path / "old"), file_version(tmp_path / "new")) == (2, 3)
+    loader = {save_model: load_model, save_head: load_head, save_encoding: load_encoding}[save]
+    loaded = loader(tmp_path / "old")
+    assert body_of(loaded) == body_of(obj)
+
+
+@pytest.mark.parametrize("name, loader, save", [
+    ("model.vfnc", load_model, save_model), ("clip.venc", load_encoding, save_encoding),
+    ("head.vfnc", load_head, save_head)])
+def test_v2_fixtures_are_framed_as_pinned(tmp_path, name, loader, save):
+    magic, body_of = PINNED[save]
+    expected = v2_file(tmp_path / name, magic, *body_of(loader(V2 / name)))
+    assert expected.read_bytes() == (V2 / name).read_bytes()
+
+
+def fingerprint_parts(model: MetaModel) -> tuple[bytes, bytes]:
+    header = struct.pack("<BIIIId", 0, model.layers, model.hidden, model.video_dim,
+                         model.frame_dim, model.omega0)
+    return header, b"".join(p.data.astype("<f4").tobytes() for _, p in model.parameters())
+
+
+def test_v3_fingerprint_is_pinned():
+    header, payload = fingerprint_parts(tiny_model())
+    assert model_fingerprint(tiny_model()) == sha256_64(
+        header + hashlib.sha256(payload).digest())
 
 
 def test_v2_fingerprint_is_pinned():
     model = tiny_model()
-    header = struct.pack("<BIIIId", 0, model.layers, model.hidden, model.video_dim,
-                         model.frame_dim, model.omega0)
-    payload = b"".join(p.data.astype("<f4").tobytes() for _, p in model.parameters())
-    assert model_fingerprint(model) == blake2b64(header + payload)
+    header, payload = fingerprint_parts(model)
+    assert model_fingerprint(model, version=2) == blake2b64(header + payload)
     assert model_fingerprint(model, version=1) == container.fnv1a64(header + payload)
 
 
@@ -266,8 +382,8 @@ def crafted_model(path: Path, layers: int, hidden: int, video_dim: int, frame_di
                   values: int) -> Path:
     """A float32 model file with a valid checksum and `values` ones as payload."""
     payload = np.ones(values, dtype="<f4").tobytes()
-    return v2_file(path, b"VFNC", struct.pack("<IBIIIIdQQ", 1, 0, layers, hidden, video_dim,
-                                              frame_dim, 30.0, 0, len(payload)) + payload)
+    return v3_file(path, b"VFNC", struct.pack("<IBIIIIdQ", 1, 0, layers, hidden, video_dim,
+                                              frame_dim, 30.0, 0), payload)
 
 
 def test_a_layer_count_the_body_cannot_hold_fails_before_its_table(tmp_path, monkeypatch):
@@ -302,7 +418,6 @@ def test_a_head_whose_output_width_is_not_one_is_refused(tmp_path):
     sizes = (3, 4, 2, 2)
     values = sum(a * b + b for a, b in zip(sizes, sizes[1:])) + 2 * sizes[0] + 2
     payload = np.ones(values, dtype="<f8").tobytes()
-    body = struct.pack("<IBBIIIIdIIdqQ", 2, 1, 0, *sizes, 0.2, 1, 4, 0.01, 0,
-                       len(payload)) + payload
+    fields = struct.pack("<IBBIIIIdIIdq", 2, 1, 0, *sizes, 0.2, 1, 4, 0.01, 0)
     with pytest.raises(FormatError, match="output width 2"):
-        load_head(v2_file(tmp_path / "h.vfnc", b"VFNC", body))
+        load_head(v3_file(tmp_path / "h.vfnc", b"VFNC", fields, payload))

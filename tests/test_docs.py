@@ -1,6 +1,7 @@
 """The README's references hold: the files it names exist, the
 configuration it trains with loads, its configuration table matches
-`TrainConfig`, and its pipeline commands parse."""
+`TrainConfig`, its pipeline commands parse, and the manifest hash and
+container version it states are the ones the code writes."""
 
 import dataclasses
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from vfuncta import container, manifest
 from vfuncta.cli import _build_parser
 from vfuncta.config import load_train_config
 from vfuncta.training import TrainConfig
@@ -67,3 +69,13 @@ def test_readme_pipeline_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_readme_states_the_written_hash_and_container_version():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    hashes = re.findall(r'"hash": "([^"]+)"', readme)
+    assert hashes and set(hashes) == {manifest.HASH_NAME}
+    framed = re.findall(r"`u32` version \((\d+)\)", readme)
+    written = re.findall(r"written as version (\d+)", readme)
+    assert framed and written
+    assert {int(v) for v in framed + written} == {container.VERSION}

@@ -1,7 +1,7 @@
 """Loaders under corruption: every damaged container file is refused.
 
-Each container kind, in version 2 as written today and in the version 1
-fixtures, is truncated at every offset, has each of its first 96 bytes
+Each container kind, in version 3 as written today and in the version 1
+and version 2 fixtures, is truncated at every offset, has each of its first 96 bytes
 set to 0x00 and to 0xFF and its bit 0 and bit 7 flipped, and is extended
 by 1, 8 and 4096 zero bytes. Every such file must end in a VfunctaError
 from its loader: nothing loads, and nothing fails any other way.
@@ -24,7 +24,7 @@ from vfuncta.errors import VfunctaError
 from vfuncta.heads import HeadConfig, load_head, save_head, train_head
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
 
-V1 = Path(__file__).parent / "fixtures" / "v1"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def small_model(path):
@@ -72,14 +72,18 @@ def damage(path: Path, blob: bytes):
     (small_model, load_model),
     (small_encoding, load_encoding),
     (small_head, load_head),
-    ("model.vfnc", load_model),
-    ("clip.venc", load_encoding),
-    ("head.vfnc", load_head),
-], ids=["v2-model", "v2-encoding", "v2-head", "v1-model", "v1-encoding", "v1-head"])
+    ("v2/model.vfnc", load_model),
+    ("v2/clip.venc", load_encoding),
+    ("v2/head.vfnc", load_head),
+    ("v1/model.vfnc", load_model),
+    ("v1/clip.venc", load_encoding),
+    ("v1/head.vfnc", load_head),
+], ids=["v3-model", "v3-encoding", "v3-head", "v2-model", "v2-encoding", "v2-head",
+        "v1-model", "v1-encoding", "v1-head"])
 def test_every_damaged_file_is_refused(tmp_path, make, loader):
     path = tmp_path / "file"
     if isinstance(make, str):
-        path.write_bytes((V1 / make).read_bytes())
+        path.write_bytes((FIXTURES / make).read_bytes())
     else:
         make(path)
     loader(path)  # the undamaged file loads

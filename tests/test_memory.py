@@ -1,8 +1,8 @@
 """What reading a container and hashing a file allocate, by tracemalloc.
 
 A model load holds its payload once: the file is read straight into one
-array, whose read-only views become the parameters, and whose digests
-are hashed from it in place. A truncated file is
+array, whose read-only views become the parameters, and whose digest is
+hashed from it in place. A truncated file is
 refused before that array exists, and a file hash reads in chunks. An
 outer step's row arrays are gone before its projection gradients exist.
 """
@@ -45,13 +45,15 @@ def test_a_model_load_holds_its_payload_once(model_file):
 
 
 def test_a_model_load_hashing_on_two_threads_holds_its_payload_once(model_file, monkeypatch):
-    """The checksum and fingerprint passes share the one array."""
+    """Under a row runner with two threads the load still hashes in the
+    calling thread, from the one array, and starts no pool."""
     path, payload = model_file
     runner = parallel.RowRunner(lambda threads: 2)
     monkeypatch.setattr(parallel, "RUNNER", runner)
     try:
-        load_model(path)  # starts the pool
+        load_model(path)
         peak, model = traced_peak(load_model, path)
+        assert runner._pool is None
     finally:
         runner.close()
     assert peak <= 1.1 * payload
@@ -87,7 +89,7 @@ def test_a_file_hash_reads_in_chunks(tmp_path):
     path.write_bytes(data)
     peak, digest = traced_peak(manifest.hash_file, path)
     assert peak < len(data) / 4
-    assert digest == f"{manifest.blake2b64([data]):016x}"
+    assert digest == f"{manifest.sha256_64([data]):016x}"
 
 
 def test_an_outer_step_drops_its_row_arrays_before_the_projection_gradients(monkeypatch):
