@@ -23,7 +23,7 @@ from . import codec, data, heads, metrics
 from .config import (
     env_seed,
     load_corpus_options,
-    load_head_options,
+    load_head_config,
     load_train_config,
 )
 from .container import atomic_write_bytes
@@ -91,10 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("encodings", nargs="+", type=Path)
-    p.add_argument("--report", action="store_true",
-                   help="print quality lines against originals")
     p.add_argument("--originals", type=Path, default=None,
-                   help="directory of original .rawvid files (for --report)")
+                   help="directory of original .rawvid files to print quality lines against")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--keep-going", action="store_true")
     p.set_defaults(handler=cmd_decode)
@@ -301,14 +299,10 @@ def cmd_encode(args, argv) -> int:
 
 
 def cmd_decode(args, argv) -> int:
-    # either flag alone would compare nothing
-    if args.report != (args.originals is not None):
-        raise VfunctaError("--report and --originals DIR go together")
-
     def worker(model, enc_path: Path, dest: Path):
         # a missing original fails the item before its output is written
         original = (data.load_video(args.originals / (enc_path.stem + ".rawvid"))
-                    if args.report else None)
+                    if args.originals is not None else None)
         enc = codec.load_encoding(enc_path)
         video = codec.decode_video(model, enc)
         data.save_video(dest, video)
@@ -349,25 +343,15 @@ def cmd_eval(args, argv) -> int:
     test_items = [i for i in items if i.split == "test"]
     if not train_items or not test_items:
         raise VfunctaError("eval needs both train and test splits in the corpus")
-    head_options = load_head_options(args.head_config)
-    defaults = heads.HeadConfig()
-    hidden = (head_options.pop("hidden1", defaults.hidden[0]),
-              head_options.pop("hidden2", defaults.hidden[1]))
-    base_seed = env_seed(head_options.pop("seed", defaults.seed))
-    config_task = head_options.pop("task", None)
-    if config_task is not None and config_task != args.task:
-        raise VfunctaError(f"--task {args.task} conflicts with head config task "
-                           f"{config_task!r}")
     # every head option is checked here, before any video is encoded
-    head_cfg = heads.HeadConfig(mode=modes[0], task=args.task, hidden=hidden,
-                                seed=base_seed, **head_options)
+    head_cfg = load_head_config(args.head_config, task=args.task, mode=modes[0])
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
 
-    manifest = RunManifest("eval", argv,
-                           config={"task": args.task, "modes": ",".join(modes),
-                                   "seeds": args.seeds, **{k: str(v) for k, v in head_options.items()}},
-                           seed=base_seed)
+    # the resolved head settings, with every mode in place of the first
+    config = {**asdict(head_cfg), "modes": ",".join(modes), "seeds": args.seeds}
+    del config["mode"]
+    manifest = RunManifest("eval", argv, config=config, seed=head_cfg.seed)
     manifest.add_input(args.model, model.checksum)
     manifest.add_input(args.corpus)
 
@@ -391,7 +375,7 @@ def cmd_eval(args, argv) -> int:
         per_seed = []
         for s in range(args.seeds):
             head, _ = heads.train_head(x_train, y_train,
-                                       replace(head_cfg, mode=mode, seed=base_seed + s))
+                                       replace(head_cfg, mode=mode, seed=head_cfg.seed + s))
             report = heads.evaluate_head(head, x_test, y_test)
             per_seed.append(report)
         lines.append(_format_eval_line(mode, args.task, per_seed))

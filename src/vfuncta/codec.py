@@ -33,13 +33,13 @@ from .container import (
 from .data import VideoTensor
 from .errors import ContractError, FingerprintMismatchError
 from .model import (
-    CoordinateGrid,
     FrameModulationSeq,
     MetaModel,
     VideoModulation,
     forward_batch,
+    grid_coords,
 )
-from .training import _adapt, _require_rate
+from .training import adapt, require_rate
 
 __all__ = [
     "EncodeSettings", "VideoEncoding", "encode_video", "decode_video",
@@ -114,7 +114,7 @@ class EncodeSettings:
             raise ContractError(f"batch_frames must be >= 1, got {self.batch_frames}")
         if self.inner_steps < 0:
             raise ContractError(f"inner_steps must be >= 0, got {self.inner_steps}")
-        _require_rate("inner_lr", self.inner_lr)
+        require_rate("inner_lr", self.inner_lr)
 
 
 def encode_video(model: MetaModel, video: VideoTensor,
@@ -128,14 +128,14 @@ def encode_video(model: MetaModel, video: VideoTensor,
     """
     steps, lr, b = settings.inner_steps, settings.inner_lr, settings.batch_frames
     t_total = video.frames
-    grid = CoordinateGrid(video.height, video.width)
+    coords = grid_coords(video.height, video.width)
     flat = video.values.reshape(t_total, -1)
 
     phis_out = np.zeros((t_total, model.frame_dim), dtype=model.dtype)
     v = None  # adapted by the first window, held fixed by the rest
     for start in range(0, t_total, b):
-        v, phis_out[start : start + b], _ = _adapt(
-            model, flat[start : start + b], grid.coords, steps=steps, inner_lr=lr, v=v)
+        v, phis_out[start : start + b], _ = adapt(
+            model, flat[start : start + b], coords, steps=steps, inner_lr=lr, v=v)
     return VideoEncoding(
         VideoModulation(v), FrameModulationSeq(phis_out),
         frames=t_total, height=video.height, width=video.width,
@@ -151,7 +151,7 @@ def _require_same_model(model: MetaModel, enc: VideoEncoding) -> None:
 def decode_video(model: MetaModel, enc: VideoEncoding) -> VideoTensor:
     """Evaluate every frame on the full grid and clamp to [0, 1]."""
     _require_same_model(model, enc)
-    coords = CoordinateGrid(enc.height, enc.width).coords
+    coords = grid_coords(enc.height, enc.width)
     out = np.empty((enc.frames, enc.height, enc.width), dtype=np.float32)
     for t in range(enc.frames):
         pred = forward_batch(model, enc.video_mod.values, enc.frame_mods.values[t : t + 1],
@@ -163,7 +163,7 @@ def decode_video(model: MetaModel, enc: VideoEncoding) -> VideoTensor:
 def decode_static_summary(model: MetaModel, enc: VideoEncoding) -> np.ndarray:
     """One frame decoded from the video vector alone (frame vector zero)."""
     _require_same_model(model, enc)
-    coords = CoordinateGrid(enc.height, enc.width).coords
+    coords = grid_coords(enc.height, enc.width)
     phi = np.zeros((1, model.frame_dim), dtype=model.dtype)
     pred = forward_batch(model, enc.video_mod.values, phi, coords)
     return np.clip(pred.reshape(enc.height, enc.width), 0.0, 1.0).astype(np.float32)

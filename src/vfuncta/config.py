@@ -16,7 +16,9 @@ import os
 import typing
 from pathlib import Path
 
+from .data import TRAJECTORIES, SynthSpec
 from .errors import ConfigError
+from .heads import HeadConfig
 from .training import TrainConfig
 
 SEED_ENV_VAR = "VFUNCTA_SEED"
@@ -106,16 +108,14 @@ def load_train_config(path, overrides=()) -> TrainConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# the video keys default as `SynthSpec` does; `trajectories` is a
+# comma-separated subset of the generator's trajectories
 CORPUS_DEFAULTS = {
-    "family": "blob",
-    "frames": 8,
-    "height": 32,
-    "width": 32,
-    "amplitude": 0.35,
-    "blob_sigma": 3.0,
+    **{f.name: f.default for f in dataclasses.fields(SynthSpec)
+       if f.name in ("family", "frames", "height", "width", "amplitude", "blob_sigma")},
     "speed_min": 0.5,
     "speed_max": 3.0,
-    "trajectories": "line,circle",  # comma-separated subset of line,circle
+    "trajectories": ",".join(TRAJECTORIES),
 }
 # every corpus key is cast by the type of its default
 CORPUS_SCHEMA = {key: type(value) for key, value in CORPUS_DEFAULTS.items()}
@@ -127,9 +127,9 @@ def load_corpus_options(path=None) -> dict:
         entries = parse_kv_file(path)
         values.update(_apply_schema(entries, CORPUS_SCHEMA, path))
     trajectories = tuple(t.strip() for t in values["trajectories"].split(",") if t.strip())
-    if not trajectories or any(t not in ("line", "circle") for t in trajectories):
-        raise ConfigError(f"trajectories must be a subset of line,circle, got "
-                          f"{values['trajectories']!r}")
+    if not trajectories or any(t not in TRAJECTORIES for t in trajectories):
+        raise ConfigError(f"trajectories must be a subset of {CORPUS_DEFAULTS['trajectories']}, "
+                          f"got {values['trajectories']!r}")
     values["trajectories"] = trajectories
     for key, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -139,22 +139,20 @@ def load_corpus_options(path=None) -> dict:
     return values
 
 
-HEAD_SCHEMA = {
-    "task": str,
-    "hidden1": int,
-    "hidden2": int,
-    "dropout": float,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "seed": int,
-}
+# `HeadConfig`'s fields but `mode` and `task`, which come from the command
+# line, with `hidden` set as its two widths; each is cast by the type of
+# its default
+HEAD_SCHEMA = {"hidden1": int, "hidden2": int,
+               **{f.name: type(f.default) for f in dataclasses.fields(HeadConfig)
+                  if f.name not in ("mode", "task", "hidden")}}
 
 
-def load_head_options(path=None) -> dict:
-    """Raw head options. Feature modes are not among them: they come from
-    the command line alone."""
-    if path is None:
-        return {}
-    entries = parse_kv_file(path)
-    return _apply_schema(entries, HEAD_SCHEMA, path)
+def load_head_config(path, *, task: str, mode: str) -> HeadConfig:
+    """The HeadConfig of a head config file, or of the defaults when
+    `path` is None, for `task` and `mode`; the VFUNCTA_SEED environment
+    variable wins over its `seed`."""
+    values = {} if path is None else _apply_schema(parse_kv_file(path), HEAD_SCHEMA, path)
+    hidden = HeadConfig.hidden
+    values["hidden"] = (values.pop("hidden1", hidden[0]), values.pop("hidden2", hidden[1]))
+    values["seed"] = env_seed(values.get("seed", HeadConfig.seed))
+    return HeadConfig(task=task, mode=mode, **values)

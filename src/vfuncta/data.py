@@ -158,8 +158,8 @@ def _source_positions(target: int, source: int) -> np.ndarray:
     return np.clip(pos, 0.0, source - 1)
 
 
-_FAMILIES = ("blob", "sweep", "speckle")
-_TRAJECTORIES = ("line", "circle")
+FAMILIES = ("blob", "sweep", "speckle")
+TRAJECTORIES = ("line", "circle")
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,9 @@ class SynthSpec:
     blob_sigma: float = 3.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ContractError(f"unknown family {self.family!r}, expected one of {_FAMILIES}")
-        if self.trajectory not in _TRAJECTORIES:
+        if self.family not in FAMILIES:
+            raise ContractError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        if self.trajectory not in TRAJECTORIES:
             raise ContractError(f"unknown trajectory {self.trajectory!r}")
         if min(self.frames, self.height, self.width) < 1:
             raise ContractError("video dims must be positive")
@@ -205,7 +205,7 @@ class SynthSpec:
     @property
     def labels(self) -> Labels:
         return Labels(speed=self.speed,
-                      trajectory_class=_TRAJECTORIES.index(self.trajectory))
+                      trajectory_class=TRAJECTORIES.index(self.trajectory))
 
 
 def gen_synthetic(spec: SynthSpec, rng: np.random.Generator) -> tuple[VideoTensor, Labels]:

@@ -107,7 +107,3 @@ class RunManifest:
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -56,15 +56,6 @@ def video_mse(a: VideoTensor, b: VideoTensor) -> float:
     return float(np.mean((x - y) ** 2))
 
 
-def psnr(a: VideoTensor, b: VideoTensor) -> float:
-    """Peak signal-to-noise ratio in dB for unit-peak videos; identical
-    inputs give +inf."""
-    err = video_mse(a, b)
-    if err == 0.0:
-        return math.inf
-    return -10.0 * math.log10(err)
-
-
 def ssim3d(a: VideoTensor, b: VideoTensor) -> float:
     """Mean structural similarity over all sliding spatiotemporal windows."""
     x, y = _paired_videos(a, b)
@@ -95,6 +86,8 @@ def _box_sums(x: np.ndarray, window: tuple[int, int, int]) -> np.ndarray:
 
 
 def quality_report(original: VideoTensor, reconstruction: VideoTensor) -> QualityReport:
+    """PSNR in dB for unit-peak videos (+inf for identical ones), SSIM3D
+    and the mean squared error."""
     err = video_mse(original, reconstruction)
     return QualityReport(
         psnr_db=math.inf if err == 0.0 else -10.0 * math.log10(err),

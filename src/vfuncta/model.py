@@ -15,7 +15,7 @@ coordinates are (N, 2), and targets and predictions are (b, N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -69,28 +69,20 @@ class FrameModulationSeq:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class CoordinateGrid:
-    """Full pixel grid of a frame in normalized [-1, 1] coordinates.
+def grid_coords(height: int, width: int) -> np.ndarray:
+    """Full pixel grid of a frame in normalized [-1, 1] coordinates, a
+    read-only float32 (height * width, 2) array.
 
     Pixel (i, j) maps to x = 2j/(w-1) - 1 and y = 2i/(h-1) - 1, row-major;
     an axis of extent 1 maps to 0.
     """
-
-    height: int
-    width: int
-    coords: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ContractError(f"grid extents must be positive, got {self.height}x{self.width}")
-        xs = _axis_coords(self.width)
-        ys = _axis_coords(self.height)
-        grid = np.empty((self.height * self.width, 2), dtype=np.float32)
-        grid[:, 0] = np.tile(xs, self.height)
-        grid[:, 1] = np.repeat(ys, self.width)
-        grid.setflags(write=False)
-        object.__setattr__(self, "coords", grid)
+    if height < 1 or width < 1:
+        raise ContractError(f"grid extents must be positive, got {height}x{width}")
+    grid = np.empty((height * width, 2), dtype=np.float32)
+    grid[:, 0] = np.tile(_axis_coords(width), height)
+    grid[:, 1] = np.repeat(_axis_coords(height), width)
+    grid.setflags(write=False)
+    return grid
 
 
 def _axis_coords(extent: int) -> np.ndarray:
@@ -107,12 +99,11 @@ def sample_coords(height: int, width: int, count: int,
     total = height * width
     if not 1 <= count <= total:
         raise ContractError(f"coordinate count {count} outside [1, {total}]")
-    grid = CoordinateGrid(height, width)
     if count == total:
         indices = np.arange(total, dtype=np.int64)
     else:
         indices = np.sort(rng.choice(total, size=count, replace=False)).astype(np.int64)
-    return indices, grid.coords[indices]
+    return indices, grid_coords(height, width)[indices]
 
 
 def param_shapes(layers: int, hidden: int, video_dim: int,
@@ -389,7 +380,7 @@ def frame_mse(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _backward_frames(model: MetaModel, shifts, coords, targets, frames: slice,
-                     scale: float, weights: bool, acts: list, slopes: list, sums: list):
+                     scale: float, acts: list, slopes: list, sums: list):
     """Forward and backward through some frames of a batch at a run of
     their pixels.
 
@@ -401,14 +392,12 @@ def _backward_frames(model: MetaModel, shifts, coords, targets, frames: slice,
     those sums carried on through this run, as fresh arrays.
 
     The passes run in `acts` and `slopes` as `_sine_layers` lays them
-    out. Without `weights` each layer's activation gradient overwrites
-    that layer's activations once they are spent. With `weights` the
-    run's rows are kept for the weight gradients: `acts` holds a buffer
-    per layer and one more, which takes the activation gradients, and
-    each layer's pre-activation gradient is left in `slopes[k]`; such a
-    call runs the frames' whole pixels, one run.
+    out. Each activation gradient goes to `acts[-1]`, and each layer's
+    pre-activation gradient overwrites its slope in `slopes[k]`. So when
+    `acts` holds a buffer per layer and one more, the run's activations
+    and pre-activation gradients are left for the weight gradients; such
+    a call runs the frames' whole pixels, one run.
     """
-    n = len(acts)
     sums = list(sums)
     with np.errstate(over="ignore", invalid="ignore"):
         h = _sine_layers(model, shifts, coords, frames, acts, slopes)
@@ -416,16 +405,14 @@ def _backward_frames(model: MetaModel, shifts, coords, targets, frames: slice,
         rows = count * pixels
         pred = _output(model, h)
         d_pred = ((pred - targets) * scale).reshape(-1)
-        d_h = np.multiply(d_pred[:, None], model.out_weight.data[:, 0],
-                          out=(acts[-1][:rows] if weights else h.reshape(rows, width)))
+        d_h = np.multiply(d_pred[:, None], model.out_weight.data[:, 0], out=acts[-1][:rows])
         for k in reversed(range(model.layers)):
-            d_a = np.multiply(d_h, slopes[k][:rows], out=slopes[k][:rows] if weights else d_h)
+            d_a = np.multiply(d_h, slopes[k][:rows], out=slopes[k][:rows])
             if k:
-                d_h = np.matmul(d_a, model.layer_weights[k].data.T,
-                                out=acts[-1 if weights else (k - 1) % n][:rows])
+                d_h = np.matmul(d_a, model.layer_weights[k].data.T, out=acts[-1][:rows])
             # numpy sums a middle axis pixel row by pixel row, so a frame's
             # sum that starts from the carried one in its first row is the
-            # sum over all its pixels in one run. A `weights` call is one
+            # sum over all its pixels in one run. A whole-pixel call is one
             # run, so the d_a it keeps takes no carried sums.
             d_a = d_a.reshape(count, pixels, width)
             if sums[k] is not None:
@@ -492,7 +479,7 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
         for pixels in runs:
             pred[frames, pixels], sums = _backward_frames(
                 model, shifts, coords[pixels], targets[frames, pixels], frames, scale,
-                weights, acts, slopes, sums)
+                acts, slopes, sums)
         return sums
 
     grads = {}

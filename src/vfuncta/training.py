@@ -4,7 +4,7 @@ sampled batch of frames from zero.
 
 Every inner step takes the frame updates and the video-vector update from
 one closed-form forward/backward evaluation (`model.loss_and_grads`);
-`_adapt` runs that loop for training and for `codec.encode_video` alike.
+`adapt` runs that loop for training and for `codec.encode_video` alike.
 The outer step applies a first-order gradient at the adapted
 modulations, treating them as constants. Plain gradient descent
 everywhere, no optimizer state, so a checkpoint plus the seed fully
@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .container import atomic_write_bytes
+from .container import atomic_write_bytes, save_model
+from .data import VideoTensor, load_video
 from .errors import ContractError, DataError, DivergenceError, NonFiniteError
 from .model import MetaModel, loss_and_grads, sample_coords
 from .tensor import Tensor
@@ -65,7 +66,7 @@ class TrainConfig:
             if getattr(self, name) < least:
                 raise ContractError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("inner_lr", "meta_lr"):
-            _require_rate(name, getattr(self, name))
+            require_rate(name, getattr(self, name))
         if not (math.isfinite(self.omega0) and self.omega0 > 0):
             raise ContractError(f"omega0 must be finite and positive, got {self.omega0}")
         if self.precision not in _PRECISIONS:
@@ -104,9 +105,9 @@ class TrainLog:
         atomic_write_bytes(path, "".join(lines).encode("utf-8"))
 
 
-def _adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
-           steps: int, inner_lr: float,
-           v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
+          steps: int, inner_lr: float,
+          v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Run the inner loop and return (v, phis, per-step mean losses).
 
     Without `v` the video vector is adapted from zero alongside the frame
@@ -152,8 +153,8 @@ def meta_step(model: MetaModel, video, cfg: TrainConfig,
         raise ContractError("video must contain at least one frame")
     _require_dims(model, cfg)
     targets, coords = sample_batch(video, cfg, rng)
-    v, phis, history = _adapt(model, targets, coords,
-                              steps=cfg.inner_steps, inner_lr=cfg.inner_lr)
+    v, phis, history = adapt(model, targets, coords,
+                             steps=cfg.inner_steps, inner_lr=cfg.inner_lr)
     try:
         outer = loss_and_grads(model, v, phis, coords, targets, weights=True)
     except NonFiniteError as exc:
@@ -215,19 +216,18 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
                                     seconds=time.perf_counter() - t0))
         if (checkpoint_dir is not None and checkpoint_every > 0
                 and model.iteration % checkpoint_every == 0):
-            from .container import save_model
             save_model(checkpoint_dir / f"checkpoint_{model.iteration:08d}.vfnc", model)
     return model, log
 
 
 def _materialize(item):
-    from .data import VideoTensor, load_video
     if isinstance(item, VideoTensor):
         return item
     return load_video(item)
 
 
-def _require_rate(name: str, value: float) -> None:
+def require_rate(name: str, value: float) -> None:
+    """Refuse a learning rate that is not finite and non-negative."""
     if not (math.isfinite(value) and value >= 0):
         raise ContractError(f"{name} must be finite and >= 0, got {value}")
 

@@ -3,6 +3,7 @@
 import builtins
 import hashlib
 import io
+import json
 import math
 import os
 import struct
@@ -24,7 +25,7 @@ from vfuncta.codec import (
     save_model,
 )
 from vfuncta.data import VideoTensor, load_video, read_corpus_manifest, save_video
-from vfuncta.manifest import hash_file, read_manifest
+from vfuncta.manifest import hash_file
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
 from vfuncta.tensor import Tensor
 
@@ -45,6 +46,10 @@ omega0 = 30.0
 seed = {seed}
 precision = float32
 """
+
+
+def read_manifest(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def write_config(path, iterations=5, seed=3):
@@ -292,15 +297,22 @@ def test_version_2_containers_are_hashed_whole(tmp_path, capsys):
 
 def test_decode_report_against_originals(tmp_path, capsys):
     corpus, model_path = trained_model(tmp_path)
-    item = read_corpus_manifest(corpus)[0]
+    items = read_corpus_manifest(corpus)[:2]
     enc_dir = tmp_path / "enc"
     main(["encode", "--model", str(model_path), "--out", str(enc_dir),
-          "--batch-frames", "4", "--inner-steps", "3", item.path])
-    venc = next(enc_dir.glob("*.venc"))
+          "--batch-frames", "4", "--inner-steps", "3", *(i.path for i in items)])
+    vencs = sorted(str(p) for p in enc_dir.glob("*.venc"))
+    capsys.readouterr()
     rc = main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
-               "--report", "--originals", str(corpus), str(venc)])
+               "--originals", str(corpus), *vencs])
     assert rc == 0
-    assert "psnr_db=" in capsys.readouterr().out
+    # --originals alone asks for a quality line per item
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[0] for line in lines] == [Path(v).name for v in vencs]
+    assert all("\tpsnr_db=" in line and "\tssim3d=" in line for line in lines)
+    # without it, decode prints the dims alone
+    main(["decode", "--model", str(model_path), "--out", str(tmp_path / "plain"), *vencs])
+    assert "psnr_db=" not in capsys.readouterr().out
 
 
 def test_summary_writes_pgm(tmp_path, capsys):
@@ -671,6 +683,44 @@ def test_eval_without_a_test_split_fails_before_encoding(tmp_path, capsys, monke
     assert encoded == []
 
 
+def test_eval_head_config_rejects_a_task(tmp_path, capsys):
+    """`eval --task` alone sets the head's task."""
+    argv = seeded_commands(tmp_path)["eval"]
+    head_config = tmp_path / "head.cfg"
+    head_config.write_text("epochs = 2\ntask = regression\n")
+    capsys.readouterr()
+    assert main([*argv, "--head-config", str(head_config)]) == 1
+    assert_one_error_line(capsys.readouterr().err, f"{head_config}:2:", "unknown key 'task'")
+
+
+def test_env_seed_overrides_the_head_config_seed(tmp_path, monkeypatch, capsys):
+    argv = seeded_commands(tmp_path)["eval"]
+    head_config = tmp_path / "head.cfg"
+    head_config.write_text("epochs = 2\nseed = 5\n")
+    monkeypatch.setenv("VFUNCTA_SEED", "9")
+    assert main([*argv, "--head-config", str(head_config), "--out", str(tmp_path / "e")]) == 0
+    doc = read_manifest(tmp_path / "e" / "run_manifest.json")
+    assert doc["seed"] == doc["config"]["seed"] == 9
+
+
+def test_same_seed_evals_write_the_same_manifest(tmp_path, capsys):
+    argv = seeded_commands(tmp_path)["eval"]
+    head_config = tmp_path / "head.cfg"
+    head_config.write_text("epochs = 3\nhidden1 = 6\n")
+    docs, reports = [], []
+    for name in ("e1", "e2"):
+        assert main([*argv, "--head-config", str(head_config),
+                     "--out", str(tmp_path / name)]) == 0
+        doc = read_manifest(tmp_path / name / "run_manifest.json")
+        docs.append({key: doc[key] for key in ("config", "seed", "inputs", "artifacts")})
+        reports.append((tmp_path / name / "eval_report.tsv").read_bytes())
+    assert docs[0] == docs[1] and reports[0] == reports[1]
+    # the resolved head settings, the task among them; the modes name the features
+    assert docs[0]["config"] == {
+        "task": "regression", "hidden": [6, 64], "dropout": 0.2, "epochs": 3,
+        "batch_size": 32, "learning_rate": 0.01, "seed": 0, "modes": "phi", "seeds": 1}
+
+
 def test_eval_head_config_rejects_a_mode(tmp_path, capsys):
     corpus = gen_corpus(tmp_path)
     model_path, _, _ = tiny_files(tmp_path)
@@ -758,22 +808,27 @@ def test_jobs_below_one_is_an_error(tmp_path, capsys, jobs):
         assert not (tmp_path / command).exists()
 
 
-def test_decode_report_without_originals_writes_nothing(tmp_path, capsys):
+def test_decode_refuses_the_report_flag(tmp_path, capsys):
     model_path, _, venc = tiny_files(tmp_path)
-    rc = main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
-               "--report", "--keep-going", str(venc)])
-    assert rc == 1
-    assert_one_error_line(capsys.readouterr().err, "--report", "--originals")
+    with pytest.raises(SystemExit) as exit_:
+        main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
+              "--report", "--originals", str(tmp_path), str(venc)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --report" in capsys.readouterr().err
     assert not (tmp_path / "dec").exists()
 
 
 def test_decode_originals_without_report_writes_nothing(tmp_path, capsys):
+    """`--originals` alone asks for the report, so a missing directory of
+    originals fails the item before its output is written."""
     model_path, _, venc = tiny_files(tmp_path)
-    rc = main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
+    out = tmp_path / "dec"
+    rc = main(["decode", "--model", str(model_path), "--out", str(out),
                "--originals", str(tmp_path / "missing"), str(venc)])
     assert rc == 1
-    assert_one_error_line(capsys.readouterr().err, "--report", "--originals")
-    assert not (tmp_path / "dec").exists()
+    assert_one_error_line(capsys.readouterr().err, "cannot read", "clip.rawvid")
+    assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+    assert read_manifest(out / "run_manifest.json")["artifacts"] == {}
 
 
 def test_first_failure_with_jobs_starts_no_further_item(tmp_path, monkeypatch, capsys):
@@ -811,7 +866,7 @@ def test_decode_report_with_missing_original_writes_no_output(tmp_path, capsys):
     originals.mkdir()
     out = tmp_path / "dec"
     rc = main(["decode", "--model", str(model_path), "--out", str(out),
-               "--report", "--originals", str(originals), "--keep-going", str(venc)])
+               "--originals", str(originals), "--keep-going", str(venc)])
     assert rc == 1
     assert "decode failed for" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]

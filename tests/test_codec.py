@@ -32,9 +32,9 @@ from vfuncta.errors import (
     TruncatedFileError,
     UnsupportedVersionError,
 )
-from vfuncta.model import CoordinateGrid, FrameModulationSeq, VideoModulation
+from vfuncta.model import FrameModulationSeq, VideoModulation, grid_coords
 from vfuncta.tensor import Tensor
-from vfuncta.training import TrainConfig, _adapt
+from vfuncta.training import TrainConfig, adapt
 
 
 def small_cfg(**overrides):
@@ -72,9 +72,8 @@ def test_single_window_encode_matches_adapt():
     video = ramp_video(frames=2)
     enc = encode_video(model, video, settings_of(cfg))
 
-    grid = CoordinateGrid(video.height, video.width)
-    v, phis, _ = _adapt(model, video.values.reshape(2, -1), grid.coords,
-                        steps=cfg.inner_steps, inner_lr=cfg.inner_lr)
+    v, phis, _ = adapt(model, video.values.reshape(2, -1), grid_coords(video.height, video.width),
+                       steps=cfg.inner_steps, inner_lr=cfg.inner_lr)
     assert np.array_equal(enc.video_mod.values, v)
     assert np.array_equal(enc.frame_mods.values, phis)
     assert (enc.inner_steps, enc.inner_lr) == (cfg.inner_steps, cfg.inner_lr)

@@ -1,7 +1,8 @@
 """The README's references hold: the files it names exist, the
-configuration it trains with loads, its configuration table matches
-`TrainConfig`, its pipeline commands parse, and the manifest hash and
-container version it states are the ones the code writes."""
+configuration it trains with loads, its configuration tables match
+`TrainConfig` and the corpus defaults, its head-config keys are the ones
+a head config takes, its pipeline commands parse, and the manifest hash
+and container version it states are the ones the code writes."""
 
 import dataclasses
 import re
@@ -12,7 +13,7 @@ import pytest
 
 from vfuncta import container, manifest
 from vfuncta.cli import _build_parser
-from vfuncta.config import load_train_config
+from vfuncta.config import CORPUS_DEFAULTS, HEAD_SCHEMA, load_train_config
 from vfuncta.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,10 +43,19 @@ def test_desk_config_loads(monkeypatch):
     assert (cfg.batch_frames, cfg.coords_per_frame, cfg.seed) == (4, 256, 0)
 
 
-def test_readme_config_table_matches_train_config():
+def config_section() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    table = readme.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]+?) \|$", table, flags=re.MULTILINE)
+    return readme.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+
+
+def table_rows(text: str) -> list[tuple[str, str]]:
+    """(key, default) of each row of the first key table in `text`."""
+    table = text.split("| key | meaning | default |", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]+?) \|$", table, flags=re.MULTILINE)
+
+
+def test_readme_config_table_matches_train_config():
+    rows = table_rows(config_section())
     fields = dataclasses.fields(TrainConfig)
     assert [key for key, _ in rows] == [f.name for f in fields]
     for (key, default), field in zip(rows, fields):
@@ -53,6 +63,17 @@ def test_readme_config_table_matches_train_config():
             assert default == "required", key
         else:
             assert type(field.default)(default) == field.default, key
+
+
+def test_readme_corpus_table_matches_the_corpus_defaults():
+    rows = table_rows(config_section().split("gen-corpus --spec", 1)[1])
+    assert dict(rows) == {key: str(value) for key, value in CORPUS_DEFAULTS.items()}
+    assert [key for key, _ in rows] == list(CORPUS_DEFAULTS)
+
+
+def test_readme_head_config_keys_are_the_head_schema():
+    text = config_section().split("An `eval --head-config` file takes", 1)[1].split(";", 1)[0]
+    assert re.findall(r"`(\w+)`", text) == list(HEAD_SCHEMA)
 
 
 def test_readme_pipeline_commands_parse():

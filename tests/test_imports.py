@@ -1,5 +1,6 @@
-"""Every imported name and every private module-level name is used: scans
-of the package and test sources.
+"""Every imported name and every private module-level name is used, and
+no package module imports another's private name: scans of the package
+and test sources.
 
 An import is used when its name is loaded somewhere in the module. Names
 listed in the module's `__all__` (re-exports) and imports on a line
@@ -83,3 +84,20 @@ def test_no_dead_private_names():
     assert {"container.py", "model.py"} <= {path.name for path in PACKAGE}
     dead = dead_private_names(PACKAGE)
     assert not dead, "private names never used in the package:\n" + "\n".join(dead)
+
+
+def private_imports(path: Path) -> list[str]:
+    """`from .module import _name` lines: a private name imported from
+    another package module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.relative_to(ROOT)}:{node.lineno}: {node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert "codec.py" in {path.name for path in PACKAGE}
+    crossing = [entry for path in PACKAGE for entry in private_imports(path)]
+    assert not crossing, "private names imported across modules:\n" + "\n".join(crossing)

@@ -13,7 +13,6 @@ from vfuncta.metrics import (
     SSIM_WINDOW,
     auroc,
     classification_metrics,
-    psnr,
     quality_report,
     regression_metrics,
     ssim3d,
@@ -26,6 +25,10 @@ def const_video(value, dims=(2, 3, 3)):
 
 
 # --- PSNR ---------------------------------------------------------------------
+
+def psnr(a, b):
+    return quality_report(a, b).psnr_db
+
 
 def test_psnr_identical_is_infinite():
     v = const_video(0.25)

@@ -13,9 +13,9 @@ from helpers import finite_diff, rel_err
 from vfuncta import tensor
 from vfuncta.errors import ContractError, ShapeError
 from vfuncta.model import (
-    CoordinateGrid,
     MetaModel,
     forward_batch,
+    grid_coords,
     loss_and_grads,
     param_shapes,
     sample_coords,
@@ -108,8 +108,7 @@ def test_all_zero_model_outputs_zero():
     m = tiny_model()
     zeroed = m.replace_params({name: Tensor(np.zeros(p.shape))
                                for name, p in m.parameters()})
-    grid = CoordinateGrid(4, 4)
-    out = forward_batch(zeroed, np.zeros(8), np.zeros((1, 4)), grid.coords)[0]
+    out = forward_batch(zeroed, np.zeros(8), np.zeros((1, 4)), grid_coords(4, 4))[0]
     assert np.array_equal(out, np.zeros(16))
 
 
@@ -139,18 +138,18 @@ def test_equal_frame_modulations_give_identical_outputs():
     rng = np.random.default_rng(0)
     v = rng.normal(scale=0.1, size=8)
     phi = rng.normal(scale=0.1, size=4)
-    grid = CoordinateGrid(6, 5)
-    out1 = forward_batch(m, v, phi[None], grid.coords)[0]
-    out2 = forward_batch(m, v, phi.copy()[None], grid.coords)[0]
+    coords = grid_coords(6, 5)
+    out1 = forward_batch(m, v, phi[None], coords)[0]
+    out2 = forward_batch(m, v, phi.copy()[None], coords)[0]
     assert np.array_equal(out1, out2)
 
 
 def test_zero_modulation_equals_unmodulated_network():
     m = tiny_model(seed=9)
-    grid = CoordinateGrid(3, 3)
-    modulated = forward_batch(m, np.zeros(8), np.zeros((1, 4)), grid.coords)[0]
+    coords = grid_coords(3, 3)
+    modulated = forward_batch(m, np.zeros(8), np.zeros((1, 4)), coords)[0]
 
-    h = grid.coords.astype(np.float64)
+    h = coords.astype(np.float64)
     for k in range(m.layers):
         h = np.sin(m.omega0 * (h @ m.layer_weights[k].data + m.layer_biases[k].data))
     bare = (h @ m.out_weight.data + m.out_bias.data).reshape(-1)
@@ -160,7 +159,7 @@ def test_zero_modulation_equals_unmodulated_network():
 def test_changing_one_frame_modulation_only_touches_that_frame():
     m = tiny_model(seed=2)
     rng = np.random.default_rng(4)
-    coords = CoordinateGrid(4, 4).coords
+    coords = grid_coords(4, 4)
     b = 3
     v = rng.normal(scale=0.1, size=8)
     phis = rng.normal(scale=0.1, size=(b, 4))
@@ -177,9 +176,9 @@ def test_changing_one_frame_modulation_only_touches_that_frame():
 def test_modulation_length_mismatch_raises():
     m = tiny_model()
     with pytest.raises(ShapeError):
-        forward_batch(m, np.zeros(7), np.zeros((1, 4)), CoordinateGrid(2, 2).coords)
+        forward_batch(m, np.zeros(7), np.zeros((1, 4)), grid_coords(2, 2))
     with pytest.raises(ShapeError):
-        forward_batch(m, np.zeros(8), np.zeros((1, 5)), CoordinateGrid(2, 2).coords)
+        forward_batch(m, np.zeros(8), np.zeros((1, 5)), grid_coords(2, 2))
 
 
 # --- loss ---------------------------------------------------------------------
@@ -221,23 +220,37 @@ def test_loss_length_mismatch():
 # --- coordinates --------------------------------------------------------------
 
 def test_grid_corner_mapping():
-    g = CoordinateGrid(3, 5)
+    coords = grid_coords(3, 5)
     # row-major: first pixel is (i=0, j=0) -> (x=-1, y=-1); last -> (1, 1)
-    assert np.allclose(g.coords[0], [-1.0, -1.0])
-    assert np.allclose(g.coords[-1], [1.0, 1.0])
+    assert np.allclose(coords[0], [-1.0, -1.0])
+    assert np.allclose(coords[-1], [1.0, 1.0])
     # pixel (i=1, j=2) -> x = 2*2/4-1 = 0, y = 2*1/2-1 = 0
-    assert np.allclose(g.coords[1 * 5 + 2], [0.0, 0.0])
+    assert np.allclose(coords[1 * 5 + 2], [0.0, 0.0])
 
 
 def test_degenerate_axis_maps_to_zero():
-    g = CoordinateGrid(1, 4)
-    assert np.all(g.coords[:, 1] == 0.0)
+    assert np.all(grid_coords(1, 4)[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("height, width", [(1, 1), (1, 4), (3, 5), (7, 2)])
+def test_grid_is_a_read_only_float32_row_major_meshgrid(height, width):
+    coords = grid_coords(height, width)
+    assert coords.dtype == np.float32 and coords.shape == (height * width, 2)
+    assert not coords.flags.writeable
+
+    def axis(extent):
+        if extent == 1:
+            return np.zeros(1, dtype=np.float32)
+        return (2.0 * np.arange(extent, dtype=np.float32) / (extent - 1) - 1.0).astype(np.float32)
+
+    ys, xs = np.meshgrid(axis(height), axis(width), indexing="ij")
+    assert np.array_equal(coords, np.stack([xs.ravel(), ys.ravel()], axis=1))
 
 
 def test_full_sample_is_row_major_grid():
     indices, coords = sample_coords(3, 4, 12, np.random.default_rng(0))
     assert np.array_equal(indices, np.arange(12))
-    assert np.array_equal(coords, CoordinateGrid(3, 4).coords)
+    assert np.array_equal(coords, grid_coords(3, 4))
 
 
 def test_single_sample_reproducible():

@@ -408,14 +408,17 @@ def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monke
 
 @pytest.fixture
 def tile_rows(monkeypatch):
-    """Set the tile cap; returns the (rows, weights) of every
-    `_backward_frames` call made after it."""
+    """Set the tile cap; returns the (rows, whole) of every
+    `_backward_frames` call made after it, where `whole` tells an outer
+    step's call, whose slopes are its rows of the batch-wide arrays kept
+    for the weight gradients, from an inner step's, whose slopes are a
+    tile's own arrays."""
     calls = []
     inner = model._backward_frames
 
-    def spy(model_, shifts, coords, targets, frames, scale, weights, *buffers):
-        calls.append((targets.shape[0] * coords.shape[0], weights))
-        return inner(model_, shifts, coords, targets, frames, scale, weights, *buffers)
+    def spy(model_, shifts, coords, targets, frames, scale, acts, slopes, sums):
+        calls.append((targets.shape[0] * coords.shape[0], slopes[0].base is not None))
+        return inner(model_, shifts, coords, targets, frames, scale, acts, slopes, sums)
 
     monkeypatch.setattr(model, "_backward_frames", spy)
 
@@ -482,8 +485,8 @@ def test_latent_calls_see_at_most_one_tile_of_rows(use_runner, tile_rows, cap):
     use_runner(FakeBlas(2))
     calls = tile_rows(cap)
     loss_and_grads(model_, v, phis, coords, targets)
-    training._adapt(model_, targets, coords, steps=2, inner_lr=0.1)
-    assert calls and all(not weights for _, weights in calls)
+    training.adapt(model_, targets, coords, steps=2, inner_lr=0.1)
+    assert calls and all(not whole for _, whole in calls)
     # a tile is the block's 4 frames at a run of at least one pixel, and the
     # runs are as long as the cap allows, up to the whole frame
     assert all(rows <= max(cap, 4) for rows, _ in calls)

@@ -7,9 +7,9 @@ import pytest
 from vfuncta.container import load_model, save_model
 from vfuncta.data import SynthSpec, VideoTensor, gen_synthetic
 from vfuncta.errors import ContractError, DivergenceError
-from vfuncta.model import CoordinateGrid, forward_batch
+from vfuncta.model import forward_batch, grid_coords
 from vfuncta.tensor import Tensor
-from vfuncta.training import TrainConfig, _adapt, meta_step, train
+from vfuncta.training import TrainConfig, adapt, meta_step, train
 
 
 def tiny_cfg(**overrides):
@@ -27,18 +27,17 @@ def constant_video(value=0.4, dims=(4, 6, 6)):
 
 def full_grid_batch(video, cfg):
     """(targets, coords) of the first batch_frames frames on the full grid."""
-    grid = CoordinateGrid(video.height, video.width)
     flat = video.values.reshape(video.frames, -1)
-    return flat[: cfg.batch_frames].astype(np.float64), grid.coords
+    return flat[: cfg.batch_frames].astype(np.float64), grid_coords(video.height, video.width)
 
 
-def adapt(model, batch, cfg, steps=None):
+def adapt_batch(model, batch, cfg, steps=None):
     """The inner loop on one (targets, coords) batch; returns (v, phis,
     per-step losses)."""
     targets, coords = batch
-    return _adapt(model, targets, coords,
-                  steps=cfg.inner_steps if steps is None else steps,
-                  inner_lr=cfg.inner_lr)
+    return adapt(model, targets, coords,
+                 steps=cfg.inner_steps if steps is None else steps,
+                 inner_lr=cfg.inner_lr)
 
 
 def test_config_validation():
@@ -53,7 +52,7 @@ def test_config_validation():
 def test_zero_inner_steps_returns_zero_modulations():
     cfg = tiny_cfg(inner_steps=0)
     model = cfg.new_model()
-    v, phis, losses = adapt(model, full_grid_batch(constant_video(), cfg), cfg)
+    v, phis, losses = adapt_batch(model, full_grid_batch(constant_video(), cfg), cfg)
     assert np.array_equal(v, np.zeros(8))
     assert np.array_equal(phis, np.zeros((3, 4)))
     assert losses == []
@@ -62,10 +61,10 @@ def test_zero_inner_steps_returns_zero_modulations():
 def test_modulations_stay_zero_at_optimum():
     cfg = tiny_cfg()
     model = cfg.new_model()
-    grid = CoordinateGrid(5, 5)
-    base = forward_batch(model, np.zeros(8), np.zeros((1, 4)), grid.coords)[0]
-    batch = np.tile(base, (cfg.batch_frames, 1)), grid.coords
-    v, phis, losses = adapt(model, batch, cfg)
+    coords = grid_coords(5, 5)
+    base = forward_batch(model, np.zeros(8), np.zeros((1, 4)), coords)[0]
+    batch = np.tile(base, (cfg.batch_frames, 1)), coords
+    v, phis, losses = adapt_batch(model, batch, cfg)
     assert np.linalg.norm(v) < 1e-6
     assert np.linalg.norm(phis) < 1e-6
     assert len(losses) == cfg.inner_steps and max(losses) < 1e-12
@@ -76,10 +75,10 @@ def test_inner_loop_reduces_loss_on_constant_video():
     model = cfg.new_model()
     batch = full_grid_batch(constant_video(0.7), cfg)
     # the 64-bit trajectory must decrease overall, not just at the ends
-    _, _, history = adapt(model, batch, cfg)
+    _, _, history = adapt_batch(model, batch, cfg)
     assert history[-1] < history[0]
     # one more step scores the modulations the ten steps ended at
-    _, _, longer = adapt(model, batch, cfg, steps=cfg.inner_steps + 1)
+    _, _, longer = adapt_batch(model, batch, cfg, steps=cfg.inner_steps + 1)
     assert longer[:-1] == history
     assert longer[-1] <= history[0]
 
@@ -87,7 +86,7 @@ def test_inner_loop_reduces_loss_on_constant_video():
 def test_zero_inner_lr_keeps_modulations_zero():
     cfg = tiny_cfg(inner_lr=0.0)
     model = cfg.new_model()
-    v, phis, _ = adapt(model, full_grid_batch(constant_video(), cfg), cfg)
+    v, phis, _ = adapt_batch(model, full_grid_batch(constant_video(), cfg), cfg)
     assert np.array_equal(v, np.zeros(8))
     assert np.array_equal(phis, np.zeros((3, 4)))
 
@@ -96,7 +95,7 @@ def test_inner_loop_does_not_touch_weights():
     cfg = tiny_cfg()
     model = cfg.new_model()
     before = [p.data.copy() for _, p in model.parameters()]
-    adapt(model, full_grid_batch(constant_video(), cfg), cfg)
+    adapt_batch(model, full_grid_batch(constant_video(), cfg), cfg)
     for (_, p), old in zip(model.parameters(), before):
         assert np.array_equal(p.data, old)
 
@@ -135,7 +134,7 @@ def test_divergence_error_carries_context():
     huge = {"out.weight": Tensor(np.full((8, 1), 1e200))}
     broken = model.replace_params(huge)
     with pytest.raises(DivergenceError) as exc:
-        adapt(broken, full_grid_batch(constant_video(), cfg), cfg)
+        adapt_batch(broken, full_grid_batch(constant_video(), cfg), cfg)
     assert exc.value.step == 0
 
 
@@ -149,7 +148,7 @@ def test_non_finite_gradient_in_inner_loop_names_the_step():
             or name in ("video_proj1", "frame_proj1")}
     broken = model.replace_params({**zero, "out.weight": Tensor(np.full((8, 1), 1e308))})
     with pytest.raises(DivergenceError) as exc:
-        adapt(broken, full_grid_batch(constant_video(), cfg), cfg)
+        adapt_batch(broken, full_grid_batch(constant_video(), cfg), cfg)
     assert exc.value.step == 0
     assert exc.value.loss_history == []
     assert exc.value.__cause__.op.endswith("gradient")
