@@ -17,7 +17,7 @@ import typing
 from pathlib import Path
 
 from .data import TRAJECTORIES, SynthSpec
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .heads import HeadConfig
 from .training import TrainConfig
 
@@ -150,9 +150,12 @@ HEAD_SCHEMA = {"hidden1": int, "hidden2": int,
 def load_head_config(path, *, task: str, mode: str) -> HeadConfig:
     """The HeadConfig of a head config file, or of the defaults when
     `path` is None, for `task` and `mode`; the VFUNCTA_SEED environment
-    variable wins over its `seed`."""
+    variable wins over its `seed`. A refused value names the file."""
     values = {} if path is None else _apply_schema(parse_kv_file(path), HEAD_SCHEMA, path)
     hidden = HeadConfig.hidden
     values["hidden"] = (values.pop("hidden1", hidden[0]), values.pop("hidden2", hidden[1]))
     values["seed"] = env_seed(values.get("seed", HeadConfig.seed))
-    return HeadConfig(task=task, mode=mode, **values)
+    try:
+        return HeadConfig(task=task, mode=mode, **values)
+    except ContractError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -10,13 +10,14 @@ network exactly (the projections carry no bias).
 The network is fixed, so its backward pass is written out once in closed
 form (`loss_and_grads`) next to the plain forward (`forward_batch`). Both
 take a batch of b frames evaluated at one shared set of N pixels:
-coordinates are (N, 2), and targets and predictions are (b, N).
+coordinates are (N, 2), and targets and predictions are (b, N). Both run
+in tiles of one frame at a run of its pixels, since each frame has its
+own modulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -24,10 +25,10 @@ from . import parallel
 from .errors import ContractError, NonFiniteError, ShapeError
 from .tensor import Tensor
 
-# Rows of one tile: a block's frames at a run of as many pixels as fit,
-# and at least one (`_pixel_runs`). One layer's three live arrays of a
-# tile (activations, cosine slope, gradient) then fit a core's 2 MB L2 at
-# the paper's 256 units, 3 x 512 x 256 x 4 B = 1.5 MB. On a 2-core Xeon
+# Rows of one tile, one frame at a run of its pixels (`_pixel_runs`). One
+# layer's three live arrays of a tile (activations, cosine slope,
+# gradient) then fit a core's 2 MB L2 at the paper's 256 units,
+# 3 x 512 x 256 x 4 B = 1.5 MB. On a 2-core Xeon
 # an inner step ran at the same speed with 512 to 2048 rows a tile, and a
 # forward pass 3% slower at 512 than at 2048.
 TILE_ROWS = 512
@@ -261,53 +262,43 @@ def _shifts(model: MetaModel, v, phis) -> list[tuple[np.ndarray, np.ndarray]]:
             for k in range(model.layers)]
 
 
-def _sine_layers(model: MetaModel, shifts, coords, frames: slice, acts,
-                 slopes=None) -> np.ndarray:
-    """Run the sine layers for some frames of a batch at their shared
-    pixels; returns the last activations, (frames, pixels, l), a view
-    into `acts`.
+def _sine_layers(model: MetaModel, shifts, coords, t: int, acts, slopes=None) -> np.ndarray:
+    """Run the sine layers for frame t of a batch at some of its pixels;
+    returns the last activations, (pixels, l), a view into `acts`.
 
-    `coords` holds the pixels, (pixels, 2), and `frames` picks the frames
-    from each layer's frame shifts. Layer k computes, in this float
-    order, a = h W_k, a += b_k, a += v P_k, a += phi_t Q_k for frame t,
-    then h = sin(omega0 a); each pixel's value is independent of the
-    other pixels. Layer 0's input is the same for every frame, so its
-    first three terms are computed once and the frame shifts broadcast
-    them out.
+    `coords` holds the pixels, (pixels, 2). Layer k computes, in this
+    float order, a = h W_k, a += b_k, a += v P_k, a += phi_t Q_k, then
+    h = sin(omega0 a); each pixel's value is independent of the other
+    pixels.
 
     Every array is written in place: layer k's activations go to the
-    first frames * pixels rows of `acts[k % n]`, for n of at least 2
-    buffers, and layer 0's frame-independent part to `acts[1]`. `slopes`,
-    when given, receives omega0 cos(omega0 a) of layer k in `slopes[k]`,
-    as the backward pass needs it.
+    first `pixels` rows of `acts[k % n]`, for n of at least 2 buffers.
+    `slopes`, when given, receives omega0 cos(omega0 a) of layer k in
+    `slopes[k]`, as the backward pass needs it.
     """
     n = len(acts)
-    pixels, width = coords.shape[0], model.hidden
+    pixels = coords.shape[0]
     h = coords
     for k, (v_shift, frame_shifts) in enumerate(shifts):
-        shift = frame_shifts[frames, None]
-        rows = shift.shape[0] * pixels
-        a = acts[k % n][:rows]
-        base = acts[1][:pixels] if k == 0 else a
-        np.matmul(h.reshape(-1, h.shape[-1]), model.layer_weights[k].data, out=base)
-        base += model.layer_biases[k].data
-        base += v_shift
-        a = np.add(base.reshape(-1, pixels, width), shift, out=a.reshape(-1, pixels, width))
+        a = np.matmul(h, model.layer_weights[k].data, out=acts[k % n][:pixels])
+        a += model.layer_biases[k].data
+        a += v_shift
+        a += frame_shifts[t]
         a *= model.omega0
         if slopes is not None:
-            slope = np.cos(a, out=slopes[k][:rows].reshape(a.shape))
+            slope = np.cos(a, out=slopes[k][:pixels])
             slope *= model.omega0
         h = np.sin(a, out=a)
     return h
 
 
 def _output(model: MetaModel, h: np.ndarray) -> np.ndarray:
-    """The output layer over (frames, pixels, l) activations, as a
-    row-wise reduction rather than a one-column BLAS product, which
-    rounds by row offset; returns (frames, pixels)."""
-    out = np.einsum("ij,j->i", h.reshape(-1, h.shape[2]), model.out_weight.data[:, 0])
+    """The output layer over (pixels, l) activations, as a row-wise
+    reduction rather than a one-column BLAS product, which rounds by row
+    offset; returns (pixels,)."""
+    out = np.einsum("ij,j->i", h, model.out_weight.data[:, 0])
     out += model.out_bias.data
-    return out.reshape(h.shape[:2])
+    return out
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -315,15 +306,15 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteError(what)
 
 
-def _pixel_runs(frames: int, lo: int, hi: int) -> list[slice]:
-    """Pixels lo..hi in the fewest runs that hold at most TILE_ROWS rows
-    for `frames` frames, or one pixel, as even as possible.
+def _pixel_runs(lo: int, hi: int) -> list[slice]:
+    """Pixels lo..hi in the fewest runs of at most TILE_ROWS pixels, as
+    even as possible.
 
     Even runs keep every tile of a split near the cap. A short last run
     could send a layer's product to BLAS's matrix-vector or small-matrix
     kernel, which rounds apart from the one a long run takes.
     """
-    count = -(-(hi - lo) // max(1, TILE_ROWS // frames))
+    count = -(-(hi - lo) // TILE_ROWS)
     cuts = [lo + (hi - lo) * i // count for i in range(count + 1)]
     return [slice(a, z) for a, z in zip(cuts, cuts[1:])]
 
@@ -335,26 +326,27 @@ def forward_batch(model: MetaModel, v, phis, coords: np.ndarray) -> np.ndarray:
     `v` is (s,), `phis` is (b, r) and `coords` is (N, 2), the pixels
     every frame is evaluated at. Returns the (b, N) raw (unclamped)
     predictions; a non-finite prediction raises NonFiniteError. Row
-    blocks split the pixels, and a block runs its pixels in runs of
-    `_pixel_runs` for all b frames, so its arrays stay one tile whatever
-    the frame; no value depends on the split.
+    blocks split the pixels, and a block runs each frame at its pixels
+    in runs of `_pixel_runs`, so its arrays stay one tile whatever the
+    frame; no value depends on the split.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords)
     b = phis.shape[0]
     out = np.empty((b, coords.shape[0]), dtype=model.dtype)
 
     def block(lo: int, hi: int) -> None:
-        runs = _pixel_runs(b, lo, hi)
+        runs = _pixel_runs(lo, hi)
         # both buffers in one allocation: as two arrays, the heap placed them
         # so that a decode's peak RSS rose by one buffer in about half of
         # the runs
-        acts = np.empty((2, b * max(r.stop - r.start for r in runs), model.hidden),
+        acts = np.empty((2, max(r.stop - r.start for r in runs), model.hidden),
                         dtype=model.dtype)
         # overflow surfaces as NonFiniteError below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for pixels in runs:
-                out[:, pixels] = _output(
-                    model, _sine_layers(model, shifts, coords[pixels], slice(None), acts))
+            for t in range(b):
+                for pixels in runs:
+                    out[t, pixels] = _output(
+                        model, _sine_layers(model, shifts, coords[pixels], t, acts))
 
     with parallel.RUNNER.blocks(coords.shape[0], b * model.hidden) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -379,46 +371,54 @@ def frame_mse(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return per_frame
 
 
-def _backward_frames(model: MetaModel, shifts, coords, targets, frames: slice,
-                     scale: float, acts: list, slopes: list, sums: list):
-    """Forward and backward through some frames of a batch at a run of
-    their pixels.
+def _backward_frame(model: MetaModel, shifts, coords, targets, t: int, pixels: slice,
+                    scale: float, acts: list, slopes: list, sums: list) -> np.ndarray:
+    """Forward and backward through frame t of a batch at a run of its
+    pixels; returns the run's predictions.
 
-    `coords` holds the run's pixels, (pixels, 2), and `targets` those
-    frames' values there, (frames, pixels); each value's loss gradient
-    is scale * (pred - target). `sums` holds each layer's (frames, l)
-    sums of its pre-activation gradient over the frames' earlier runs,
-    or None before the first run. Returns the run's predictions and
-    those sums carried on through this run, as fresh arrays.
+    `coords` and `targets` are the batch's, (N, 2) and (b, N), and
+    `pixels` picks the run; each value's loss gradient is
+    scale * (pred - target). `sums[k][t]` is layer k's sum of its
+    pre-activation gradient over the frame's pixels: over the earlier
+    runs on entry, unless the run starts at pixel 0, and through this run
+    on return.
 
     The passes run in `acts` and `slopes` as `_sine_layers` lays them
     out. Each activation gradient goes to `acts[-1]`, and each layer's
     pre-activation gradient overwrites its slope in `slopes[k]`. So when
-    `acts` holds a buffer per layer and one more, the run's activations
-    and pre-activation gradients are left for the weight gradients; such
-    a call runs the frames' whole pixels, one run.
+    `acts` holds a buffer per layer and one more, a whole-frame run's
+    activations and pre-activation gradients are left for the weight
+    gradients.
     """
-    sums = list(sums)
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = _sine_layers(model, shifts, coords, frames, acts, slopes)
-        count, pixels, width = h.shape
-        rows = count * pixels
-        pred = _output(model, h)
-        d_pred = ((pred - targets) * scale).reshape(-1)
-        d_h = np.multiply(d_pred[:, None], model.out_weight.data[:, 0], out=acts[-1][:rows])
-        for k in reversed(range(model.layers)):
-            d_a = np.multiply(d_h, slopes[k][:rows], out=slopes[k][:rows])
-            if k:
-                d_h = np.matmul(d_a, model.layer_weights[k].data.T, out=acts[-1][:rows])
-            # numpy sums a middle axis pixel row by pixel row, so a frame's
-            # sum that starts from the carried one in its first row is the
-            # sum over all its pixels in one run. A whole-pixel call is one
-            # run, so the d_a it keeps takes no carried sums.
-            d_a = d_a.reshape(count, pixels, width)
-            if sums[k] is not None:
-                d_a[:, 0] += sums[k]
-            sums[k] = d_a.sum(axis=1)
-    return pred, sums
+    count = pixels.stop - pixels.start
+    pred = _output(model, _sine_layers(model, shifts, coords[pixels], t, acts, slopes))
+    d_pred = (pred - targets[t, pixels]) * scale
+    d_h = np.multiply(d_pred[:, None], model.out_weight.data[:, 0], out=acts[-1][:count])
+    for k in reversed(range(model.layers)):
+        d_a = np.multiply(d_h, slopes[k][:count], out=slopes[k][:count])
+        if k:
+            d_h = np.matmul(d_a, model.layer_weights[k].data.T, out=acts[-1][:count])
+        # numpy sums the pixel axis row by row, so a sum that starts from
+        # the carried one in the run's first row is the sum over all the
+        # frame's pixels in one run. A whole-frame run, whose d_a the
+        # weight gradients take, carries none.
+        if pixels.start:
+            d_a[0] += sums[k][t]
+        np.sum(d_a, axis=0, out=sums[k][t])
+    return pred
+
+
+def _frame_products(model: MetaModel, coords, acts: list, d_as: list, d_pred: np.ndarray,
+                    out: list) -> None:
+    """One frame's weight-gradient products, x.T @ d of each layer's input
+    x and its gradient d, into `out`: the output layer's, (l, 1), then
+    each sine layer's, (fan_in, l). `acts` and `d_as` hold the frame's
+    activations and pre-activation gradients as `_backward_frame` leaves
+    them from a whole-frame run, and `d_pred` its loss gradient, (N,)."""
+    inputs = [coords] + acts[:model.layers]
+    np.matmul(inputs[-1].T, d_pred[:, None], out=out[0])
+    for k in range(model.layers):
+        np.matmul(inputs[k].T, d_as[k], out=out[k + 1])
 
 
 def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.ndarray,
@@ -431,18 +431,16 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     the gradient of every named parameter is too. A wrong `targets` shape
     raises ShapeError, a non-finite loss or gradient NonFiniteError.
 
-    Row blocks of whole frames run the forward and backward passes, and
-    the gradients are then formed once from the joined frame sums.
-    Without `weights` a block runs its frames at runs of `_pixel_runs`
-    of the pixels, so its arrays stay one tile whatever the frame or the
-    batch, and each frame's pixel sums carry from one run into the next.
-    With `weights` each block runs its frames whole, into its rows of one
-    activation array and one slope array per layer over every row. Once
-    the blocks have joined, each layer's and the output layer's weight
-    gradient is one product over every row, since a sum of per-block
-    pieces would round differently; the products are dealt out to the
-    blocks' threads, and the arrays are gone before the projection
-    gradients are formed. No value depends on the blocks or the runs.
+    Row blocks of whole frames run the forward and backward passes, one
+    frame at a time, and the gradients are then formed from the joined
+    frame sums. Without `weights` a frame runs at runs of `_pixel_runs`
+    of the pixels, so a block's arrays stay one tile whatever the frame
+    or the batch, and the frame's pixel sums carry from one run into the
+    next. With `weights` a frame runs whole, and its weight-gradient
+    products go to its place in one stack per layer; once the blocks have
+    joined, each stack is summed over its frames in frame order, and the
+    stacks are gone before the projection gradients are formed. No value
+    depends on the blocks or the runs.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords)
     targets = np.asarray(targets, dtype=model.dtype)
@@ -459,77 +457,57 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     def arrays(k: int, rows: int) -> list:
         return [np.empty((rows, model.hidden), dtype=model.dtype) for _ in range(k)]
 
-    # the weight gradients' inputs: each layer's activations and slopes
-    # over every row, the slopes overwritten by the pre-activation gradients
-    kept = (arrays(model.layers, b * n), arrays(model.layers, b * n)) if weights else None
+    # each layer's sums of its pre-activation gradient over each frame's pixels
+    sums = arrays(model.layers, b)
+    runs = [slice(0, n)] if weights else _pixel_runs(0, n)
+    # the output layer's and each sine layer's weight-gradient product of
+    # every frame
+    products = ([np.empty((b, *w.shape), dtype=model.dtype)
+                 for w in (model.out_weight, *model.layer_weights)] if weights else None)
 
-    def block(lo: int, hi: int) -> list:
-        frames = slice(lo, hi)
-        if weights:
-            runs, span = [slice(0, n)], slice(lo * n, hi * n)
-            acts = [a[span] for a in kept[0]] + arrays(1, (hi - lo) * n)
-            slopes = [a[span] for a in kept[1]]
-        else:
-            # every run of the block goes through these arrays, which are
-            # gone before the gradients are formed
-            runs = _pixel_runs(hi - lo, 0, n)
-            rows = (hi - lo) * max(r.stop - r.start for r in runs)
-            acts, slopes = arrays(2, rows), arrays(model.layers, rows)
-        sums = [None] * model.layers
-        for pixels in runs:
-            pred[frames, pixels], sums = _backward_frames(
-                model, shifts, coords[pixels], targets[frames, pixels], frames, scale,
-                acts, slopes, sums)
-        return sums
+    def block(lo: int, hi: int) -> None:
+        # every frame of the block goes through these arrays, which are gone
+        # before the gradients are formed
+        rows = max(r.stop - r.start for r in runs)
+        acts = arrays(model.layers + 1 if weights else 2, rows)
+        slopes = arrays(model.layers, rows)
+        # overflow surfaces as NonFiniteError below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(lo, hi):
+                for pixels in runs:
+                    pred[t, pixels] = _backward_frame(model, shifts, coords, targets, t, pixels,
+                                                      scale, acts, slopes, sums)
+                if weights:
+                    _frame_products(model, coords, acts, slopes, (pred[t] - targets[t]) * scale,
+                                    [p[t] for p in products])
 
     grads = {}
     with parallel.RUNNER.blocks(b, n * model.hidden) as map_blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             shifts = _shifts(model, v, phis)
-        sums = map_blocks(block)
+        map_blocks(block)
         per_frame = frame_mse(pred, targets)
         loss = float(np.mean(per_frame, dtype=np.float64).astype(model.dtype))
         with np.errstate(over="ignore", invalid="ignore"):
             if weights:
-                grads = _weight_products(model, map_blocks, *kept, coords,
-                                         ((pred - targets) * scale).reshape(-1))
-                kept = None  # freed before the projection gradients exist
+                grads["out.weight"] = products[0].sum(axis=0)
+                grads["out.bias"] = np.sum(((pred - targets) * scale).reshape(-1), keepdims=True)
+                for k in reversed(range(model.layers)):
+                    grads[f"layer{k}.weight"] = products[k + 1].sum(axis=0)
+                products = None  # freed before the projection gradients exist
             g_v = np.zeros_like(v)
             g_phis = np.zeros_like(phis)
             for k in reversed(range(model.layers)):
-                frame_sums = np.concatenate([part_sums[k] for part_sums in sums])
-                col = frame_sums.sum(axis=0)
+                col = sums[k].sum(axis=0)
                 g_v += model.video_projs[k].data @ col
-                g_phis += frame_sums @ model.frame_projs[k].data.T
+                g_phis += sums[k] @ model.frame_projs[k].data.T
                 if weights:
                     grads[f"layer{k}.bias"] = col
                     grads[f"video_proj{k}"] = np.outer(v, col)
-                    grads[f"frame_proj{k}"] = phis.T @ frame_sums
+                    grads[f"frame_proj{k}"] = phis.T @ sums[k]
     _require_finite(g_v, "video gradient")
     _require_finite(g_phis, "frame gradient")
     for name, g in grads.items():
         _require_finite(g, f"{name} gradient")
     return BatchGrads(loss=loss, per_frame=per_frame, v=g_v, phis=g_phis,
                       weights=grads if weights else None)
-
-
-def _weight_products(model: MetaModel, map_blocks, acts: list, d_as: list, coords,
-                     d_pred: np.ndarray) -> dict:
-    """The output layer's and each sine layer's weight gradient, each one
-    product over every row of a batch, dealt out to the threads of
-    `map_blocks`; `acts` and `d_as` hold each layer's activations and
-    pre-activation gradients, and `d_pred` each row's loss gradient."""
-    def product(x, d):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return x.T @ d
-
-    # layer 0's input is the shared pixels, once per frame, so that its
-    # product runs over every row like the others
-    inputs = [np.tile(coords, (acts[0].shape[0] // coords.shape[0], 1))] + acts[:-1]
-    pairs = [(acts[-1], d_pred[:, None])] + [(inputs[k], d_as[k])
-                                             for k in reversed(range(model.layers))]
-    products = map_blocks.deal([partial(product, x, d) for x, d in pairs])
-    grads = {"out.weight": products[0], "out.bias": np.sum(d_pred, keepdims=True)}
-    for k, g in zip(reversed(range(model.layers)), products[1:]):
-        grads[f"layer{k}.weight"] = g
-    return grads

@@ -11,10 +11,10 @@ so every core runs both kinds of work.
 No row's value depends on its block: the layer products round alike at
 any row offset and thread count, and the one-column output layer is a
 row-wise reduction, not a BLAS product that rounds by row offset. A
-product over every row, such as a weight gradient, runs once the blocks
-have joined, as one of the tasks `Blocks.deal` hands to the same
-threads. So `train`, `encode` and `decode` write the same bytes for any
-thread count.
+weight gradient, a sum over every row, is formed per frame inside the
+blocks and summed over the frames in frame order once they have joined.
+So `train`, `encode` and `decode` write the same bytes for any thread
+count.
 
 A second block pays from about 2^14 activation elements a block (rows
 times the layer width) on. On a 2-core Xeon at 2.1 GHz (float32, latent
@@ -39,6 +39,7 @@ import ctypes
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
+from functools import partial
 
 # Fewest activation elements (rows x layer width) in a block: four times
 # the measured break-even above, below which the thread hand-off costs
@@ -87,7 +88,7 @@ class RowRunner:
         """Block boundaries, in units, over `units` runs of `unit_size`
         activation elements.
 
-        Blocks hold whole units, as evenly as possible; there are at most
+        The blocks hold whole units, as evenly as possible; there are at most
         `threads` of them and each holds at least BLOCK_FLOOR elements, or
         there is one block.
         """
@@ -98,8 +99,9 @@ class RowRunner:
 
     @contextmanager
     def blocks(self, units: int, unit_size: int):
-        """Yield the `Blocks` of `units` runs of `unit_size` activation
-        elements.
+        """Yield a function that runs `fn(lo, hi)` over each block of
+        `units` runs of `unit_size` activation elements, and returns the
+        results in block order.
 
         With one block, everything runs in the calling thread, as is. With
         several, BLAS stays pinned to one thread for the whole `with`
@@ -109,7 +111,7 @@ class RowRunner:
         """
         cuts = self.cuts(units, unit_size)
         with self._pinned() if len(cuts) > 2 else nullcontext():
-            yield Blocks(self, cuts)
+            yield partial(self._map, cuts)
 
     def _map(self, cuts, fn) -> list:
         """`fn(lo, hi)` over each pair of neighbouring cuts, the first in
@@ -152,30 +154,6 @@ class RowRunner:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown()
-
-
-class Blocks:
-    """The row blocks of one `RowRunner.blocks` phase, cut at `cuts` units."""
-
-    def __init__(self, runner: RowRunner, cuts: list[int]):
-        self._runner = runner
-        self._cuts = cuts
-
-    def __call__(self, fn) -> list:
-        """Run `fn(lo, hi)` over each block of units; returns the results
-        in block order."""
-        return self._runner._map(self._cuts, fn)
-
-    def deal(self, tasks: list) -> list:
-        """Run each zero-argument task, dealt in turn to the blocks' n
-        threads, the first of them the calling one: thread i runs tasks
-        i, i + n, ... in that order. Returns the results in task order;
-        an exception from any task is raised once every thread has
-        finished."""
-        n = max(1, min(len(self._cuts) - 1, len(tasks)))
-        shares = self._runner._map(range(n + 1),
-                                   lambda i, _: [task() for task in tasks[i::n]])
-        return [shares[j % n][j // n] for j in range(len(tasks))]
 
 
 RUNNER = RowRunner(_openblas_set_threads())

@@ -557,10 +557,13 @@ def test_a_negative_seed_in_a_train_config_is_one_error_line(tmp_path, capsys):
 def test_a_negative_seed_in_a_head_config_is_one_error_line(tmp_path, capsys):
     argv = seeded_commands(tmp_path)["eval"]
     head_config = tmp_path / "head.cfg"
-    head_config.write_text("seed = -1\n")
-    capsys.readouterr()
-    assert main([*argv, "--head-config", str(head_config)]) == 1
-    assert_one_error_line(capsys.readouterr().err, "seed must be >= 0, got -1")
+    # as any value the head config refuses, it names the file
+    for line, message in (("seed = -1", "seed must be >= 0, got -1"),
+                          ("dropout = 1.5", "dropout must lie in [0, 1), got 1.5")):
+        head_config.write_text(f"{line}\n")
+        capsys.readouterr()
+        assert main([*argv, "--head-config", str(head_config)]) == 1
+        assert_one_error_line(capsys.readouterr().err, f"{head_config}: {message}")
 
 
 def test_train_without_a_train_split_is_one_error_line(tmp_path, capsys):
@@ -831,6 +834,33 @@ def test_decode_originals_without_report_writes_nothing(tmp_path, capsys):
     assert read_manifest(out / "run_manifest.json")["artifacts"] == {}
 
 
+def test_jobs_print_whole_lines_in_input_order(tmp_path, monkeypatch, capsys):
+    model_path, _, venc = tiny_files(tmp_path)
+    first, second = tmp_path / "a.venc", tmp_path / "b.venc"
+    first.write_bytes(venc.read_bytes())
+    second.write_bytes(venc.read_bytes())
+    second_saved = threading.Event()
+    real_load, real_save = codec.load_encoding, data.save_video
+
+    def gated_load(path):
+        if path == first:
+            # the second item has written its output before the first starts
+            assert second_saved.wait(timeout=60)
+        return real_load(path)
+
+    def save(path, video):
+        real_save(path, video)
+        if path.name == "b.rawvid":
+            second_saved.set()
+
+    monkeypatch.setattr(codec, "load_encoding", gated_load)
+    monkeypatch.setattr(data, "save_video", save)
+    capsys.readouterr()
+    assert main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
+                 "--jobs", "2", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "a.venc\tdims=(2, 3, 3)\nb.venc\tdims=(2, 3, 3)\n"
+
+
 def test_first_failure_with_jobs_starts_no_further_item(tmp_path, monkeypatch, capsys):
     model_path, video, _ = tiny_files(tmp_path)
     missing = tmp_path / "missing.rawvid"
@@ -855,7 +885,10 @@ def test_first_failure_with_jobs_starts_no_further_item(tmp_path, monkeypatch, c
                "--batch-frames", "2", "--inner-steps", "1", str(missing),
                *(str(c) for c in clips)])
     assert rc == 1
-    assert_one_error_line(capsys.readouterr().err, "cannot read", "missing.rawvid")
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err, "cannot read", "missing.rawvid")
+    # c1, already running, finishes and prints its line
+    assert [line.split("\t")[0] for line in captured.out.splitlines()] == ["c1.rawvid"]
     assert sorted(p.name for p in out.iterdir()) == ["c1.venc", "run_manifest.json"]
     assert list(read_manifest(out / "run_manifest.json")["artifacts"]) == ["c1.venc"]
 

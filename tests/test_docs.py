@@ -1,8 +1,9 @@
 """The README's references hold: the files it names exist, the
 configuration it trains with loads, its configuration tables match
 `TrainConfig` and the corpus defaults, its head-config keys are the ones
-a head config takes, its pipeline commands parse, and the manifest hash
-and container version it states are the ones the code writes."""
+a head config takes, its pipeline commands parse, and the manifest hash,
+container version, tile rows and block floor it states are the ones the
+code uses."""
 
 import dataclasses
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from vfuncta import container, manifest
+from vfuncta import container, manifest, model, parallel
 from vfuncta.cli import _build_parser
 from vfuncta.config import CORPUS_DEFAULTS, HEAD_SCHEMA, load_train_config
 from vfuncta.training import TrainConfig
@@ -100,3 +101,11 @@ def test_readme_states_the_written_hash_and_container_version():
     written = re.findall(r"written as version (\d+)", readme)
     assert framed and written
     assert {int(v) for v in framed + written} == {container.VERSION}
+
+
+def test_readme_tile_rows_and_block_floor_are_the_codes():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"at most (\d+) rows", readme) == [str(model.TILE_ROWS)]
+    exponent = parallel.BLOCK_FLOOR.bit_length() - 1
+    assert 2**exponent == parallel.BLOCK_FLOOR
+    assert re.findall(r"2\^(\d+) activation elements", readme) == [str(exponent)]

@@ -1,8 +1,8 @@
 """Row blocks of one evaluation: the split, its results against one block,
 errors raised from later blocks, the BLAS thread count around them, and
 encodings and trained models that are the same bytes whatever that count.
-Within a block, the frame tiles of latent-only calls: their results
-against one tile and their size bound.
+Within a block, the tiles of one frame at a run of its pixels: their
+results against one tile and their size bound.
 
 The tests shrink the row floor and give the runner a stand-in for
 OpenBLAS's thread setter, so small batches split into several blocks on
@@ -28,6 +28,7 @@ from vfuncta.codec import EncodeSettings, encode_video, save_encoding, save_mode
 from vfuncta.data import VideoTensor, save_video
 from vfuncta.errors import NonFiniteError
 from vfuncta.model import MetaModel, forward_batch, frame_mse, loss_and_grads
+from vfuncta.tensor import Tensor
 
 SRC = str(Path(parallel.__file__).parents[1])
 
@@ -109,11 +110,11 @@ def test_forward_rows_are_bit_identical_to_one_block(use_runner, tile_rows, monk
         tiles.clear()
         assert len(parallel.RUNNER.cuts(n, b)) == blocks + 1  # the pixels are split
         assert np.array_equal(forward_batch(model_, v, phis, coords), whole), (blocks, cap)
-        # each block in the fewest runs of at most the cap, as even as can be
-        step = max(cap // b, 1)
+        # each frame of a block in the fewest runs of at most the cap, as
+        # even as can be
         cuts = parallel.RUNNER.cuts(n, b)
-        assert sum(tiles) == n and max(tiles) <= step
-        assert len(tiles) == sum(-(-(hi - lo) // step) for lo, hi in zip(cuts, cuts[1:]))
+        assert sum(tiles) == b * n and max(tiles) <= cap
+        assert len(tiles) == b * sum(-(-(hi - lo) // cap) for lo, hi in zip(cuts, cuts[1:]))
         assert max(tiles) - min(tiles) <= 1 or blocks > 1
     # a frame's values do not depend on its place in the batch; a batch of
     # one would not show this bit for bit, since numpy takes a one-row
@@ -140,7 +141,7 @@ def test_forward_allocates_one_tile_per_block(use_runner, tile_rows, blocks):
     finally:
         tracemalloc.stop()
     tile = 2 * 256 * hidden * 4  # one (2, rows, l) float32 buffer
-    # besides, numpy's iterator buffers for the broadcast shift add: 64 KB
+    # besides, a tile's predictions and numpy's iterator buffers
     assert peak <= blocks * (tile + 128 * 1024) + out.nbytes
     # where one buffer for all of a block's rows would take
     assert 2 * b * n * hidden * 4 > 8 * peak
@@ -162,8 +163,9 @@ def test_loss_and_grads_match_one_block(use_runner, tile_rows, b, n, dtype, weig
     use_runner(FakeBlas(3))
     calls = tile_rows(10**9)
     split = loss_and_grads(model, v, phis, coords, targets, weights=weights)
-    # the call runs in blocks, each block's frames as one tile
-    assert len(calls) == len(parallel.RUNNER.cuts(b, n)) - 1 == min(b, 3)
+    # the call runs in blocks, each frame as one tile
+    assert len(parallel.RUNNER.cuts(b, n)) - 1 == min(b, 3)
+    assert sorted(calls) == [(t, n) for t in range(b)]
 
     def close(a, b):
         return np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)) <= 1e-12
@@ -373,7 +375,7 @@ def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monke
     runner = parallel.RowRunner(fake)
     monkeypatch.setattr(parallel, "RUNNER", runner)
     phases, counts = [], []
-    blocks, deal, backward = runner.blocks, parallel.Blocks.deal, model._backward_frames
+    blocks, products, backward = runner.blocks, model._frame_products, model._backward_frame
 
     def spy_blocks(units, unit_size):
         phases.append(len(runner.cuts(units, unit_size)) - 1)
@@ -386,8 +388,8 @@ def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monke
         return call
 
     monkeypatch.setattr(runner, "blocks", spy_blocks)
-    monkeypatch.setattr(parallel.Blocks, "deal", spy(deal))
-    monkeypatch.setattr(model, "_backward_frames", spy(backward))
+    monkeypatch.setattr(model, "_frame_products", spy(products))
+    monkeypatch.setattr(model, "_backward_frame", spy(backward))
     # the paper's batch of 8 frames at 256 sampled pixels and its width
     cfg = training.TrainConfig(batch_frames=8, coords_per_frame=256, layers=2, hidden=256,
                                video_dim=8, frame_dim=4, inner_steps=3)
@@ -396,10 +398,11 @@ def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monke
         training.meta_step(cfg.new_model(), video, cfg, np.random.default_rng(0))
     finally:
         runner.close()
-    # K inner steps and the outer step, each in two blocks of 4 frames; the
-    # inner ones in two tiles a block, and the outer step's weight products
+    # K inner steps and the outer step, each in two blocks of 4 frames and
+    # each frame one tile; the outer step also forms each frame's weight
+    # products
     assert phases == [2] * (cfg.inner_steps + 1)
-    assert len(counts) == 2 * 2 * cfg.inner_steps + 2 + 1
+    assert len(counts) == 8 * cfg.inner_steps + 8 + 8
     # BLAS runs one thread whenever a block or a weight product runs
     assert set(counts) == {1} and fake.count == 2
 
@@ -408,19 +411,16 @@ def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monke
 
 @pytest.fixture
 def tile_rows(monkeypatch):
-    """Set the tile cap; returns the (rows, whole) of every
-    `_backward_frames` call made after it, where `whole` tells an outer
-    step's call, whose slopes are its rows of the batch-wide arrays kept
-    for the weight gradients, from an inner step's, whose slopes are a
-    tile's own arrays."""
+    """Set the tile cap; returns the (frame, rows) of every
+    `_backward_frame` call made after it."""
     calls = []
-    inner = model._backward_frames
+    inner = model._backward_frame
 
-    def spy(model_, shifts, coords, targets, frames, scale, acts, slopes, sums):
-        calls.append((targets.shape[0] * coords.shape[0], slopes[0].base is not None))
-        return inner(model_, shifts, coords, targets, frames, scale, acts, slopes, sums)
+    def spy(model_, shifts, coords, targets, t, pixels, *rest):
+        calls.append((t, pixels.stop - pixels.start))
+        return inner(model_, shifts, coords, targets, t, pixels, *rest)
 
-    monkeypatch.setattr(model, "_backward_frames", spy)
+    monkeypatch.setattr(model, "_backward_frame", spy)
 
     def set_cap(rows):
         monkeypatch.setattr(model, "TILE_ROWS", rows)
@@ -440,18 +440,14 @@ def test_latent_tiles_match_one_tile(use_runner, tile_rows, b, blocks, dtype):
     tile_rows(10**9)
     whole = loss_and_grads(model_, v, phis, coords, targets)
     use_runner(FakeBlas(blocks))
-    cuts = parallel.RUNNER.cuts(b, n)
-    # 3 blocks of 8 frames hold 2, 3 and 3. A cap of 36 rows runs 1, 2, 3
-    # and 8 frames at 20-21, 13-14, 10-11 and 3-4 pixels; a cap of 100 runs
-    # 3 and 8 frames at 20-21 and 10-11. Runs stay at two pixels or more, as
-    # they do at TILE_ROWS up to 128 frames a block: layer 0's product has a
-    # row per pixel, and numpy takes a one-row product to a matrix-vector
-    # kernel that rounds apart.
-    for cap in (36, 100):
+    # A cap of 3 runs each frame's 41 pixels at 2-3 pixels, of 14 at 13-14
+    # and of 36 at 20-21; one of 100 runs it whole. Runs stay at two pixels
+    # or more, as they do at TILE_ROWS: numpy takes a one-row product to a
+    # matrix-vector kernel that rounds apart.
+    for cap in (3, 14, 36, 100):
         calls = tile_rows(cap)
         tiled = loss_and_grads(model_, v, phis, coords, targets)
-        assert len(calls) == sum(-(-n // max(1, cap // (hi - lo)))
-                                 for lo, hi in zip(cuts, cuts[1:])), cap
+        assert len(calls) == b * -(-n // cap), cap
         assert tiled.loss == whole.loss
         for name in ("per_frame", "v", "phis"):
             assert np.array_equal(getattr(tiled, name), getattr(whole, name)), (name, cap)
@@ -463,18 +459,18 @@ def test_encoding_is_the_same_bytes_with_pixel_run_tiles_and_one_tile(tile_rows,
     video = VideoTensor(rng.uniform(0, 1, size=(5, 9, 9)).astype(np.float32))
     settings = EncodeSettings(batch_frames=3, inner_steps=3, inner_lr=0.1)
     written = []
-    # 81 rows a tile: windows of 3 and 2 frames run at thirds of a frame.
-    # Tiles of fewer than 38 rows would take this network's backward product
-    # to OpenBLAS's small-matrix kernel, which rounds apart; at TILE_ROWS a
+    # 41 rows a tile: each frame runs at halves of its 81 pixels. Tiles of
+    # fewer than 38 rows would take this network's backward product to
+    # OpenBLAS's small-matrix kernel, which rounds apart; at TILE_ROWS a
     # split tile holds at least about half the cap.
-    for cap in (81, 10**9):
+    for cap in (41, 10**9):
         calls = tile_rows(cap)
         path = tmp_path / f"{cap}.venc"
         save_encoding(path, encode_video(model_, video, settings))
         written.append(path.read_bytes())
         # windows of 3 and 2 frames, 3 steps each
-        assert len(calls) == (2 * 3 * 3 if cap == 81 else 6)
-        assert max(rows for rows, _ in calls) == (81 if cap == 81 else 3 * 81)
+        assert len(calls) == 5 * 3 * (2 if cap == 41 else 1)
+        assert max(rows for _, rows in calls) == min(cap, 81)
     assert written[0] == written[1]
 
 
@@ -485,25 +481,26 @@ def test_latent_calls_see_at_most_one_tile_of_rows(use_runner, tile_rows, cap):
     use_runner(FakeBlas(2))
     calls = tile_rows(cap)
     loss_and_grads(model_, v, phis, coords, targets)
-    training.adapt(model_, targets, coords, steps=2, inner_lr=0.1)
-    assert calls and all(not whole for _, whole in calls)
-    # a tile is the block's 4 frames at a run of at least one pixel, and the
-    # runs are as long as the cap allows, up to the whole frame
-    assert all(rows <= max(cap, 4) for rows, _ in calls)
-    assert max(rows for rows, _ in calls) == {3: 4, 12: 12, 10**9: 4 * n}[cap]
+    # a tile is one frame at a run of its pixels, and the runs are as long
+    # as the cap allows, up to the whole frame
+    runs = {3: [2, 3], 12: [5], 10**9: [5]}[cap]
+    assert sorted(calls) == [(t, rows) for t in range(8) for rows in runs]
     calls.clear()
-    # the outer step runs each block's 4 frames at every pixel, one tile
+    training.adapt(model_, targets, coords, steps=2, inner_lr=0.1)
+    assert sorted(calls) == [(t, rows) for t in range(8) for rows in runs for _ in range(2)]
+    calls.clear()
+    # the outer step runs each frame at every pixel, one tile
     loss_and_grads(model_, v, phis, coords, targets, weights=True)
-    assert calls == [(4 * n, True), (4 * n, True)]
+    assert sorted(calls) == [(t, n) for t in range(8)]
 
 
 def test_tiled_latent_gradients_match_finite_differences(use_runner, tile_rows):
     n = 6
     model_, v, phis, coords, targets = case(5, n, np.float64, seed=12)
     use_runner(FakeBlas(2))
-    calls = tile_rows(4)  # blocks of 2 and 3 frames, in runs of 2 and 1 pixels
+    calls = tile_rows(4)  # blocks of 2 and 3 frames, each frame in two runs of 3 pixels
     grads = loss_and_grads(model_, v, phis, coords, targets)
-    assert len(calls) == 3 + 6
+    assert sorted(calls) == [(t, 3) for t in range(5) for _ in range(2)]
 
     def loss(arrays):
         return float(np.mean(frame_mse(forward_batch(model_, arrays[0], arrays[1], coords),
@@ -512,6 +509,26 @@ def test_tiled_latent_gradients_match_finite_differences(use_runner, tile_rows):
     numeric_v, numeric_phis = finite_diff(loss, [v, phis])
     assert rel_err(grads.v, numeric_v) < 1e-4
     assert rel_err(grads.phis, numeric_phis) < 1e-4
+
+
+def test_outer_step_gradients_match_finite_differences_across_uneven_blocks(use_runner):
+    n = 6
+    model_, v, phis, coords, targets = case(5, n, np.float64, seed=13)
+    use_runner(FakeBlas(3))
+    assert parallel.RUNNER.cuts(5, n) == [0, 1, 3, 5]  # blocks of 1, 2 and 2 frames
+    grads = loss_and_grads(model_, v, phis, coords, targets, weights=True)
+    rng = np.random.default_rng(14)
+    step = 1e-5
+    for name, p in model_.parameters():
+        for j in rng.choice(p.data.size, size=min(3, p.data.size), replace=False):
+            losses = []
+            for sign in (1, -1):
+                bumped = p.data.copy()
+                bumped.reshape(-1)[j] += sign * step
+                m = model_.replace_params({name: Tensor(bumped)})
+                losses.append(np.mean(frame_mse(forward_batch(m, v, phis, coords), targets)))
+            numeric = (losses[0] - losses[1]) / (2 * step)
+            assert rel_err(grads.weights[name].reshape(-1)[j], numeric) < 1e-4, (name, j)
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
@@ -526,7 +543,7 @@ def test_latent_step_allocates_one_tile_per_block(use_runner, tile_rows, blocks)
     use_runner(FakeBlas(blocks))
     calls = tile_rows(256)
     loss_and_grads(model_, v, phis, coords, targets)  # starts the pool's threads
-    assert max(rows for rows, _ in calls) == 256  # every frame splits into runs
+    assert max(rows for _, rows in calls) == 256  # every frame splits into runs
     tracemalloc.start()
     try:
         loss_and_grads(model_, v, phis, coords, targets)
@@ -543,7 +560,8 @@ def test_latent_step_allocates_one_tile_per_block(use_runner, tile_rows, blocks)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_numpy_sums_a_middle_axis_pixel_row_by_pixel_row(dtype):
     # the frame sums of pixel runs rest on this: a frame's sum added into the
-    # first pixel row of its next run sums on as one run would
+    # first pixel row of its next run sums on as one run would, for the
+    # frames of a batch as for one frame's (pixels, width) tile
     rng = np.random.default_rng(9)
     for (count, pixels, width), runs in [((1, 5, 2), (1, 2, 3)), ((3, 200, 6), (1, 7, 64)),
                                          ((8, 1936, 256), (121, 484)),
@@ -558,6 +576,14 @@ def test_numpy_sums_a_middle_axis_pixel_row_by_pixel_row(dtype):
                     part[:, 0] += carried
                 carried = part.sum(axis=1)
             assert np.array_equal(carried, whole), (count, pixels, width, run)
+            for i in range(count):
+                row = np.empty(width, dtype)
+                for t in range(0, pixels, run):
+                    part = d[i, t:t + run].copy()
+                    if t:
+                        part[0] += row
+                    np.sum(part, axis=0, out=row)
+                assert np.array_equal(row, whole[i]), (count, pixels, width, run, i)
 
 
 def test_no_tile_is_a_one_pixel_tail(use_runner, tile_rows):
@@ -575,7 +601,7 @@ def test_no_tile_is_a_one_pixel_tail(use_runner, tile_rows):
     whole = forward_batch(model_, v, phis, coords), loss_and_grads(model_, v, phis, coords, targets)
     calls = tile_rows(48)
     tiled = forward_batch(model_, v, phis, coords), loss_and_grads(model_, v, phis, coords, targets)
-    assert sorted(rows for rows, _ in calls) == [32, 32, 33]
+    assert sorted(rows for _, rows in calls) == [32, 32, 33]
     assert np.array_equal(tiled[0], whole[0])
     for name in ("per_frame", "v", "phis"):
         assert np.array_equal(getattr(tiled[1], name), getattr(whole[1], name)), name
