@@ -1,10 +1,10 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Subcommands: gen-corpus, train, encode, decode, summary, eval,
-gradcheck. Every command resolves its seed (VFUNCTA_SEED wins over
-flags and files), runs, and writes a run manifest with content hashes
-of all artifacts, so reruns with the same seed can be compared
-hash-for-hash.
+gradcheck. Every command but gradcheck resolves its seed (VFUNCTA_SEED
+wins over flags and files), runs, and writes a run manifest with content
+hashes of its inputs and artifacts (eval only with --out), so reruns
+with the same seed can be compared hash-for-hash.
 """
 
 from __future__ import annotations
@@ -194,11 +194,8 @@ def cmd_train(args, argv) -> int:
                        checkpoint_dir=args.checkpoint_dir,
                        checkpoint_every=args.checkpoint_every,
                        resume=resume)
-    checksum = codec.save_model(args.out, model)
-    log.write(log_path)
-
-    manifest.add_artifact(args.out, digest=checksum)
-    manifest.add_artifact(log_path, training_log=True)
+    manifest.add_artifact(args.out, digest=codec.save_model(args.out, model))
+    manifest.add_artifact(log_path, digest=log.write(log_path))
     manifest.write(args.out.with_suffix(".manifest.json"))
     last = log.entries[-1].loss if log.entries else float("nan")
     print(f"train: {model.iteration} iterations, final loss {last:.6g}, "
@@ -207,59 +204,63 @@ def cmd_train(args, argv) -> int:
 
 
 def _run_items(items, worker, jobs: int, keep_going: bool):
-    """Run worker over items; returns failures in item order.
+    """Run `worker` over items, at most `jobs` at a time; returns
+    `(item, checksums)` for each item that succeeded and `(item, error)`
+    for each that failed, in item order.
 
-    Each item settles in the calling thread, in item order: the line its
-    worker returns is printed in one write, or its failure recorded.
-    With one job the items run in the calling thread: a pool thread would
-    take its large arrays from a separate malloc arena, which raises peak
-    memory (by 4 MB, or 3%, for one 16-frame 44x44 encode with the
-    paper's network). With more jobs an item starts only once the oldest
-    running one has settled. Without keep_going the first failure starts
-    no later item: items already running finish and settle, and then
-    that failure is raised.
+    Each item settles in the calling thread, in item order: the worker
+    returns its stdout line, printed in one write, and its checksums, or
+    raises a VfunctaError or OSError, which fails that item only. An item
+    with none running ahead of it (every item, with one job) runs in the
+    calling thread as it settles, since that thread would only wait for
+    it, and a pool thread would take its large arrays from a separate
+    malloc arena, which raises peak memory (by 4 MB, or 3%, for one
+    16-frame 44x44 encode with the paper's network). The others run in a
+    pool, and an item starts only once the oldest running one has
+    settled. Without keep_going the first failure starts no later item;
+    items already running finish and settle. No item's failure is raised.
     """
-    failures = []
+    results = []
+    running = deque()
 
-    def settle(item, outcome) -> bool:
-        """Settle one item; False once the run must stop."""
+    def settle() -> bool:
+        """Settle the oldest item; False once the run must stop."""
+        item, outcome = running.popleft()
         try:
-            sys.stdout.write(f"{outcome()}\n")
-        except VfunctaError as exc:
-            failures.append((item, exc))
-        return keep_going or not failures
+            line, checksums = outcome()
+        except (VfunctaError, OSError) as exc:
+            results.append((item, exc))
+            return keep_going
+        sys.stdout.write(f"{line}\n")
+        results.append((item, checksums))
+        return True
 
-    if jobs == 1:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         for item in items:
-            if not settle(item, partial(worker, item)):
+            if len(running) == jobs and not settle():
                 break
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            running = deque()
-            for item in items:
-                if len(running) == jobs and not settle(*running.popleft()):
-                    break
-                running.append((item, pool.submit(worker, item).result))
-            while running:
-                settle(*running.popleft())
-    if failures and not keep_going:
-        raise failures[0][1]
-    return failures
+            running.append((item, pool.submit(worker, item).result if running
+                            else partial(worker, item)))
+        while running:
+            settle()
+    return results
 
 
 def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict,
                   worker, jobs: int) -> int:
     """Shared body of encode, decode and summary.
 
-    Maps each input to `args.out/<stem><suffix>`, loads the model, runs
-    `worker(model, input, output)` per input, then writes a run manifest
-    hashing the inputs and every output that exists, and reports each
-    failure on stderr. The manifest is written also when a failure stops
-    the run, so the outputs finished before it are recorded. A worker
-    returns its stdout line and the `{path: checksum}` of the container
-    files it read or wrote; the manifest enters those, and the model, by
-    their checksums (a version 1 or 2 file, whose checksum is None, is
-    hashed whole).
+    Maps each input to `args.out/<stem><suffix>`, loads the model and runs
+    `worker(model, input, output)` per input. A worker returns its stdout
+    line and the `{path: checksum}` of the container files it read or
+    wrote, and writes its output only once nothing else can fail it. The
+    run manifest then enters the model, every input and the output of
+    each item that succeeded, by those checksums where the worker returned
+    one (a version 1 or 2 file, whose checksum is None, is hashed whole,
+    as is every other file). A failed item's output is not entered, even
+    where an earlier run left that file. After the manifest is written the
+    first failure is raised, or with --keep-going each is reported on
+    stderr.
     """
     if jobs < 1:
         raise VfunctaError(f"--jobs must be at least 1, got {jobs}")
@@ -268,22 +269,20 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict,
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(args.command, argv, config=config, seed=None)
     manifest.add_input(args.model, model.checksum)
-    held: dict[Path, int] = {}
-
-    def run(path: Path) -> str:
-        line, checksums = worker(model, path, outputs[path])
-        held.update(checksums)
-        return line
-
-    try:
-        failures = _run_items(inputs, run, jobs, args.keep_going)
-    finally:
-        for path in inputs:
-            manifest.add_input(path, held.get(path))
-            if outputs[path].exists():
-                manifest.add_artifact(outputs[path], base=args.out,
-                                      digest=held.get(outputs[path]))
-        manifest.write(args.out / "run_manifest.json")
+    settled = dict(_run_items(inputs, lambda path: worker(model, path, outputs[path]),
+                              jobs, args.keep_going))
+    failures = [(path, exc) for path, exc in settled.items() if isinstance(exc, Exception)]
+    for path in inputs:
+        checksums = settled.get(path)
+        if isinstance(checksums, dict):
+            manifest.add_input(path, checksums.get(path))
+            manifest.add_artifact(outputs[path], base=args.out,
+                                  digest=checksums.get(outputs[path]))
+        else:
+            manifest.add_input(path)
+    manifest.write(args.out / "run_manifest.json")
+    if failures and not args.keep_going:
+        raise failures[0][1]
     for item, exc in failures:
         print(f"{args.command} failed for {item}: {exc}", file=sys.stderr)
     return 1 if failures else 0
@@ -295,13 +294,12 @@ def cmd_encode(args, argv) -> int:
     def worker(model, video_path: Path, dest: Path):
         video = data.load_video(video_path)
         enc = codec.encode_video(model, video, settings)
-        written = codec.save_encoding(dest, enc)
         line = (f"{video_path.name}\tframes={enc.frames}\t"
                 f"rate={codec.compression_rate(video.dims, enc.video_dim, enc.frame_dim):.2f}")
         if args.report:
             rep = metrics.quality_report(video, codec.decode_video(model, enc))
             line += f"\t{rep.line()}"
-        return line, {dest: written}
+        return line, {dest: codec.save_encoding(dest, enc)}
 
     return _run_per_item(args, argv, args.videos, ".venc", asdict(settings), worker,
                          args.jobs)
@@ -309,15 +307,13 @@ def cmd_encode(args, argv) -> int:
 
 def cmd_decode(args, argv) -> int:
     def worker(model, enc_path: Path, dest: Path):
-        # a missing original fails the item before its output is written
-        original = (data.load_video(args.originals / (enc_path.stem + ".rawvid"))
-                    if args.originals is not None else None)
         enc = codec.load_encoding(enc_path)
         video = codec.decode_video(model, enc)
-        data.save_video(dest, video)
         line = f"{enc_path.name}\tdims={video.dims}"
-        if original is not None:
+        if args.originals is not None:
+            original = data.load_video(args.originals / (enc_path.stem + ".rawvid"))
             line += f"\t{metrics.quality_report(original, video).line()}"
+        data.save_video(dest, video)
         return line, {enc_path: enc.checksum}
 
     return _run_per_item(args, argv, args.encodings, ".rawvid", {}, worker, args.jobs)

@@ -1,19 +1,23 @@
 """Run manifests: enough recorded state to reproduce any command.
 
-Every command writes one JSON manifest holding the resolved
-configuration, seeds, input and output paths, and one content hash per
-input and artifact as 16 hex digits: SHA-256 cut to 64 bits
-(`container.sha256_64`), which the manifest's `hash` key names. One
-hash holds throughout. A version 3 container file the command read or
+Every command but `gradcheck` (and `eval` without `--out`) writes one
+JSON manifest holding the resolved configuration, seeds, input and
+output paths, and one content hash per input and artifact as 16 hex
+digits: SHA-256 cut to 64 bits (`container.sha256_64`), which the
+manifest's `hash` key names. One hash holds throughout. A version 3 container file the command read or
 wrote is entered by its checksum, which covers everything in the file
 but its magic, version and the checksum itself, and which the read
 verified or the write computed (see `container`), so the file is not
-read again. Every other file is hashed whole, version 1 and 2
-containers among them, since their checksums are another hash: the
-training log `train` writes over its deterministic columns only
-(timestamps and wall-clock timings are stripped), so two runs with the
-same seed produce identical artifact hash maps, and every other file as
-it is, whatever its name.
+read again. The training log `train` writes is entered by the hash its
+write returns, over the log's deterministic columns only (iteration and
+loss; timestamps and wall-clock timings are left out), so two runs with
+the same seed produce identical artifact hash maps. Every other file is
+hashed whole, as it is, whatever its name: version 1 and 2 containers
+among them, since their checksums are another hash.
+
+A per-item command (encode, decode, summary) enters every input and the
+output of each item that succeeded, never a file only because it
+exists.
 """
 
 from __future__ import annotations
@@ -32,27 +36,10 @@ HASH_NAME = "sha256-64"
 HASH_CHUNK = 1 << 18
 
 
-def hash_file(path, training_log: bool = False) -> str:
-    """Content hash as 16 hex digits; a training log is canonicalized
-    first."""
-    path = Path(path)
-    if training_log:
-        return f"{sha256_64([_canonical_log_bytes(path)]):016x}"
-    with path.open("rb") as fh:
+def hash_file(path) -> str:
+    """Content hash of a file's bytes as 16 hex digits."""
+    with Path(path).open("rb") as fh:
         return f"{sha256_64(iter(partial(fh.read, HASH_CHUNK), b'')):016x}"
-
-
-def _canonical_log_bytes(path: Path) -> bytes:
-    kept = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        cols = line.split("\t")
-        # columns: iteration, loss, timestamp, seconds, plus val_psnr in logs
-        # of earlier releases; the two timing columns vary per run
-        deterministic = [cols[0], cols[1]] + cols[4:]
-        kept.append("\t".join(deterministic))
-    return "\n".join(kept).encode("utf-8")
 
 
 def _now() -> str:
@@ -82,15 +69,13 @@ class RunManifest:
         else:
             self.inputs[str(path)] = "-"
 
-    def add_artifact(self, path, base: Path | None = None, digest: int | None = None,
-                     training_log: bool = False) -> None:
+    def add_artifact(self, path, base: Path | None = None, digest: int | None = None) -> None:
         """Enter an artifact by its hash: `digest` when the caller holds
-        the checksum of the container it wrote, else the file's
-        (canonicalized for a `training_log`)."""
+        the one its write returned, else the file's."""
         path = Path(path)
         key = str(path.relative_to(base)) if base is not None else path.name
         self.artifacts[key] = (f"{digest:016x}" if digest is not None
-                               else hash_file(path, training_log))
+                               else hash_file(path))
 
     def write(self, path) -> None:
         self.finished = _now()

@@ -26,9 +26,8 @@ class QualityReport:
     ssim3d: float
     mse: float
 
-    def line(self, name: str = "") -> str:
-        tag = f"{name}\t" if name else ""
-        return f"{tag}psnr_db={self.psnr_db:.4f}\tssim3d={self.ssim3d:.6f}\tmse={self.mse:.8g}"
+    def line(self) -> str:
+        return f"psnr_db={self.psnr_db:.4f}\tssim3d={self.ssim3d:.6f}\tmse={self.mse:.8g}"
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,9 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def classification_metrics(scores, labels, threshold: float = 0.5) -> ClassificationReport:
-    """Accuracy and F1 at the threshold, plus AUROC when both classes occur."""
+def classification_metrics(scores, labels) -> ClassificationReport:
+    """Accuracy and F1 of the scores cut at 0.5, plus AUROC when both
+    classes occur."""
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     y = np.asarray(labels).reshape(-1)
     if s.shape != y.shape:
@@ -159,7 +159,7 @@ def classification_metrics(scores, labels, threshold: float = 0.5) -> Classifica
         raise ContractError("empty inputs")
     if not np.isin(y, (0, 1)).all():
         raise ContractError("labels must be binary 0/1")
-    pred = (s >= threshold).astype(np.int64)
+    pred = (s >= 0.5).astype(np.int64)
     y = y.astype(np.int64)
     tp = int(np.sum((pred == 1) & (y == 1)))
     fp = int(np.sum((pred == 1) & (y == 0)))

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .container import atomic_write_bytes, save_model
+from .container import atomic_write_bytes, save_model, sha256_64
 from .data import VideoTensor, load_video
 from .errors import ContractError, DataError, DivergenceError, NonFiniteError
 from .model import MetaModel, loss_and_grads, sample_coords
@@ -98,11 +98,17 @@ class TrainLog:
 
     entries: list[LogEntry] = field(default_factory=list)
 
-    def write(self, path) -> None:
+    def write(self, path) -> int:
+        """Write the log; returns the `sha256_64` a run manifest enters
+        for it, over the iteration and loss columns only, one row per
+        line, so that same-seed runs hash alike."""
         lines = ["# iteration\tloss\ttimestamp\tseconds\n"]
+        rows = []
         for e in self.entries:
-            lines.append(f"{e.iteration}\t{e.loss!r}\t{e.timestamp:.3f}\t{e.seconds:.3f}\n")
+            rows.append(f"{e.iteration}\t{e.loss!r}")
+            lines.append(f"{rows[-1]}\t{e.timestamp:.3f}\t{e.seconds:.3f}\n")
         atomic_write_bytes(path, "".join(lines).encode("utf-8"))
+        return sha256_64(["\n".join(rows).encode("utf-8")])
 
 
 def adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,

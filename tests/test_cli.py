@@ -460,19 +460,30 @@ def test_a_model_named_like_a_log_is_hashed_as_it_is(tmp_path, capsys):
             == stored_checksum(renamed))
 
 
-def test_a_training_log_of_any_name_skips_its_timestamps(tmp_path):
+def test_a_training_log_of_any_name_skips_its_timestamps(tmp_path, monkeypatch):
+    """The log is entered by SHA-256-64 over its iteration and loss
+    columns, one row per line, which train computes without opening the
+    log it wrote."""
     corpus = gen_corpus(tmp_path)
     cfg = write_config(tmp_path / "run.cfg", iterations=3)
     hashes, logs = [], []
     for name in ("r1", "r2"):
         out, log = tmp_path / name / "model.vfnc", tmp_path / name / "run.txt"
-        assert main(["train", "--corpus", str(corpus), "--config", str(cfg),
-                     "--out", str(out), "--log", str(log)]) == 0
+        with monkeypatch.context() as patch:
+            recording = RecordingHashes(patch, log)
+            assert main(["train", "--corpus", str(corpus), "--config", str(cfg),
+                         "--out", str(out), "--log", str(log)]) == 0
+        assert recording.opens == 0
         hashes.append(read_manifest(out.with_suffix(".manifest.json"))["artifacts"])
         logs.append(log.read_bytes())
     assert logs[0] != logs[1]
     assert hashes[0] == hashes[1]
     assert set(hashes[0]) == {"model.vfnc", "run.txt"}
+    rows = ["\t".join(line.split("\t")[:2]) for line in logs[0].decode().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == 3
+    digest = hashlib.sha256("\n".join(rows).encode("utf-8")).digest()[:8]
+    assert hashes[0]["run.txt"] == f"{int.from_bytes(digest, 'little'):016x}"
 
 # --- user errors end in one error line --------------------------------------------
 
@@ -1057,3 +1068,82 @@ def test_an_output_path_the_os_refuses_is_one_error_line(tmp_path, capsys, case)
     else:
         assert rc == 1
         assert_one_error_line(capsys.readouterr().err, str(taken))
+
+
+def test_a_mismatched_original_fails_the_item_before_its_write(tmp_path, capsys):
+    model_path, _, venc = tiny_files(tmp_path)
+    originals = tmp_path / "originals"
+    originals.mkdir()
+    save_video(originals / "clip.rawvid", VideoTensor(np.zeros((2, 4, 4), dtype=np.float32)))
+    out = tmp_path / "dec"
+    rc = main(["decode", "--model", str(model_path), "--out", str(out),
+               "--originals", str(originals), "--keep-going", str(venc)])
+    assert rc == 1
+    assert "decode failed for" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+    assert read_manifest(out / "run_manifest.json")["artifacts"] == {}
+
+
+def test_a_failed_item_does_not_enter_an_earlier_runs_output(tmp_path, capsys):
+    model_path, video, _ = tiny_files(tmp_path)
+    first, second = tmp_path / "a" / "clip.rawvid", tmp_path / "b" / "clip.rawvid"
+    for path in (first, second):
+        path.parent.mkdir()
+    first.write_bytes(video.read_bytes())
+    second.write_bytes(video.read_bytes()[:-7])
+    out = tmp_path / "enc"
+    encode = ["encode", "--model", str(model_path), "--out", str(out),
+              "--batch-frames", "2", "--inner-steps", "1"]
+    assert main([*encode, str(first)]) == 0
+    written = (out / "clip.venc").read_bytes()
+    capsys.readouterr()
+    assert main([*encode, "--keep-going", str(second)]) == 1
+    assert "encode failed for" in capsys.readouterr().err
+    assert (out / "clip.venc").read_bytes() == written
+    doc = read_manifest(out / "run_manifest.json")
+    assert doc["artifacts"] == {}
+    assert doc["inputs"][str(second)] == raw_hash(second)
+
+
+def clips_with_a_directory_in_the_way(tmp_path):
+    """c1, c2 and c3 copies of the tiny video, and an encode output
+    directory where `c2.venc` is a non-empty directory."""
+    model_path, video, _ = tiny_files(tmp_path)
+    clips = []
+    for name in ("c1", "c2", "c3"):
+        clips.append(tmp_path / f"{name}.rawvid")
+        clips[-1].write_bytes(video.read_bytes())
+    out = tmp_path / "enc"
+    (out / "c2.venc").mkdir(parents=True)
+    (out / "c2.venc" / "kept").write_text("not an encoding\n")
+    argv = ["encode", "--model", str(model_path), "--out", str(out),
+            "--batch-frames", "2", "--inner-steps", "1", *(str(c) for c in clips)]
+    return argv, out
+
+
+def test_an_os_error_fails_only_its_item_with_keep_going(tmp_path, capsys):
+    argv, out = clips_with_a_directory_in_the_way(tmp_path)
+    capsys.readouterr()
+    assert main([*argv, "--keep-going"]) == 1
+    captured = capsys.readouterr()
+    [failed] = captured.err.splitlines()
+    assert failed.startswith("encode failed for ") and "c2.rawvid" in failed
+    assert "Is a directory" in failed and "c2.venc" in failed
+    assert [line.split("\t")[0] for line in captured.out.splitlines()] == ["c1.rawvid",
+                                                                          "c3.rawvid"]
+    artifacts = read_manifest(out / "run_manifest.json")["artifacts"]
+    assert artifacts == {name: stored_checksum(out / name) for name in ("c1.venc", "c3.venc")}
+
+
+def test_an_os_error_without_keep_going_stops_the_run(tmp_path, monkeypatch, capsys):
+    argv, out = clips_with_a_directory_in_the_way(tmp_path)
+    loaded = []
+    real_load = data.load_video
+    monkeypatch.setattr(data, "load_video", lambda path: loaded.append(path.name)
+                        or real_load(path))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert_one_error_line(capsys.readouterr().err, "Is a directory", "c2.venc")
+    assert loaded == ["c1.rawvid", "c2.rawvid"]
+    assert not (out / "c3.venc").exists()
+    assert list(read_manifest(out / "run_manifest.json")["artifacts"]) == ["c1.venc"]
