@@ -79,7 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("videos", nargs="+", type=Path)
-    _add_encode_flags(p)
+    p.add_argument("--batch-frames", type=int, default=8,
+                   help="frames per encoding window")
+    p.add_argument("--inner-steps", type=int, default=10)
+    p.add_argument("--inner-lr", type=float, default=0.1)
     p.add_argument("--report", action="store_true",
                    help="also decode and print quality lines")
     p.add_argument("--jobs", type=int, default=1)
@@ -105,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_summary)
 
     p = sub.add_parser("eval", help="train and score task heads on encodings")
-    p.add_argument("--model", required=True, type=Path)
+    p.add_argument("--encodings", required=True, type=Path,
+                   help="directory holding each corpus video's <stem>.venc, as encode wrote it")
     p.add_argument("--corpus", required=True, type=Path)
     p.add_argument("--task", required=True, choices=["regression", "binary"])
     p.add_argument("--modes", default="v,phi,combined",
@@ -113,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head-config", type=Path, default=None)
     p.add_argument("--seeds", type=int, default=1, help="number of head seeds")
     p.add_argument("--out", type=Path, default=None, help="directory for reports")
-    _add_encode_flags(p)
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
@@ -122,23 +125,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_encode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--batch-frames", type=int, default=8,
-                   help="frames per encoding window")
-    p.add_argument("--inner-steps", type=int, default=10)
-    p.add_argument("--inner-lr", type=float, default=0.1)
-
-
 def _output_paths(inputs: list[Path], out: Path, suffix: str) -> dict[Path, Path]:
-    """Map each input to `out/<stem><suffix>`, refusing two inputs that
-    would write the same file."""
-    writers: dict[Path, Path] = {}
+    """Map each input to `out/<stem><suffix>`, the file a per-item
+    command writes for it and eval reads, refusing two inputs that map to
+    the same file."""
+    owners: dict[Path, Path] = {}
     for path in inputs:
         dest = out / (path.stem + suffix)
-        if dest in writers:
-            raise VfunctaError(f"{writers[dest]} and {path} would both write {dest}")
-        writers[dest] = path
-    return {path: dest for dest, path in writers.items()}
+        if dest in owners:
+            raise VfunctaError(f"{owners[dest]} and {path} both map to {dest}")
+        owners[dest] = path
+    return {path: dest for dest, path in owners.items()}
 
 
 def cmd_gen_corpus(args, argv) -> int:
@@ -180,6 +177,7 @@ def cmd_train(args, argv) -> int:
 
     manifest = RunManifest("train", argv, config=asdict(cfg), seed=cfg.seed)
     manifest.add_input(args.config)
+    manifest.add_input(data.corpus_manifest_path(args.corpus))
     for p in paths:
         manifest.add_input(p)
 
@@ -340,37 +338,38 @@ def cmd_eval(args, argv) -> int:
     if unknown:
         raise VfunctaError(f"--modes: unknown feature mode {unknown[0]!r}; "
                            f"choose from {', '.join(heads.MODES)}")
-    settings = codec.EncodeSettings(args.batch_frames, args.inner_steps, args.inner_lr)
-    model = codec.load_model(args.model)
     items = data.read_corpus_manifest(args.corpus)
     train_items = [i for i in items if i.split == "train"]
     test_items = [i for i in items if i.split == "test"]
     if not train_items or not test_items:
         raise VfunctaError("eval needs both train and test splits in the corpus")
-    # every head option is checked here, before any video is encoded
+    # every head option is checked here, before any encoding is read
     head_cfg = load_head_config(args.head_config, task=args.task, mode=modes[0])
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
+    sources = _output_paths([Path(i.path) for i in items], args.encodings, ".venc")
 
     # the resolved head settings, with every mode in place of the first
     config = {**asdict(head_cfg), "modes": ",".join(modes), "seeds": args.seeds}
     del config["mode"]
     manifest = RunManifest("eval", argv, config=config, seed=head_cfg.seed)
-    manifest.add_input(args.model, model.checksum)
-    manifest.add_input(args.corpus)
-
-    print(f"eval: encoding {len(items)} videos")
+    manifest.add_input(data.corpus_manifest_path(args.corpus))
     encodings = {}
-    for item in items:
-        video = data.load_video(item.path)
-        encodings[item.path] = codec.encode_video(model, video, settings)
+    models = {}  # the first encoding of each model, by the model's fingerprint
+    for video, path in sources.items():
+        enc = encodings[video] = codec.load_encoding(path)
+        models.setdefault((enc.fingerprint_version, enc.fingerprint), path)
+        manifest.add_input(path, enc.checksum)
+    if len(models) > 1:
+        raise VfunctaError("encodings of more than one model: " + ", ".join(
+            f"{path} names model {fp:016x}" for (_, fp), path in models.items()))
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
 
     def labels(split):
         return np.array([i.speed if args.task == "regression" else float(i.trajectory_class)
                          for i in split])
 
     def features(split, mode):
-        return np.stack([heads.extract_features(encodings[i.path], mode) for i in split])
+        return np.stack([heads.extract_features(encodings[Path(i.path)], mode) for i in split])
 
     y_train, y_test = labels(train_items), labels(test_items)
     lines = []

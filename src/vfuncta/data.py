@@ -119,7 +119,11 @@ def _read_pgm(path: Path) -> np.ndarray:
             raise DataError(f"{path}: truncated PGM header")
         tokens.append(match.group(1))
         pos += match.end()
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise DataError(f"{path}: PGM header {b' '.join(tokens)!r} is not three "
+                        "integers") from None
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit PGM supported, maxval {maxval}")
     pos += 1  # single whitespace byte after maxval
@@ -305,10 +309,15 @@ def write_corpus_manifest(path, items) -> None:
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def read_corpus_manifest(path) -> list[CorpusItem]:
+def corpus_manifest_path(path) -> Path:
+    """The manifest file a corpus path names: the path itself, or a
+    directory's `manifest.tsv`."""
     path = Path(path)
-    if path.is_dir():
-        path = path / "manifest.tsv"
+    return path / "manifest.tsv" if path.is_dir() else path
+
+
+def read_corpus_manifest(path) -> list[CorpusItem]:
+    path = corpus_manifest_path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -326,8 +335,19 @@ def read_corpus_manifest(path) -> list[CorpusItem]:
         item_path = Path(rel)
         if not item_path.is_absolute():
             item_path = path.parent / item_path
-        items.append(CorpusItem(path=str(item_path), speed=float(speed),
-                                trajectory_class=int(cls), split=split))
+        try:
+            number = float(speed)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: speed must be a number, got {speed!r}") from None
+        if not math.isfinite(number):
+            raise DataError(f"{path}:{lineno}: speed must be finite, got {speed!r}")
+        try:
+            label = int(cls)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: trajectory_class must be an integer, "
+                            f"got {cls!r}") from None
+        items.append(CorpusItem(path=str(item_path), speed=number,
+                                trajectory_class=label, split=split))
     if not items:
         raise DataError(f"{path}: manifest lists no videos")
     return items

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from helpers import Hashers
 
-from vfuncta import codec, container, data, parallel
-from vfuncta.cli import main
+from vfuncta import codec, container, data, heads, parallel
+from vfuncta.cli import _format_eval_line, main
 from vfuncta.codec import (
     VideoEncoding,
     load_model,
@@ -129,6 +129,15 @@ def trained_model(tmp_path, iterations=5):
     assert main(["train", "--corpus", str(corpus), "--config", str(cfg),
                  "--out", str(model_path)]) == 0
     return corpus, model_path
+
+
+def encode_corpus(tmp_path, model_path, corpus, *flags):
+    """Encode every corpus video into `tmp_path/enc`, the directory
+    `eval --encodings` reads; returns that directory."""
+    out = tmp_path / "enc"
+    assert main(["encode", "--model", str(model_path), "--out", str(out), *flags,
+                 *(i.path for i in read_corpus_manifest(corpus))]) == 0
+    return out
 
 
 def test_encode_decode_round_trip_dims(tmp_path, capsys):
@@ -349,9 +358,11 @@ def test_decode_wrong_model_fails_with_keep_going(tmp_path, capsys):
 
 def test_eval_regression_prints_three_modes(tmp_path, capsys):
     corpus, model_path = trained_model(tmp_path)
-    rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus),
-               "--task", "regression", "--batch-frames", "4", "--inner-steps", "3",
-               "--out", str(tmp_path / "eval")])
+    enc_dir = encode_corpus(tmp_path, model_path, corpus, "--batch-frames", "4",
+                            "--inner-steps", "3")
+    capsys.readouterr()
+    rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
+               "--task", "regression", "--out", str(tmp_path / "eval")])
     assert rc == 0
     out = capsys.readouterr().out
     for mode in ("mode=v", "mode=phi", "mode=combined"):
@@ -362,9 +373,11 @@ def test_eval_regression_prints_three_modes(tmp_path, capsys):
 
 def test_eval_binary_with_seed_aggregation(tmp_path, capsys):
     corpus, model_path = trained_model(tmp_path)
-    rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus),
-               "--task", "binary", "--modes", "phi", "--seeds", "2",
-               "--batch-frames", "4", "--inner-steps", "3"])
+    enc_dir = encode_corpus(tmp_path, model_path, corpus, "--batch-frames", "4",
+                            "--inner-steps", "3")
+    capsys.readouterr()
+    rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
+               "--task", "binary", "--modes", "phi", "--seeds", "2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "acc=" in out and "f1=" in out and "auroc=" in out
@@ -541,8 +554,9 @@ def seeded_commands(tmp_path) -> dict[str, list[str]]:
         "train": ["train", "--corpus", str(corpus),
                   "--config", str(write_config(tmp_path / "run.cfg", iterations=1)),
                   "--out", str(tmp_path / "m.out.vfnc")],
-        "eval": ["eval", "--model", str(model_path), "--corpus", str(corpus),
-                 "--task", "regression", "--modes", "phi", "--inner-steps", "1"],
+        "eval": ["eval", "--encodings",
+                 str(encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")),
+                 "--corpus", str(corpus), "--task", "regression", "--modes", "phi"],
     }
 
 
@@ -667,10 +681,11 @@ def test_bad_corpus_spec_is_one_error_line(tmp_path, capsys, line, needle):
 
 def test_eval_without_seeds_is_an_error(tmp_path, capsys):
     corpus, model_path = trained_model(tmp_path)
+    enc_dir = encode_corpus(tmp_path, model_path, corpus, "--batch-frames", "4",
+                            "--inner-steps", "3")
     capsys.readouterr()
-    rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus),
-               "--task", "regression", "--seeds", "0", "--batch-frames", "4",
-               "--inner-steps", "3", "--out", str(tmp_path / "eval")])
+    rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
+               "--task", "regression", "--seeds", "0", "--out", str(tmp_path / "eval")])
     captured = capsys.readouterr()
     assert rc == 1 and "nan" not in captured.out
     assert_one_error_line(captured.err, "--seeds")
@@ -678,7 +693,7 @@ def test_eval_without_seeds_is_an_error(tmp_path, capsys):
 
 
 def test_eval_without_modes_is_an_error(tmp_path, capsys):
-    rc = main(["eval", "--model", str(tmp_path / "m.vfnc"), "--corpus", str(tmp_path),
+    rc = main(["eval", "--encodings", str(tmp_path / "enc"), "--corpus", str(tmp_path),
                "--task", "binary", "--modes", " , "])
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "--modes")
@@ -687,14 +702,16 @@ def test_eval_without_modes_is_an_error(tmp_path, capsys):
 def test_eval_without_a_test_split_fails_before_encoding(tmp_path, capsys, monkeypatch):
     corpus = gen_corpus(tmp_path, count=3, extra=["--split", "1.0"])
     model_path, _, _ = tiny_files(tmp_path)
-    encoded = []
+    enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
+    encoded, loaded = [], []
     monkeypatch.setattr(codec, "encode_video", lambda *args: encoded.append(args))
+    monkeypatch.setattr(codec, "load_encoding", lambda *args: loaded.append(args))
     capsys.readouterr()
-    rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus),
+    rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
                "--task", "regression"])
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "train and test")
-    assert encoded == []
+    assert encoded == [] and loaded == []
 
 
 def test_eval_head_config_rejects_a_task(tmp_path, capsys):
@@ -740,12 +757,176 @@ def test_eval_head_config_rejects_a_mode(tmp_path, capsys):
     model_path, _, _ = tiny_files(tmp_path)
     head_config = tmp_path / "head.cfg"
     head_config.write_text("epochs = 2\nmode = v\n")
+    enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
     capsys.readouterr()
-    rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus),
-               "--task", "regression", "--modes", "phi", "--inner-steps", "1",
-               "--head-config", str(head_config)])
+    rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
+               "--task", "regression", "--modes", "phi", "--head-config", str(head_config)])
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "'mode'", ":2:")
+
+
+@pytest.mark.parametrize("task", ["regression", "binary"])
+def test_eval_reports_the_heads_of_in_memory_encodings(tmp_path, capsys, monkeypatch, task):
+    """eval trains and scores its heads on the .venc files encode wrote,
+    exactly as on encodings held in memory."""
+    monkeypatch.delenv("VFUNCTA_SEED", raising=False)
+    corpus, model_path = trained_model(tmp_path)
+    enc_dir = encode_corpus(tmp_path, model_path, corpus, "--batch-frames", "4",
+                            "--inner-steps", "3")
+    head_config = tmp_path / "head.cfg"
+    head_config.write_text("epochs = 4\nhidden1 = 6\n")
+    capsys.readouterr()
+    assert main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
+                 "--task", task, "--seeds", "2", "--head-config", str(head_config),
+                 "--out", str(tmp_path / "eval")]) == 0
+    printed = capsys.readouterr().out
+
+    model = load_model(model_path)
+    settings = codec.EncodeSettings(batch_frames=4, inner_steps=3, inner_lr=0.1)
+    items = read_corpus_manifest(corpus)
+    encodings = {i.path: codec.encode_video(model, load_video(i.path), settings) for i in items}
+
+    def split(name, mode):
+        chosen = [i for i in items if i.split == name]
+        x = np.stack([heads.extract_features(encodings[i.path], mode) for i in chosen])
+        y = np.array([i.speed if task == "regression" else float(i.trajectory_class)
+                      for i in chosen])
+        return x, y
+
+    lines = []
+    for mode in heads.MODES:
+        (x_train, y_train), (x_test, y_test) = split("train", mode), split("test", mode)
+        reports = []
+        for seed in (0, 1):
+            cfg = heads.HeadConfig(mode=mode, task=task, hidden=(6, 64), epochs=4, seed=seed)
+            head, _ = heads.train_head(x_train, y_train, cfg)
+            reports.append(heads.evaluate_head(head, x_test, y_test))
+        lines.append(_format_eval_line(mode, task, reports))
+    expected = "".join(f"{line}\n" for line in lines)
+    assert (tmp_path / "eval" / "eval_report.tsv").read_text(encoding="utf-8") == expected
+    assert printed == expected
+
+
+def write_head_config(tmp_path):
+    head_config = tmp_path / "head.cfg"
+    head_config.write_text("epochs = 2\n")
+    return head_config
+
+
+def test_eval_manifest_enters_the_corpus_manifest_and_each_encoding(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path)
+    model_path, _, _ = tiny_files(tmp_path)
+    enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
+    assert main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
+                 "--task", "regression", "--modes", "phi", "--head-config",
+                 str(write_head_config(tmp_path)), "--out", str(tmp_path / "eval")]) == 0
+    inputs = read_manifest(tmp_path / "eval" / "run_manifest.json")["inputs"]
+    vencs = sorted(enc_dir.glob("*.venc"))
+    assert len(vencs) == 6
+    assert inputs == {str(corpus / "manifest.tsv"): hash_file(corpus / "manifest.tsv"),
+                      **{str(path): stored_checksum(path) for path in vencs}}
+
+
+def test_eval_refuses_encodings_of_two_models(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path)
+    model_path, _, _ = tiny_files(tmp_path)
+    other_path = tmp_path / "other.vfnc"
+    save_model(other_path, MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4,
+                                                seed=3))
+    enc_dir = tmp_path / "enc"
+    videos = [i.path for i in read_corpus_manifest(corpus)]
+    for model, chosen in ((model_path, videos[:3]), (other_path, videos[3:])):
+        assert main(["encode", "--model", str(model), "--out", str(enc_dir),
+                     "--inner-steps", "1", *chosen]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
+               "--task", "regression", "--head-config", str(write_head_config(tmp_path)),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "more than one model",
+                          f"{model_fingerprint(load_model(model_path)):016x}",
+                          f"{model_fingerprint(load_model(other_path)):016x}")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_without_an_encoding_is_one_error_line(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path)
+    model_path, _, _ = tiny_files(tmp_path)
+    enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
+    missing = sorted(enc_dir.glob("*.venc"))[-1]
+    missing.unlink()
+    capsys.readouterr()
+    rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
+               "--task", "regression", "--head-config", str(write_head_config(tmp_path)),
+               "--out", str(tmp_path / "eval")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert_one_error_line(captured.err, str(missing))
+    assert not (tmp_path / "eval" / "eval_report.tsv").exists()
+
+
+def test_eval_refuses_two_corpus_items_with_one_stem(tmp_path, capsys, monkeypatch):
+    _, video, _ = tiny_files(tmp_path)
+    clips = _same_stem_copies(tmp_path, video, ".rawvid")
+    data.write_corpus_manifest(tmp_path / "manifest.tsv", [
+        data.CorpusItem(path=clips[0], speed=1.0, trajectory_class=0, split="train"),
+        data.CorpusItem(path=clips[1], speed=2.0, trajectory_class=1, split="test")])
+    loaded = []
+    monkeypatch.setattr(codec, "load_encoding", lambda *args: loaded.append(args))
+    capsys.readouterr()
+    rc = main(["eval", "--encodings", str(tmp_path / "enc"), "--corpus", str(tmp_path),
+               "--task", "regression"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, clips[0], clips[1],
+                          str(tmp_path / "enc" / "clip.venc"))
+    assert loaded == []
+
+
+def test_train_enters_the_corpus_manifest_it_read(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path)
+    cfg = write_config(tmp_path / "run.cfg", iterations=1)
+    assert main(["train", "--corpus", str(corpus), "--config", str(cfg),
+                 "--out", str(tmp_path / "m.vfnc")]) == 0
+    inputs = read_manifest(tmp_path / "m.manifest.json")["inputs"]
+    train_items = [i.path for i in read_corpus_manifest(corpus) if i.split == "train"]
+    assert inputs == {path: hash_file(path)
+                      for path in [str(cfg), str(corpus / "manifest.tsv"), *train_items]}
+
+
+@pytest.mark.parametrize("speed, label, needle", [
+    ("fast", "0", "speed must be a number, got 'fast'"),
+    ("nan", "0", "speed must be finite, got 'nan'"),
+    ("-inf", "0", "speed must be finite, got '-inf'"),
+    ("1.5", "line", "trajectory_class must be an integer, got 'line'"),
+], ids=["speed-text", "speed-nan", "speed-inf", "class-text"])
+def test_a_malformed_corpus_manifest_is_one_error_line(tmp_path, capsys, speed, label, needle):
+    corpus = gen_corpus(tmp_path, count=2)
+    manifest = corpus / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    path, _, _, split = lines[2].split("\t")
+    lines[2] = "\t".join([path, speed, label, split])
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["train", "--corpus", str(corpus), "--all-splits",
+               "--config", str(write_config(tmp_path / "run.cfg", iterations=1)),
+               "--out", str(tmp_path / "m.vfnc")])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, f"{manifest}:3: {needle}")
+    assert not (tmp_path / "m.vfnc").exists()
+
+
+def test_a_pgm_header_that_is_not_numbers_is_one_error_line(tmp_path, capsys):
+    model_path, _, _ = tiny_files(tmp_path)
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    data.write_pgm(frames / "f0.pgm", np.full((3, 3), 0.5))
+    (frames / "f1.pgm").write_bytes(b"P5\nabc 3\n255\n" + bytes(9))
+    capsys.readouterr()
+    rc = main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
+               "--inner-steps", "1", str(frames)])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, str(frames / "f1.pgm"), "abc")
+    assert not (tmp_path / "enc" / "frames.venc").exists()
 
 
 def _same_stem_copies(tmp_path, src, suffix):
@@ -983,8 +1164,10 @@ def test_non_finite_rate_is_one_error_line(tmp_path, capsys, monkeypatch, comman
     else:
         model_path, _, _ = tiny_files(tmp_path)
         (tmp_path / "head.cfg").write_text("epochs = 2\nlearning_rate = nan\n")
-        argv = ["eval", "--model", str(model_path), "--corpus", str(gen_corpus(tmp_path)),
-                "--task", "regression", "--inner-steps", "1", "--out", str(out)]
+        corpus = gen_corpus(tmp_path)
+        enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
+        argv = ["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
+                "--task", "regression", "--out", str(out)]
     capsys.readouterr()
     rc = main(argv + flags)
     assert rc == 1
@@ -1028,11 +1211,13 @@ def test_vacuous_checkpoint_flags_are_one_error_line(tmp_path, capsys, monkeypat
 def test_eval_rejects_an_unknown_mode_before_encoding(tmp_path, capsys, monkeypatch):
     corpus = gen_corpus(tmp_path)
     model_path, _, _ = tiny_files(tmp_path)
+    enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
     encoded, loaded = [], []
     monkeypatch.setattr(codec, "encode_video", lambda *args: encoded.append(args))
     monkeypatch.setattr(codec, "load_model", lambda *args: loaded.append(args))
+    monkeypatch.setattr(codec, "load_encoding", lambda *args: loaded.append(args))
     capsys.readouterr()
-    rc = main(["eval", "--model", str(model_path), "--corpus", str(corpus),
+    rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
                "--task", "regression", "--modes", "v,bogus"])
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "'bogus'")
@@ -1053,8 +1238,9 @@ def test_an_output_path_the_os_refuses_is_one_error_line(tmp_path, capsys, case)
     argv = {
         "gen-corpus --out": ["gen-corpus", "--out", str(taken), "--count", "1"],
         "encode --out": ["encode", "--model", str(model_path), "--out", str(taken), str(video)],
-        "eval --out": ["eval", "--model", str(model_path), "--corpus", str(corpus),
-                       "--task", "regression", "--inner-steps", "1", "--out", str(taken)],
+        "eval --out": ["eval", "--encodings",
+                       str(encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")),
+                       "--corpus", str(corpus), "--task", "regression", "--out", str(taken)],
         "train --out": [*train, "--out", str(taken / "m.vfnc")],
         "train --log": [*train, "--out", str(tmp_path / "m.vfnc"),
                         "--log", str(tmp_path / "missing" / "x.log")],
