@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-lr", type=float, default=0.1)
     p.add_argument("--report", action="store_true",
                    help="also decode and print quality lines")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="must be 1: items run one at a time")
     p.add_argument("--keep-going", action="store_true",
                    help="continue past per-item failures, exit 1 at the end")
     p.set_defaults(handler=cmd_encode)
@@ -96,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("encodings", nargs="+", type=Path)
     p.add_argument("--originals", type=Path, default=None,
                    help="directory of original .rawvid files to print quality lines against")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="must be 1: items run one at a time")
     p.add_argument("--keep-going", action="store_true")
     p.set_defaults(handler=cmd_decode)
 
@@ -201,83 +198,46 @@ def cmd_train(args, argv) -> int:
     return 0
 
 
-def _run_items(items, worker, jobs: int, keep_going: bool):
-    """Run `worker` over items, at most `jobs` at a time; returns
-    `(item, checksums)` for each item that succeeded and `(item, error)`
-    for each that failed, in item order.
-
-    Each item settles in the calling thread, in item order: the worker
-    returns its stdout line, printed in one write, and its checksums, or
-    raises a VfunctaError or OSError, which fails that item only. An item
-    with none running ahead of it (every item, with one job) runs in the
-    calling thread as it settles, since that thread would only wait for
-    it, and a pool thread would take its large arrays from a separate
-    malloc arena, which raises peak memory (by 4 MB, or 3%, for one
-    16-frame 44x44 encode with the paper's network). The others run in a
-    pool, and an item starts only once the oldest running one has
-    settled. Without keep_going the first failure starts no later item;
-    items already running finish and settle. No item's failure is raised.
-    """
-    results = []
-    running = deque()
-
-    def settle() -> bool:
-        """Settle the oldest item; False once the run must stop."""
-        item, outcome = running.popleft()
-        try:
-            line, checksums = outcome()
-        except (VfunctaError, OSError) as exc:
-            results.append((item, exc))
-            return keep_going
-        sys.stdout.write(f"{line}\n")
-        results.append((item, checksums))
-        return True
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for item in items:
-            if len(running) == jobs and not settle():
-                break
-            running.append((item, pool.submit(worker, item).result if running
-                            else partial(worker, item)))
-        while running:
-            settle()
-    return results
-
-
-def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict,
-                  worker, jobs: int) -> int:
+def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict, worker) -> int:
     """Shared body of encode, decode and summary.
 
     Maps each input to `args.out/<stem><suffix>`, loads the model and runs
-    `worker(model, input, output)` per input. A worker returns its stdout
-    line and the `{path: checksum}` of the container files it read or
-    wrote, and writes its output only once nothing else can fail it. The
-    run manifest then enters the model, every input and the output of
-    each item that succeeded, by those checksums where the worker returned
-    one (a version 1 or 2 file, whose checksum is None, is hashed whole,
-    as is every other file). A failed item's output is not entered, even
-    where an earlier run left that file. After the manifest is written the
-    first failure is raised, or with --keep-going each is reported on
-    stderr.
+    `worker(model, input, output)` per input, one at a time, in input
+    order, in the calling thread; each evaluation's row blocks already use
+    every core. A worker returns its stdout line and the `{path:
+    checksum}` of the container files it read or wrote, and writes its
+    output only once nothing else can fail it; a VfunctaError or OSError
+    it raises fails that item only. Without --keep-going the first failure
+    starts no later item. The run manifest then enters the model, every
+    input and the output of each item that succeeded, by those checksums
+    where the worker returned one (a version 1 or 2 file, whose checksum
+    is None, is hashed whole, as is every other file). A failed item's
+    output is not entered, even where an earlier run left that file. After
+    the manifest is written the first failure is raised, or with
+    --keep-going each is reported on stderr.
     """
-    if jobs < 1:
-        raise VfunctaError(f"--jobs must be at least 1, got {jobs}")
+    jobs = getattr(args, "jobs", 1)
+    if jobs != 1:
+        raise VfunctaError(f"--jobs must be 1, got {jobs}: items run one at a time")
     outputs = _output_paths(inputs, args.out, suffix)
     model = codec.load_model(args.model)
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(args.command, argv, config=config, seed=None)
     manifest.add_input(args.model, model.checksum)
-    settled = dict(_run_items(inputs, lambda path: worker(model, path, outputs[path]),
-                              jobs, args.keep_going))
-    failures = [(path, exc) for path, exc in settled.items() if isinstance(exc, Exception)]
+    failures = []
     for path in inputs:
-        checksums = settled.get(path)
-        if isinstance(checksums, dict):
-            manifest.add_input(path, checksums.get(path))
-            manifest.add_artifact(outputs[path], base=args.out,
-                                  digest=checksums.get(outputs[path]))
-        else:
+        checksums = None
+        if args.keep_going or not failures:
+            try:
+                line, checksums = worker(model, path, outputs[path])
+            except (VfunctaError, OSError) as exc:
+                failures.append((path, exc))
+        if checksums is None:
             manifest.add_input(path)
+            continue
+        print(line)
+        manifest.add_input(path, checksums.get(path))
+        manifest.add_artifact(outputs[path], base=args.out, digest=checksums.get(outputs[path]))
     manifest.write(args.out / "run_manifest.json")
     if failures and not args.keep_going:
         raise failures[0][1]
@@ -299,8 +259,7 @@ def cmd_encode(args, argv) -> int:
             line += f"\t{rep.line()}"
         return line, {dest: codec.save_encoding(dest, enc)}
 
-    return _run_per_item(args, argv, args.videos, ".venc", asdict(settings), worker,
-                         args.jobs)
+    return _run_per_item(args, argv, args.videos, ".venc", asdict(settings), worker)
 
 
 def cmd_decode(args, argv) -> int:
@@ -314,7 +273,7 @@ def cmd_decode(args, argv) -> int:
         data.save_video(dest, video)
         return line, {enc_path: enc.checksum}
 
-    return _run_per_item(args, argv, args.encodings, ".rawvid", {}, worker, args.jobs)
+    return _run_per_item(args, argv, args.encodings, ".rawvid", {}, worker)
 
 
 def cmd_summary(args, argv) -> int:
@@ -325,7 +284,7 @@ def cmd_summary(args, argv) -> int:
         return (f"{enc_path.name}\tsummary {frame.shape[0]}x{frame.shape[1]}",
                 {enc_path: enc.checksum})
 
-    return _run_per_item(args, argv, args.encodings, ".pgm", {}, worker, 1)
+    return _run_per_item(args, argv, args.encodings, ".pgm", {}, worker)
 
 
 def cmd_eval(args, argv) -> int:

@@ -11,10 +11,10 @@ with nothing after them. `write_container` writes it and
 byte-for-byte.
 
 A file is read in one pass and never held whole: the header fields by
-small reads, then the payload straight into one array of its dtype, and
-then the checksum. Every size a header declares is checked against the
-file's size before anything that size is allocated, and the checksum is
-checked before any array is handed out.
+small reads, then the payload straight into one array of its dtype per
+table entry, and then the checksum. Every size a header declares is
+checked against the file's size before anything that size is allocated,
+and the checksum is checked before any array is handed out.
 
 The version names the hashes behind the checksum and the model
 fingerprint. Version 3, which is written, hashes each payload once:
@@ -202,9 +202,10 @@ class _BodyReader:
         """Read the payload that ends the body: its u64 byte length, then
         one `dtype` array per entry of the `{name: shape}` table, in table
         order. The length is checked against the table and the file's
-        size before the payload is read into one array of `dtype`; once
-        the checksum holds, returns the arrays by name as read-only views
-        into it."""
+        size before the payload is read, each entry into an array of
+        `dtype` of its own, so that a load needs no free region the size
+        of the whole payload; once the checksum holds, returns the arrays
+        by name, read-only."""
         dt = np.dtype(dtype)
         (length,) = self.unpack("<Q")
         expected = sum(math.prod(shape) for shape in shapes.values()) * dt.itemsize
@@ -214,28 +215,25 @@ class _BodyReader:
             raise TruncatedFileError(f"{self.source}: body ends inside the payload")
         if length < self.remaining:
             raise FormatError(f"{self.source}: {self.remaining - length} trailing bytes")
-        flat = np.empty(length // dt.itemsize, dtype=dt)
-        self._read(length, into=memoryview(flat).cast("B"))
+        arrays = {name: np.empty(shape, dtype=dt) for name, shape in shapes.items()}
+        for a in arrays.values():
+            self._read(a.nbytes, into=memoryview(a).cast("B"))
         self.remaining = 0
         (stored,) = struct.unpack("<Q", self._read(8))
         digest = None
         if self.version == 1:
-            actual = fnv1a64(b"".join([*self._fields, flat]))
+            actual = fnv1a64(b"".join([*self._fields, *arrays.values()]))
         elif self.version == 2:
-            actual = blake2b64([*self._fields, flat])
+            actual = blake2b64([*self._fields, *arrays.values()])
         else:
-            digest = payload_digest([flat])
+            digest = payload_digest(arrays.values())
             actual = sha256_64([*self._fields, digest])
         if stored != actual:
             raise ChecksumError(f"{self.source}: checksum {actual:016x} != stored {stored:016x}")
         if digest is not None:
             self.checksum, self.digest = stored, digest
-        flat.setflags(write=False)
-        arrays, pos = {}, 0
-        for name, shape in shapes.items():
-            count = math.prod(shape)
-            arrays[name] = flat[pos:pos + count].reshape(shape)
-            pos += count
+        for a in arrays.values():
+            a.setflags(write=False)
         return arrays
 
 

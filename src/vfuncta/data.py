@@ -95,8 +95,15 @@ def load_video(path) -> VideoTensor:
         raise DataError(f"{path}: {exc}") from exc
 
 
+def pgm_frames(path) -> list[Path]:
+    """The frame files of a PGM-directory video, in frame order: its
+    `.pgm` files (any case), sorted by name. The loader and the run
+    manifest both select them here."""
+    return sorted(p for p in Path(path).iterdir() if p.suffix.lower() == ".pgm")
+
+
 def _load_pgm_dir(path: Path) -> VideoTensor:
-    frames = sorted(p for p in path.iterdir() if p.suffix.lower() == ".pgm")
+    frames = pgm_frames(path)
     if not frames:
         raise DataError(f"{path}: directory contains no .pgm frames")
     stack = [_read_pgm(p) for p in frames]
@@ -124,6 +131,8 @@ def _read_pgm(path: Path) -> np.ndarray:
     except ValueError:
         raise DataError(f"{path}: PGM header {b' '.join(tokens)!r} is not three "
                         "integers") from None
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: PGM extents {width}x{height} must be positive")
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit PGM supported, maxval {maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -13,7 +13,11 @@ write returns, over the log's deterministic columns only (iteration and
 loss; timestamps and wall-clock timings are left out), so two runs with
 the same seed produce identical artifact hash maps. Every other file is
 hashed whole, as it is, whatever its name: version 1 and 2 containers
-among them, since their checksums are another hash.
+among them, since their checksums are another hash. A PGM-directory
+video is entered by one hash over the frame files the loader reads
+(`data.pgm_frames`), each as the u64 lengths of its name and its bytes,
+then the name and the bytes, so renaming, adding or changing a frame
+changes the entry.
 
 A per-item command (encode, decode, summary) enters every input and the
 output of each item that succeeded, never a file only because it
@@ -24,11 +28,14 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import os
+import struct
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .container import atomic_write_bytes, sha256_64
+from .data import pgm_frames
 
 HASH_NAME = "sha256-64"
 
@@ -40,6 +47,17 @@ def hash_file(path) -> str:
     """Content hash of a file's bytes as 16 hex digits."""
     with Path(path).open("rb") as fh:
         return f"{sha256_64(iter(partial(fh.read, HASH_CHUNK), b'')):016x}"
+
+
+def hash_frames(path) -> str:
+    """Content hash of a PGM directory's frame files, names and bytes."""
+    def chunks():
+        for frame in pgm_frames(path):
+            name, body = os.fsencode(frame.name), frame.read_bytes()
+            yield struct.pack("<QQ", len(name), len(body))
+            yield name
+            yield body
+    return f"{sha256_64(chunks()):016x}"
 
 
 def _now() -> str:
@@ -59,13 +77,15 @@ class RunManifest:
 
     def add_input(self, path, digest: int | None = None) -> None:
         """Enter an input by its hash: `digest` when the caller holds the
-        verified checksum of the container it read, else the file's, or
-        "-" for a path that is not a file."""
+        verified checksum of the container it read, else the file's or
+        the PGM directory's, or "-" for a path that does not exist."""
         path = Path(path)
         if digest is not None:
             self.inputs[str(path)] = f"{digest:016x}"
         elif path.is_file():
             self.inputs[str(path)] = hash_file(path)
+        elif path.is_dir():
+            self.inputs[str(path)] = hash_frames(path)
         else:
             self.inputs[str(path)] = "-"
 

@@ -7,7 +7,6 @@ import json
 import math
 import os
 import struct
-import threading
 from functools import partial
 from pathlib import Path
 
@@ -916,17 +915,52 @@ def test_a_malformed_corpus_manifest_is_one_error_line(tmp_path, capsys, speed, 
 
 
 def test_a_pgm_header_that_is_not_numbers_is_one_error_line(tmp_path, capsys):
+    """A header whose width or height is not a positive integer."""
     model_path, _, _ = tiny_files(tmp_path)
     frames = tmp_path / "frames"
     frames.mkdir()
     data.write_pgm(frames / "f0.pgm", np.full((3, 3), 0.5))
-    (frames / "f1.pgm").write_bytes(b"P5\nabc 3\n255\n" + bytes(9))
+    for extents, needle in ((b"abc 3", "abc"), (b"-2 3", "-2x3"), (b"2 -3", "2x-3"),
+                            (b"0 3", "0x3")):
+        (frames / "f1.pgm").write_bytes(b"P5\n" + extents + b"\n255\n" + bytes(9))
+        capsys.readouterr()
+        rc = main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
+                   "--inner-steps", "1", str(frames)])
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, str(frames / "f1.pgm"), needle)
+        assert not (tmp_path / "enc" / "frames.venc").exists()
+
+
+def test_a_pgm_directory_input_is_entered_by_its_frames(tmp_path, capsys):
+    model_path, _, _ = tiny_files(tmp_path)
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for t in range(2):
+        data.write_pgm(frames / f"f{t}.pgm", np.full((3, 3), 0.25 * (t + 1)))
+    missing = tmp_path / "missing"
+
+    def inputs(run):
+        out = tmp_path / run
+        main(["encode", "--model", str(model_path), "--out", str(out), "--keep-going",
+              "--batch-frames", "2", "--inner-steps", "1", str(frames), str(missing)])
+        return read_manifest(out / "run_manifest.json")["inputs"]
+
+    first = inputs("a")
+    assert first == inputs("b")
+    assert first[str(missing)] == "-"
+    entry = first[str(frames)]
+    assert len(entry) == 16 and entry != "-"
+    # a file the loader does not read leaves the entry as it is
+    (frames / "notes.txt").write_text("not a frame\n")
+    assert inputs("c")[str(frames)] == entry
+    body = bytearray((frames / "f1.pgm").read_bytes())
+    body[-1] ^= 1
+    (frames / "f1.pgm").write_bytes(bytes(body))
+    changed = inputs("d")[str(frames)]
+    assert changed != entry
+    (frames / "f1.pgm").rename(frames / "f2.pgm")
+    assert inputs("e")[str(frames)] not in (entry, changed)
     capsys.readouterr()
-    rc = main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
-               "--inner-steps", "1", str(frames)])
-    assert rc == 1
-    assert_one_error_line(capsys.readouterr().err, str(frames / "f1.pgm"), "abc")
-    assert not (tmp_path / "enc" / "frames.venc").exists()
 
 
 def _same_stem_copies(tmp_path, src, suffix):
@@ -945,7 +979,7 @@ def test_encode_rejects_inputs_with_the_same_output_name(tmp_path, capsys):
     videos = _same_stem_copies(tmp_path, Path(item.path), ".rawvid")
     capsys.readouterr()
     rc = main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
-               "--batch-frames", "4", "--inner-steps", "3", "--jobs", "2", *videos])
+               "--batch-frames", "4", "--inner-steps", "3", *videos])
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, videos[0], videos[1], "clip.venc")
     assert not (tmp_path / "enc").exists()
@@ -992,7 +1026,7 @@ def tiny_files(tmp_path):
     return tmp_path / "m.vfnc", tmp_path / "clip.rawvid", tmp_path / "clip.venc"
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("jobs", ["0", "-1", "2"])
 def test_jobs_below_one_is_an_error(tmp_path, capsys, jobs):
     model_path, video, venc = tiny_files(tmp_path)
     for command, item in (("encode", video), ("decode", venc)):
@@ -1026,63 +1060,15 @@ def test_decode_originals_without_report_writes_nothing(tmp_path, capsys):
     assert read_manifest(out / "run_manifest.json")["artifacts"] == {}
 
 
-def test_jobs_print_whole_lines_in_input_order(tmp_path, monkeypatch, capsys):
+def test_jobs_print_whole_lines_in_input_order(tmp_path, capsys):
     model_path, _, venc = tiny_files(tmp_path)
     first, second = tmp_path / "a.venc", tmp_path / "b.venc"
     first.write_bytes(venc.read_bytes())
     second.write_bytes(venc.read_bytes())
-    second_saved = threading.Event()
-    real_load, real_save = codec.load_encoding, data.save_video
-
-    def gated_load(path):
-        if path == first:
-            # the second item has written its output before the first starts
-            assert second_saved.wait(timeout=60)
-        return real_load(path)
-
-    def save(path, video):
-        real_save(path, video)
-        if path.name == "b.rawvid":
-            second_saved.set()
-
-    monkeypatch.setattr(codec, "load_encoding", gated_load)
-    monkeypatch.setattr(data, "save_video", save)
     capsys.readouterr()
     assert main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"),
-                 "--jobs", "2", str(first), str(second)]) == 0
+                 str(first), str(second)]) == 0
     assert capsys.readouterr().out == "a.venc\tdims=(2, 3, 3)\nb.venc\tdims=(2, 3, 3)\n"
-
-
-def test_first_failure_with_jobs_starts_no_further_item(tmp_path, monkeypatch, capsys):
-    model_path, video, _ = tiny_files(tmp_path)
-    missing = tmp_path / "missing.rawvid"
-    clips = []
-    for name in ("c1", "c2", "c3"):
-        clips.append(tmp_path / f"{name}.rawvid")
-        clips[-1].write_bytes(video.read_bytes())
-    failed = threading.Event()
-    real_load = data.load_video
-
-    def gated_load(path):
-        if path == missing:
-            failed.set()
-        else:
-            # c1 is still running when missing.rawvid fails
-            assert failed.wait(timeout=60)
-        return real_load(path)
-
-    monkeypatch.setattr(data, "load_video", gated_load)
-    out = tmp_path / "enc"
-    rc = main(["encode", "--model", str(model_path), "--out", str(out), "--jobs", "2",
-               "--batch-frames", "2", "--inner-steps", "1", str(missing),
-               *(str(c) for c in clips)])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert_one_error_line(captured.err, "cannot read", "missing.rawvid")
-    # c1, already running, finishes and prints its line
-    assert [line.split("\t")[0] for line in captured.out.splitlines()] == ["c1.rawvid"]
-    assert sorted(p.name for p in out.iterdir()) == ["c1.venc", "run_manifest.json"]
-    assert list(read_manifest(out / "run_manifest.json")["artifacts"]) == ["c1.venc"]
 
 
 def test_decode_report_with_missing_original_writes_no_output(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """The README's references hold: the files it names exist, the
 configuration it trains with loads, its configuration tables match
 `TrainConfig` and the corpus defaults, its head-config keys are the ones
-a head config takes, its pipeline commands parse, and the manifest hash,
+a head config takes, its pipeline commands parse, every flag it writes
+after a subcommand is one that subcommand takes, and the manifest hash,
 container version, tile rows and block floor it states are the ones the
 code uses."""
 
+import argparse
 import dataclasses
 import re
 import shlex
@@ -91,6 +93,34 @@ def test_readme_pipeline_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def stale_flags(text: str) -> list[str]:
+    """Each `--flag` written inside an inline `<subcommand> ...` span of
+    `text` (with or without a leading `vfuncta`) that the subcommand's
+    parser does not take, as "<subcommand> --flag"."""
+    [subparsers] = [a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+    stale = []
+    for span in re.findall(r"`([^`]+)`", text):
+        words = span.split()
+        if words[:1] == ["vfuncta"]:
+            words = words[1:]
+        if not words or words[0] not in subparsers.choices:
+            continue
+        options = {s for a in subparsers.choices[words[0]]._actions for s in a.option_strings}
+        flags = [w.split("=", 1)[0] for w in words[1:] if w.startswith("--")]
+        stale += [f"{words[0]} {flag}" for flag in flags if flag not in options]
+    return stale
+
+
+def test_readme_flags_are_their_subcommands_options():
+    assert stale_flags("Run `decode --report` or `vfuncta train --epochs=3`, "
+                       "not `encode --report`.") == ["decode --report", "train --epochs"]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert "`decode --originals DIR`" in readme
+    assert stale_flags(readme) == []
 
 
 def test_readme_states_the_written_hash_and_container_version():

@@ -1,9 +1,8 @@
 """What reading a container and hashing a file allocate, by tracemalloc.
 
-A model load holds its payload once: the file is read straight into one
-array, whose read-only views become the parameters, and whose digest is
-hashed from it in place. A truncated file is
-refused before that array exists, and a file hash reads in chunks. An
+A model load holds its payload once: the file is read straight into the
+parameters, one read-only array each, whose digest is hashed from them
+in place. A truncated file is refused before any of them exists, and a file hash reads in chunks. An
 outer step holds no array over every row of its batch.
 """
 
@@ -46,7 +45,7 @@ def test_a_model_load_holds_its_payload_once(model_file):
 
 def test_a_model_load_hashing_on_two_threads_holds_its_payload_once(model_file, monkeypatch):
     """Under a row runner with two threads the load still hashes in the
-    calling thread, from the one array, and starts no pool."""
+    calling thread, from the arrays it read, and starts no pool."""
     path, payload = model_file
     runner = parallel.RowRunner(lambda threads: 2)
     monkeypatch.setattr(parallel, "RUNNER", runner)
@@ -60,14 +59,13 @@ def test_a_model_load_hashing_on_two_threads_holds_its_payload_once(model_file, 
     assert model.fingerprints and model.checksum is not None
 
 
-def test_a_loaded_models_parameters_share_one_read_only_array(model_file):
+def test_a_loaded_models_parameters_are_read_only_arrays_of_their_own(model_file):
+    """Each parameter owns the memory it was read into, so a load needs
+    no free region the size of the whole payload."""
     path, payload = model_file
     arrays = [p.data for _, p in load_model(path).parameters()]
-    owners = {id(arr.base) for arr in arrays}
-    assert len(owners) == 1
-    owner = arrays[0].base
-    assert owner.base is None and owner.nbytes == payload
-    assert not owner.flags.writeable and not any(arr.flags.writeable for arr in arrays)
+    assert all(arr.base is None and not arr.flags.writeable for arr in arrays)
+    assert sum(arr.nbytes for arr in arrays) == payload
 
 
 def test_a_payload_past_the_end_of_the_file_fails_before_it_is_allocated(model_file):
