@@ -136,10 +136,10 @@ def _read_pgm(path: Path) -> np.ndarray:
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit PGM supported, maxval {maxval}")
     pos += 1  # single whitespace byte after maxval
-    data = np.frombuffer(blob, dtype=np.uint8, offset=pos)
-    if data.size < width * height:
-        raise DataError(f"{path}: payload too short for {width}x{height}")
-    return data[: width * height].reshape(height, width).astype(np.float32)
+    if len(blob) - pos != width * height:  # one image, as a .rawvid payload is its frames
+        raise DataError(f"{path}: payload is {max(len(blob) - pos, 0)} bytes, "
+                        f"expected {width * height} for {width}x{height}")
+    return np.frombuffer(blob, np.uint8, offset=pos).reshape(height, width).astype(np.float32)
 
 
 def write_pgm(path, frame: np.ndarray) -> None:

@@ -10,9 +10,9 @@ network exactly (the projections carry no bias).
 The network is fixed, so its backward pass is written out once in closed
 form (`loss_and_grads`) next to the plain forward (`forward_batch`). Both
 take a batch of b frames evaluated at one shared set of N pixels:
-coordinates are (N, 2), and targets and predictions are (b, N). Both run
-in tiles of one frame at a run of its pixels, since each frame has its
-own modulation.
+coordinates are (N, 2), and targets and predictions are (b, N). Every
+pass, with weight gradients or without, runs in tiles of one frame at a
+run of its pixels, since each frame has its own modulation.
 """
 
 from __future__ import annotations
@@ -372,53 +372,53 @@ def frame_mse(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _backward_frame(model: MetaModel, shifts, coords, targets, t: int, pixels: slice,
-                    scale: float, acts: list, slopes: list, sums: list) -> np.ndarray:
+                    scale: float, acts: list, slopes: list, sums: list, products) -> np.ndarray:
     """Forward and backward through frame t of a batch at a run of its
     pixels; returns the run's predictions.
 
     `coords` and `targets` are the batch's, (N, 2) and (b, N), and
     `pixels` picks the run; each value's loss gradient is
     scale * (pred - target). `sums[k][t]` is layer k's sum of its
-    pre-activation gradient over the frame's pixels: over the earlier
-    runs on entry, unless the run starts at pixel 0, and through this run
-    on return.
+    pre-activation gradient over the frame's pixels. `products`, None in
+    a latent step, holds in `products[k][t]` the frame's weight-gradient
+    product x.T @ d of layer k's input x and its gradient d, (fan_in, l),
+    where layer K is the output layer, (l, 1). Both sum the earlier runs
+    on entry, unless the run starts at pixel 0, and this run too on return.
 
     The passes run in `acts` and `slopes` as `_sine_layers` lays them
     out. Each activation gradient goes to `acts[-1]`, and each layer's
     pre-activation gradient overwrites its slope in `slopes[k]`. So when
-    `acts` holds a buffer per layer and one more, a whole-frame run's
-    activations and pre-activation gradients are left for the weight
-    gradients.
+    `acts` holds a buffer per layer and one more, as `products` needs,
+    every layer's input outlives the gradients.
     """
     count = pixels.stop - pixels.start
+
+    def add_product(k: int, d: np.ndarray) -> None:
+        if products is None:
+            return
+        x = acts[k - 1][:count] if k else coords[pixels]
+        if pixels.start:
+            products[k][t] += x.T @ d
+        else:
+            np.matmul(x.T, d, out=products[k][t])
+
     pred = _output(model, _sine_layers(model, shifts, coords[pixels], t, acts, slopes))
     d_pred = (pred - targets[t, pixels]) * scale
+    add_product(model.layers, d_pred[:, None])
     d_h = np.multiply(d_pred[:, None], model.out_weight.data[:, 0], out=acts[-1][:count])
     for k in reversed(range(model.layers)):
         d_a = np.multiply(d_h, slopes[k][:count], out=slopes[k][:count])
+        add_product(k, d_a)
         if k:
             d_h = np.matmul(d_a, model.layer_weights[k].data.T, out=acts[-1][:count])
         # numpy sums the pixel axis row by row, so a sum that starts from
         # the carried one in the run's first row is the sum over all the
-        # frame's pixels in one run. A whole-frame run, whose d_a the
-        # weight gradients take, carries none.
+        # frame's pixels in one run; the weight product has taken d_a
+        # before this add overwrites its first row
         if pixels.start:
             d_a[0] += sums[k][t]
         np.sum(d_a, axis=0, out=sums[k][t])
     return pred
-
-
-def _frame_products(model: MetaModel, coords, acts: list, d_as: list, d_pred: np.ndarray,
-                    out: list) -> None:
-    """One frame's weight-gradient products, x.T @ d of each layer's input
-    x and its gradient d, into `out`: the output layer's, (l, 1), then
-    each sine layer's, (fan_in, l). `acts` and `d_as` hold the frame's
-    activations and pre-activation gradients as `_backward_frame` leaves
-    them from a whole-frame run, and `d_pred` its loss gradient, (N,)."""
-    inputs = [coords] + acts[:model.layers]
-    np.matmul(inputs[-1].T, d_pred[:, None], out=out[0])
-    for k in range(model.layers):
-        np.matmul(inputs[k].T, d_as[k], out=out[k + 1])
 
 
 def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.ndarray,
@@ -432,15 +432,15 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     raises ShapeError, a non-finite loss or gradient NonFiniteError.
 
     Row blocks of whole frames run the forward and backward passes, one
-    frame at a time, and the gradients are then formed from the joined
-    frame sums. Without `weights` a frame runs at runs of `_pixel_runs`
-    of the pixels, so a block's arrays stay one tile whatever the frame
-    or the batch, and the frame's pixel sums carry from one run into the
-    next. With `weights` a frame runs whole, and its weight-gradient
-    products go to its place in one stack per layer; once the blocks have
-    joined, each stack is summed over its frames in frame order, and the
-    stacks are gone before the projection gradients are formed. No value
-    depends on the blocks or the runs.
+    frame at a time at runs of `_pixel_runs` of its pixels, so a block's
+    arrays stay one tile whatever the frame or the batch. A frame's pixel
+    sums and, with `weights`, its weight-gradient products carry from one
+    run into the next; the products go to the frame's place in one stack
+    per layer. Once the blocks have joined, the gradients are formed from
+    the frame sums, and each stack is summed over its frames in frame
+    order and gone before the projection gradients are formed. No value
+    depends on the blocks; a frame of several runs sums its weight
+    products per run.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords)
     targets = np.asarray(targets, dtype=model.dtype)
@@ -459,11 +459,11 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
 
     # each layer's sums of its pre-activation gradient over each frame's pixels
     sums = arrays(model.layers, b)
-    runs = [slice(0, n)] if weights else _pixel_runs(0, n)
-    # the output layer's and each sine layer's weight-gradient product of
+    runs = _pixel_runs(0, n)
+    # each sine layer's and the output layer's weight-gradient product of
     # every frame
     products = ([np.empty((b, *w.shape), dtype=model.dtype)
-                 for w in (model.out_weight, *model.layer_weights)] if weights else None)
+                 for w in (*model.layer_weights, model.out_weight)] if weights else None)
 
     def block(lo: int, hi: int) -> None:
         # every frame of the block goes through these arrays, which are gone
@@ -476,10 +476,7 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
             for t in range(lo, hi):
                 for pixels in runs:
                     pred[t, pixels] = _backward_frame(model, shifts, coords, targets, t, pixels,
-                                                      scale, acts, slopes, sums)
-                if weights:
-                    _frame_products(model, coords, acts, slopes, (pred[t] - targets[t]) * scale,
-                                    [p[t] for p in products])
+                                                      scale, acts, slopes, sums, products)
 
     grads = {}
     with parallel.RUNNER.blocks(b, n * model.hidden) as map_blocks:
@@ -490,10 +487,10 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
         loss = float(np.mean(per_frame, dtype=np.float64).astype(model.dtype))
         with np.errstate(over="ignore", invalid="ignore"):
             if weights:
-                grads["out.weight"] = products[0].sum(axis=0)
+                grads["out.weight"] = products[-1].sum(axis=0)
                 grads["out.bias"] = np.sum(((pred - targets) * scale).reshape(-1), keepdims=True)
                 for k in reversed(range(model.layers)):
-                    grads[f"layer{k}.weight"] = products[k + 1].sum(axis=0)
+                    grads[f"layer{k}.weight"] = products[k].sum(axis=0)
                 products = None  # freed before the projection gradients exist
             g_v = np.zeros_like(v)
             g_phis = np.zeros_like(phis)

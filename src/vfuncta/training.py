@@ -239,7 +239,9 @@ def require_rate(name: str, value: float) -> None:
 
 
 def _require_dims(model: MetaModel, cfg: TrainConfig) -> None:
-    got = (model.layers, model.hidden, model.video_dim, model.frame_dim)
-    want = (cfg.layers, cfg.hidden, cfg.video_dim, cfg.frame_dim)
+    got = (model.layers, model.hidden, model.video_dim, model.frame_dim, model.dtype.name,
+           model.omega0)
+    want = (cfg.layers, cfg.hidden, cfg.video_dim, cfg.frame_dim, cfg.precision, cfg.omega0)
     if got != want:
-        raise ContractError(f"model dims {got} do not match config dims {want}")
+        raise ContractError(f"model (layers, hidden, video_dim, frame_dim, precision, omega0) "
+                            f"{got} do not match the config's {want}")

@@ -931,6 +931,23 @@ def test_a_pgm_header_that_is_not_numbers_is_one_error_line(tmp_path, capsys):
         assert not (tmp_path / "enc" / "frames.venc").exists()
 
 
+def test_a_pgm_payload_of_the_wrong_size_is_one_error_line(tmp_path, capsys):
+    model_path, _, _ = tiny_files(tmp_path)
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    data.write_pgm(frames / "f0.pgm", np.full((3, 3), 0.5))
+    header = b"P5\n3 3\n255"
+    for payload, needle in ((b"", "payload is 0 bytes"),
+                            (b"\n" + bytes(9) + header + b"\n" + bytes(9), "payload is 29 bytes")):
+        (frames / "f1.pgm").write_bytes(header + payload)
+        capsys.readouterr()
+        rc = main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
+                   "--inner-steps", "1", str(frames)])
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, str(frames / "f1.pgm"), needle)
+        assert not (tmp_path / "enc" / "frames.venc").exists()
+
+
 def test_a_pgm_directory_input_is_entered_by_its_frames(tmp_path, capsys):
     model_path, _, _ = tiny_files(tmp_path)
     frames = tmp_path / "frames"
@@ -1175,6 +1192,24 @@ def test_train_resume_records_the_checkpoint_in_the_manifest(tmp_path, capsys):
     inputs = read_manifest(tmp_path / "resumed.manifest.json")["inputs"]
     assert inputs[str(ckpt)] == stored_checksum(ckpt)
     assert out.read_bytes() == (tmp_path / "first.vfnc").read_bytes()
+
+
+@pytest.mark.parametrize("dtype, omega0, needle", [
+    (np.float64, 30.0, "'float64', 30.0) do not match the config's (2, 8, 8, 4, 'float32', 30.0)"),
+    (np.float32, 10.0, "'float32', 10.0) do not match the config's (2, 8, 8, 4, 'float32', 30.0)"),
+])
+def test_train_resume_refuses_a_checkpoint_of_another_precision_or_omega0(tmp_path, capsys,
+                                                                         dtype, omega0, needle):
+    corpus = gen_corpus(tmp_path)
+    ckpt = tmp_path / "other.vfnc"
+    save_model(ckpt, MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4,
+                                          omega0=omega0, dtype=dtype))
+    capsys.readouterr()
+    rc = main(["train", "--corpus", str(corpus), "--config", str(write_config(tmp_path / "run.cfg")),
+               "--out", str(tmp_path / "m.vfnc"), "--resume", str(ckpt)])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, needle)
+    assert not (tmp_path / "m.vfnc").exists()
 
 
 @pytest.mark.parametrize("flags, needle", [

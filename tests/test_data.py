@@ -92,6 +92,20 @@ def test_pgm_inconsistent_sizes(tmp_path):
         load_video(d)
 
 
+@pytest.mark.parametrize("blob, size", [
+    pytest.param(b"P5\n2 2\n255", 0, id="no-byte-after-maxval"),
+    pytest.param(b"P5\n2 2\n255\n" + bytes(4) + b"garbage", 11, id="trailing-bytes"),
+    pytest.param(b"P5\n2 2\n255\n" + bytes(4) + b"P5\n2 2\n255\n" + bytes(4), 19,
+                 id="a-second-image"),
+])
+def test_pgm_payload_must_be_exactly_one_image(tmp_path, blob, size):
+    d = tmp_path / "clip"
+    d.mkdir()
+    (d / "f0.pgm").write_bytes(blob)
+    with pytest.raises(DataError, match=f"f0.pgm: payload is {size} bytes, expected 4"):
+        load_video(d)
+
+
 def test_empty_directory(tmp_path):
     d = tmp_path / "empty"
     d.mkdir()

@@ -109,9 +109,9 @@ def test_an_outer_step_holds_no_array_over_every_row(monkeypatch):
             lambda: loss_and_grads(model, v, phis, coords, targets, weights=True).weights)
     finally:
         runner.close()
-    # each block holds one frame's arrays, and the per-frame weight products
-    # are gone before the projection gradients exist: the peak stays below
-    # one activation array and one slope array per layer over every row,
-    # though it holds the returned gradients
+    # each block holds one tile's arrays, here a frame's 512 pixels, and the
+    # per-frame weight products are gone before the projection gradients
+    # exist: the peak stays below one activation array and one slope array
+    # per layer over every row, though it holds the returned gradients
     arrays = 2 * layers * b * n * hidden * 4
     assert sum(g.nbytes for g in grads.values()) < peak < arrays

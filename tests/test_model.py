@@ -307,3 +307,19 @@ def test_model_gradients_match_finite_differences():
 
         numeric = finite_diff(f_theta, [p.data.copy()])[0]
         assert rel_err(grads.weights[name], numeric) < 1e-4, name
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, 4, 5])
+def test_a_latent_step_gives_the_outer_steps_latent_gradients_at_every_depth(layers):
+    # a latent step runs in two activation buffers, an outer step in one
+    # per layer and one more
+    m = tiny_model(seed=22, layers=layers)
+    rng = np.random.default_rng(78)
+    b, n = 3, 7
+    coords = rng.uniform(-1, 1, size=(n, 2))
+    targets = rng.uniform(0, 1, size=(b, n))
+    v, phis = rng.normal(scale=0.05, size=8), rng.normal(scale=0.05, size=(b, 4))
+    latent = loss_and_grads(m, v, phis, coords, targets)
+    outer = loss_and_grads(m, v, phis, coords, targets, weights=True)
+    assert latent.loss == outer.loss
+    assert np.array_equal(latent.v, outer.v) and np.array_equal(latent.phis, outer.phis)

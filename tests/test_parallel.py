@@ -375,7 +375,7 @@ def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monke
     runner = parallel.RowRunner(fake)
     monkeypatch.setattr(parallel, "RUNNER", runner)
     phases, counts = [], []
-    blocks, products, backward = runner.blocks, model._frame_products, model._backward_frame
+    blocks, backward = runner.blocks, model._backward_frame
 
     def spy_blocks(units, unit_size):
         phases.append(len(runner.cuts(units, unit_size)) - 1)
@@ -388,7 +388,6 @@ def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monke
         return call
 
     monkeypatch.setattr(runner, "blocks", spy_blocks)
-    monkeypatch.setattr(model, "_frame_products", spy(products))
     monkeypatch.setattr(model, "_backward_frame", spy(backward))
     # the paper's batch of 8 frames at 256 sampled pixels and its width
     cfg = training.TrainConfig(batch_frames=8, coords_per_frame=256, layers=2, hidden=256,
@@ -399,11 +398,11 @@ def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monke
     finally:
         runner.close()
     # K inner steps and the outer step, each in two blocks of 4 frames and
-    # each frame one tile; the outer step also forms each frame's weight
-    # products
+    # each frame one tile, which in the outer step also forms the frame's
+    # weight products
     assert phases == [2] * (cfg.inner_steps + 1)
-    assert len(counts) == 8 * cfg.inner_steps + 8 + 8
-    # BLAS runs one thread whenever a block or a weight product runs
+    assert len(counts) == 8 * cfg.inner_steps + 8
+    # BLAS runs one thread whenever a block runs
     assert set(counts) == {1} and fake.count == 2
 
 
@@ -436,21 +435,35 @@ def tile_rows(monkeypatch):
 def test_latent_tiles_match_one_tile(use_runner, tile_rows, b, blocks, dtype):
     n = 41
     model_, v, phis, coords, targets = case(b, n, dtype, seed=b)
-    use_runner(None)
-    tile_rows(10**9)
-    whole = loss_and_grads(model_, v, phis, coords, targets)
-    use_runner(FakeBlas(blocks))
-    # A cap of 3 runs each frame's 41 pixels at 2-3 pixels, of 14 at 13-14
-    # and of 36 at 20-21; one of 100 runs it whole. Runs stay at two pixels
-    # or more, as they do at TILE_ROWS: numpy takes a one-row product to a
-    # matrix-vector kernel that rounds apart.
-    for cap in (3, 14, 36, 100):
-        calls = tile_rows(cap)
-        tiled = loss_and_grads(model_, v, phis, coords, targets)
-        assert len(calls) == b * -(-n // cap), cap
-        assert tiled.loss == whole.loss
-        for name in ("per_frame", "v", "phis"):
-            assert np.array_equal(getattr(tiled, name), getattr(whole, name)), (name, cap)
+    for weights in (False, True):
+        use_runner(None)
+        tile_rows(10**9)
+        whole = loss_and_grads(model_, v, phis, coords, targets, weights=weights)
+        use_runner(FakeBlas(blocks))
+        # A cap of 3 runs each frame's 41 pixels at 2-3 pixels, of 14 at
+        # 13-14 and of 36 at 20-21; one of 100 runs it whole. Runs stay at
+        # two pixels or more, as they do at TILE_ROWS: numpy takes a one-row
+        # product to a matrix-vector kernel that rounds apart.
+        for cap in (3, 14, 36, 100):
+            calls = tile_rows(cap)
+            tiled = loss_and_grads(model_, v, phis, coords, targets, weights=weights)
+            assert len(calls) == b * -(-n // cap), cap
+            assert tiled.loss == whole.loss
+            for name in ("per_frame", "v", "phis"):
+                assert np.array_equal(getattr(tiled, name), getattr(whole, name)), (name, cap)
+            if not weights:
+                assert tiled.weights is None
+                continue
+            # a frame of one run gives the one-tile bytes; one of several
+            # sums its weight products per run, which moves them in the last
+            # bits: within 1e-12 relative in float64
+            for name, g in whole.weights.items():
+                got = tiled.weights[name]
+                if cap >= n:
+                    assert np.array_equal(got, g), (name, cap)
+                else:
+                    err = np.max(np.abs(got - g) / np.maximum(np.abs(g), 1e-300))
+                    assert err <= 4096 * np.finfo(dtype).eps, (name, cap)
 
 
 def test_encoding_is_the_same_bytes_with_pixel_run_tiles_and_one_tile(tile_rows, tmp_path):
@@ -489,9 +502,9 @@ def test_latent_calls_see_at_most_one_tile_of_rows(use_runner, tile_rows, cap):
     training.adapt(model_, targets, coords, steps=2, inner_lr=0.1)
     assert sorted(calls) == [(t, rows) for t in range(8) for rows in runs for _ in range(2)]
     calls.clear()
-    # the outer step runs each frame at every pixel, one tile
+    # the outer step runs the same tiles
     loss_and_grads(model_, v, phis, coords, targets, weights=True)
-    assert sorted(calls) == [(t, n) for t in range(8)]
+    assert sorted(calls) == [(t, rows) for t in range(8) for rows in runs]
 
 
 def test_tiled_latent_gradients_match_finite_differences(use_runner, tile_rows):
@@ -511,12 +524,15 @@ def test_tiled_latent_gradients_match_finite_differences(use_runner, tile_rows):
     assert rel_err(grads.phis, numeric_phis) < 1e-4
 
 
-def test_outer_step_gradients_match_finite_differences_across_uneven_blocks(use_runner):
+def test_outer_step_gradients_match_finite_differences_across_uneven_blocks(use_runner,
+                                                                             tile_rows):
     n = 6
     model_, v, phis, coords, targets = case(5, n, np.float64, seed=13)
     use_runner(FakeBlas(3))
     assert parallel.RUNNER.cuts(5, n) == [0, 1, 3, 5]  # blocks of 1, 2 and 2 frames
+    calls = tile_rows(4)  # each frame in two runs of 3 pixels
     grads = loss_and_grads(model_, v, phis, coords, targets, weights=True)
+    assert sorted(calls) == [(t, 3) for t in range(5) for _ in range(2)]
     rng = np.random.default_rng(14)
     step = 1e-5
     for name, p in model_.parameters():
@@ -531,8 +547,13 @@ def test_outer_step_gradients_match_finite_differences_across_uneven_blocks(use_
             assert rel_err(grads.weights[name].reshape(-1)[j], numeric) < 1e-4, (name, j)
 
 
-@pytest.mark.parametrize("blocks", [1, 2])
-def test_latent_step_allocates_one_tile_per_block(use_runner, tile_rows, blocks):
+@pytest.mark.parametrize("blocks, weights", [
+    pytest.param(1, False, id="1"),
+    pytest.param(2, False, id="2"),
+    pytest.param(1, True, id="1-weights"),
+    pytest.param(2, True, id="2-weights"),
+])
+def test_latent_step_allocates_one_tile_per_block(use_runner, tile_rows, blocks, weights):
     b, n, hidden, layers = 2, 4096, 128, 3
     rng = np.random.default_rng(4)
     model_ = MetaModel.initialize(layers=layers, hidden=hidden, video_dim=5, frame_dim=4,
@@ -542,19 +563,29 @@ def test_latent_step_allocates_one_tile_per_block(use_runner, tile_rows, blocks)
     targets = rng.uniform(0, 1, size=(b, n)).astype(np.float32)
     use_runner(FakeBlas(blocks))
     calls = tile_rows(256)
-    loss_and_grads(model_, v, phis, coords, targets)  # starts the pool's threads
+    loss_and_grads(model_, v, phis, coords, targets, weights=weights)  # starts the pool
     assert max(rows for _, rows in calls) == 256  # every frame splits into runs
     tracemalloc.start()
     try:
-        loss_and_grads(model_, v, phis, coords, targets)
+        grads = loss_and_grads(model_, v, phis, coords, targets, weights=weights).weights
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tile = (2 + layers) * 256 * hidden * 4  # two activation buffers, a slope per layer
+    # activation buffers, two or, for the weight products, one per layer
+    # and one more, and a slope per layer
+    buffers = (layers + 1 if weights else 2) + layers
+    tile = buffers * 256 * hidden * 4
+    held = 0
+    if weights:
+        # each frame's weight products, one run's product of a layer, and
+        # the returned gradients
+        shapes = [(hidden, 1), (2, hidden)] + [(hidden, hidden)] * (layers - 1)
+        products = 4 * sum(rows * cols for rows, cols in shapes)
+        held = b * products + 4 * hidden * hidden + sum(g.nbytes for g in grads.values())
     # besides, the predictions and frame_mse's two temporaries of them
-    assert peak <= blocks * (tile + 128 * 1024) + 3 * targets.nbytes
+    assert peak <= blocks * (tile + 128 * 1024) + 3 * targets.nbytes + held
     # where the arrays of one whole frame a block would take
-    assert blocks * (2 + layers) * n * hidden * 4 > 8 * peak
+    assert blocks * buffers * n * hidden * 4 > 8 * peak
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
