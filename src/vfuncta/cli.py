@@ -171,16 +171,18 @@ def cmd_train(args, argv) -> int:
             raise VfunctaError(f"corpus {args.corpus} has no train items; "
                                "pass --all-splits to train on its test items")
     paths = [i.path for i in items]
+    resume = None if args.resume is None else codec.load_model(args.resume)
+    start = 0 if resume is None else resume.iteration
+    if start >= cfg.iterations:
+        raise VfunctaError(f"nothing to train: the run starts at iteration {start}, "
+                           f"which is not below iterations = {cfg.iterations}")
 
     manifest = RunManifest("train", argv, config=asdict(cfg), seed=cfg.seed)
     manifest.add_input(args.config)
     manifest.add_input(data.corpus_manifest_path(args.corpus))
     for p in paths:
         manifest.add_input(p)
-
-    resume = None
-    if args.resume is not None:
-        resume = codec.load_model(args.resume)
+    if resume is not None:
         manifest.add_input(args.resume, resume.checksum)
     log_path = args.log if args.log is not None else args.out.with_suffix(".log")
     for directory in (args.out.parent, log_path.parent):
@@ -189,11 +191,14 @@ def cmd_train(args, argv) -> int:
                        checkpoint_dir=args.checkpoint_dir,
                        checkpoint_every=args.checkpoint_every,
                        resume=resume)
+    # checkpoints first: where --out or --log takes a checkpoint's entry, the
+    # file written last is the one entered
+    for path, checksum in log.checkpoints.items():
+        manifest.add_artifact(path, base=args.checkpoint_dir.parent, digest=checksum)
     manifest.add_artifact(args.out, digest=codec.save_model(args.out, model))
     manifest.add_artifact(log_path, digest=log.write(log_path))
     manifest.write(args.out.with_suffix(".manifest.json"))
-    last = log.entries[-1].loss if log.entries else float("nan")
-    print(f"train: {model.iteration} iterations, final loss {last:.6g}, "
+    print(f"train: {model.iteration} iterations, final loss {log.entries[-1].loss:.6g}, "
           f"model -> {args.out}")
     return 0
 

@@ -5,6 +5,8 @@ uses (shared weights, video vector, each frame vector) against central
 finite differences of the batch loss. The two routes share only the
 forward pass: one runs the hand-written backward of
 `model.loss_and_grads`, the other re-evaluates the loss at nudged inputs.
+Each trial then checks frames of two pixel runs, whose sums carry from
+run to run, along one random unit direction per gradient.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .model import MetaModel, forward_batch, frame_mse, loss_and_grads
+from .model import TILE_ROWS, MetaModel, forward_batch, frame_mse, loss_and_grads
 from .tensor import Tensor
 
 # central-difference step and the largest relative error that passes
@@ -56,6 +58,19 @@ def _central_diff(f, base: np.ndarray) -> np.ndarray:
     return grad
 
 
+def _checks(model, v, phis, coords, targets):
+    """(name, the loss as a function of one input, that input, its
+    closed-form gradient) for the video vector, the frame vectors and
+    each parameter."""
+    grads = loss_and_grads(model, v, phis, coords, targets, weights=True)
+    yield "video_mod", lambda arr: _loss_value(model, arr, phis, coords, targets), v, grads.v
+    yield "frame_mods", lambda arr: _loss_value(model, v, arr, coords, targets), phis, grads.phis
+    for name, p in model.parameters():
+        def loss(arr, name=name):
+            return _loss_value(model.replace_params({name: Tensor(arr)}), v, phis, coords, targets)
+        yield name, loss, p.data, grads.weights[name]
+
+
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
@@ -81,22 +96,15 @@ def run_gradcheck(trials: int) -> GradCheckResult:
         v = rng.normal(scale=0.05, size=VIDEO_DIM)
         phis = rng.normal(scale=0.05, size=(BATCH, FRAME_DIM))
 
-        grads = loss_and_grads(model, v, phis, coords, targets, weights=True)
-
-        numeric_v = _central_diff(
-            lambda arr: _loss_value(model, arr, phis, coords, targets), v)
-        note(_rel_err(grads.v, numeric_v), "video_mod", trial)
-
-        numeric_phi = _central_diff(
-            lambda arr: _loss_value(model, v, arr, coords, targets), phis)
-        for t in range(BATCH):
-            note(_rel_err(grads.phis[t], numeric_phi[t]), f"frame_mod[{t}]", trial)
-
-        for name, p in model.parameters():
-            numeric = _central_diff(
-                lambda arr: _loss_value(model.replace_params({name: Tensor(arr)}),
-                                        v, phis, coords, targets),
-                p.data)
-            note(_rel_err(grads.weights[name], numeric), name, trial)
+        for name, f, base, grad in _checks(model, v, phis, coords, targets):
+            note(_rel_err(grad, _central_diff(f, base)), name, trial)
+        # frames of two pixel runs, each gradient along a random unit direction
+        coords = rng.uniform(-1.0, 1.0, size=(TILE_ROWS + COORDS_PER_FRAME, 2))
+        targets = rng.uniform(0.0, 1.0, size=(BATCH, len(coords)))
+        for name, f, base, grad in _checks(model, v, phis, coords, targets):
+            d = rng.normal(size=base.shape)
+            d /= np.linalg.norm(d)
+            numeric = (f(base + STEP * d) - f(base - STEP * d)) / (2.0 * STEP)
+            note(_rel_err(np.sum(grad * d), numeric), f"{name} over 2 runs", trial)
     return GradCheckResult(trials=trials, tolerance=TOLERANCE, max_rel_err=worst,
                            worst_param=worst_param, worst_trial=worst_trial)

@@ -6,16 +6,17 @@ Every inner step takes the frame updates and the video-vector update from
 one closed-form forward/backward evaluation (`model.loss_and_grads`);
 `adapt` runs that loop for training and for `codec.encode_video` alike.
 The outer step applies a first-order gradient at the adapted
-modulations, treating them as constants. Plain gradient descent
-everywhere, no optimizer state, so a checkpoint plus the seed fully
-determines the rest of a run.
+modulations, treating them as constants. Each outer iteration trains on
+one video that the seed and the iteration alone pick, and a video that
+cannot be read ends the run. Plain gradient descent everywhere, no
+optimizer state, so a checkpoint plus the seed fully determines the rest
+of a run.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +25,7 @@ import numpy as np
 
 from .container import atomic_write_bytes, save_model, sha256_64
 from .data import VideoTensor, load_video
-from .errors import ContractError, DataError, DivergenceError, NonFiniteError
+from .errors import ContractError, DivergenceError, NonFiniteError
 from .model import MetaModel, loss_and_grads, sample_coords
 from .tensor import Tensor
 
@@ -76,12 +77,11 @@ class TrainConfig:
     def dtype(self):
         return _PRECISIONS[self.precision]
 
-    def new_model(self, rng: np.random.Generator | None = None) -> MetaModel:
-        if rng is None:
-            rng = np.random.default_rng([self.seed, _STREAM_INIT])
+    def new_model(self) -> MetaModel:
         return MetaModel.initialize(
             layers=self.layers, hidden=self.hidden, video_dim=self.video_dim,
-            frame_dim=self.frame_dim, omega0=self.omega0, dtype=self.dtype, rng=rng)
+            frame_dim=self.frame_dim, omega0=self.omega0, dtype=self.dtype,
+            rng=np.random.default_rng([self.seed, _STREAM_INIT]))
 
 
 @dataclass
@@ -94,9 +94,11 @@ class LogEntry:
 
 @dataclass
 class TrainLog:
-    """One record per completed outer iteration."""
+    """One record per completed outer iteration, and the checksum of each
+    checkpoint written, by its path."""
 
     entries: list[LogEntry] = field(default_factory=list)
+    checkpoints: dict[Path, int] = field(default_factory=dict)
 
     def write(self, path) -> int:
         """Write the log; returns the `sha256_64` a run manifest enters
@@ -155,8 +157,6 @@ def meta_step(model: MetaModel, video, cfg: TrainConfig,
               rng: np.random.Generator) -> tuple[MetaModel, float]:
     """One outer iteration on one video; returns the updated model and the
     mean batch loss at the adapted modulations."""
-    if video.frames < 1:
-        raise ContractError("video must contain at least one frame")
     _require_dims(model, cfg)
     targets, coords = sample_batch(video, cfg, rng)
     v, phis, history = adapt(model, targets, coords,
@@ -182,8 +182,9 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
           resume: MetaModel | None = None) -> tuple[MetaModel, TrainLog]:
     """Outer loop over the dataset in seeded shuffled order.
 
-    Dataset items are VideoTensor objects or paths; unreadable paths are
-    skipped with a warning and the run fails only if nothing is readable.
+    Dataset items are VideoTensor objects or paths. Iteration `it` trains
+    on the item at place `it % len(dataset)` of its epoch's seeded
+    permutation; a path that cannot be read raises its DataError there.
     Passing the model from a saved checkpoint as `resume` continues the
     identical run from its stored iteration.
     """
@@ -193,7 +194,6 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
     model = cfg.new_model() if resume is None else resume
     _require_dims(model, cfg)
     log = TrainLog()
-    unreadable: set[int] = set()
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -201,19 +201,8 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
     for it in range(model.iteration, cfg.iterations):
         epoch, pos = divmod(it, len(items))
         order = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, epoch]).permutation(len(items))
-        video = None
-        for k in range(len(items)):
-            idx = int(order[(pos + k) % len(items)])
-            if idx in unreadable:
-                continue
-            try:
-                video = _materialize(items[idx])
-                break
-            except DataError as exc:
-                warnings.warn(f"skipping unreadable video {items[idx]}: {exc}")
-                unreadable.add(idx)
-        if video is None:
-            raise DataError("no readable videos remain in the training set")
+        item = items[order[pos]]
+        video = item if isinstance(item, VideoTensor) else load_video(item)
 
         t0 = time.perf_counter()
         rng = np.random.default_rng([cfg.seed, _STREAM_STEP, it])
@@ -222,14 +211,9 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
                                     seconds=time.perf_counter() - t0))
         if (checkpoint_dir is not None and checkpoint_every > 0
                 and model.iteration % checkpoint_every == 0):
-            save_model(checkpoint_dir / f"checkpoint_{model.iteration:08d}.vfnc", model)
+            path = checkpoint_dir / f"checkpoint_{model.iteration:08d}.vfnc"
+            log.checkpoints[path] = save_model(path, model)
     return model, log
-
-
-def _materialize(item):
-    if isinstance(item, VideoTensor):
-        return item
-    return load_video(item)
 
 
 def require_rate(name: str, value: float) -> None:

@@ -88,16 +88,55 @@ def test_gen_corpus_split_counts(tmp_path):
     assert sum(1 for i in items if i.split == "test") == 4
 
 
-def test_train_zero_iterations_writes_valid_checkpoint(tmp_path, capsys):
+def test_a_train_run_with_nothing_to_do_is_one_error_line(tmp_path, capsys):
     corpus = gen_corpus(tmp_path)
-    cfg = write_config(tmp_path / "run.cfg", iterations=0)
-    model_path = tmp_path / "model.vfnc"
-    rc = main(["train", "--corpus", str(corpus), "--config", str(cfg),
-               "--out", str(model_path)])
-    assert rc == 0
-    model = load_model(model_path)
-    assert model.iteration == 0
-    assert (tmp_path / "model.manifest.json").exists()
+    ckpt = tmp_path / "ck" / "checkpoint_00000004.vfnc"
+    assert main(["train", "--corpus", str(corpus),
+                 "--config", str(write_config(tmp_path / "run.cfg", iterations=4)),
+                 "--out", str(tmp_path / "first.vfnc"), "--checkpoint-dir", str(ckpt.parent),
+                 "--checkpoint-every", "4"]) == 0
+    runs = [(["--set", "iterations=0"], "iteration 0", "iterations = 0"),
+            (["--set", "iterations=2", "--resume", str(ckpt)], "iteration 4", "iterations = 2")]
+    for flags, *needles in runs:
+        capsys.readouterr()
+        out = tmp_path / "out" / "m.vfnc"
+        rc = main(["train", "--corpus", str(corpus), "--config", str(tmp_path / "run.cfg"),
+                   "--out", str(out), *flags])
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, "nothing to train", *needles)
+        assert not out.parent.exists()
+
+
+def test_train_with_an_unreadable_video_is_one_error_line(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, count=4)
+    bad = corpus / "00000.rawvid"
+    bad.write_bytes(bad.read_bytes()[:100])
+    capsys.readouterr()
+    # an epoch draws every video once
+    rc = main(["train", "--corpus", str(corpus),
+               "--config", str(write_config(tmp_path / "run.cfg", iterations=4)),
+               "--out", str(tmp_path / "m.vfnc"), "--all-splits"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, str(bad))
+    assert not any(tmp_path.glob("m.*"))
+
+
+def test_train_enters_its_checkpoints_in_the_manifest(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path)
+    cfg = write_config(tmp_path / "run.cfg", iterations=6)
+    artifacts = []
+    for run in ("a", "b"):
+        out = tmp_path / run / "m.vfnc"
+        assert main(["train", "--corpus", str(corpus), "--config", str(cfg), "--out", str(out),
+                     "--checkpoint-dir", str(out.parent / "ck"),
+                     "--checkpoint-every", "2"]) == 0
+        artifacts.append(read_manifest(out.with_suffix(".manifest.json"))["artifacts"])
+        names = [f"ck/checkpoint_{i:08d}.vfnc" for i in (2, 4, 6)]
+        assert sorted(artifacts[-1]) == [*names, "m.log", "m.vfnc"]
+        for name in names:
+            assert artifacts[-1][name] == stored_checksum(out.parent / name)
+    assert artifacts[0] == artifacts[1]
+    assert artifacts[0]["ck/checkpoint_00000006.vfnc"] == artifacts[0]["m.vfnc"]
 
 
 def test_train_missing_required_key_names_it(tmp_path, capsys):

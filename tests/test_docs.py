@@ -2,7 +2,8 @@
 configuration it trains with loads, its configuration tables match
 `TrainConfig` and the corpus defaults, its head-config keys are the ones
 a head config takes, its pipeline commands parse, every flag it writes
-after a subcommand is one that subcommand takes, and the manifest hash,
+after a subcommand is one that subcommand takes, every option of every
+subcommand is named in it, and the manifest hash,
 container version, tile rows and block floor it states are the ones the
 code uses."""
 
@@ -121,6 +122,19 @@ def test_readme_flags_are_their_subcommands_options():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert "`decode --originals DIR`" in readme
     assert stale_flags(readme) == []
+
+
+def test_readme_names_every_option_of_every_subcommand():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [subparsers] = [a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    options = [(command, option) for command, parser in subparsers.choices.items()
+               for action in parser._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"]
+    assert ("gen-corpus", "--split") in options
+    missing = [f"{command} {option}" for command, option in options
+               if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)]
+    assert missing == []
 
 
 def test_readme_states_the_written_hash_and_container_version():

@@ -6,10 +6,10 @@ import pytest
 
 from vfuncta.container import load_model, save_model
 from vfuncta.data import SynthSpec, VideoTensor, gen_synthetic
-from vfuncta.errors import ContractError, DivergenceError
+from vfuncta.errors import ContractError, DataError, DivergenceError
 from vfuncta.model import forward_batch, grid_coords
 from vfuncta.tensor import Tensor
-from vfuncta.training import TrainConfig, adapt, meta_step, train
+from vfuncta.training import _STREAM_SHUFFLE, TrainConfig, adapt, meta_step, train
 
 
 def tiny_cfg(**overrides):
@@ -179,16 +179,28 @@ def test_train_empty_dataset_rejected():
         train([], tiny_cfg())
 
 
-def test_train_skips_unreadable_and_fails_when_all_bad(tmp_path):
+def test_the_iteration_that_draws_an_unreadable_video_raises_its_data_error(tmp_path):
     cfg = tiny_cfg(iterations=2)
     bad = tmp_path / "missing.rawvid"
-    with pytest.warns(UserWarning, match="skipping"):
-        model, log = train([bad, constant_video()], cfg)
-    assert len(log.entries) == 2
+    # the seed and the iteration alone pick the item; in this order
+    # iteration 0 draws the readable video and iteration 1 the missing one
+    items = [bad, constant_video()]
+    first = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, 0]).permutation(2)[0]
+    if first == 0:
+        items.reverse()
+    _, log = train(items, tiny_cfg(iterations=1))
+    assert len(log.entries) == 1
+    with pytest.raises(DataError, match="missing.rawvid"):
+        train(items, cfg)
 
-    from vfuncta.errors import DataError
-    with pytest.warns(UserWarning), pytest.raises(DataError):
-        train([bad], cfg)
+
+def test_train_log_keeps_each_checkpoints_checksum(tmp_path):
+    _, log = train([constant_video()], tiny_cfg(iterations=5, precision="float32"),
+                   checkpoint_dir=tmp_path, checkpoint_every=2)
+    paths = [tmp_path / f"checkpoint_{i:08d}.vfnc" for i in (2, 4)]
+    assert list(log.checkpoints) == paths
+    for path in paths:
+        assert log.checkpoints[path] == load_model(path).checksum
 
 
 def test_training_loss_decreases_on_synthetic_corpus():
