@@ -298,22 +298,22 @@ def cmd_eval(args, argv) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes:
         raise VfunctaError(f"--modes {args.modes!r} names no feature mode")
-    unknown = [m for m in modes if m not in heads.MODES]
-    if unknown:
-        raise VfunctaError(f"--modes: unknown feature mode {unknown[0]!r}; "
-                           f"choose from {', '.join(heads.MODES)}")
+    for i, mode in enumerate(modes):
+        if mode not in heads.MODES:
+            raise VfunctaError(f"--modes: unknown feature mode {mode!r}; "
+                               f"choose from {', '.join(heads.MODES)}")
+        if mode in modes[:i]:
+            raise VfunctaError(f"--modes names feature mode {mode!r} twice")
     items = data.read_corpus_manifest(args.corpus)
     train_items = [i for i in items if i.split == "train"]
     test_items = [i for i in items if i.split == "test"]
     if not train_items or not test_items:
         raise VfunctaError("eval needs both train and test splits in the corpus")
     # every head option is checked here, before any encoding is read
-    head_cfg = load_head_config(args.head_config, task=args.task, mode=modes[0])
+    head_cfg = load_head_config(args.head_config, task=args.task)
     sources = _output_paths([Path(i.path) for i in items], args.encodings, ".venc")
 
-    # the resolved head settings, with every mode in place of the first
     config = {**asdict(head_cfg), "modes": ",".join(modes), "seeds": args.seeds}
-    del config["mode"]
     manifest = RunManifest("eval", argv, config=config, seed=head_cfg.seed)
     manifest.add_input(data.corpus_manifest_path(args.corpus))
     encodings = {}
@@ -341,8 +341,7 @@ def cmd_eval(args, argv) -> int:
         x_train, x_test = features(train_items, mode), features(test_items, mode)
         per_seed = []
         for s in range(args.seeds):
-            head, _ = heads.train_head(x_train, y_train,
-                                       replace(head_cfg, mode=mode, seed=head_cfg.seed + s))
+            head, _ = heads.train_head(x_train, y_train, replace(head_cfg, seed=head_cfg.seed + s))
             report = heads.evaluate_head(head, x_test, y_test)
             per_seed.append(report)
         lines.append(_format_eval_line(mode, args.task, per_seed))

@@ -11,7 +11,6 @@ the same path, numbered in command-line order.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import typing
 from pathlib import Path
@@ -110,9 +109,9 @@ def load_train_config(path, overrides=()) -> TrainConfig:
 
 # the video keys default as `SynthSpec` does; `trajectories` is a
 # comma-separated subset of the generator's trajectories
+_VIDEO_KEYS = ("family", "frames", "height", "width", "amplitude", "blob_sigma")
 CORPUS_DEFAULTS = {
-    **{f.name: f.default for f in dataclasses.fields(SynthSpec)
-       if f.name in ("family", "frames", "height", "width", "amplitude", "blob_sigma")},
+    **{f.name: f.default for f in dataclasses.fields(SynthSpec) if f.name in _VIDEO_KEYS},
     "speed_min": 0.5,
     "speed_max": 3.0,
     "trajectories": ",".join(TRAJECTORIES),
@@ -122,40 +121,47 @@ CORPUS_SCHEMA = {key: type(value) for key, value in CORPUS_DEFAULTS.items()}
 
 
 def load_corpus_options(path=None) -> dict:
+    """The corpus options of a spec file, or the defaults when `path` is
+    None, checked before anything is written. Every drawn speed lies in
+    [speed_min, speed_max], so the generator's own checks of a video at
+    each end of that range check every video. A refused value names the
+    file."""
     values = dict(CORPUS_DEFAULTS)
     if path is not None:
-        entries = parse_kv_file(path)
-        values.update(_apply_schema(entries, CORPUS_SCHEMA, path))
+        values.update(_apply_schema(parse_kv_file(path), CORPUS_SCHEMA, path))
     trajectories = tuple(t.strip() for t in values["trajectories"].split(",") if t.strip())
     if not trajectories or any(t not in TRAJECTORIES for t in trajectories):
-        raise ConfigError(f"trajectories must be a subset of {CORPUS_DEFAULTS['trajectories']}, "
-                          f"got {values['trajectories']!r}")
+        raise ConfigError(f"{path}: trajectories must be a subset of "
+                          f"{CORPUS_DEFAULTS['trajectories']}, got {values['trajectories']!r}")
+    if not values["speed_min"] <= values["speed_max"]:
+        raise ConfigError(f"{path}: need speed_min <= speed_max, got "
+                          f"{values['speed_min']} and {values['speed_max']}")
+    for key in ("speed_min", "speed_max"):
+        try:
+            SynthSpec(**{k: values[k] for k in _VIDEO_KEYS}, speed=values[key],
+                      trajectory=trajectories[0])
+        except ContractError as exc:
+            raise ConfigError(f"{path}: the video at {key} = {values[key]}: {exc}") from exc
     values["trajectories"] = trajectories
-    for key, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
-    if values["speed_min"] > values["speed_max"]:
-        raise ConfigError("speed_min must not exceed speed_max")
     return values
 
 
-# `HeadConfig`'s fields but `mode` and `task`, which come from the command
-# line, with `hidden` set as its two widths; each is cast by the type of
-# its default
+# `HeadConfig`'s fields but `task`, which comes from the command line, with
+# `hidden` set as its two widths; each is cast by the type of its default
 HEAD_SCHEMA = {"hidden1": int, "hidden2": int,
                **{f.name: type(f.default) for f in dataclasses.fields(HeadConfig)
-                  if f.name not in ("mode", "task", "hidden")}}
+                  if f.name not in ("task", "hidden")}}
 
 
-def load_head_config(path, *, task: str, mode: str) -> HeadConfig:
+def load_head_config(path, *, task: str) -> HeadConfig:
     """The HeadConfig of a head config file, or of the defaults when
-    `path` is None, for `task` and `mode`; the VFUNCTA_SEED environment
-    variable wins over its `seed`. A refused value names the file."""
+    `path` is None, for `task`; the VFUNCTA_SEED environment variable
+    wins over its `seed`. A refused value names the file."""
     values = {} if path is None else _apply_schema(parse_kv_file(path), HEAD_SCHEMA, path)
     hidden = HeadConfig.hidden
     values["hidden"] = (values.pop("hidden1", hidden[0]), values.pop("hidden2", hidden[1]))
     values["seed"] = env_seed(values.get("seed", HeadConfig.seed))
     try:
-        return HeadConfig(task=task, mode=mode, **values)
+        return HeadConfig(task=task, **values)
     except ContractError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

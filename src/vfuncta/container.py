@@ -1,14 +1,14 @@
 """Self-describing binary containers with checksummed round trips.
 
 Every file is `magic + u32 version + body + u64 checksum`, all
-little-endian, written atomically. Model and head files share the "VFNC"
-magic and are told apart by a kind tag at the start of the body;
-encodings use "VENC". Every body is its kind's header fields, then the
-payload: a u64 byte length and the arrays of the kind's shape table in
-table order, raw IEEE-754 little-endian in the dtype the header declares,
-with nothing after them. `write_container` writes it and
-`_BodyReader.payload` reads it, so save, load, save reproduces files
-byte-for-byte.
+little-endian, written atomically. Models use the "VFNC" magic and
+start their body with kind tag 1 (older releases also wrote heads there
+as kind 2, which `load_model` refuses); encodings use "VENC". Every body
+is its kind's header fields, then the payload: a u64 byte length and the
+arrays of the kind's shape table in table order, raw IEEE-754
+little-endian in the dtype the header declares, with nothing after them.
+`write_container` writes it and `_BodyReader.payload` reads it, so save,
+load, save reproduces files byte-for-byte.
 
 A file is read in one pass and never held whole: the header fields by
 small reads, then the payload straight into one array of its dtype per
@@ -63,7 +63,6 @@ VERSION = 3
 SUPPORTED_VERSIONS = (1, 2, 3)
 
 KIND_MODEL = 1
-KIND_HEAD = 2
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 

@@ -213,7 +213,8 @@ class SynthSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.speed < 0 or self.amplitude < 0 or self.blob_sigma <= 0:
-            raise ContractError("speed and amplitude must be >= 0, blob_sigma > 0")
+            raise ContractError(f"need speed >= 0, amplitude >= 0 and blob_sigma > 0, got "
+                                f"{self.speed}, {self.amplitude} and {self.blob_sigma}")
 
     @property
     def labels(self) -> Labels:

@@ -12,19 +12,12 @@ is a pure function of the weights.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import VideoEncoding
-from .container import (
-    KIND_HEAD,
-    MODEL_MAGIC,
-    read_container,
-    write_container,
-)
-from .errors import ContractError, DivergenceError, FormatError
+from .errors import ContractError, DivergenceError
 from .metrics import classification_metrics, regression_metrics
 
 MODES = ("v", "phi", "combined")
@@ -33,7 +26,6 @@ _TASKS = ("regression", "binary")
 
 @dataclass(frozen=True)
 class HeadConfig:
-    mode: str = "phi"
     task: str = "regression"
     hidden: tuple[int, int] = (256, 64)
     dropout: float = 0.2
@@ -43,8 +35,6 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ContractError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.task not in _TASKS:
             raise ContractError(f"task must be one of {_TASKS}, got {self.task!r}")
         if len(self.hidden) != 2 or min(self.hidden) < 1:
@@ -71,18 +61,18 @@ def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:
     raise ContractError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+@dataclass(eq=False)
 class MlpHead:
-    """Trained head: three linear layers plus the normalization constants."""
+    """Trained head: three float64 linear layers plus the normalization
+    constants, as `train_head` leaves them."""
 
-    def __init__(self, weights, biases, feature_mean, feature_scale,
-                 target_mean, target_scale, config: HeadConfig):
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        self.feature_mean = np.asarray(feature_mean, dtype=np.float64)
-        self.feature_scale = np.asarray(feature_scale, dtype=np.float64)
-        self.target_mean = float(target_mean)
-        self.target_scale = float(target_scale)
-        self.config = config
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+    feature_mean: np.ndarray
+    feature_scale: np.ndarray
+    target_mean: float
+    target_scale: float
+    config: HeadConfig
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Scores per row: sigmoid probabilities for binary, plain values
@@ -223,59 +213,3 @@ def evaluate_head(head: MlpHead, features, labels):
         return regression_metrics(scores, y)
     return classification_metrics(scores, y.astype(np.int64))
 
-
-_MODE_CODES = {"v": 0, "phi": 1, "combined": 2}
-_TASK_CODES = {"regression": 0, "binary": 1}
-
-
-def _payload_shapes(sizes) -> dict[str, tuple[int, ...]]:
-    """Every float64 array of a head file's payload and its shape, in file
-    order: each layer's weight and bias, the feature mean and scale, then
-    the target mean and scale as one pair. `sizes` are the layer widths,
-    input first."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    for i in range(3):
-        shapes[f"layer{i}.weight"] = (sizes[i], sizes[i + 1])
-        shapes[f"layer{i}.bias"] = (sizes[i + 1],)
-    shapes.update(feature_mean=(sizes[0],), feature_scale=(sizes[0],), target=(2,))
-    return shapes
-
-
-def save_head(path, head: MlpHead) -> None:
-    cfg = head.config
-    sizes = [head.weights[0].shape[0], cfg.hidden[0], cfg.hidden[1], 1]
-    arrays = {"feature_mean": head.feature_mean, "feature_scale": head.feature_scale,
-              "target": [head.target_mean, head.target_scale]}
-    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
-        arrays[f"layer{i}.weight"], arrays[f"layer{i}.bias"] = w, b
-    body = (struct.pack("<I", KIND_HEAD)
-            + struct.pack("<BB", _MODE_CODES[cfg.mode], _TASK_CODES[cfg.task])
-            + struct.pack("<IIII", *sizes)
-            + struct.pack("<dIId q", cfg.dropout, cfg.epochs, cfg.batch_size,
-                          cfg.learning_rate, cfg.seed))
-    write_container(path, MODEL_MAGIC, body,
-                    [arrays[name] for name in _payload_shapes(sizes)], "<f8")
-
-
-def load_head(path) -> MlpHead:
-    with read_container(path, MODEL_MAGIC) as reader:
-        (kind,) = reader.unpack("<I")
-        if kind != KIND_HEAD:
-            raise FormatError(f"{reader.source}: kind {kind} is not a head")
-        mode_code, task_code = reader.unpack("<BB")
-        sizes = reader.unpack("<IIII")
-        dropout, epochs, batch_size, lr, seed = reader.unpack("<dIId q")
-
-        modes = {v: k for k, v in _MODE_CODES.items()}
-        tasks = {v: k for k, v in _TASK_CODES.items()}
-        if mode_code not in modes or task_code not in tasks:
-            raise FormatError(f"{reader.source}: unknown mode/task codes {(mode_code, task_code)}")
-        if sizes[3] != 1:
-            raise FormatError(f"{reader.source}: output width {sizes[3]}, expected 1")
-        cfg = HeadConfig(mode=modes[mode_code], task=tasks[task_code],
-                         hidden=(sizes[1], sizes[2]), dropout=dropout, epochs=epochs,
-                         batch_size=batch_size, learning_rate=lr, seed=seed)
-        arrays = reader.payload("<f8", _payload_shapes(sizes))
-    return MlpHead([arrays[f"layer{i}.weight"] for i in range(3)],
-                   [arrays[f"layer{i}.bias"] for i in range(3)],
-                   arrays["feature_mean"], arrays["feature_scale"], *arrays["target"], cfg)

@@ -706,14 +706,22 @@ def test_decode_of_a_model_whose_omega0_is_nan_is_one_error_line(tmp_path, capsy
                                           ("speed_min = nan", "speed_min"),
                                           ("speed_max = nan", "speed_max"),
                                           ("amplitude = inf", "amplitude"),
-                                          ("blob_sigma = nan", "blob_sigma")])
+                                          ("blob_sigma = nan", "blob_sigma"),
+                                          ("frames = 0", "dims"),
+                                          ("family = x", "'x'"),
+                                          ("blob_sigma = 0", "blob_sigma"),
+                                          ("amplitude = -1", "amplitude"),
+                                          ("speed_min = -1", "speed")])
 def test_bad_corpus_spec_is_one_error_line(tmp_path, capsys, line, needle):
+    """Every value the generator would refuse is refused, naming the spec
+    file, before --out is made. With speed_min = -1, seed 1 draws some
+    speeds of at least 0, so a check per video would write videos first."""
     spec = tmp_path / "spec.cfg"
     spec.write_text(line + "\n")
-    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--count", "1",
+    rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--count", "10", "--seed", "1",
                "--spec", str(spec)])
     assert rc == 1
-    assert_one_error_line(capsys.readouterr().err, needle)
+    assert_one_error_line(capsys.readouterr().err, needle, str(spec))
     assert not (tmp_path / "c").exists()
 
 
@@ -836,7 +844,7 @@ def test_eval_reports_the_heads_of_in_memory_encodings(tmp_path, capsys, monkeyp
         (x_train, y_train), (x_test, y_test) = split("train", mode), split("test", mode)
         reports = []
         for seed in (0, 1):
-            cfg = heads.HeadConfig(mode=mode, task=task, hidden=(6, 64), epochs=4, seed=seed)
+            cfg = heads.HeadConfig(task=task, hidden=(6, 64), epochs=4, seed=seed)
             head, _ = heads.train_head(x_train, y_train, cfg)
             reports.append(heads.evaluate_head(head, x_test, y_test))
         lines.append(_format_eval_line(mode, task, reports))
@@ -1269,6 +1277,7 @@ def test_vacuous_checkpoint_flags_are_one_error_line(tmp_path, capsys, monkeypat
 
 
 def test_eval_rejects_an_unknown_mode_before_encoding(tmp_path, capsys, monkeypatch):
+    """An unknown or a repeated mode is refused before any encoding is read."""
     corpus = gen_corpus(tmp_path)
     model_path, _, _ = tiny_files(tmp_path)
     enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
@@ -1277,10 +1286,11 @@ def test_eval_rejects_an_unknown_mode_before_encoding(tmp_path, capsys, monkeypa
     monkeypatch.setattr(codec, "load_model", lambda *args: loaded.append(args))
     monkeypatch.setattr(codec, "load_encoding", lambda *args: loaded.append(args))
     capsys.readouterr()
-    rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
-               "--task", "regression", "--modes", "v,bogus"])
-    assert rc == 1
-    assert_one_error_line(capsys.readouterr().err, "'bogus'")
+    for modes, needle in (("v,bogus", "'bogus'"), ("v,v", "'v' twice")):
+        rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
+                   "--task", "regression", "--modes", modes])
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, needle)
     assert encoded == [] and loaded == []
 
 

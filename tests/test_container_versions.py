@@ -2,7 +2,8 @@
 SHA-256 digest of the payload, and v1 files (FNV-1a) and v2 files
 (BLAKE2b-64) are still read and verified. The body of each kind is
 pinned byte for byte, the same in v2 and v3, and crafted bodies whose
-header the payload cannot match are refused.
+header the payload cannot match are refused, as is a model file of
+another kind.
 
 The container files under fixtures/v1 and fixtures/v2 were written by
 the last releases that wrote container versions 1 and 2; see the README
@@ -37,14 +38,13 @@ from vfuncta.errors import (
     FingerprintMismatchError,
     FormatError,
 )
-from vfuncta.heads import HeadConfig, load_head, save_head, train_head
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation, param_shapes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 V1, V2 = FIXTURES / "v1", FIXTURES / "v2"
 V1_FINGERPRINT = 0xFFC54EB32B8262D9
 V2_FINGERPRINT = 0x5127592D2643E1D3
-FILES = [("model.vfnc", load_model), ("clip.venc", load_encoding), ("head.vfnc", load_head)]
+FILES = [("model.vfnc", load_model), ("clip.venc", load_encoding)]
 
 
 def blake2b64(data: bytes) -> int:
@@ -75,14 +75,6 @@ def tiny_video() -> VideoTensor:
     t = np.linspace(0.2, 0.8, 3, dtype=np.float32)[:, None, None]
     base = np.linspace(0, 1, 20, dtype=np.float32).reshape(4, 5)
     return VideoTensor(np.clip(0.5 * base[None] + 0.5 * t, 0, 1))
-
-
-def tiny_head():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((10, 4))
-    head, _ = train_head(x, x.sum(axis=1), HeadConfig(hidden=(5, 3), epochs=3,
-                                                      batch_size=4))
-    return head
 
 
 def tiny_encoding() -> VideoEncoding:
@@ -126,14 +118,6 @@ def test_v1_encoding_decodes_against_v1_model_as_it_did():
     decoded = decode_video(model, enc)
     assert np.array_equal(decoded.values, load_video(V1 / "clip_decoded.rawvid").values)
     decode_static_summary(model, enc)
-
-
-def test_v1_head_keeps_its_settings():
-    head = load_head(V1 / "head.vfnc")
-    cfg = head.config
-    assert (cfg.mode, cfg.task, cfg.hidden, cfg.epochs, cfg.batch_size) == (
-        "phi", "regression", (6, 3), 5, 4)
-    assert [w.shape for w in head.weights] == [(4, 6), (6, 3), (3, 1)]
 
 
 @pytest.mark.parametrize("name, loader", FILES)
@@ -211,16 +195,6 @@ def test_an_old_model_resaves_as_v3_with_the_same_weights(tmp_path, old):
     assert np.array_equal(decoded.values, load_video(old / "clip_decoded.rawvid").values)
 
 
-@pytest.mark.parametrize("old", [V1, V2], ids=["v1", "v2"])
-def test_an_old_head_resaves_as_v3(tmp_path, old):
-    head = load_head(old / "head.vfnc")
-    save_head(tmp_path / "h.vfnc", head)
-    assert file_version(tmp_path / "h.vfnc") == 3
-    again = load_head(tmp_path / "h.vfnc")
-    assert again.config == head.config
-    assert all(np.array_equal(a, b) for a, b in zip(again.weights, head.weights))
-
-
 # --- v3 files never reach FNV-1a or BLAKE2b ------------------------------------------
 
 def refuse(monkeypatch, name: str) -> None:
@@ -252,23 +226,18 @@ def test_v3_round_trips_without_an_old_hash(tmp_path, no_fnv, no_blake2b):
     assert again == enc
     assert decode_video(loaded, again).dims == tiny_video().dims
 
-    save_head(tmp_path / "h.vfnc", tiny_head())
-    load_head(tmp_path / "h.vfnc")
-
-    for name in ("m.vfnc", "e.venc", "h.vfnc"):
+    for name in ("m.vfnc", "e.venc"):
         assert manifest.hash_file(tmp_path / name) == (
             f"{sha256_64((tmp_path / name).read_bytes()):016x}")
 
 
 def test_v2_round_trips_without_fnv(tmp_path, no_fnv):
-    """A v2 model, encoding and head load, decode and re-save as v3
-    without reaching FNV-1a."""
+    """A v2 model and encoding load, decode and re-save as v3 without
+    reaching FNV-1a."""
     model = load_model(V2 / "model.vfnc")
     decode_video(model, load_encoding(V2 / "clip.venc"))
     save_model(tmp_path / "m.vfnc", model)
-    save_head(tmp_path / "h.vfnc", load_head(V2 / "head.vfnc"))
     load_model(tmp_path / "m.vfnc")
-    load_head(tmp_path / "h.vfnc")
 
 
 def test_v1_read_does_reach_fnv(no_fnv):
@@ -296,18 +265,6 @@ def model_body(model: MetaModel) -> tuple[bytes, bytes]:
                         model.frame_dim, model.omega0, model.iteration), payload)
 
 
-def head_body(head) -> tuple[bytes, bytes]:
-    cfg = head.config
-    assert (cfg.mode, cfg.task) == ("phi", "regression")
-    arrays = [head.weights[0], head.biases[0], head.weights[1], head.biases[1],
-              head.weights[2], head.biases[2], head.feature_mean, head.feature_scale,
-              np.array([head.target_mean, head.target_scale])]
-    payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
-    return (struct.pack("<IBBIIIIdIIdq", 2, 1, 0, head.weights[0].shape[0], *cfg.hidden, 1,
-                        cfg.dropout, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.seed),
-            payload)
-
-
 def encoding_body(enc: VideoEncoding) -> tuple[bytes, bytes]:
     payload = (enc.video_mod.values.astype("<f4").tobytes()
                + enc.frame_mods.values.astype("<f4").tobytes())
@@ -316,9 +273,8 @@ def encoding_body(enc: VideoEncoding) -> tuple[bytes, bytes]:
             payload)
 
 
-PINNED = {save_model: (b"VFNC", model_body), save_head: (b"VFNC", head_body),
-          save_encoding: (b"VENC", encoding_body)}
-KINDS = [(save_model, tiny_model), (save_head, tiny_head), (save_encoding, tiny_encoding)]
+PINNED = {save_model: (b"VFNC", model_body), save_encoding: (b"VENC", encoding_body)}
+KINDS = [(save_model, tiny_model), (save_encoding, tiny_encoding)]
 
 
 @pytest.mark.parametrize("save, make", KINDS)
@@ -343,14 +299,13 @@ def test_v2_framing_is_pinned(tmp_path, save, make):
     new = (tmp_path / "new").read_bytes()
     assert (len(new), new[:4], new[8:-8]) == (len(old), old[:4], old[8:-8])
     assert (file_version(tmp_path / "old"), file_version(tmp_path / "new")) == (2, 3)
-    loader = {save_model: load_model, save_head: load_head, save_encoding: load_encoding}[save]
+    loader = {save_model: load_model, save_encoding: load_encoding}[save]
     loaded = loader(tmp_path / "old")
     assert body_of(loaded) == body_of(obj)
 
 
 @pytest.mark.parametrize("name, loader, save", [
-    ("model.vfnc", load_model, save_model), ("clip.venc", load_encoding, save_encoding),
-    ("head.vfnc", load_head, save_head)])
+    ("model.vfnc", load_model, save_model), ("clip.venc", load_encoding, save_encoding)])
 def test_v2_fixtures_are_framed_as_pinned(tmp_path, name, loader, save):
     magic, body_of = PINNED[save]
     expected = v2_file(tmp_path / name, magic, *body_of(loader(V2 / name)))
@@ -414,10 +369,10 @@ def test_a_one_unit_model_is_refused(tmp_path):
         load_model(crafted_model(tmp_path / "m.vfnc", **dims, values=values))
 
 
-def test_a_head_whose_output_width_is_not_one_is_refused(tmp_path):
-    sizes = (3, 4, 2, 2)
-    values = sum(a * b + b for a, b in zip(sizes, sizes[1:])) + 2 * sizes[0] + 2
-    payload = np.ones(values, dtype="<f8").tobytes()
-    fields = struct.pack("<IBBIIIIdIIdq", 2, 1, 0, *sizes, 0.2, 1, 4, 0.01, 0)
-    with pytest.raises(FormatError, match="output width 2"):
-        load_head(v3_file(tmp_path / "h.vfnc", b"VFNC", fields, payload))
+def test_a_kind_2_file_is_refused_as_a_model(tmp_path):
+    """Older releases wrote heads as kind 2 VFNC files. A version 3 file
+    of that kind is refused by its kind tag, even with a model's body."""
+    fields, payload = model_body(tiny_model())
+    fields = struct.pack("<I", 2) + fields[4:]
+    with pytest.raises(FormatError, match="kind 2 is not a model checkpoint"):
+        load_model(v3_file(tmp_path / "h.vfnc", b"VFNC", fields, payload))

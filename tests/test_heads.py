@@ -10,8 +10,6 @@ from vfuncta.heads import (
     HeadConfig,
     evaluate_head,
     extract_features,
-    load_head,
-    save_head,
     train_head,
 )
 from vfuncta.model import FrameModulationSeq, VideoModulation
@@ -188,30 +186,3 @@ def test_head_gradients_match_finite_differences():
             numeric[i, j] = (hi - lo) / (2 * step)
     assert rel_err(analytic, numeric) < 1e-3
 
-
-# --- persistence ----------------------------------------------------------------
-
-def test_head_save_load_save_byte_identical(tmp_path):
-    rng = np.random.default_rng(31)
-    x = rng.normal(size=(12, 5))
-    y = rng.normal(size=12)
-    head, _ = train_head(x, y, HeadConfig(hidden=(6, 3), epochs=20, seed=8))
-    p1, p2 = tmp_path / "h1.vfnc", tmp_path / "h2.vfnc"
-    save_head(p1, head)
-    loaded = load_head(p1)
-    save_head(p2, loaded)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert np.array_equal(loaded.predict(x), head.predict(x))
-    assert loaded.config == head.config
-
-
-def test_head_file_rejected_as_model(tmp_path):
-    from vfuncta.codec import load_model
-    from vfuncta.errors import FormatError
-
-    rng = np.random.default_rng(32)
-    head, _ = train_head(rng.normal(size=(6, 2)), rng.normal(size=6),
-                         HeadConfig(hidden=(4, 2), epochs=1))
-    save_head(tmp_path / "h.vfnc", head)
-    with pytest.raises(FormatError):
-        load_model(tmp_path / "h.vfnc")

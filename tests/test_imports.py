@@ -1,12 +1,15 @@
-"""Every imported name and every private module-level name is used, and
-no package module imports another's private name: scans of the package
-and test sources.
+"""Every imported name, every private module-level name and every public
+function, class and method is used, and no package module imports
+another's private name: scans of the package and test sources.
 
 An import is used when its name is loaded somewhere in the module. Names
 listed in the module's `__all__` (re-exports) and imports on a line
 marked `# noqa` are exempt. A private name (`_name`, not `__name__`)
 that a package module defines at its top level is used when some package
-module loads it or reads it as an attribute.
+module loads it or reads it as an attribute. A public function, class or
+method (a top-level one, or a method of a top-level class; dunder methods
+are called by Python) is used when the package or the benchmark's
+non-test modules load it by name.
 """
 
 import ast
@@ -15,6 +18,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "vfuncta").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+BENCH = [path for path in sorted((ROOT / "perfbench").glob("*.py"))
+         if not path.name.startswith("test_")]
+# tests call it to stop the pools of the runners they build
+UNCALLED_EXPORTS = {"RowRunner.close"}
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -66,15 +73,21 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
     return defined
 
 
-def dead_private_names(paths: list[Path]) -> list[str]:
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+def loaded_names(trees) -> set[str]:
+    """Every name the trees load, bare or as an attribute."""
     used: set[str] = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def dead_private_names(paths: list[Path]) -> list[str]:
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    used = loaded_names(trees.values())
     return [f"{path.relative_to(ROOT)}:{line}: {name}"
             for path, tree in trees.items()
             for name, line in private_definitions(tree).items() if name not in used]
@@ -101,3 +114,36 @@ def test_no_module_imports_another_modules_private_name():
     assert "codec.py" in {path.name for path in PACKAGE}
     crossing = [entry for path in PACKAGE for entry in private_imports(path)]
     assert not crossing, "private names imported across modules:\n" + "\n".join(crossing)
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """The public functions and classes a module defines at its top level,
+    and the public methods of those classes (`Class.method`), by line."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = {}
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        defined[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    defined[f"{node.name}.{item.name}"] = item.lineno
+    return defined
+
+
+def uncalled_exports(package: list[Path], callers: list[Path]) -> list[str]:
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in package}
+    used = loaded_names([*trees.values(),
+                         *(ast.parse(path.read_text(), filename=str(path)) for path in callers)])
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path, tree in trees.items()
+            for name, line in public_definitions(tree).items()
+            if name.rpartition(".")[2] not in used and name not in UNCALLED_EXPORTS]
+
+
+def test_every_public_definition_is_used_by_the_package_or_the_benchmark():
+    assert {"heads.py", "parallel.py"} <= {path.name for path in PACKAGE}
+    assert {"run.py", "workloads.py"} <= {path.name for path in BENCH}
+    uncalled = uncalled_exports(PACKAGE, BENCH)
+    assert not uncalled, "public names nobody outside the tests uses:\n" + "\n".join(uncalled)

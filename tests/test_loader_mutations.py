@@ -21,7 +21,6 @@ from vfuncta.codec import (
     save_model,
 )
 from vfuncta.errors import VfunctaError
-from vfuncta.heads import HeadConfig, load_head, save_head, train_head
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -39,12 +38,6 @@ def small_encoding(path):
         FrameModulationSeq(rng.standard_normal((3, 4)).astype(np.float32)),
         frames=3, height=4, width=5, fingerprint=0x0123456789ABCDEF, inner_steps=2,
         inner_lr=0.05))
-
-
-def small_head(path):
-    x = np.random.default_rng(2).standard_normal((10, 4))
-    head, _ = train_head(x, x.sum(axis=1), HeadConfig(hidden=(5, 3), epochs=3, batch_size=4))
-    save_head(path, head)
 
 
 def damage(path: Path, blob: bytes):
@@ -71,15 +64,11 @@ def damage(path: Path, blob: bytes):
 @pytest.mark.parametrize("make, loader", [
     (small_model, load_model),
     (small_encoding, load_encoding),
-    (small_head, load_head),
     ("v2/model.vfnc", load_model),
     ("v2/clip.venc", load_encoding),
-    ("v2/head.vfnc", load_head),
     ("v1/model.vfnc", load_model),
     ("v1/clip.venc", load_encoding),
-    ("v1/head.vfnc", load_head),
-], ids=["v3-model", "v3-encoding", "v3-head", "v2-model", "v2-encoding", "v2-head",
-        "v1-model", "v1-encoding", "v1-head"])
+], ids=["v3-model", "v3-encoding", "v2-model", "v2-encoding", "v1-model", "v1-encoding"])
 def test_every_damaged_file_is_refused(tmp_path, make, loader):
     path = tmp_path / "file"
     if isinstance(make, str):
