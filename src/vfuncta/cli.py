@@ -162,6 +162,14 @@ def cmd_train(args, argv) -> int:
     if (args.checkpoint_dir is None) != (args.checkpoint_every == 0):
         raise VfunctaError("--checkpoint-dir DIR and --checkpoint-every N (N >= 1) "
                            "go together")
+    log_path = args.log if args.log is not None else args.out.with_suffix(".log")
+    manifest_path = args.out.with_suffix(".manifest.json")
+    # two of them at one file would leave only the one written last
+    written: dict[Path, str] = {}
+    for name, path in (("model", args.out), ("log", log_path), ("manifest", manifest_path)):
+        other = written.setdefault(path.resolve(), name)
+        if other != name:
+            raise VfunctaError(f"the {other} and the {name} would both be written to {path}")
     cfg = load_train_config(args.config, overrides=args.set)
 
     items = data.read_corpus_manifest(args.corpus)
@@ -184,7 +192,6 @@ def cmd_train(args, argv) -> int:
         manifest.add_input(p)
     if resume is not None:
         manifest.add_input(args.resume, resume.checksum)
-    log_path = args.log if args.log is not None else args.out.with_suffix(".log")
     for directory in (args.out.parent, log_path.parent):
         directory.mkdir(parents=True, exist_ok=True)
     model, log = train(paths, cfg,
@@ -197,7 +204,7 @@ def cmd_train(args, argv) -> int:
         manifest.add_artifact(path, base=args.checkpoint_dir.parent, digest=checksum)
     manifest.add_artifact(args.out, digest=codec.save_model(args.out, model))
     manifest.add_artifact(log_path, digest=log.write(log_path))
-    manifest.write(args.out.with_suffix(".manifest.json"))
+    manifest.write(manifest_path)
     print(f"train: {model.iteration} iterations, final loss {log.entries[-1].loss:.6g}, "
           f"model -> {args.out}")
     return 0
@@ -210,16 +217,17 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict, wor
     `worker(model, input, output)` per input, one at a time, in input
     order, in the calling thread; each evaluation's row blocks already use
     every core. A worker returns its stdout line and the `{path:
-    checksum}` of the container files it read or wrote, and writes its
-    output only once nothing else can fail it; a VfunctaError or OSError
-    it raises fails that item only. Without --keep-going the first failure
+    checksum}` of the container files it read or wrote, with any other
+    file it read besides its input (checksum None), and writes its output
+    only once nothing else can fail it; a VfunctaError or OSError it
+    raises fails that item only. Without --keep-going the first failure
     starts no later item. The run manifest then enters the model, every
-    input and the output of each item that succeeded, by those checksums
-    where the worker returned one (a version 1 or 2 file, whose checksum
-    is None, is hashed whole, as is every other file). A failed item's
-    output is not entered, even where an earlier run left that file. After
-    the manifest is written the first failure is raised, or with
-    --keep-going each is reported on stderr.
+    input, and the output and other reads of each item that succeeded, by
+    those checksums where the worker returned one (a version 1 or 2 file,
+    whose checksum is None, is hashed whole, as is every other file). A
+    failed item's output is not entered, even where an earlier run left
+    that file. After the manifest is written the first failure is raised,
+    or with --keep-going each is reported on stderr.
     """
     jobs = getattr(args, "jobs", 1)
     if jobs != 1:
@@ -241,8 +249,11 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict, wor
             manifest.add_input(path)
             continue
         print(line)
-        manifest.add_input(path, checksums.get(path))
-        manifest.add_artifact(outputs[path], base=args.out, digest=checksums.get(outputs[path]))
+        manifest.add_input(path, checksums.pop(path, None))
+        manifest.add_artifact(outputs[path], base=args.out,
+                              digest=checksums.pop(outputs[path], None))
+        for read, checksum in checksums.items():
+            manifest.add_input(read, checksum)
     manifest.write(args.out / "run_manifest.json")
     if failures and not args.keep_going:
         raise failures[0][1]
@@ -272,11 +283,14 @@ def cmd_decode(args, argv) -> int:
         enc = codec.load_encoding(enc_path)
         video = codec.decode_video(model, enc)
         line = f"{enc_path.name}\tdims={video.dims}"
+        checksums = {enc_path: enc.checksum}
         if args.originals is not None:
-            original = data.load_video(args.originals / (enc_path.stem + ".rawvid"))
+            original_path = args.originals / (enc_path.stem + ".rawvid")
+            original = data.load_video(original_path)
             line += f"\t{metrics.quality_report(original, video).line()}"
+            checksums[original_path] = None
         data.save_video(dest, video)
-        return line, {enc_path: enc.checksum}
+        return line, checksums
 
     return _run_per_item(args, argv, args.encodings, ".rawvid", {}, worker)
 

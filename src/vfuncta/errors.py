@@ -22,13 +22,21 @@ class NonFiniteError(VfunctaError):
 
 
 class DivergenceError(VfunctaError):
-    """Optimization produced a non-finite loss."""
+    """Optimization produced a non-finite loss or weight (`what`) at inner
+    step `step`, the outer step being step K; `iteration`, when set, is
+    the outer iteration it ended."""
 
-    def __init__(self, step: int, loss_history):
-        history = ", ".join(f"{x:.6g}" for x in loss_history)
-        super().__init__(f"non-finite loss at step {step} (history: [{history}])")
+    def __init__(self, step: int, loss_history, what: str = "loss"):
+        super().__init__()
         self.step = step
         self.loss_history = list(loss_history)
+        self.what = what
+        self.iteration: int | None = None
+
+    def __str__(self) -> str:
+        history = ", ".join(f"{x:.6g}" for x in self.loss_history)
+        where = "" if self.iteration is None else f" of outer iteration {self.iteration}"
+        return f"non-finite {self.what} at step {self.step}{where} (history: [{history}])"
 
 
 class FormatError(VfunctaError):

@@ -20,7 +20,8 @@ then the name and the bytes, so renaming, adding or changing a frame
 changes the entry.
 
 A per-item command (encode, decode, summary) enters every input and the
-output of each item that succeeded, never a file only because it
+output of each item that succeeded, and `decode --originals` the
+original each of those items read, never a file only because it
 exists.
 """
 

@@ -27,18 +27,18 @@ floor, BLOCK_FLOOR, is four times the break-even.
 
 The pin goes through `openblas_set_num_threads_local` of the OpenBLAS
 numpy loaded. In the scipy-openblas builds numpy ships, that call sets
-the process-wide thread count (and returns the previous one), so the pin
-is held once for all callers: the first caller to enter a block phase
-sets one thread, the last to leave restores the previous count. Without
-the symbol every evaluation runs as one block, on the calling thread.
+the process-wide thread count (and returns the previous one), so a phase
+of several blocks sets one thread on entry and restores the previous
+count on exit. Evaluations run one at a time, from the program's one
+calling thread. Without the symbol every evaluation runs as one block, on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import partial
 
 # Fewest activation elements (rows x layer width) in a block: four times
@@ -69,7 +69,7 @@ class RowRunner:
     `set_threads(n)` sets the BLAS thread count and returns the previous
     one; None means BLAS cannot be pinned and every call runs as one
     block. The block count is the BLAS thread count at construction.
-    Block threads come from one pool shared by every caller.
+    Evaluations run one at a time, from the program's one calling thread.
     """
 
     def __init__(self, set_threads):
@@ -79,9 +79,6 @@ class RowRunner:
             previous = set_threads(1)
             set_threads(previous)
             self.threads = max(1, previous)
-        self._lock = threading.Lock()
-        self._holders = 0
-        self._restore = self.threads
         self._pool: ThreadPoolExecutor | None = None
 
     def cuts(self, units: int, unit_size: int) -> list[int]:
@@ -110,8 +107,12 @@ class RowRunner:
         blocks need.
         """
         cuts = self.cuts(units, unit_size)
-        with self._pinned() if len(cuts) > 2 else nullcontext():
+        previous = self._set_threads(1) if len(cuts) > 2 else None
+        try:
             yield partial(self._map, cuts)
+        finally:
+            if previous is not None:
+                self._set_threads(previous)
 
     def _map(self, cuts, fn) -> list:
         """`fn(lo, hi)` over each pair of neighbouring cuts, the first in
@@ -119,39 +120,19 @@ class RowRunner:
         call is raised once every call has finished."""
         if len(cuts) == 2:
             return [fn(cuts[0], cuts[1])]
-        pool = self._executor()
-        futures = [pool.submit(fn, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=self.threads - 1,
+                                            thread_name_prefix="vfuncta-rows")
+        futures = [self._pool.submit(fn, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
         try:
             first = fn(cuts[0], cuts[1])
         finally:
             wait(futures)
         return [first] + [f.result() for f in futures]
 
-    @contextmanager
-    def _pinned(self):
-        with self._lock:
-            if not self._holders:
-                self._restore = self._set_threads(1)
-            self._holders += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._holders -= 1
-                if not self._holders:
-                    self._set_threads(self._restore)
-
-    def _executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.threads - 1,
-                                                thread_name_prefix="vfuncta-rows")
-            return self._pool
-
     def close(self) -> None:
         """Stop the pool's threads; a later block phase starts a new pool."""
-        with self._lock:
-            pool, self._pool = self._pool, None
+        pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown()
 

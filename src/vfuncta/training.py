@@ -133,10 +133,13 @@ def adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
         except NonFiniteError as exc:
             raise DivergenceError(g, history) from exc
         history.append(step.loss)
-        # per-frame loss gradient = b times the gradient of the batch mean
-        phis = phis - (inner_lr * b) * step.phis
-        if adapt_v:
-            v = v - inner_lr * step.v
+        # an update that overflows surfaces at the next evaluation, or as
+        # the encoding's own finiteness check, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            # per-frame loss gradient = b times the gradient of the batch mean
+            phis = phis - (inner_lr * b) * step.phis
+            if adapt_v:
+                v = v - inner_lr * step.v
     return v, phis, history
 
 
@@ -166,14 +169,20 @@ def meta_step(model: MetaModel, video, cfg: TrainConfig,
     except NonFiniteError as exc:
         raise DivergenceError(cfg.inner_steps, history) from exc
     # each gradient becomes its new weights in place and is then held
-    # read-only as they are, so no update allocates a parameter-sized array
+    # read-only as they are, so no update allocates a parameter-sized array;
+    # an overflow surfaces as Tensor's NonFiniteError, not as a warning
     updated = {}
     for name, p in model.parameters():
         g = outer.weights.pop(name)
-        g *= cfg.meta_lr
-        np.subtract(p.data, g, out=g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g *= cfg.meta_lr
+            np.subtract(p.data, g, out=g)
         g.setflags(write=False)
-        updated[name] = Tensor(g)
+        try:
+            updated[name] = Tensor(g)
+        except NonFiniteError as exc:
+            raise DivergenceError(cfg.inner_steps, history + [outer.loss],
+                                  what=f"weights in {name}") from exc
     return model.replace_params(updated, iteration=model.iteration + 1), outer.loss
 
 
@@ -186,7 +195,8 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
     on the item at place `it % len(dataset)` of its epoch's seeded
     permutation; a path that cannot be read raises its DataError there.
     Passing the model from a saved checkpoint as `resume` continues the
-    identical run from its stored iteration.
+    identical run from its stored iteration. A DivergenceError names the
+    outer iteration it ended, numbered as the log numbers it.
     """
     items = list(dataset)
     if not items:
@@ -206,7 +216,11 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
 
         t0 = time.perf_counter()
         rng = np.random.default_rng([cfg.seed, _STREAM_STEP, it])
-        model, loss = meta_step(model, video, cfg, rng)
+        try:
+            model, loss = meta_step(model, video, cfg, rng)
+        except DivergenceError as exc:
+            exc.iteration = it + 1
+            raise
         log.entries.append(LogEntry(iteration=model.iteration, loss=loss,
                                     seconds=time.perf_counter() - t0))
         if (checkpoint_dir is not None and checkpoint_every > 0

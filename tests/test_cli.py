@@ -357,9 +357,17 @@ def test_decode_report_against_originals(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("\t")[0] for line in lines] == [Path(v).name for v in vencs]
     assert all("\tpsnr_db=" in line and "\tssim3d=" in line for line in lines)
-    # without it, decode prints the dims alone
+    # the manifest enters each original read, by its file hash
+    inputs = read_manifest(tmp_path / "dec" / "run_manifest.json")["inputs"]
+    originals = {i.path: hash_file(i.path) for i in items}
+    assert {k: v for k, v in inputs.items() if k.endswith(".rawvid")} == originals
+    # without it, decode prints the dims alone and enters the model and the
+    # encodings only
     main(["decode", "--model", str(model_path), "--out", str(tmp_path / "plain"), *vencs])
     assert "psnr_db=" not in capsys.readouterr().out
+    plain = read_manifest(tmp_path / "plain" / "run_manifest.json")["inputs"]
+    assert plain == {k: v for k, v in inputs.items() if k not in originals}
+    assert sorted(plain) == sorted([str(model_path), *vencs])
 
 
 def test_summary_writes_pgm(tmp_path, capsys):
@@ -555,6 +563,49 @@ def test_train_bad_override_value_is_one_error_line(tmp_path, capsys):
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "layers", "abc")
     assert not (tmp_path / "m.vfnc").exists()
+
+
+@pytest.mark.parametrize("flags, needle", [
+    (["--out", "runs/m.log"], "the model and the log would both be written to runs/m.log"),
+    (["--out", "runs/m.vfnc", "--log", "runs/m.manifest.json"],
+     "the log and the manifest would both be written to runs/m.manifest.json"),
+])
+def test_train_refuses_outputs_at_one_path(tmp_path, capsys, monkeypatch, flags, needle):
+    monkeypatch.chdir(tmp_path)
+    corpus = gen_corpus(tmp_path)
+    cfg = write_config(tmp_path / "run.cfg", iterations=1)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main(["train", "--corpus", str(corpus), "--config", str(cfg), *flags])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, needle)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, flags, needle", [
+    ("encode", ["--inner-lr", "1e38"], "non-finite loss at step 1 (history"),
+    ("train", ["--set", "inner_lr=1e38"], "at step 1 of outer iteration 1"),
+    ("train", ["--set", "meta_lr=3e38"], "non-finite weights in"),
+    # the first update succeeds, and the second iteration's first step fails
+    ("train", ["--set", "meta_lr=1e10"], "non-finite loss at step 0 of outer iteration 2"),
+])
+def test_an_overflowing_update_is_one_error_line(tmp_path, capsys, command, flags, needle):
+    corpus = gen_corpus(tmp_path, count=1)
+    if command == "encode":
+        model_path, _, _ = tiny_files(tmp_path)
+        # 4 frames a window, so the frame update's step inner_lr * 4
+        # overflows float32
+        argv = ["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
+                str(corpus / "00000.rawvid")]
+    else:
+        argv = ["train", "--corpus", str(corpus), "--all-splits",
+                "--config", str(write_config(tmp_path / "run.cfg", iterations=2)),
+                "--out", str(tmp_path / "m.vfnc")]
+    capsys.readouterr()
+    # a numpy RuntimeWarning would fail the call: pyproject.toml makes it an error
+    rc = main(argv + flags)
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, needle)
 
 
 def test_train_of_a_one_unit_network_is_one_error_line(tmp_path, capsys):

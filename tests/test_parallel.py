@@ -16,6 +16,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +35,15 @@ SRC = str(Path(parallel.__file__).parents[1])
 
 
 class FakeBlas:
-    """A process-wide BLAS thread count, set the way OpenBLAS sets it."""
+    """A process-wide BLAS thread count, set the way OpenBLAS sets it;
+    `calls` holds every count it was set to, in order."""
 
     def __init__(self, threads):
         self.count = threads
+        self.calls = []
 
     def __call__(self, n):
+        self.calls.append(n)
         prev, self.count = self.count, n
         return prev
 
@@ -212,6 +216,8 @@ def test_non_finite_in_a_later_block_raises_in_the_caller(use_runner, call):
 def test_error_in_a_pool_block_reaches_the_caller(use_runner):
     fake = FakeBlas(3)
     runner = use_runner(fake)
+    fake.calls.clear()  # the runner's construction reads the count
+    fake.count = 2  # a count set since, which the phase must give back
 
     def fn(lo, hi):
         if lo:
@@ -222,7 +228,16 @@ def test_error_in_a_pool_block_reaches_the_caller(use_runner):
         with runner.blocks(30, 1) as map_blocks:
             assert fake.count == 1
             map_blocks(fn)
-    assert fake.count == 3
+    # the split phase set one thread, then the count it found, once each
+    assert fake.calls == [1, 2] and fake.count == 2
+    # a one-block phase never calls the setter, whether its block returns
+    # or raises
+    with runner.blocks(1, 1) as map_blocks:
+        assert map_blocks(fn) == [0]
+    with pytest.raises(NonFiniteError, match="later block"):
+        with runner.blocks(1, 1) as map_blocks:
+            map_blocks(lambda lo, hi: fn(hi, hi))
+    assert fake.calls == [1, 2]
 
 
 def test_real_blas_thread_count_is_restored(use_runner):
@@ -257,37 +272,6 @@ def test_without_the_symbol_one_block_runs_in_the_caller(use_runner):
     with runner.blocks(8, 10**6) as map_blocks:
         assert map_blocks(lambda lo, hi: (lo, hi, threading.current_thread())) == [
             (0, 8, threading.current_thread())]
-
-
-def test_concurrent_callers_share_the_pin_and_pool(use_runner):
-    model, v, phis, coords, targets = case(4, 5, np.float32)
-    fake = FakeBlas(3)
-    use_runner(fake)
-    expected = loss_and_grads(model, v, phis, coords, targets)
-    results, errors = [], []
-
-    def caller():
-        try:
-            for _ in range(20):
-                results.append(loss_and_grads(model, v, phis, coords, targets))
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=caller) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors
-    assert len(results) == 80
-    assert all(np.array_equal(r.phis, expected.phis) for r in results)
-    assert fake.count == 3
 
 
 def test_encoding_is_the_same_bytes_with_one_block_and_two(use_runner, tmp_path):
@@ -373,6 +357,7 @@ def test_train_output_does_not_depend_on_the_blas_thread_count(tmp_path):
 def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monkeypatch):
     fake = FakeBlas(2)
     runner = parallel.RowRunner(fake)
+    fake.calls.clear()  # the runner's construction reads the count
     monkeypatch.setattr(parallel, "RUNNER", runner)
     phases, counts = [], []
     blocks, backward = runner.blocks, model._backward_frame
@@ -393,17 +378,26 @@ def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monke
     cfg = training.TrainConfig(batch_frames=8, coords_per_frame=256, layers=2, hidden=256,
                                video_dim=8, frame_dim=4, inner_steps=3)
     video = VideoTensor(np.random.default_rng(11).uniform(0, 1, size=(8, 32, 32)))
+    model_ = cfg.new_model()
     try:
-        training.meta_step(cfg.new_model(), video, cfg, np.random.default_rng(0))
+        training.meta_step(model_, video, cfg, np.random.default_rng(0))
+        # and one step of two frames at 64 pixels, under the block floor
+        targets, coords = training.sample_batch(video, replace(cfg, batch_frames=2,
+                                                               coords_per_frame=64),
+                                                np.random.default_rng(1))
+        training.adapt(model_, targets, coords, steps=1, inner_lr=0.1)
     finally:
         runner.close()
     # K inner steps and the outer step, each in two blocks of 4 frames and
     # each frame one tile, which in the outer step also forms the frame's
-    # weight products
-    assert phases == [2] * (cfg.inner_steps + 1)
-    assert len(counts) == 8 * cfg.inner_steps + 8
-    # BLAS runs one thread whenever a block runs
-    assert set(counts) == {1} and fake.count == 2
+    # weight products; then the one-block step
+    assert phases == [2] * (cfg.inner_steps + 1) + [1]
+    assert len(counts) == 8 * cfg.inner_steps + 8 + 2
+    # BLAS runs one thread whenever a split phase's blocks run; each split
+    # phase sets one thread and then the count it found, and the one-block
+    # phase runs at that count without a call
+    assert set(counts[:-2]) == {1} and counts[-2:] == [2, 2]
+    assert fake.calls == [1, 2] * (cfg.inner_steps + 1) and fake.count == 2
 
 
 # --- frame tiles within a block ------------------------------------------------
