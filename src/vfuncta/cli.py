@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encodings", required=True, type=Path,
                    help="directory holding each corpus video's <stem>.venc, as encode wrote it")
     p.add_argument("--corpus", required=True, type=Path)
-    p.add_argument("--task", required=True, choices=["regression", "binary"])
+    p.add_argument("--task", required=True, choices=heads.TASKS)
     p.add_argument("--modes", default="v,phi,combined",
                    help="comma-separated feature modes to evaluate")
     p.add_argument("--head-config", type=Path, default=None)

@@ -14,7 +14,7 @@ encode side.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 
+@dataclass(eq=False)
 class VideoEncoding:
     """Compressed form of one video: (v, per-frame phis) plus provenance.
 
@@ -59,29 +60,25 @@ class VideoEncoding:
     file in a run manifest, else None; it is not part of equality.
     """
 
-    __slots__ = ("video_mod", "frame_mods", "frames", "height", "width",
-                 "fingerprint", "inner_steps", "inner_lr", "fingerprint_version", "checksum")
+    video_mod: VideoModulation
+    frame_mods: FrameModulationSeq
+    frames: int
+    height: int
+    width: int
+    fingerprint: int
+    inner_steps: int
+    inner_lr: float
+    fingerprint_version: int = VERSION
+    checksum: int | None = None
 
-    def __init__(self, video_mod: VideoModulation, frame_mods: FrameModulationSeq,
-                 frames: int, height: int, width: int, fingerprint: int,
-                 inner_steps: int, inner_lr: float, fingerprint_version: int = VERSION):
-        if len(frame_mods) != frames:
+    def __post_init__(self):
+        if len(self.frame_mods) != self.frames:
             raise ContractError(
-                f"encoding holds {len(frame_mods)} frame vectors for {frames} frames")
-        if min(frames, height, width) < 1:
+                f"encoding holds {len(self.frame_mods)} frame vectors for {self.frames} frames")
+        if min(self.frames, self.height, self.width) < 1:
             raise ContractError("encoded dims must be positive")
-        if fingerprint_version not in SUPPORTED_VERSIONS:
-            raise ContractError(f"unknown fingerprint version {fingerprint_version}")
-        self.video_mod = video_mod
-        self.frame_mods = frame_mods
-        self.frames = frames
-        self.height = height
-        self.width = width
-        self.fingerprint = int(fingerprint)
-        self.inner_steps = int(inner_steps)
-        self.inner_lr = float(inner_lr)
-        self.fingerprint_version = int(fingerprint_version)
-        self.checksum: int | None = None
+        if self.fingerprint_version not in SUPPORTED_VERSIONS:
+            raise ContractError(f"unknown fingerprint version {self.fingerprint_version}")
 
     @property
     def video_dim(self) -> int:
@@ -162,11 +159,8 @@ def decode_video(model: MetaModel, enc: VideoEncoding) -> VideoTensor:
 
 def decode_static_summary(model: MetaModel, enc: VideoEncoding) -> np.ndarray:
     """One frame decoded from the video vector alone (frame vector zero)."""
-    _require_same_model(model, enc)
-    coords = grid_coords(enc.height, enc.width)
-    phi = np.zeros((1, model.frame_dim), dtype=model.dtype)
-    pred = forward_batch(model, enc.video_mod.values, phi, coords)
-    return np.clip(pred.reshape(enc.height, enc.width), 0.0, 1.0).astype(np.float32)
+    zero = FrameModulationSeq(np.zeros((1, enc.frame_dim)))
+    return decode_video(model, replace(enc, frame_mods=zero, frames=1)).values[0]
 
 
 def compression_rate(dims: tuple[int, int, int], video_dim: int, frame_dim: int) -> float:
@@ -201,10 +195,8 @@ def load_encoding(path) -> VideoEncoding:
         inner_steps, inner_lr, fingerprint = reader.unpack("<IdQ")
         arrays = reader.payload(decode_dtype(code),
                                 {"v": (video_dim,), "phis": (frames, frame_dim)})
-    enc = VideoEncoding(
+    return VideoEncoding(
         VideoModulation(arrays["v"]), FrameModulationSeq(arrays["phis"]),
         frames=frames, height=height, width=width,
         fingerprint=fingerprint, inner_steps=inner_steps, inner_lr=inner_lr,
-        fingerprint_version=reader.version)
-    enc.checksum = reader.checksum
-    return enc
+        fingerprint_version=reader.version, checksum=reader.checksum)

@@ -258,8 +258,6 @@ def gen_synthetic(spec: SynthSpec, rng: np.random.Generator) -> tuple[VideoTenso
 
 def _smooth_field(height, width, rng, *, grid, lo, hi) -> np.ndarray:
     coarse = rng.uniform(lo, hi, size=(grid, grid)).astype(np.float32)
-    if (height, width) == (grid, grid):
-        return coarse.astype(np.float64)
     return _resize_frame(coarse, height, width).astype(np.float64)
 
 

@@ -21,7 +21,7 @@ from .errors import ContractError, DivergenceError
 from .metrics import classification_metrics, regression_metrics
 
 MODES = ("v", "phi", "combined")
-_TASKS = ("regression", "binary")
+TASKS = ("regression", "binary")
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.task not in _TASKS:
-            raise ContractError(f"task must be one of {_TASKS}, got {self.task!r}")
+        if self.task not in TASKS:
+            raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
         if len(self.hidden) != 2 or min(self.hidden) < 1:
             raise ContractError("hidden widths must be two positive integers")
         if not 0.0 <= self.dropout < 1.0:
@@ -56,8 +56,7 @@ def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:
     if mode == "phi":
         return enc.frame_mods.values.astype(np.float64).mean(axis=0)
     if mode == "combined":
-        pooled = enc.frame_mods.values.astype(np.float64).mean(axis=0)
-        return np.concatenate([enc.video_mod.values.astype(np.float64), pooled])
+        return np.concatenate([extract_features(enc, "v"), extract_features(enc, "phi")])
     raise ContractError(f"mode must be one of {MODES}, got {mode!r}")
 
 

@@ -100,11 +100,20 @@ def sample_coords(height: int, width: int, count: int,
     total = height * width
     if not 1 <= count <= total:
         raise ContractError(f"coordinate count {count} outside [1, {total}]")
-    if count == total:
-        indices = np.arange(total, dtype=np.int64)
-    else:
-        indices = np.sort(rng.choice(total, size=count, replace=False)).astype(np.int64)
+    indices = np.sort(rng.choice(total, size=count, replace=False)).astype(np.int64)
     return indices, grid_coords(height, width)[indices]
+
+
+def init_bound(fan_in: int, omega0: float, dtype) -> float:
+    """sqrt(6/fan_in)/omega0, half the width of a modulated layer's initial
+    draw; an omega0 that is not finite and positive, or that takes the
+    width past `dtype`'s range, is refused."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bound = np.sqrt(6.0 / fan_in) / omega0
+        if not 0 < 2 * bound <= np.finfo(dtype).max:
+            raise ContractError(f"omega0 must be finite and positive with sqrt(6/{fan_in})/omega0"
+                                f" inside {np.dtype(dtype).name}'s range, got {omega0}")
+    return bound
 
 
 def param_shapes(layers: int, hidden: int, video_dim: int,
@@ -189,7 +198,7 @@ class MetaModel:
                    rng: np.random.Generator | None = None) -> "MetaModel":
         """Fresh weights under the standard sine-network scheme: first layer
         uniform in +-1/fan_in, later layers and projections uniform in
-        +-sqrt(6/fan_in)/omega0, output layer uniform in +-sqrt(6/fan_in).
+        +-`init_bound`, output layer uniform in +-sqrt(6/fan_in).
         Draws go layer by layer (weight, bias, video and frame
         projection), then the output layer."""
         if layers < 1 or hidden < 1 or video_dim < 1 or frame_dim < 1:
@@ -210,11 +219,11 @@ class MetaModel:
 
         for k in range(layers):
             fan_in = shapes[f"layer{k}.weight"][0]
-            bound = (1.0 / fan_in) if k == 0 else (np.sqrt(6.0 / fan_in) / omega0)
+            bound = (1.0 / fan_in) if k == 0 else init_bound(fan_in, omega0, dtype)
             draw(f"layer{k}.weight", bound)
             draw(f"layer{k}.bias", bound)
-            draw(f"video_proj{k}", np.sqrt(6.0 / video_dim) / omega0)
-            draw(f"frame_proj{k}", np.sqrt(6.0 / frame_dim) / omega0)
+            draw(f"video_proj{k}", init_bound(video_dim, omega0, dtype))
+            draw(f"frame_proj{k}", init_bound(frame_dim, omega0, dtype))
         out_bound = np.sqrt(6.0 / hidden)
         draw("out.weight", out_bound)
         draw("out.bias", out_bound)

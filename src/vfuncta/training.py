@@ -26,7 +26,7 @@ import numpy as np
 from .container import atomic_write_bytes, save_model, sha256_64
 from .data import VideoTensor, load_video
 from .errors import ContractError, DivergenceError, NonFiniteError
-from .model import MetaModel, loss_and_grads, sample_coords
+from .model import MetaModel, init_bound, loss_and_grads, sample_coords
 from .tensor import Tensor
 
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
@@ -68,10 +68,11 @@ class TrainConfig:
                 raise ContractError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("inner_lr", "meta_lr"):
             require_rate(name, getattr(self, name))
-        if not (math.isfinite(self.omega0) and self.omega0 > 0):
-            raise ContractError(f"omega0 must be finite and positive, got {self.omega0}")
         if self.precision not in _PRECISIONS:
             raise ContractError(f"precision must be one of {sorted(_PRECISIONS)}")
+        # each fan-in whose initial weights `MetaModel.initialize` scales by 1/omega0
+        for fan_in in (self.video_dim, self.frame_dim) + ((self.hidden,) if self.layers > 1 else ()):
+            init_bound(fan_in, self.omega0, self.dtype)
 
     @property
     def dtype(self):
@@ -133,13 +134,15 @@ def adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
         except NonFiniteError as exc:
             raise DivergenceError(g, history) from exc
         history.append(step.loss)
-        # an update that overflows surfaces at the next evaluation, or as
-        # the encoding's own finiteness check, not as a warning
+        # an update that overflows surfaces at the next evaluation, or the
+        # last update at the check below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             # per-frame loss gradient = b times the gradient of the batch mean
             phis = phis - (inner_lr * b) * step.phis
             if adapt_v:
                 v = v - inner_lr * step.v
+    if not (np.isfinite(v).all() and np.isfinite(phis).all()):
+        raise DivergenceError(steps, history, what="modulations")
     return v, phis, history
 
 

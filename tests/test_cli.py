@@ -1,5 +1,6 @@
 """End-to-end command-line workflows at toy scale."""
 
+import argparse
 import builtins
 import hashlib
 import io
@@ -15,7 +16,7 @@ import pytest
 from helpers import Hashers
 
 from vfuncta import codec, container, data, heads, parallel
-from vfuncta.cli import _format_eval_line, main
+from vfuncta.cli import _build_parser, _format_eval_line, main
 from vfuncta.codec import (
     VideoEncoding,
     load_model,
@@ -24,6 +25,7 @@ from vfuncta.codec import (
     save_model,
 )
 from vfuncta.data import VideoTensor, load_video, read_corpus_manifest, save_video
+from vfuncta.errors import ContractError
 from vfuncta.manifest import hash_file
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
 from vfuncta.tensor import Tensor
@@ -588,6 +590,11 @@ def test_train_refuses_outputs_at_one_path(tmp_path, capsys, monkeypatch, flags,
     ("train", ["--set", "meta_lr=3e38"], "non-finite weights in"),
     # the first update succeeds, and the second iteration's first step fails
     ("train", ["--set", "meta_lr=1e10"], "non-finite loss at step 0 of outer iteration 2"),
+    # the last update overflows: the returned modulations are checked
+    ("encode", ["--inner-lr", "1e38", "--inner-steps", "1"],
+     "non-finite modulations at step 1 (history"),
+    ("train", ["--set", "inner_lr=1e38", "--set", "inner_steps=1"],
+     "non-finite modulations at step 1 of outer iteration 1"),
 ])
 def test_an_overflowing_update_is_one_error_line(tmp_path, capsys, command, flags, needle):
     corpus = gen_corpus(tmp_path, count=1)
@@ -606,6 +613,22 @@ def test_an_overflowing_update_is_one_error_line(tmp_path, capsys, command, flag
     rc = main(argv + flags)
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, needle)
+
+
+@pytest.mark.parametrize("omega0", ["1e-320", "1e-300"])
+def test_an_omega0_whose_initial_weights_overflow_is_one_error_line(tmp_path, capsys, omega0):
+    # sqrt(6/fan_in)/omega0 overflows float64 at 1e-320, and float32, the
+    # run's precision, at 1e-300
+    corpus = gen_corpus(tmp_path)
+    cfg = write_config(tmp_path / "run.cfg", iterations=1)
+    capsys.readouterr()
+    rc = main(["train", "--corpus", str(corpus), "--config", str(cfg),
+               "--out", str(tmp_path / "run" / "m.vfnc"), "--set", f"omega0={omega0}"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "omega0", omega0)
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(ContractError, match="omega0"):
+        MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4, omega0=float(omega0))
 
 
 def test_train_of_a_one_unit_network_is_one_error_line(tmp_path, capsys):
@@ -819,6 +842,10 @@ def test_eval_head_config_rejects_a_task(tmp_path, capsys):
     capsys.readouterr()
     assert main([*argv, "--head-config", str(head_config)]) == 1
     assert_one_error_line(capsys.readouterr().err, f"{head_config}:2:", "unknown key 'task'")
+    [subparsers] = [a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    [task] = [a for a in subparsers.choices["eval"]._actions if "--task" in a.option_strings]
+    assert tuple(task.choices) == heads.TASKS
 
 
 def test_env_seed_overrides_the_head_config_seed(tmp_path, monkeypatch, capsys):

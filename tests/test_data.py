@@ -8,6 +8,7 @@ import pytest
 from vfuncta.data import (
     SynthSpec,
     VideoTensor,
+    _resize_frame,
     _trajectory_points,
     gen_synthetic,
     load_video,
@@ -22,6 +23,12 @@ def test_video_tensor_rejects_out_of_range():
         VideoTensor(np.full((1, 2, 2), 1.5))
     with pytest.raises(ContractError):
         VideoTensor(np.full((1, 2, 2), np.nan))
+
+
+@pytest.mark.parametrize("height, width", [(5, 5), (4, 7)])
+def test_resize_to_the_same_size_is_bit_equal(height, width):
+    frame = np.random.default_rng(0).random((height, width)).astype(np.float32)
+    assert _resize_frame(frame, height, width).tobytes() == frame.tobytes()
 
 
 def test_rawvid_single_voxel(tmp_path):
