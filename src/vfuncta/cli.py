@@ -23,7 +23,7 @@ from .config import (
     load_head_config,
     load_train_config,
 )
-from .container import atomic_write_bytes
+from .container import atomic_write_bytes, save_model
 from .errors import VfunctaError
 from .gradcheck import run_gradcheck
 from .manifest import RunManifest
@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, argv)
-    except (VfunctaError, OSError) as exc:
+    except (VfunctaError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -202,7 +202,7 @@ def cmd_train(args, argv) -> int:
     # file written last is the one entered
     for path, checksum in log.checkpoints.items():
         manifest.add_artifact(path, base=args.checkpoint_dir.parent, digest=checksum)
-    manifest.add_artifact(args.out, digest=codec.save_model(args.out, model))
+    manifest.add_artifact(args.out, digest=save_model(args.out, model))
     manifest.add_artifact(log_path, digest=log.write(log_path))
     manifest.write(manifest_path)
     print(f"train: {model.iteration} iterations, final loss {log.entries[-1].loss:.6g}, "
@@ -219,8 +219,8 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict, wor
     every core. A worker returns its stdout line and the `{path:
     checksum}` of the container files it read or wrote, with any other
     file it read besides its input (checksum None), and writes its output
-    only once nothing else can fail it; a VfunctaError or OSError it
-    raises fails that item only. Without --keep-going the first failure
+    only once nothing else can fail it; a VfunctaError, OSError or
+    MemoryError it raises fails that item only. Without --keep-going the first failure
     starts no later item. The run manifest then enters the model, every
     input, and the output and other reads of each item that succeeded, by
     those checksums where the worker returned one (a version 1 or 2 file,
@@ -243,7 +243,7 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict, wor
         if args.keep_going or not failures:
             try:
                 line, checksums = worker(model, path, outputs[path])
-            except (VfunctaError, OSError) as exc:
+            except (VfunctaError, OSError, MemoryError) as exc:
                 failures.append((path, exc))
         if checksums is None:
             manifest.add_input(path)

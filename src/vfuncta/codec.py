@@ -27,11 +27,10 @@ from .container import (
     load_model,
     model_fingerprint,
     read_container,
-    save_model,
     write_container,
 )
 from .data import VideoTensor
-from .errors import ContractError, FingerprintMismatchError
+from .errors import ContractError, FingerprintMismatchError, FormatError
 from .model import (
     FrameModulationSeq,
     MetaModel,
@@ -44,7 +43,7 @@ from .training import adapt, require_rate
 __all__ = [
     "EncodeSettings", "VideoEncoding", "encode_video", "decode_video",
     "decode_static_summary", "compression_rate", "save_encoding", "load_encoding",
-    "save_model", "load_model", "model_fingerprint",
+    "load_model", "model_fingerprint",
 ]
 
 
@@ -124,8 +123,8 @@ def encode_video(model: MetaModel, video: VideoTensor,
     window is optimized as-is.
     """
     steps, lr, b = settings.inner_steps, settings.inner_lr, settings.batch_frames
-    t_total = video.frames
-    coords = grid_coords(video.height, video.width)
+    t_total, height, width = video.dims
+    coords = grid_coords(height, width)
     flat = video.values.reshape(t_total, -1)
 
     phis_out = np.zeros((t_total, model.frame_dim), dtype=model.dtype)
@@ -135,7 +134,7 @@ def encode_video(model: MetaModel, video: VideoTensor,
             model, flat[start : start + b], coords, steps=steps, inner_lr=lr, v=v)
     return VideoEncoding(
         VideoModulation(v), FrameModulationSeq(phis_out),
-        frames=t_total, height=video.height, width=video.width,
+        frames=t_total, height=height, width=width,
         fingerprint=model_fingerprint(model), inner_steps=steps, inner_lr=lr)
 
 
@@ -193,6 +192,10 @@ def load_encoding(path) -> VideoEncoding:
     with read_container(path, ENCODING_MAGIC) as reader:
         code, frames, height, width, video_dim, frame_dim = reader.unpack("<BIIIII")
         inner_steps, inner_lr, fingerprint = reader.unpack("<IdQ")
+        if min(frames, height, width, video_dim, frame_dim) < 1:
+            raise FormatError(f"{reader.source}: extents must be positive, got frames {frames}, "
+                              f"height {height}, width {width}, video_dim {video_dim}, "
+                              f"frame_dim {frame_dim}")
         arrays = reader.payload(decode_dtype(code),
                                 {"v": (video_dim,), "phis": (frames, frame_dim)})
     return VideoEncoding(

@@ -43,7 +43,7 @@ def parse_kv_file(path) -> dict[str, tuple[int, str]]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return _parse_kv_lines(text.splitlines(), path)
 
@@ -92,19 +92,26 @@ TRAIN_REQUIRED = tuple(f.name for f in dataclasses.fields(TrainConfig)
 def load_train_config(path, overrides=()) -> TrainConfig:
     """Build a TrainConfig from a file plus `KEY=VALUE` override strings,
     which win over the file; the VFUNCTA_SEED environment variable wins
-    over both."""
-    values = _apply_schema(parse_kv_file(path), TRAIN_SCHEMA, path)
-    values.update(_apply_schema(_parse_kv_lines(overrides, "--set"), TRAIN_SCHEMA, "--set"))
+    over both. A refused value names the place that set it: the file's
+    line, the `--set` number, or VFUNCTA_SEED; a default, the file."""
+    entries = parse_kv_file(path)
+    values = _apply_schema(entries, TRAIN_SCHEMA, path)
+    sets = _parse_kv_lines(overrides, "--set")
+    values.update(_apply_schema(sets, TRAIN_SCHEMA, "--set"))
+    places = {key: f"{path}:{lineno}" for key, (lineno, _) in entries.items()}
+    places.update((key, f"--set:{n}") for key, (n, _) in sets.items())
     for key in TRAIN_REQUIRED:
         if key not in values:
             raise ConfigError(f"{path}: missing required key {key!r}")
     seed = env_seed()
     if seed is not None:
-        values["seed"] = seed
+        values["seed"], places["seed"] = seed, SEED_ENV_VAR
     try:
         return TrainConfig(**values)
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except ContractError as exc:
+        # each of TrainConfig's refusals begins with its key's name
+        key = str(exc).partition(" ")[0]
+        raise ConfigError(f"{places.get(key, path)}: {exc}") from exc
 
 
 # the video keys default as `SynthSpec` does; `trajectories` is a

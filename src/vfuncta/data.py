@@ -41,18 +41,6 @@ class VideoTensor:
         self.values = arr
 
     @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
-    @property
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape
 
@@ -328,7 +316,7 @@ def read_corpus_manifest(path) -> list[CorpusItem]:
     path = corpus_manifest_path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read corpus manifest {path}: {exc}") from exc
     items = []
     for lineno, line in enumerate(text.splitlines(), start=1):

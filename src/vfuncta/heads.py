@@ -88,22 +88,21 @@ def _forward(weights, biases, x, dropout: float = 0.0, rng=None):
     """Run the three layers on standardized (m, d) inputs.
 
     Returns the (m,) outputs and, for the backward pass, each layer's
-    input, each hidden layer's pre-activation and its dropout mask (None
-    without dropout). Dropout applies only when `rng` is given.
+    input and each hidden layer's slope: the ReLU indicator `z > 0`,
+    times the dropout mask when there is one. Dropout applies only when
+    `rng` is given.
     """
-    acts, pre, masks = [x], [], []
+    acts, slopes = [x], []
     for w, b in zip(weights[:-1], biases[:-1]):
         z = x @ w + b
-        x = np.maximum(z, 0.0)
-        mask = None
+        x, slope = np.maximum(z, 0.0), z > 0.0
         if rng is not None and dropout > 0.0:
             keep = 1.0 - dropout
             mask = (rng.random(x.shape) < keep) / keep
-            x = x * mask
-        pre.append(z)
-        masks.append(mask)
+            x, slope = x * mask, slope * mask
+        slopes.append(slope)
         acts.append(x)
-    return (x @ weights[-1] + biases[-1]).reshape(-1), acts, pre, masks
+    return (x @ weights[-1] + biases[-1]).reshape(-1), acts, slopes
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -164,7 +163,7 @@ def train_head(features, labels, cfg: HeadConfig):
                 idx = order[start : start + cfg.batch_size]
                 xb, yb = xs[idx], ys[idx]
                 m = xb.shape[0]
-                out, acts, pre, masks = _forward(weights, biases, xb, cfg.dropout, rng)
+                out, acts, slopes = _forward(weights, biases, xb, cfg.dropout, rng)
 
                 if cfg.task == "regression":
                     diff = out - yb
@@ -180,20 +179,13 @@ def train_head(features, labels, cfg: HeadConfig):
                     raise DivergenceError(epoch, losses)
                 epoch_loss += loss * m
 
-                grads_w = [None, None, acts[2].T @ dz]
-                grads_b = [None, None, dz.sum(axis=0)]
-                dh = dz @ weights[2].T
-                for layer in (1, 0):
-                    if masks[layer] is not None:
-                        dh = dh * masks[layer]
-                    dzl = dh * (pre[layer] > 0.0)
-                    grads_w[layer] = acts[layer].T @ dzl
-                    grads_b[layer] = dzl.sum(axis=0)
+                # each layer is updated after its weights' last use
+                for layer in (2, 1, 0):
+                    grad_w, grad_b = acts[layer].T @ dz, dz.sum(axis=0)
                     if layer > 0:
-                        dh = dzl @ weights[layer].T
-                for layer in range(3):
-                    weights[layer] -= cfg.learning_rate * grads_w[layer]
-                    biases[layer] -= cfg.learning_rate * grads_b[layer]
+                        dz = (dz @ weights[layer].T) * slopes[layer - 1]
+                    weights[layer] -= cfg.learning_rate * grad_w
+                    biases[layer] -= cfg.learning_rate * grad_b
             losses.append(epoch_loss / n)
 
     head = MlpHead(weights, biases, feature_mean, feature_scale,

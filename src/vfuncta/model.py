@@ -107,9 +107,10 @@ def sample_coords(height: int, width: int, count: int,
 def init_bound(fan_in: int, omega0: float, dtype) -> float:
     """sqrt(6/fan_in)/omega0, half the width of a modulated layer's initial
     draw; an omega0 that is not finite and positive, or that takes the
-    width past `dtype`'s range, is refused."""
+    width past `dtype`'s range, is refused. (An int quotient: a fan-in past
+    float's range gives 0 and is refused, not an OverflowError.)"""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        bound = np.sqrt(6.0 / fan_in) / omega0
+        bound = np.sqrt(6 / fan_in) / omega0
         if not 0 < 2 * bound <= np.finfo(dtype).max:
             raise ContractError(f"omega0 must be finite and positive with sqrt(6/{fan_in})/omega0"
                                 f" inside {np.dtype(dtype).name}'s range, got {omega0}")
@@ -194,7 +195,7 @@ class MetaModel:
 
     @classmethod
     def initialize(cls, layers: int, hidden: int, video_dim: int, frame_dim: int,
-                   omega0: float = 30.0, seed: int = 0, dtype=np.float32,
+                   omega0: float = 30.0, dtype=np.float32,
                    rng: np.random.Generator | None = None) -> "MetaModel":
         """Fresh weights under the standard sine-network scheme: first layer
         uniform in +-1/fan_in, later layers and projections uniform in
@@ -204,7 +205,7 @@ class MetaModel:
         if layers < 1 or hidden < 1 or video_dim < 1 or frame_dim < 1:
             raise ContractError("all architecture dimensions must be >= 1")
         if rng is None:
-            rng = np.random.default_rng([seed, 0])
+            rng = np.random.default_rng([0, 0])
         shapes = param_shapes(layers, hidden, video_dim, frame_dim)
         params: dict[str, Tensor] = {}
 

@@ -151,10 +151,10 @@ def sample_batch(video, cfg: TrainConfig,
     """Pick b frames (with replacement only for short videos) and one
     coordinate subset shared by all of them; returns the (b, N) targets
     and the (N, 2) coordinates."""
-    t_total = video.frames
+    t_total, height, width = video.dims
     replace = t_total < cfg.batch_frames
     frame_idx = np.sort(rng.choice(t_total, size=cfg.batch_frames, replace=replace))
-    indices, coords = sample_coords(video.height, video.width, cfg.coords_per_frame, rng)
+    indices, coords = sample_coords(height, width, cfg.coords_per_frame, rng)
     flat = video.values.reshape(t_total, -1)
     return flat[frame_idx][:, indices], coords
 

@@ -22,13 +22,14 @@ import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 from vfuncta.cli import main  # noqa: E402
-from vfuncta.codec import save_model  # noqa: E402
+from vfuncta.container import save_model  # noqa: E402
 from vfuncta.data import VideoTensor, save_video  # noqa: E402
 from vfuncta.model import MetaModel  # noqa: E402
 
 
 def test_traced_encode_and_decode_count_forward_rows(tmp_path, capsys):
-    model = MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4, seed=1)
+    model = MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4,
+                                 rng=np.random.default_rng([1, 0]))
     save_model(tmp_path / "m.vfnc", model)
     frames = np.linspace(0.2, 0.8, 3 * 5 * 6, dtype=np.float32).reshape(3, 5, 6)
     save_video(tmp_path / "clip.rawvid", VideoTensor(frames))

@@ -22,8 +22,8 @@ from vfuncta.codec import (
     load_model,
     model_fingerprint,
     save_encoding,
-    save_model,
 )
+from vfuncta.container import save_model
 from vfuncta.data import VideoTensor, load_video, read_corpus_manifest, save_video
 from vfuncta.errors import ContractError
 from vfuncta.manifest import hash_file
@@ -724,7 +724,8 @@ def test_gradcheck_without_trials_is_an_error(capsys, trials):
 
 
 def test_decode_of_overflowing_model_is_one_error_line(tmp_path, capsys):
-    model = MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4, seed=2)
+    model = MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4,
+                                 rng=np.random.default_rng([2, 0]))
     broken = model.replace_params(
         {"layer0.bias": Tensor(np.full(8, 3e38, dtype=np.float32))})
     save_model(tmp_path / "broken.vfnc", broken)
@@ -956,7 +957,7 @@ def test_eval_refuses_encodings_of_two_models(tmp_path, capsys):
     model_path, _, _ = tiny_files(tmp_path)
     other_path = tmp_path / "other.vfnc"
     save_model(other_path, MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4,
-                                                seed=3))
+                                                rng=np.random.default_rng([3, 0])))
     enc_dir = tmp_path / "enc"
     videos = [i.path for i in read_corpus_manifest(corpus)]
     for model, chosen in ((model_path, videos[:3]), (other_path, videos[3:])):
@@ -1156,7 +1157,8 @@ def test_manifest_names_its_hash(tmp_path):
 
 def tiny_files(tmp_path):
     """An untrained model, a 2x3x3 video and a zero encoding for that model."""
-    model = MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4, seed=2)
+    model = MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4,
+                                 rng=np.random.default_rng([2, 0]))
     save_model(tmp_path / "m.vfnc", model)
     save_video(tmp_path / "clip.rawvid",
                VideoTensor(np.linspace(0, 1, 18, dtype=np.float32).reshape(2, 3, 3)))
@@ -1271,21 +1273,36 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer):
     assert target.read_bytes() == b"previous contents"
 
 
-@pytest.mark.parametrize("command, flags, key", [
-    ("train", ["--set", "omega0=nan"], "omega0"),
-    ("train", ["--set", "meta_lr=nan"], "meta_lr"),
-    ("train", ["--set", "inner_lr=inf"], "inner_lr"),
-    ("encode", ["--inner-lr", "nan"], "inner_lr"),
-    ("eval", ["--head-config", "head.cfg"], "learning_rate"),
+@pytest.mark.parametrize("command, flags, lines, needle", [
+    pytest.param("train", ["--set", "omega0=nan"], {}, "--set:1: omega0",
+                 id="train-flags0-omega0"),
+    pytest.param("train", ["--set", "meta_lr=nan"], {}, "--set:1: meta_lr",
+                 id="train-flags1-meta_lr"),
+    pytest.param("train", ["--set", "inner_lr=inf"], {}, "--set:1: inner_lr",
+                 id="train-flags2-inner_lr"),
+    pytest.param("encode", ["--inner-lr", "nan"], {}, "inner_lr", id="encode-flags3-inner_lr"),
+    pytest.param("eval", ["--head-config", "head.cfg"], {}, "head.cfg: learning_rate",
+                 id="eval-flags4-learning_rate"),
+    # a train value is named by its place: the --set number, the file's line,
+    # or the file alone for a default, here an omega0 that a fan-in past
+    # float's range takes to a bound of 0
+    pytest.param("train", ["--set", "layers=2", "--set", "inner_lr=nan"], {},
+                 "--set:2: inner_lr", id="train-second-set"),
+    pytest.param("train", [], {"meta_lr": "meta_lr = inf"}, "run.cfg:11: meta_lr",
+                 id="train-file-line"),
+    pytest.param("train", ["--set", f"video_dim={10**400}"], {"omega0": None},
+                 "run.cfg: omega0", id="train-default"),
 ])
 def test_non_finite_rate_is_one_error_line(tmp_path, capsys, monkeypatch, command, flags,
-                                           key):
+                                           lines, needle):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     if command == "train":
+        cfg = write_config(tmp_path / "run.cfg", iterations=1)
+        kept = (lines.get(line.split(" ")[0], line) for line in cfg.read_text().splitlines())
+        cfg.write_text("".join(f"{line}\n" for line in kept if line is not None))
         argv = ["train", "--corpus", str(gen_corpus(tmp_path, count=1)),
-                "--config", str(write_config(tmp_path / "run.cfg", iterations=1)),
-                "--out", str(out / "m.vfnc")]
+                "--config", str(cfg), "--out", str(out / "m.vfnc")]
     elif command == "encode":
         model_path, video, _ = tiny_files(tmp_path)
         argv = ["encode", "--model", str(model_path), "--out", str(out), str(video)]
@@ -1299,7 +1316,7 @@ def test_non_finite_rate_is_one_error_line(tmp_path, capsys, monkeypatch, comman
     capsys.readouterr()
     rc = main(argv + flags)
     assert rc == 1
-    assert_one_error_line(capsys.readouterr().err, key)
+    assert_one_error_line(capsys.readouterr().err, needle)
     assert not out.exists()
 
 

@@ -19,8 +19,8 @@ from vfuncta.codec import (
     load_model,
     model_fingerprint,
     save_encoding,
-    save_model,
 )
+from vfuncta.container import save_model
 from vfuncta.data import VideoTensor
 from vfuncta.errors import (
     BadMagicError,
@@ -72,7 +72,7 @@ def test_single_window_encode_matches_adapt():
     video = ramp_video(frames=2)
     enc = encode_video(model, video, settings_of(cfg))
 
-    v, phis, _ = adapt(model, video.values.reshape(2, -1), grid_coords(video.height, video.width),
+    v, phis, _ = adapt(model, video.values.reshape(2, -1), grid_coords(*video.dims[1:]),
                        steps=cfg.inner_steps, inner_lr=cfg.inner_lr)
     assert np.array_equal(enc.video_mod.values, v)
     assert np.array_equal(enc.frame_mods.values, phis)
@@ -171,7 +171,7 @@ def test_static_summary_ignores_frame_count_and_matches_zero_phi_frame():
     assert np.array_equal(decode_static_summary(model, enc_full),
                           decode_static_summary(model, enc_first))
 
-    zero_phi = zero_encoding(model, frames=2, height=video.height, width=video.width)
+    zero_phi = zero_encoding(model, frames=2, height=video.dims[1], width=video.dims[2])
     summary = decode_static_summary(model, zero_phi)
     decoded = decode_video(model, zero_phi)
     assert np.array_equal(summary, decoded.values[0])

@@ -6,8 +6,8 @@ header the payload cannot match are refused, as is a model file of
 another kind.
 
 The container files under fixtures/v1 and fixtures/v2 were written by
-the last releases that wrote container versions 1 and 2; see the README
-in each.
+the last releases that wrote container versions 1 and 2, and those under
+fixtures/v3 by a release that wrote version 3; see the README in each.
 """
 
 import hashlib
@@ -29,8 +29,8 @@ from vfuncta.codec import (
     load_model,
     model_fingerprint,
     save_encoding,
-    save_model,
 )
+from vfuncta.container import save_model
 from vfuncta.data import VideoTensor, load_video
 from vfuncta.errors import (
     ChecksumError,
@@ -41,9 +41,10 @@ from vfuncta.errors import (
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation, param_shapes
 
 FIXTURES = Path(__file__).parent / "fixtures"
-V1, V2 = FIXTURES / "v1", FIXTURES / "v2"
+V1, V2, V3 = FIXTURES / "v1", FIXTURES / "v2", FIXTURES / "v3"
 V1_FINGERPRINT = 0xFFC54EB32B8262D9
 V2_FINGERPRINT = 0x5127592D2643E1D3
+V3_FINGERPRINT = 0xDD63336C8A93C876
 FILES = [("model.vfnc", load_model), ("clip.venc", load_encoding)]
 
 
@@ -179,6 +180,30 @@ def test_saving_a_v2_encoding_is_refused(tmp_path):
     assert not (tmp_path / "e.venc").exists()
 
 
+# --- v3 files ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, loader", FILES)
+def test_v3_file_loads(name, loader):
+    assert file_version(V3 / name) == 3
+    loader(V3 / name)
+
+
+def test_v3_encoding_decodes_against_v3_model_as_it_did():
+    model = load_model(V3 / "model.vfnc")
+    enc = load_encoding(V3 / "clip.venc")
+    assert (enc.fingerprint, enc.fingerprint_version) == (V3_FINGERPRINT, 3)
+    assert model_fingerprint(model, version=3) == V3_FINGERPRINT
+    decoded = decode_video(model, enc)
+    assert np.array_equal(decoded.values, load_video(V3 / "clip_decoded.rawvid").values)
+    decode_static_summary(model, enc)
+
+
+@pytest.mark.parametrize("name, loader", FILES)
+def test_v3_flipped_payload_byte_fails_the_checksum(tmp_path, name, loader):
+    with pytest.raises(ChecksumError):
+        loader(flip_payload_byte(V3 / name, tmp_path / name))
+
+
 # --- old files resave as v3 -------------------------------------------------------
 
 @pytest.mark.parametrize("old", [V1, V2], ids=["v1", "v2"])
@@ -310,6 +335,14 @@ def test_v2_fixtures_are_framed_as_pinned(tmp_path, name, loader, save):
     magic, body_of = PINNED[save]
     expected = v2_file(tmp_path / name, magic, *body_of(loader(V2 / name)))
     assert expected.read_bytes() == (V2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, loader, save", [
+    ("model.vfnc", load_model, save_model), ("clip.venc", load_encoding, save_encoding)])
+def test_v3_fixtures_are_framed_as_pinned(tmp_path, name, loader, save):
+    magic, body_of = PINNED[save]
+    expected = v3_file(tmp_path / name, magic, *body_of(loader(V3 / name)))
+    assert expected.read_bytes() == (V3 / name).read_bytes()
 
 
 def fingerprint_parts(model: MetaModel) -> tuple[bytes, bytes]:

@@ -25,8 +25,8 @@ from vfuncta.codec import (
     load_model,
     model_fingerprint,
     save_encoding,
-    save_model,
 )
+from vfuncta.container import save_model
 from vfuncta.errors import ChecksumError
 from vfuncta.manifest import RunManifest
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation, param_shapes

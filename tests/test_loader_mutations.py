@@ -1,7 +1,7 @@
 """Loaders under corruption: every damaged container file is refused.
 
-Each container kind, in version 3 as written today and in the version 1
-and version 2 fixtures, is truncated at every offset, has each of its first 96 bytes
+Each container kind, in version 3 as written today and in the version 1,
+2 and 3 fixtures, is truncated at every offset, has each of its first 96 bytes
 set to 0x00 and to 0xFF and its bit 0 and bit 7 flipped, and is extended
 by 1, 8 and 4096 zero bytes. Every such file must end in a VfunctaError
 from its loader: nothing loads, and nothing fails any other way.
@@ -18,8 +18,8 @@ from vfuncta.codec import (
     load_encoding,
     load_model,
     save_encoding,
-    save_model,
 )
+from vfuncta.container import save_model
 from vfuncta.errors import VfunctaError
 from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
 
@@ -64,11 +64,14 @@ def damage(path: Path, blob: bytes):
 @pytest.mark.parametrize("make, loader", [
     (small_model, load_model),
     (small_encoding, load_encoding),
+    ("v3/model.vfnc", load_model),
+    ("v3/clip.venc", load_encoding),
     ("v2/model.vfnc", load_model),
     ("v2/clip.venc", load_encoding),
     ("v1/model.vfnc", load_model),
     ("v1/clip.venc", load_encoding),
-], ids=["v3-model", "v3-encoding", "v2-model", "v2-encoding", "v1-model", "v1-encoding"])
+], ids=["v3-model", "v3-encoding", "v3-fixture-model", "v3-fixture-encoding", "v2-model",
+        "v2-encoding", "v1-model", "v1-encoding"])
 def test_every_damaged_file_is_refused(tmp_path, make, loader):
     path = tmp_path / "file"
     if isinstance(make, str):

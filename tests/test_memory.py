@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from vfuncta import manifest, parallel
-from vfuncta.codec import load_model, save_model
+from vfuncta.codec import load_model
+from vfuncta.container import save_model
 from vfuncta.errors import TruncatedFileError
 from vfuncta.model import MetaModel, loss_and_grads
 

@@ -25,7 +25,8 @@ from vfuncta.tensor import Tensor
 
 def tiny_model(seed=0, dtype=np.float64, layers=2, hidden=8, video_dim=8, frame_dim=4):
     return MetaModel.initialize(layers=layers, hidden=hidden, video_dim=video_dim,
-                                frame_dim=frame_dim, omega0=30.0, seed=seed, dtype=dtype)
+                                frame_dim=frame_dim, omega0=30.0, dtype=dtype,
+                                rng=np.random.default_rng([seed, 0]))
 
 
 def pure_python_forward(model, v, phi, xy):

@@ -25,7 +25,8 @@ import pytest
 from helpers import finite_diff, rel_err
 
 from vfuncta import cli, model, parallel, training
-from vfuncta.codec import EncodeSettings, encode_video, save_encoding, save_model
+from vfuncta.codec import EncodeSettings, encode_video, save_encoding
+from vfuncta.container import save_model
 from vfuncta.data import VideoTensor, save_video
 from vfuncta.errors import NonFiniteError
 from vfuncta.model import MetaModel, forward_batch, frame_mse, loss_and_grads

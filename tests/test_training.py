@@ -27,8 +27,9 @@ def constant_video(value=0.4, dims=(4, 6, 6)):
 
 def full_grid_batch(video, cfg):
     """(targets, coords) of the first batch_frames frames on the full grid."""
-    flat = video.values.reshape(video.frames, -1)
-    return flat[: cfg.batch_frames].astype(np.float64), grid_coords(video.height, video.width)
+    t, h, w = video.dims
+    flat = video.values.reshape(t, -1)
+    return flat[: cfg.batch_frames].astype(np.float64), grid_coords(h, w)
 
 
 def adapt_batch(model, batch, cfg, steps=None):
