@@ -17,17 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, data, heads, metrics
-from .config import (
-    env_seed,
-    load_corpus_options,
-    load_head_config,
-    load_train_config,
-)
+from .config import env_seed, load_config, load_corpus_options
 from .container import atomic_write_bytes, save_model
 from .errors import VfunctaError
 from .gradcheck import run_gradcheck
 from .manifest import RunManifest
-from .training import train
+from .training import TrainConfig, train
 
 
 def main(argv=None) -> int:
@@ -170,7 +165,7 @@ def cmd_train(args, argv) -> int:
         other = written.setdefault(path.resolve(), name)
         if other != name:
             raise VfunctaError(f"the {other} and the {name} would both be written to {path}")
-    cfg = load_train_config(args.config, overrides=args.set)
+    cfg = load_config(TrainConfig, args.config, args.set)
 
     items = data.read_corpus_manifest(args.corpus)
     if not args.all_splits:
@@ -324,7 +319,7 @@ def cmd_eval(args, argv) -> int:
     if not train_items or not test_items:
         raise VfunctaError("eval needs both train and test splits in the corpus")
     # every head option is checked here, before any encoding is read
-    head_cfg = load_head_config(args.head_config, task=args.task)
+    head_cfg = load_config(heads.HeadConfig, args.head_config, task=args.task)
     sources = _output_paths([Path(i.path) for i in items], args.encodings, ".venc")
 
     config = {**asdict(head_cfg), "modes": ",".join(modes), "seeds": args.seeds}
@@ -339,8 +334,6 @@ def cmd_eval(args, argv) -> int:
     if len(models) > 1:
         raise VfunctaError("encodings of more than one model: " + ", ".join(
             f"{path} names model {fp:016x}" for (_, fp), path in models.items()))
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
 
     def labels(split):
         return np.array([i.speed if args.task == "regression" else float(i.trajectory_class)
@@ -363,6 +356,7 @@ def cmd_eval(args, argv) -> int:
         print(line)
 
     if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
         report_path = args.out / "eval_report.tsv"
         atomic_write_bytes(report_path, ("\n".join(lines) + "\n").encode("utf-8"))
         manifest.add_artifact(report_path, base=args.out)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .container import (
     ENCODING_MAGIC,
-    SUPPORTED_VERSIONS,
     VERSION,
     decode_dtype,
     dtype_code,
@@ -30,7 +29,7 @@ from .container import (
     write_container,
 )
 from .data import VideoTensor
-from .errors import ContractError, FingerprintMismatchError, FormatError
+from .errors import ContractError, FingerprintMismatchError, FormatError, require_least
 from .model import (
     FrameModulationSeq,
     MetaModel,
@@ -76,8 +75,6 @@ class VideoEncoding:
                 f"encoding holds {len(self.frame_mods)} frame vectors for {self.frames} frames")
         if min(self.frames, self.height, self.width) < 1:
             raise ContractError("encoded dims must be positive")
-        if self.fingerprint_version not in SUPPORTED_VERSIONS:
-            raise ContractError(f"unknown fingerprint version {self.fingerprint_version}")
 
     @property
     def video_dim(self) -> int:
@@ -106,10 +103,7 @@ class EncodeSettings:
     inner_lr: float
 
     def __post_init__(self):
-        if self.batch_frames < 1:
-            raise ContractError(f"batch_frames must be >= 1, got {self.batch_frames}")
-        if self.inner_steps < 0:
-            raise ContractError(f"inner_steps must be >= 0, got {self.inner_steps}")
+        require_least(self, batch_frames=1, inner_steps=0)
         require_rate("inner_lr", self.inner_lr)
 
 
@@ -165,12 +159,7 @@ def decode_static_summary(model: MetaModel, enc: VideoEncoding) -> np.ndarray:
 def compression_rate(dims: tuple[int, int, int], video_dim: int, frame_dim: int) -> float:
     """Pixels stored per scalar kept: T*h*w / (s + T*r)."""
     t, h, w = dims
-    if min(t, h, w) < 1 or video_dim < 0 or frame_dim < 0:
-        raise ContractError("dims must be positive and vector lengths non-negative")
-    denom = video_dim + t * frame_dim
-    if denom <= 0:
-        raise ContractError("representation length is zero")
-    return (t * h * w) / denom
+    return (t * h * w) / (video_dim + t * frame_dim)
 
 
 def save_encoding(path, enc: VideoEncoding) -> int:

@@ -2,10 +2,11 @@
 
 One `key = value` pair per line; blank lines and `#` comments are
 ignored. Unknown keys and unparsable values are reported with their line
-number. The training schema is `TrainConfig`'s fields: `batch_frames`
-and `coords_per_frame` have no default and must be set, everything else
-falls back to the reference defaults. `--set KEY=VALUE` overrides take
-the same path, numbered in command-line order.
+number. A training or head config's keys are its settings type's
+fields: `TrainConfig`'s `batch_frames` and `coords_per_frame` have no
+default and must be set, everything else falls back to the reference
+defaults. `--set KEY=VALUE` overrides take the same path, numbered in
+command-line order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from pathlib import Path
 from .data import TRAJECTORIES, SynthSpec
 from .errors import ConfigError, ContractError
 from .heads import HeadConfig
-from .training import TrainConfig
 
 SEED_ENV_VAR = "VFUNCTA_SEED"
 
@@ -81,35 +81,40 @@ def _apply_schema(entries, schema, source) -> dict:
     return out
 
 
-# every TrainConfig field is a key, cast by its annotated type; the fields
-# without a default are the required keys
-_TRAIN_TYPES = typing.get_type_hints(TrainConfig)
-TRAIN_SCHEMA = {f.name: _TRAIN_TYPES[f.name] for f in dataclasses.fields(TrainConfig)}
-TRAIN_REQUIRED = tuple(f.name for f in dataclasses.fields(TrainConfig)
-                       if f.default is dataclasses.MISSING)
+def _schema(cls, given=()) -> dict:
+    """Each field of `cls` but the `given` ones is a key, cast by its
+    annotated type."""
+    types = typing.get_type_hints(cls)
+    return {f.name: types[f.name] for f in dataclasses.fields(cls) if f.name not in given}
 
 
-def load_train_config(path, overrides=()) -> TrainConfig:
-    """Build a TrainConfig from a file plus `KEY=VALUE` override strings,
-    which win over the file; the VFUNCTA_SEED environment variable wins
-    over both. A refused value names the place that set it: the file's
-    line, the `--set` number, or VFUNCTA_SEED; a default, the file."""
-    entries = parse_kv_file(path)
-    values = _apply_schema(entries, TRAIN_SCHEMA, path)
-    sets = _parse_kv_lines(overrides, "--set")
-    values.update(_apply_schema(sets, TRAIN_SCHEMA, "--set"))
-    places = {key: f"{path}:{lineno}" for key, (lineno, _) in entries.items()}
-    places.update((key, f"--set:{n}") for key, (n, _) in sets.items())
-    for key in TRAIN_REQUIRED:
-        if key not in values:
-            raise ConfigError(f"{path}: missing required key {key!r}")
+# a head config's keys; its task comes from the command line
+HEAD_SCHEMA = _schema(HeadConfig, ("task",))
+
+
+def load_config(cls, path, overrides=(), **given):
+    """Build the settings type `cls` from the key file at `path` (None:
+    no file) plus `KEY=VALUE` override strings, which win over the file;
+    the VFUNCTA_SEED environment variable wins over both. The `given`
+    fields are not keys, and a field without a default is a required key.
+    A refused value names the place that set it: the file's line, the
+    `--set` number, or VFUNCTA_SEED; any other, the file."""
+    schema = _schema(cls, given)
+    values, places = dict(given), {}
+    for source, entries in ((path, {} if path is None else parse_kv_file(path)),
+                            ("--set", _parse_kv_lines(overrides, "--set"))):
+        values.update(_apply_schema(entries, schema, source))
+        places.update((key, f"{source}:{lineno}") for key, (lineno, _) in entries.items())
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING and f.name not in values:
+            raise ConfigError(f"{path}: missing required key {f.name!r}")
     seed = env_seed()
     if seed is not None:
         values["seed"], places["seed"] = seed, SEED_ENV_VAR
     try:
-        return TrainConfig(**values)
+        return cls(**values)
     except ContractError as exc:
-        # each of TrainConfig's refusals begins with its key's name
+        # each of the settings types' refusals begins with its key's name
         key = str(exc).partition(" ")[0]
         raise ConfigError(f"{places.get(key, path)}: {exc}") from exc
 
@@ -151,24 +156,3 @@ def load_corpus_options(path=None) -> dict:
             raise ConfigError(f"{path}: the video at {key} = {values[key]}: {exc}") from exc
     values["trajectories"] = trajectories
     return values
-
-
-# `HeadConfig`'s fields but `task`, which comes from the command line, with
-# `hidden` set as its two widths; each is cast by the type of its default
-HEAD_SCHEMA = {"hidden1": int, "hidden2": int,
-               **{f.name: type(f.default) for f in dataclasses.fields(HeadConfig)
-                  if f.name not in ("task", "hidden")}}
-
-
-def load_head_config(path, *, task: str) -> HeadConfig:
-    """The HeadConfig of a head config file, or of the defaults when
-    `path` is None, for `task`; the VFUNCTA_SEED environment variable
-    wins over its `seed`. A refused value names the file."""
-    values = {} if path is None else _apply_schema(parse_kv_file(path), HEAD_SCHEMA, path)
-    hidden = HeadConfig.hidden
-    values["hidden"] = (values.pop("hidden1", hidden[0]), values.pop("hidden2", hidden[1]))
-    values["seed"] = env_seed(values.get("seed", HeadConfig.seed))
-    try:
-        return HeadConfig(task=task, **values)
-    except ContractError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc

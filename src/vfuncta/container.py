@@ -259,8 +259,9 @@ def _param_arrays(model: MetaModel) -> list[np.ndarray]:
 
 
 # the architecture header: dtype code, layers, hidden, video_dim,
-# frame_dim, omega0
+# frame_dim, omega0; each size is a u32, at most DIM_MAX
 _DIMS = "<BIIIId"
+DIM_MAX = 2**32 - 1
 
 
 def _model_dims_blob(model: MetaModel) -> bytes:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one lower-bound
+rule the settings types apply to their fields."""
 
 
 class VfunctaError(Exception):
@@ -11,6 +12,14 @@ class ShapeError(VfunctaError):
 
 class ContractError(VfunctaError):
     """A caller violated an operation's precondition."""
+
+
+def require_least(obj, **least) -> None:
+    """Refuse the first of `obj`'s named fields below its least value."""
+    for name, bound in least.items():
+        value = getattr(obj, name)
+        if value < bound:
+            raise ContractError(f"{name} must be >= {bound}, got {value}")
 
 
 class NonFiniteError(VfunctaError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import VideoEncoding
-from .errors import ContractError, DivergenceError
+from .errors import ContractError, DivergenceError, require_least
 from .metrics import classification_metrics, regression_metrics
 
 MODES = ("v", "phi", "combined")
@@ -27,7 +27,8 @@ TASKS = ("regression", "binary")
 @dataclass(frozen=True)
 class HeadConfig:
     task: str = "regression"
-    hidden: tuple[int, int] = (256, 64)
+    hidden1: int = 256
+    hidden2: int = 64
     dropout: float = 0.2
     epochs: int = 400
     batch_size: int = 32
@@ -37,16 +38,11 @@ class HeadConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
-        if len(self.hidden) != 2 or min(self.hidden) < 1:
-            raise ContractError("hidden widths must be two positive integers")
+        require_least(self, hidden1=1, hidden2=1, epochs=0, batch_size=1, seed=0)
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ContractError("epochs >= 0 and batch_size >= 1 required")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ContractError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:
@@ -115,7 +111,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _init_head(dim: int, cfg: HeadConfig, rng: np.random.Generator):
-    sizes = [dim, cfg.hidden[0], cfg.hidden[1], 1]
+    sizes = [dim, cfg.hidden1, cfg.hidden2, 1]
     weights, biases = [], []
     for i in range(3):
         fan_in = sizes[i]

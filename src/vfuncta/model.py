@@ -77,8 +77,6 @@ def grid_coords(height: int, width: int) -> np.ndarray:
     Pixel (i, j) maps to x = 2j/(w-1) - 1 and y = 2i/(h-1) - 1, row-major;
     an axis of extent 1 maps to 0.
     """
-    if height < 1 or width < 1:
-        raise ContractError(f"grid extents must be positive, got {height}x{width}")
     grid = np.empty((height * width, 2), dtype=np.float32)
     grid[:, 0] = np.tile(_axis_coords(width), height)
     grid[:, 1] = np.repeat(_axis_coords(height), width)

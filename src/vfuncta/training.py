@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .container import atomic_write_bytes, save_model, sha256_64
+from .container import DIM_MAX, atomic_write_bytes, save_model, sha256_64
 from .data import VideoTensor, load_video
-from .errors import ContractError, DivergenceError, NonFiniteError
+from .errors import ContractError, DivergenceError, NonFiniteError, require_least
 from .model import MetaModel, init_bound, loss_and_grads, sample_coords
 from .tensor import Tensor
 
@@ -61,11 +61,12 @@ class TrainConfig:
 
     def __post_init__(self):
         # a one-unit network is refused as `MetaModel` refuses it
-        for name, least in (("batch_frames", 1), ("coords_per_frame", 1), ("layers", 1),
-                            ("hidden", 2), ("video_dim", 1), ("frame_dim", 1),
-                            ("inner_steps", 0), ("iterations", 0), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ContractError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        require_least(self, batch_frames=1, coords_per_frame=1, layers=1, hidden=2,
+                      video_dim=1, frame_dim=1, inner_steps=0, iterations=0, seed=0)
+        # a model file's header holds each size as a u32
+        for name in ("layers", "hidden", "video_dim", "frame_dim"):
+            if getattr(self, name) > DIM_MAX:
+                raise ContractError(f"{name} must be <= {DIM_MAX}, got {getattr(self, name)}")
         for name in ("inner_lr", "meta_lr"):
             require_rate(name, getattr(self, name))
         if self.precision not in _PRECISIONS:
@@ -163,7 +164,6 @@ def meta_step(model: MetaModel, video, cfg: TrainConfig,
               rng: np.random.Generator) -> tuple[MetaModel, float]:
     """One outer iteration on one video; returns the updated model and the
     mean batch loss at the adapted modulations."""
-    _require_dims(model, cfg)
     targets, coords = sample_batch(video, cfg, rng)
     v, phis, history = adapt(model, targets, coords,
                              steps=cfg.inner_steps, inner_lr=cfg.inner_lr)

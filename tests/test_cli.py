@@ -694,13 +694,13 @@ def test_a_negative_seed_in_a_train_config_is_one_error_line(tmp_path, capsys):
 def test_a_negative_seed_in_a_head_config_is_one_error_line(tmp_path, capsys):
     argv = seeded_commands(tmp_path)["eval"]
     head_config = tmp_path / "head.cfg"
-    # as any value the head config refuses, it names the file
+    # as any value the head config refuses, it names the file's line
     for line, message in (("seed = -1", "seed must be >= 0, got -1"),
                           ("dropout = 1.5", "dropout must lie in [0, 1), got 1.5")):
-        head_config.write_text(f"{line}\n")
+        head_config.write_text(f"epochs = 2\n{line}\n")
         capsys.readouterr()
         assert main([*argv, "--head-config", str(head_config)]) == 1
-        assert_one_error_line(capsys.readouterr().err, f"{head_config}: {message}")
+        assert_one_error_line(capsys.readouterr().err, f"{head_config}:2: {message}")
 
 
 def test_train_without_a_train_split_is_one_error_line(tmp_path, capsys):
@@ -873,7 +873,7 @@ def test_same_seed_evals_write_the_same_manifest(tmp_path, capsys):
     assert docs[0] == docs[1] and reports[0] == reports[1]
     # the resolved head settings, the task among them; the modes name the features
     assert docs[0]["config"] == {
-        "task": "regression", "hidden": [6, 64], "dropout": 0.2, "epochs": 3,
+        "task": "regression", "hidden1": 6, "hidden2": 64, "dropout": 0.2, "epochs": 3,
         "batch_size": 32, "learning_rate": 0.01, "seed": 0, "modes": "phi", "seeds": 1}
 
 
@@ -923,7 +923,7 @@ def test_eval_reports_the_heads_of_in_memory_encodings(tmp_path, capsys, monkeyp
         (x_train, y_train), (x_test, y_test) = split("train", mode), split("test", mode)
         reports = []
         for seed in (0, 1):
-            cfg = heads.HeadConfig(task=task, hidden=(6, 64), epochs=4, seed=seed)
+            cfg = heads.HeadConfig(task=task, hidden1=6, hidden2=64, epochs=4, seed=seed)
             head, _ = heads.train_head(x_train, y_train, cfg)
             reports.append(heads.evaluate_head(head, x_test, y_test))
         lines.append(_format_eval_line(mode, task, reports))
@@ -1281,17 +1281,20 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer):
     pytest.param("train", ["--set", "inner_lr=inf"], {}, "--set:1: inner_lr",
                  id="train-flags2-inner_lr"),
     pytest.param("encode", ["--inner-lr", "nan"], {}, "inner_lr", id="encode-flags3-inner_lr"),
-    pytest.param("eval", ["--head-config", "head.cfg"], {}, "head.cfg: learning_rate",
+    pytest.param("eval", ["--head-config", "head.cfg"], {}, "head.cfg:2: learning_rate",
                  id="eval-flags4-learning_rate"),
-    # a train value is named by its place: the --set number, the file's line,
-    # or the file alone for a default, here an omega0 that a fan-in past
-    # float's range takes to a bound of 0
+    # a train value is named by its place: the --set number or the file's line
     pytest.param("train", ["--set", "layers=2", "--set", "inner_lr=nan"], {},
                  "--set:2: inner_lr", id="train-second-set"),
     pytest.param("train", [], {"meta_lr": "meta_lr = inf"}, "run.cfg:11: meta_lr",
                  id="train-file-line"),
+    # a size past the model file's u32 is refused by its key, before omega0's
+    # bound and before the network is allocated
+    pytest.param("train", ["--set", f"video_dim={10**30}"], {},
+                 f"--set:1: video_dim must be <= 4294967295, got {10**30}",
+                 id="train-set-video_dim-10**30"),
     pytest.param("train", ["--set", f"video_dim={10**400}"], {"omega0": None},
-                 "run.cfg: omega0", id="train-default"),
+                 "--set:1: video_dim must be <= 4294967295", id="train-set-video_dim-10**400"),
 ])
 def test_non_finite_rate_is_one_error_line(tmp_path, capsys, monkeypatch, command, flags,
                                            lines, needle):

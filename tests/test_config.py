@@ -2,7 +2,7 @@
 
 import pytest
 
-from vfuncta.config import load_corpus_options, load_head_config
+from vfuncta.config import load_config, load_corpus_options
 from vfuncta.errors import ConfigError
 from vfuncta.heads import HeadConfig
 
@@ -23,7 +23,7 @@ def test_corpus_trajectories_outside_the_generator_are_refused(tmp_path):
 
 def test_head_config_without_a_file_is_the_defaults(monkeypatch):
     monkeypatch.delenv("VFUNCTA_SEED", raising=False)
-    cfg = load_head_config(None, task="binary")
+    cfg = load_config(HeadConfig, None, task="binary")
     assert cfg == HeadConfig(task="binary")
 
 
@@ -31,8 +31,8 @@ def test_head_config_sets_the_hidden_widths(tmp_path, monkeypatch):
     path = tmp_path / "head.cfg"
     path.write_text("hidden2 = 7\nepochs = 3\nseed = 5\n")
     monkeypatch.delenv("VFUNCTA_SEED", raising=False)
-    cfg = load_head_config(path, task="regression")
-    assert (cfg.hidden, cfg.epochs, cfg.seed) == ((256, 7), 3, 5)
+    cfg = load_config(HeadConfig, path, task="regression")
+    assert (cfg.hidden1, cfg.hidden2, cfg.epochs, cfg.seed) == (256, 7, 3, 5)
 
 
 @pytest.mark.parametrize("key", ["task", "hidden"])
@@ -40,4 +40,4 @@ def test_head_config_refuses_the_settings_it_does_not_own(tmp_path, key):
     path = tmp_path / "head.cfg"
     path.write_text(f"epochs = 2\n{key} = regression\n")
     with pytest.raises(ConfigError, match=f"head.cfg:2: unknown key '{key}'"):
-        load_head_config(path, task="regression")
+        load_config(HeadConfig, path, task="regression")

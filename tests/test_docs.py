@@ -17,7 +17,7 @@ import pytest
 
 from vfuncta import container, manifest, model, parallel
 from vfuncta.cli import _build_parser
-from vfuncta.config import CORPUS_DEFAULTS, HEAD_SCHEMA, load_train_config
+from vfuncta.config import CORPUS_DEFAULTS, HEAD_SCHEMA, load_config
 from vfuncta.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,7 +42,7 @@ def test_readme_layout_has_one_row_per_module():
 
 def test_desk_config_loads(monkeypatch):
     monkeypatch.delenv("VFUNCTA_SEED", raising=False)
-    cfg = load_train_config(ROOT / "docs" / "desk.cfg")
+    cfg = load_config(TrainConfig, ROOT / "docs" / "desk.cfg")
     assert (cfg.layers, cfg.hidden, cfg.video_dim, cfg.frame_dim) == (4, 64, 64, 16)
     assert (cfg.batch_frames, cfg.coords_per_frame, cfg.seed) == (4, 256, 0)
 

@@ -61,7 +61,7 @@ def test_extraction_does_not_mutate_encoding():
 
 def test_zero_epochs_returns_initialized_head_and_empty_log():
     rng = np.random.default_rng(0)
-    cfg = HeadConfig(task="regression", epochs=0, hidden=(8, 4))
+    cfg = HeadConfig(task="regression", epochs=0, hidden1=8, hidden2=4)
     head, losses = train_head(rng.normal(size=(10, 3)), rng.normal(size=10), cfg)
     assert losses == []
     assert head.weights[0].shape[0] == 3
@@ -72,7 +72,7 @@ def test_linearly_separable_reaches_perfect_accuracy():
     n = 60
     x = rng.normal(size=(n, 2))
     y = (x[:, 0] + x[:, 1] > 0).astype(float)
-    cfg = HeadConfig(task="binary", hidden=(16, 8), dropout=0.0,
+    cfg = HeadConfig(task="binary", hidden1=16, hidden2=8, dropout=0.0,
                      epochs=200, batch_size=16, learning_rate=0.1, seed=4)
     head, _ = train_head(x, y, cfg)
     rep = evaluate_head(head, x, y.astype(int))
@@ -84,7 +84,7 @@ def test_realizable_linear_target_fits_to_high_r2():
     x = rng.normal(size=(64, 6))
     w = rng.normal(size=6)
     y = x @ w + 0.5
-    cfg = HeadConfig(task="regression", hidden=(32, 16), dropout=0.0,
+    cfg = HeadConfig(task="regression", hidden1=32, hidden2=16, dropout=0.0,
                      epochs=400, batch_size=16, learning_rate=0.05, seed=7)
     head, losses = train_head(x, y, cfg)
     rep = evaluate_head(head, x, y)
@@ -96,7 +96,7 @@ def test_training_is_deterministic_per_seed():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(20, 4))
     y = rng.normal(size=20)
-    cfg = HeadConfig(epochs=30, hidden=(8, 4), seed=3)
+    cfg = HeadConfig(epochs=30, hidden1=8, hidden2=4, seed=3)
     h1, l1 = train_head(x, y, cfg)
     h2, l2 = train_head(x, y, cfg)
     assert l1 == l2
@@ -113,7 +113,7 @@ def test_evaluation_is_deterministic_despite_dropout_config():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(30, 3))
     y = (x[:, 0] > 0).astype(float)
-    cfg = HeadConfig(task="binary", dropout=0.5, epochs=50, hidden=(8, 4), seed=2)
+    cfg = HeadConfig(task="binary", dropout=0.5, epochs=50, hidden1=8, hidden2=4, seed=2)
     head, _ = train_head(x, y, cfg)
     s1 = head.predict(x)
     s2 = head.predict(x)
@@ -124,7 +124,7 @@ def test_zero_output_layer_scores_half():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(10, 3))
     y = np.array([0, 1] * 5, dtype=float)
-    head, _ = train_head(x, y, HeadConfig(task="binary", epochs=5, hidden=(4, 4)))
+    head, _ = train_head(x, y, HeadConfig(task="binary", epochs=5, hidden1=4, hidden2=4))
     head.weights[2][:] = 0.0
     head.biases[2][:] = 0.0
     scores = head.predict(x)
@@ -144,7 +144,7 @@ def test_shuffled_labels_stay_near_chance():
         y = y[r.permutation(y.size)]
         if y[:n_train].min() == y[:n_train].max():
             y[0] = 1 - y[0]
-        cfg = HeadConfig(task="binary", hidden=(16, 8), dropout=0.0,
+        cfg = HeadConfig(task="binary", hidden1=16, hidden2=8, dropout=0.0,
                          epochs=80, batch_size=16, seed=seed)
         head, _ = train_head(x[:n_train], y[:n_train], cfg)
         rep = evaluate_head(head, x[n_train:], y[n_train:].astype(int))
@@ -157,10 +157,10 @@ def test_head_gradients_match_finite_differences():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(8, 3))
     y = rng.normal(size=8)
-    cfg = HeadConfig(task="regression", hidden=(4, 3), dropout=0.0,
+    cfg = HeadConfig(task="regression", hidden1=4, hidden2=3, dropout=0.0,
                      epochs=1, batch_size=8, learning_rate=1e-6, seed=0)
     # one almost-zero-lr epoch approximates the gradient: W1 - W0 = -lr * dW
-    head0, _ = train_head(x, y, HeadConfig(task="regression", hidden=(4, 3),
+    head0, _ = train_head(x, y, HeadConfig(task="regression", hidden1=4, hidden2=3,
                                            dropout=0.0, epochs=0, seed=0))
     head1, _ = train_head(x, y, cfg)
     analytic = (head0.weights[0] - head1.weights[0]) / cfg.learning_rate

@@ -3,7 +3,7 @@
 Each case writes one bad input (a key file, a video, a corpus manifest,
 an encoding, or a flag), runs the command line on it, and expects exit
 code 1, exactly one stderr line, starting `error:` and holding the
-case's needle, and no output file.
+case's needle, and no output file (for eval, no `--out` directory).
 """
 
 import struct
@@ -66,7 +66,7 @@ def manifest(tmp_path, text: bytes, command="eval"):
         return (["train", "--corpus", "manifest.tsv", "--config", "run.cfg",
                  "--out", "out/m.vfnc"], "out/m.vfnc")
     return (["eval", "--encodings", "enc", "--corpus", "manifest.tsv", "--task", "regression",
-             "--out", "out"], "out/eval_report.tsv")
+             "--out", "out"], "out")
 
 
 def corpus_rows(splits, classes=None) -> bytes:
@@ -78,7 +78,7 @@ def corpus_rows(splits, classes=None) -> bytes:
 def evaluate(tmp_path, head_cfg: bytes | None = None, splits=("train",) * 4 + ("test",) * 2,
              classes=None, task="regression"):
     """`eval` of a corpus whose encodings are written directly, with a head
-    config holding `head_cfg`."""
+    config holding `head_cfg`; a refused eval leaves no `--out` directory."""
     (tmp_path / "manifest.tsv").write_bytes(corpus_rows(splits, classes))
     (tmp_path / "enc").mkdir()
     rng = np.random.default_rng(0)
@@ -92,7 +92,7 @@ def evaluate(tmp_path, head_cfg: bytes | None = None, splits=("train",) * 4 + ("
     if head_cfg is not None:
         (tmp_path / "head.cfg").write_bytes(head_cfg)
         argv += ["--head-config", "head.cfg"]
-    return argv, "out/eval_report.tsv"
+    return argv, "out"
 
 
 def venc(tmp_path, dims=(2, 4, 4, 8, 4), v_value=0.0, command="decode"):
@@ -129,6 +129,10 @@ CASES = {
                            "run.cfg:1: empty key or value"),
     "config-duplicate": (lambda p: config(p, b"layers = 2\nlayers = 3\n"),
                          "run.cfg:2: duplicate key 'layers'"),
+    # each size is a u32 in the model file's header
+    "config-video-dim-2**32": (lambda p: config(p, b"%svideo_dim = %d\n"
+                                                % (TRAIN_CONFIG.encode(), 2**32)),
+                               "run.cfg:3: video_dim must be <= 4294967295, got 4294967296"),
     "config-not-utf8": (lambda p: config(p, b"\xfflayers = 2\n"), "run.cfg: 'utf-8' codec"),
     "spec-not-utf8": (lambda p: spec(p, b"\xff"), "spec.cfg: 'utf-8'"),
     "head-config-not-utf8": (lambda p: evaluate(p, b"\xffepochs = 1\n"), "head.cfg: 'utf-8'"),
@@ -147,7 +151,7 @@ CASES = {
     # corpus manifests
     "manifest-missing": (lambda p: (["eval", "--encodings", "enc", "--corpus", "none.tsv",
                                      "--task", "regression", "--out", "out"],
-                                    "out/eval_report.tsv"), "cannot read corpus manifest"),
+                                    "out"), "cannot read corpus manifest"),
     "manifest-3-fields": (lambda p: manifest(p, b"v0.rawvid\t1.0\t0\n"),
                           "manifest.tsv:1: expected 4 tab-separated fields"),
     "manifest-split-valid": (lambda p: manifest(p, b"v0.rawvid\t1.0\t0\tvalid\n"),
@@ -164,11 +168,16 @@ CASES = {
                                          "--split", "1.5"], "out"),
                              "split must lie in [0, 1], got 1.5"),
     # head configs and eval corpora
-    "head-hidden1-0": (lambda p: evaluate(p, b"hidden1 = 0\n"), "hidden widths"),
-    "head-epochs-negative": (lambda p: evaluate(p, b"epochs = -1\n"), "epochs >= 0"),
-    "head-batch-size-0": (lambda p: evaluate(p, b"batch_size = 0\n"), "batch_size >= 1"),
+    "head-hidden1-0": (lambda p: evaluate(p, b"hidden1 = 0\n"),
+                       "head.cfg:1: hidden1 must be >= 1, got 0"),
+    "head-epochs-negative": (lambda p: evaluate(p, b"dropout = 0\nepochs = -1\n"),
+                             "head.cfg:2: epochs must be >= 0, got -1"),
+    "head-batch-size-0": (lambda p: evaluate(p, b"batch_size = 0\n"),
+                          "head.cfg:1: batch_size must be >= 1, got 0"),
     "head-learning-rate-1e300": (lambda p: evaluate(p, b"learning_rate = 1e300\n"),
                                  "non-finite loss"),
+    "head-learning-rate-1e300-binary": (lambda p: evaluate(p, b"learning_rate = 1e300\n",
+                                                           task="binary"), "non-finite"),
     "head-hidden1-huge": (lambda p: evaluate(p, b"hidden1 = %d\n" % HUGE_WIDTH),
                           "Unable to allocate"),
     "eval-one-train-item": (lambda p: evaluate(p, splits=("train", "test")),
