@@ -69,13 +69,6 @@ class VideoEncoding:
     fingerprint_version: int = VERSION
     checksum: int | None = None
 
-    def __post_init__(self):
-        if len(self.frame_mods) != self.frames:
-            raise ContractError(
-                f"encoding holds {len(self.frame_mods)} frame vectors for {self.frames} frames")
-        if min(self.frames, self.height, self.width) < 1:
-            raise ContractError("encoded dims must be positive")
-
     @property
     def video_dim(self) -> int:
         return len(self.video_mod)
@@ -103,7 +96,7 @@ class EncodeSettings:
     inner_lr: float
 
     def __post_init__(self):
-        require_least(self, batch_frames=1, inner_steps=0)
+        require_least(vars(self), batch_frames=1, inner_steps=0)
         require_rate("inner_lr", self.inner_lr)
 
 

@@ -68,11 +68,13 @@ def _parse_kv_lines(lines, source) -> dict[str, tuple[int, str]]:
     return entries
 
 
-def _apply_schema(entries, schema, source) -> dict:
+def _apply_schema(entries, schema, source, places) -> dict:
+    """The entries cast by `schema`; each key's place, `source:line`, goes to `places`."""
     out = {}
     for key, (lineno, value) in entries.items():
         if key not in schema:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        places[key] = f"{source}:{lineno}"
         caster = schema[key]
         try:
             out[key] = caster(value)
@@ -103,20 +105,25 @@ def load_config(cls, path, overrides=(), **given):
     values, places = dict(given), {}
     for source, entries in ((path, {} if path is None else parse_kv_file(path)),
                             ("--set", _parse_kv_lines(overrides, "--set"))):
-        values.update(_apply_schema(entries, schema, source))
-        places.update((key, f"{source}:{lineno}") for key, (lineno, _) in entries.items())
+        values.update(_apply_schema(entries, schema, source, places))
     for f in dataclasses.fields(cls):
         if f.default is dataclasses.MISSING and f.name not in values:
             raise ConfigError(f"{path}: missing required key {f.name!r}")
     seed = env_seed()
     if seed is not None:
         values["seed"], places["seed"] = seed, SEED_ENV_VAR
+    return _build(cls, values, places, path)
+
+
+def _build(cls, values: dict, places: dict, source):
+    """`cls(**values)`, a refused value named by the place that `places`
+    gives for its key, else by `source`."""
     try:
         return cls(**values)
     except ContractError as exc:
         # each of the settings types' refusals begins with its key's name
         key = str(exc).partition(" ")[0]
-        raise ConfigError(f"{places.get(key, path)}: {exc}") from exc
+        raise ConfigError(f"{places.get(key, source)}: {exc}") from exc
 
 
 # the video keys default as `SynthSpec` does; `trajectories` is a
@@ -137,22 +144,21 @@ def load_corpus_options(path=None) -> dict:
     None, checked before anything is written. Every drawn speed lies in
     [speed_min, speed_max], so the generator's own checks of a video at
     each end of that range check every video. A refused value names the
-    file."""
-    values = dict(CORPUS_DEFAULTS)
+    file and its line; a refused speed, the end of the range it was tried
+    at."""
+    values, places = dict(CORPUS_DEFAULTS), {}
     if path is not None:
-        values.update(_apply_schema(parse_kv_file(path), CORPUS_SCHEMA, path))
+        values.update(_apply_schema(parse_kv_file(path), CORPUS_SCHEMA, path, places))
     trajectories = tuple(t.strip() for t in values["trajectories"].split(",") if t.strip())
     if not trajectories or any(t not in TRAJECTORIES for t in trajectories):
-        raise ConfigError(f"{path}: trajectories must be a subset of "
-                          f"{CORPUS_DEFAULTS['trajectories']}, got {values['trajectories']!r}")
+        raise ConfigError(f"{places.get('trajectories', path)}: trajectories must be a subset "
+                          f"of {CORPUS_DEFAULTS['trajectories']}, got {values['trajectories']!r}")
     if not values["speed_min"] <= values["speed_max"]:
         raise ConfigError(f"{path}: need speed_min <= speed_max, got "
                           f"{values['speed_min']} and {values['speed_max']}")
+    video = {k: values[k] for k in _VIDEO_KEYS}
     for key in ("speed_min", "speed_max"):
-        try:
-            SynthSpec(**{k: values[k] for k in _VIDEO_KEYS}, speed=values[key],
-                      trajectory=trajectories[0])
-        except ContractError as exc:
-            raise ConfigError(f"{path}: the video at {key} = {values[key]}: {exc}") from exc
+        _build(SynthSpec, dict(video, speed=values[key], trajectory=trajectories[0]),
+               dict(places, speed=places.get(key, path)), path)
     values["trajectories"] = trajectories
     return values

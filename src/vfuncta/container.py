@@ -50,6 +50,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     ChecksumError,
+    ContractError,
     FormatError,
     TruncatedFileError,
     UnsupportedVersionError,
@@ -259,9 +260,8 @@ def _param_arrays(model: MetaModel) -> list[np.ndarray]:
 
 
 # the architecture header: dtype code, layers, hidden, video_dim,
-# frame_dim, omega0; each size is a u32, at most DIM_MAX
+# frame_dim, omega0; each size is a u32
 _DIMS = "<BIIIId"
-DIM_MAX = 2**32 - 1
 
 
 def _model_dims_blob(model: MetaModel) -> bytes:
@@ -315,9 +315,6 @@ def load_model(path) -> MetaModel:
         code, layers, hidden, video_dim, frame_dim, omega0 = dims
         (iteration,) = reader.unpack("<Q")
         dt = decode_dtype(code)
-        if min(layers, hidden, video_dim, frame_dim) < 1:
-            raise FormatError(f"{reader.source}: a zero dimension among layers {layers}, "
-                              f"hidden {hidden}, video_dim {video_dim}, frame_dim {frame_dim}")
         if not (math.isfinite(omega0) and omega0 > 0):
             raise FormatError(f"{reader.source}: omega0 {omega0} is not finite and positive")
         # the biases alone hold layers * hidden values: a layer count the body
@@ -325,7 +322,11 @@ def load_model(path) -> MetaModel:
         if layers * hidden * dt.itemsize > reader.remaining:
             raise FormatError(f"{reader.source}: {layers} layers of width {hidden} "
                               f"do not fit in the body")
-        params = reader.payload(dt, param_shapes(layers, hidden, video_dim, frame_dim))
+        try:
+            shapes = param_shapes(layers, hidden, video_dim, frame_dim)
+        except ContractError as exc:
+            raise FormatError(f"{reader.source}: {exc}") from exc
+        params = reader.payload(dt, shapes)
     native = dt.newbyteorder("=")
     model = MetaModel({name: Tensor(view, dtype=native) for name, view in params.items()},
                       omega0=omega0, iteration=iteration)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import atomic_write_bytes
-from .errors import ContractError, DataError
+from .errors import U32_MAX, ContractError, DataError, require_least
 
 RAWVID_MAGIC = b"VRAW"
 
@@ -71,8 +71,6 @@ def load_video(path) -> VideoTensor:
     if blob[:4] != RAWVID_MAGIC:
         raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {RAWVID_MAGIC!r}")
     t, h, w = struct.unpack("<III", blob[4:16])
-    if t < 1 or h < 1 or w < 1:
-        raise DataError(f"{path}: invalid extents {(t, h, w)}")
     expected = 16 + 4 * t * h * w
     if len(blob) != expected:
         raise DataError(f"{path}: payload is {len(blob) - 16} bytes, expected {expected - 16}")
@@ -191,18 +189,17 @@ class SynthSpec:
     blob_sigma: float = 3.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ContractError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.trajectory not in TRAJECTORIES:
-            raise ContractError(f"unknown trajectory {self.trajectory!r}")
-        if min(self.frames, self.height, self.width) < 1:
-            raise ContractError("video dims must be positive")
+        for name, choices in (("family", FAMILIES), ("trajectory", TRAJECTORIES)):
+            if getattr(self, name) not in choices:
+                raise ContractError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         for name in ("speed", "amplitude", "blob_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.speed < 0 or self.amplitude < 0 or self.blob_sigma <= 0:
-            raise ContractError(f"need speed >= 0, amplitude >= 0 and blob_sigma > 0, got "
-                                f"{self.speed}, {self.amplitude} and {self.blob_sigma}")
+        # `save_video` stores each extent as a u32
+        require_least(vars(self), most=U32_MAX, frames=1, height=1, width=1)
+        require_least(vars(self), speed=0, amplitude=0)
+        if self.blob_sigma <= 0:
+            raise ContractError(f"blob_sigma must be > 0, got {self.blob_sigma}")
 
     @property
     def labels(self) -> Labels:

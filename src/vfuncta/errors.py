@@ -1,5 +1,8 @@
-"""Exception hierarchy shared across the package, and the one lower-bound
-rule the settings types apply to their fields."""
+"""Exception hierarchy shared across the package, and the one bounds rule
+that settings, the network's sizes and video extents apply."""
+
+# the largest size or extent that a file header's u32 field holds
+U32_MAX = 2**32 - 1
 
 
 class VfunctaError(Exception):
@@ -14,12 +17,15 @@ class ContractError(VfunctaError):
     """A caller violated an operation's precondition."""
 
 
-def require_least(obj, **least) -> None:
-    """Refuse the first of `obj`'s named fields below its least value."""
+def require_least(values, most=None, **least) -> None:
+    """Refuse the first of the named entries of the mapping `values` that
+    lies below its least value, or above `most` when that is given."""
     for name, bound in least.items():
-        value = getattr(obj, name)
+        value = values[name]
         if value < bound:
             raise ContractError(f"{name} must be >= {bound}, got {value}")
+        if most is not None and value > most:
+            raise ContractError(f"{name} must be <= {most}, got {value}")
 
 
 class NonFiniteError(VfunctaError):

@@ -38,7 +38,7 @@ class HeadConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
-        require_least(self, hidden1=1, hidden2=1, epochs=0, batch_size=1, seed=0)
+        require_least(vars(self), hidden1=1, hidden2=1, epochs=0, batch_size=1, seed=0)
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -191,11 +191,8 @@ def train_head(features, labels, cfg: HeadConfig):
 
 def evaluate_head(head: MlpHead, features, labels):
     """Score a head on labeled features; the report type follows the task."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ContractError(f"features {x.shape} do not match {y.shape[0]} labels")
-    scores = head.predict(x)
+    scores = head.predict(features)
     if head.config.task == "regression":
         return regression_metrics(scores, y)
     return classification_metrics(scores, y.astype(np.int64))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .errors import ContractError, NonFiniteError, ShapeError
+from .errors import U32_MAX, ContractError, NonFiniteError, ShapeError, require_least
 from .tensor import Tensor
 
 # Rows of one tile, one frame at a run of its pixels (`_pixel_runs`). One
@@ -115,11 +115,22 @@ def init_bound(fan_in: int, omega0: float, dtype) -> float:
     return bound
 
 
+def require_sizes(sizes) -> None:
+    """Refuse the first network size in `sizes` below its least value or past a u32."""
+    # numpy takes a one-unit layer's product to its matrix-vector kernel,
+    # which rounds by row offset, and sums a one-wide pixel axis pairwise
+    # rather than row by row: such a network's values would depend on
+    # the tiles and row blocks, and so on the BLAS thread count
+    require_least(sizes, most=U32_MAX, layers=1, hidden=2, video_dim=1, frame_dim=1)
+
+
 def param_shapes(layers: int, hidden: int, video_dim: int,
                  frame_dim: int) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in file (`.vfnc` payload) order:
     each sine layer's weight and bias, the output layer, then the K video
-    projections and the K frame projections."""
+    projections and the K frame projections. Sizes `require_sizes` refuses
+    are refused first."""
+    require_sizes(dict(layers=layers, hidden=hidden, video_dim=video_dim, frame_dim=frame_dim))
     shapes: dict[str, tuple[int, ...]] = {}
     for k in range(layers):
         shapes[f"layer{k}.weight"] = (2 if k == 0 else hidden, hidden)
@@ -155,15 +166,12 @@ class MetaModel:
         # 4K + 2 names: the nearest K, so that one missing or unknown
         # name is reported as such
         self.layers = len(params) // 4
-        if self.layers < 1:
-            raise ContractError("need at least one sine layer")
-
-        def dim(name: str, axis: int) -> int:
-            return params[name].shape[axis] if name in params else 0
-
-        self.hidden = dim("layer0.weight", -1)
-        self.video_dim = dim("video_proj0", 0)
-        self.frame_dim = dim("frame_proj0", 0)
+        missing = sorted({"layer0.weight", "video_proj0", "frame_proj0"} - params.keys())
+        if missing:
+            raise ShapeError(f"a {self.layers}-layer model: missing parameters {missing}")
+        self.hidden = params["layer0.weight"].shape[-1]
+        self.video_dim = params["video_proj0"].shape[0]
+        self.frame_dim = params["frame_proj0"].shape[0]
         shapes = param_shapes(self.layers, self.hidden, self.video_dim, self.frame_dim)
         missing = sorted(shapes.keys() - params.keys())
         unknown = sorted(params.keys() - shapes.keys())
@@ -173,12 +181,6 @@ class MetaModel:
         for name, shape in shapes.items():
             if params[name].shape != shape:
                 raise ShapeError(f"{name} shape {params[name].shape}, expected {shape}")
-        # numpy takes a one-unit layer's product to its matrix-vector kernel,
-        # which rounds by row offset, and sums a one-wide pixel axis pairwise
-        # rather than row by row: such a network's values would depend on
-        # the tiles and row blocks, and so on the BLAS thread count
-        if self.hidden < 2:
-            raise ContractError(f"hidden must be >= 2, got {self.hidden}")
         self._params = {name: params[name] for name in shapes}
         k = range(self.layers)
         self.layer_weights = [self._params[f"layer{i}.weight"] for i in k]
@@ -200,8 +202,6 @@ class MetaModel:
         +-`init_bound`, output layer uniform in +-sqrt(6/fan_in).
         Draws go layer by layer (weight, bias, video and frame
         projection), then the output layer."""
-        if layers < 1 or hidden < 1 or video_dim < 1 or frame_dim < 1:
-            raise ContractError("all architecture dimensions must be >= 1")
         if rng is None:
             rng = np.random.default_rng([0, 0])
         shapes = param_shapes(layers, hidden, video_dim, frame_dim)

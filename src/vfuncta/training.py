@@ -23,10 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .container import DIM_MAX, atomic_write_bytes, save_model, sha256_64
+from .container import atomic_write_bytes, save_model, sha256_64
 from .data import VideoTensor, load_video
 from .errors import ContractError, DivergenceError, NonFiniteError, require_least
-from .model import MetaModel, init_bound, loss_and_grads, sample_coords
+from .model import MetaModel, init_bound, loss_and_grads, require_sizes, sample_coords
 from .tensor import Tensor
 
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
@@ -60,13 +60,9 @@ class TrainConfig:
     precision: str = "float32"
 
     def __post_init__(self):
-        # a one-unit network is refused as `MetaModel` refuses it
-        require_least(self, batch_frames=1, coords_per_frame=1, layers=1, hidden=2,
-                      video_dim=1, frame_dim=1, inner_steps=0, iterations=0, seed=0)
-        # a model file's header holds each size as a u32
-        for name in ("layers", "hidden", "video_dim", "frame_dim"):
-            if getattr(self, name) > DIM_MAX:
-                raise ContractError(f"{name} must be <= {DIM_MAX}, got {getattr(self, name)}")
+        require_least(vars(self), batch_frames=1, coords_per_frame=1, inner_steps=0,
+                      iterations=0, seed=0)
+        require_sizes(vars(self))
         for name in ("inner_lr", "meta_lr"):
             require_rate(name, getattr(self, name))
         if self.precision not in _PRECISIONS:

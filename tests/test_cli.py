@@ -782,15 +782,28 @@ def test_decode_of_a_model_whose_omega0_is_nan_is_one_error_line(tmp_path, capsy
                                           ("speed_max = nan", "speed_max"),
                                           ("amplitude = inf", "amplitude"),
                                           ("blob_sigma = nan", "blob_sigma"),
-                                          ("frames = 0", "dims"),
+                                          ("frames = 0", ":1: frames must be >= 1, got 0"),
                                           ("family = x", "'x'"),
                                           ("blob_sigma = 0", "blob_sigma"),
                                           ("amplitude = -1", "amplitude"),
-                                          ("speed_min = -1", "speed")])
+                                          ("speed_min = -1", "speed"),
+                                          ("frames = 8\nheight = 32\namplitude = -1",
+                                           "spec.cfg:3: amplitude must be >= 0, got -1.0"),
+                                          ("speed_min = 1\nspeed_max = inf",
+                                           "spec.cfg:2: speed must be finite, got inf"),
+                                          (f"frames = {2**32}",
+                                           f"frames must be <= 4294967295, got {2**32}"),
+                                          (f"frames = {10**30}",
+                                           f"frames must be <= 4294967295, got {10**30}"),
+                                          (f"height = {10**30}",
+                                           f"height must be <= 4294967295, got {10**30}")])
 def test_bad_corpus_spec_is_one_error_line(tmp_path, capsys, line, needle):
     """Every value the generator would refuse is refused, naming the spec
     file, before --out is made. With speed_min = -1, seed 1 draws some
-    speeds of at least 0, so a check per video would write videos first."""
+    speeds of at least 0, so a check per video would write videos first.
+    Each extent is capped at the u32 that a `.rawvid` header holds; only
+    sizes past that cap are tried here, as one below it would be
+    allocated."""
     spec = tmp_path / "spec.cfg"
     spec.write_text(line + "\n")
     rc = main(["gen-corpus", "--out", str(tmp_path / "c"), "--count", "10", "--seed", "1",

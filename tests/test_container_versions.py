@@ -385,21 +385,30 @@ def test_a_layer_count_the_body_cannot_hold_fails_before_its_table(tmp_path, mon
         load_model(path)
 
 
+def model_values(layers: int, hidden: int, video_dim: int, frame_dim: int) -> int:
+    """The values a model's payload holds, counted without `param_shapes`,
+    which refuses the sizes given below: per sine layer a weight of 2 or
+    `hidden` inputs, a bias and two projections, then the output layer."""
+    return hidden * (2 + (layers - 1) * hidden + layers * (1 + video_dim + frame_dim)) + hidden + 1
+
+
 @pytest.mark.parametrize("zero", ["layers", "hidden", "video_dim", "frame_dim"])
 def test_a_zero_model_dimension_is_refused(tmp_path, zero):
+    assert model_values(2, 3, 4, 5) == sum(math.prod(shape)
+                                           for shape in param_shapes(2, 3, 4, 5).values())
     dims = dict(layers=1, hidden=2, video_dim=3, frame_dim=3)
     dims[zero] = 0
-    values = sum(math.prod(shape) for shape in param_shapes(**dims).values())
-    with pytest.raises(FormatError, match="zero dimension"):
-        load_model(crafted_model(tmp_path / "m.vfnc", **dims, values=values))
+    path = crafted_model(tmp_path / "m.vfnc", **dims, values=model_values(**dims))
+    with pytest.raises(FormatError, match=f"m.vfnc: {zero} must be >= [12], got 0"):
+        load_model(path)
 
 
 def test_a_one_unit_model_is_refused(tmp_path):
     # its values would depend on the tiles and row blocks of an evaluation
     dims = dict(layers=2, hidden=1, video_dim=3, frame_dim=3)
-    values = sum(math.prod(shape) for shape in param_shapes(**dims).values())
-    with pytest.raises(ContractError, match="hidden must be >= 2, got 1"):
-        load_model(crafted_model(tmp_path / "m.vfnc", **dims, values=values))
+    path = crafted_model(tmp_path / "m.vfnc", **dims, values=model_values(**dims))
+    with pytest.raises(FormatError, match="m.vfnc: hidden must be >= 2, got 1"):
+        load_model(path)
 
 
 def test_a_kind_2_file_is_refused_as_a_model(tmp_path):

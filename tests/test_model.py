@@ -96,6 +96,23 @@ def test_a_missing_parameter_is_named():
         MetaModel(params, omega0=30.0)
 
 
+@pytest.mark.parametrize("name", ["layer0.weight", "video_proj0", "frame_proj0"])
+def test_a_missing_parameter_that_gives_a_size_is_named(name):
+    params = dict(tiny_model().parameters())
+    del params[name]
+    with pytest.raises(ShapeError, match=f"missing parameter.*{name}"):
+        MetaModel(params, omega0=30.0)
+
+
+def test_a_one_unit_model_is_refused_before_its_first_draw():
+    class NoDraws:
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("a value was drawn")
+
+    with pytest.raises(ContractError, match="hidden must be >= 2, got 1"):
+        MetaModel.initialize(layers=2, hidden=1, video_dim=3, frame_dim=3, rng=NoDraws())
+
+
 # --- forward semantics --------------------------------------------------------
 
 @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf])

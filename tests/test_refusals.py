@@ -138,7 +138,7 @@ CASES = {
     "head-config-not-utf8": (lambda p: evaluate(p, b"\xffepochs = 1\n"), "head.cfg: 'utf-8'"),
     # .rawvid videos
     "rawvid-4-bytes": (lambda p: rawvid(p, b"VRAW"), "truncated header"),
-    "rawvid-zero-extent": (lambda p: rawvid(p, rawvid_header(1, 0, 2)), "invalid extents"),
+    "rawvid-zero-extent": (lambda p: rawvid(p, rawvid_header(1, 0, 2)), "positive extents"),
     "rawvid-nan": (lambda p: rawvid(p, rawvid_header(1, 1, 2)
                                     + np.array([0.5, np.nan], "<f4").tobytes()), "non-finite"),
     "rawvid-above-one": (lambda p: rawvid(p, rawvid_header(1, 1, 2)
