@@ -10,6 +10,7 @@ with the same seed can be compared hash-for-hash.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from .container import atomic_write_bytes, save_model
 from .errors import VfunctaError
 from .gradcheck import run_gradcheck
 from .manifest import RunManifest
+from .model import VideoModulation
 from .training import TrainConfig, train
 
 
@@ -76,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-steps", type=int, default=10)
     p.add_argument("--inner-lr", type=float, default=0.1)
     p.add_argument("--report", action="store_true",
-                   help="also decode and print quality lines")
+                   help="also decode and print quality and ceiling fields, then their means")
     p.add_argument("--jobs", type=int, default=1, help="must be 1: items run one at a time")
     p.add_argument("--keep-going", action="store_true",
                    help="continue past per-item failures, exit 1 at the end")
@@ -257,8 +259,22 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict, wor
     return 1 if failures else 0
 
 
+def _ceilings(model, video: data.VideoTensor, enc: codec.VideoEncoding) -> dict[str, float]:
+    """PSNRs of four stills held over every frame of `video`: the decode at
+    zero latents, the video's mean pixel, its temporal-mean image, and
+    the static summary of `enc`."""
+    zero = replace(enc, video_mod=VideoModulation(np.zeros_like(enc.video_mod.values)))
+    stills = {"zero": codec.decode_static_summary(model, zero),
+              "const": video.values.mean(dtype=np.float64),
+              "tmean": video.values.mean(axis=0, dtype=np.float64),
+              "summary": codec.decode_static_summary(model, enc)}
+    return {f"{name}_psnr_db": metrics.still_psnr_db(video, still)
+            for name, still in stills.items()}
+
+
 def cmd_encode(args, argv) -> int:
     settings = codec.EncodeSettings(args.batch_frames, args.inner_steps, args.inner_lr)
+    reports = []  # the report fields of every item encoded
 
     def worker(model, video_path: Path, dest: Path):
         video = data.load_video(video_path)
@@ -266,11 +282,19 @@ def cmd_encode(args, argv) -> int:
         line = (f"{video_path.name}\tframes={enc.frames}\t"
                 f"rate={codec.compression_rate(video.dims, enc.video_dim, enc.frame_dim):.2f}")
         if args.report:
-            rep = metrics.quality_report(video, codec.decode_video(model, enc))
-            line += f"\t{rep.line()}"
-        return line, {dest: codec.save_encoding(dest, enc)}
+            fields = {**asdict(metrics.quality_report(video, codec.decode_video(model, enc))),
+                      **_ceilings(model, video, enc)}
+            line += f"\t{metrics.report_line(fields)}"
+        checksums = {dest: codec.save_encoding(dest, enc)}
+        if args.report:
+            reports.append(fields)
+        return line, checksums
 
-    return _run_per_item(args, argv, args.videos, ".venc", asdict(settings), worker)
+    rc = _run_per_item(args, argv, args.videos, ".venc", asdict(settings), worker)
+    if reports:
+        print("mean\t" + metrics.report_line(
+            {key: statistics.fmean(r[key] for r in reports) for key in reports[0]}))
+    return rc
 
 
 def cmd_decode(args, argv) -> int:

@@ -7,8 +7,8 @@ frame vectors, then frozen; every later window optimizes fresh
 zero-initialized frame vectors only. `EncodeSettings` holds the three
 values this procedure takes: the window length, the inner steps and the
 inner learning rate. Decoding evaluates the network on the full pixel
-grid per frame and clamps to [0, 1]; clamping never happens on the
-encode side.
+grid, every frame of a video in one pass, and clamps to [0, 1]; clamping
+never happens on the encode side.
 """
 
 from __future__ import annotations
@@ -132,15 +132,11 @@ def _require_same_model(model: MetaModel, enc: VideoEncoding) -> None:
 
 
 def decode_video(model: MetaModel, enc: VideoEncoding) -> VideoTensor:
-    """Evaluate every frame on the full grid and clamp to [0, 1]."""
+    """Evaluate every frame on the full grid in one pass and clamp to [0, 1]."""
     _require_same_model(model, enc)
-    coords = grid_coords(enc.height, enc.width)
-    out = np.empty((enc.frames, enc.height, enc.width), dtype=np.float32)
-    for t in range(enc.frames):
-        pred = forward_batch(model, enc.video_mod.values, enc.frame_mods.values[t : t + 1],
-                             coords)
-        out[t] = pred.reshape(enc.height, enc.width)
-    return VideoTensor(np.clip(out, 0.0, 1.0))
+    pred = forward_batch(model, enc.video_mod.values, enc.frame_mods.values,
+                         grid_coords(enc.height, enc.width))
+    return VideoTensor(np.clip(pred.reshape(enc.frames, enc.height, enc.width), 0.0, 1.0))
 
 
 def decode_static_summary(model: MetaModel, enc: VideoEncoding) -> np.ndarray:

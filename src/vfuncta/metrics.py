@@ -8,7 +8,7 @@ and width, clamping the window along any axis shorter than 7.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,7 +27,14 @@ class QualityReport:
     mse: float
 
     def line(self) -> str:
-        return f"psnr_db={self.psnr_db:.4f}\tssim3d={self.ssim3d:.6f}\tmse={self.mse:.8g}"
+        return report_line(asdict(self))
+
+
+def report_line(fields: dict[str, float]) -> str:
+    """Tab-separated `key=value` fields: `ssim3d` to 6 places, `mse` to 8
+    significant digits, any other field, a PSNR in dB, to 4 places."""
+    formats = {"ssim3d": ".6f", "mse": ".8g"}
+    return "\t".join(f"{key}={value:{formats.get(key, '.4f')}}" for key, value in fields.items())
 
 
 @dataclass(frozen=True)
@@ -84,14 +91,23 @@ def _box_sums(x: np.ndarray, window: tuple[int, int, int]) -> np.ndarray:
             - c[:-wt, :-wh, :-ww])
 
 
+def psnr_db(err: float) -> float:
+    """PSNR in dB of a unit-peak mean squared error, +inf at 0."""
+    return math.inf if err == 0.0 else -10.0 * math.log10(err)
+
+
+def still_psnr_db(video: VideoTensor, still) -> float:
+    """PSNR of `still`, one (h, w) frame or one value, held over every
+    frame of `video`."""
+    return psnr_db(video_mse(video, VideoTensor(np.broadcast_to(still, video.dims))))
+
+
 def quality_report(original: VideoTensor, reconstruction: VideoTensor) -> QualityReport:
     """PSNR in dB for unit-peak videos (+inf for identical ones), SSIM3D
     and the mean squared error."""
     err = video_mse(original, reconstruction)
-    return QualityReport(
-        psnr_db=math.inf if err == 0.0 else -10.0 * math.log10(err),
-        ssim3d=ssim3d(original, reconstruction),
-        mse=err)
+    return QualityReport(psnr_db=psnr_db(err), ssim3d=ssim3d(original, reconstruction),
+                         mse=err)
 
 
 def regression_metrics(pred, target) -> RegressionReport:

@@ -264,9 +264,11 @@ def _batch_arrays(model: MetaModel, v, phis, coords):
 
 
 def _shifts(model: MetaModel, v, phis) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's video shift v P_k, (1, l), and frame shifts phis Q_k, (b, l)."""
+    """Each layer's video shift v P_k, (1, l), and frame shifts, (b, l): one
+    row product phi_t Q_k per frame, which a b-row product rounds apart from."""
     v_row = v.reshape(1, -1)
-    return [(v_row @ model.video_projs[k].data, phis @ model.frame_projs[k].data)
+    return [(v_row @ model.video_projs[k].data,
+             np.stack([phi @ model.frame_projs[k].data for phi in phis]))
             for k in range(model.layers)]
 
 
@@ -336,7 +338,7 @@ def forward_batch(model: MetaModel, v, phis, coords: np.ndarray) -> np.ndarray:
     predictions; a non-finite prediction raises NonFiniteError. Row
     blocks split the pixels, and a block runs each frame at its pixels
     in runs of `_pixel_runs`, so its arrays stay one tile whatever the
-    frame; no value depends on the split.
+    frame; no value depends on the split, nor on the other frames.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords)
     b = phis.shape[0]

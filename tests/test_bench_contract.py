@@ -47,8 +47,10 @@ def test_traced_encode_and_decode_count_forward_rows(tmp_path, capsys):
 
     assert (encode_rc, decode_rc) == (0, 0), capsys.readouterr().err
     rows = tracer.summary()["model.forward_batch"]
-    # encode --report decodes 3 frames of 30 pixels, then decode does it again
-    assert rows["calls"] == 6 and rows["count"] == 2 * 3 * 30
+    # encode --report decodes the 3 frames in one pass, then the zero-latent
+    # frame and the static summary in one each, and decode decodes the
+    # frames again; a call counts its 30 pixels, which all its frames share
+    assert rows["calls"] == 4 and rows["count"] == 4 * 30
 
 
 # the benchmark's network shrunk to toy size; every other input stays as it is

@@ -27,7 +27,13 @@ from vfuncta.container import save_model
 from vfuncta.data import VideoTensor, load_video, read_corpus_manifest, save_video
 from vfuncta.errors import ContractError
 from vfuncta.manifest import hash_file
-from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
+from vfuncta.model import (
+    FrameModulationSeq,
+    MetaModel,
+    VideoModulation,
+    forward_batch,
+    grid_coords,
+)
 from vfuncta.tensor import Tensor
 
 
@@ -206,11 +212,66 @@ def test_encode_decode_round_trip_dims(tmp_path, capsys):
 def test_encode_report_prints_quality(tmp_path, capsys):
     corpus, model_path = trained_model(tmp_path)
     item = read_corpus_manifest(corpus)[0]
+    capsys.readouterr()
     rc = main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
                "--batch-frames", "4", "--inner-steps", "3", "--report", item.path])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "psnr_db=" in out and "ssim3d=" in out
+    item_line, mean_line = capsys.readouterr().out.splitlines()
+    assert "psnr_db=" in item_line and "ssim3d=" in item_line
+    # the last line's psnr_db, which the benchmark reads, is the encode's
+    assert mean_line.startswith("mean\t")
+    assert report_fields(mean_line) == report_fields(item_line)
+
+
+def report_fields(line: str) -> dict[str, float]:
+    return {k: float(v) for k, v in (f.split("=", 1) for f in line.split("\t") if "=" in f)
+            if k not in ("frames", "rate")}
+
+
+def test_encode_report_prints_ceilings_and_their_means(tmp_path, capsys):
+    _, model_path = trained_model(tmp_path)
+    # moving videos: the toy corpus's 8x8 clips are time-constant
+    rng = np.random.default_rng(4)
+    paths = [tmp_path / "a.rawvid", tmp_path / "b.rawvid"]
+    for path, dims in zip(paths, [(4, 8, 8), (3, 6, 10)]):
+        save_video(path, VideoTensor(rng.uniform(0.2, 0.8, size=dims)))
+    capsys.readouterr()
+    assert main(["encode", "--model", str(model_path), "--out", str(tmp_path / "enc"),
+                 "--batch-frames", "4", "--inner-steps", "3", "--report",
+                 *map(str, paths)]) == 0
+    *item_lines, mean_line = capsys.readouterr().out.splitlines()
+    model = load_model(model_path)
+
+    def psnr(video, still):
+        return -10.0 * math.log10(np.mean((video - still) ** 2))
+
+    items = []
+    for path, line in zip(paths, item_lines, strict=True):
+        assert line.startswith(f"{path.name}\t")
+        video = load_video(path).values.astype(np.float64)
+        _, h, w = video.shape
+
+        def still(v):
+            pred = forward_batch(model, v, np.zeros((1, model.frame_dim)), grid_coords(h, w))
+            return np.clip(pred.reshape(h, w), 0.0, 1.0)
+
+        enc = codec.load_encoding(tmp_path / "enc" / f"{path.stem}.venc")
+        fields = report_fields(line)
+        expected = {"zero_psnr_db": psnr(video, still(np.zeros(model.video_dim))),
+                    "const_psnr_db": psnr(video, video.mean()),
+                    "tmean_psnr_db": psnr(video, video.mean(axis=0)),
+                    "summary_psnr_db": psnr(video, still(enc.video_mod.values))}
+        assert list(fields) == ["psnr_db", "ssim3d", "mse", *expected]
+        for key, value in expected.items():
+            # 4 places, from a still rounded to float32 as a decode is
+            assert fields[key] == pytest.approx(value, abs=1e-4), key
+        items.append(fields)
+
+    assert mean_line.startswith("mean\t")
+    means = report_fields(mean_line)
+    assert list(means) == list(items[0])
+    for key, value in means.items():
+        assert value == pytest.approx(np.mean([f[key] for f in items]), rel=1e-6, abs=1e-4), key
 
 
 class RecordingHashes(Hashers):

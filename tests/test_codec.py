@@ -4,10 +4,12 @@ compression arithmetic, and checksummed container round trips."""
 import math
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vfuncta import codec
 from vfuncta.codec import (
     EncodeSettings,
     VideoEncoding,
@@ -32,7 +34,13 @@ from vfuncta.errors import (
     TruncatedFileError,
     UnsupportedVersionError,
 )
-from vfuncta.model import FrameModulationSeq, VideoModulation, grid_coords
+from vfuncta.model import (
+    FrameModulationSeq,
+    MetaModel,
+    VideoModulation,
+    forward_batch,
+    grid_coords,
+)
 from vfuncta.tensor import Tensor
 from vfuncta.training import TrainConfig, adapt
 
@@ -136,17 +144,31 @@ def test_zero_modulations_decode_to_constant_video():
 
 
 def test_decode_equals_frame_by_frame_concatenation():
-    cfg = small_cfg()
-    model = cfg.new_model()
-    enc = encode_video(model, ramp_video(), settings_of(cfg))
-    whole = decode_video(model, enc)
-    for t in range(enc.frames):
-        sub = VideoEncoding(enc.video_mod,
-                            FrameModulationSeq(enc.frame_mods.values[t : t + 1]),
-                            frames=1, height=enc.height, width=enc.width,
-                            fingerprint=enc.fingerprint,
-                            inner_steps=enc.inner_steps, inner_lr=enc.inner_lr)
-        assert np.array_equal(decode_video(model, sub).values[0], whole.values[t])
+    # at frame_dim 512 and 256 units a 4-row shift product phis Q_k rounds
+    # apart from four one-row products; at toy widths the two agree
+    rng = np.random.default_rng(7)
+    model = MetaModel.initialize(layers=2, hidden=256, video_dim=8, frame_dim=512, rng=rng)
+    v = rng.normal(scale=0.05, size=8).astype(np.float32)
+    phis = rng.normal(scale=0.05, size=(4, 512)).astype(np.float32)
+    coords = grid_coords(4, 4)
+    whole = forward_batch(model, v, phis, coords)
+    enc = VideoEncoding(VideoModulation(v), FrameModulationSeq(phis), frames=4, height=4,
+                        width=4, fingerprint=model_fingerprint(model), inner_steps=0,
+                        inner_lr=0.1)
+    decoded = decode_video(model, enc).values
+    for t in range(4):
+        assert np.array_equal(forward_batch(model, v, phis[t : t + 1], coords)[0], whole[t])
+        alone = replace(enc, frame_mods=FrameModulationSeq(phis[t : t + 1]), frames=1)
+        assert np.array_equal(decode_video(model, alone).values[0], decoded[t])
+
+
+def test_decode_is_one_forward_pass_per_encoding(monkeypatch):
+    model = small_cfg().new_model()
+    calls = []
+    monkeypatch.setattr(codec, "forward_batch",
+                        lambda *args: calls.append(args[2].shape) or forward_batch(*args))
+    decode_video(model, zero_encoding(model, frames=5))
+    assert calls == [(5, model.frame_dim)]
 
 
 def test_decode_refuses_wrong_model():
