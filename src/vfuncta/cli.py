@@ -189,8 +189,6 @@ def cmd_train(args, argv) -> int:
         manifest.add_input(p)
     if resume is not None:
         manifest.add_input(args.resume, resume.checksum)
-    for directory in (args.out.parent, log_path.parent):
-        directory.mkdir(parents=True, exist_ok=True)
     model, log = train(paths, cfg,
                        checkpoint_dir=args.checkpoint_dir,
                        checkpoint_every=args.checkpoint_every,
@@ -231,7 +229,6 @@ def _run_per_item(args, argv, inputs: list[Path], suffix: str, config: dict, wor
         raise VfunctaError(f"--jobs must be 1, got {jobs}: items run one at a time")
     outputs = _output_paths(inputs, args.out, suffix)
     model = codec.load_model(args.model)
-    args.out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(args.command, argv, config=config, seed=None)
     manifest.add_input(args.model, model.checksum)
     failures = []
@@ -380,7 +377,6 @@ def cmd_eval(args, argv) -> int:
         print(line)
 
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         report_path = args.out / "eval_report.tsv"
         atomic_write_bytes(report_path, ("\n".join(lines) + "\n").encode("utf-8"))
         manifest.add_artifact(report_path, base=args.out)

@@ -115,15 +115,19 @@ def load_config(cls, path, overrides=(), **given):
     return _build(cls, values, places, path)
 
 
-def _build(cls, values: dict, places: dict, source):
+def _build(cls, values: dict, places: dict, source, names=None):
     """`cls(**values)`, a refused value named by the place that `places`
-    gives for its key, else by `source`."""
+    gives for its key, else by `source`. A field that `names` maps to
+    the key that set it is placed by that key, and the refusal ends by
+    naming it."""
     try:
         return cls(**values)
     except ContractError as exc:
         # each of the settings types' refusals begins with its key's name
         key = str(exc).partition(" ")[0]
-        raise ConfigError(f"{places.get(key, source)}: {exc}") from exc
+        name = (names or {}).get(key)
+        raise ConfigError(f"{places.get(name or key, source)}: {exc}"
+                          + (f" ({name})" if name else "")) from exc
 
 
 # the video keys default as `SynthSpec` does; `trajectories` is a
@@ -144,8 +148,8 @@ def load_corpus_options(path=None) -> dict:
     None, checked before anything is written. Every drawn speed lies in
     [speed_min, speed_max], so the generator's own checks of a video at
     each end of that range check every video. A refused value names the
-    file and its line; a refused speed, the end of the range it was tried
-    at."""
+    file and its line; a refused speed, the key and line of the end of
+    the range it was tried at."""
     values, places = dict(CORPUS_DEFAULTS), {}
     if path is not None:
         values.update(_apply_schema(parse_kv_file(path), CORPUS_SCHEMA, path, places))
@@ -159,6 +163,6 @@ def load_corpus_options(path=None) -> dict:
     video = {k: values[k] for k in _VIDEO_KEYS}
     for key in ("speed_min", "speed_max"):
         _build(SynthSpec, dict(video, speed=values[key], trajectory=trajectories[0]),
-               dict(places, speed=places.get(key, path)), path)
+               places, path, names={"speed": key})
     values["trajectories"] = trajectories
     return values

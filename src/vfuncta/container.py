@@ -117,8 +117,11 @@ def decode_dtype(code: int) -> np.dtype:
 
 
 def atomic_write_bytes(path, *chunks) -> None:
-    """Write the byte-like chunks in order to `path` via a temporary file."""
+    """Write the byte-like chunks in order to `path` via a temporary file,
+    making `path`'s directory first: every file the package writes comes
+    through here, so a directory exists only once a file is written to it."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,11 +196,18 @@ class SynthSpec:
         for name in ("speed", "amplitude", "blob_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
-        # `save_video` stores each extent as a u32
-        require_least(vars(self), most=U32_MAX, frames=1, height=1, width=1)
-        require_least(vars(self), speed=0, amplitude=0)
-        if self.blob_sigma <= 0:
-            raise ContractError(f"blob_sigma must be > 0, got {self.blob_sigma}")
+        # `save_video` stores each extent as a u32; no feature moves further a
+        # frame than an extent can be long, which keeps every path finite
+        require_least(vars(self), most=U32_MAX, frames=1, height=1, width=1, speed=0)
+        require_least(vars(self), amplitude=0)
+        # the bump divides squared distances of up to `reach` by 2 blob_sigma^2,
+        # which must be a positive float (1e154 squared still is) that
+        # leaves the quotient finite
+        reach = float(self.height - 1) ** 2 + float(self.width - 1) ** 2
+        if not (0 < self.blob_sigma <= 1e154 and 2.0 * self.blob_sigma**2 > 0
+                and reach / (2.0 * self.blob_sigma**2) <= sys.float_info.max):
+            raise ContractError(f"blob_sigma must lie in (0, 1e154] and keep the bump finite "
+                                f"across {self.height}x{self.width} frames, got {self.blob_sigma}")
 
     @property
     def labels(self) -> Labels:
@@ -273,9 +281,17 @@ def _trajectory_points(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
         omega = spec.speed / radius
         xs = cx + radius * np.cos(theta0 + omega * t)
         ys = cy + radius * np.sin(theta0 + omega * t)
-    xs = _reflect(xs, margin, spec.width - 1 - margin)
-    ys = _reflect(ys, margin, spec.height - 1 - margin)
-    return np.stack([xs, ys], axis=1)
+    return np.stack([_reflect(xs, *_track(spec.width, margin)),
+                     _reflect(ys, *_track(spec.height, margin))], axis=1)
+
+
+def _track(side: int, margin: float) -> tuple[float, float]:
+    """The range a feature center keeps to along a side of `side` pixels:
+    `margin` clear of both edges, or the whole side where that leaves no
+    room, so that a small frame's feature still moves."""
+    if side - 1 - margin > margin:
+        return margin, side - 1 - margin
+    return 0.0, side - 1.0
 
 
 def _reflect(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -359,7 +375,6 @@ def build_corpus(out_dir, count: int, seed: int, options: dict,
     if not 0.0 <= split <= 1.0:
         raise ContractError(f"split must lie in [0, 1], got {split}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trajectories = options["trajectories"]
 
     n_train = int(count * split)

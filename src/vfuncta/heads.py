@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import VideoEncoding
-from .errors import ContractError, DivergenceError, require_least
+from .errors import ContractError, DivergenceError, NonFiniteError, require_least
 from .metrics import classification_metrics, regression_metrics
 
 MODES = ("v", "phi", "combined")
@@ -190,10 +190,18 @@ def train_head(features, labels, cfg: HeadConfig):
 
 
 def evaluate_head(head: MlpHead, features, labels):
-    """Score a head on labeled features; the report type follows the task."""
+    """Score a head on labeled features; the report type follows the task.
+
+    A head whose last updates ran its weights away scores values that are
+    not finite, which are refused; finite scores too large to square give
+    infinite errors, which are reported. Neither is a warning.
+    """
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    scores = head.predict(features)
-    if head.config.task == "regression":
-        return regression_metrics(scores, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = head.predict(features)
+        if not np.isfinite(scores).all():
+            raise NonFiniteError("head prediction")
+        if head.config.task == "regression":
+            return regression_metrics(scores, y)
     return classification_metrics(scores, y.astype(np.int64))
 

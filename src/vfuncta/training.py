@@ -192,7 +192,9 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
 
     Dataset items are VideoTensor objects or paths. Iteration `it` trains
     on the item at place `it % len(dataset)` of its epoch's seeded
-    permutation; a path that cannot be read raises its DataError there.
+    permutation; a path that cannot be read raises its DataError there,
+    and a video whose frames hold fewer pixels than `coords_per_frame` a
+    ContractError naming both.
     Passing the model from a saved checkpoint as `resume` continues the
     identical run from its stored iteration. A DivergenceError names the
     outer iteration it ended, numbered as the log numbers it.
@@ -203,15 +205,16 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
     model = cfg.new_model() if resume is None else resume
     _require_dims(model, cfg)
     log = TrainLog()
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     for it in range(model.iteration, cfg.iterations):
         epoch, pos = divmod(it, len(items))
         order = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, epoch]).permutation(len(items))
         item = items[order[pos]]
         video = item if isinstance(item, VideoTensor) else load_video(item)
+        _, height, width = video.dims
+        if cfg.coords_per_frame > height * width:
+            raise ContractError(f"coords_per_frame = {cfg.coords_per_frame} is more than the "
+                                f"{height * width} pixels of a frame of {item}")
 
         t0 = time.perf_counter()
         rng = np.random.default_rng([cfg.seed, _STREAM_STEP, it])
@@ -224,7 +227,7 @@ def train(dataset: Sequence, cfg: TrainConfig, *,
                                     seconds=time.perf_counter() - t0))
         if (checkpoint_dir is not None and checkpoint_every > 0
                 and model.iteration % checkpoint_every == 0):
-            path = checkpoint_dir / f"checkpoint_{model.iteration:08d}.vfnc"
+            path = Path(checkpoint_dir) / f"checkpoint_{model.iteration:08d}.vfnc"
             log.checkpoints[path] = save_model(path, model)
     return model, log
 

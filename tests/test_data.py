@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from vfuncta.data import (
+    FAMILIES,
+    TRAJECTORIES,
     SynthSpec,
     VideoTensor,
     _resize_frame,
@@ -158,6 +160,16 @@ def test_sweep_band_follows_the_trajectory():
         assert np.allclose(band, band[:, :1, :], atol=1e-6)
         peaks = band[:, 0, :].argmax(axis=1)
         assert np.all(np.abs(peaks - centers[trajectory][:, 0]) <= 0.5), trajectory
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("trajectory", TRAJECTORIES)
+def test_the_feature_moves_in_a_small_frame(family, trajectory):
+    """A side too short to keep the feature 2.5 sigma clear of both edges
+    gives it the whole side, so an 8x8 video is not constant in time."""
+    spec = SynthSpec(family=family, frames=4, height=8, width=8, trajectory=trajectory)
+    values = gen_synthetic(spec, np.random.default_rng(1))[0].values.astype(np.float64)
+    assert np.abs(values - values.mean(axis=0)).max() > 0.05
 
 
 def test_temporal_variance_concentrates_on_trajectory():

@@ -119,6 +119,13 @@ def rawvid_header(t, h, w) -> bytes:
     return b"VRAW" + struct.pack("<III", t, h, w)
 
 
+def coords_per_frame(tmp_path, count: int):
+    """`train` asking `count` pixels of each frame of a 1x2x2 video."""
+    (tmp_path / "v0.rawvid").write_bytes(rawvid_header(1, 2, 2) + bytes(16))
+    argv, output = manifest(tmp_path, corpus_rows(["train"]), "train")
+    return argv + ["--set", f"coords_per_frame={count}"], output
+
+
 CASES = {
     # key files
     "config-missing": (lambda p: (["train", "--corpus", "c", "--config", "missing.cfg",
@@ -135,6 +142,17 @@ CASES = {
                                "run.cfg:3: video_dim must be <= 4294967295, got 4294967296"),
     "config-not-utf8": (lambda p: config(p, b"\xfflayers = 2\n"), "run.cfg: 'utf-8' codec"),
     "spec-not-utf8": (lambda p: spec(p, b"\xff"), "spec.cfg: 'utf-8'"),
+    # a bump of width 1e-300 or 1e308 would overflow, and a feature at speed
+    # 1e308 would leave the float range
+    "spec-blob-sigma-1e-300": (lambda p: spec(p, b"blob_sigma = 1e-300\n"),
+                               "spec.cfg:1: blob_sigma must lie in (0, 1e154] and keep"),
+    "spec-blob-sigma-1e308": (lambda p: spec(p, b"blob_sigma = 1e308\n"),
+                              "spec.cfg:1: blob_sigma must lie in (0, 1e154]"),
+    "spec-speed-1e308": (lambda p: spec(p, b"speed_min = 1e308\nspeed_max = 1e308\n"),
+                         "spec.cfg:1: speed must be <= 4294967295, got 1e+308 (speed_min)"),
+    "config-coords-per-frame-5": (lambda p: coords_per_frame(p, 5),
+                                  "coords_per_frame = 5 is more than the 4 pixels of a frame "
+                                  "of v0.rawvid"),
     "head-config-not-utf8": (lambda p: evaluate(p, b"\xffepochs = 1\n"), "head.cfg: 'utf-8'"),
     # .rawvid videos
     "rawvid-4-bytes": (lambda p: rawvid(p, b"VRAW"), "truncated header"),
