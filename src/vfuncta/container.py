@@ -52,11 +52,11 @@ from .errors import (
     ChecksumError,
     ContractError,
     FormatError,
+    NonFiniteError,
     TruncatedFileError,
     UnsupportedVersionError,
 )
 from .model import MetaModel, param_shapes
-from .tensor import Tensor
 
 MODEL_MAGIC = b"VFNC"
 ENCODING_MAGIC = b"VENC"
@@ -258,8 +258,7 @@ def read_container(path, magic: bytes):
 def _param_arrays(model: MetaModel) -> list[np.ndarray]:
     """Every parameter as a contiguous little-endian array, in file order."""
     dt = np.dtype(model.dtype).newbyteorder("<")
-    return [np.ascontiguousarray(p.data).astype(dt, copy=False)
-            for _, p in model.parameters()]
+    return [np.ascontiguousarray(p).astype(dt, copy=False) for _, p in model.parameters()]
 
 
 # the architecture header: dtype code, layers, hidden, video_dim,
@@ -331,8 +330,11 @@ def load_model(path) -> MetaModel:
             raise FormatError(f"{reader.source}: {exc}") from exc
         params = reader.payload(dt, shapes)
     native = dt.newbyteorder("=")
-    model = MetaModel({name: Tensor(view, dtype=native) for name, view in params.items()},
-                      omega0=omega0, iteration=iteration)
+    try:
+        model = MetaModel({name: view.astype(native, copy=False) for name, view in params.items()},
+                          omega0=omega0, iteration=iteration)
+    except NonFiniteError as exc:
+        raise FormatError(f"{reader.source}: {exc}") from exc
     if reader.digest is not None:
         model.fingerprints[VERSION] = _fingerprint(struct.pack(_DIMS, *dims), reader.digest)
     model.checksum = reader.checksum

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ContractError
 from .model import TILE_ROWS, MetaModel, forward_batch, frame_mse, loss_and_grads
-from .tensor import Tensor
 
 # central-difference step and the largest relative error that passes
 STEP = 1e-4
@@ -67,8 +66,8 @@ def _checks(model, v, phis, coords, targets):
     yield "frame_mods", lambda arr: _loss_value(model, v, arr, coords, targets), phis, grads.phis
     for name, p in model.parameters():
         def loss(arr, name=name):
-            return _loss_value(model.replace_params({name: Tensor(arr)}), v, phis, coords, targets)
-        yield name, loss, p.data, grads.weights[name]
+            return _loss_value(model.replace_params({name: arr}), v, phis, coords, targets)
+        yield name, loss, p, grads.weights[name]
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:

@@ -110,6 +110,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _loss(task: str, out: np.ndarray, y: np.ndarray):
+    """The mean loss of (m,) outputs against their targets, and its
+    gradient by output as an (m, 1) column."""
+    m = out.shape[0]
+    if task == "regression":
+        diff = out - y
+        return float(np.mean(diff**2)), (2.0 * diff / m).reshape(-1, 1)
+    p = _sigmoid(out)
+    eps = 1e-12
+    loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
+    return loss, ((p - y) / m).reshape(-1, 1)
+
+
 def _init_head(dim: int, cfg: HeadConfig, rng: np.random.Generator):
     sizes = [dim, cfg.hidden1, cfg.hidden2, 1]
     weights, biases = [], []
@@ -157,23 +170,11 @@ def train_head(features, labels, cfg: HeadConfig):
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                xb, yb = xs[idx], ys[idx]
-                m = xb.shape[0]
-                out, acts, slopes = _forward(weights, biases, xb, cfg.dropout, rng)
-
-                if cfg.task == "regression":
-                    diff = out - yb
-                    loss = float(np.mean(diff**2))
-                    dz = (2.0 * diff / m).reshape(-1, 1)
-                else:
-                    p = _sigmoid(out)
-                    eps = 1e-12
-                    loss = float(-np.mean(yb * np.log(p + eps)
-                                          + (1 - yb) * np.log(1 - p + eps)))
-                    dz = ((p - yb) / m).reshape(-1, 1)
+                out, acts, slopes = _forward(weights, biases, xs[idx], cfg.dropout, rng)
+                loss, dz = _loss(cfg.task, out, ys[idx])
                 if not np.isfinite(loss):
                     raise DivergenceError(epoch, losses)
-                epoch_loss += loss * m
+                epoch_loss += loss * len(idx)
 
                 # each layer is updated after its weights' last use
                 for layer in (2, 1, 0):
@@ -183,6 +184,10 @@ def train_head(features, labels, cfg: HeadConfig):
                     weights[layer] -= cfg.learning_rate * grad_w
                     biases[layer] -= cfg.learning_rate * grad_b
             losses.append(epoch_loss / n)
+        # the last update is checked too: the training loss at the weights
+        # returned, dropout off
+        if not np.isfinite(_loss(cfg.task, _forward(weights, biases, xs)[0], ys)[0]):
+            raise DivergenceError(cfg.epochs, losses)
 
     head = MlpHead(weights, biases, feature_mean, feature_scale,
                    target_mean, target_scale, cfg)

@@ -145,12 +145,14 @@ def param_shapes(layers: int, hidden: int, video_dim: int,
 class MetaModel:
     """Shared network weights plus the modulation projections.
 
-    `params` maps every name of `param_shapes` to its tensor; the four
+    `params` maps every name of `param_shapes` to its array; the four
     dimensions follow from the name count (4K + 2) and the shapes of
-    `layer0.weight`, `video_proj0` and `frame_proj0`. Weight matrices
-    are stored input-major, so a batch of rows X maps through a layer as
-    X @ W + b. Immutable during evaluation; training swaps in fresh
-    tensors via `replace_params`. So `fingerprints`, the memo of
+    `layer0.weight`, `video_proj0` and `frame_proj0`. Here alone arrays
+    become `Tensor` leaves, which the per-layer lists hold, and a
+    non-finite one is refused by its name; the API gives arrays back.
+    Weight matrices are stored input-major, so a batch of rows X maps
+    through a layer as X @ W + b. Immutable during evaluation; training
+    swaps in fresh arrays via `replace_params`. So `fingerprints`, the memo of
     `container.model_fingerprint` by container version, stays valid for
     the object's life; a version 3 load or save fills its version 3
     entry from the payload digest it already took. So does `checksum`,
@@ -158,7 +160,7 @@ class MetaModel:
     (None otherwise), which names that file in a run manifest.
     """
 
-    def __init__(self, params: dict[str, Tensor], omega0: float, iteration: int = 0):
+    def __init__(self, params: dict[str, np.ndarray], omega0: float, iteration: int = 0):
         self.omega0 = float(omega0)
         self.iteration = int(iteration)
         if not (np.isfinite(self.omega0) and self.omega0 > 0):
@@ -178,18 +180,20 @@ class MetaModel:
         if missing or unknown:
             raise ShapeError(f"a {self.layers}-layer model: missing parameters {missing}, "
                              f"unknown parameters {unknown}")
+        leaves = {}
         for name, shape in shapes.items():
             if params[name].shape != shape:
                 raise ShapeError(f"{name} shape {params[name].shape}, expected {shape}")
-        self._params = {name: params[name] for name in shapes}
+            leaves[name] = Tensor(params[name], name)
+        self._params = {name: leaf.data for name, leaf in leaves.items()}
         k = range(self.layers)
-        self.layer_weights = [self._params[f"layer{i}.weight"] for i in k]
-        self.layer_biases = [self._params[f"layer{i}.bias"] for i in k]
-        self.out_weight = self._params["out.weight"]
-        self.out_bias = self._params["out.bias"]
-        self.video_projs = [self._params[f"video_proj{i}"] for i in k]
-        self.frame_projs = [self._params[f"frame_proj{i}"] for i in k]
-        self.dtype = self.layer_weights[0].dtype
+        self.layer_weights = [leaves[f"layer{i}.weight"] for i in k]
+        self.layer_biases = [leaves[f"layer{i}.bias"] for i in k]
+        self.out_weight = leaves["out.weight"]
+        self.out_bias = leaves["out.bias"]
+        self.video_projs = [leaves[f"video_proj{i}"] for i in k]
+        self.frame_projs = [leaves[f"frame_proj{i}"] for i in k]
+        self.dtype = self._params["layer0.weight"].dtype
         self.fingerprints: dict[int, int] = {}
         self.checksum: int | None = None
 
@@ -205,16 +209,15 @@ class MetaModel:
         if rng is None:
             rng = np.random.default_rng([0, 0])
         shapes = param_shapes(layers, hidden, video_dim, frame_dim)
-        params: dict[str, Tensor] = {}
+        params: dict[str, np.ndarray] = {}
 
         def draw(name, bound):
-            # read-only, so that `Tensor` holds it without a copy; made before
-            # the float64 draw, which is then freed at the heap's top rather
-            # than left as a hole below it
-            values = np.empty(shapes[name], dtype)
+            # read-only, so that the model holds it without a copy; made
+            # before the float64 draw, which is then freed at the heap's top
+            # rather than left as a hole below it
+            values = params[name] = np.empty(shapes[name], dtype)
             values[...] = rng.uniform(-bound, bound, size=shapes[name])
             values.setflags(write=False)
-            params[name] = Tensor(values)
 
         for k in range(layers):
             fan_in = shapes[f"layer{k}.weight"][0]
@@ -228,11 +231,12 @@ class MetaModel:
         draw("out.bias", out_bound)
         return cls(params, omega0=omega0)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        """All trainable tensors in their declared (serialization) order."""
+    def parameters(self) -> list[tuple[str, np.ndarray]]:
+        """Every parameter's read-only array, in file (serialization) order."""
         return list(self._params.items())
 
-    def replace_params(self, new_params: dict[str, Tensor], iteration: int | None = None) -> "MetaModel":
+    def replace_params(self, new_params: dict[str, np.ndarray],
+                       iteration: int | None = None) -> "MetaModel":
         return MetaModel({**self._params, **new_params}, self.omega0,
                          self.iteration if iteration is None else iteration)
 
@@ -472,7 +476,7 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     runs = _pixel_runs(0, n)
     # each sine layer's and the output layer's weight-gradient product of
     # every frame
-    products = ([np.empty((b, *w.shape), dtype=model.dtype)
+    products = ([np.empty((b, *w.data.shape), dtype=model.dtype)
                  for w in (*model.layer_weights, model.out_weight)] if weights else None)
 
     def block(lo: int, hi: int) -> None:

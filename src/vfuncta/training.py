@@ -27,7 +27,6 @@ from .container import atomic_write_bytes, save_model, sha256_64
 from .data import VideoTensor, load_video
 from .errors import ContractError, DivergenceError, NonFiniteError, require_least
 from .model import MetaModel, init_bound, loss_and_grads, require_sizes, sample_coords
-from .tensor import Tensor
 
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
@@ -169,20 +168,20 @@ def meta_step(model: MetaModel, video, cfg: TrainConfig,
         raise DivergenceError(cfg.inner_steps, history) from exc
     # each gradient becomes its new weights in place and is then held
     # read-only as they are, so no update allocates a parameter-sized array;
-    # an overflow surfaces as Tensor's NonFiniteError, not as a warning
+    # an overflow surfaces as the model's NonFiniteError, not as a warning
     updated = {}
     for name, p in model.parameters():
         g = outer.weights.pop(name)
         with np.errstate(over="ignore", invalid="ignore"):
             g *= cfg.meta_lr
-            np.subtract(p.data, g, out=g)
+            np.subtract(p, g, out=g)
         g.setflags(write=False)
-        try:
-            updated[name] = Tensor(g)
-        except NonFiniteError as exc:
-            raise DivergenceError(cfg.inner_steps, history + [outer.loss],
-                                  what=f"weights in {name}") from exc
-    return model.replace_params(updated, iteration=model.iteration + 1), outer.loss
+        updated[name] = g
+    try:
+        return model.replace_params(updated, iteration=model.iteration + 1), outer.loss
+    except NonFiniteError as exc:
+        raise DivergenceError(cfg.inner_steps, history + [outer.loss],
+                              what=f"weights in {exc.op}") from exc
 
 
 def train(dataset: Sequence, cfg: TrainConfig, *,

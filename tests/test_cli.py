@@ -34,7 +34,6 @@ from vfuncta.model import (
     forward_batch,
     grid_coords,
 )
-from vfuncta.tensor import Tensor
 
 
 TINY_CONFIG = """
@@ -294,7 +293,7 @@ class RecordingHashes(Hashers):
 
 def model_payload(path: Path) -> bytes:
     """The parameter payload of a model file: the bytes before its checksum."""
-    size = sum(p.data.nbytes for _, p in load_model(path).parameters())
+    size = sum(p.nbytes for _, p in load_model(path).parameters())
     return path.read_bytes()[-8 - size:-8]
 
 
@@ -788,7 +787,7 @@ def test_decode_of_overflowing_model_is_one_error_line(tmp_path, capsys):
     model = MetaModel.initialize(layers=2, hidden=8, video_dim=8, frame_dim=4,
                                  rng=np.random.default_rng([2, 0]))
     broken = model.replace_params(
-        {"layer0.bias": Tensor(np.full(8, 3e38, dtype=np.float32))})
+        {"layer0.bias": np.full(8, 3e38, dtype=np.float32)})
     save_model(tmp_path / "broken.vfnc", broken)
     enc = VideoEncoding(VideoModulation(np.zeros(8, dtype=np.float32)),
                         FrameModulationSeq(np.zeros((2, 4), dtype=np.float32)),
@@ -828,7 +827,7 @@ def test_decode_of_a_model_whose_omega0_is_nan_is_one_error_line(tmp_path, capsy
     fields = bytearray(model_path.read_bytes()[8:8 + 4 + 1 + 16 + 8 + 8])
     struct.pack_into("<d", fields, 4 + 1 + 16, math.nan)
     container.write_container(model_path, container.MODEL_MAGIC, bytes(fields),
-                              [p.data for _, p in model.parameters()], "<f4")
+                              [p for _, p in model.parameters()], "<f4")
     capsys.readouterr()
     rc = main(["decode", "--model", str(model_path), "--out", str(tmp_path / "dec"), str(venc)])
     assert rc == 1

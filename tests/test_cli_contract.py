@@ -228,6 +228,7 @@ def test_decode_and_summary_keep_the_contract(toy, draw):
 @CONTRACT
 @given(draws(EVAL_FLAGS, HEAD_CONFIG_KEYS))
 @example({"learning_rate": "113589"})
+@example({"learning_rate": "1e60", "epochs": "1"})
 def test_eval_keeps_the_contract(toy, drawn):
     root, n = toy
     out = root / f"out{next(n)}"

@@ -41,7 +41,6 @@ from vfuncta.model import (
     forward_batch,
     grid_coords,
 )
-from vfuncta.tensor import Tensor
 from vfuncta.training import TrainConfig, adapt
 
 
@@ -203,7 +202,7 @@ def test_overflowing_model_fails_decode_and_summary():
     # 30 * 3e38 overflows float32: the sine of inf is nan in every pixel
     model = small_cfg().new_model()
     broken = model.replace_params(
-        {"layer0.bias": Tensor(np.full(model.hidden, 3e38, dtype=np.float32))})
+        {"layer0.bias": np.full(model.hidden, 3e38, dtype=np.float32)})
     enc = zero_encoding(broken)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -335,5 +334,5 @@ def test_fingerprint_ignores_iteration_but_not_weights(tmp_path):
     bumped = model.replace_params({}, iteration=7)
     assert model_fingerprint(bumped) == model_fingerprint(model)
     tweaked = model.replace_params(
-        {"out.bias": Tensor(model.out_bias.data + np.float32(0.5))})
+        {"out.bias": model.out_bias.data + np.float32(0.5)})
     assert model_fingerprint(tweaked) != model_fingerprint(model)

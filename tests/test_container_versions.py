@@ -214,7 +214,7 @@ def test_an_old_model_resaves_as_v3_with_the_same_weights(tmp_path, old):
     save_model(tmp_path / "m.vfnc", model)
     assert file_version(tmp_path / "m.vfnc") == 3
     new = load_model(tmp_path / "m.vfnc")
-    assert all(np.array_equal(p.data, q.data)
+    assert all(np.array_equal(p, q)
                for (_, p), (_, q) in zip(model.parameters(), new.parameters()))
     decoded = decode_video(new, load_encoding(old / "clip.venc"))
     assert np.array_equal(decoded.values, load_video(old / "clip_decoded.rawvid").values)
@@ -285,7 +285,7 @@ def model_body(model: MetaModel) -> tuple[bytes, bytes]:
     names = ([f"layer{i}.{part}" for i in k for part in ("weight", "bias")]
              + ["out.weight", "out.bias"]
              + [f"video_proj{i}" for i in k] + [f"frame_proj{i}" for i in k])
-    payload = b"".join(params[name].data.astype("<f4").tobytes() for name in names)
+    payload = b"".join(params[name].astype("<f4").tobytes() for name in names)
     return (struct.pack("<IBIIIIdQ", 1, 0, model.layers, model.hidden, model.video_dim,
                         model.frame_dim, model.omega0, model.iteration), payload)
 
@@ -348,7 +348,7 @@ def test_v3_fixtures_are_framed_as_pinned(tmp_path, name, loader, save):
 def fingerprint_parts(model: MetaModel) -> tuple[bytes, bytes]:
     header = struct.pack("<BIIIId", 0, model.layers, model.hidden, model.video_dim,
                          model.frame_dim, model.omega0)
-    return header, b"".join(p.data.astype("<f4").tobytes() for _, p in model.parameters())
+    return header, b"".join(p.astype("<f4").tobytes() for _, p in model.parameters())
 
 
 def test_v3_fingerprint_is_pinned():

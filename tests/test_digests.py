@@ -71,7 +71,7 @@ def test_a_load_gives_the_fingerprint_and_the_manifest_hash(tmp_path, runner, dt
     model = small_model(dtype)
     path = tmp_path / "m.vfnc"
     saved = save_model(path, model)
-    payload = sum(p.data.nbytes for _, p in model.parameters())
+    payload = sum(p.nbytes for _, p in model.parameters())
     fields, arrays = path.read_bytes()[8:-8 - payload], path.read_bytes()[-8 - payload:-8]
     assert saved == stored_checksum(path) == sha256_64(
         fields + hashlib.sha256(arrays).digest())
@@ -118,7 +118,7 @@ def test_a_flipped_payload_byte_fails_and_leaves_no_digest(tmp_path, runner):
     readers = []
     read_model_payload(path, readers)
     assert readers[0].checksum == stored_checksum(path)
-    payload = sum(p.data.nbytes for _, p in small_model(np.float32).parameters())
+    payload = sum(p.nbytes for _, p in small_model(np.float32).parameters())
     assert readers[0].digest == hashlib.sha256(path.read_bytes()[-8 - payload:-8]).digest()
     blob = bytearray(path.read_bytes())
     blob[-12] ^= 0x01
@@ -144,7 +144,7 @@ def test_a_version_2_read_takes_no_fingerprint_until_a_decode_asks(runner):
 
 def test_a_load_and_a_save_feed_the_payload_to_one_hash(tmp_path, monkeypatch, runner):
     model = small_model(np.float32, seed=6)
-    payload = b"".join(p.data.astype("<f4").tobytes() for _, p in model.parameters())
+    payload = b"".join(p.astype("<f4").tobytes() for _, p in model.parameters())
     with monkeypatch.context() as patch:
         hashers = Hashers(patch)
         save_model(tmp_path / "m.vfnc", model)

@@ -5,7 +5,7 @@ import pytest
 from helpers import rel_err
 
 from vfuncta.codec import VideoEncoding
-from vfuncta.errors import ContractError
+from vfuncta.errors import ContractError, DivergenceError
 from vfuncta.heads import (
     HeadConfig,
     evaluate_head,
@@ -102,6 +102,17 @@ def test_training_is_deterministic_per_seed():
     assert l1 == l2
     for a, b in zip(h1.weights, h2.weights):
         assert np.array_equal(a, b)
+
+
+def test_a_run_away_last_update_is_a_divergence():
+    # the one batch's loss is finite; the update after it is not
+    rng = np.random.default_rng(0)
+    cfg = HeadConfig(task="regression", hidden1=8, hidden2=4, dropout=0.0, epochs=1,
+                     batch_size=64, learning_rate=1e60)
+    with pytest.raises(DivergenceError) as exc:
+        train_head(rng.normal(size=(8, 12)), rng.normal(size=8), cfg)
+    assert exc.value.step == cfg.epochs
+    assert len(exc.value.loss_history) == 1 and np.isfinite(exc.value.loss_history[0])
 
 
 def test_binary_task_requires_both_classes():

@@ -9,7 +9,9 @@ that a package module defines at its top level is used when some package
 module loads it or reads it as an attribute. A public function, class or
 method (a top-level one, or a method of a top-level class; dunder methods
 are called by Python) is used when the package or the benchmark's
-non-test modules load it by name.
+non-test modules load it by name. No package module but `model.py`
+imports `vfuncta.tensor` or names `Tensor`: the model alone makes and
+unwraps parameter leaves, and its API speaks plain arrays.
 """
 
 import ast
@@ -147,3 +149,29 @@ def test_every_public_definition_is_used_by_the_package_or_the_benchmark():
     assert {"run.py", "workloads.py"} <= {path.name for path in BENCH}
     uncalled = uncalled_exports(PACKAGE, BENCH)
     assert not uncalled, "public names nobody outside the tests uses:\n" + "\n".join(uncalled)
+
+
+def tensor_uses(path: Path) -> list[str]:
+    """Imports of `vfuncta.tensor` (or of its names) and uses of the name
+    `Tensor` in a module, by line."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            hit = (node.module in ("tensor", "vfuncta.tensor")
+                   or any(alias.name in ("tensor", "Tensor") for alias in node.names))
+        elif isinstance(node, ast.Import):
+            hit = any(alias.name == "vfuncta.tensor" for alias in node.names)
+        else:
+            hit = (isinstance(node, ast.Name) and node.id == "Tensor"
+                   or isinstance(node, ast.Attribute) and node.attr == "Tensor")
+        if hit:
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_only_the_model_makes_tensor_leaves():
+    assert {"model.py", "tensor.py", "container.py"} <= {path.name for path in PACKAGE}
+    assert tensor_uses(ROOT / "src" / "vfuncta" / "model.py")
+    uses = [entry for path in PACKAGE if path.name != "model.py" for entry in tensor_uses(path)]
+    assert not uses, "Tensor leaves outside the model:\n" + "\n".join(uses)

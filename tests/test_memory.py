@@ -34,7 +34,7 @@ def model_file(tmp_path):
     model = MetaModel.initialize(layers=3, hidden=256, video_dim=512, frame_dim=128,
                                  rng=np.random.default_rng(6))
     save_model(tmp_path / "m.vfnc", model)
-    return tmp_path / "m.vfnc", sum(p.data.nbytes for _, p in model.parameters())
+    return tmp_path / "m.vfnc", sum(p.nbytes for _, p in model.parameters())
 
 
 def test_a_model_load_holds_its_payload_once(model_file):
@@ -64,7 +64,7 @@ def test_a_loaded_models_parameters_are_read_only_arrays_of_their_own(model_file
     """Each parameter owns the memory it was read into, so a load needs
     no free region the size of the whole payload."""
     path, payload = model_file
-    arrays = [p.data for _, p in load_model(path).parameters()]
+    arrays = [p for _, p in load_model(path).parameters()]
     assert all(arr.base is None and not arr.flags.writeable for arr in arrays)
     assert sum(arr.nbytes for arr in arrays) == payload
 

@@ -11,7 +11,7 @@ import pytest
 from helpers import finite_diff, rel_err
 
 from vfuncta import tensor
-from vfuncta.errors import ContractError, ShapeError
+from vfuncta.errors import ContractError, NonFiniteError, ShapeError
 from vfuncta.model import (
     MetaModel,
     forward_batch,
@@ -67,9 +67,9 @@ def test_parameters_follow_the_table():
 def test_initialize_hands_every_parameter_over_without_a_copy(monkeypatch, dtype):
     frozen = []
 
-    def recording_tensor(data, dtype=None):
-        frozen.append(tensor._frozen(data, dtype))
-        return Tensor(data, dtype)
+    def recording_tensor(data, name):
+        frozen.append(tensor._frozen(data))
+        return Tensor(data, name)
 
     monkeypatch.setattr("vfuncta.model.Tensor", recording_tensor)
     initialized = tiny_model(dtype=dtype)
@@ -80,13 +80,20 @@ def test_initialize_hands_every_parameter_over_without_a_copy(monkeypatch, dtype
 def test_replace_params_names_a_wrong_shape():
     m = tiny_model()
     with pytest.raises(ShapeError, match="layer1.weight"):
-        m.replace_params({"layer1.weight": Tensor(np.zeros((8, 7)))})
+        m.replace_params({"layer1.weight": np.zeros((8, 7))})
+
+
+def test_a_non_finite_parameter_is_refused_by_its_name():
+    bias = np.zeros(8)
+    bias[3] = np.nan
+    with pytest.raises(NonFiniteError, match=r"'layer1\.bias'"):
+        tiny_model().replace_params({"layer1.bias": bias})
 
 
 def test_replace_params_rejects_an_unknown_name():
     m = tiny_model()
     with pytest.raises(ShapeError, match="layer9.weight"):
-        m.replace_params({"layer9.weight": Tensor(np.zeros((8, 8)))})
+        m.replace_params({"layer9.weight": np.zeros((8, 8))})
 
 
 def test_a_missing_parameter_is_named():
@@ -124,7 +131,7 @@ def test_omega0_must_be_finite_and_positive(omega0):
 
 def test_all_zero_model_outputs_zero():
     m = tiny_model()
-    zeroed = m.replace_params({name: Tensor(np.zeros(p.shape))
+    zeroed = m.replace_params({name: np.zeros(p.shape)
                                for name, p in m.parameters()})
     out = forward_batch(zeroed, np.zeros(8), np.zeros((1, 4)), grid_coords(4, 4))[0]
     assert np.array_equal(out, np.zeros(16))
@@ -320,10 +327,10 @@ def test_model_gradients_match_finite_differences():
 
     for name, p in m.parameters():
         def f_theta(arrays, name=name):
-            m2 = m.replace_params({name: Tensor(arrays[0])})
+            m2 = m.replace_params({name: arrays[0]})
             return loss_and_grads(m2, v0, phi0, coords, targets).loss
 
-        numeric = finite_diff(f_theta, [p.data.copy()])[0]
+        numeric = finite_diff(f_theta, [p.copy()])[0]
         assert rel_err(grads.weights[name], numeric) < 1e-4, name
 
 

@@ -30,7 +30,6 @@ from vfuncta.container import save_model
 from vfuncta.data import VideoTensor, save_video
 from vfuncta.errors import NonFiniteError
 from vfuncta.model import MetaModel, forward_batch, frame_mse, loss_and_grads
-from vfuncta.tensor import Tensor
 
 SRC = str(Path(parallel.__file__).parents[1])
 
@@ -528,12 +527,12 @@ def test_outer_step_gradients_match_finite_differences_across_uneven_blocks(use_
     rng = np.random.default_rng(14)
     step = 1e-5
     for name, p in model_.parameters():
-        for j in rng.choice(p.data.size, size=min(3, p.data.size), replace=False):
+        for j in rng.choice(p.size, size=min(3, p.size), replace=False):
             losses = []
             for sign in (1, -1):
-                bumped = p.data.copy()
+                bumped = p.copy()
                 bumped.reshape(-1)[j] += sign * step
-                m = model_.replace_params({name: Tensor(bumped)})
+                m = model_.replace_params({name: bumped})
                 losses.append(np.mean(frame_mse(forward_batch(m, v, phis, coords), targets)))
             numeric = (losses[0] - losses[1]) / (2 * step)
             assert rel_err(grads.weights[name].reshape(-1)[j], numeric) < 1e-4, (name, j)

@@ -13,8 +13,8 @@ import pytest
 
 from vfuncta.cli import main
 from vfuncta.codec import VideoEncoding, save_encoding
-from vfuncta.container import ENCODING_MAGIC, dtype_code, save_model, write_container
-from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation
+from vfuncta.container import ENCODING_MAGIC, MODEL_MAGIC, dtype_code, save_model, write_container
+from vfuncta.model import FrameModulationSeq, MetaModel, VideoModulation, param_shapes
 
 TRAIN_CONFIG = "batch_frames = 2\ncoords_per_frame = 4\n"
 # a weight matrix of 8 x 2^54 float64 values is 2^60 bytes, past any
@@ -115,6 +115,18 @@ def venc(tmp_path, dims=(2, 4, 4, 8, 4), v_value=0.0, command="decode"):
     return argv, output
 
 
+def nan_model(tmp_path):
+    """`summary` of an encoding with a 2-layer model file whose
+    `layer1.bias` holds a NaN under a valid checksum."""
+    argv, output = venc(tmp_path, command="summary")
+    dt = np.dtype(np.float32)
+    params = {name: np.full(shape, 0.1, dt) for name, shape in param_shapes(2, 8, 8, 4).items()}
+    params["layer1.bias"][3] = np.nan
+    head = struct.pack("<IBIIIIdQ", 1, dtype_code(dt), 2, 8, 8, 4, 30.0, 0)
+    write_container(tmp_path / "m.vfnc", MODEL_MAGIC, head, list(params.values()), dt)
+    return argv, output
+
+
 def rawvid_header(t, h, w) -> bytes:
     return b"VRAW" + struct.pack("<III", t, h, w)
 
@@ -210,6 +222,9 @@ CASES = {
                                  "extents must be positive"),
     "eval-venc-frame-dim-0": (lambda p: venc(p, (2, 4, 4, 8, 0), command="eval"),
                               "extents must be positive"),
+    # model files
+    "summary-vfnc-nan-in-layer1-bias": (nan_model, "m.vfnc: non-finite values produced by "
+                                                   "'layer1.bias'"),
 }
 
 

@@ -4,11 +4,11 @@ frozen-weight discipline, loss descent, and checkpoint resume."""
 import numpy as np
 import pytest
 
+from vfuncta import training
 from vfuncta.container import load_model, save_model
 from vfuncta.data import SynthSpec, VideoTensor, gen_synthetic
 from vfuncta.errors import ContractError, DataError, DivergenceError
 from vfuncta.model import forward_batch, grid_coords
-from vfuncta.tensor import Tensor
 from vfuncta.training import _STREAM_SHUFFLE, TrainConfig, adapt, meta_step, train
 
 
@@ -95,10 +95,10 @@ def test_zero_inner_lr_keeps_modulations_zero():
 def test_inner_loop_does_not_touch_weights():
     cfg = tiny_cfg()
     model = cfg.new_model()
-    before = [p.data.copy() for _, p in model.parameters()]
+    before = [p.copy() for _, p in model.parameters()]
     adapt_batch(model, full_grid_batch(constant_video(), cfg), cfg)
     for (_, p), old in zip(model.parameters(), before):
-        assert np.array_equal(p.data, old)
+        assert np.array_equal(p, old)
 
 
 def test_zero_meta_lr_keeps_weights_bit_exact():
@@ -106,7 +106,7 @@ def test_zero_meta_lr_keeps_weights_bit_exact():
     model = cfg.new_model()
     updated, _ = meta_step(model, constant_video(), cfg, np.random.default_rng(0))
     for (_, p), (_, q) in zip(model.parameters(), updated.parameters()):
-        assert np.array_equal(p.data, q.data)
+        assert np.array_equal(p, q)
     assert updated.iteration == model.iteration + 1
 
 
@@ -117,7 +117,22 @@ def test_meta_step_deterministic():
     m2, loss2 = meta_step(cfg.new_model(), video, cfg, np.random.default_rng(42))
     assert loss1 == loss2
     for (_, p), (_, q) in zip(m1.parameters(), m2.parameters()):
-        assert np.array_equal(p.data, q.data)
+        assert np.array_equal(p, q)
+
+
+def test_a_non_finite_weight_update_names_its_parameter(monkeypatch):
+    real = training.loss_and_grads
+
+    def huge_bias_gradient(*args, **kwargs):
+        grads = real(*args, **kwargs)
+        if grads.weights is not None:
+            grads.weights["layer1.bias"][:] = 1e308
+        return grads
+
+    monkeypatch.setattr(training, "loss_and_grads", huge_bias_gradient)
+    cfg = tiny_cfg(meta_lr=10.0)
+    with pytest.raises(DivergenceError, match="non-finite weights in layer1.bias at step 10"):
+        meta_step(cfg.new_model(), constant_video(), cfg, np.random.default_rng(0))
 
 
 def test_short_video_sampled_with_replacement():
@@ -132,7 +147,7 @@ def test_short_video_sampled_with_replacement():
 def test_divergence_error_carries_context():
     cfg = tiny_cfg()
     model = cfg.new_model()
-    huge = {"out.weight": Tensor(np.full((8, 1), 1e200))}
+    huge = {"out.weight": np.full((8, 1), 1e200)}
     broken = model.replace_params(huge)
     with pytest.raises(DivergenceError) as exc:
         adapt_batch(broken, full_grid_batch(constant_video(), cfg), cfg)
@@ -144,10 +159,10 @@ def test_non_finite_gradient_in_inner_loop_names_the_step():
     # loss stays finite while the huge output weight overflows the gradients
     cfg = tiny_cfg()
     model = cfg.new_model()
-    zero = {name: Tensor(np.zeros(p.shape)) for name, p in model.parameters()
+    zero = {name: np.zeros(p.shape) for name, p in model.parameters()
             if name.endswith("1.weight") or name.endswith("1.bias")
             or name in ("video_proj1", "frame_proj1")}
-    broken = model.replace_params({**zero, "out.weight": Tensor(np.full((8, 1), 1e308))})
+    broken = model.replace_params({**zero, "out.weight": np.full((8, 1), 1e308)})
     with pytest.raises(DivergenceError) as exc:
         adapt_batch(broken, full_grid_batch(constant_video(), cfg), cfg)
     assert exc.value.step == 0
@@ -172,7 +187,7 @@ def test_train_zero_iterations_returns_fresh_model():
     fresh = cfg.new_model()
     assert log.entries == []
     for (_, p), (_, q) in zip(model.parameters(), fresh.parameters()):
-        assert np.array_equal(p.data, q.data)
+        assert np.array_equal(p, q)
 
 
 def test_train_empty_dataset_rejected():
@@ -231,7 +246,7 @@ def test_resume_equals_uninterrupted_run(tmp_path):
     resumed, resumed_log = train(videos, cfg, resume=ckpt)
 
     for (_, p), (_, q) in zip(straight.parameters(), resumed.parameters()):
-        assert np.array_equal(p.data, q.data)
+        assert np.array_equal(p, q)
     straight_tail = [e.loss for e in straight_log.entries[4:]]
     resumed_losses = [e.loss for e in resumed_log.entries]
     assert straight_tail == resumed_losses
@@ -244,4 +259,4 @@ def test_checkpoint_round_trip_preserves_model(tmp_path):
     loaded = load_model(tmp_path / "m.vfnc")
     assert loaded.iteration == 3
     for (_, p), (_, q) in zip(model.parameters(), loaded.parameters()):
-        assert np.array_equal(p.data, q.data)
+        assert np.array_equal(p, q)
