@@ -174,6 +174,12 @@ def load_encoding(path) -> VideoEncoding:
             raise FormatError(f"{reader.source}: extents must be positive, got frames {frames}, "
                               f"height {height}, width {width}, video_dim {video_dim}, "
                               f"frame_dim {frame_dim}")
+        # a decode holds the frame grid, (pixels, 2) float32, and the
+        # predictions, (frames, pixels) of up to 8 bytes: either must fit
+        # numpy's index range
+        if frames * height * width * 8 > np.iinfo(np.intp).max:
+            raise FormatError(f"{reader.source}: {frames} frames of {height} x {width} pixels "
+                              f"are past numpy's array size limit")
         arrays = reader.payload(decode_dtype(code),
                                 {"v": (video_dim,), "phis": (frames, frame_dim)})
     return VideoEncoding(

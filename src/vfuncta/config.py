@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .data import TRAJECTORIES, SynthSpec
 from .errors import ConfigError, ContractError
-from .heads import HeadConfig
 
 SEED_ENV_VAR = "VFUNCTA_SEED"
 
@@ -88,10 +87,6 @@ def _schema(cls, given=()) -> dict:
     annotated type."""
     types = typing.get_type_hints(cls)
     return {f.name: types[f.name] for f in dataclasses.fields(cls) if f.name not in given}
-
-
-# a head config's keys; its task comes from the command line
-HEAD_SCHEMA = _schema(HeadConfig, ("task",))
 
 
 def load_config(cls, path, overrides=(), **given):

@@ -53,9 +53,10 @@ class VideoTensor:
 
 
 def save_video(path, video: VideoTensor) -> None:
-    """Write the raw container; the round trip through load_video is bit-exact."""
-    payload = video.values.astype("<f4").tobytes()
-    atomic_write_bytes(path, RAWVID_MAGIC + struct.pack("<III", *video.dims) + payload)
+    """Write the raw container; the round trip through load_video is bit-exact.
+    The payload goes out as the array itself, not a copy of it."""
+    atomic_write_bytes(path, RAWVID_MAGIC + struct.pack("<III", *video.dims),
+                       video.values.astype("<f4", copy=False))
 
 
 def load_video(path) -> VideoTensor:

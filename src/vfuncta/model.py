@@ -147,9 +147,12 @@ class MetaModel:
 
     `params` maps every name of `param_shapes` to its array; the four
     dimensions follow from the name count (4K + 2) and the shapes of
-    `layer0.weight`, `video_proj0` and `frame_proj0`. Here alone arrays
-    become `Tensor` leaves, which the per-layer lists hold, and a
-    non-finite one is refused by its name; the API gives arrays back.
+    `layer0.weight`, `video_proj0` and `frame_proj0`. Here alone a
+    parameter array is taken in: each must have `layer0.weight`'s dtype,
+    float32 or float64, and be finite, or it is refused by its name; one
+    that no one can write any more is held as it is, any other is copied,
+    and each is read-only. The per-layer lists hold them as `Tensor`s;
+    the API gives arrays back.
     Weight matrices are stored input-major, so a batch of rows X maps
     through a layer as X @ W + b. Immutable during evaluation; training
     swaps in fresh arrays via `replace_params`. So `fingerprints`, the memo of
@@ -180,12 +183,23 @@ class MetaModel:
         if missing or unknown:
             raise ShapeError(f"a {self.layers}-layer model: missing parameters {missing}, "
                              f"unknown parameters {unknown}")
-        leaves = {}
+        self.dtype = params["layer0.weight"].dtype
+        if self.dtype not in (np.float32, np.float64):
+            raise ContractError(f"layer0.weight is {self.dtype}, "
+                                f"the model's parameters must be float32 or float64")
+        self._params = {}
         for name, shape in shapes.items():
-            if params[name].shape != shape:
-                raise ShapeError(f"{name} shape {params[name].shape}, expected {shape}")
-            leaves[name] = Tensor(params[name], name)
-        self._params = {name: leaf.data for name, leaf in leaves.items()}
+            arr = params[name]
+            if arr.shape != shape:
+                raise ShapeError(f"{name} shape {arr.shape}, expected {shape}")
+            if arr.dtype != self.dtype:
+                raise ContractError(f"{name} is {arr.dtype}, the model's parameters are {self.dtype}")
+            if not _frozen(arr):
+                arr = arr.copy()
+            _require_finite(arr, name)
+            arr.setflags(write=False)
+            self._params[name] = arr
+        leaves = {name: Tensor(arr) for name, arr in self._params.items()}
         k = range(self.layers)
         self.layer_weights = [leaves[f"layer{i}.weight"] for i in k]
         self.layer_biases = [leaves[f"layer{i}.bias"] for i in k]
@@ -193,7 +207,6 @@ class MetaModel:
         self.out_bias = leaves["out.bias"]
         self.video_projs = [leaves[f"video_proj{i}"] for i in k]
         self.frame_projs = [leaves[f"frame_proj{i}"] for i in k]
-        self.dtype = self._params["layer0.weight"].dtype
         self.fingerprints: dict[int, int] = {}
         self.checksum: int | None = None
 
@@ -239,6 +252,21 @@ class MetaModel:
                        iteration: int | None = None) -> "MetaModel":
         return MetaModel({**self._params, **new_params}, self.omega0,
                          self.iteration if iteration is None else iteration)
+
+
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether `arr` can be held without a copy: a C-contiguous, aligned
+    array that is read-only, as is every array down to the one that owns
+    its memory."""
+    if not (arr.flags.c_contiguous and arr.flags.aligned):
+        return False
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return False
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ method (a top-level one, or a method of a top-level class; dunder methods
 are called by Python) is used when the package or the benchmark's
 non-test modules load it by name. No package module but `model.py`
 imports `vfuncta.tensor` or names `Tensor`: the model alone makes and
-unwraps parameter leaves, and its API speaks plain arrays.
+unwraps parameter leaves, and its API speaks plain arrays. `tensor.py`
+itself imports no module: it only holds the arrays the model took in.
 """
 
 import ast
@@ -175,3 +176,11 @@ def test_only_the_model_makes_tensor_leaves():
     assert tensor_uses(ROOT / "src" / "vfuncta" / "model.py")
     uses = [entry for path in PACKAGE if path.name != "model.py" for entry in tensor_uses(path)]
     assert not uses, "Tensor leaves outside the model:\n" + "\n".join(uses)
+
+
+def test_the_tensor_module_imports_nothing():
+    path = ROOT / "src" / "vfuncta" / "tensor.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not imports, "imports in the tensor module:\n" + "\n".join(imports)

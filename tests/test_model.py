@@ -10,7 +10,7 @@ import pytest
 
 from helpers import finite_diff, rel_err
 
-from vfuncta import tensor
+from vfuncta import model as model_module
 from vfuncta.errors import ContractError, NonFiniteError, ShapeError
 from vfuncta.model import (
     MetaModel,
@@ -20,7 +20,6 @@ from vfuncta.model import (
     param_shapes,
     sample_coords,
 )
-from vfuncta.tensor import Tensor
 
 
 def tiny_model(seed=0, dtype=np.float64, layers=2, hidden=8, video_dim=8, frame_dim=4):
@@ -66,12 +65,13 @@ def test_parameters_follow_the_table():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_initialize_hands_every_parameter_over_without_a_copy(monkeypatch, dtype):
     frozen = []
+    held_as_it_is = model_module._frozen
 
-    def recording_tensor(data, name):
-        frozen.append(tensor._frozen(data))
-        return Tensor(data, name)
+    def recording_frozen(arr):
+        frozen.append(held_as_it_is(arr))
+        return frozen[-1]
 
-    monkeypatch.setattr("vfuncta.model.Tensor", recording_tensor)
+    monkeypatch.setattr(model_module, "_frozen", recording_frozen)
     initialized = tiny_model(dtype=dtype)
     assert frozen == [True] * len(initialized.parameters())
     assert initialized.dtype == dtype
@@ -88,6 +88,17 @@ def test_a_non_finite_parameter_is_refused_by_its_name():
     bias[3] = np.nan
     with pytest.raises(NonFiniteError, match=r"'layer1\.bias'"):
         tiny_model().replace_params({"layer1.bias": bias})
+
+
+@pytest.mark.parametrize("name, arr", [
+    pytest.param("out.bias", np.array([0.1]), id="float64-out-bias"),
+    pytest.param("layer1.weight", np.zeros((8, 8), np.float16), id="float16-layer1-weight"),
+])
+def test_a_parameter_of_another_dtype_is_refused_by_its_name(name, arr):
+    # the model's dtype is its layer0.weight's; no parameter is cast to it
+    with pytest.raises(ContractError, match=rf"^{re.escape(name)} is {arr.dtype}, "
+                                            r"the model's parameters are float32$"):
+        tiny_model(dtype=np.float32).replace_params({name: arr})
 
 
 def test_replace_params_rejects_an_unknown_name():

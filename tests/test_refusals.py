@@ -218,6 +218,13 @@ CASES = {
     "venc-nan-in-v": (lambda p: venc(p, v_value=np.nan), "non-finite"),
     "venc-height-0": (lambda p: venc(p, (2, 0, 4, 8, 4)), "must be positive"),
     "venc-frames-0": (lambda p: venc(p, (0, 4, 4, 8, 4)), "extents must be positive"),
+    # a decode's grid of 2^62 pixels or video of 2^63 values is past what
+    # numpy can size; at 65535 x 65535 the allocation itself is refused
+    "venc-frames-of-2**31-x-2**31": (lambda p: venc(p, (2, 2**31, 2**31, 8, 4)),
+                                     "clip.venc: 2 frames of 2147483648 x 2147483648 pixels"),
+    "summary-venc-frames-of-2**31-x-2**31": (
+        lambda p: venc(p, (2, 2**31, 2**31, 8, 4), command="summary"),
+        "clip.venc: 2 frames of 2147483648 x 2147483648 pixels"),
     "summary-venc-video-dim-0": (lambda p: venc(p, (2, 4, 4, 0, 4), command="summary"),
                                  "extents must be positive"),
     "eval-venc-frame-dim-0": (lambda p: venc(p, (2, 4, 4, 8, 0), command="eval"),

@@ -1,4 +1,5 @@
-"""The leaf `Tensor`, and the element rules of the sine stack's closed form.
+"""How `MetaModel` takes in a parameter array, and the element rules of
+the sine stack's closed form.
 
 Each layer multiplies, adds its bias and both shifts, and takes the sine;
 the loss averages squared errors per frame. These checks pin each rule
@@ -12,9 +13,8 @@ import numpy as np
 import pytest
 from helpers import finite_diff, rel_err
 
-from vfuncta.errors import NonFiniteError, ShapeError
-from vfuncta.model import MetaModel, forward_batch, frame_mse, loss_and_grads
-from vfuncta.tensor import Tensor
+from vfuncta.errors import ContractError, NonFiniteError, ShapeError
+from vfuncta.model import MetaModel, forward_batch, frame_mse, loss_and_grads, param_shapes
 
 
 def one_layer(weight, bias, out_weight, out_bias=(0.0,), frame_proj=None, omega0=1.0):
@@ -198,53 +198,70 @@ def test_shared_subexpression_accumulates():
     assert np.allclose(g.v, per_layer, rtol=1e-12, atol=1e-15)
 
 
-# --- finiteness -------------------------------------------------------------------
-
-def test_non_finite_input_rejected():
-    with pytest.raises(NonFiniteError, match="'layer0.bias'"):
-        Tensor(np.array([1.0, np.inf]), "layer0.bias")
-    frozen = np.array([1.0, np.nan])
-    frozen.setflags(write=False)
-    with pytest.raises(NonFiniteError, match="'out.bias'"):
-        Tensor(frozen, "out.bias")
-
-
-# --- copies -----------------------------------------------------------------------
+# --- taking in a parameter array ----------------------------------------------------
 
 def frozen(arr):
     arr.setflags(write=False)
     return arr
 
 
+def model_holding(weight):
+    """A one-layer model handed `weight`, (2, l), as its `layer0.weight`;
+    the other parameters are zeros of its dtype."""
+    shapes = param_shapes(layers=1, hidden=weight.shape[1], video_dim=1, frame_dim=1)
+    params = {name: np.zeros(shape, weight.dtype) for name, shape in shapes.items()}
+    return MetaModel({**params, "layer0.weight": weight}, omega0=1.0)
+
+
+def held_weight(model):
+    return dict(model.parameters())["layer0.weight"]
+
+
+def test_non_finite_input_rejected():
+    with pytest.raises(NonFiniteError, match="'layer0.bias'"):
+        one_layer(np.eye(2), [1.0, np.inf], [1.0, 0.0])
+    with pytest.raises(NonFiniteError, match="'layer0.weight'"):
+        model_holding(frozen(np.array([[1.0, np.nan], [0.0, 0.0]])))
+
+
 def test_an_array_no_one_can_write_is_held_as_it_is():
-    owner = frozen(np.arange(12, dtype=np.float32))
-    view = owner[4:].reshape(2, 4)
-    for arr in (owner, view):
-        assert Tensor(arr, "w").data is arr
+    owner = frozen(np.arange(16, dtype=np.float32))
+    for arr in (frozen(np.ones((2, 4), dtype=np.float32)), owner[4:].reshape(2, 6)):
+        assert held_weight(model_holding(arr)) is arr
 
 
 @pytest.mark.parametrize("source", [
-    pytest.param(lambda: np.ones(6), id="writable"),
-    pytest.param(lambda: frozen(np.ones(6).view()), id="read-only-view-of-a-writable-owner"),
-    pytest.param(lambda: frozen(np.frombuffer(bytearray(48))), id="read-only-view-of-a-bytearray"),
+    pytest.param(lambda: np.ones((2, 3)), id="writable"),
+    pytest.param(lambda: frozen(np.ones((2, 3)).view()), id="read-only-view-of-a-writable-owner"),
+    pytest.param(lambda: frozen(np.frombuffer(bytearray(48))).reshape(2, 3),
+                 id="read-only-view-of-a-bytearray"),
     pytest.param(lambda: frozen(np.ones((3, 2))).T, id="not-c-contiguous"),
-    pytest.param(lambda: frozen(np.ones(6, dtype=">f8")), id="byte-swapped"),
-    pytest.param(lambda: frozen(np.ones(6, dtype=np.float16)), id="half-precision"),
 ])
 def test_any_other_array_is_copied(source):
     arr = source()
-    tensor = Tensor(arr, "w")
-    assert not np.shares_memory(tensor.data, arr)
-    assert not tensor.data.flags.writeable
-    assert tensor.data.dtype.isnative and tensor.data.dtype in (np.float32, np.float64)
-    assert np.array_equal(tensor.data, arr)
+    held = held_weight(model_holding(arr))
+    assert not np.shares_memory(held, arr)
+    assert not held.flags.writeable and held.flags.c_contiguous
+    assert held.dtype == arr.dtype
+    assert np.array_equal(held, arr)
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(lambda: frozen(np.ones((2, 3), dtype=">f8")), id="byte-swapped"),
+    pytest.param(lambda: frozen(np.ones((2, 3), dtype=np.float16)), id="half-precision"),
+])
+def test_any_other_dtype_is_refused(source):
+    arr = source()
+    with pytest.raises(ContractError, match=rf"^layer0.weight is {arr.dtype}, "
+                                            r"the model's parameters must be float32 or float64$"):
+        model_holding(arr)
 
 
 def test_mutating_a_writable_source_changes_nothing():
-    src = np.ones(4, dtype=np.float32)
-    tensor = Tensor(src, "w")
-    src[0] = 5.0
-    assert tensor.data[0] == 1.0
+    src = np.ones((2, 2), dtype=np.float32)
+    model = model_holding(src)
+    src[0, 0] = 5.0
+    assert held_weight(model)[0, 0] == 1.0
 
 
 def test_overflow_is_reported_with_op_name():
