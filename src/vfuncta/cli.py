@@ -369,7 +369,7 @@ def cmd_eval(args, argv) -> int:
         x_train, x_test = features(train_items, mode), features(test_items, mode)
         per_seed = []
         for s in range(args.seeds):
-            head, _ = heads.train_head(x_train, y_train, replace(head_cfg, seed=head_cfg.seed + s))
+            head = heads.train_head(x_train, y_train, replace(head_cfg, seed=head_cfg.seed + s))
             report = heads.evaluate_head(head, x_test, y_test)
             per_seed.append(report)
         lines.append(_format_eval_line(mode, args.task, per_seed))

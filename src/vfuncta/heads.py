@@ -1,48 +1,40 @@
-"""Task heads operating directly on modulation vectors.
+"""Linear probes on modulation vectors (Alain and Bengio 2016).
 
-A feature vector per video comes from the video vector, the temporal
-mean of the frame vectors, or their concatenation. The head is a
-three-layer ReLU perceptron with dropout, trained by mini-batch
-gradient descent on squared error (regression) or logistic loss
-(binary), with input and regression-target standardization folded into
-the head itself. Dropout is active only while training, so evaluation
-is a pure function of the weights.
+A video's feature vector is its video vector, the temporal mean of its
+frame vectors, or both, standardised by the train split's statistics. A
+probe is ridge regression on centred targets, or L2-penalised logistic
+regression by Newton-IRLS. Its penalty is the one in `PENALTIES` with
+the least `FOLDS`-fold cross-validated squared error or log-loss on the
+train split, the folds shuffled by the seed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import VideoEncoding
-from .errors import ContractError, DivergenceError, NonFiniteError, require_least
+from .errors import ContractError, NonFiniteError, require_least
 from .metrics import classification_metrics, regression_metrics
 
 MODES = ("v", "phi", "combined")
 TASKS = ("regression", "binary")
+PENALTIES = np.logspace(-3, 4, 15)  # half a decade apart
+FOLDS = 5
+# Newton-IRLS stops once no coefficient moves by more than the tolerance
+NEWTON_STEPS, NEWTON_TOL = 50, 1e-10
 
 
 @dataclass(frozen=True)
 class HeadConfig:
     task: str = "regression"
-    hidden1: int = 256
-    hidden2: int = 64
-    dropout: float = 0.2
-    epochs: int = 400
-    batch_size: int = 32
-    learning_rate: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
-        require_least(vars(self), hidden1=1, hidden2=1, epochs=0, batch_size=1, seed=0)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ContractError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        require_least(vars(self), seed=0)
 
 
 def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:
@@ -57,48 +49,22 @@ def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class MlpHead:
-    """Trained head: three float64 linear layers plus the normalization
-    constants, as `train_head` leaves them."""
+class Probe:
+    """A fitted probe: weights and intercept on standardised features, the
+    standardisation, and the penalty that cross-validation chose."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: np.ndarray
+    intercept: float
     feature_mean: np.ndarray
     feature_scale: np.ndarray
-    target_mean: float
-    target_scale: float
+    penalty: float
     config: HeadConfig
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Scores per row: sigmoid probabilities for binary, plain values
-        (de-standardized) for regression. Deterministic, dropout off."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        x = (features - self.feature_mean) / self.feature_scale
-        z = _forward(self.weights, self.biases, x)[0]
-        if self.config.task == "binary":
-            return _sigmoid(z)
-        return z * self.target_scale + self.target_mean
-
-
-def _forward(weights, biases, x, dropout: float = 0.0, rng=None):
-    """Run the three layers on standardized (m, d) inputs.
-
-    Returns the (m,) outputs and, for the backward pass, each layer's
-    input and each hidden layer's slope: the ReLU indicator `z > 0`,
-    times the dropout mask when there is one. Dropout applies only when
-    `rng` is given.
-    """
-    acts, slopes = [x], []
-    for w, b in zip(weights[:-1], biases[:-1]):
-        z = x @ w + b
-        x, slope = np.maximum(z, 0.0), z > 0.0
-        if rng is not None and dropout > 0.0:
-            keep = 1.0 - dropout
-            mask = (rng.random(x.shape) < keep) / keep
-            x, slope = x * mask, slope * mask
-        slopes.append(slope)
-        acts.append(x)
-    return (x @ weights[-1] + biases[-1]).reshape(-1), acts, slopes
+    def predict(self, features) -> np.ndarray:
+        """Scores per row: probabilities for binary, values for regression."""
+        x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        z = (x - self.feature_mean) / self.feature_scale @ self.weights + self.intercept
+        return _sigmoid(z) if self.config.task == "binary" else z
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -110,32 +76,44 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loss(task: str, out: np.ndarray, y: np.ndarray):
-    """The mean loss of (m,) outputs against their targets, and its
-    gradient by output as an (m, 1) column."""
-    m = out.shape[0]
-    if task == "regression":
-        diff = out - y
-        return float(np.mean(diff**2)), (2.0 * diff / m).reshape(-1, 1)
-    p = _sigmoid(out)
-    eps = 1e-12
-    loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-    return loss, ((p - y) / m).reshape(-1, 1)
+def _newton(z: np.ndarray, y: np.ndarray, penalty: float):
+    """Logistic regression of 0/1 labels `y` on centred rows `z`, its
+    weights under the L2 `penalty`, by Newton-IRLS; returns (weights,
+    intercept). The intercept is not penalised, but it sees one more row,
+    at the rows' mean with label 1/2 (the Jeffreys prior), so a one-class
+    fit keeps it finite."""
+    a = np.vstack([np.c_[np.ones(len(z)), z], np.eye(1, z.shape[1] + 1)])
+    y = np.append(y, 0.5)
+    ridge = np.diag(np.r_[0.0, np.full(z.shape[1], penalty)])
+    theta = np.zeros(a.shape[1])
+    for _ in range(NEWTON_STEPS):
+        p = _sigmoid(a @ theta)
+        step = np.linalg.solve((a.T * (p * (1.0 - p))) @ a + ridge, a.T @ (p - y) + ridge @ theta)
+        theta -= step
+        if np.max(np.abs(step)) <= NEWTON_TOL:
+            break
+    return theta[1:], theta[0]
 
 
-def _init_head(dim: int, cfg: HeadConfig, rng: np.random.Generator):
-    sizes = [dim, cfg.hidden1, cfg.hidden2, 1]
-    weights, biases = [], []
-    for i in range(3):
-        fan_in = sizes[i]
-        gain = np.sqrt(2.0 / fan_in) if i < 2 else np.sqrt(1.0 / fan_in)
-        weights.append(rng.normal(0.0, gain, size=(sizes[i], sizes[i + 1])))
-        biases.append(np.zeros(sizes[i + 1]))
-    return weights, biases
+def _fit(x: np.ndarray, y: np.ndarray, task: str, penalties):
+    """(weights, intercept) of the probe on (m, d) rows `x` under each
+    penalty. Under an L2 penalty the weights lie in the span of the
+    centred rows, so each fit solves for at most m coefficients in the
+    basis of their one SVD, however wide the features."""
+    centre = x.mean(axis=0)
+    u, s, vt = np.linalg.svd(x - centre, full_matrices=False)
+    for lam in penalties:
+        if task == "regression":
+            beta, b = s / (s**2 + lam) * (u.T @ (y - y.mean())), y.mean()
+        else:
+            beta, b = _newton(u * s, y, lam)
+        w = vt.T @ beta
+        yield w, float(b - centre @ w)
 
 
-def train_head(features, labels, cfg: HeadConfig):
-    """Fit a head to (n, d) features; returns (head, per-epoch mean losses)."""
+def train_head(features, labels, cfg: HeadConfig) -> Probe:
+    """Fit a probe to (n, d) features, its penalty cross-validated on
+    these rows alone."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -149,58 +127,25 @@ def train_head(features, labels, cfg: HeadConfig):
         if y.min() == y.max():
             raise ContractError("binary task needs both classes in the training set")
 
-    feature_mean = x.mean(axis=0)
-    feature_scale = np.maximum(x.std(axis=0), 1e-8)
-    xs = (x - feature_mean) / feature_scale
-    if cfg.task == "regression":
-        target_mean = float(y.mean())
-        target_scale = float(max(y.std(), 1e-8))
-        ys = (y - target_mean) / target_scale
-    else:
-        target_mean, target_scale = 0.0, 1.0
-        ys = y
-
-    rng = np.random.default_rng([cfg.seed, 31])
-    weights, biases = _init_head(x.shape[1], cfg, rng)
-    losses: list[float] = []
-    # overflow surfaces as a structured divergence error below, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                out, acts, slopes = _forward(weights, biases, xs[idx], cfg.dropout, rng)
-                loss, dz = _loss(cfg.task, out, ys[idx])
-                if not np.isfinite(loss):
-                    raise DivergenceError(epoch, losses)
-                epoch_loss += loss * len(idx)
-
-                # each layer is updated after its weights' last use
-                for layer in (2, 1, 0):
-                    grad_w, grad_b = acts[layer].T @ dz, dz.sum(axis=0)
-                    if layer > 0:
-                        dz = (dz @ weights[layer].T) * slopes[layer - 1]
-                    weights[layer] -= cfg.learning_rate * grad_w
-                    biases[layer] -= cfg.learning_rate * grad_b
-            losses.append(epoch_loss / n)
-        # the last update is checked too: the training loss at the weights
-        # returned, dropout off
-        if not np.isfinite(_loss(cfg.task, _forward(weights, biases, xs)[0], ys)[0]):
-            raise DivergenceError(cfg.epochs, losses)
-
-    head = MlpHead(weights, biases, feature_mean, feature_scale,
-                   target_mean, target_scale, cfg)
-    return head, losses
+    mean, scale = x.mean(axis=0), np.maximum(x.std(axis=0), 1e-8)
+    xs = (x - mean) / scale
+    order = np.random.default_rng([cfg.seed, 31]).permutation(n)
+    cv_loss = np.zeros(len(PENALTIES))
+    for held in np.array_split(order, min(FOLDS, n)):
+        kept = np.setdiff1d(order, held)
+        for i, (w, b) in enumerate(_fit(xs[kept], y[kept], cfg.task, PENALTIES)):
+            z = xs[held] @ w + b
+            # squared error, or the log-loss of the logits z
+            cv_loss[i] += np.sum((z - y[held]) ** 2 if cfg.task == "regression"
+                                 else np.logaddexp(0.0, z) - y[held] * z)
+    penalty = float(PENALTIES[np.argmin(cv_loss)])
+    [(weights, intercept)] = _fit(xs, y, cfg.task, [penalty])
+    return Probe(weights, intercept, mean, scale, penalty, cfg)
 
 
-def evaluate_head(head: MlpHead, features, labels):
-    """Score a head on labeled features; the report type follows the task.
-
-    A head whose last updates ran its weights away scores values that are
-    not finite, which are refused; finite scores too large to square give
-    infinite errors, which are reported. Neither is a warning.
-    """
+def evaluate_head(head: Probe, features, labels):
+    """Score a probe on labeled features, refusing scores that are not
+    finite; finite scores too large to square give infinite errors."""
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = head.predict(features)
@@ -209,4 +154,3 @@ def evaluate_head(head: MlpHead, features, labels):
         if head.config.task == "regression":
             return regression_metrics(scores, y)
     return classification_metrics(scores, y.astype(np.int64))
-

@@ -756,8 +756,8 @@ def test_a_negative_seed_in_a_head_config_is_one_error_line(tmp_path, capsys):
     head_config = tmp_path / "head.cfg"
     # as any value the head config refuses, it names the file's line
     for line, message in (("seed = -1", "seed must be >= 0, got -1"),
-                          ("dropout = 1.5", "dropout must lie in [0, 1), got 1.5")):
-        head_config.write_text(f"epochs = 2\n{line}\n")
+                          ("dropout = 1.5", "unknown key 'dropout'")):
+        head_config.write_text(f"# probe settings\n{line}\n")
         capsys.readouterr()
         assert main([*argv, "--head-config", str(head_config)]) == 1
         assert_one_error_line(capsys.readouterr().err, f"{head_config}:2: {message}")
@@ -912,7 +912,7 @@ def test_eval_head_config_rejects_a_task(tmp_path, capsys):
     """`eval --task` alone sets the head's task."""
     argv = seeded_commands(tmp_path)["eval"]
     head_config = tmp_path / "head.cfg"
-    head_config.write_text("epochs = 2\ntask = regression\n")
+    head_config.write_text("seed = 0\ntask = regression\n")
     capsys.readouterr()
     assert main([*argv, "--head-config", str(head_config)]) == 1
     assert_one_error_line(capsys.readouterr().err, f"{head_config}:2:", "unknown key 'task'")
@@ -925,7 +925,7 @@ def test_eval_head_config_rejects_a_task(tmp_path, capsys):
 def test_env_seed_overrides_the_head_config_seed(tmp_path, monkeypatch, capsys):
     argv = seeded_commands(tmp_path)["eval"]
     head_config = tmp_path / "head.cfg"
-    head_config.write_text("epochs = 2\nseed = 5\n")
+    head_config.write_text("seed = 5\n")
     monkeypatch.setenv("VFUNCTA_SEED", "9")
     assert main([*argv, "--head-config", str(head_config), "--out", str(tmp_path / "e")]) == 0
     doc = read_manifest(tmp_path / "e" / "run_manifest.json")
@@ -935,7 +935,7 @@ def test_env_seed_overrides_the_head_config_seed(tmp_path, monkeypatch, capsys):
 def test_same_seed_evals_write_the_same_manifest(tmp_path, capsys):
     argv = seeded_commands(tmp_path)["eval"]
     head_config = tmp_path / "head.cfg"
-    head_config.write_text("epochs = 3\nhidden1 = 6\n")
+    head_config.write_text("seed = 2\n")
     docs, reports = [], []
     for name in ("e1", "e2"):
         assert main([*argv, "--head-config", str(head_config),
@@ -945,16 +945,14 @@ def test_same_seed_evals_write_the_same_manifest(tmp_path, capsys):
         reports.append((tmp_path / name / "eval_report.tsv").read_bytes())
     assert docs[0] == docs[1] and reports[0] == reports[1]
     # the resolved head settings, the task among them; the modes name the features
-    assert docs[0]["config"] == {
-        "task": "regression", "hidden1": 6, "hidden2": 64, "dropout": 0.2, "epochs": 3,
-        "batch_size": 32, "learning_rate": 0.01, "seed": 0, "modes": "phi", "seeds": 1}
+    assert docs[0]["config"] == {"task": "regression", "seed": 2, "modes": "phi", "seeds": 1}
 
 
 def test_eval_head_config_rejects_a_mode(tmp_path, capsys):
     corpus = gen_corpus(tmp_path)
     model_path, _, _ = tiny_files(tmp_path)
     head_config = tmp_path / "head.cfg"
-    head_config.write_text("epochs = 2\nmode = v\n")
+    head_config.write_text("seed = 0\nmode = v\n")
     enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
     capsys.readouterr()
     rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
@@ -972,7 +970,7 @@ def test_eval_reports_the_heads_of_in_memory_encodings(tmp_path, capsys, monkeyp
     enc_dir = encode_corpus(tmp_path, model_path, corpus, "--batch-frames", "4",
                             "--inner-steps", "3")
     head_config = tmp_path / "head.cfg"
-    head_config.write_text("epochs = 4\nhidden1 = 6\n")
+    head_config.write_text("seed = 3\n")
     capsys.readouterr()
     assert main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
                  "--task", task, "--seeds", "2", "--head-config", str(head_config),
@@ -995,9 +993,8 @@ def test_eval_reports_the_heads_of_in_memory_encodings(tmp_path, capsys, monkeyp
     for mode in heads.MODES:
         (x_train, y_train), (x_test, y_test) = split("train", mode), split("test", mode)
         reports = []
-        for seed in (0, 1):
-            cfg = heads.HeadConfig(task=task, hidden1=6, hidden2=64, epochs=4, seed=seed)
-            head, _ = heads.train_head(x_train, y_train, cfg)
+        for seed in (3, 4):
+            head = heads.train_head(x_train, y_train, heads.HeadConfig(task, seed))
             reports.append(heads.evaluate_head(head, x_test, y_test))
         lines.append(_format_eval_line(mode, task, reports))
     expected = "".join(f"{line}\n" for line in lines)
@@ -1007,7 +1004,7 @@ def test_eval_reports_the_heads_of_in_memory_encodings(tmp_path, capsys, monkeyp
 
 def write_head_config(tmp_path):
     head_config = tmp_path / "head.cfg"
-    head_config.write_text("epochs = 2\n")
+    head_config.write_text("seed = 0\n")
     return head_config
 
 
@@ -1354,8 +1351,9 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer):
     pytest.param("train", ["--set", "inner_lr=inf"], {}, "--set:1: inner_lr",
                  id="train-flags2-inner_lr"),
     pytest.param("encode", ["--inner-lr", "nan"], {}, "inner_lr", id="encode-flags3-inner_lr"),
-    pytest.param("eval", ["--head-config", "head.cfg"], {}, "head.cfg:2: learning_rate",
-                 id="eval-flags4-learning_rate"),
+    # the probes take no rate: a head rate is an unknown key
+    pytest.param("eval", ["--head-config", "head.cfg"], {},
+                 "head.cfg:2: unknown key 'learning_rate'", id="eval-flags4-learning_rate"),
     # a train value is named by its place: the --set number or the file's line
     pytest.param("train", ["--set", "layers=2", "--set", "inner_lr=nan"], {},
                  "--set:2: inner_lr", id="train-second-set"),
@@ -1384,7 +1382,7 @@ def test_non_finite_rate_is_one_error_line(tmp_path, capsys, monkeypatch, comman
         argv = ["encode", "--model", str(model_path), "--out", str(out), str(video)]
     else:
         model_path, _, _ = tiny_files(tmp_path)
-        (tmp_path / "head.cfg").write_text("epochs = 2\nlearning_rate = nan\n")
+        (tmp_path / "head.cfg").write_text("seed = 0\nlearning_rate = nan\n")
         corpus = gen_corpus(tmp_path)
         enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
         argv = ["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),

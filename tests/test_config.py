@@ -27,17 +27,16 @@ def test_head_config_without_a_file_is_the_defaults(monkeypatch):
     assert cfg == HeadConfig(task="binary")
 
 
-def test_head_config_sets_the_hidden_widths(tmp_path, monkeypatch):
+def test_head_config_sets_the_seed(tmp_path, monkeypatch):
     path = tmp_path / "head.cfg"
-    path.write_text("hidden2 = 7\nepochs = 3\nseed = 5\n")
+    path.write_text("seed = 5\n")
     monkeypatch.delenv("VFUNCTA_SEED", raising=False)
-    cfg = load_config(HeadConfig, path, task="regression")
-    assert (cfg.hidden1, cfg.hidden2, cfg.epochs, cfg.seed) == (256, 7, 3, 5)
+    assert load_config(HeadConfig, path, task="regression") == HeadConfig("regression", 5)
 
 
 @pytest.mark.parametrize("key", ["task", "hidden"])
 def test_head_config_refuses_the_settings_it_does_not_own(tmp_path, key):
     path = tmp_path / "head.cfg"
-    path.write_text(f"epochs = 2\n{key} = regression\n")
+    path.write_text(f"seed = 2\n{key} = regression\n")
     with pytest.raises(ConfigError, match=f"head.cfg:2: unknown key '{key}'"):
         load_config(HeadConfig, path, task="regression")

@@ -1,12 +1,15 @@
-"""Feature extraction modes and head training/evaluation behavior."""
+"""Feature extraction modes and the linear probes' fit and evaluation."""
 
 import numpy as np
 import pytest
-from helpers import rel_err
 
-from vfuncta.codec import VideoEncoding
-from vfuncta.errors import ContractError, DivergenceError
+from vfuncta import heads
+from vfuncta.cli import main
+from vfuncta.codec import VideoEncoding, save_encoding
+from vfuncta.data import CorpusItem, write_corpus_manifest
+from vfuncta.errors import ContractError
 from vfuncta.heads import (
+    PENALTIES,
     HeadConfig,
     evaluate_head,
     extract_features,
@@ -57,62 +60,99 @@ def test_extraction_does_not_mutate_encoding():
     assert np.array_equal(enc.frame_mods.values, before)
 
 
-# --- training -------------------------------------------------------------------
+# --- probes --------------------------------------------------------------------
 
-def test_zero_epochs_returns_initialized_head_and_empty_log():
-    rng = np.random.default_rng(0)
-    cfg = HeadConfig(task="regression", epochs=0, hidden1=8, hidden2=4)
-    head, losses = train_head(rng.normal(size=(10, 3)), rng.normal(size=10), cfg)
-    assert losses == []
-    assert head.weights[0].shape[0] == 3
+def standardised(head, x):
+    return (x - head.feature_mean) / head.feature_scale
+
+
+def test_ridge_is_least_squares_on_the_augmented_system():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(30, 5)) * [1.0, 10.0, 0.1, 1.0, 3.0]
+    y = x @ rng.normal(size=5) + rng.normal(size=30) + 4.0
+    head = train_head(x, y, HeadConfig())
+    xs = standardised(head, x)
+    augmented = np.vstack([xs, np.sqrt(head.penalty) * np.eye(5)])
+    target = np.concatenate([y - y.mean(), np.zeros(5)])
+    expected = np.linalg.lstsq(augmented, target, rcond=None)[0]
+    assert np.allclose(head.weights, expected, rtol=1e-10, atol=1e-12)
+    assert head.intercept == pytest.approx(y.mean(), abs=1e-12)
+
+
+@pytest.mark.parametrize("width", [4, 50])
+def test_the_logistic_penalised_gradient_vanishes(width):
+    """At the weights returned, X^T (p - y) + lambda w is zero, also for
+    features wider than the train split."""
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(24, width))
+    y = (x[:, 0] + rng.normal(size=24) > 0).astype(float)
+    head = train_head(x, y, HeadConfig(task="binary"))
+    xs = standardised(head, x)
+    p = head.predict(x)
+    grad = xs.T @ (p - y) + head.penalty * head.weights
+    assert np.max(np.abs(grad)) < 1e-8
+    assert head.penalty in PENALTIES
+
+
+@pytest.mark.parametrize("task", ["regression", "binary"])
+def test_permuted_test_labels_leave_the_probes_unchanged(tmp_path, monkeypatch, task):
+    """eval picks each penalty and fits each probe on the train split alone."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("VFUNCTA_SEED", raising=False)
+    rng = np.random.default_rng(8)
+    splits = ["train"] * 12 + ["test"] * 6
+    for i in range(len(splits)):
+        save_encoding(tmp_path / "enc" / f"v{i}.venc", VideoEncoding(
+            VideoModulation(rng.standard_normal(6).astype(np.float32)),
+            FrameModulationSeq(rng.standard_normal((3, 4)).astype(np.float32)),
+            frames=3, height=4, width=4, fingerprint=1, inner_steps=1, inner_lr=0.1))
+    speeds, classes = rng.uniform(0.5, 3.0, size=18), np.arange(18) % 2
+    fitted = []
+    for order in (np.arange(18), np.r_[np.arange(12), 12 + rng.permutation(6)]):
+        write_corpus_manifest(tmp_path / "manifest.tsv", [
+            CorpusItem(path=f"v{i}.rawvid", speed=float(speeds[j]),
+                       trajectory_class=int(classes[j]), split=splits[i])
+            for i, j in enumerate(order)])
+        probes = []
+
+        def recorded(*args, probes=probes):
+            probes.append(train_head(*args))
+            return probes[-1]
+
+        monkeypatch.setattr(heads, "train_head", recorded)
+        assert main(["eval", "--encodings", "enc", "--corpus", "manifest.tsv", "--task", task,
+                     "--seeds", "2"]) == 0
+        fitted.append(probes)
+    assert len(fitted[0]) == len(fitted[1]) == 6
+    for a, b in zip(*fitted):
+        assert a.penalty == b.penalty and a.intercept == b.intercept
+        assert np.array_equal(a.weights, b.weights)
 
 
 def test_linearly_separable_reaches_perfect_accuracy():
     rng = np.random.default_rng(1)
-    n = 60
-    x = rng.normal(size=(n, 2))
+    x = rng.normal(size=(80, 2))
+    x = x[np.abs(x.sum(axis=1)) > 0.2]  # a margin around the boundary
     y = (x[:, 0] + x[:, 1] > 0).astype(float)
-    cfg = HeadConfig(task="binary", hidden1=16, hidden2=8, dropout=0.0,
-                     epochs=200, batch_size=16, learning_rate=0.1, seed=4)
-    head, _ = train_head(x, y, cfg)
-    rep = evaluate_head(head, x, y.astype(int))
-    assert rep.accuracy == 1.0
+    head = train_head(x, y, HeadConfig(task="binary", seed=4))
+    assert evaluate_head(head, x, y.astype(int)).accuracy == 1.0
 
 
 def test_realizable_linear_target_fits_to_high_r2():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(64, 6))
-    w = rng.normal(size=6)
-    y = x @ w + 0.5
-    cfg = HeadConfig(task="regression", hidden1=32, hidden2=16, dropout=0.0,
-                     epochs=400, batch_size=16, learning_rate=0.05, seed=7)
-    head, losses = train_head(x, y, cfg)
-    rep = evaluate_head(head, x, y)
-    assert rep.r2 >= 0.99
-    assert losses[-1] < losses[0]
+    y = x @ rng.normal(size=6) + 0.5
+    head = train_head(x, y, HeadConfig(task="regression", seed=7))
+    assert evaluate_head(head, x, y).r2 >= 0.99
 
 
 def test_training_is_deterministic_per_seed():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(20, 4))
-    y = rng.normal(size=20)
-    cfg = HeadConfig(epochs=30, hidden1=8, hidden2=4, seed=3)
-    h1, l1 = train_head(x, y, cfg)
-    h2, l2 = train_head(x, y, cfg)
-    assert l1 == l2
-    for a, b in zip(h1.weights, h2.weights):
-        assert np.array_equal(a, b)
-
-
-def test_a_run_away_last_update_is_a_divergence():
-    # the one batch's loss is finite; the update after it is not
-    rng = np.random.default_rng(0)
-    cfg = HeadConfig(task="regression", hidden1=8, hidden2=4, dropout=0.0, epochs=1,
-                     batch_size=64, learning_rate=1e60)
-    with pytest.raises(DivergenceError) as exc:
-        train_head(rng.normal(size=(8, 12)), rng.normal(size=8), cfg)
-    assert exc.value.step == cfg.epochs
-    assert len(exc.value.loss_history) == 1 and np.isfinite(exc.value.loss_history[0])
+    y = (rng.normal(size=20) > 0).astype(float)
+    h1, h2 = (train_head(x, y, HeadConfig(task="binary", seed=3)) for _ in range(2))
+    assert h1.penalty == h2.penalty and h1.intercept == h2.intercept
+    assert np.array_equal(h1.weights, h2.weights)
 
 
 def test_binary_task_requires_both_classes():
@@ -120,80 +160,33 @@ def test_binary_task_requires_both_classes():
         train_head(np.zeros((4, 2)), np.ones(4), HeadConfig(task="binary"))
 
 
-def test_evaluation_is_deterministic_despite_dropout_config():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(30, 3))
-    y = (x[:, 0] > 0).astype(float)
-    cfg = HeadConfig(task="binary", dropout=0.5, epochs=50, hidden1=8, hidden2=4, seed=2)
-    head, _ = train_head(x, y, cfg)
-    s1 = head.predict(x)
-    s2 = head.predict(x)
-    assert np.array_equal(s1, s2)
-
-
-def test_zero_output_layer_scores_half():
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(10, 3))
-    y = np.array([0, 1] * 5, dtype=float)
-    head, _ = train_head(x, y, HeadConfig(task="binary", epochs=5, hidden1=4, hidden2=4))
-    head.weights[2][:] = 0.0
-    head.biases[2][:] = 0.0
-    scores = head.predict(x)
-    assert np.all(scores == 0.5)
-    rep = evaluate_head(head, x, y.astype(int))
-    assert rep.auroc == 0.5
-
-
 def test_shuffled_labels_stay_near_chance():
-    rng = np.random.default_rng(13)
     n_train, n_test = 40, 50
     aurocs = []
     for seed in range(10):
         r = np.random.default_rng(seed)
         x = r.normal(size=(n_train + n_test, 6))
         y = r.integers(0, 2, size=n_train + n_test).astype(float)
-        y = y[r.permutation(y.size)]
         if y[:n_train].min() == y[:n_train].max():
             y[0] = 1 - y[0]
-        cfg = HeadConfig(task="binary", hidden1=16, hidden2=8, dropout=0.0,
-                         epochs=80, batch_size=16, seed=seed)
-        head, _ = train_head(x[:n_train], y[:n_train], cfg)
+        head = train_head(x[:n_train], y[:n_train], HeadConfig(task="binary", seed=seed))
         rep = evaluate_head(head, x[n_train:], y[n_train:].astype(int))
         if rep.auroc is not None:
             aurocs.append(rep.auroc)
     assert 0.35 <= float(np.mean(aurocs)) <= 0.65
 
 
-def test_head_gradients_match_finite_differences():
-    rng = np.random.default_rng(21)
-    x = rng.normal(size=(8, 3))
-    y = rng.normal(size=8)
-    cfg = HeadConfig(task="regression", hidden1=4, hidden2=3, dropout=0.0,
-                     epochs=1, batch_size=8, learning_rate=1e-6, seed=0)
-    # one almost-zero-lr epoch approximates the gradient: W1 - W0 = -lr * dW
-    head0, _ = train_head(x, y, HeadConfig(task="regression", hidden1=4, hidden2=3,
-                                           dropout=0.0, epochs=0, seed=0))
-    head1, _ = train_head(x, y, cfg)
-    analytic = (head0.weights[0] - head1.weights[0]) / cfg.learning_rate
-
-    xs = (x - head0.feature_mean) / head0.feature_scale
-    ys = (y - head0.target_mean) / head0.target_scale
-
-    def loss_at(w0):
-        h = np.maximum(xs @ w0 + head0.biases[0], 0.0)
-        h = np.maximum(h @ head0.weights[1] + head0.biases[1], 0.0)
-        out = (h @ head0.weights[2] + head0.biases[2]).reshape(-1)
-        return float(np.mean((out - ys) ** 2))
-
-    numeric = np.zeros_like(head0.weights[0])
-    step = 1e-6
-    for i in range(numeric.shape[0]):
-        for j in range(numeric.shape[1]):
-            w = head0.weights[0].copy()
-            w[i, j] += step
-            hi = loss_at(w)
-            w[i, j] -= 2 * step
-            lo = loss_at(w)
-            numeric[i, j] = (hi - lo) / (2 * step)
-    assert rel_err(analytic, numeric) < 1e-3
-
+def test_a_one_class_fold_and_fewer_rows_than_folds_score_finite():
+    rng = np.random.default_rng(14)
+    # a one-class fit keeps a finite intercept at every penalty
+    for w, b in heads._fit(rng.normal(size=(4, 3)), np.ones(4), "binary", PENALTIES):
+        assert np.isfinite(w).all() and np.isfinite(b)
+    # six rows in five folds: the fold holding out the one 0 trains on 1s alone
+    x = rng.normal(size=(6, 3))
+    y = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+    # three rows, fewer than the folds: each fold holds out one row
+    for rows, labels, task in ((x, y, "binary"), (x[:3], y[:3], "binary"),
+                               (x[:3], y[:3] * 2.5, "regression")):
+        head = train_head(rows, labels, HeadConfig(task=task))
+        assert np.isfinite(head.weights).all() and np.isfinite(head.intercept)
+        assert np.isfinite(head.predict(x)).all()
