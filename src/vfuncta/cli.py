@@ -279,7 +279,7 @@ def cmd_encode(args, argv) -> int:
         line = (f"{video_path.name}\tframes={enc.frames}\t"
                 f"rate={codec.compression_rate(video.dims, enc.video_dim, enc.frame_dim):.2f}")
         if args.report:
-            fields = {**asdict(metrics.quality_report(video, codec.decode_video(model, enc))),
+            fields = {**metrics.quality_report(video, codec.decode_video(model, enc)),
                       **_ceilings(model, video, enc)}
             line += f"\t{metrics.report_line(fields)}"
         checksums = {dest: codec.save_encoding(dest, enc)}
@@ -303,7 +303,7 @@ def cmd_decode(args, argv) -> int:
         if args.originals is not None:
             original_path = args.originals / (enc_path.stem + ".rawvid")
             original = data.load_video(original_path)
-            line += f"\t{metrics.quality_report(original, video).line()}"
+            line += f"\t{metrics.report_line(metrics.quality_report(original, video))}"
             checksums[original_path] = None
         data.save_video(dest, video)
         return line, checksums
@@ -370,9 +370,8 @@ def cmd_eval(args, argv) -> int:
         per_seed = []
         for s in range(args.seeds):
             head = heads.train_head(x_train, y_train, replace(head_cfg, seed=head_cfg.seed + s))
-            report = heads.evaluate_head(head, x_test, y_test)
-            per_seed.append(report)
-        lines.append(_format_eval_line(mode, args.task, per_seed))
+            per_seed.append(heads.evaluate_head(head, x_test, y_test))
+        lines.append(_format_eval_line(mode, per_seed))
     for line in lines:
         print(line)
 
@@ -384,7 +383,10 @@ def cmd_eval(args, argv) -> int:
     return 0
 
 
-def _format_eval_line(mode: str, task: str, reports) -> str:
+def _format_eval_line(mode: str, reports) -> str:
+    """`mode=<mode>`, then each field of the seeds' reports, in their
+    order, as its value, its mean±std over the seeds, or nan where no
+    seed has one."""
     def agg(values):
         values = [v for v in values if v is not None]
         if not values:
@@ -393,13 +395,8 @@ def _format_eval_line(mode: str, task: str, reports) -> str:
             return f"{values[0]:.4f}"
         return f"{np.mean(values):.4f}±{np.std(values):.4f}"
 
-    if task == "regression":
-        return (f"mode={mode}\tmae={agg([r.mae for r in reports])}\t"
-                f"rmse={agg([r.rmse for r in reports])}\t"
-                f"r2={agg([r.r2 for r in reports])}")
-    return (f"mode={mode}\tacc={agg([r.accuracy for r in reports])}\t"
-            f"f1={agg([r.f1 for r in reports])}\t"
-            f"auroc={agg([r.auroc for r in reports])}")
+    return "\t".join([f"mode={mode}",
+                      *(f"{key}={agg([r[key] for r in reports])}" for key in reports[0])])
 
 
 def cmd_gradcheck(args, argv) -> int:

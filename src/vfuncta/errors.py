@@ -86,10 +86,6 @@ class FingerprintMismatchError(VfunctaError):
         self.actual = actual
 
 
-class SingleClassError(VfunctaError):
-    """AUROC is undefined when only one class is present."""
-
-
 class ConfigError(VfunctaError):
     """A configuration file is malformed or inconsistent."""
 

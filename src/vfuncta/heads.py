@@ -20,7 +20,8 @@ from .metrics import classification_metrics, regression_metrics
 
 MODES = ("v", "phi", "combined")
 TASKS = ("regression", "binary")
-PENALTIES = np.logspace(-3, 4, 15)  # half a decade apart
+# half a decade apart, and infinity: the intercept-only probe
+PENALTIES = np.r_[np.logspace(-3, 4, 15), np.inf]
 FOLDS = 5
 # Newton-IRLS stops once no coefficient moves by more than the tolerance
 NEWTON_STEPS, NEWTON_TOL = 50, 1e-10
@@ -50,21 +51,22 @@ def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:
 
 @dataclass(eq=False)
 class Probe:
-    """A fitted probe: weights and intercept on standardised features, the
-    standardisation, and the penalty that cross-validation chose."""
+    """A fitted probe of `task`: weights and intercept on standardised
+    features, the standardisation, and the penalty that cross-validation
+    chose."""
 
     weights: np.ndarray
     intercept: float
     feature_mean: np.ndarray
     feature_scale: np.ndarray
     penalty: float
-    config: HeadConfig
+    task: str
 
     def predict(self, features) -> np.ndarray:
         """Scores per row: probabilities for binary, values for regression."""
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
         z = (x - self.feature_mean) / self.feature_scale @ self.weights + self.intercept
-        return _sigmoid(z) if self.config.task == "binary" else z
+        return _sigmoid(z) if self.task == "binary" else z
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -99,12 +101,17 @@ def _fit(x: np.ndarray, y: np.ndarray, task: str, penalties):
     """(weights, intercept) of the probe on (m, d) rows `x` under each
     penalty. Under an L2 penalty the weights lie in the span of the
     centred rows, so each fit solves for at most m coefficients in the
-    basis of their one SVD, however wide the features."""
+    basis of their one SVD, however wide the features. An infinite
+    penalty gives zero weights and the intercept in closed form: ridge's
+    mean label, or the logit of (sum(y) + 1/2) / (m + 1), where Newton's
+    Jeffreys row puts it."""
     centre = x.mean(axis=0)
     u, s, vt = np.linalg.svd(x - centre, full_matrices=False)
     for lam in penalties:
         if task == "regression":
             beta, b = s / (s**2 + lam) * (u.T @ (y - y.mean())), y.mean()
+        elif lam == np.inf:
+            beta, b = np.zeros_like(s), np.log((y.sum() + 0.5) / (len(y) - y.sum() + 0.5))
         else:
             beta, b = _newton(u * s, y, lam)
         w = vt.T @ beta
@@ -140,7 +147,7 @@ def train_head(features, labels, cfg: HeadConfig) -> Probe:
                                  else np.logaddexp(0.0, z) - y[held] * z)
     penalty = float(PENALTIES[np.argmin(cv_loss)])
     [(weights, intercept)] = _fit(xs, y, cfg.task, [penalty])
-    return Probe(weights, intercept, mean, scale, penalty, cfg)
+    return Probe(weights, intercept, mean, scale, penalty, cfg.task)
 
 
 def evaluate_head(head: Probe, features, labels):
@@ -151,6 +158,6 @@ def evaluate_head(head: Probe, features, labels):
         scores = head.predict(features)
         if not np.isfinite(scores).all():
             raise NonFiniteError("head prediction")
-        if head.config.task == "regression":
+        if head.task == "regression":
             return regression_metrics(scores, y)
     return classification_metrics(scores, y.astype(np.int64))

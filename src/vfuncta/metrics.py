@@ -8,26 +8,15 @@ and width, clamping the window along any axis shorter than 7.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import VideoTensor
-from .errors import ContractError, ShapeError, SingleClassError
+from .errors import ContractError, ShapeError
 
 SSIM_WINDOW = 7
 _C1 = 0.01**2
 _C2 = 0.03**2
-
-
-@dataclass(frozen=True)
-class QualityReport:
-    psnr_db: float
-    ssim3d: float
-    mse: float
-
-    def line(self) -> str:
-        return report_line(asdict(self))
 
 
 def report_line(fields: dict[str, float]) -> str:
@@ -35,20 +24,6 @@ def report_line(fields: dict[str, float]) -> str:
     significant digits, any other field, a PSNR in dB, to 4 places."""
     formats = {"ssim3d": ".6f", "mse": ".8g"}
     return "\t".join(f"{key}={value:{formats.get(key, '.4f')}}" for key, value in fields.items())
-
-
-@dataclass(frozen=True)
-class RegressionReport:
-    mae: float
-    rmse: float
-    r2: float
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    accuracy: float
-    f1: float
-    auroc: float | None  # None when only one class was present
 
 
 def _paired_videos(a: VideoTensor, b: VideoTensor):
@@ -102,16 +77,15 @@ def still_psnr_db(video: VideoTensor, still) -> float:
     return psnr_db(video_mse(video, VideoTensor(np.broadcast_to(still, video.dims))))
 
 
-def quality_report(original: VideoTensor, reconstruction: VideoTensor) -> QualityReport:
-    """PSNR in dB for unit-peak videos (+inf for identical ones), SSIM3D
-    and the mean squared error."""
+def quality_report(original: VideoTensor, reconstruction: VideoTensor) -> dict[str, float]:
+    """`psnr_db` in dB for unit-peak videos (+inf for identical ones),
+    `ssim3d` and the mean squared error `mse`."""
     err = video_mse(original, reconstruction)
-    return QualityReport(psnr_db=psnr_db(err), ssim3d=ssim3d(original, reconstruction),
-                         mse=err)
+    return {"psnr_db": psnr_db(err), "ssim3d": ssim3d(original, reconstruction), "mse": err}
 
 
-def regression_metrics(pred, target) -> RegressionReport:
-    """MAE, RMSE, and the coefficient of determination.
+def regression_metrics(pred, target) -> dict[str, float]:
+    """`mae`, `rmse`, and `r2`, the coefficient of determination.
 
     A constant target makes R2 degenerate: 0 when predictions are exact,
     else -inf.
@@ -131,7 +105,7 @@ def regression_metrics(pred, target) -> RegressionReport:
         r2 = 1.0 - ss_res / ss_tot
     else:
         r2 = 0.0 if ss_res == 0.0 else -math.inf
-    return RegressionReport(mae=mae, rmse=rmse, r2=r2)
+    return {"mae": mae, "rmse": rmse, "r2": r2}
 
 
 def auroc(scores, labels) -> float:
@@ -145,7 +119,7 @@ def auroc(scores, labels) -> float:
     n_pos = int(np.sum(y == 1))
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassError("AUROC needs both classes present")
+        raise ContractError("AUROC needs both classes present")
     ranks = _midranks(s)
     rank_sum = float(np.sum(ranks[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -158,9 +132,9 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return (ends - (counts - 1) / 2.0)[group]
 
 
-def classification_metrics(scores, labels) -> ClassificationReport:
-    """Accuracy and F1 of the scores cut at 0.5, plus AUROC when both
-    classes occur."""
+def classification_metrics(scores, labels) -> dict[str, float | None]:
+    """`acc` and `f1` of the scores cut at 0.5, and `auroc`, None unless
+    both classes occur."""
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     y = np.asarray(labels).reshape(-1)
     if s.shape != y.shape:
@@ -178,8 +152,5 @@ def classification_metrics(scores, labels) -> ClassificationReport:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    try:
-        area = auroc(s, y)
-    except SingleClassError:
-        area = None
-    return ClassificationReport(accuracy=accuracy, f1=f1, auroc=area)
+    area = auroc(s, y) if 0 < y.sum() < y.size else None
+    return {"acc": accuracy, "f1": f1, "auroc": area}

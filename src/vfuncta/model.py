@@ -352,9 +352,10 @@ def _pixel_runs(lo: int, hi: int) -> list[slice]:
     """Pixels lo..hi in the fewest runs of at most TILE_ROWS pixels, as
     even as possible.
 
-    Even runs keep every tile of a split near the cap. A short last run
-    could send a layer's product to BLAS's matrix-vector or small-matrix
-    kernel, which rounds apart from the one a long run takes.
+    Even runs keep every tile of a split near the cap. Only a one-row
+    run would still take another kernel: numpy sends it to BLAS's
+    matrix-vector product, which rounds apart from the one a long run
+    takes.
     """
     count = -(-(hi - lo) // TILE_ROWS)
     cuts = [lo + (hi - lo) * i // count for i in range(count + 1)]
@@ -414,18 +415,22 @@ def frame_mse(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _backward_frame(model: MetaModel, shifts, coords, targets, t: int, pixels: slice,
-                    scale: float, acts: list, slopes: list, sums: list, products) -> np.ndarray:
+                    scale: float, back: list, acts: list, slopes: list, sums: list,
+                    products) -> np.ndarray:
     """Forward and backward through frame t of a batch at a run of its
     pixels; returns the run's predictions.
 
     `coords` and `targets` are the batch's, (N, 2) and (b, N), and
     `pixels` picks the run; each value's loss gradient is
-    scale * (pred - target). `sums[k][t]` is layer k's sum of its
-    pre-activation gradient over the frame's pixels. `products`, None in
-    a latent step, holds in `products[k][t]` the frame's weight-gradient
-    product x.T @ d of layer k's input x and its gradient d, (fan_in, l),
-    where layer K is the output layer, (l, 1). Both sum the earlier runs
-    on entry, unless the run starts at pixel 0, and this run too on return.
+    scale * (pred - target). `back[k]` is W_k.T as a row-major copy: the
+    transposed view would take a product of a few rows to OpenBLAS's
+    small-matrix kernel, which rounds apart from a long run's.
+    `sums[k][t]` is layer k's sum of its pre-activation gradient over the
+    frame's pixels. `products`, None in a latent step, holds in
+    `products[k][t]` the frame's weight-gradient product x.T @ d of layer
+    k's input x and its gradient d, (fan_in, l), where layer K is the
+    output layer, (l, 1). Both sum the earlier runs on entry, unless the
+    run starts at pixel 0, and this run too on return.
 
     The passes run in `acts` and `slopes` as `_sine_layers` lays them
     out. Each activation gradient goes to `acts[-1]`, and each layer's
@@ -452,7 +457,7 @@ def _backward_frame(model: MetaModel, shifts, coords, targets, t: int, pixels: s
         d_a = np.multiply(d_h, slopes[k][:count], out=slopes[k][:count])
         add_product(k, d_a)
         if k:
-            d_h = np.matmul(d_a, model.layer_weights[k].data.T, out=acts[-1][:count])
+            d_h = np.matmul(d_a, back[k], out=acts[-1][:count])
         # numpy sums the pixel axis row by row, so a sum that starts from
         # the carried one in the run's first row is the sum over all the
         # frame's pixels in one run; the weight product has taken d_a
@@ -502,6 +507,7 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     # each layer's sums of its pre-activation gradient over each frame's pixels
     sums = arrays(model.layers, b)
     runs = _pixel_runs(0, n)
+    back = [np.ascontiguousarray(w.data.T) for w in model.layer_weights]
     # each sine layer's and the output layer's weight-gradient product of
     # every frame
     products = ([np.empty((b, *w.data.shape), dtype=model.dtype)
@@ -518,7 +524,7 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
             for t in range(lo, hi):
                 for pixels in runs:
                     pred[t, pixels] = _backward_frame(model, shifts, coords, targets, t, pixels,
-                                                      scale, acts, slopes, sums, products)
+                                                      scale, back, acts, slopes, sums, products)
 
     grads = {}
     with parallel.RUNNER.blocks(b, n * model.hidden) as map_blocks:

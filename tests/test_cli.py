@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 from functools import partial
 from pathlib import Path
@@ -996,10 +997,44 @@ def test_eval_reports_the_heads_of_in_memory_encodings(tmp_path, capsys, monkeyp
         for seed in (3, 4):
             head = heads.train_head(x_train, y_train, heads.HeadConfig(task, seed))
             reports.append(heads.evaluate_head(head, x_test, y_test))
-        lines.append(_format_eval_line(mode, task, reports))
+        lines.append(_format_eval_line(mode, reports))
     expected = "".join(f"{line}\n" for line in lines)
     assert (tmp_path / "eval" / "eval_report.tsv").read_text(encoding="utf-8") == expected
     assert printed == expected
+
+
+@pytest.mark.parametrize("task, keys", [("regression", ["mae", "rmse", "r2"]),
+                                        ("binary", ["acc", "f1", "auroc"])])
+def test_eval_report_lines_name_the_mode_then_the_tasks_fields(tmp_path, monkeypatch, task, keys):
+    """A line per mode: `mode=<mode>`, then the task's fields in order,
+    each one value at one seed and mean±std over more, `nan` where no
+    seed has one (no AUROC of a one-class test split)."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("VFUNCTA_SEED", raising=False)
+    rng = np.random.default_rng(21)
+    items = []
+    for i in range(18):
+        save_encoding(tmp_path / "enc" / f"v{i}.venc", VideoEncoding(
+            VideoModulation(rng.standard_normal(6).astype(np.float32)),
+            FrameModulationSeq(rng.standard_normal((3, 4)).astype(np.float32)),
+            frames=3, height=4, width=4, fingerprint=1, inner_steps=1, inner_lr=0.1))
+        split = "train" if i < 12 else "test"
+        items.append(data.CorpusItem(path=f"v{i}.rawvid", speed=float(rng.uniform(0.5, 3.0)),
+                                     trajectory_class=i % 2 if split == "train" else 0,
+                                     split=split))
+    data.write_corpus_manifest(tmp_path / "manifest.tsv", items)
+    number = r"-?\d+\.\d{4}"
+    for seeds, value in (("1", number), ("2", f"{number}±{number}")):
+        assert main(["eval", "--encodings", "enc", "--corpus", "manifest.tsv", "--task", task,
+                     "--modes", "phi,v", "--seeds", seeds, "--out", f"eval{seeds}"]) == 0
+        report = (tmp_path / f"eval{seeds}" / "eval_report.tsv").read_text(encoding="utf-8")
+        rows = [[field.split("=", 1) for field in line.split("\t")]
+                for line in report.splitlines()]
+        assert [row[0] for row in rows] == [["mode", "phi"], ["mode", "v"]]
+        for row in rows:
+            assert [key for key, _ in row] == ["mode", *keys]
+            for key, text in row[1:]:
+                assert re.fullmatch("nan" if key == "auroc" else value, text), (key, text)
 
 
 def write_head_config(tmp_path):

@@ -4,8 +4,8 @@ configuration it trains with loads, its configuration tables match
 a head config takes, its pipeline commands parse, every flag it writes
 after a subcommand is one that subcommand takes, every option of every
 subcommand is named in it, and the manifest hash,
-container version, tile rows and block floor it states are the ones the
-code uses."""
+container version, tile rows, block floor, penalty grid and fold count
+it states are the ones the code uses."""
 
 import argparse
 import dataclasses
@@ -13,9 +13,10 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vfuncta import container, manifest, model, parallel
+from vfuncta import container, heads, manifest, model, parallel
 from vfuncta.cli import _build_parser
 from vfuncta.config import CORPUS_DEFAULTS, load_config
 from vfuncta.heads import HeadConfig
@@ -156,3 +157,16 @@ def test_readme_tile_rows_and_block_floor_are_the_codes():
     exponent = parallel.BLOCK_FLOOR.bit_length() - 1
     assert 2**exponent == parallel.BLOCK_FLOOR
     assert re.findall(r"2\^(\d+) activation elements", readme) == [str(exponent)]
+
+
+def test_readme_penalty_grid_and_folds_are_the_heads():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [(count, low, high)] = re.findall(r"grid\s+of (\d+) values from 10\^(-?\d+) to 10\^(-?\d+)",
+                                      readme)
+    finite = heads.PENALTIES[:-1]
+    assert np.isfinite(finite).all() and int(count) == len(finite)
+    assert finite[0] == pytest.approx(10.0 ** int(low), rel=1e-12)
+    assert finite[-1] == pytest.approx(10.0 ** int(high), rel=1e-12)
+    assert heads.PENALTIES[-1] == np.inf
+    assert re.search(r"and ∞, the\s+intercept-only probe", readme)
+    assert re.findall(r"(\d+)-fold cross-validation", readme) == [str(heads.FOLDS)]

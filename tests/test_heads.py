@@ -135,7 +135,7 @@ def test_linearly_separable_reaches_perfect_accuracy():
     x = x[np.abs(x.sum(axis=1)) > 0.2]  # a margin around the boundary
     y = (x[:, 0] + x[:, 1] > 0).astype(float)
     head = train_head(x, y, HeadConfig(task="binary", seed=4))
-    assert evaluate_head(head, x, y.astype(int)).accuracy == 1.0
+    assert evaluate_head(head, x, y.astype(int))["acc"] == 1.0
 
 
 def test_realizable_linear_target_fits_to_high_r2():
@@ -143,7 +143,7 @@ def test_realizable_linear_target_fits_to_high_r2():
     x = rng.normal(size=(64, 6))
     y = x @ rng.normal(size=6) + 0.5
     head = train_head(x, y, HeadConfig(task="regression", seed=7))
-    assert evaluate_head(head, x, y).r2 >= 0.99
+    assert evaluate_head(head, x, y)["r2"] >= 0.99
 
 
 def test_training_is_deterministic_per_seed():
@@ -171,8 +171,8 @@ def test_shuffled_labels_stay_near_chance():
             y[0] = 1 - y[0]
         head = train_head(x[:n_train], y[:n_train], HeadConfig(task="binary", seed=seed))
         rep = evaluate_head(head, x[n_train:], y[n_train:].astype(int))
-        if rep.auroc is not None:
-            aurocs.append(rep.auroc)
+        if rep["auroc"] is not None:
+            aurocs.append(rep["auroc"])
     assert 0.35 <= float(np.mean(aurocs)) <= 0.65
 
 
@@ -190,3 +190,38 @@ def test_a_one_class_fold_and_fewer_rows_than_folds_score_finite():
         head = train_head(rows, labels, HeadConfig(task=task))
         assert np.isfinite(head.weights).all() and np.isfinite(head.intercept)
         assert np.isfinite(head.predict(x)).all()
+
+
+@pytest.mark.parametrize("task", ["regression", "binary"])
+def test_labels_independent_of_the_features_pick_the_intercept_only_probe(task):
+    """The infinite penalty wins cross-validation on pure noise more often
+    than any finite one, and its probe predicts one constant: the mean
+    label, or the sigmoid of the Jeffreys-row logit."""
+    picks = []
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 3])
+        x = rng.normal(size=(50, 3))
+        y = (rng.normal(size=50) if task == "regression"
+             else rng.integers(0, 2, size=50).astype(float))
+        head = train_head(x, y, HeadConfig(task=task, seed=seed))
+        picks.append(head.penalty)
+        if head.penalty == np.inf:
+            assert not head.weights.any()
+            scores = head.predict(rng.normal(size=(7, 3)))
+            if task == "regression":
+                assert np.all(scores == y.mean())
+            else:
+                rate = (y.sum() + 0.5) / (len(y) + 1)
+                assert np.allclose(scores, rate, rtol=1e-14, atol=0.0)
+    values, counts = np.unique(picks, return_counts=True)
+    assert values[np.argmax(counts)] == np.inf
+
+
+def test_the_infinite_penalty_is_the_limit_of_newton():
+    rng = np.random.default_rng(6)
+    z = rng.normal(size=(9, 4))
+    z -= z.mean(axis=0)
+    y = (rng.normal(size=9) > 0.5).astype(float)
+    [(w, b)] = heads._fit(z, y, "binary", [np.inf])
+    assert not w.any()
+    assert b == pytest.approx(heads._newton(z, y, 1e12)[1], abs=1e-9)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfuncta.data import VideoTensor
-from vfuncta.errors import ContractError, ShapeError, SingleClassError
+from vfuncta.errors import ContractError, ShapeError
 from vfuncta.metrics import (
     SSIM_WINDOW,
     auroc,
@@ -27,7 +27,7 @@ def const_video(value, dims=(2, 3, 3)):
 # --- PSNR ---------------------------------------------------------------------
 
 def psnr(a, b):
-    return quality_report(a, b).psnr_db
+    return quality_report(a, b)["psnr_db"]
 
 
 def test_psnr_identical_is_infinite():
@@ -60,8 +60,9 @@ def test_quality_report_consistency():
     a = VideoTensor(rng.random((2, 4, 4), dtype=np.float32))
     b = VideoTensor(rng.random((2, 4, 4), dtype=np.float32))
     rep = quality_report(a, b)
-    assert rep.mse == video_mse(a, b)
-    assert rep.psnr_db == pytest.approx(-10 * math.log10(rep.mse), abs=1e-12)
+    assert list(rep) == ["psnr_db", "ssim3d", "mse"]
+    assert rep["mse"] == video_mse(a, b)
+    assert rep["psnr_db"] == pytest.approx(-10 * math.log10(rep["mse"]), abs=1e-12)
 
 
 # --- SSIM3D -------------------------------------------------------------------
@@ -151,25 +152,25 @@ def test_ssim_single_frame_equals_classic_2d():
 
 def test_regression_exact_prediction():
     rep = regression_metrics([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    assert (rep.mae, rep.rmse, rep.r2) == (0.0, 0.0, 1.0)
+    assert rep == {"mae": 0.0, "rmse": 0.0, "r2": 1.0}
 
 
 def test_regression_mean_predictor_scores_zero():
     target = np.array([1.0, 2.0, 3.0, 6.0])
     rep = regression_metrics(np.full(4, target.mean()), target)
-    assert rep.r2 == pytest.approx(0.0, abs=1e-12)
+    assert rep["r2"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_regression_constant_target_sentinel():
     rep = regression_metrics([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
-    assert rep.mae == pytest.approx(2 / 3)
-    assert rep.rmse == pytest.approx(math.sqrt(2 / 3))
-    assert rep.r2 == -math.inf
+    assert rep["mae"] == pytest.approx(2 / 3)
+    assert rep["rmse"] == pytest.approx(math.sqrt(2 / 3))
+    assert rep["r2"] == -math.inf
 
 
 def test_regression_constant_target_exact_is_zero():
     rep = regression_metrics([2.0, 2.0], [2.0, 2.0])
-    assert rep.r2 == 0.0
+    assert rep["r2"] == 0.0
 
 
 def test_regression_length_mismatch():
@@ -183,7 +184,7 @@ def test_regression_length_mismatch():
 def test_mae_never_exceeds_rmse(pred, target):
     n = min(len(pred), len(target))
     rep = regression_metrics(pred[:n], target[:n])
-    assert rep.mae <= rep.rmse + 1e-12
+    assert rep["mae"] <= rep["rmse"] + 1e-12
 
 
 # --- classification -----------------------------------------------------------
@@ -208,17 +209,18 @@ def test_auroc_all_tied_is_half():
 
 def test_classification_hand_case():
     rep = classification_metrics([0.9, 0.8, 0.3, 0.2], [1, 0, 1, 0])
-    assert rep.auroc == pytest.approx(0.75)
-    assert rep.accuracy == pytest.approx(0.5)
-    assert rep.f1 == pytest.approx(0.5)
+    assert list(rep) == ["acc", "f1", "auroc"]
+    assert rep["auroc"] == pytest.approx(0.75)
+    assert rep["acc"] == pytest.approx(0.5)
+    assert rep["f1"] == pytest.approx(0.5)
 
 
 def test_auroc_single_class_raises_but_report_survives():
-    with pytest.raises(SingleClassError):
+    with pytest.raises(ContractError, match="AUROC needs both classes present"):
         auroc([0.1, 0.9], [1, 1])
     rep = classification_metrics([0.1, 0.9], [1, 1])
-    assert rep.auroc is None
-    assert rep.accuracy == 0.5
+    assert rep["auroc"] is None
+    assert rep["acc"] == 0.5
 
 
 def test_auroc_matches_pairwise_counting_on_random_sets():

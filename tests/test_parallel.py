@@ -457,16 +457,32 @@ def test_latent_tiles_match_one_tile(use_runner, tile_rows, b, blocks, dtype):
                     assert err <= 4096 * np.finfo(dtype).eps, (name, cap)
 
 
+def test_short_tiles_keep_the_latent_gradients_of_a_wide_layer(tile_rows):
+    """Width 32 takes a backward product of fewer than 38 rows by the
+    transposed weights to OpenBLAS's small-matrix kernel, which rounds
+    apart; by their row-major copy, runs of 8 pixels give the one-run
+    bytes."""
+    rng = np.random.default_rng(12)
+    model_ = MetaModel.initialize(layers=3, hidden=32, video_dim=8, frame_dim=4, rng=rng)
+    coords = rng.uniform(-1, 1, size=(64, 2))
+    targets = rng.uniform(0, 1, size=(2, 64))
+    v, phis = rng.normal(scale=0.05, size=8), rng.normal(scale=0.05, size=(2, 4))
+    grads = []
+    for cap in (512, 8):
+        calls = tile_rows(cap)
+        grads.append(loss_and_grads(model_, v, phis, coords, targets))
+        assert len(calls) == 2 * 64 // min(cap, 64)
+    assert np.array_equal(grads[0].v, grads[1].v)
+    assert np.array_equal(grads[0].phis, grads[1].phis)
+
+
 def test_encoding_is_the_same_bytes_with_pixel_run_tiles_and_one_tile(tile_rows, tmp_path):
     rng = np.random.default_rng(8)
     model_ = MetaModel.initialize(layers=3, hidden=32, video_dim=8, frame_dim=4, rng=rng)
     video = VideoTensor(rng.uniform(0, 1, size=(5, 9, 9)).astype(np.float32))
     settings = EncodeSettings(batch_frames=3, inner_steps=3, inner_lr=0.1)
     written = []
-    # 41 rows a tile: each frame runs at halves of its 81 pixels. Tiles of
-    # fewer than 38 rows would take this network's backward product to
-    # OpenBLAS's small-matrix kernel, which rounds apart; at TILE_ROWS a
-    # split tile holds at least about half the cap.
+    # 41 rows a tile: each frame runs at halves of its 81 pixels
     for cap in (41, 10**9):
         calls = tile_rows(cap)
         path = tmp_path / f"{cap}.venc"
@@ -566,13 +582,14 @@ def test_latent_step_allocates_one_tile_per_block(use_runner, tile_rows, blocks,
     # and one more, and a slope per layer
     buffers = (layers + 1 if weights else 2) + layers
     tile = buffers * 256 * hidden * 4
-    held = 0
+    # the backward pass's row-major copy of each sine layer's weights, transposed
+    held = sum(w.data.nbytes for w in model_.layer_weights)
     if weights:
         # each frame's weight products, one run's product of a layer, and
         # the returned gradients
         shapes = [(hidden, 1), (2, hidden)] + [(hidden, hidden)] * (layers - 1)
         products = 4 * sum(rows * cols for rows, cols in shapes)
-        held = b * products + 4 * hidden * hidden + sum(g.nbytes for g in grads.values())
+        held += b * products + 4 * hidden * hidden + sum(g.nbytes for g in grads.values())
     # besides, the predictions and frame_mse's two temporaries of them
     assert peak <= blocks * (tile + 128 * 1024) + 3 * targets.nbytes + held
     # where the arrays of one whole frame a block would take
