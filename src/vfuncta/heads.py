@@ -83,14 +83,25 @@ def _newton(z: np.ndarray, y: np.ndarray, penalty: float):
     weights under the L2 `penalty`, by Newton-IRLS; returns (weights,
     intercept). The intercept is not penalised, but it sees one more row,
     at the rows' mean with label 1/2 (the Jeffreys prior), so a one-class
-    fit keeps it finite."""
+    fit keeps it finite. A step that would raise the penalised log-loss
+    is halved until it does not: on rows a small penalty all but
+    separates, full steps overshoot until every p(1 - p) is 0 and the
+    Hessian is singular."""
     a = np.vstack([np.c_[np.ones(len(z)), z], np.eye(1, z.shape[1] + 1)])
     y = np.append(y, 0.5)
     ridge = np.diag(np.r_[0.0, np.full(z.shape[1], penalty)])
+
+    def loss(theta):
+        logits = a @ theta
+        return np.sum(np.logaddexp(0.0, logits) - y * logits) + theta @ ridge @ theta / 2
+
     theta = np.zeros(a.shape[1])
     for _ in range(NEWTON_STEPS):
         p = _sigmoid(a @ theta)
         step = np.linalg.solve((a.T * (p * (1.0 - p))) @ a + ridge, a.T @ (p - y) + ridge @ theta)
+        current = loss(theta)
+        while loss(theta - step) > current and np.max(np.abs(step)) > NEWTON_TOL:
+            step /= 2
         theta -= step
         if np.max(np.abs(step)) <= NEWTON_TOL:
             break
@@ -104,7 +115,7 @@ def _fit(x: np.ndarray, y: np.ndarray, task: str, penalties):
     basis of their one SVD, however wide the features. An infinite
     penalty gives zero weights and the intercept in closed form: ridge's
     mean label, or the logit of (sum(y) + 1/2) / (m + 1), where Newton's
-    Jeffreys row puts it."""
+    Jeffreys row puts it. A Newton fit whose solve fails gives None."""
     centre = x.mean(axis=0)
     u, s, vt = np.linalg.svd(x - centre, full_matrices=False)
     for lam in penalties:
@@ -113,7 +124,11 @@ def _fit(x: np.ndarray, y: np.ndarray, task: str, penalties):
         elif lam == np.inf:
             beta, b = np.zeros_like(s), np.log((y.sum() + 0.5) / (len(y) - y.sum() + 0.5))
         else:
-            beta, b = _newton(u * s, y, lam)
+            try:
+                beta, b = _newton(u * s, y, lam)
+            except np.linalg.LinAlgError:
+                yield None
+                continue
         w = vt.T @ beta
         yield w, float(b - centre @ w)
 
@@ -140,14 +155,19 @@ def train_head(features, labels, cfg: HeadConfig) -> Probe:
     cv_loss = np.zeros(len(PENALTIES))
     for held in np.array_split(order, min(FOLDS, n)):
         kept = np.setdiff1d(order, held)
-        for i, (w, b) in enumerate(_fit(xs[kept], y[kept], cfg.task, PENALTIES)):
-            z = xs[held] @ w + b
+        for i, fit in enumerate(_fit(xs[kept], y[kept], cfg.task, PENALTIES)):
+            if fit is None:
+                cv_loss[i] = np.inf
+                continue
+            z = xs[held] @ fit[0] + fit[1]
             # squared error, or the log-loss of the logits z
             cv_loss[i] += np.sum((z - y[held]) ** 2 if cfg.task == "regression"
                                  else np.logaddexp(0.0, z) - y[held] * z)
-    penalty = float(PENALTIES[np.argmin(cv_loss)])
-    [(weights, intercept)] = _fit(xs, y, cfg.task, [penalty])
-    return Probe(weights, intercept, mean, scale, penalty, cfg.task)
+    # the least loss whose fit to every row solves; an infinite penalty always does
+    for penalty in PENALTIES[np.argsort(cv_loss, kind="stable")]:
+        [fit] = _fit(xs, y, cfg.task, [penalty])
+        if fit is not None:
+            return Probe(*fit, mean, scale, float(penalty), cfg.task)
 
 
 def evaluate_head(head: Probe, features, labels):

@@ -3,9 +3,9 @@
 A stack of sine layers maps a normalized (x, y) coordinate to a grayscale
 value. Two latent vectors condition the shared weights: a video-level
 vector projected into one shift per layer, and a per-frame vector
-projected into one shift per layer per frame. Both shifts are added to
-the pre-activation before the sine, so zero latents reproduce the bare
-network exactly (the projections carry no bias).
+projected into one per layer and frame. With the bias they make one
+shift row per frame and layer, added before the sine, so zero latents
+reproduce the bare network exactly (the projections carry no bias).
 
 The network is fixed, so its backward pass is written out once in closed
 form (`loss_and_grads`) next to the plain forward (`forward_batch`). Both
@@ -295,12 +295,12 @@ def _batch_arrays(model: MetaModel, v, phis, coords):
     return v, phis, coords
 
 
-def _shifts(model: MetaModel, v, phis) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's video shift v P_k, (1, l), and frame shifts, (b, l): one
+def _shifts(model: MetaModel, v, phis) -> list[np.ndarray]:
+    """Each layer's shift rows, (b, l), row t (b_k + v P_k) + phi_t Q_k: one
     row product phi_t Q_k per frame, which a b-row product rounds apart from."""
     v_row = v.reshape(1, -1)
-    return [(v_row @ model.video_projs[k].data,
-             np.stack([phi @ model.frame_projs[k].data for phi in phis]))
+    return [np.stack([phi @ model.frame_projs[k].data for phi in phis])
+            + (model.layer_biases[k].data + v_row @ model.video_projs[k].data)
             for k in range(model.layers)]
 
 
@@ -309,9 +309,8 @@ def _sine_layers(model: MetaModel, shifts, coords, t: int, acts, slopes=None) ->
     returns the last activations, (pixels, l), a view into `acts`.
 
     `coords` holds the pixels, (pixels, 2). Layer k computes, in this
-    float order, a = h W_k, a += b_k, a += v P_k, a += phi_t Q_k, then
-    h = sin(omega0 a); each pixel's value is independent of the other
-    pixels.
+    float order, a = h W_k, a += row t of `_shifts`, a *= omega0, then
+    h = sin(a); each pixel's value is independent of the other pixels.
 
     Every array is written in place: layer k's activations go to the
     first `pixels` rows of `acts[k % n]`, for n of at least 2 buffers.
@@ -321,11 +320,9 @@ def _sine_layers(model: MetaModel, shifts, coords, t: int, acts, slopes=None) ->
     n = len(acts)
     pixels = coords.shape[0]
     h = coords
-    for k, (v_shift, frame_shifts) in enumerate(shifts):
+    for k, rows in enumerate(shifts):
         a = np.matmul(h, model.layer_weights[k].data, out=acts[k % n][:pixels])
-        a += model.layer_biases[k].data
-        a += v_shift
-        a += frame_shifts[t]
+        a += rows[t]
         a *= model.omega0
         if slopes is not None:
             slope = np.cos(a, out=slopes[k][:pixels])

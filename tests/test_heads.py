@@ -225,3 +225,39 @@ def test_the_infinite_penalty_is_the_limit_of_newton():
     [(w, b)] = heads._fit(z, y, "binary", [np.inf])
     assert not w.any()
     assert b == pytest.approx(heads._newton(z, y, 1e12)[1], abs=1e-9)
+
+
+def test_a_fold_a_small_penalty_separates_fits_a_finite_probe():
+    """30 train videos, each v 20 random values, random classes: with fold
+    seed 13 one fold is all but separable at lambda = 1e-3, where full
+    Newton steps drove every p(1 - p) to 0 and the solve failed."""
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(30, 20)).astype(np.float32).astype(np.float64)
+    y = rng.integers(0, 2, size=30).astype(float)
+    head = train_head(x, y, HeadConfig(task="binary", seed=13))
+    assert np.isfinite(head.weights).all() and np.isfinite(head.intercept)
+    # halved steps reach that fold's penalised optimum
+    held = np.array_split(np.random.default_rng([13, 31]).permutation(30), heads.FOLDS)[0]
+    kept = np.setdiff1d(np.arange(30), held)
+    z = (x[kept] - x[kept].mean(axis=0)) / x.std(axis=0)
+    w, b = heads._newton(z, y[kept], 1e-3)
+    p = heads._sigmoid(z @ w + b)
+    assert np.max(np.abs(z.T @ (p - y[kept]) + 1e-3 * w)) < 1e-8
+
+
+def test_a_penalty_whose_solve_fails_is_not_picked(monkeypatch):
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(40, 3))
+    y = (x[:, 0] + rng.normal(size=40) > 0).astype(float)
+    picked = train_head(x, y, HeadConfig(task="binary")).penalty
+    newton = heads._newton
+
+    def failing(z, labels, penalty):
+        if penalty == picked:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return newton(z, labels, penalty)
+
+    monkeypatch.setattr(heads, "_newton", failing)
+    head = train_head(x, y, HeadConfig(task="binary"))
+    assert head.penalty != picked and head.penalty in PENALTIES
+    assert np.isfinite(head.weights).all() and np.isfinite(head.intercept)

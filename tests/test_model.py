@@ -192,6 +192,20 @@ def test_zero_modulation_equals_unmodulated_network():
     assert np.allclose(modulated, bare, atol=1e-12)
 
 
+def test_each_layer_adds_one_shift_row_per_frame():
+    # one-hot latents make v P_k and phi_t Q_k exact rows of the
+    # projections, so only the order of the adds can tell the two apart
+    m = tiny_model(seed=6, dtype=np.float32, layers=3, hidden=16)
+    i, j = 5, 2
+    v, phis = np.eye(8)[i], np.tile(np.eye(4)[j], (3, 1))
+    folded = m.replace_params({
+        f"layer{k}.bias": (m.layer_biases[k].data + m.video_projs[k].data[i])
+        + m.frame_projs[k].data[j] for k in range(m.layers)})
+    coords = grid_coords(12, 12)
+    want = forward_batch(folded, np.zeros(8), np.zeros((3, 4)), coords)
+    assert forward_batch(m, v, phis, coords).tobytes() == want.tobytes()
+
+
 def test_changing_one_frame_modulation_only_touches_that_frame():
     m = tiny_model(seed=2)
     rng = np.random.default_rng(4)
