@@ -136,7 +136,9 @@ def decode_video(model: MetaModel, enc: VideoEncoding) -> VideoTensor:
     _require_same_model(model, enc)
     pred = forward_batch(model, enc.video_mod.values, enc.frame_mods.values,
                          grid_coords(enc.height, enc.width))
-    return VideoTensor(np.clip(pred.reshape(enc.frames, enc.height, enc.width), 0.0, 1.0))
+    values = np.clip(pred.reshape(enc.frames, enc.height, enc.width), 0.0, 1.0)
+    values.setflags(write=False)  # so that the video holds it without a copy
+    return VideoTensor(values)
 
 
 def decode_static_summary(model: MetaModel, enc: VideoEncoding) -> np.ndarray:

@@ -19,17 +19,21 @@ import numpy as np
 
 from .container import atomic_write_bytes
 from .errors import U32_MAX, ContractError, DataError, require_least
+from .model import frozen
 
 RAWVID_MAGIC = b"VRAW"
 
 
 class VideoTensor:
-    """Grayscale video as a (T, h, w) float32 array with values in [0, 1]."""
+    """Grayscale video as a read-only (T, h, w) float32 array with values in
+    [0, 1]; a float32 array that no one can write is held, any other copied."""
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float32)
+        arr = np.asarray(values)
+        if arr.dtype != np.float32 or not frozen(arr):
+            arr = arr.astype(np.float32, order="C")
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ContractError(f"video must be (T, h, w) with positive extents, got {arr.shape}")
         if not np.isfinite(arr).all():
@@ -37,7 +41,6 @@ class VideoTensor:
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ContractError(
                 f"video values outside [0, 1]: min {arr.min():.6g}, max {arr.max():.6g}")
-        arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         self.values = arr
 
@@ -99,7 +102,9 @@ def _load_pgm_dir(path: Path) -> VideoTensor:
     for p, frame in zip(frames, stack):
         if frame.shape != first:
             raise DataError(f"{p}: frame size {frame.shape} differs from {first}")
-    return VideoTensor(np.stack(stack) / np.float32(255.0))
+    values = np.stack(stack) / np.float32(255.0)
+    values.setflags(write=False)  # so that the video holds it without a copy
+    return VideoTensor(values)
 
 
 def _read_pgm(path: Path) -> np.ndarray:

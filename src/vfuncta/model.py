@@ -26,8 +26,8 @@ from .errors import U32_MAX, ContractError, NonFiniteError, ShapeError, require_
 from .tensor import Tensor
 
 # Rows of one tile, one frame at a run of its pixels (`_pixel_runs`). One
-# layer's three live arrays of a tile (activations, cosine slope,
-# gradient) then fit a core's 2 MB L2 at the paper's 256 units,
+# layer's three live arrays of a tile (activations, cosine, gradient)
+# then fit a core's 2 MB L2 at the paper's 256 units,
 # 3 x 512 x 256 x 4 B = 1.5 MB. On a 2-core Xeon
 # an inner step ran at the same speed with 512 to 2048 rows a tile, and a
 # forward pass 3% slower at 512 than at 2048.
@@ -194,7 +194,7 @@ class MetaModel:
                 raise ShapeError(f"{name} shape {arr.shape}, expected {shape}")
             if arr.dtype != self.dtype:
                 raise ContractError(f"{name} is {arr.dtype}, the model's parameters are {self.dtype}")
-            if not _frozen(arr):
+            if not frozen(arr):
                 arr = arr.copy()
             _require_finite(arr, name)
             arr.setflags(write=False)
@@ -254,10 +254,10 @@ class MetaModel:
                          self.iteration if iteration is None else iteration)
 
 
-def _frozen(arr: np.ndarray) -> bool:
+def frozen(arr: np.ndarray) -> bool:
     """Whether `arr` can be held without a copy: a C-contiguous, aligned
     array that is read-only, as is every array down to the one that owns
-    its memory."""
+    its memory or to the immutable `bytes` it lies over."""
     if not (arr.flags.c_contiguous and arr.flags.aligned):
         return False
     while isinstance(arr, np.ndarray):
@@ -266,7 +266,7 @@ def _frozen(arr: np.ndarray) -> bool:
         if arr.base is None:
             return True
         arr = arr.base
-    return False
+    return isinstance(arr, bytes)
 
 
 @dataclass(frozen=True)
@@ -299,23 +299,23 @@ def _shifts(model: MetaModel, v, phis) -> list[np.ndarray]:
     """Each layer's shift rows, (b, l), row t (b_k + v P_k) + phi_t Q_k: one
     row product phi_t Q_k per frame, which a b-row product rounds apart from."""
     v_row = v.reshape(1, -1)
-    return [np.stack([phi @ model.frame_projs[k].data for phi in phis])
-            + (model.layer_biases[k].data + v_row @ model.video_projs[k].data)
-            for k in range(model.layers)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [np.stack([phi @ model.frame_projs[k].data for phi in phis])
+                + (model.layer_biases[k].data + v_row @ model.video_projs[k].data)
+                for k in range(model.layers)]
 
 
-def _sine_layers(model: MetaModel, shifts, coords, t: int, acts, slopes=None) -> np.ndarray:
-    """Run the sine layers for frame t of a batch at some of its pixels;
-    returns the last activations, (pixels, l), a view into `acts`.
+def _forward_tile(model: MetaModel, shifts, coords, t: int, acts, slopes=None) -> np.ndarray:
+    """Run the network for frame t of a batch at some of its pixels, the
+    (pixels, 2) `coords`; returns their (pixels,) raw predictions, each
+    independent of the other pixels.
 
-    `coords` holds the pixels, (pixels, 2). Layer k computes, in this
-    float order, a = h W_k, a += row t of `_shifts`, a *= omega0, then
-    h = sin(a); each pixel's value is independent of the other pixels.
-
-    Every array is written in place: layer k's activations go to the
-    first `pixels` rows of `acts[k % n]`, for n of at least 2 buffers.
-    `slopes`, when given, receives omega0 cos(omega0 a) of layer k in
-    `slopes[k]`, as the backward pass needs it.
+    Sine layer k computes, in this float order, a = h W_k, a += row t of
+    `_shifts`, a *= omega0, then h = sin(a); the output layer reduces h row
+    by row, not as a one-column BLAS product, which rounds by row offset.
+    Layer k's activations go in place to the first `pixels` rows of
+    `acts[k % n]`, for n of at least 2 buffers, and `slopes`, when given,
+    receives cos(a) in `slopes[k]` for the backward pass.
     """
     n = len(acts)
     pixels = coords.shape[0]
@@ -325,16 +325,8 @@ def _sine_layers(model: MetaModel, shifts, coords, t: int, acts, slopes=None) ->
         a += rows[t]
         a *= model.omega0
         if slopes is not None:
-            slope = np.cos(a, out=slopes[k][:pixels])
-            slope *= model.omega0
+            np.cos(a, out=slopes[k][:pixels])
         h = np.sin(a, out=a)
-    return h
-
-
-def _output(model: MetaModel, h: np.ndarray) -> np.ndarray:
-    """The output layer over (pixels, l) activations, as a row-wise
-    reduction rather than a one-column BLAS product, which rounds by row
-    offset; returns (pixels,)."""
     out = np.einsum("ij,j->i", h, model.out_weight.data[:, 0])
     out += model.out_bias.data
     return out
@@ -385,12 +377,10 @@ def forward_batch(model: MetaModel, v, phis, coords: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(b):
                 for pixels in runs:
-                    out[t, pixels] = _output(
-                        model, _sine_layers(model, shifts, coords[pixels], t, acts))
+                    out[t, pixels] = _forward_tile(model, shifts, coords[pixels], t, acts)
 
     with parallel.RUNNER.blocks(coords.shape[0], b * model.hidden) as map_blocks:
-        with np.errstate(over="ignore", invalid="ignore"):
-            shifts = _shifts(model, v, phis)
+        shifts = _shifts(model, v, phis)
         map_blocks(block)
     _require_finite(out, "forward")
     return out
@@ -419,9 +409,10 @@ def _backward_frame(model: MetaModel, shifts, coords, targets, t: int, pixels: s
 
     `coords` and `targets` are the batch's, (N, 2) and (b, N), and
     `pixels` picks the run; each value's loss gradient is
-    scale * (pred - target). `back[k]` is W_k.T as a row-major copy: the
-    transposed view would take a product of a few rows to OpenBLAS's
-    small-matrix kernel, which rounds apart from a long run's.
+    scale * (pred - target). `back[k]` is omega0 W_k.T, layer K the output
+    layer, as a row-major copy (the transposed view would take a product of
+    a few rows to OpenBLAS's small-matrix kernel, which rounds apart), so
+    a slope times an activation gradient is a pre-activation gradient.
     `sums[k][t]` is layer k's sum of its pre-activation gradient over the
     frame's pixels. `products`, None in a latent step, holds in
     `products[k][t]` the frame's weight-gradient product x.T @ d of layer
@@ -429,7 +420,7 @@ def _backward_frame(model: MetaModel, shifts, coords, targets, t: int, pixels: s
     output layer, (l, 1). Both sum the earlier runs on entry, unless the
     run starts at pixel 0, and this run too on return.
 
-    The passes run in `acts` and `slopes` as `_sine_layers` lays them
+    The passes run in `acts` and `slopes` as `_forward_tile` lays them
     out. Each activation gradient goes to `acts[-1]`, and each layer's
     pre-activation gradient overwrites its slope in `slopes[k]`. So when
     `acts` holds a buffer per layer and one more, as `products` needs,
@@ -446,10 +437,10 @@ def _backward_frame(model: MetaModel, shifts, coords, targets, t: int, pixels: s
         else:
             np.matmul(x.T, d, out=products[k][t])
 
-    pred = _output(model, _sine_layers(model, shifts, coords[pixels], t, acts, slopes))
+    pred = _forward_tile(model, shifts, coords[pixels], t, acts, slopes)
     d_pred = (pred - targets[t, pixels]) * scale
     add_product(model.layers, d_pred[:, None])
-    d_h = np.multiply(d_pred[:, None], model.out_weight.data[:, 0], out=acts[-1][:count])
+    d_h = np.multiply(d_pred[:, None], back[-1], out=acts[-1][:count])
     for k in reversed(range(model.layers)):
         d_a = np.multiply(d_h, slopes[k][:count], out=slopes[k][:count])
         add_product(k, d_a)
@@ -504,7 +495,9 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     # each layer's sums of its pre-activation gradient over each frame's pixels
     sums = arrays(model.layers, b)
     runs = _pixel_runs(0, n)
-    back = [np.ascontiguousarray(w.data.T) for w in model.layer_weights]
+    with np.errstate(over="ignore"):  # overflow surfaces below as NonFiniteError
+        back = [np.multiply(w.data.T, model.omega0, order="C")
+                for w in (*model.layer_weights, model.out_weight)]
     # each sine layer's and the output layer's weight-gradient product of
     # every frame
     products = ([np.empty((b, *w.data.shape), dtype=model.dtype)
@@ -525,8 +518,7 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
 
     grads = {}
     with parallel.RUNNER.blocks(b, n * model.hidden) as map_blocks:
-        with np.errstate(over="ignore", invalid="ignore"):
-            shifts = _shifts(model, v, phis)
+        shifts = _shifts(model, v, phis)
         map_blocks(block)
         per_frame = frame_mse(pred, targets)
         loss = float(np.mean(per_frame, dtype=np.float64).astype(model.dtype))

@@ -27,6 +27,17 @@ def test_video_tensor_rejects_out_of_range():
         VideoTensor(np.full((1, 2, 2), np.nan))
 
 
+def test_a_video_copies_its_callers_array_and_holds_a_frozen_one():
+    # the caller's array stays writable, and writing to it leaves the video as it was
+    arr = np.zeros((2, 3, 3), np.float32)
+    video = VideoTensor(arr)
+    arr[0, 0, 0] = 0.5
+    assert video.values[0, 0, 0] == 0.0 and not video.values.flags.writeable
+    # an array over immutable bytes, as `load_video` reads, is held as it is
+    payload = np.frombuffer(bytes(72), np.float32).reshape(2, 3, 3)
+    assert VideoTensor(payload).values is payload
+
+
 @pytest.mark.parametrize("height, width", [(5, 5), (4, 7)])
 def test_resize_to_the_same_size_is_bit_equal(height, width):
     frame = np.random.default_rng(0).random((height, width)).astype(np.float32)

@@ -65,13 +65,13 @@ def test_parameters_follow_the_table():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_initialize_hands_every_parameter_over_without_a_copy(monkeypatch, dtype):
     frozen = []
-    held_as_it_is = model_module._frozen
+    held_as_it_is = model_module.frozen
 
     def recording_frozen(arr):
         frozen.append(held_as_it_is(arr))
         return frozen[-1]
 
-    monkeypatch.setattr(model_module, "_frozen", recording_frozen)
+    monkeypatch.setattr(model_module, "frozen", recording_frozen)
     initialized = tiny_model(dtype=dtype)
     assert frozen == [True] * len(initialized.parameters())
     assert initialized.dtype == dtype

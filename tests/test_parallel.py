@@ -104,8 +104,8 @@ def test_forward_rows_are_bit_identical_to_one_block(use_runner, tile_rows, monk
     tile_rows(10**9)
     whole = forward_batch(model_, v, phis, coords)
     tiles = []
-    inner = model._sine_layers
-    monkeypatch.setattr(model, "_sine_layers",
+    inner = model._forward_tile
+    monkeypatch.setattr(model, "_forward_tile",
                         lambda *args: tiles.append(args[2].shape[0]) or inner(*args))
     # 48-row tiles split every block into two runs or more; 1-row tiles hold one pixel
     for blocks, cap in itertools.product((1, 3), (10**9, 48, 1)):

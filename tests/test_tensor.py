@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from helpers import finite_diff, rel_err
 
+from vfuncta import model as model_module
 from vfuncta.errors import ContractError, NonFiniteError, ShapeError
 from vfuncta.model import MetaModel, forward_batch, frame_mse, loss_and_grads, param_shapes
 
@@ -121,6 +122,29 @@ def test_sine_act_gradient_at_zero_is_omega0():
                        np.array([[0.2, 0.4, 0.9]]), weights=True)
     assert g.weights["layer0.bias"] == pytest.approx([omega0 * g.weights["out.bias"][0], 0.0],
                                                      rel=1e-12)
+
+
+def test_each_slope_is_the_cosine_of_its_layers_scaled_pre_activation(monkeypatch):
+    # omega0 enters the backward through its weights, not through the slopes
+    model, v, phis, coords, targets = random_case(8, layers=3)
+    params = dict(model.parameters())
+    inner, frames = model_module._forward_tile, []
+
+    def spy(model_, shifts, pixels, t, acts, slopes=None):
+        pred = inner(model_, shifts, pixels, t, acts, slopes)
+        h = pixels
+        for k in range(model.layers):
+            a = model.omega0 * (h @ params[f"layer{k}.weight"] + params[f"layer{k}.bias"]
+                                + v @ params[f"video_proj{k}"] + phis[t] @ params[f"frame_proj{k}"])
+            assert np.allclose(slopes[k][: len(pixels)], np.cos(a), rtol=0, atol=1e-12), k
+            h = np.sin(a)
+        frames.append(t)
+        return pred
+
+    monkeypatch.setattr(model_module, "_forward_tile", spy)
+    for weights in (False, True):
+        loss_and_grads(model, v, phis, coords, targets, weights=weights)
+    assert frames == [0, 1] * 2
 
 
 def test_sum_gradient_is_ones():
