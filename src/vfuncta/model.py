@@ -401,61 +401,6 @@ def frame_mse(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return per_frame
 
 
-def _backward_frame(model: MetaModel, shifts, coords, targets, t: int, pixels: slice,
-                    scale: float, back: list, acts: list, slopes: list, sums: list,
-                    products) -> np.ndarray:
-    """Forward and backward through frame t of a batch at a run of its
-    pixels; returns the run's predictions.
-
-    `coords` and `targets` are the batch's, (N, 2) and (b, N), and
-    `pixels` picks the run; each value's loss gradient is
-    scale * (pred - target). `back[k]` is omega0 W_k.T, layer K the output
-    layer, as a row-major copy (the transposed view would take a product of
-    a few rows to OpenBLAS's small-matrix kernel, which rounds apart), so
-    a slope times an activation gradient is a pre-activation gradient.
-    `sums[k][t]` is layer k's sum of its pre-activation gradient over the
-    frame's pixels. `products`, None in a latent step, holds in
-    `products[k][t]` the frame's weight-gradient product x.T @ d of layer
-    k's input x and its gradient d, (fan_in, l), where layer K is the
-    output layer, (l, 1). Both sum the earlier runs on entry, unless the
-    run starts at pixel 0, and this run too on return.
-
-    The passes run in `acts` and `slopes` as `_forward_tile` lays them
-    out. Each activation gradient goes to `acts[-1]`, and each layer's
-    pre-activation gradient overwrites its slope in `slopes[k]`. So when
-    `acts` holds a buffer per layer and one more, as `products` needs,
-    every layer's input outlives the gradients.
-    """
-    count = pixels.stop - pixels.start
-
-    def add_product(k: int, d: np.ndarray) -> None:
-        if products is None:
-            return
-        x = acts[k - 1][:count] if k else coords[pixels]
-        if pixels.start:
-            products[k][t] += x.T @ d
-        else:
-            np.matmul(x.T, d, out=products[k][t])
-
-    pred = _forward_tile(model, shifts, coords[pixels], t, acts, slopes)
-    d_pred = (pred - targets[t, pixels]) * scale
-    add_product(model.layers, d_pred[:, None])
-    d_h = np.multiply(d_pred[:, None], back[-1], out=acts[-1][:count])
-    for k in reversed(range(model.layers)):
-        d_a = np.multiply(d_h, slopes[k][:count], out=slopes[k][:count])
-        add_product(k, d_a)
-        if k:
-            d_h = np.matmul(d_a, back[k], out=acts[-1][:count])
-        # numpy sums the pixel axis row by row, so a sum that starts from
-        # the carried one in the run's first row is the sum over all the
-        # frame's pixels in one run; the weight product has taken d_a
-        # before this add overwrites its first row
-        if pixels.start:
-            d_a[0] += sums[k][t]
-        np.sum(d_a, axis=0, out=sums[k][t])
-    return pred
-
-
 def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.ndarray,
                    *, weights: bool = False) -> BatchGrads:
     """Batch loss and its gradients in closed form.
@@ -476,6 +421,23 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
     order and gone before the projection gradients are formed. No value
     depends on the blocks; a frame of several runs sums its weight
     products per run.
+
+    A tile's backward walks the layers from K, the output layer, down to
+    0. Layer K's pre-activation gradient d is the loss gradient, scale *
+    (pred - target), and a sine layer's is its slope, cos(a), times the
+    activation gradient from above. Each layer adds x.T @ d of its input x
+    to its product and passes d @ back[k] down. `back[k]` is omega0 W_k.T,
+    W_K the output layer's, as a row-major copy: the transposed view would
+    take a product of a few rows to OpenBLAS's small-matrix kernel, which
+    rounds apart. The tile runs in `acts` and `slopes` as `_forward_tile`
+    lays them out. Each activation gradient goes to `acts[-1]`, and each
+    sine layer's pre-activation gradient overwrites its slope in
+    `slopes[k]`. So when `acts` holds a buffer per layer and one more, as
+    the products need, every layer's input outlives the gradients.
+    numpy sums the pixel axis row by row, so a frame sum that starts from
+    the carried one in the run's first row is the sum over all the frame's
+    pixels in one run; the product has taken d before that add overwrites
+    its first row.
     """
     v, phis, coords = _batch_arrays(model, v, phis, coords)
     targets = np.asarray(targets, dtype=model.dtype)
@@ -513,8 +475,25 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(lo, hi):
                 for pixels in runs:
-                    pred[t, pixels] = _backward_frame(model, shifts, coords, targets, t, pixels,
-                                                      scale, back, acts, slopes, sums, products)
+                    count = pixels.stop - pixels.start
+                    pred[t, pixels] = _forward_tile(model, shifts, coords[pixels], t, acts, slopes)
+                    d = ((pred[t, pixels] - targets[t, pixels]) * scale)[:, None]
+                    for k in reversed(range(model.layers + 1)):
+                        sine = k < model.layers
+                        if sine:
+                            d = np.multiply(d_h, slopes[k][:count], out=slopes[k][:count])
+                        if weights:
+                            x = acts[k - 1][:count] if k else coords[pixels]
+                            if pixels.start:
+                                products[k][t] += x.T @ d
+                            else:
+                                np.matmul(x.T, d, out=products[k][t])
+                        if k:
+                            d_h = np.matmul(d, back[k], out=acts[-1][:count])
+                        if sine:
+                            if pixels.start:
+                                d[0] += sums[k][t]
+                            np.sum(d, axis=0, out=sums[k][t])
 
     grads = {}
     with parallel.RUNNER.blocks(b, n * model.hidden) as map_blocks:
@@ -525,6 +504,9 @@ def loss_and_grads(model: MetaModel, v, phis, coords: np.ndarray, targets: np.nd
         with np.errstate(over="ignore", invalid="ignore"):
             if weights:
                 grads["out.weight"] = products[-1].sum(axis=0)
+                # from the joined residuals, not carried per run as the frame
+                # sums are: numpy sums a one-wide axis pairwise, not row by row,
+                # so a carried sum would move its bits with the tiling
                 grads["out.bias"] = np.sum(((pred - targets) * scale).reshape(-1), keepdims=True)
                 for k in reversed(range(model.layers)):
                     grads[f"layer{k}.weight"] = products[k].sum(axis=0)

@@ -357,20 +357,22 @@ def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monke
     fake.calls.clear()  # the runner's construction reads the count
     monkeypatch.setattr(parallel, "RUNNER", runner)
     phases, counts = [], []
-    blocks, backward = runner.blocks, model._backward_frame
+    blocks, tile = runner.blocks, model._forward_tile
 
     def spy_blocks(units, unit_size):
         phases.append(len(runner.cuts(units, unit_size)) - 1)
         return blocks(units, unit_size)
 
     def spy(fn):
-        def call(*args):
-            counts.append(fake.count)
-            return fn(*args)
+        # the gradient tiles are the calls that pass slopes
+        def call(model_, shifts, coords, t, acts, slopes=None):
+            if slopes is not None:
+                counts.append(fake.count)
+            return fn(model_, shifts, coords, t, acts, slopes)
         return call
 
     monkeypatch.setattr(runner, "blocks", spy_blocks)
-    monkeypatch.setattr(model, "_backward_frame", spy(backward))
+    monkeypatch.setattr(model, "_forward_tile", spy(tile))
     # the paper's batch of 8 frames at 256 sampled pixels and its width
     cfg = training.TrainConfig(batch_frames=8, coords_per_frame=256, layers=2, hidden=256,
                                video_dim=8, frame_dim=4, inner_steps=3)
@@ -401,16 +403,17 @@ def test_every_evaluation_of_a_paper_shaped_step_runs_pinned_in_two_blocks(monke
 
 @pytest.fixture
 def tile_rows(monkeypatch):
-    """Set the tile cap; returns the (frame, rows) of every
-    `_backward_frame` call made after it."""
+    """Set the tile cap; returns the (frame, rows) of every gradient tile,
+    a `_forward_tile` call that passes slopes, made after it."""
     calls = []
-    inner = model._backward_frame
+    inner = model._forward_tile
 
-    def spy(model_, shifts, coords, targets, t, pixels, *rest):
-        calls.append((t, pixels.stop - pixels.start))
-        return inner(model_, shifts, coords, targets, t, pixels, *rest)
+    def spy(model_, shifts, coords, t, acts, slopes=None):
+        if slopes is not None:
+            calls.append((t, coords.shape[0]))
+        return inner(model_, shifts, coords, t, acts, slopes)
 
-    monkeypatch.setattr(model, "_backward_frame", spy)
+    monkeypatch.setattr(model, "_forward_tile", spy)
 
     def set_cap(rows):
         monkeypatch.setattr(model, "TILE_ROWS", rows)
