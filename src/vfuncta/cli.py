@@ -1,10 +1,13 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Subcommands: gen-corpus, train, encode, decode, summary, eval,
-gradcheck. Every command but gradcheck resolves its seed (VFUNCTA_SEED
-wins over flags and files), runs, and writes a run manifest with content
-hashes of its inputs and artifacts (eval only with --out), so reruns
-with the same seed can be compared hash-for-hash.
+gradcheck. Three take a seed: gen-corpus from --seed, train from its
+config's `seed` key, and eval from VFUNCTA_SEED alone; VFUNCTA_SEED,
+when set, wins over the flag and the key. Encode, decode and summary
+take none, and their manifests hold a null seed. Every command but
+gradcheck writes a run manifest with content hashes of its inputs and
+artifacts (eval only with --out), so reruns with the same seed can be
+compared hash-for-hash.
 """
 
 from __future__ import annotations
@@ -108,8 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=heads.TASKS)
     p.add_argument("--modes", default="v,phi,combined",
                    help="comma-separated feature modes to evaluate")
-    p.add_argument("--head-config", type=Path, default=None)
-    p.add_argument("--seeds", type=int, default=1, help="number of head seeds")
+    p.add_argument("--seeds", type=int, default=1,
+                   help="number of head seeds: VFUNCTA_SEED (0 when unset) "
+                        "to VFUNCTA_SEED + N - 1")
     p.add_argument("--out", type=Path, default=None, help="directory for reports")
     p.set_defaults(handler=cmd_eval)
 
@@ -339,12 +343,12 @@ def cmd_eval(args, argv) -> int:
     test_items = [i for i in items if i.split == "test"]
     if not train_items or not test_items:
         raise VfunctaError("eval needs both train and test splits in the corpus")
-    # every head option is checked here, before any encoding is read
-    head_cfg = load_config(heads.HeadConfig, args.head_config, task=args.task)
+    # the seed too is checked before any encoding is read
+    seed = env_seed(0)
     sources = _output_paths([Path(i.path) for i in items], args.encodings, ".venc")
 
-    config = {**asdict(head_cfg), "modes": ",".join(modes), "seeds": args.seeds}
-    manifest = RunManifest("eval", argv, config=config, seed=head_cfg.seed)
+    config = {"task": args.task, "seed": seed, "modes": ",".join(modes), "seeds": args.seeds}
+    manifest = RunManifest("eval", argv, config=config, seed=seed)
     manifest.add_input(data.corpus_manifest_path(args.corpus))
     encodings = {}
     models = {}  # the first encoding of each model, by the model's fingerprint
@@ -369,7 +373,7 @@ def cmd_eval(args, argv) -> int:
         x_train, x_test = features(train_items, mode), features(test_items, mode)
         per_seed = []
         for s in range(args.seeds):
-            head = heads.train_head(x_train, y_train, replace(head_cfg, seed=head_cfg.seed + s))
+            head = heads.train_head(x_train, y_train, args.task, seed + s)
             per_seed.append(heads.evaluate_head(head, x_test, y_test))
         lines.append(_format_eval_line(mode, per_seed))
     for line in lines:

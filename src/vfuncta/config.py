@@ -2,11 +2,11 @@
 
 One `key = value` pair per line; blank lines and `#` comments are
 ignored. Unknown keys and unparsable values are reported with their line
-number. A training or head config's keys are its settings type's
-fields: `TrainConfig`'s `batch_frames` and `coords_per_frame` have no
-default and must be set, everything else falls back to the reference
-defaults. `--set KEY=VALUE` overrides take the same path, numbered in
-command-line order.
+number. A training config's keys are `TrainConfig`'s fields:
+`batch_frames` and `coords_per_frame` have no default and must be set,
+everything else falls back to the reference defaults. `--set KEY=VALUE`
+overrides take the same path, numbered in command-line order. A
+`gen-corpus --spec` file's keys are the corpus options.
 """
 
 from __future__ import annotations
@@ -82,23 +82,22 @@ def _apply_schema(entries, schema, source, places) -> dict:
     return out
 
 
-def _schema(cls, given=()) -> dict:
-    """Each field of `cls` but the `given` ones is a key, cast by its
-    annotated type."""
+def _schema(cls) -> dict:
+    """Each field of `cls` is a key, cast by its annotated type."""
     types = typing.get_type_hints(cls)
-    return {f.name: types[f.name] for f in dataclasses.fields(cls) if f.name not in given}
+    return {f.name: types[f.name] for f in dataclasses.fields(cls)}
 
 
-def load_config(cls, path, overrides=(), **given):
-    """Build the settings type `cls` from the key file at `path` (None:
-    no file) plus `KEY=VALUE` override strings, which win over the file;
-    the VFUNCTA_SEED environment variable wins over both. The `given`
-    fields are not keys, and a field without a default is a required key.
-    A refused value names the place that set it: the file's line, the
-    `--set` number, or VFUNCTA_SEED; any other, the file."""
-    schema = _schema(cls, given)
-    values, places = dict(given), {}
-    for source, entries in ((path, {} if path is None else parse_kv_file(path)),
+def load_config(cls, path, overrides=()):
+    """Build the settings type `cls` from the key file at `path` plus
+    `KEY=VALUE` override strings, which win over the file; the
+    VFUNCTA_SEED environment variable wins over both. A field without a
+    default is a required key. A refused value names the place that set
+    it: the file's line, the `--set` number, or VFUNCTA_SEED; any other,
+    the file."""
+    schema = _schema(cls)
+    values, places = {}, {}
+    for source, entries in ((path, parse_kv_file(path)),
                             ("--set", _parse_kv_lines(overrides, "--set"))):
         values.update(_apply_schema(entries, schema, source, places))
     for f in dataclasses.fields(cls):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import VideoEncoding
-from .errors import ContractError, NonFiniteError, require_least
+from .errors import ContractError, NonFiniteError
 from .metrics import classification_metrics, regression_metrics
 
 MODES = ("v", "phi", "combined")
@@ -25,17 +25,6 @@ PENALTIES = np.r_[np.logspace(-3, 4, 15), np.inf]
 FOLDS = 5
 # Newton-IRLS stops once no coefficient moves by more than the tolerance
 NEWTON_STEPS, NEWTON_TOL = 50, 1e-10
-
-
-@dataclass(frozen=True)
-class HeadConfig:
-    task: str = "regression"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
-        require_least(vars(self), seed=0)
 
 
 def extract_features(enc: VideoEncoding, mode: str) -> np.ndarray:
@@ -133,9 +122,13 @@ def _fit(x: np.ndarray, y: np.ndarray, task: str, penalties):
         yield w, float(b - centre @ w)
 
 
-def train_head(features, labels, cfg: HeadConfig) -> Probe:
-    """Fit a probe to (n, d) features, its penalty cross-validated on
-    these rows alone."""
+def train_head(features, labels, task: str, seed: int) -> Probe:
+    """Fit a probe of `task` to (n, d) features, its penalty
+    cross-validated on these rows alone, in folds shuffled by `seed`."""
+    if task not in TASKS:
+        raise ContractError(f"task must be one of {TASKS}, got {task!r}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -143,7 +136,7 @@ def train_head(features, labels, cfg: HeadConfig) -> Probe:
     n = x.shape[0]
     if n < 2:
         raise ContractError("need at least two samples")
-    if cfg.task == "binary":
+    if task == "binary":
         if not np.isin(y, (0.0, 1.0)).all():
             raise ContractError("binary task labels must be 0/1")
         if y.min() == y.max():
@@ -151,23 +144,23 @@ def train_head(features, labels, cfg: HeadConfig) -> Probe:
 
     mean, scale = x.mean(axis=0), np.maximum(x.std(axis=0), 1e-8)
     xs = (x - mean) / scale
-    order = np.random.default_rng([cfg.seed, 31]).permutation(n)
+    order = np.random.default_rng([seed, 31]).permutation(n)
     cv_loss = np.zeros(len(PENALTIES))
     for held in np.array_split(order, min(FOLDS, n)):
         kept = np.setdiff1d(order, held)
-        for i, fit in enumerate(_fit(xs[kept], y[kept], cfg.task, PENALTIES)):
+        for i, fit in enumerate(_fit(xs[kept], y[kept], task, PENALTIES)):
             if fit is None:
                 cv_loss[i] = np.inf
                 continue
             z = xs[held] @ fit[0] + fit[1]
             # squared error, or the log-loss of the logits z
-            cv_loss[i] += np.sum((z - y[held]) ** 2 if cfg.task == "regression"
+            cv_loss[i] += np.sum((z - y[held]) ** 2 if task == "regression"
                                  else np.logaddexp(0.0, z) - y[held] * z)
     # the least loss whose fit to every row solves; an infinite penalty always does
     for penalty in PENALTIES[np.argsort(cv_loss, kind="stable")]:
-        [fit] = _fit(xs, y, cfg.task, [penalty])
+        [fit] = _fit(xs, y, task, [penalty])
         if fit is not None:
-            return Probe(*fit, mean, scale, float(penalty), cfg.task)
+            return Probe(*fit, mean, scale, float(penalty), task)
 
 
 def evaluate_head(head: Probe, features, labels):

@@ -752,16 +752,16 @@ def test_a_negative_seed_in_a_train_config_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "m.out.vfnc").exists()
 
 
-def test_a_negative_seed_in_a_head_config_is_one_error_line(tmp_path, capsys):
+def test_a_negative_eval_seed_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """VFUNCTA_SEED, eval's one seed source, is checked before any encoding is read."""
     argv = seeded_commands(tmp_path)["eval"]
-    head_config = tmp_path / "head.cfg"
-    # as any value the head config refuses, it names the file's line
-    for line, message in (("seed = -1", "seed must be >= 0, got -1"),
-                          ("dropout = 1.5", "unknown key 'dropout'")):
-        head_config.write_text(f"# probe settings\n{line}\n")
-        capsys.readouterr()
-        assert main([*argv, "--head-config", str(head_config)]) == 1
-        assert_one_error_line(capsys.readouterr().err, f"{head_config}:2: {message}")
+    loaded = []
+    monkeypatch.setattr(codec, "load_encoding", lambda *args: loaded.append(args))
+    monkeypatch.setenv("VFUNCTA_SEED", "-1")
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "e")]) == 1
+    assert_one_error_line(capsys.readouterr().err, "VFUNCTA_SEED must be >= 0, got '-1'")
+    assert loaded == [] and not (tmp_path / "e").exists()
 
 
 def test_train_without_a_train_split_is_one_error_line(tmp_path, capsys):
@@ -909,38 +909,27 @@ def test_eval_without_a_test_split_fails_before_encoding(tmp_path, capsys, monke
     assert encoded == [] and loaded == []
 
 
-def test_eval_head_config_rejects_a_task(tmp_path, capsys):
-    """`eval --task` alone sets the head's task."""
-    argv = seeded_commands(tmp_path)["eval"]
-    head_config = tmp_path / "head.cfg"
-    head_config.write_text("seed = 0\ntask = regression\n")
-    capsys.readouterr()
-    assert main([*argv, "--head-config", str(head_config)]) == 1
-    assert_one_error_line(capsys.readouterr().err, f"{head_config}:2:", "unknown key 'task'")
+def test_eval_task_choices_are_the_head_tasks():
     [subparsers] = [a for a in _build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)]
     [task] = [a for a in subparsers.choices["eval"]._actions if "--task" in a.option_strings]
     assert tuple(task.choices) == heads.TASKS
 
 
-def test_env_seed_overrides_the_head_config_seed(tmp_path, monkeypatch, capsys):
+def test_env_seed_sets_the_eval_seed(tmp_path, monkeypatch, capsys):
     argv = seeded_commands(tmp_path)["eval"]
-    head_config = tmp_path / "head.cfg"
-    head_config.write_text("seed = 5\n")
     monkeypatch.setenv("VFUNCTA_SEED", "9")
-    assert main([*argv, "--head-config", str(head_config), "--out", str(tmp_path / "e")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "e")]) == 0
     doc = read_manifest(tmp_path / "e" / "run_manifest.json")
     assert doc["seed"] == doc["config"]["seed"] == 9
 
 
-def test_same_seed_evals_write_the_same_manifest(tmp_path, capsys):
+def test_same_seed_evals_write_the_same_manifest(tmp_path, monkeypatch, capsys):
     argv = seeded_commands(tmp_path)["eval"]
-    head_config = tmp_path / "head.cfg"
-    head_config.write_text("seed = 2\n")
+    monkeypatch.setenv("VFUNCTA_SEED", "2")
     docs, reports = [], []
     for name in ("e1", "e2"):
-        assert main([*argv, "--head-config", str(head_config),
-                     "--out", str(tmp_path / name)]) == 0
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
         doc = read_manifest(tmp_path / name / "run_manifest.json")
         docs.append({key: doc[key] for key in ("config", "seed", "inputs", "artifacts")})
         reports.append((tmp_path / name / "eval_report.tsv").read_bytes())
@@ -949,33 +938,17 @@ def test_same_seed_evals_write_the_same_manifest(tmp_path, capsys):
     assert docs[0]["config"] == {"task": "regression", "seed": 2, "modes": "phi", "seeds": 1}
 
 
-def test_eval_head_config_rejects_a_mode(tmp_path, capsys):
-    corpus = gen_corpus(tmp_path)
-    model_path, _, _ = tiny_files(tmp_path)
-    head_config = tmp_path / "head.cfg"
-    head_config.write_text("seed = 0\nmode = v\n")
-    enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
-    capsys.readouterr()
-    rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
-               "--task", "regression", "--modes", "phi", "--head-config", str(head_config)])
-    assert rc == 1
-    assert_one_error_line(capsys.readouterr().err, "'mode'", ":2:")
-
-
 @pytest.mark.parametrize("task", ["regression", "binary"])
 def test_eval_reports_the_heads_of_in_memory_encodings(tmp_path, capsys, monkeypatch, task):
     """eval trains and scores its heads on the .venc files encode wrote,
     exactly as on encodings held in memory."""
-    monkeypatch.delenv("VFUNCTA_SEED", raising=False)
     corpus, model_path = trained_model(tmp_path)
     enc_dir = encode_corpus(tmp_path, model_path, corpus, "--batch-frames", "4",
                             "--inner-steps", "3")
-    head_config = tmp_path / "head.cfg"
-    head_config.write_text("seed = 3\n")
+    monkeypatch.setenv("VFUNCTA_SEED", "3")
     capsys.readouterr()
     assert main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
-                 "--task", task, "--seeds", "2", "--head-config", str(head_config),
-                 "--out", str(tmp_path / "eval")]) == 0
+                 "--task", task, "--seeds", "2", "--out", str(tmp_path / "eval")]) == 0
     printed = capsys.readouterr().out
 
     model = load_model(model_path)
@@ -995,7 +968,7 @@ def test_eval_reports_the_heads_of_in_memory_encodings(tmp_path, capsys, monkeyp
         (x_train, y_train), (x_test, y_test) = split("train", mode), split("test", mode)
         reports = []
         for seed in (3, 4):
-            head = heads.train_head(x_train, y_train, heads.HeadConfig(task, seed))
+            head = heads.train_head(x_train, y_train, task, seed)
             reports.append(heads.evaluate_head(head, x_test, y_test))
         lines.append(_format_eval_line(mode, reports))
     expected = "".join(f"{line}\n" for line in lines)
@@ -1037,19 +1010,12 @@ def test_eval_report_lines_name_the_mode_then_the_tasks_fields(tmp_path, monkeyp
                 assert re.fullmatch("nan" if key == "auroc" else value, text), (key, text)
 
 
-def write_head_config(tmp_path):
-    head_config = tmp_path / "head.cfg"
-    head_config.write_text("seed = 0\n")
-    return head_config
-
-
 def test_eval_manifest_enters_the_corpus_manifest_and_each_encoding(tmp_path, capsys):
     corpus = gen_corpus(tmp_path)
     model_path, _, _ = tiny_files(tmp_path)
     enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
     assert main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
-                 "--task", "regression", "--modes", "phi", "--head-config",
-                 str(write_head_config(tmp_path)), "--out", str(tmp_path / "eval")]) == 0
+                 "--task", "regression", "--modes", "phi", "--out", str(tmp_path / "eval")]) == 0
     inputs = read_manifest(tmp_path / "eval" / "run_manifest.json")["inputs"]
     vencs = sorted(enc_dir.glob("*.venc"))
     assert len(vencs) == 6
@@ -1070,8 +1036,7 @@ def test_eval_refuses_encodings_of_two_models(tmp_path, capsys):
                      "--inner-steps", "1", *chosen]) == 0
     capsys.readouterr()
     rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
-               "--task", "regression", "--head-config", str(write_head_config(tmp_path)),
-               "--out", str(tmp_path / "eval")])
+               "--task", "regression", "--out", str(tmp_path / "eval")])
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "more than one model",
                           f"{model_fingerprint(load_model(model_path)):016x}",
@@ -1087,8 +1052,7 @@ def test_eval_without_an_encoding_is_one_error_line(tmp_path, capsys):
     missing.unlink()
     capsys.readouterr()
     rc = main(["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
-               "--task", "regression", "--head-config", str(write_head_config(tmp_path)),
-               "--out", str(tmp_path / "eval")])
+               "--task", "regression", "--out", str(tmp_path / "eval")])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert_one_error_line(captured.err, str(missing))
@@ -1386,9 +1350,6 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer):
     pytest.param("train", ["--set", "inner_lr=inf"], {}, "--set:1: inner_lr",
                  id="train-flags2-inner_lr"),
     pytest.param("encode", ["--inner-lr", "nan"], {}, "inner_lr", id="encode-flags3-inner_lr"),
-    # the probes take no rate: a head rate is an unknown key
-    pytest.param("eval", ["--head-config", "head.cfg"], {},
-                 "head.cfg:2: unknown key 'learning_rate'", id="eval-flags4-learning_rate"),
     # a train value is named by its place: the --set number or the file's line
     pytest.param("train", ["--set", "layers=2", "--set", "inner_lr=nan"], {},
                  "--set:2: inner_lr", id="train-second-set"),
@@ -1412,16 +1373,9 @@ def test_non_finite_rate_is_one_error_line(tmp_path, capsys, monkeypatch, comman
         cfg.write_text("".join(f"{line}\n" for line in kept if line is not None))
         argv = ["train", "--corpus", str(gen_corpus(tmp_path, count=1)),
                 "--config", str(cfg), "--out", str(out / "m.vfnc")]
-    elif command == "encode":
+    else:
         model_path, video, _ = tiny_files(tmp_path)
         argv = ["encode", "--model", str(model_path), "--out", str(out), str(video)]
-    else:
-        model_path, _, _ = tiny_files(tmp_path)
-        (tmp_path / "head.cfg").write_text("seed = 0\nlearning_rate = nan\n")
-        corpus = gen_corpus(tmp_path)
-        enc_dir = encode_corpus(tmp_path, model_path, corpus, "--inner-steps", "1")
-        argv = ["eval", "--encodings", str(enc_dir), "--corpus", str(corpus),
-                "--task", "regression", "--out", str(out)]
     capsys.readouterr()
     rc = main(argv + flags)
     assert rc == 1

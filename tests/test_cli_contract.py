@@ -1,9 +1,9 @@
 """The command line's contract, as one property per subcommand.
 
 Each example runs `cli.main` in-process with one or two drawn options,
-or config, spec or head keys, on one toy corpus, model and encode
-directory built per module. A drawn value is a boundary value (`BOUNDARY`)
-or a random draw. Every run must
+config or spec keys, or eval's VFUNCTA_SEED, on one toy corpus, model
+and encode directory built per module. A drawn value is a boundary
+value (`BOUNDARY`) or a random draw. Every run must
 - exit 0, 1 or argparse's 2;
 - raise nothing but `SystemExit`, warnings included;
 - on 1, print one stderr line starting `error:` (with `--keep-going`,
@@ -39,7 +39,6 @@ CORPUS_SPEC = {"frames": "4", "height": "8", "width": "8"}
 TRAIN_KEYS = {"batch_frames": "2", "coords_per_frame": "16", "layers": "2", "hidden": "8",
               "video_dim": "8", "frame_dim": "4", "inner_steps": "2", "meta_lr": "1e-5",
               "iterations": "2", "seed": "3"}
-HEAD_KEYS = {"seed": "0"}
 
 # the function whose first call starts each command's work
 WORK = {"gen-corpus": (data, "gen_synthetic"), "train": (training, "adapt"),
@@ -89,7 +88,7 @@ DECODE_FLAGS = {"--originals": SWITCH, "--jobs": ints(-2, 3, 3), "--keep-going":
 SUMMARY_FLAGS = {"--keep-going": SWITCH}
 EVAL_FLAGS = {"--task": words("regression", "binary"), "--seeds": ints(-2, 3),
               "--modes": words("v", "phi,combined", "v,v", "v,bogus", " , ")}
-HEAD_CONFIG_KEYS = {"seed": ANY}
+EVAL_SEED = {"VFUNCTA_SEED": st.sampled_from(["-1", "0", str(2**64), "abc", ""])}
 
 
 def draws(*tables):
@@ -141,10 +140,10 @@ def flags(drawn: dict, table: dict, paths: dict) -> list[str]:
     return argv
 
 
-def run(argv: list[str], out, command: str) -> list[str]:
+def run(argv: list[str], out, command: str) -> tuple[int, list[str]]:
     """Run the command line on `argv` and check the contract, where
     `out` is the one path the run may write, absent before it; returns
-    the stderr lines."""
+    the exit code and the stderr lines."""
     started = []
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), \
             redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
@@ -168,7 +167,7 @@ def run(argv: list[str], out, command: str) -> list[str]:
             (lines, argv)
     if rc != 0 and not started:
         assert not out.exists(), (lines, argv)
-    return lines
+    return rc, lines
 
 
 @CONTRACT
@@ -226,23 +225,29 @@ def test_decode_and_summary_keep_the_contract(toy, draw):
 
 
 @CONTRACT
-@given(draws(EVAL_FLAGS, HEAD_CONFIG_KEYS))
-@example({"epochs": "3"})
+@given(draws(EVAL_FLAGS, EVAL_SEED))
+@example({"--head-config": None})
 def test_eval_keeps_the_contract(toy, drawn):
-    """Drawn head keys go into the head config ahead of `HEAD_KEYS`; a key
-    the head config does not take, as `epochs`, is refused by its line."""
+    """A drawn VFUNCTA_SEED is set for the run, unset otherwise, and one
+    that is not a non-negative integer is refused; the `--head-config`
+    option, which eval no longer takes, exits 2."""
     root, n = toy
     out = root / f"out{next(n)}"
-    keys = {k: v for k, v in drawn.items() if k not in EVAL_FLAGS}
-    head = key_file(root / "head_example.cfg",
-                    {**keys, **{k: v for k, v in HEAD_KEYS.items() if k not in keys}})
     argv = ["eval", "--encodings", str(root / "enc"), "--corpus", str(root / "corpus"),
-            "--head-config", head, "--out", str(out)]
+            "--out", str(out)]
     if "--task" not in drawn:
         argv += ["--task", "regression"]
-    lines = run(argv + flags(drawn, EVAL_FLAGS, {}), out, "eval")
-    if "epochs" in keys:
-        assert lines == [f"error: {head}:1: unknown key 'epochs'"]
+    with pytest.MonkeyPatch.context() as mp:
+        if "VFUNCTA_SEED" in drawn:
+            mp.setenv("VFUNCTA_SEED", drawn["VFUNCTA_SEED"])
+        else:
+            mp.delenv("VFUNCTA_SEED", raising=False)
+        rc, lines = run(argv + flags(drawn, EVAL_FLAGS, {"--head-config": root / "head.cfg"}),
+                        out, "eval")
+    if "--head-config" in drawn:
+        assert rc == 2 and "unrecognized arguments: --head-config" in lines[-1], lines
+    elif drawn.get("VFUNCTA_SEED") in ("-1", "abc", ""):
+        assert rc != 0, argv
 
 
 @settings(CONTRACT, max_examples=10)

@@ -1,9 +1,8 @@
 """The README's references hold: the files it names exist, the
 configuration it trains with loads, its configuration tables match
-`TrainConfig` and the corpus defaults, its head-config keys are the ones
-a head config takes, its pipeline commands parse, every flag it writes
-after a subcommand is one that subcommand takes, every option of every
-subcommand is named in it, and the manifest hash,
+`TrainConfig` and the corpus defaults, its pipeline commands parse,
+every flag it writes after a subcommand is one that subcommand takes,
+every option of every subcommand is named in it, and the manifest hash,
 container version, tile rows, block floor, penalty grid and fold count
 it states are the ones the code uses."""
 
@@ -19,7 +18,6 @@ import pytest
 from vfuncta import container, heads, manifest, model, parallel
 from vfuncta.cli import _build_parser
 from vfuncta.config import CORPUS_DEFAULTS, load_config
-from vfuncta.heads import HeadConfig
 from vfuncta.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,13 +73,6 @@ def test_readme_corpus_table_matches_the_corpus_defaults():
     rows = table_rows(config_section().split("gen-corpus --spec", 1)[1])
     assert dict(rows) == {key: str(value) for key, value in CORPUS_DEFAULTS.items()}
     assert [key for key, _ in rows] == list(CORPUS_DEFAULTS)
-
-
-def test_readme_head_config_keys_are_the_head_schema():
-    text = config_section().split("An `eval --head-config` file takes", 1)[1].split(";", 1)[0]
-    # the task comes from the command line, not from the file
-    keys = [f.name for f in dataclasses.fields(HeadConfig) if f.name != "task"]
-    assert re.findall(r"`(\w+)`", text) == keys
 
 
 def test_readme_pipeline_commands_parse():

@@ -1,5 +1,7 @@
 """Feature extraction modes and the linear probes' fit and evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from vfuncta.data import CorpusItem, write_corpus_manifest
 from vfuncta.errors import ContractError
 from vfuncta.heads import (
     PENALTIES,
-    HeadConfig,
     evaluate_head,
     extract_features,
     train_head,
@@ -70,7 +71,7 @@ def test_ridge_is_least_squares_on_the_augmented_system():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(30, 5)) * [1.0, 10.0, 0.1, 1.0, 3.0]
     y = x @ rng.normal(size=5) + rng.normal(size=30) + 4.0
-    head = train_head(x, y, HeadConfig())
+    head = train_head(x, y, "regression", 0)
     xs = standardised(head, x)
     augmented = np.vstack([xs, np.sqrt(head.penalty) * np.eye(5)])
     target = np.concatenate([y - y.mean(), np.zeros(5)])
@@ -86,7 +87,7 @@ def test_the_logistic_penalised_gradient_vanishes(width):
     rng = np.random.default_rng(width)
     x = rng.normal(size=(24, width))
     y = (x[:, 0] + rng.normal(size=24) > 0).astype(float)
-    head = train_head(x, y, HeadConfig(task="binary"))
+    head = train_head(x, y, "binary", 0)
     xs = standardised(head, x)
     p = head.predict(x)
     grad = xs.T @ (p - y) + head.penalty * head.weights
@@ -134,7 +135,7 @@ def test_linearly_separable_reaches_perfect_accuracy():
     x = rng.normal(size=(80, 2))
     x = x[np.abs(x.sum(axis=1)) > 0.2]  # a margin around the boundary
     y = (x[:, 0] + x[:, 1] > 0).astype(float)
-    head = train_head(x, y, HeadConfig(task="binary", seed=4))
+    head = train_head(x, y, "binary", 4)
     assert evaluate_head(head, x, y.astype(int))["acc"] == 1.0
 
 
@@ -142,7 +143,7 @@ def test_realizable_linear_target_fits_to_high_r2():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(64, 6))
     y = x @ rng.normal(size=6) + 0.5
-    head = train_head(x, y, HeadConfig(task="regression", seed=7))
+    head = train_head(x, y, "regression", 7)
     assert evaluate_head(head, x, y)["r2"] >= 0.99
 
 
@@ -150,14 +151,23 @@ def test_training_is_deterministic_per_seed():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(20, 4))
     y = (rng.normal(size=20) > 0).astype(float)
-    h1, h2 = (train_head(x, y, HeadConfig(task="binary", seed=3)) for _ in range(2))
+    h1, h2 = (train_head(x, y, "binary", 3) for _ in range(2))
     assert h1.penalty == h2.penalty and h1.intercept == h2.intercept
     assert np.array_equal(h1.weights, h2.weights)
 
 
 def test_binary_task_requires_both_classes():
     with pytest.raises(ContractError):
-        train_head(np.zeros((4, 2)), np.ones(4), HeadConfig(task="binary"))
+        train_head(np.zeros((4, 2)), np.ones(4), "binary", 0)
+
+
+@pytest.mark.parametrize("task, seed, message", [
+    ("ordinal", 0, "task must be one of ('regression', 'binary'), got 'ordinal'"),
+    ("regression", -1, "seed must be >= 0, got -1")], ids=["task-ordinal", "seed-negative"])
+def test_an_unknown_task_or_a_negative_seed_is_refused(task, seed, message):
+    x, y = np.arange(8.0).reshape(4, 2), np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ContractError, match=re.escape(message)):
+        train_head(x, y, task, seed)
 
 
 def test_shuffled_labels_stay_near_chance():
@@ -169,7 +179,7 @@ def test_shuffled_labels_stay_near_chance():
         y = r.integers(0, 2, size=n_train + n_test).astype(float)
         if y[:n_train].min() == y[:n_train].max():
             y[0] = 1 - y[0]
-        head = train_head(x[:n_train], y[:n_train], HeadConfig(task="binary", seed=seed))
+        head = train_head(x[:n_train], y[:n_train], "binary", seed)
         rep = evaluate_head(head, x[n_train:], y[n_train:].astype(int))
         if rep["auroc"] is not None:
             aurocs.append(rep["auroc"])
@@ -187,7 +197,7 @@ def test_a_one_class_fold_and_fewer_rows_than_folds_score_finite():
     # three rows, fewer than the folds: each fold holds out one row
     for rows, labels, task in ((x, y, "binary"), (x[:3], y[:3], "binary"),
                                (x[:3], y[:3] * 2.5, "regression")):
-        head = train_head(rows, labels, HeadConfig(task=task))
+        head = train_head(rows, labels, task, 0)
         assert np.isfinite(head.weights).all() and np.isfinite(head.intercept)
         assert np.isfinite(head.predict(x)).all()
 
@@ -203,7 +213,7 @@ def test_labels_independent_of_the_features_pick_the_intercept_only_probe(task):
         x = rng.normal(size=(50, 3))
         y = (rng.normal(size=50) if task == "regression"
              else rng.integers(0, 2, size=50).astype(float))
-        head = train_head(x, y, HeadConfig(task=task, seed=seed))
+        head = train_head(x, y, task, seed)
         picks.append(head.penalty)
         if head.penalty == np.inf:
             assert not head.weights.any()
@@ -234,7 +244,7 @@ def test_a_fold_a_small_penalty_separates_fits_a_finite_probe():
     rng = np.random.default_rng(30)
     x = rng.normal(size=(30, 20)).astype(np.float32).astype(np.float64)
     y = rng.integers(0, 2, size=30).astype(float)
-    head = train_head(x, y, HeadConfig(task="binary", seed=13))
+    head = train_head(x, y, "binary", 13)
     assert np.isfinite(head.weights).all() and np.isfinite(head.intercept)
     # halved steps reach that fold's penalised optimum
     held = np.array_split(np.random.default_rng([13, 31]).permutation(30), heads.FOLDS)[0]
@@ -249,7 +259,7 @@ def test_a_penalty_whose_solve_fails_is_not_picked(monkeypatch):
     rng = np.random.default_rng(2)
     x = rng.normal(size=(40, 3))
     y = (x[:, 0] + rng.normal(size=40) > 0).astype(float)
-    picked = train_head(x, y, HeadConfig(task="binary")).penalty
+    picked = train_head(x, y, "binary", 0).penalty
     newton = heads._newton
 
     def failing(z, labels, penalty):
@@ -258,6 +268,6 @@ def test_a_penalty_whose_solve_fails_is_not_picked(monkeypatch):
         return newton(z, labels, penalty)
 
     monkeypatch.setattr(heads, "_newton", failing)
-    head = train_head(x, y, HeadConfig(task="binary"))
+    head = train_head(x, y, "binary", 0)
     assert head.penalty != picked and head.penalty in PENALTIES
     assert np.isfinite(head.weights).all() and np.isfinite(head.intercept)

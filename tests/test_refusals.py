@@ -1,9 +1,10 @@
 """Every refusal a user can reach is one `error:` line.
 
 Each case writes one bad input (a key file, a video, a corpus manifest,
-an encoding, or a flag), runs the command line on it, and expects exit
-code 1, exactly one stderr line, starting `error:` and holding the
-case's needle, and no output file (for eval, no `--out` directory).
+an encoding, a flag, or the VFUNCTA_SEED variable), runs the command
+line on it, and expects exit code 1, exactly one stderr line, starting
+`error:` and holding the case's needle, and no output file (for eval,
+no `--out` directory).
 """
 
 import struct
@@ -72,10 +73,9 @@ def corpus_rows(splits, classes=None) -> bytes:
                    for i, (s, c) in enumerate(zip(splits, classes))).encode()
 
 
-def evaluate(tmp_path, head_cfg: bytes | None = None, splits=("train",) * 4 + ("test",) * 2,
-             classes=None, task="regression"):
-    """`eval` of a corpus whose encodings are written directly, with a head
-    config holding `head_cfg`; a refused eval leaves no `--out` directory."""
+def evaluate(tmp_path, splits=("train",) * 4 + ("test",) * 2, classes=None, task="regression"):
+    """`eval` of a corpus whose encodings are written directly; a refused
+    eval leaves no `--out` directory."""
     (tmp_path / "manifest.tsv").write_bytes(corpus_rows(splits, classes))
     (tmp_path / "enc").mkdir()
     rng = np.random.default_rng(0)
@@ -84,12 +84,8 @@ def evaluate(tmp_path, head_cfg: bytes | None = None, splits=("train",) * 4 + ("
             VideoModulation(rng.standard_normal(8).astype(np.float32)),
             FrameModulationSeq(rng.standard_normal((2, 4)).astype(np.float32)),
             frames=2, height=4, width=4, fingerprint=1, inner_steps=1, inner_lr=0.1))
-    argv = ["eval", "--encodings", "enc", "--corpus", "manifest.tsv", "--task", task,
-            "--out", "out"]
-    if head_cfg is not None:
-        (tmp_path / "head.cfg").write_bytes(head_cfg)
-        argv += ["--head-config", "head.cfg"]
-    return argv, "out"
+    return ["eval", "--encodings", "enc", "--corpus", "manifest.tsv", "--task", task,
+            "--out", "out"], "out"
 
 
 def venc(tmp_path, dims=(2, 4, 4, 8, 4), v_value=0.0, command="decode"):
@@ -162,7 +158,6 @@ CASES = {
     "config-coords-per-frame-5": (lambda p: coords_per_frame(p, 5),
                                   "coords_per_frame = 5 is more than the 4 pixels of a frame "
                                   "of v0.rawvid"),
-    "head-config-not-utf8": (lambda p: evaluate(p, b"\xffseed = 1\n"), "head.cfg: 'utf-8'"),
     # .rawvid videos
     "rawvid-4-bytes": (lambda p: rawvid(p, b"VRAW"), "truncated header"),
     "rawvid-zero-extent": (lambda p: rawvid(p, rawvid_header(1, 0, 2)), "positive extents"),
@@ -194,12 +189,8 @@ CASES = {
     "gen-corpus-split-1.5": (lambda p: (["gen-corpus", "--out", "out", "--count", "2",
                                          "--split", "1.5"], "out"),
                              "split must lie in [0, 1], got 1.5"),
-    # head configs and eval corpora
-    # the probes have no hidden layer: a width is an unknown key
-    "head-hidden1-0": (lambda p: evaluate(p, b"hidden1 = 0\n"),
-                       "head.cfg:1: unknown key 'hidden1'"),
-    "head-seed-negative": (lambda p: evaluate(p, b"seed = -1\n"),
-                           "head.cfg:1: seed must be >= 0, got -1"),
+    # head seeds and eval corpora; the case's VFUNCTA_SEED is in `SEEDS`
+    "head-seed-negative": (evaluate, "VFUNCTA_SEED must be >= 0, got '-1'"),
     "eval-one-train-item": (lambda p: evaluate(p, splits=("train", "test")),
                             "need at least two samples"),
     "eval-binary-class-2": (lambda p: evaluate(p, classes=[0, 1, 2, 0, 1, 0], task="binary"),
@@ -225,9 +216,15 @@ CASES = {
 }
 
 
+# the VFUNCTA_SEED of each case that sets one
+SEEDS = {"head-seed-negative": "-1"}
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_a_refused_input_is_one_error_line(tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)
+    if case in SEEDS:
+        monkeypatch.setenv("VFUNCTA_SEED", SEEDS[case])
     make, needle = CASES[case]
     argv, output = make(tmp_path)
     capsys.readouterr()
