@@ -4,9 +4,12 @@ vectors, decode them back to pixels, and persist both.
 Encoding is autoregressive over windows of `batch_frames` consecutive
 frames: the video vector is optimized jointly with the first window's
 frame vectors, then frozen; every later window optimizes fresh
-zero-initialized frame vectors only. `EncodeSettings` holds the three
-values this procedure takes: the window length, the inner steps and the
-inner learning rate. Decoding evaluates the network on the full pixel
+zero-initialized frame vectors only. Each window runs training's inner
+loop with two-point step sizes: the first step is a plain step at the
+inner learning rate, and each later one takes its rate from the last two
+evaluations (`training.adapt`). `EncodeSettings` holds the three values
+this procedure takes: the window length, the inner steps and the inner
+learning rate. Decoding evaluates the network on the full pixel
 grid, every frame of a video in one pass, and clamps to [0, 1]; clamping
 never happens on the encode side.
 """
@@ -118,7 +121,8 @@ def encode_video(model: MetaModel, video: VideoTensor,
     v = None  # adapted by the first window, held fixed by the rest
     for start in range(0, t_total, b):
         v, phis_out[start : start + b], _ = adapt(
-            model, flat[start : start + b], coords, steps=steps, inner_lr=lr, v=v)
+            model, flat[start : start + b], coords, steps=steps, inner_lr=lr, v=v,
+            two_point=True)
     return VideoEncoding(
         VideoModulation(v), FrameModulationSeq(phis_out),
         frames=t_total, height=height, width=width,

@@ -3,14 +3,15 @@ shared weights, and an inner loop adapting the modulation vectors of one
 sampled batch of frames from zero.
 
 Every inner step takes the frame updates and the video-vector update from
-one closed-form forward/backward evaluation (`model.loss_and_grads`);
-`adapt` runs that loop for training and for `codec.encode_video` alike.
-The outer step applies a first-order gradient at the adapted
-modulations, treating them as constants. Each outer iteration trains on
-one video that the seed and the iteration alone pick, and a video that
-cannot be read ends the run. Plain gradient descent everywhere, no
-optimizer state, so a checkpoint plus the seed fully determines the rest
-of a run.
+one closed-form forward/backward evaluation (`model.loss_and_grads`).
+`adapt` runs that loop: training takes plain steps at the fixed inner
+rate, and `codec.encode_video` takes two-point steps, whose rate comes
+from the last two evaluations at no further cost. The outer step applies
+a first-order gradient at the adapted modulations, treating them as
+constants. Each outer iteration trains on one video that the seed and
+the iteration alone pick, and a video that cannot be read ends the run.
+Training keeps no optimizer state, so a checkpoint plus the seed fully
+determines the rest of a run.
 """
 
 from __future__ import annotations
@@ -111,12 +112,20 @@ class TrainLog:
 
 
 def adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
-          steps: int, inner_lr: float,
-          v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, list[float]]:
+          steps: int, inner_lr: float, v: np.ndarray | None = None,
+          two_point: bool = False) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Run the inner loop and return (v, phis, per-step mean losses).
 
     Without `v` the video vector is adapted from zero alongside the frame
     vectors; a given `v` is held fixed and returned as it came.
+
+    Each step moves the joint vector of the adapted latents against its
+    gradient, the frames' part taken per frame (b times the gradient of
+    the batch mean), by one rate. Plain steps take `inner_lr` every time.
+    With `two_point`, a step after the first takes the Barzilai-Borwein
+    rate s.s / s.y, where s is the last step's move and y the change of
+    the gradient over it, clipped to [0.1, 10] * `inner_lr`; it takes
+    `inner_lr` when s.y <= 0 or the last step raised the loss.
     """
     b = targets.shape[0]
     adapt_v = v is None
@@ -124,6 +133,7 @@ def adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
         v = np.zeros(model.video_dim, dtype=model.dtype)
     phis = np.zeros((b, model.frame_dim), dtype=model.dtype)
     history: list[float] = []
+    last = None  # the previous step's joint point and gradient, with two_point
     for g in range(steps):
         try:
             step = loss_and_grads(model, v, phis, coords, targets)
@@ -131,15 +141,44 @@ def adapt(model: MetaModel, targets: np.ndarray, coords: np.ndarray, *,
             raise DivergenceError(g, history) from exc
         history.append(step.loss)
         # an update that overflows surfaces at the next evaluation, or the
-        # last update at the check below, not as a warning
+        # last update at the check below, not as a warning; an overflowing
+        # rate is clipped or falls back
         with np.errstate(over="ignore", invalid="ignore"):
+            rate = inner_lr
+            if two_point:
+                point = _joint(phis, v if adapt_v else None)
+                grad = _joint(step.phis, step.v if adapt_v else None, scale=b)
+                if last is not None and history[-1] <= history[-2]:
+                    rate = two_point_rate(point - last[0], grad - last[1], inner_lr)
+                last = point, grad
             # per-frame loss gradient = b times the gradient of the batch mean
-            phis = phis - (inner_lr * b) * step.phis
+            phis = phis - (rate * b) * step.phis
             if adapt_v:
-                v = v - inner_lr * step.v
+                v = v - rate * step.v
     if not (np.isfinite(v).all() and np.isfinite(phis).all()):
         raise DivergenceError(steps, history, what="modulations")
     return v, phis, history
+
+
+def two_point_rate(s: np.ndarray, y: np.ndarray, inner_lr: float) -> float:
+    """The Barzilai-Borwein rate s.s / s.y of a move s and its gradient
+    change y, clipped to [0.1, 10] * inner_lr; `inner_lr` when s.y <= 0.
+
+    Both dot products are numpy's own sums of float64 products, not BLAS
+    calls: OpenBLAS splits a long dot product over its threads, so its
+    rounding would follow the thread count.
+    """
+    sy = float(np.sum(s * y))
+    if not sy > 0:
+        return inner_lr
+    return min(max(float(np.sum(s * s)) / sy, 0.1 * inner_lr), 10 * inner_lr)
+
+
+def _joint(phis: np.ndarray, v: np.ndarray | None, scale: int = 1) -> np.ndarray:
+    """`phis` times `scale`, then `v` if given, as one float64 vector."""
+    x = np.concatenate([phis.ravel()] + ([] if v is None else [v]), dtype=np.float64)
+    x[: phis.size] *= scale
+    return x
 
 
 def sample_batch(video, cfg: TrainConfig,

@@ -80,7 +80,7 @@ def test_single_window_encode_matches_adapt():
     enc = encode_video(model, video, settings_of(cfg))
 
     v, phis, _ = adapt(model, video.values.reshape(2, -1), grid_coords(*video.dims[1:]),
-                       steps=cfg.inner_steps, inner_lr=cfg.inner_lr)
+                       steps=cfg.inner_steps, inner_lr=cfg.inner_lr, two_point=True)
     assert np.array_equal(enc.video_mod.values, v)
     assert np.array_equal(enc.frame_mods.values, phis)
     assert (enc.inner_steps, enc.inner_lr) == (cfg.inner_steps, cfg.inner_lr)

@@ -317,6 +317,25 @@ def test_encode_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
+def test_a_long_joint_vector_encodes_the_same_bytes_under_one_blas_thread_and_two(tmp_path):
+    # one window of 16 frame vectors of 512 and a video vector of 2048: the
+    # two-point rate's dot products run over 10240 entries, a length at which
+    # OpenBLAS splits a dot product over its threads. A float64 model carries
+    # a rate that rounded apart into the written bytes.
+    rng = np.random.default_rng(8)
+    model_path, video_path = tmp_path / "model.vfnc", tmp_path / "clip.rawvid"
+    save_model(model_path, MetaModel.initialize(layers=2, hidden=8, video_dim=2048,
+                                                frame_dim=512, dtype=np.float64, rng=rng))
+    save_video(video_path, VideoTensor(rng.uniform(0, 1, size=(16, 6, 6)).astype(np.float32)))
+    outputs = {}
+    for threads in ("2", "1"):
+        out = tmp_path / f"threads{threads}"
+        cli_with_blas_threads(threads, "encode", "--model", str(model_path), "--out", str(out),
+                              "--batch-frames", "16", "--inner-steps", "4", str(video_path))
+        outputs[threads] = (out / "clip.venc").read_bytes()
+    assert outputs["1"] == outputs["2"]
+
+
 TRAIN_CONFIG = """
 batch_frames = 8
 coords_per_frame = {coords}

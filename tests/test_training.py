@@ -1,5 +1,6 @@
 """Inner/outer loop contracts: zero-step identities, determinism,
-frozen-weight discipline, loss descent, and checkpoint resume."""
+frozen-weight discipline, loss descent, two-point step sizes, and
+checkpoint resume."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from vfuncta import training
 from vfuncta.container import load_model, save_model
 from vfuncta.data import SynthSpec, VideoTensor, gen_synthetic
 from vfuncta.errors import ContractError, DataError, DivergenceError
-from vfuncta.model import forward_batch, grid_coords
-from vfuncta.training import _STREAM_SHUFFLE, TrainConfig, adapt, meta_step, train
+from vfuncta.model import MetaModel, forward_batch, grid_coords, loss_and_grads
+from vfuncta.training import (
+    _STREAM_SHUFFLE, TrainConfig, adapt, meta_step, train, two_point_rate)
 
 
 def tiny_cfg(**overrides):
@@ -99,6 +101,108 @@ def test_inner_loop_does_not_touch_weights():
     adapt_batch(model, full_grid_batch(constant_video(), cfg), cfg)
     for (_, p), old in zip(model.parameters(), before):
         assert np.array_equal(p, old)
+
+
+def toy_window(dtype=np.float64, seed=3):
+    """A one-layer model of width 4 and a window of three 3x3 frames."""
+    rng = np.random.default_rng(seed)
+    model = MetaModel.initialize(layers=1, hidden=4, video_dim=3, frame_dim=2, dtype=dtype,
+                                 rng=rng)
+    return model, rng.uniform(0, 1, size=(3, 9)).astype(dtype), grid_coords(3, 3)
+
+
+def joint_point_and_gradient(window, v, phis, adapt_v=True):
+    """The joint (phis, v) vector and its gradient, the frames' part taken
+    per frame; without `adapt_v`, phis alone."""
+    model, targets, coords = window
+    g = loss_and_grads(model, v, phis, coords, targets)
+    keep = slice(None) if adapt_v else slice(phis.size)
+    return (np.concatenate([phis.ravel(), v])[keep],
+            np.concatenate([len(phis) * g.phis.ravel(), g.v])[keep])
+
+
+def second_step(window, lr, v=None):
+    """(x1, g1, x2, history): the point after one two-point step, its
+    gradient, and the point after two."""
+    model, targets, coords = window
+    v1, phis1, _ = adapt(model, targets, coords, steps=1, inner_lr=lr, v=v, two_point=True)
+    v2, phis2, history = adapt(model, targets, coords, steps=2, inner_lr=lr, v=v,
+                               two_point=True)
+    x1, g1 = joint_point_and_gradient(window, v1, phis1, adapt_v=v is None)
+    x2, _ = joint_point_and_gradient(window, v2, phis2, adapt_v=v is None)
+    return x1, g1, x2, history
+
+
+def hand_rate(window, x1, g1, v=None):
+    """s.s / s.y between the zero start and x1, worked out by hand."""
+    v0 = np.zeros(3) if v is None else v
+    x0, g0 = joint_point_and_gradient(window, v0, np.zeros((3, 2)), adapt_v=v is None)
+    s, y = x1 - x0, g1 - g0
+    return float(s @ s) / float(s @ y)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("frozen_v", [False, True])
+def test_the_first_two_point_step_is_the_plain_step_bit_for_bit(dtype, frozen_v):
+    model, targets, coords = toy_window(dtype)
+    v0 = np.linspace(-0.2, 0.2, 3).astype(dtype) if frozen_v else None
+    lr = 0.1
+    got = adapt(model, targets, coords, steps=1, inner_lr=lr, v=v0, two_point=True)
+    g = loss_and_grads(model, np.zeros(3, dtype) if v0 is None else v0,
+                       np.zeros((3, 2), dtype), coords, targets)
+    want_phis = np.zeros((3, 2), dtype) - (lr * 3) * g.phis
+    want_v = v0 if frozen_v else np.zeros(3, dtype) - lr * g.v
+    assert np.array_equal(got[1], want_phis) and np.array_equal(got[0], want_v)
+    plain = adapt(model, targets, coords, steps=1, inner_lr=lr, v=v0)
+    assert all(np.array_equal(a, b) for a, b in zip(got[:2], plain[:2])) and got[2] == plain[2]
+
+
+def test_the_second_step_takes_the_rate_of_the_two_recorded_points():
+    window = toy_window()
+    x1, g1, x2, history = second_step(window, lr=0.1)
+    rate = hand_rate(window, x1, g1)
+    assert history[1] < history[0] and 0.01 < rate < 1.0  # inside the clip
+    np.testing.assert_allclose(x2, x1 - rate * g1, rtol=1e-12, atol=1e-15)
+    # not the plain step
+    assert not np.allclose(x2, x1 - 0.1 * g1)
+
+
+def test_a_frozen_v_window_takes_its_rate_from_the_frame_vectors_alone():
+    window = toy_window()
+    v0 = np.array([0.3, -0.1, 0.2])
+    x1, g1, x2, history = second_step(window, lr=0.1, v=v0)
+    rate = hand_rate(window, x1, g1, v=v0)
+    assert history[1] < history[0] and 0.01 < rate < 1.0
+    np.testing.assert_allclose(x2, x1 - rate * g1, rtol=1e-12, atol=1e-15)
+    # a rate over a move that counted v's gradient would step elsewhere
+    g0 = joint_point_and_gradient(window, v0, np.zeros((3, 2)))[1]
+    s = -0.1 * g0
+    y = joint_point_and_gradient(window, v0, x1.reshape(3, 2))[1] - g0
+    assert not np.isclose(float(s @ s) / float(s @ y), rate)
+
+
+def test_a_two_point_rate_past_ten_times_the_inner_rate_is_clipped():
+    window = toy_window()
+    x1, g1, x2, history = second_step(window, lr=0.01)
+    assert history[1] < history[0] and hand_rate(window, x1, g1) > 0.1
+    np.testing.assert_allclose(x2, x1 - 0.1 * g1, rtol=1e-12, atol=1e-15)
+
+
+def test_a_step_after_a_loss_increase_takes_the_inner_rate():
+    window = toy_window()
+    x1, g1, x2, history = second_step(window, lr=1.0)
+    assert history[1] > history[0] and not np.isclose(hand_rate(window, x1, g1), 1.0)
+    np.testing.assert_allclose(x2, x1 - 1.0 * g1, rtol=1e-12, atol=1e-15)
+
+
+def test_two_point_rate_clips_and_falls_back():
+    s = np.array([1.0, 2.0])
+    assert two_point_rate(s, 4 * s, 1.0) == 0.25
+    assert two_point_rate(s, 100 * s, 1.0) == 0.1      # 0.01, clipped at 0.1x
+    assert two_point_rate(s, 0.01 * s, 0.5) == 5.0     # 100, clipped at 10x
+    assert two_point_rate(s, -s, 0.5) == 0.5           # negative curvature
+    assert two_point_rate(s, np.array([2.0, -1.0]), 0.5) == 0.5  # s.y == 0
+    assert two_point_rate(np.zeros(2), np.zeros(2), 0.5) == 0.5  # no move
 
 
 def test_zero_meta_lr_keeps_weights_bit_exact():
